@@ -7,9 +7,16 @@ into ``Tensor.grad``, then clears it.  The one non-standard primitive is
 only on the stored entries of a reachability mask: excluded pairs enter
 neither the scores nor the softmax normalization, in forward or backward.
 
-Determinism: per-row reductions run in ascending column order (CSR order) and
-scatter accumulations in stored-entry order, so identical inputs produce
-bit-identical outputs.
+The kernel picks one of two paths per call from the mask's density.  Below
+``DENSE_MIN_DENSITY`` the nnz path gathers and reduces over stored entries
+only.  At or above it the masked dense path computes the T x T scores with
+BLAS, sets off-support scores to -inf, and runs its backward as four matrix
+products; since T^2 <= nnz / DENSE_MIN_DENSITY there, its memory and work
+stay linear in nnz.  Both paths give the same results up to rounding.
+
+Determinism: on the nnz path per-row reductions run in ascending column order
+(CSR order) and scatter accumulations in stored-entry order; the dense path
+runs fixed BLAS products.  Identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -120,7 +127,12 @@ def attention_flops(nnz: int, head_dim: int) -> int:
 
 @dataclass
 class FlopMeter:
+    """``attention_flops`` is the paper's cost model, nnz-based on every path;
+    ``executed_flops`` counts the entries the kernel actually scored, which on
+    the masked dense path is all T^2 of them."""
+
     attention_flops: int = 0
+    executed_flops: int = 0
 
 
 def _meters() -> list[FlopMeter]:
@@ -369,16 +381,91 @@ def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarr
     return expd / denom[row]
 
 
+# Masks with nnz >= DENSE_MIN_DENSITY * T^2 run on the masked dense path,
+# sparser ones on the nnz path.  Per-call forward + backward, d_h = 4,
+# float64, OpenBLAS 0.3.31 on 2 vCPUs, nnz path vs dense path:
+#   SBM hop masks, T = 333:   density 0.06: 1.2 vs 2.1 ms; 0.14: 3.1 vs 1.8 ms;
+#                             1.00: 47 vs 1.1 ms
+#   SBM hop masks, T = 1212:  density 0.07: 29 vs 34 ms; 0.14: 64 vs 36 ms
+#   ring hop masks, density 0.25: 8.1 vs 1.5 ms (T = 340), 104 vs 20 ms (T = 1212)
+# At T <= 44 the dense path is faster at every density.  The paths break even
+# near density 0.1, where repeated timings differ by up to 2x.  0.25 keeps
+# the dense path about 5x faster wherever it is chosen, keeps heads near the
+# break-even (such as the 14% hop-3 heads of the SBM node task) on one path
+# for every seed, and bounds the T x T buffers by T^2 <= 4 * nnz.
+DENSE_MIN_DENSITY = 0.25
+
+
+def _sparse_path(qv, kv, vv, mask: HopMask, dropmult):
+    """Attention over the stored entries only; returns (out, grads(g))."""
+    t, d_h = qv.shape
+    row, col, indptr = mask.row_indices, mask.indices, mask.indptr
+    inv_sqrt = 1.0 / np.sqrt(d_h)
+    alpha = attention_weights(qv, kv, mask)
+    applied = alpha if dropmult is None else alpha * dropmult
+    out = np.add.reduceat(applied[:, None] * vv[col], indptr[:-1], axis=0) \
+        if applied.size else np.zeros((t, d_h))
+
+    def grads(g):
+        gr = g[row]
+        d_applied = np.einsum("ij,ij->i", gr, vv[col])
+        d_alpha = d_applied if dropmult is None else d_applied * dropmult
+        rowdot = np.add.reduceat(alpha * d_alpha, indptr[:-1])
+        dscore = alpha * (d_alpha - rowdot[row]) * inv_sqrt
+        return (np.add.reduceat(dscore[:, None] * kv[col], indptr[:-1], axis=0),
+                _scatter_rows(dscore[:, None] * qv[row], col, t),
+                _scatter_rows(applied[:, None] * gr, col, t))
+
+    return out, grads
+
+
+def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
+    """Attention as T x T BLAS products with -inf scores off the support;
+    off-support weights are exact zeros.  Returns (out, grads(g))."""
+    t, d_h = qv.shape
+    inv_sqrt = 1.0 / np.sqrt(d_h)
+    support = mask.dense_support
+    scores = qv @ kv.T
+    scores *= inv_sqrt
+    if mask.nnz < t * t:
+        np.copyto(scores, -np.inf, where=~support)
+    scores -= scores.max(axis=1, keepdims=True)
+    alpha = np.exp(scores, out=scores)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    if dropmult is None:
+        drop = None
+        applied = alpha
+    else:
+        drop = np.zeros((t, t))
+        drop[support] = dropmult   # row-major order of the support is CSR order
+        applied = alpha * drop
+
+    def grads(g):
+        d_alpha = g @ vv.T
+        if drop is not None:
+            d_alpha *= drop
+        d_alpha -= np.einsum("ij,ij->i", alpha, d_alpha)[:, None]
+        d_alpha *= alpha
+        d_alpha *= inv_sqrt
+        return d_alpha @ kv, d_alpha.T @ qv, applied.T @ g
+
+    return applied @ vv, grads
+
+
 def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: HopMask, *,
                             dropout_rate: float = 0.0, dropout_seed=None,
                             training: bool = False) -> Tensor:
     """Scaled dot-product attention restricted to the mask support.
 
-    For each row i, scores <q_i, k_j>/sqrt(d_h) are formed only for stored
-    (i, j); the softmax normalizes over that support and the output row is the
-    resulting convex combination of value rows.  Work is proportional to
-    nnz(mask) * d_h in both directions.  ``dropout_rate`` drops individual
-    attention weights (inverted scaling) when training.
+    For each row i, the softmax over scores <q_i, k_j>/sqrt(d_h) normalizes
+    over the stored (i, j) only, and the output row is the resulting convex
+    combination of value rows.  Masks sparser than ``DENSE_MIN_DENSITY`` run
+    on the nnz path, whose work is proportional to nnz(mask) * d_h in both
+    directions; denser ones run as BLAS products over the T x T score matrix
+    with -inf off the support, which is at most nnz / DENSE_MIN_DENSITY
+    entries.  ``dropout_rate`` drops individual attention weights (inverted
+    scaling) when training, drawing one number per stored entry in CSR order,
+    so a seed keeps the same weights on either path.
     """
     if q.values.shape != k.values.shape or q.values.shape != v.values.shape:
         raise ShapeError(
@@ -386,36 +473,26 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: HopMask, *,
     t, d_h = q.values.shape
     if mask.size != t:
         raise ShapeError(f"mask is for {mask.size} tokens, inputs have {t} rows")
-    qv, kv, vv = q.values, k.values, v.values
-    row, col, indptr = mask.row_indices, mask.indices, mask.indptr
-    inv_sqrt = 1.0 / np.sqrt(d_h)
-
-    alpha = attention_weights(qv, kv, mask)
+    dropmult = None
     if training and dropout_rate > 0.0:
         rng = np.random.default_rng(dropout_seed)
-        dropmult = (rng.random(alpha.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        applied = alpha * dropmult
-    else:
-        dropmult = None
-        applied = alpha
-    out_vals = np.add.reduceat(applied[:, None] * vv[col], indptr[:-1], axis=0) \
-        if applied.size else np.zeros((t, d_h))
+        dropmult = (rng.random(mask.nnz) >= dropout_rate) / (1.0 - dropout_rate)
+    dense = mask.nnz >= DENSE_MIN_DENSITY * t * t
+    path = _dense_path if dense else _sparse_path
+    out_vals, grads = path(q.values, k.values, v.values, mask, dropmult)
     out = Tensor(out_vals)
 
     for meter in _meters():
         meter.attention_flops += attention_flops(mask.nnz, d_h)
+        meter.executed_flops += attention_flops(t * t if dense else mask.nnz, d_h)
 
     def bwd():
         if out.grad is None:
             return
-        gr = out.grad[row]
-        d_applied = np.einsum("ij,ij->i", gr, vv[col])
-        d_alpha = d_applied if dropmult is None else d_applied * dropmult
-        rowdot = np.add.reduceat(alpha * d_alpha, indptr[:-1])
-        dscore = alpha * (d_alpha - rowdot[row]) * inv_sqrt
-        q._accum(np.add.reduceat(dscore[:, None] * kv[col], indptr[:-1], axis=0))
-        k._accum(_scatter_rows(dscore[:, None] * qv[row], col, t))
-        v._accum(_scatter_rows(applied[:, None] * gr, col, t))
+        dq, dk, dv = grads(out.grad)
+        q._accum(dq)
+        k._accum(dk)
+        v._accum(dv)
 
     _tape().record(bwd)
     return out

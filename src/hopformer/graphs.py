@@ -28,12 +28,41 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _int_field(name: str, values) -> np.ndarray:
+    """``values`` as int64.  Booleans and numbers with a fractional part are
+    refused, not truncated; integral floats (as from ``np.zeros``) pass."""
+    if isinstance(values, list) and any(
+            isinstance(x, bool) for x in np.asarray(values, dtype=object).flat):
+        raise GraphError(f"{name} must hold integers, got a boolean")
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iuf":
+        raise GraphError(f"{name} must hold integers, got {arr.dtype} values")
+    if arr.dtype.kind == "f":
+        bad = np.argwhere(~np.isfinite(arr) | (np.floor(arr) != arr))
+        if bad.size:
+            at = tuple(int(i) for i in bad[0])
+            raise GraphError(f"{name} must hold integers, got {float(arr[at])!r} at index "
+                             f"{at[0] if len(at) == 1 else list(at)}")
+    return arr.astype(np.int64)
+
+
+def _finite_rows(name: str, values) -> np.ndarray:
+    """``values`` as float64, refusing NaN or infinite entries by row."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        row = int(np.argwhere(bad)[0][0]) if arr.ndim else 0
+        raise GraphError(f"{name} row {row} has a non-finite value")
+    return arr
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with node features and optional edge features/labels.
 
     Edges are unordered pairs; self-loops and parallel edges are rejected at
-    construction with a message naming the offending edge.
+    construction with a message naming the offending edge.  Integer fields
+    must hold integers (nothing is truncated) and features must be finite.
     """
 
     num_nodes: int
@@ -45,9 +74,9 @@ class Graph:
 
     def __post_init__(self):
         n = self.num_nodes
-        if not isinstance(n, (int, np.integer)) or n < 0:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
             raise GraphError(f"num_nodes must be a non-negative integer, got {n!r}")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = _int_field("edges", self.edges).reshape(-1, 2)
         for i, (u, v) in enumerate(edges):
             if u < 0 or u >= n or v < 0 or v >= n:
                 raise GraphError(f"edge {i} = ({u}, {v}) has an endpoint outside [0, {n})")
@@ -59,20 +88,20 @@ class Graph:
             if key in seen:
                 raise GraphError(f"duplicate edge ({u}, {v}) at positions {seen[key]} and {i}")
             seen[key] = i
-        feats = np.asarray(self.node_features, dtype=np.float64)
+        feats = _finite_rows("node_features", self.node_features)
         if feats.ndim != 2 or feats.shape[0] != n:
             raise GraphError(
                 f"node_features must be 2-D with {n} rows, got shape {feats.shape}")
         object.__setattr__(self, "edges", _frozen(edges))
         object.__setattr__(self, "node_features", _frozen(feats))
         if self.edge_features is not None:
-            ef = np.asarray(self.edge_features, dtype=np.float64)
+            ef = _finite_rows("edge_features", self.edge_features)
             if ef.ndim != 2 or ef.shape[0] != len(edges):
                 raise GraphError(
                     f"edge_features must be 2-D with {len(edges)} rows, got shape {ef.shape}")
             object.__setattr__(self, "edge_features", _frozen(ef))
         if self.node_labels is not None:
-            lab = np.asarray(self.node_labels, dtype=np.int64).reshape(-1)
+            lab = _int_field("node_labels", self.node_labels).reshape(-1)
             if lab.shape[0] != n:
                 raise GraphError(f"node_labels must have length {n}, got {lab.shape[0]}")
             object.__setattr__(self, "node_labels", _frozen(lab))
@@ -185,8 +214,6 @@ def _graph_from_obj(obj) -> Graph:
     for key in ("num_nodes", "edges", "node_features"):
         if key not in obj:
             raise GraphError(f"missing required field '{key}'")
-    if not isinstance(obj["num_nodes"], int):
-        raise GraphError(f"field 'num_nodes' must be an integer, got {obj['num_nodes']!r}")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list) or any(
             not isinstance(e, list) or len(e) != 2 for e in raw_edges):
@@ -194,13 +221,12 @@ def _graph_from_obj(obj) -> Graph:
     edges = _symmetrize(raw_edges)
     return Graph(
         num_nodes=obj["num_nodes"],
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        edges=edges,
         node_features=np.asarray(obj["node_features"], dtype=np.float64).reshape(
             len(obj["node_features"]), -1),
         edge_features=None if obj.get("edge_features") is None else np.asarray(
             obj["edge_features"], dtype=np.float64),
-        node_labels=None if obj.get("node_labels") is None else np.asarray(
-            obj["node_labels"], dtype=np.int64),
+        node_labels=obj.get("node_labels"),
         graph_label=obj.get("graph_label"),
     )
 

@@ -25,6 +25,7 @@ class HopMask:
     indptr: np.ndarray   # (T+1,) int64
     indices: np.ndarray  # (nnz,) int64, ascending within each row
     _row_indices: np.ndarray | None = field(default=None, repr=False)
+    _dense_support: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def nnz(self) -> int:
@@ -37,6 +38,19 @@ class HopMask:
             self._row_indices = _frozen(
                 np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr)))
         return self._row_indices
+
+    @property
+    def dense_support(self) -> np.ndarray:
+        """The mask as a boolean T x T array (cached).
+
+        T^2 bytes: the attention kernel asks for it only on masks whose
+        density is at least ``autograd.DENSE_MIN_DENSITY``.
+        """
+        if self._dense_support is None:
+            support = np.zeros((self.size, self.size), dtype=bool)
+            support[self.row_indices, self.indices] = True
+            self._dense_support = _frozen(support)
+        return self._dense_support
 
     def row(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]

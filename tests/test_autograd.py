@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hopformer import (ShapeError, Tensor, augment, backward, build_mask,
-                       generate_erdos_renyi, grad_check, sparse_masked_attention,
+from hopformer import (Graph, ShapeError, Tensor, augment, backward, build_mask,
+                       generate_erdos_renyi, generate_watts_strogatz, grad_check,
+                       sparse_masked_attention,
                        attention_weights, attention_flops, count_attention_flops)
 from hopformer import autograd as ops
 
@@ -246,6 +247,156 @@ class TestSparseMaskedAttention:
             sparse_masked_attention(q, k, v, mask)
         assert meter.attention_flops == 2 * attention_flops(mask.nnz, 4)
         assert attention_flops(mask.nnz, 4) == mask.nnz * (4 * 4 + 5)
+
+
+def _ring_mask(nodes: int, hops: int):
+    """Hop mask on the augmented ring of ``nodes`` nodes (T = 2 * nodes), where
+    every row holds min(2 * hops + 1, T) tokens."""
+    return build_mask(augment(generate_watts_strogatz(nodes, 2, 0.0, seed=0)), hops)
+
+
+def _runs_dense(mask) -> bool:
+    return mask.nnz >= ops.DENSE_MIN_DENSITY * mask.size ** 2
+
+
+# One mask per side of the threshold, one exactly on it, and a full one.
+DISPATCH_MASKS = {
+    "nnz": lambda: _ring_mask(16, 2),          # density 5/32
+    "threshold": lambda: _ring_mask(6, 1),     # density 3/12
+    "dense": lambda: _ring_mask(16, 8),        # density 17/32, off-support entries
+    "full": lambda: _ring_mask(16, 16),
+}
+EXPECT_DENSE = {"nnz": False, "threshold": True, "dense": True, "full": True}
+PATHS = {"nnz": ops._sparse_path, "dense": ops._dense_path}
+
+
+def _qkv(t, d_h=4, seed=0):
+    return np.random.default_rng(seed).standard_normal((3, t, d_h))
+
+
+class TestDensityDispatch:
+    @pytest.mark.parametrize("name", DISPATCH_MASKS)
+    def test_dispatch_and_meter_follow_density(self, name):
+        mask = DISPATCH_MASKS[name]()
+        t = mask.size
+        assert _runs_dense(mask) == EXPECT_DENSE[name]
+        if name == "threshold":
+            assert mask.nnz == ops.DENSE_MIN_DENSITY * t * t
+        q, k, v = (Tensor(a) for a in _qkv(t))
+        with count_attention_flops() as meter:
+            sparse_masked_attention(q, k, v, mask)
+        assert meter.attention_flops == attention_flops(mask.nnz, 4)
+        executed = t * t if EXPECT_DENSE[name] else mask.nnz
+        assert meter.executed_flops == attention_flops(executed, 4)
+
+    def test_nnz_path_never_builds_a_dense_support(self):
+        mask = DISPATCH_MASKS["nnz"]()
+        q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(mask.size))
+        backward(ops.sum_all(sparse_masked_attention(q, k, v, mask)))
+        assert mask._dense_support is None
+
+    @pytest.mark.parametrize("name", DISPATCH_MASKS)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_each_path_matches_dense_oracle(self, name, path):
+        mask = DISPATCH_MASKS[name]()
+        qv, kv, vv = _qkv(mask.size, seed=1)
+        out, _ = PATHS[path](qv, kv, vv, mask, None)
+        oracle = dense_attention_oracle(qv, kv, vv, mask_to_dense(mask))
+        assert np.abs(out - oracle).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", DISPATCH_MASKS)
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_paths_agree_on_outputs_and_grads(self, name, rate):
+        mask = DISPATCH_MASKS[name]()
+        qv, kv, vv = _qkv(mask.size, seed=2)
+        g = np.random.default_rng(3).standard_normal(qv.shape)
+        dropmult = None if rate == 0.0 else (
+            np.random.default_rng(4).random(mask.nnz) >= rate) / (1.0 - rate)
+        out_s, grads_s = ops._sparse_path(qv, kv, vv, mask, dropmult)
+        out_d, grads_d = ops._dense_path(qv, kv, vv, mask, dropmult)
+        assert np.abs(out_s - out_d).max() <= 1e-12
+        for gs, gd in zip(grads_s(g), grads_d(g)):
+            assert np.abs(gs - gd).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["nnz", "dense"])
+    def test_same_seed_keeps_same_weights_on_either_path(self, name):
+        # the public call draws one number per stored entry in CSR order; the
+        # other path fed those draws must give the same output
+        mask = DISPATCH_MASKS[name]()
+        qv, kv, vv = _qkv(mask.size, seed=5)
+        out = sparse_masked_attention(Tensor(qv), Tensor(kv), Tensor(vv), mask,
+                                      dropout_rate=0.4, dropout_seed=[7, 1],
+                                      training=True).values
+        dropmult = (np.random.default_rng([7, 1]).random(mask.nnz) >= 0.4) / 0.6
+        other = PATHS["nnz" if EXPECT_DENSE[name] else "dense"]
+        ref, _ = other(qv, kv, vv, mask, dropmult)
+        assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["nnz", "dense"])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_check_each_path(self, name, which):
+        mask = _ring_mask(8, 1 if name == "nnz" else 4)   # T = 16
+        assert _runs_dense(mask) == EXPECT_DENSE[name]
+        fixed = [Tensor(a) for a in _qkv(mask.size, d_h=3, seed=6)]
+
+        def f(x):
+            args = list(fixed)
+            args[which] = x
+            out = sparse_masked_attention(*args, mask, dropout_rate=0.3,
+                                          dropout_seed=2, training=True)
+            return ops.sum_all(ops.matmul(out, Tensor(np.arange(1.0, 4.0).reshape(3, 1))))
+
+        x = Tensor(fixed[which].values.copy(), requires_grad=True)
+        assert grad_check(f, x) < 1e-4
+
+    @pytest.mark.parametrize("name", ["nnz", "dense"])
+    def test_backward_touches_only_support_on_each_path(self, name):
+        # the loss reads row 0 only; tokens outside its support get no gradient
+        mask = DISPATCH_MASKS[name]()
+        assert _runs_dense(mask) == EXPECT_DENSE[name]
+        q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(mask.size, seed=8))
+        out = sparse_masked_attention(q, k, v, mask)
+        backward(ops.sum_all(ops.row_slice(out, 0, 1)))
+        outside = ~mask_to_dense(mask)[0]
+        assert outside.any()
+        assert np.all(k.grad[outside] == 0.0)
+        assert np.all(v.grad[outside] == 0.0)
+        assert np.all(q.grad[1:] == 0.0)
+
+    def test_dense_path_bitwise_rerun(self):
+        mask = DISPATCH_MASKS["dense"]()
+        qv, kv, vv = _qkv(mask.size, seed=9)
+        runs = []
+        for _ in range(2):
+            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (qv, kv, vv))
+            out = sparse_masked_attention(q, k, v, mask, dropout_rate=0.2,
+                                          dropout_seed=1, training=True)
+            backward(ops.sum_all(ops.scale(out, 1.5)))
+            runs.append([out.values, q.grad, k.grad, v.grad])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("graph, hops, dense", [
+        (lambda: _edgeless(1), 3, True),     # T = 1
+        (lambda: _edgeless(3), 2, True),     # edgeless, density 1/3
+        (lambda: _edgeless(6), 2, False),    # edgeless, density 1/6
+        (single_edge_graph, 0, True),        # hop 0, density 1/3
+        (lambda: generate_watts_strogatz(16, 2, 0.0), 0, False),   # hop 0, 1/32
+    ])
+    def test_identity_masks_return_values(self, graph, hops, dense):
+        mask = build_mask(augment(graph()), hops)
+        assert mask.nnz == mask.size and _runs_dense(mask) == dense
+        qv, kv, vv = _qkv(mask.size, seed=10)
+        q, k, v = (Tensor(a, requires_grad=True) for a in (qv, kv, vv))
+        out = sparse_masked_attention(q, k, v, mask)
+        assert np.array_equal(out.values, vv)
+        backward(ops.sum_all(out))
+        assert np.all(q.grad == 0.0) and np.all(k.grad == 0.0)
+        assert np.array_equal(v.grad, np.ones_like(vv))
+
+
+def _edgeless(nodes):
+    return Graph(num_nodes=nodes, edges=np.zeros((0, 2)), node_features=np.ones((nodes, 1)))
 
 
 class TestGradCheck:

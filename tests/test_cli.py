@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hopformer.cli import main
 
@@ -102,6 +103,20 @@ class TestAugment:
         src.write_text("{oops")
         assert main(["augment", str(src), "--output", str(tmp_path / "o.json")]) == 2
         assert "line" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"num_nodes": 2, "edges": [[0.7, 1]], "node_features": [[1], [2]]}, "edges"),
+        ({"num_nodes": True, "edges": [], "node_features": [[1]]}, "num_nodes"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [float("inf")]]},
+         "node_features row 1"),
+    ])
+    def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, obj, field):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(obj))
+        assert main(["augment", str(src), "--output", str(tmp_path / "o.json")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestMasks:

@@ -34,6 +34,38 @@ class TestGraphInvariants:
             Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=np.ones((2, 1)),
                   edge_features=np.ones((2, 3)))
 
+    def test_fractional_endpoint_rejected_not_truncated(self):
+        with pytest.raises(GraphError, match=r"edges must hold integers, got 0\.7"):
+            Graph(num_nodes=2, edges=np.array([[0.7, 1.0]]), node_features=np.ones((2, 1)))
+
+    def test_integral_float_endpoints_accepted(self):
+        g = Graph(num_nodes=2, edges=np.array([[0.0, 1.0]]), node_features=np.ones((2, 1)))
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1]]
+
+    def test_boolean_integer_fields_rejected(self):
+        with pytest.raises(GraphError, match="num_nodes"):
+            Graph(num_nodes=True, edges=np.zeros((0, 2)), node_features=np.ones((1, 1)))
+        with pytest.raises(GraphError, match="edges must hold integers"):
+            Graph(num_nodes=2, edges=np.array([[True, False]]), node_features=np.ones((2, 1)))
+
+    def test_fractional_node_label_rejected(self):
+        with pytest.raises(GraphError, match=r"node_labels must hold integers, got 0\.5 at index 1"):
+            Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=np.ones((2, 1)),
+                  node_labels=np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_name_first_bad_row(self, bad):
+        feats = np.ones((4, 2))
+        feats[2, 1] = bad
+        feats[3, 0] = bad
+        with pytest.raises(GraphError, match="node_features row 2 "):
+            Graph(num_nodes=4, edges=np.array([[0, 1]]), node_features=feats)
+        ef = np.ones((2, 3))
+        ef[1, 2] = bad
+        with pytest.raises(GraphError, match="edge_features row 1 "):
+            Graph(num_nodes=4, edges=np.array([[0, 1], [2, 3]]),
+                  node_features=np.ones((4, 2)), edge_features=ef)
+
 
 class TestAugment:
     def test_single_edge(self):
@@ -146,6 +178,28 @@ class TestLoadGraph:
         text = json.dumps({"num_nodes": 2, "edges": [[0, 1], [0, 1]],
                            "node_features": [[1], [2]]})
         with pytest.raises(GraphError, match="duplicate"):
+            load_graph(text)
+
+    def test_fractional_endpoint_rejected(self):
+        text = json.dumps({"num_nodes": 2, "edges": [[0.7, 1]],
+                           "node_features": [[1], [2]]})
+        with pytest.raises(GraphError, match="edges must hold integers"):
+            load_graph(text)
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"num_nodes": True, "edges": [], "node_features": [[1]]}, "num_nodes"),
+        ({"num_nodes": 3, "edges": [[True, 2]], "node_features": [[1], [1], [1]]}, "edges"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [1]],
+          "node_labels": [False, 1]}, "node_labels"),
+    ])
+    def test_boolean_integer_field_rejected(self, obj, field):
+        with pytest.raises(GraphError, match=field):
+            load_graph(json.dumps(obj))
+
+    def test_non_finite_feature_rejected(self):
+        # Python's json reads the NaN and Infinity literals
+        text = '{"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [NaN]]}'
+        with pytest.raises(GraphError, match="node_features row 1"):
             load_graph(text)
 
     def test_dataset_array(self):
