@@ -11,7 +11,6 @@ with it exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .autograd import (Tensor, attention_flops, count_attention_flops,
                        scratch_tape)
 from .graphs import AugmentedGraph, Graph, augment
-from .masks import HopMask, build_head_masks
+from .masks import HopMask, build_head_masks, hop_distance_blocks
 from .model import Model, ModelConfig, encode, encoder_layer, forward, init_model
 
 FLOP_CONVENTIONS = ("multiply-add=2; exp/div/sub/add=1; layer_norm=5 per element; "
@@ -66,17 +65,39 @@ def clustering_coefficient(g: Graph) -> float:
     return total / g.num_nodes
 
 
-def _bfs_distances(nbrs: list[set[int]], src: int) -> np.ndarray:
-    dist = np.full(len(nbrs), -1, dtype=np.int64)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in nbrs[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+@dataclass(frozen=True)
+class _PathSummary:
+    component: np.ndarray      # per node, the smallest node id in its component
+    eccentricity: np.ndarray   # per node, its largest distance within its component
+    total: int                 # sum of distances over reachable ordered pairs u != v
+    pairs: int                 # number of such pairs
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.pairs if self.pairs else 0.0
+
+
+def _path_summary(g: Graph) -> _PathSummary:
+    """All-pairs unbounded BFS on the original graph, reduced block by block."""
+    n = g.num_nodes
+    if n < 2:
+        raise ValueError(f"average path length needs at least 2 nodes, got {n}")
+    ends = np.concatenate([g.edges, g.edges[:, ::-1]])
+    order = np.argsort(ends[:, 0], kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends[:, 0], minlength=n), out=indptr[1:])
+    component = np.empty(n, dtype=np.int64)
+    eccentricity = np.empty(n, dtype=np.int64)
+    total = pairs = 0
+    for rows, cols, dist in hop_distance_blocks(indptr, ends[order, 1], n, n):
+        # every row holds its diagonal, so the first entry of a row is the
+        # smallest node id reachable from it
+        first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        component[rows[first]] = cols[first]
+        eccentricity[rows[first]] = np.maximum.reduceat(dist, first)
+        total += int(dist.sum())
+        pairs += dist.size - first.size
+    return _PathSummary(component, eccentricity, total, pairs)
 
 
 def avg_shortest_path(g: Graph) -> float:
@@ -85,40 +106,18 @@ def avg_shortest_path(g: Graph) -> float:
     Disconnected graphs average over within-component pairs only; an edgeless
     graph has no such pairs and yields 0.
     """
-    if g.num_nodes < 2:
-        raise ValueError(f"average path length needs at least 2 nodes, got {g.num_nodes}")
-    nbrs = _neighbor_sets(g)
-    total = 0
-    pairs = 0
-    for src in range(g.num_nodes):
-        dist = _bfs_distances(nbrs, src)
-        reached = dist > 0
-        total += int(dist[reached].sum())
-        pairs += int(reached.sum())
-    return total / pairs if pairs else 0.0
+    return _path_summary(g).mean
 
 
 def small_world_report(g: Graph) -> SmallWorldReport:
-    nbrs = _neighbor_sets(g)
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    components: list[np.ndarray] = []
-    for src in range(g.num_nodes):
-        if seen[src]:
-            continue
-        dist = _bfs_distances(nbrs, src)
-        members = np.flatnonzero(dist >= 0)
-        seen[members] = True
-        components.append(members)
-    largest = max(components, key=len) if components else np.zeros(0, dtype=np.int64)
-    diameter = 0
-    for src in largest:
-        dist = _bfs_distances(nbrs, int(src))
-        diameter = max(diameter, int(dist.max()))
+    paths = _path_summary(g)
+    labels, sizes = np.unique(paths.component, return_counts=True)
+    largest = paths.component == labels[np.argmax(sizes)]   # ties: smallest node id
     return SmallWorldReport(
         clustering=clustering_coefficient(g),
-        avg_path_length=avg_shortest_path(g),
-        num_components=len(components),
-        diameter_of_largest_component=diameter,
+        avg_path_length=paths.mean,
+        num_components=len(labels),
+        diameter_of_largest_component=int(paths.eccentricity[largest].max()),
     )
 
 

@@ -58,40 +58,27 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    return Tensor(values, requires_grad=requires_grad)
-
-
-class Tape:
-    """Ordered record of primitive applications; walked in exact reverse."""
-
-    def __init__(self):
-        self.ops: list = []
-
-    def record(self, backward_fn) -> None:
-        self.ops.append(backward_fn)
-
-
 _state = threading.local()
 
 
-def _tape() -> Tape:
+def _tape() -> list:
+    """The active tape: backward closures in the order their primitives ran."""
     t = getattr(_state, "tape", None)
     if t is None:
-        t = _state.tape = Tape()
+        t = _state.tape = []
     return t
 
 
 def record(backward_fn) -> None:
     """Record a backward closure for a custom primitive on the active tape."""
-    _tape().record(backward_fn)
+    _tape().append(backward_fn)
 
 
 @contextmanager
 def scratch_tape():
     """Run recording on a throwaway tape (forwards whose grads are unwanted)."""
     prev = _tape()
-    _state.tape = Tape()
+    _state.tape = []
     try:
         yield _state.tape
     finally:
@@ -103,12 +90,12 @@ def backward(loss: Tensor) -> None:
     if loss.values.shape != (1, 1):
         raise ShapeError(f"loss must be scalar (1, 1), got shape {loss.values.shape}")
     t = _tape()
-    if not t.ops:
+    if not t:
         raise RuntimeError("backward called on an empty tape")
     loss._accum(np.ones((1, 1)))
-    for fn in reversed(t.ops):
+    for fn in reversed(t):
         fn()
-    t.ops.clear()
+    t.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +156,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a._accum(out.grad @ bv.T)
         b._accum(av.T @ out.grad)
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -187,7 +174,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a._accum(out.grad)
         b._accum(out.grad.sum(axis=0, keepdims=True) if broadcast else out.grad)
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -200,7 +187,7 @@ def scale(a: Tensor, c: float) -> Tensor:
             return
         a._accum(c * out.grad)
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -213,7 +200,7 @@ def relu(a: Tensor) -> Tensor:
             return
         a._accum(out.grad * pos)
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -232,7 +219,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             p._accum(out.grad[:, lo:hi])
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -251,7 +238,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             p._accum(out.grad[lo:hi])
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -265,7 +252,7 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
         g[start:stop] = out.grad
         a._accum(g)
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -277,7 +264,7 @@ def sum_all(a: Tensor) -> Tensor:
             return
         a._accum(np.full_like(a.values, out.grad[0, 0]))
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -289,7 +276,7 @@ def sum_rows(a: Tensor) -> Tensor:
             return
         a._accum(np.broadcast_to(out.grad, a.values.shape).copy())
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -302,7 +289,7 @@ def mean_rows(a: Tensor) -> Tensor:
             return
         a._accum(np.broadcast_to(out.grad / n, a.values.shape).copy())
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -329,7 +316,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         x._accum(inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)))
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -348,7 +335,7 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool) -> Tensor:
             return
         x._accum(out.grad * keep)
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 
@@ -494,7 +481,7 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: HopMask, *,
         k._accum(dk)
         v._accum(dv)
 
-    _tape().record(bwd)
+    _tape().append(bwd)
     return out
 
 

@@ -10,6 +10,7 @@ uniformly while the structure stays sparse.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,13 +57,25 @@ def _finite_rows(name: str, values) -> np.ndarray:
     return arr
 
 
+def _check_graph_label(label) -> None:
+    """A graph label is None, an integer class, or a finite regression target."""
+    if label is None:
+        return
+    if isinstance(label, (bool, np.bool_)) or not isinstance(
+            label, (int, float, np.integer, np.floating)):
+        raise GraphError(f"graph_label must be an integer or a finite number, got {label!r}")
+    if isinstance(label, (float, np.floating)) and not math.isfinite(label):
+        raise GraphError(f"graph_label must be finite, got {label!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with node features and optional edge features/labels.
 
     Edges are unordered pairs; self-loops and parallel edges are rejected at
     construction with a message naming the offending edge.  Integer fields
-    must hold integers (nothing is truncated) and features must be finite.
+    must hold integers (nothing is truncated), features must be finite, and a
+    graph label must be an integer or a finite number.
     """
 
     num_nodes: int
@@ -105,6 +118,7 @@ class Graph:
             if lab.shape[0] != n:
                 raise GraphError(f"node_labels must have length {n}, got {lab.shape[0]}")
             object.__setattr__(self, "node_labels", _frozen(lab))
+        _check_graph_label(self.graph_label)
 
     @property
     def num_edges(self) -> int:

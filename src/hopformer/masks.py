@@ -3,8 +3,13 @@
 A mask stores, in CSR form, every token pair (i, j) whose shortest-path
 distance in the augmented graph is at most the head's hop budget.  Budgets
 count hops on the augmented graph, where one hop of the original graph costs
-two (node -> edge token -> node).  Masks are built by truncated breadth-first
-search from every source token; nothing dense is ever materialized.
+two (node -> edge token -> node).
+
+Every head's mask comes from one level-synchronous, multi-source breadth-first
+search (:func:`hop_distances`) that labels each reachable pair with its hop
+distance up to the largest budget; a head's mask is the filter ``dist <= n``.
+Sources run in blocks sized so that the search's transient arrays stay
+within ``BLOCK_CELLS`` entries, and nothing T x T is materialized.
 """
 
 from __future__ import annotations
@@ -56,49 +61,103 @@ class HopMask:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
+# Bound on the transient arrays of one search block.  A block of B sources
+# has a B x T ``seen`` buffer (bytes), frontiers and output of at most B x T
+# keys, and per level at most B x nnz expanded neighbours (each source expands
+# each stored link at most once).  B = BLOCK_CELLS // max(T, nnz), at least
+# one, keeps all of them within BLOCK_CELLS entries.
+BLOCK_CELLS = 2**20
+
+
+def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hops: int):
+    """Yield ``(rows, cols, dist)`` for consecutive blocks of source rows.
+
+    Together the blocks list, in row-major order, every pair (i, j) of the
+    t-node CSR graph ``indptr``/``indices`` with hop distance
+    dist(i, j) <= max_hops.  Each block is one multi-source, level-synchronous
+    BFS: a frontier of ``(source - s0) * t + node`` keys, s0 the block's first
+    source, expands through the CSR one level at a time, keeping only keys not
+    yet seen.  Levels stop at
+    ``min(max_hops, t - 1)`` or at an empty frontier; ``dist`` has the
+    smallest unsigned dtype that holds the last level.
+    """
+    if max_hops < 0:
+        raise ValueError(f"hop budget must be non-negative, got {max_hops}")
+    levels = min(max_hops, max(t - 1, 0))
+    dist_dtype = np.min_scalar_type(levels)
+    starts, degrees = indptr[:-1], np.diff(indptr)
+    block = max(1, BLOCK_CELLS // max(t, indices.size, 1))
+    seen = np.zeros(min(block, t) * t, dtype=bool)
+    for s0 in range(0, t, block):
+        b = min(block, t - s0)
+        frontier = np.arange(b, dtype=np.int64) * (t + 1) + s0   # (i - s0) * t + i
+        seen[frontier] = True
+        keys, dist = [frontier], [np.zeros(b, dtype=dist_dtype)]
+        for level in range(1, levels + 1):
+            node = frontier % t
+            deg = degrees[node]
+            ends = np.cumsum(deg)
+            pos = np.arange(ends[-1], dtype=np.int64) + np.repeat(starts[node] - ends + deg, deg)
+            reach = np.repeat(frontier - node, deg) + indices[pos]
+            frontier = np.unique(reach[~seen[reach]])
+            if frontier.size == 0:
+                break
+            seen[frontier] = True
+            keys.append(frontier)
+            dist.append(np.full(frontier.size, level, dtype=dist_dtype))
+        keys, dist = np.concatenate(keys), np.concatenate(dist)
+        seen[keys] = False
+        order = np.argsort(keys)
+        keys = keys[order]
+        yield keys // t + s0, keys % t, dist[order]
+
+
+def hop_distances(indptr: np.ndarray, indices: np.ndarray, t: int,
+                  max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major ``(rows, cols, dist)`` of every pair within ``max_hops``.
+
+    The concatenation of :func:`hop_distance_blocks`; within a row, columns
+    ascend, so ``rows``/``cols`` filtered by ``dist <= n`` are a CSR mask.
+    """
+    parts = list(hop_distance_blocks(indptr, indices, t, max_hops))
+    if not parts:
+        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.min_scalar_type(0)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _mask_within(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, t: int,
+                 n: int) -> HopMask:
+    keep = dist <= n
+    indptr = np.zeros(t + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=t), out=indptr[1:])
+    return HopMask(hop_budget=n, size=t, indptr=_frozen(indptr),
+                   indices=_frozen(cols[keep]))
+
+
 def build_mask(ag: AugmentedGraph, n: int) -> HopMask:
-    """Reachability within n hops of the augmented graph, one BFS per source.
+    """Reachability within n hops of the augmented graph.
 
     Row i of the result lists, in ascending order, every token j with
     dist(i, j) <= n; n = 0 yields the identity.
     """
-    if n < 0:
-        raise ValueError(f"hop budget must be non-negative, got {n}")
-    t = ag.total_tokens
-    aip, aidx = ag.indptr, ag.indices
-    row_sizes = np.empty(t, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    for s in range(t):
-        visited = np.zeros(t, dtype=bool)
-        visited[s] = True
-        frontier = np.asarray([s], dtype=np.int64)
-        for _ in range(n):
-            if frontier.size == 0:
-                break
-            nbr = np.concatenate([aidx[aip[u]:aip[u + 1]] for u in frontier])
-            nbr = nbr[~visited[nbr]]
-            if nbr.size == 0:
-                break
-            visited[nbr] = True
-            frontier = np.unique(nbr)
-        support = np.flatnonzero(visited)
-        row_sizes[s] = support.shape[0]
-        rows.append(support)
-    indptr = np.zeros(t + 1, dtype=np.int64)
-    np.cumsum(row_sizes, out=indptr[1:])
-    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    return HopMask(hop_budget=n, size=t, indptr=_frozen(indptr), indices=_frozen(indices))
+    return build_head_masks(ag, [n])[0]
 
 
 def build_head_masks(ag: AugmentedGraph, hops: list[int]) -> list[HopMask]:
-    """One mask per head; identical budgets share a single underlying mask."""
+    """One mask per head from a single search to ``max(hops)``; identical
+    budgets share a single underlying mask."""
     if not hops:
         raise ValueError("hops must be non-empty")
+    if min(hops) < 0:
+        raise ValueError(f"hop budget must be non-negative, got {min(hops)}")
+    t = ag.total_tokens
+    rows, cols, dist = hop_distances(ag.indptr, ag.indices, t, max(hops))
     cache: dict[int, HopMask] = {}
     out = []
     for n in hops:
         if n not in cache:
-            cache[n] = build_mask(ag, n)
+            cache[n] = _mask_within(rows, cols, dist, t, n)
         out.append(cache[n])
     return out
 

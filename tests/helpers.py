@@ -202,8 +202,7 @@ def brute_clustering(g: Graph) -> float:
     return total / n
 
 
-def brute_avg_path(g: Graph) -> float:
-    """Floyd-Warshall average over reachable ordered pairs."""
+def _floyd_warshall(g: Graph) -> np.ndarray:
     n = g.num_nodes
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
@@ -211,8 +210,25 @@ def brute_avg_path(g: Graph) -> float:
         dist[u, v] = dist[v, u] = 1.0
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+    return dist
+
+
+def brute_avg_path(g: Graph) -> float:
+    """Floyd-Warshall average over reachable ordered pairs."""
+    n = g.num_nodes
+    dist = _floyd_warshall(g)
     off = ~np.eye(n, dtype=bool)
     reachable = np.isfinite(dist) & off
     if not reachable.any():
         return 0.0
     return float(dist[reachable].mean())
+
+
+def brute_components_and_diameter(g: Graph) -> tuple[int, int]:
+    """Component count and the largest component's diameter by Floyd-Warshall;
+    among equally large components the one holding the smallest node id wins."""
+    dist = _floyd_warshall(g)
+    reach = np.isfinite(dist)
+    components = {tuple(np.flatnonzero(row)) for row in reach}
+    largest = max(sorted(components), key=len)
+    return len(components), int(dist[np.ix_(largest, largest)].max())

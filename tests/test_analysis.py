@@ -7,9 +7,11 @@ from hopformer import (ModelConfig, augment, avg_shortest_path,
                        flops_vs_nnz_report, generate_erdos_renyi,
                        generate_watts_strogatz, influence_matrix, init_model,
                        receptive_field_probe, small_world_report)
+from hopformer import masks as masks_mod
 from hopformer.graphs import Graph
 
 from helpers import (augmented_distances, brute_avg_path, brute_clustering,
+                     brute_components_and_diameter,
                      path3_graph, random_graph, single_edge_graph, star_graph,
                      triangle_graph)
 
@@ -71,6 +73,32 @@ class TestSmallWorldReport:
         assert rep.num_components == 2
         assert rep.diameter_of_largest_component == 2
         assert rep.clustering == 0.0
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            g = random_graph(rng, max_nodes=14, p=float(rng.uniform(0.0, 0.3)))
+            rep = small_world_report(g)
+            assert (rep.num_components, rep.diameter_of_largest_component) == \
+                brute_components_and_diameter(g)
+            assert rep.avg_path_length == avg_shortest_path(g)
+
+    @pytest.mark.parametrize("edges, diameter", [
+        ([[0, 1], [1, 2], [3, 4], [4, 5], [3, 5]], 2),   # path first, then triangle
+        ([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5]], 1),   # triangle first, then path
+    ])
+    def test_tied_largest_component_is_the_first(self, edges, diameter):
+        g = Graph(num_nodes=6, edges=np.array(edges), node_features=np.ones((6, 1)))
+        rep = small_world_report(g)
+        assert rep.num_components == 2
+        assert rep.diameter_of_largest_component == diameter
+
+    def test_same_report_across_source_blocks(self, monkeypatch):
+        g = generate_erdos_renyi(40, 0.04, seed=6)
+        whole = small_world_report(g)
+        for cells in (1, 45, 130):
+            monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
+            assert small_world_report(g) == whole
 
     def test_dataset_means(self):
         tri, p3 = triangle_graph(), path3_graph()

@@ -272,6 +272,21 @@ class TestTrain:
                          "--output", str(tmp_path / "run")]) == 3
         assert "aborted" in capsys.readouterr().err
 
+    def test_bad_graph_label_exits_two_naming_it(self, tmp_path, capsys):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]]}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([dict(obj, graph_label=1), dict(obj, graph_label="x")]))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "run"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "graph 1" in err and "graph_label" in err
+        assert not (outdir / "model.json").exists()
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"
         write_labelled_graph(src)

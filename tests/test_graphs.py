@@ -34,6 +34,19 @@ class TestGraphInvariants:
             Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=np.ones((2, 1)),
                   edge_features=np.ones((2, 3)))
 
+    @pytest.mark.parametrize("label", ["x", True, np.True_, [1], float("nan"),
+                                       float("inf"), np.float64("-inf")])
+    def test_bad_graph_label_rejected(self, label):
+        with pytest.raises(GraphError, match="graph_label"):
+            Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=np.ones((2, 1)),
+                  graph_label=label)
+
+    @pytest.mark.parametrize("label", [None, 0, 3, np.int64(1), 2.5, -0.25, np.float32(0.5)])
+    def test_integer_and_finite_graph_labels_accepted(self, label):
+        g = Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=np.ones((2, 1)),
+                  graph_label=label)
+        assert g.graph_label is label
+
     def test_fractional_endpoint_rejected_not_truncated(self):
         with pytest.raises(GraphError, match=r"edges must hold integers, got 0\.7"):
             Graph(num_nodes=2, edges=np.array([[0.7, 1.0]]), node_features=np.ones((2, 1)))
@@ -200,6 +213,13 @@ class TestLoadGraph:
         # Python's json reads the NaN and Infinity literals
         text = '{"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [NaN]]}'
         with pytest.raises(GraphError, match="node_features row 1"):
+            load_graph(text)
+
+    @pytest.mark.parametrize("label", ['"x"', "NaN", "Infinity", "true", "[1]"])
+    def test_bad_graph_label_rejected(self, label):
+        text = ('{"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [2]], '
+                f'"graph_label": {label}}}')
+        with pytest.raises(GraphError, match="graph_label"):
             load_graph(text)
 
     def test_dataset_array(self):

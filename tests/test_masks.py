@@ -5,7 +5,8 @@ import pytest
 
 from hopformer import (Graph, augment, build_head_masks, build_mask,
                        generate_erdos_renyi, mask_stats)
-from hopformer.masks import write_mask_dump
+from hopformer import masks as masks_mod
+from hopformer.masks import hop_distance_blocks, hop_distances, write_mask_dump
 
 from helpers import (augmented_distances, dense_reachability_oracle,
                      mask_to_dense, random_graph, single_edge_graph)
@@ -186,3 +187,136 @@ class TestDumpFormat:
         pairs = [tuple(map(int, line.split())) for line in lines[1:]]
         assert len(pairs) == m.nnz
         assert pairs == sorted(pairs)
+
+
+def _edgeless(n):
+    return Graph(num_nodes=n, edges=np.zeros((0, 2)), node_features=np.ones((n, 1)))
+
+
+def _path(n):
+    return Graph(num_nodes=n, edges=np.column_stack([np.arange(n - 1), np.arange(1, n)]),
+                 node_features=np.ones((n, 1)))
+
+
+def _assert_masks_equal(a, b):
+    assert a.hop_budget == b.hop_budget and a.size == b.size
+    assert a.indptr.dtype == b.indptr.dtype == np.int64
+    assert a.indices.dtype == b.indices.dtype == np.int64
+    assert a.indptr.tobytes() == b.indptr.tobytes()
+    assert a.indices.tobytes() == b.indices.tobytes()
+
+
+class TestSinglePassSearch:
+    """One multi-source BFS to the largest budget serves every head."""
+
+    BUDGETS = [0, 1, 2, 3, 5, 8]
+
+    def _check_against_oracle(self, ag, hops):
+        masks = build_head_masks(ag, hops)
+        for n, m in zip(hops, masks):
+            assert m.hop_budget == n
+            oracle = dense_reachability_oracle(ag, min(n, ag.total_tokens))
+            assert np.array_equal(mask_to_dense(m), oracle), n
+        return masks
+
+    def test_oracle_on_seeded_random_graphs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            g = random_graph(rng, max_nodes=12, p=float(rng.uniform(0.0, 0.5)))
+            hops = [int(h) for h in rng.choice(self.BUDGETS, size=4)]
+            self._check_against_oracle(augment(g), hops)
+
+    @pytest.mark.parametrize("g", [
+        _edgeless(1), _edgeless(6), _path(2),
+        Graph(num_nodes=5, edges=np.array([[0, 1], [1, 2]]),
+              node_features=np.ones((5, 1))),                        # isolated 3, 4
+        Graph(num_nodes=6, edges=np.array([[0, 1], [2, 3], [3, 4], [4, 5]]),
+              node_features=np.ones((6, 1))),                        # two components
+    ], ids=["T1", "edgeless", "single_edge", "isolated_nodes", "disconnected"])
+    def test_degenerate_graphs(self, g):
+        ag = augment(g)
+        masks = self._check_against_oracle(ag, [0, 1, 3, 10**9])
+        assert np.array_equal(mask_to_dense(masks[0]), np.eye(ag.total_tokens, dtype=bool))
+
+    def test_huge_budget_is_clamped(self):
+        ag = augment(generate_erdos_renyi(9, 0.3, seed=3))
+        t = ag.total_tokens
+        huge, longest = build_mask(ag, 10**9), build_mask(ag, t - 1)
+        assert huge.hop_budget == 10**9
+        assert huge.indptr.tobytes() == longest.indptr.tobytes()
+        assert huge.indices.tobytes() == longest.indices.tobytes()
+        assert np.array_equal(mask_to_dense(huge), dense_reachability_oracle(ag, t))
+
+    def test_distances_match_bfs_oracle(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            ag = augment(random_graph(rng, max_nodes=10))
+            t = ag.total_tokens
+            rows, cols, dist = hop_distances(ag.indptr, ag.indices, t, 10**9)
+            expect = augmented_distances(ag)
+            got = np.full((t, t), -1, dtype=np.int64)
+            got[rows, cols] = dist
+            assert np.array_equal(got, expect)
+            assert np.all(np.diff(rows * t + cols) > 0)   # row-major, no repeats
+
+    def test_distance_dtype_holds_long_paths(self):
+        # a 200-node path has 399 tokens and distances up to 398 > 255
+        g = _path(200)
+        ag = augment(g)
+        rows, cols, dist = hop_distances(ag.indptr, ag.indices, ag.total_tokens, 10**9)
+        nodes = (rows < 200) & (cols < 200)
+        assert int(dist.max()) == 398
+        assert np.array_equal(dist[nodes].astype(np.int64),
+                              2 * np.abs(rows[nodes] - cols[nodes]))
+        assert build_mask(ag, 397).nnz == ag.total_tokens ** 2 - 2
+        assert build_mask(ag, 10**9).nnz == ag.total_tokens ** 2
+
+    def test_many_source_blocks(self, monkeypatch):
+        ag = augment(generate_erdos_renyi(30, 0.1, seed=7))
+        t = ag.total_tokens
+        one_block = build_head_masks(ag, [1, 3, 6])
+        nnz = ag.indices.size
+        assert nnz > t
+        for cells in (1, t - 1, nnz - 1, 3 * nnz + 2, 7 * nnz):
+            monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
+            blocks = list(hop_distance_blocks(ag.indptr, ag.indices, t, 6))
+            per_block = max(1, cells // nnz)
+            sources = [len(np.unique(r)) for r, _, _ in blocks]
+            assert len(blocks) == -(-t // per_block) > 1
+            assert sources[:-1] == [per_block] * (len(blocks) - 1) and sum(sources) == t
+            for a, b in zip(build_head_masks(ag, [1, 3, 6]), one_block):
+                _assert_masks_equal(a, b)
+        assert np.array_equal(mask_to_dense(one_block[2]), dense_reachability_oracle(ag, 6))
+
+    def test_budgets_nest(self):
+        ag = augment(generate_erdos_renyi(25, 0.12, seed=5))
+        masks = build_head_masks(ag, [6, 0, 2, 4, 1])
+        dense = {m.hop_budget: mask_to_dense(m) for m in masks}
+        for lo, hi in zip(sorted(dense)[:-1], sorted(dense)[1:]):
+            assert (dense[lo] <= dense[hi]).all()
+
+    def test_equal_budgets_share_one_object(self):
+        ag = augment(generate_erdos_renyi(12, 0.3, seed=1))
+        masks = build_head_masks(ag, [4, 2, 4, 2, 9])
+        assert masks[0] is masks[2] and masks[1] is masks[3]
+        assert len({id(m) for m in masks}) == 3
+
+    def test_reruns_bitwise_equal(self):
+        ag = augment(generate_erdos_renyi(20, 0.2, seed=8))
+        for a, b in zip(build_head_masks(ag, [1, 3, 6, 12]),
+                        build_head_masks(ag, [1, 3, 6, 12])):
+            _assert_masks_equal(a, b)
+
+    def test_one_call_equals_separate_build_mask_calls(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            ag = augment(random_graph(rng, max_nodes=14))
+            hops = [1, 3, 6, 12]
+            for m, n in zip(build_head_masks(ag, hops), hops):
+                _assert_masks_equal(m, build_mask(ag, n))
+
+    def test_negative_budget_in_list_rejected(self, single_edge_ag):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_head_masks(single_edge_ag, [2, -1])
+        with pytest.raises(ValueError, match="non-negative"):
+            hop_distances(single_edge_ag.indptr, single_edge_ag.indices, 3, -1)
