@@ -242,18 +242,23 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return out
 
 
-def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.values[start:stop].copy())
+def take_rows(a: Tensor, rows) -> Tensor:
+    """``a[rows]`` for a slice or an array of distinct row indices."""
+    out = Tensor(a.values[rows].copy())
 
     def bwd():
         if out.grad is None:
             return
         g = np.zeros_like(a.values)
-        g[start:stop] = out.grad
+        g[rows] = out.grad
         a._accum(g)
 
     _tape().append(bwd)
     return out
+
+
+def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
+    return take_rows(a, slice(start, stop))
 
 
 def sum_all(a: Tensor) -> Tensor:

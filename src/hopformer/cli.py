@@ -18,9 +18,10 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
-from .analysis import (dataset_small_world, flops_vs_nnz_report,
-                       small_world_report)
+from .analysis import flops_vs_nnz_report, small_world_report
 from .graphs import (GraphError, augment, generate_erdos_renyi,
                      generate_watts_strogatz, graph_to_obj, load_dataset,
                      load_graph)
@@ -147,19 +148,15 @@ def cmd_train(args) -> int:
     os.makedirs(args.output, exist_ok=True)
 
     graphs = load_dataset(args.input)
-    if model_cfg.task == "node_classification":
-        if len(graphs) != 1:
-            raise ValueError("node classification expects a single-graph input file")
-        g = graphs[0]
-        _, masks = prepare_graph(g, model_cfg.head_hops)
-        model = init_model(model_cfg, g.node_feature_dim, g.edge_feature_dim)
-        model, history = train(model, g, masks, train_cfg)
-    else:
-        d_v = graphs[0].node_feature_dim
-        d_e = graphs[0].edge_feature_dim
-        masks = [prepare_graph(g, model_cfg.head_hops)[1] for g in graphs]
-        model = init_model(model_cfg, d_v, d_e)
-        model, history = train(model, graphs, masks, train_cfg)
+    node_task = model_cfg.task == "node_classification"
+    if not graphs:
+        raise ValueError(f"{args.input} holds no graphs")
+    if node_task and len(graphs) != 1:
+        raise ValueError("node classification expects a single-graph input file")
+    masks = [prepare_graph(g, model_cfg.head_hops)[1] for g in graphs]
+    model = init_model(model_cfg, graphs[0].node_feature_dim, graphs[0].edge_feature_dim)
+    model, history = train(model, graphs[0] if node_task else graphs,
+                           masks[0] if node_task else masks, train_cfg)
 
     checkpoint = os.path.join(args.output, "model.json")
     history_csv = os.path.join(args.output, "history.csv")
@@ -185,8 +182,11 @@ def cmd_train(args) -> int:
 
 def cmd_analyze(args) -> int:
     graphs = load_dataset(args.input)
+    if not graphs:
+        raise ValueError(f"{args.input} holds no graphs")
     reports = [small_world_report(g) for g in graphs]
-    mean_c, mean_l = dataset_small_world(graphs)
+    mean_c = float(np.mean([r.clustering for r in reports]))
+    mean_l = float(np.mean([r.avg_path_length for r in reports]))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("# schema: graph_index,num_nodes,num_edges,clustering,"
                  "avg_path_length,num_components,diameter_of_largest_component\n")

@@ -48,8 +48,11 @@ def _int_field(name: str, values) -> np.ndarray:
 
 
 def _finite_rows(name: str, values) -> np.ndarray:
-    """``values`` as float64, refusing NaN or infinite entries by row."""
-    arr = np.asarray(values, dtype=np.float64)
+    """``values`` as float64, refusing ragged rows and NaN or infinite entries."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise GraphError(f"{name} must be numeric rows of equal length") from e
     bad = ~np.isfinite(arr)
     if bad.any():
         row = int(np.argwhere(bad)[0][0]) if arr.ndim else 0
@@ -233,13 +236,12 @@ def _graph_from_obj(obj) -> Graph:
             not isinstance(e, list) or len(e) != 2 for e in raw_edges):
         raise GraphError("field 'edges' must be an array of [u, v] pairs")
     edges = _symmetrize(raw_edges)
+    feats = _finite_rows("node_features", obj["node_features"])
     return Graph(
         num_nodes=obj["num_nodes"],
         edges=edges,
-        node_features=np.asarray(obj["node_features"], dtype=np.float64).reshape(
-            len(obj["node_features"]), -1),
-        edge_features=None if obj.get("edge_features") is None else np.asarray(
-            obj["edge_features"], dtype=np.float64),
+        node_features=feats.reshape(-1, 1) if feats.ndim == 1 else feats,
+        edge_features=obj.get("edge_features"),
         node_labels=obj.get("node_labels"),
         graph_label=obj.get("graph_label"),
     )
@@ -307,14 +309,14 @@ def graph_to_obj(g: Graph) -> dict:
     if g.node_labels is not None:
         obj["node_labels"] = g.node_labels.tolist()
     if g.graph_label is not None:
-        obj["graph_label"] = g.graph_label
+        obj["graph_label"] = np.asarray(g.graph_label).item()   # numpy scalars too
     return obj
 
 
 def save_graph(g: Graph, path: str) -> None:
+    text = json.dumps(graph_to_obj(g), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_obj(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

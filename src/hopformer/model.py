@@ -322,6 +322,8 @@ def load_model(path: str) -> Model:
         if arr.shape != t.values.shape:
             raise ValueError(
                 f"checkpoint param {name} has shape {arr.shape}, expected {t.values.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint param {name} has a non-finite value")
         t.values = arr
     return m
 

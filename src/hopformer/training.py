@@ -1,10 +1,11 @@
 """Losses, Adam with decoupled weight decay, splits, and train/eval loops.
 
-Node-level tasks train transductively on one graph with seeded split masks;
-graph-level tasks iterate mini-batches of graphs, each carrying its own
-augmented graph and cached masks.  The checkpoint returned is the one at the
-best validation metric.  A non-finite loss aborts with epoch/step context
-rather than being clamped.
+Node and graph tasks share one prediction path, which returns one output row
+per item: a node of the one graph, or a graph of a dataset.  Training
+augments every graph once; each epoch steps over its batches and scores
+validation and test from one prediction pass.  The checkpoint returned is the
+one at the best validation metric.  A non-finite loss aborts with epoch/step
+context rather than being clamped.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, scratch_tape
-from .graphs import Graph, augment
+from .graphs import Graph, GraphError, augment
 from .masks import build_head_masks
 from .model import (Model, copy_parameter_values, forward, named_parameters,
                     predict_graph, predict_node, readout, set_parameter_values)
@@ -188,47 +189,77 @@ def evaluate(model: Model, dataset, masks, split) -> float:
     The split is treated as a set: indices are sorted internally so shuffled
     splits produce bit-identical aggregates.
     """
-    split = np.sort(np.asarray(split, dtype=np.int64))
-    if split.size == 0:
-        raise ValueError("evaluate called with an empty split")
+    _check_dataset(model.cfg.task, dataset)
+    ags = augment(dataset) if isinstance(dataset, Graph) else {
+        int(i): augment(dataset[int(i)]) for i in split}
+    return _scores(model, dataset, ags, masks, [split])[0]
+
+
+def _check_dataset(task: str, dataset) -> None:
+    if task == "node_classification":
+        if not isinstance(dataset, Graph):
+            raise ValueError("node classification trains on a single Graph")
+        if dataset.node_labels is None:
+            raise ValueError("node classification requires node_labels")
+        return
+    if isinstance(dataset, Graph):
+        raise ValueError("graph-level tasks train on a list of Graphs")
+    for i, g in enumerate(dataset):
+        if g.num_nodes == 0:
+            raise GraphError(f"graph {i} has no nodes; graph-level tasks need at least one")
+
+
+def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False,
+             seed: int | None = None) -> Tensor:
+    """One output row per item, in item order: the items' logit rows from one
+    forward over the graph (node task), or one forward, readout and graph
+    head per item graph, graph ``i`` drawing its dropout from ``seed + i``
+    (graph task; ``ags`` and ``masks`` are indexed by graph)."""
+    if model.cfg.task == "node_classification":
+        h = forward(model, dataset, ags, masks, training=training, rng_seed=seed)
+        return ops.take_rows(predict_node(model, h, dataset.num_nodes), items)
+    outs = []
+    for i in items:
+        i = int(i)
+        h = forward(model, dataset[i], ags[i], masks[i], training=training,
+                    rng_seed=None if seed is None else seed + i)
+        outs.append(predict_graph(model, readout(h, model.cfg.readout)))
+    return ops.concat_rows(outs)
+
+
+def _targets(task: str, dataset, items) -> np.ndarray:
+    if task == "node_classification":
+        return dataset.node_labels[items]
+    return np.asarray([dataset[int(i)].graph_label for i in items],
+                      dtype=np.float64 if task == "graph_regression" else np.int64)
+
+
+def _loss(task: str, out: Tensor, targets: np.ndarray) -> Tensor:
+    return mae(out, targets) if task == "graph_regression" else cross_entropy(out, targets)
+
+
+def _score(task: str, out: np.ndarray, targets: np.ndarray) -> float:
+    if task == "graph_regression":
+        return float(np.abs(out[:, 0] - targets).mean())
+    return float((out.argmax(axis=1) == targets).mean())
+
+
+def _scores(model: Model, dataset, ags, masks, splits) -> list[float]:
+    """Score each split (sorted) from one prediction pass over all of them."""
     task = model.cfg.task
+    splits = [np.sort(np.asarray(s, dtype=np.int64)) for s in splits]
+    if any(s.size == 0 for s in splits):
+        raise ValueError("evaluate called with an empty split")
+    items = np.concatenate(splits)
     with scratch_tape():
-        if task == "node_classification":
-            g = dataset
-            if g.node_labels is None:
-                raise ValueError("node classification requires node_labels")
-            h = forward(model, g, augment(g), masks)
-            logits = predict_node(model, h, g.num_nodes).values
-            pred = logits[split].argmax(axis=1)
-            return float((pred == g.node_labels[split]).mean())
-        preds = []
-        for i in split:
-            g = dataset[int(i)]
-            ag = augment(g)
-            h = forward(model, g, ag, masks[int(i)])
-            out = predict_graph(model, readout(h, model.cfg.readout)).values
-            preds.append(out[0])
-        preds = np.asarray(preds)
-        labels = np.asarray([dataset[int(i)].graph_label for i in split])
-        if task == "graph_classification":
-            return float((preds.argmax(axis=1) == labels.astype(np.int64)).mean())
-        return float(np.abs(preds[:, 0] - labels.astype(np.float64)).mean())
+        out = _predict(model, dataset, ags, masks, items).values
+    cuts = np.cumsum([s.size for s in splits[:-1]])
+    return [_score(task, o, y) for o, y in
+            zip(np.split(out, cuts), np.split(_targets(task, dataset, items), cuts))]
 
 
 # ---------------------------------------------------------------------------
 # Training loops
-
-
-def _better(task: str, candidate: float, incumbent: float | None) -> bool:
-    if incumbent is None:
-        return True
-    if task == "graph_regression":
-        return candidate < incumbent
-    return candidate > incumbent
-
-
-def _ties(candidate: float, incumbent: float | None) -> bool:
-    return incumbent is not None and candidate == incumbent
 
 
 def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHistory]:
@@ -239,60 +270,45 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     parallel list of per-graph head-mask lists.
     """
     task = model.cfg.task
+    _check_dataset(task, dataset)
+    node_task = task == "node_classification"
     params = named_parameters(model)
     state = init_adam_state(params)
     history = RunHistory()
-    best_val: float | None = None
-    best_loss: float | None = None
+    best_val = best_loss = None
     best_params = copy_parameter_values(model)
     since_best = 0
-
-    if task == "node_classification":
-        if not isinstance(dataset, Graph):
-            raise ValueError("node classification trains on a single Graph")
-        if dataset.node_labels is None:
-            raise ValueError("node classification requires node_labels")
-        ag = augment(dataset)
-        idx_train, idx_val, idx_test = split_indices(dataset.num_nodes, cfg)
-    else:
-        if isinstance(dataset, Graph):
-            raise ValueError("graph-level tasks train on a list of Graphs")
-        ags = [augment(g) for g in dataset]
-        idx_train, idx_val, idx_test = split_indices(len(dataset), cfg)
+    ags = augment(dataset) if node_task else [augment(g) for g in dataset]
+    idx_train, idx_val, idx_test = split_indices(
+        dataset.num_nodes if node_task else len(dataset), cfg)
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        if task == "node_classification":
+        seed = cfg.seed * 100003 + epoch
+        if node_task:
+            batches = [idx_train]
+        else:
+            order = np.random.default_rng([cfg.seed, 29, epoch]).permutation(idx_train)
+            batches = [order[lo:lo + cfg.batch_size]
+                       for lo in range(0, order.size, cfg.batch_size)]
+        batch_losses = []
+        for step, batch in enumerate(batches):
             zero_grads(params)
-            h = forward(model, dataset, ag, masks, training=True,
-                        rng_seed=cfg.seed * 100003 + epoch)
-            logits = predict_node(model, h, dataset.num_nodes)
-            loss = cross_entropy(logits, dataset.node_labels, idx_train)
-            loss_value = float(loss.values[0, 0])
-            if not np.isfinite(loss_value):
-                raise TrainingAbort(epoch, 0, "non-finite training loss")
+            out = _predict(model, dataset, ags, masks, batch, training=True, seed=seed)
+            loss = _loss(task, out, _targets(task, dataset, batch))
+            lv = float(loss.values[0, 0])
+            if not np.isfinite(lv):
+                raise TrainingAbort(epoch, step, "non-finite training loss")
+            batch_losses.append(lv)
             ops.backward(loss)
             adam_step(params, collect_grads(params), state, cfg.learning_rate,
                       weight_decay=cfg.weight_decay)
-        else:
-            order = np.random.default_rng([cfg.seed, 29, epoch]).permutation(idx_train)
-            loss_value = 0.0
-            for step, lo in enumerate(range(0, order.size, cfg.batch_size)):
-                batch = order[lo:lo + cfg.batch_size]
-                zero_grads(params)
-                loss = _graph_batch_loss(model, dataset, ags, masks, batch,
-                                         epoch_seed=cfg.seed * 100003 + epoch)
-                lv = float(loss.values[0, 0])
-                if not np.isfinite(lv):
-                    raise TrainingAbort(epoch, step, "non-finite training loss")
-                loss_value += lv * batch.size
-                ops.backward(loss)
-                adam_step(params, collect_grads(params), state, cfg.learning_rate,
-                          weight_decay=cfg.weight_decay)
-            loss_value /= max(order.size, 1)
+        # size-weighted mean over the epoch's batches; one batch's loss is
+        # kept as it is, not multiplied and divided by its size
+        loss_value = batch_losses[0] if len(batches) == 1 else sum(
+            lv * b.size for lv, b in zip(batch_losses, batches)) / max(idx_train.size, 1)
 
-        val = evaluate(model, dataset, masks, idx_val)
-        test = evaluate(model, dataset, masks, idx_test)
+        val, test = _scores(model, dataset, ags, masks, [idx_val, idx_test])
         history.train_loss.append(loss_value)
         history.val_metric.append(val)
         history.test_metric.append(test)
@@ -300,46 +316,20 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
 
         # checkpoint at best val; ties go to the lower training loss so a
         # saturated val metric still tracks the converged model
-        if _better(task, val, best_val):
-            best_val = val
-            best_loss = loss_value
+        improved = best_val is None or (
+            val < best_val if task == "graph_regression" else val > best_val)
+        if improved or (val == best_val and loss_value < best_loss):
+            best_val, best_loss, history.best_epoch = val, loss_value, epoch
             best_params = copy_parameter_values(model)
-            history.best_epoch = epoch
+        if improved:
             since_best = 0
         else:
-            if _ties(val, best_val) and loss_value < best_loss:
-                best_loss = loss_value
-                best_params = copy_parameter_values(model)
-                history.best_epoch = epoch
             since_best += 1
             if since_best > cfg.early_stop_patience:
                 break
 
     set_parameter_values(model, best_params)
     return model, history
-
-
-def _graph_batch_loss(model: Model, dataset, ags, masks, batch: np.ndarray,
-                      epoch_seed: int) -> Tensor:
-    losses = []
-    preds = []
-    targets = []
-    for i in batch:
-        i = int(i)
-        g = dataset[i]
-        h = forward(model, g, ags[i], masks[i], training=True, rng_seed=epoch_seed + i)
-        out = predict_graph(model, readout(h, model.cfg.readout))
-        if model.cfg.task == "graph_classification":
-            losses.append(cross_entropy(out, np.asarray([g.graph_label])))
-        else:
-            preds.append(out)
-            targets.append(float(g.graph_label))
-    if model.cfg.task == "graph_classification":
-        total = losses[0]
-        for extra in losses[1:]:
-            total = ops.add(total, extra)
-        return ops.scale(total, 1.0 / len(losses))
-    return mae(ops.concat_rows(preds), np.asarray(targets))
 
 
 def prepare_graph(g: Graph, hops) -> tuple:

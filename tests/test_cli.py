@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hopformer import analysis, dataset_small_world, load_dataset
 from hopformer.cli import main
 
 
@@ -190,6 +191,35 @@ class TestAnalyze:
         assert o1.read_bytes() == o2.read_bytes()
 
 
+    def test_one_path_search_per_graph_and_means_from_reports(self, tmp_path,
+                                                              monkeypatch):
+        graphs = [{"num_nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                   "node_features": [[1.0]] * 3},
+                  {"num_nodes": 4, "edges": [[0, 1], [1, 2]],
+                   "node_features": [[1.0]] * 4},
+                  {"num_nodes": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 2]],
+                   "node_features": [[1.0]] * 5}]
+        src = tmp_path / "ds.json"
+        src.write_text(json.dumps(graphs))
+        calls = []
+        real = analysis._path_summary
+        monkeypatch.setattr(analysis, "_path_summary",
+                            lambda g: calls.append(g.num_nodes) or real(g))
+        out = tmp_path / "r.csv"
+        assert main(["analyze", str(src), "--output", str(out)]) == 0
+        assert calls == [3, 4, 5]
+        mean_c, mean_l = dataset_small_world(load_dataset(str(src)))
+        lines = out.read_text().splitlines()
+        assert lines[1] == f"# dataset_mean_clustering={mean_c!r}"
+        assert lines[2] == f"# dataset_mean_avg_path_length={mean_l!r}"
+
+    def test_empty_dataset_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "empty.json"
+        src.write_text("[]")
+        assert main(["analyze", str(src), "--output", str(tmp_path / "r.csv")]) == 2
+        assert "no graphs" in capsys.readouterr().err
+
+
 class TestFlops:
     def test_report_written(self, tmp_path, capsys):
         src = tmp_path / "g.json"
@@ -286,6 +316,45 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "graph 1" in err and "graph_label" in err
         assert not (outdir / "model.json").exists()
+
+    def test_ragged_node_features_exit_two_naming_them(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                                   "node_features": [[1.0, 2.0], [3.0]],
+                                   "node_labels": [0, 1]}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(run_config()))
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "node_features" in err and "Traceback" not in err
+
+    def test_zero_node_graph_exits_two_naming_it(self, tmp_path, capsys):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]]}
+        empty = {"num_nodes": 0, "edges": [], "node_features": [], "graph_label": 0}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([dict(obj, graph_label=1), empty,
+                                   dict(obj, graph_label=0)]))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "run"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        assert "graph 1 has no nodes" in capsys.readouterr().err
+        assert not (outdir / "model.json").exists()
+
+    def test_empty_dataset_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "empty.json"
+        src.write_text("[]")
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "run")]) == 2
+        assert "no graphs" in capsys.readouterr().err
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"

@@ -5,7 +5,8 @@ import pytest
 
 from hopformer import (Graph, GraphError, augment, generate_erdos_renyi,
                        generate_sbm, generate_watts_strogatz, load_dataset,
-                       load_graph, relabel_nodes)
+                       load_graph, relabel_nodes, save_graph)
+from hopformer import graphs as graphs_module
 from hopformer.graphs import EDGE_TOKEN, NODE_TOKEN
 
 from helpers import brute_clustering, single_edge_graph, triangle_graph
@@ -222,12 +223,56 @@ class TestLoadGraph:
         with pytest.raises(GraphError, match="graph_label"):
             load_graph(text)
 
+    @pytest.mark.parametrize("feats", [[[1, 2], [3]], [[1], [2, "x"]], [[1], None]])
+    def test_ragged_or_non_numeric_features_name_the_field(self, feats):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": feats}
+        with pytest.raises(GraphError, match="node_features"):
+            load_graph(json.dumps(obj))
+        with pytest.raises(GraphError, match="node_features"):
+            Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=feats)
+
+    def test_ragged_edge_features_name_the_field(self):
+        obj = {"num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_features": [[1]] * 3,
+               "edge_features": [[1, 2], [3]]}
+        with pytest.raises(GraphError, match="edge_features"):
+            load_graph(json.dumps(obj))
+
+    def test_flat_and_empty_feature_lists_are_one_column(self):
+        g = load_graph(json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                                   "node_features": [1.5, 2.5]}))
+        assert g.node_features.tolist() == [[1.5], [2.5]]
+        g = load_graph(json.dumps({"num_nodes": 0, "edges": [], "node_features": []}))
+        assert g.num_nodes == 0 and g.node_features.shape == (0, 1)
+
     def test_dataset_array(self):
         obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [2]],
                "graph_label": 1}
         graphs = load_dataset(json.dumps([obj, obj]))
         assert len(graphs) == 2
         assert graphs[0].graph_label == 1
+
+
+class TestSaveGraph:
+    @pytest.mark.parametrize("label,kind", [(np.int64(1), int), (np.int32(-2), int),
+                                            (np.float64(0.25), float),
+                                            (np.float32(1.5), float)])
+    def test_numpy_scalar_label_round_trips(self, tmp_path, label, kind):
+        g = Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=np.ones((2, 1)),
+                  graph_label=label)
+        path = tmp_path / "g.json"
+        save_graph(g, str(path))
+        back = load_graph(str(path))
+        assert type(back.graph_label) is kind
+        assert back.graph_label == label
+        assert np.array_equal(back.node_features, g.node_features)
+        assert np.array_equal(back.edges, g.edges)
+
+    def test_unserializable_graph_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs_module, "graph_to_obj", lambda g: {"x": object()})
+        path = tmp_path / "g.json"
+        with pytest.raises(TypeError):
+            save_graph(single_edge_graph(), str(path))
+        assert not path.exists()
 
 
 class TestGenerators:

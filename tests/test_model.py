@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,16 @@ class TestCheckpoint:
         assert m2.cfg == cfg
         for name, t in named_parameters(m).items():
             assert np.array_equal(t.values, named_parameters(m2)[name].values), name
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected_by_name(self, tmp_path, bad):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        obj["params"]["head.bias"][0][1] = bad
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="head.bias"):
+            load_model(str(path))
 
     def test_magic_string_present_and_checked(self, tmp_path):
         path = tmp_path / "model.json"

@@ -6,7 +6,8 @@ from hopformer import (ModelConfig, Tensor, TrainConfig, TrainingAbort,
                        cross_entropy, evaluate, forward, init_adam_state,
                        init_model, mae, named_parameters, split_indices, train)
 from hopformer import autograd as ops
-from hopformer.graphs import Graph
+from hopformer import training
+from hopformer.graphs import Graph, GraphError
 from hopformer.model import copy_parameter_values
 
 
@@ -361,3 +362,112 @@ class TestGraphLevelTraining:
         model, history = train(model, graphs, masks, tc)
         assert history.train_loss[-1] < history.train_loss[0]
         assert not np.array_equal(model.proj_edge.values, before)
+
+
+def regression_dataset(num=10, seed=10):
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(num):
+        n = int(rng.integers(3, 6))
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.shape[0]) < 0.6
+        edges = np.column_stack([iu[keep], ju[keep]])
+        graphs.append(Graph(num_nodes=n, edges=edges, node_features=np.ones((n, 1)),
+                            graph_label=float(len(edges)) / n))
+    return graphs
+
+
+def task_fixture(task):
+    """(model, dataset, masks, train config) for one task, small and seeded."""
+    hops = (1, 3)
+    if task == "node_classification":
+        dataset = labelled_graph(n=20, seed=12)
+        cfg = node_cfg(head_hops=hops, dropout=0.2)
+        d_v = dataset.node_feature_dim
+        masks = build_head_masks(augment(dataset), list(hops))
+    else:
+        dataset = tiny_graph_dataset() if task == "graph_classification" \
+            else regression_dataset()
+        cfg = ModelConfig(hidden_dim=8, head_hops=hops, num_layers=1, ffn_dim=16,
+                          num_heads=2, task=task, dropout=0.2, seed=1,
+                          num_classes=2 if task == "graph_classification" else None)
+        d_v = dataset[0].node_feature_dim
+        masks = [build_head_masks(augment(g), list(hops)) for g in dataset]
+    tc = TrainConfig(learning_rate=2e-2, epochs=6, batch_size=3, seed=4)
+    return init_model(cfg, d_v), dataset, masks, tc
+
+
+TASKS = ["node_classification", "graph_classification", "graph_regression"]
+
+
+class TestOnePredictionPath:
+    def test_node_task_runs_two_forwards_per_epoch(self, monkeypatch):
+        model, g, masks, tc = task_fixture("node_classification")
+        calls = []
+        real = training.forward
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("training", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counting)
+        _, history = train(model, g, masks, tc)
+        assert len(history) == tc.epochs
+        assert calls == [True, False] * tc.epochs
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_augment_runs_once_per_graph(self, monkeypatch, task):
+        model, dataset, masks, tc = task_fixture(task)
+        seen = []
+        real = training.augment
+        monkeypatch.setattr(training, "augment", lambda g: seen.append(id(g)) or real(g))
+        train(model, dataset, masks, tc)
+        graphs = [dataset] if task == "node_classification" else dataset
+        assert sorted(seen) == sorted(id(g) for g in graphs)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_best_epoch_test_metric_equals_evaluate(self, task):
+        model, dataset, masks, tc = task_fixture(task)
+        model, history = train(model, dataset, masks, tc)
+        n = dataset.num_nodes if task == "node_classification" else len(dataset)
+        _, idx_val, idx_test = split_indices(n, tc)
+        best = history.best_epoch
+        assert history.test_metric[best] == evaluate(model, dataset, masks, idx_test)
+        assert history.val_metric[best] == evaluate(model, dataset, masks, idx_val)
+
+    @pytest.mark.parametrize("task", TASKS[1:])
+    def test_epoch_loss_is_the_mean_over_train_graphs(self, task):
+        # with lr = 0 every batch sees the same parameters, so the size-weighted
+        # mean of the batch losses is the mean of the per-graph losses
+        model, graphs, masks, tc = task_fixture(task)
+        frozen = TrainConfig(learning_rate=0.0, epochs=1, batch_size=tc.batch_size,
+                             seed=tc.seed)
+        _, history = train(model, graphs, masks, frozen)
+        idx_train, _, _ = split_indices(len(graphs), frozen)
+        ags = [augment(g) for g in graphs]
+        losses = []
+        with ops.scratch_tape():
+            for i in idx_train:
+                out = training._predict(model, graphs, ags, masks, [i], training=True,
+                                        seed=tc.seed * 100003)
+                target = training._targets(task, graphs, [i])
+                losses.append(training._loss(task, out, target).values[0, 0])
+        assert history.train_loss[0] == pytest.approx(np.mean(losses), rel=1e-12)
+
+    def test_zero_node_graph_rejected_before_any_forward(self, monkeypatch):
+        graphs = tiny_graph_dataset(num=6)
+        graphs[4] = Graph(num_nodes=0, edges=np.zeros((0, 2)),
+                          node_features=np.zeros((0, 2)), graph_label=0)
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
+                          num_heads=2, task="graph_classification", num_classes=2)
+        masks = [build_head_masks(augment(g), [1, 3]) for g in graphs]
+        model = init_model(cfg, 2)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(training, "forward", no_forward)
+        with pytest.raises(GraphError, match="graph 4"):
+            train(model, graphs, masks, TrainConfig(learning_rate=1e-2, epochs=2))
+        with pytest.raises(GraphError, match="graph 4"):
+            evaluate(model, graphs, masks, np.arange(3))
