@@ -203,7 +203,7 @@ def flop_count(cfg: ModelConfig, masks: list[HopMask], t: int, d_v: int, d_e: in
     if d_e > 0:
         total += 2 * m_edges * d_e * d
     dense_layer = (
-        6 * t * d * d        # per-head Q/K/V projections, summed over heads
+        6 * t * d * d        # fused Q/K/V projection (d x 3d)
         + 2 * t * d * d      # output projection
         + 2 * t * d          # two residual adds
         + 10 * t * d         # two layer norms at 5 per element

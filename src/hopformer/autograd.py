@@ -223,6 +223,19 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return out
 
 
+def split_cols(a: Tensor, n: int) -> list[Tensor]:
+    """``a`` cut into ``n`` equal-width column blocks; inverse of concat_cols."""
+    parts = [Tensor(p) for p in np.split(a.values, n, axis=1)]
+
+    def bwd():
+        if any(p.grad is not None for p in parts):
+            a._accum(np.concatenate([np.zeros_like(p.values) if p.grad is None else p.grad
+                                     for p in parts], axis=1))
+
+    _tape().append(bwd)
+    return parts
+
+
 def concat_rows(parts: list[Tensor]) -> Tensor:
     cols = parts[0].values.shape[1]
     for p in parts:

@@ -51,12 +51,14 @@ def _parse_hop_configs(text: str) -> list[list[int]]:
     return [_parse_hops(part) for part in text.split(";") if part.strip() != ""]
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+def _read_file(path: str, loader=json.load):
+    """``loader`` run on the opened file, so that a path such as "[g].json"
+    always reaches a graph loader as a file and never as JSON text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return loader(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
 
 
 def _write_json(path: str, obj) -> None:
@@ -73,9 +75,7 @@ def _config_hash(obj) -> str:
 def _model_config(obj: dict) -> ModelConfig:
     if "model" not in obj:
         raise ValueError("run config is missing the 'model' section")
-    section = dict(obj["model"])
-    section["head_hops"] = tuple(section.get("head_hops", ()))
-    return ModelConfig(**section)
+    return ModelConfig(**obj["model"])
 
 
 def _train_config(obj: dict, seed_override: int | None) -> TrainConfig:
@@ -102,7 +102,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    g = load_graph(args.input)
+    g = _read_file(args.input, load_graph)
     ag = augment(g)
     obj = {
         "num_node_tokens": ag.num_node_tokens,
@@ -120,7 +120,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_masks(args) -> int:
-    g = load_graph(args.input)
+    g = _read_file(args.input, load_graph)
     ag = augment(g)
     hops = _parse_hops(args.hops)
     masks = build_head_masks(ag, hops)
@@ -140,14 +140,14 @@ def cmd_masks(args) -> int:
 
 def cmd_train(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    config_obj = _load_json_file(args.config)
+    config_obj = _read_file(args.config)
     model_cfg = _model_config(config_obj)
     train_cfg = _train_config(config_obj, args.seed)
     if args.seed is not None:
         model_cfg = replace(model_cfg, seed=args.seed)
     os.makedirs(args.output, exist_ok=True)
 
-    graphs = load_dataset(args.input)
+    graphs = _read_file(args.input, load_dataset)
     node_task = model_cfg.task == "node_classification"
     if not graphs:
         raise ValueError(f"{args.input} holds no graphs")
@@ -181,7 +181,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    graphs = load_dataset(args.input)
+    graphs = _read_file(args.input, load_dataset)
     if not graphs:
         raise ValueError(f"{args.input} holds no graphs")
     reports = [small_world_report(g) for g in graphs]
@@ -202,8 +202,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    graphs = load_dataset(args.input)
-    config_obj = _load_json_file(args.config)
+    graphs = _read_file(args.input, load_dataset)
+    config_obj = _read_file(args.config)
     cfg = _model_config(config_obj)
     hop_configs = _parse_hop_configs(args.hop_configs)
     report = flops_vs_nnz_report(graphs, hop_configs, cfg)
@@ -291,3 +291,7 @@ def main(argv=None) -> int:
 
 def cli_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    cli_entry()

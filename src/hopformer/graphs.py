@@ -214,15 +214,12 @@ def _decode_json(text: str):
 
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
     if isinstance(source, str) and "\n" not in source and source.lstrip()[:1] not in "[{":
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
     if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    return source
+        source = source.read()
+    return source.decode("utf-8") if isinstance(source, bytes) else source
 
 
 def _graph_from_obj(obj) -> Graph:

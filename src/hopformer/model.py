@@ -3,15 +3,16 @@ feed-forward blocks, readout, and task heads.
 
 The layer is a vanilla Transformer encoder layer whose only structural
 ingredient is the per-head reachability mask handed to the sparse attention
-kernel.  Normalization defaults to post-norm (after each residual add); a
-config switch selects pre-norm.  Projectors are bias-free so edge tokens of a
-graph without edge features enter as exact zero rows.
+kernel: one fused Q/K/V projection per layer feeds every head, and the heads
+differ only in their masks.  Normalization defaults to post-norm (after each
+residual add); a config switch selects pre-norm.  Projectors are bias-free so
+edge tokens of a graph without edge features enter as exact zero rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .autograd import Tensor, ShapeError
 from .graphs import AugmentedGraph, Graph
 from .masks import HopMask
 
-CHECKPOINT_MAGIC = "HOPFORMER1"
+CHECKPOINT_MAGIC = "HOPFORMER2"
 
 TASKS = ("node_classification", "graph_classification", "graph_regression")
 READOUTS = ("mean", "sum")
@@ -75,9 +76,11 @@ class ModelConfig:
 
 @dataclass
 class LayerParams:
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    """One encoder layer's weights in checkpoint order.  ``wqkv`` (d x 3d) is
+    laid out [Q heads | K heads | V heads]: head h's query is columns
+    h*d_h:(h+1)*d_h, and its key and value are those columns plus d and 2d."""
+
+    wqkv: Tensor
     wo: Tensor
     ln1_gamma: Tensor
     ln1_beta: Tensor
@@ -125,10 +128,10 @@ def init_model(cfg: ModelConfig, d_v: int, d_e: int = 0) -> Model:
     proj_edge = param(d_e, d) if d_e > 0 else None
     layers = []
     for _ in range(cfg.num_layers):
+        # per-head Glorot blocks, drawn Q heads, then K heads, then V heads
+        wqkv = np.hstack([_glorot(rng, d, d_h) for _ in range(3 * cfg.num_heads)])
         layers.append(LayerParams(
-            wq=[param(d, d_h) for _ in range(cfg.num_heads)],
-            wk=[param(d, d_h) for _ in range(cfg.num_heads)],
-            wv=[param(d, d_h) for _ in range(cfg.num_heads)],
+            wqkv=Tensor(wqkv, requires_grad=True),
             wo=param(d, d),
             ln1_gamma=const(np.ones((1, d))),
             ln1_beta=const(np.zeros((1, d))),
@@ -152,19 +155,8 @@ def named_parameters(m: Model) -> dict[str, Tensor]:
     if m.proj_edge is not None:
         out["proj_edge"] = m.proj_edge
     for l, lp in enumerate(m.layers):
-        for h in range(m.cfg.num_heads):
-            out[f"layer{l}.head{h}.wq"] = lp.wq[h]
-            out[f"layer{l}.head{h}.wk"] = lp.wk[h]
-            out[f"layer{l}.head{h}.wv"] = lp.wv[h]
-        out[f"layer{l}.wo"] = lp.wo
-        out[f"layer{l}.ln1_gamma"] = lp.ln1_gamma
-        out[f"layer{l}.ln1_beta"] = lp.ln1_beta
-        out[f"layer{l}.ln2_gamma"] = lp.ln2_gamma
-        out[f"layer{l}.ln2_beta"] = lp.ln2_beta
-        out[f"layer{l}.ffn_w1"] = lp.ffn_w1
-        out[f"layer{l}.ffn_b1"] = lp.ffn_b1
-        out[f"layer{l}.ffn_w2"] = lp.ffn_w2
-        out[f"layer{l}.ffn_b2"] = lp.ffn_b2
+        for f in fields(LayerParams):
+            out[f"layer{l}.{f.name}"] = getattr(lp, f.name)
     out["head.weight"] = m.head_w
     out["head.bias"] = m.head_b
     return out
@@ -191,21 +183,6 @@ def embed_tokens(m: Model, g: Graph, ag: AugmentedGraph) -> Tensor:
     return ops.concat_rows([node_part, edge_part])
 
 
-def _mhsa_concat(z: Tensor, masks: list[HopMask], lp: LayerParams, cfg: ModelConfig,
-                 training: bool, seed: list) -> Tensor:
-    heads = []
-    for h in range(cfg.num_heads):
-        qh = ops.matmul(z, lp.wq[h])
-        kh = ops.matmul(z, lp.wk[h])
-        vh = ops.matmul(z, lp.wv[h])
-        heads.append(ops.sparse_masked_attention(
-            qh, kh, vh, masks[h],
-            dropout_rate=cfg.attention_dropout,
-            dropout_seed=seed + [h],
-            training=training))
-    return ops.concat_cols(heads)
-
-
 def _ffn(z: Tensor, lp: LayerParams) -> Tensor:
     hidden = ops.relu(ops.add(ops.matmul(z, lp.ffn_w1), lp.ffn_b1))
     return ops.add(ops.matmul(hidden, lp.ffn_w2), lp.ffn_b2)
@@ -223,7 +200,11 @@ def encoder_layer(z: Tensor, masks: list[HopMask], lp: LayerParams, cfg: ModelCo
         raise ShapeError(f"got {len(masks)} masks for {cfg.num_heads} heads")
     seed = [0] if seed is None else list(seed)   # keep dropout deterministic
     attn_in = ops.layer_norm(z, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "pre" else z
-    concat = _mhsa_concat(attn_in, masks, lp, cfg, training, seed)
+    nh = cfg.num_heads
+    qkv = ops.split_cols(ops.matmul(attn_in, lp.wqkv), 3 * nh)
+    concat = ops.concat_cols([ops.sparse_masked_attention(
+        qkv[h], qkv[nh + h], qkv[2 * nh + h], masks[h], dropout_rate=cfg.attention_dropout,
+        dropout_seed=seed + [h], training=training) for h in range(nh)])
     attn = ops.matmul(concat, lp.wo)
     attn = ops.dropout(attn, cfg.dropout, seed + [101], training)
     res1 = ops.add(z, attn)
@@ -298,7 +279,6 @@ def save_model(m: Model, path: str) -> None:
         "d_e": m.d_e,
         "params": {name: t.values.tolist() for name, t in named_parameters(m).items()},
     }
-    obj["config"]["head_hops"] = list(m.cfg.head_hops)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -309,9 +289,7 @@ def load_model(path: str) -> Model:
         obj = json.load(fh)
     if obj.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a model checkpoint (magic {obj.get('magic')!r})")
-    cfg_obj = dict(obj["config"])
-    cfg_obj["head_hops"] = tuple(cfg_obj["head_hops"])
-    cfg = ModelConfig(**cfg_obj)
+    cfg = ModelConfig(**obj["config"])   # turns the head_hops list into a tuple
     m = init_model(cfg, obj["d_v"], obj["d_e"])
     params = named_parameters(m)
     stored = obj["params"]

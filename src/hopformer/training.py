@@ -207,6 +207,8 @@ def _check_dataset(task: str, dataset) -> None:
     for i, g in enumerate(dataset):
         if g.num_nodes == 0:
             raise GraphError(f"graph {i} has no nodes; graph-level tasks need at least one")
+        if g.graph_label is None:
+            raise GraphError(f"graph {i} has no graph_label; graph-level tasks need one")
 
 
 def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False,
@@ -278,9 +280,13 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     best_val = best_loss = None
     best_params = copy_parameter_values(model)
     since_best = 0
+    n_items = dataset.num_nodes if node_task else len(dataset)
+    idx_train, idx_val, idx_test = split_indices(n_items, cfg)
+    for split, idx in (("train", idx_train), ("val", idx_val), ("test", idx_test)):
+        if idx.size == 0:
+            raise ValueError(f"the {split} split of {n_items} "
+                             f"{'nodes' if node_task else 'graphs'} is empty")
     ags = augment(dataset) if node_task else [augment(g) for g in dataset]
-    idx_train, idx_val, idx_test = split_indices(
-        dataset.num_nodes if node_task else len(dataset), cfg)
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -306,7 +312,7 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
         # size-weighted mean over the epoch's batches; one batch's loss is
         # kept as it is, not multiplied and divided by its size
         loss_value = batch_losses[0] if len(batches) == 1 else sum(
-            lv * b.size for lv, b in zip(batch_losses, batches)) / max(idx_train.size, 1)
+            lv * b.size for lv, b in zip(batch_losses, batches)) / idx_train.size
 
         val, test = _scores(model, dataset, ags, masks, [idx_val, idx_test])
         history.train_loss.append(loss_value)

@@ -150,10 +150,13 @@ def dense_vanilla_encoder(model: Model, x_nodes: np.ndarray,
     for lp in model.layers:
         attn_in = _ln(z, lp.ln1_gamma.values, lp.ln1_beta.values) if cfg.norm == "pre" else z
         heads = []
+        d, d_h = cfg.hidden_dim, cfg.head_dim
+        wqkv = lp.wqkv.values   # [Q heads | K heads | V heads]
         for h in range(cfg.num_heads):
-            q = attn_in @ lp.wq[h].values
-            k = attn_in @ lp.wk[h].values
-            v = attn_in @ lp.wv[h].values
+            lo = h * d_h
+            q = attn_in @ wqkv[:, lo:lo + d_h]
+            k = attn_in @ wqkv[:, d + lo:d + lo + d_h]
+            v = attn_in @ wqkv[:, 2 * d + lo:2 * d + lo + d_h]
             scores = q @ k.T / np.sqrt(cfg.head_dim)
             scores -= scores.max(axis=1, keepdims=True)
             w = np.exp(scores)

@@ -72,6 +72,46 @@ class TestDensePrimitives:
         assert np.array_equal(a.grad, np.full((2, 2), 2.0))
         assert np.array_equal(b.grad, np.full((2, 3), 2.0))
 
+    def test_split_cols_inverts_concat_cols(self):
+        rng = np.random.default_rng(3)
+        parts = [Tensor(rng.standard_normal((4, 2)), requires_grad=True) for _ in range(3)]
+        split = ops.split_cols(ops.concat_cols(parts), 3)
+        assert all(np.array_equal(s.values, p.values) for s, p in zip(split, parts))
+        r = rng.standard_normal((6, 1))
+        backward(ops.sum_all(ops.matmul(ops.concat_cols(split), Tensor(r))))
+        for i, p in enumerate(parts):
+            assert np.array_equal(p.grad, np.ones((4, 1)) @ r[2 * i:2 * i + 2].T)
+
+    def test_split_cols_backward_concatenates_part_grads(self):
+        x = Tensor(np.random.default_rng(4).standard_normal((3, 6)), requires_grad=True)
+        a, b, c = ops.split_cols(x, 3)
+        backward(ops.sum_all(ops.concat_cols([ops.scale(c, 3.0), a, ops.scale(b, 2.0)])))
+        assert np.array_equal(x.grad, np.repeat([[1.0, 2.0, 3.0]], 2, axis=1).repeat(3, 0))
+
+    def test_split_cols_grad_check_on_one_fed_part(self):
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.standard_normal((2, 3)))
+        x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+
+        def f(t):
+            return ops.sum_all(ops.relu(ops.matmul(ops.split_cols(t, 3)[1], w)))
+
+        assert grad_check(f, x) < 1e-8
+
+    def test_split_cols_parts_without_grad_get_zeros(self):
+        x = Tensor(np.ones((2, 6)), requires_grad=True)
+        parts = ops.split_cols(x, 3)
+        backward(ops.sum_all(parts[1]))
+        expect = np.zeros((2, 6))
+        expect[:, 2:4] = 1.0
+        assert np.array_equal(x.grad, expect)
+
+    def test_split_cols_leaves_input_without_grad_when_no_part_is_used(self):
+        x = Tensor(np.ones((2, 4)), requires_grad=True)
+        ops.split_cols(x, 2)
+        backward(ops.sum_all(Tensor(np.ones((1, 1)))))
+        assert x.grad is None
+
     def test_row_slice_backward(self):
         x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
         backward(ops.sum_all(ops.row_slice(x, 1, 3)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +57,35 @@ class TestUsage:
     def test_missing_input_file_exits_two(self, tmp_path, capsys):
         assert main(["augment", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path / "out.json")]) == 2
+
+    @pytest.mark.parametrize("argv, code, stream", [(["train", "--help"], 0, "stdout"),
+                                                    (["train"], 2, "stderr")])
+    def test_module_entry_runs_the_cli(self, tmp_path, argv, code, stream):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "hopformer.cli"] + argv, cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert "usage: hopformer train" in getattr(proc, stream)
+
+    def test_bracketed_path_is_read_as_a_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_labelled_graph(tmp_path / "[g].json")
+        (tmp_path / "cfg.json").write_text(json.dumps(run_config()))
+        assert main(["augment", "[g].json", "--output", "aug.json"]) == 0
+        assert main(["train", "[g].json", "--config", "cfg.json", "--output", "run"]) == 0
+        assert (tmp_path / "run" / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "masks", "train", "analyze", "flops"])
+    def test_missing_braced_path_exits_two_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(run_config()))
+        extra = ["--config", "cfg.json"] if command in ("train", "flops") else []
+        assert main([command, "{x}.json", *extra, "--output", "out"]) == 2
+        assert "{x}.json" in capsys.readouterr().err
 
 
 class TestGen:
@@ -355,6 +388,36 @@ class TestTrain:
         assert main(["train", str(src), "--config", str(cfg_path),
                      "--output", str(tmp_path / "run")]) == 2
         assert "no graphs" in capsys.readouterr().err
+
+    def test_missing_graph_label_exits_two_naming_the_graph(self, tmp_path, capsys):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]]}
+        graphs = [dict(obj, graph_label=i % 2) for i in range(5)]
+        del graphs[1]["graph_label"]
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps(graphs))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "run"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        assert "graph 1 has no graph_label" in capsys.readouterr().err
+        assert not (outdir / "model.json").exists()
+
+    def test_empty_split_exits_two_naming_it(self, tmp_path, capsys):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]]}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([dict(obj, graph_label=i % 2) for i in range(3)]))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "run"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        assert "the test split of 3 graphs is empty" in capsys.readouterr().err
+        assert not (outdir / "model.json").exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"

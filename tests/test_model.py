@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hopformer import (ModelConfig, Tensor, augment, build_head_masks,
                        relabel_nodes, save_model)
 from hopformer import autograd as ops
 from hopformer.graphs import Graph
-from hopformer.model import CHECKPOINT_MAGIC
+from hopformer.model import CHECKPOINT_MAGIC, LayerParams
 
 from helpers import (augmented_distances, dense_vanilla_encoder, path3_graph,
                      random_graph, single_edge_graph)
@@ -68,6 +69,39 @@ class TestInitModel:
     def test_no_edge_projector_without_edge_features(self):
         assert init_model(small_cfg(), d_v=3, d_e=0).proj_edge is None
         assert init_model(small_cfg(), d_v=3, d_e=2).proj_edge is not None
+
+
+    def test_fused_projection_holds_the_per_head_draws_in_seeded_order(self):
+        # reference: every weight drawn from one default_rng(seed) in the
+        # per-head order, each Q/K/V head block with its own (d, d_h) limit
+        cfg = small_cfg(seed=7)
+        d, d_h, f = cfg.hidden_dim, cfg.head_dim, cfg.ffn_dim
+        m = init_model(cfg, d_v=3, d_e=2)
+        rng = np.random.default_rng(cfg.seed)
+
+        def draw(fan_in, fan_out):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+        assert np.array_equal(m.proj_node.values, draw(3, d))
+        assert np.array_equal(m.proj_edge.values, draw(2, d))
+        for lp in m.layers:
+            assert lp.wqkv.values.shape == (d, 3 * d)
+            for block in range(3 * cfg.num_heads):   # Q heads, K heads, V heads
+                cols = slice(block * d_h, (block + 1) * d_h)
+                assert np.array_equal(lp.wqkv.values[:, cols], draw(d, d_h))
+            assert np.array_equal(lp.wo.values, draw(d, d))
+            assert np.array_equal(lp.ffn_w1.values, draw(d, f))
+            assert np.array_equal(lp.ffn_w2.values, draw(f, d))
+        assert np.array_equal(m.head_w.values, draw(d, cfg.num_classes))
+
+    def test_layer_parameter_names_are_the_layer_fields(self):
+        m = init_model(small_cfg(), d_v=3)
+        names = [f.name for f in fields(LayerParams)]
+        assert "wqkv" in names and not {"wq", "wk", "wv"} & set(names)
+        assert all(isinstance(getattr(m.layers[0], n), Tensor) for n in names)
+        layer1 = [n for n in named_parameters(m) if n.startswith("layer1.")]
+        assert layer1 == [f"layer1.{n}" for n in names]
 
 
 class TestEmbedTokens:
@@ -139,6 +173,25 @@ class TestEncoderLayer:
         oracle = dense_vanilla_encoder(m, g.node_features,
                                        np.zeros((ag.num_edge_tokens, 8)))
         assert np.abs(h.values - oracle).max() <= 1e-10
+
+    def test_one_matmul_per_layer_projects_q_k_and_v(self, monkeypatch):
+        cfg = small_cfg()
+        m = init_model(cfg, d_v=1)
+        g = path3_graph()
+        ag = augment(g)
+        rights = []
+        real = ops.matmul
+
+        def counting(a, b):
+            rights.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(ops, "matmul", counting)
+        forward(m, g, ag, build_head_masks(ag, list(cfg.head_hops)))
+        for lp in m.layers:
+            assert sum(b is lp.wqkv for b in rights) == 1
+        # node embedding, then wqkv, wo, ffn_w1 and ffn_w2 per layer
+        assert len(rights) == 1 + 4 * cfg.num_layers
 
     def test_wrong_mask_count(self):
         cfg = small_cfg()
@@ -311,6 +364,16 @@ class TestCheckpoint:
         obj["params"]["head.bias"][0][1] = bad
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="head.bias"):
+            load_model(str(path))
+
+    def test_per_head_checkpoint_magic_refused_by_name(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        assert "layer0.wqkv" in obj["params"]
+        obj["magic"] = "HOPFORMER1"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="HOPFORMER1"):
             load_model(str(path))
 
     def test_magic_string_present_and_checked(self, tmp_path):

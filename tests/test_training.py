@@ -454,6 +454,51 @@ class TestOnePredictionPath:
                 losses.append(training._loss(task, out, target).values[0, 0])
         assert history.train_loss[0] == pytest.approx(np.mean(losses), rel=1e-12)
 
+    def test_missing_graph_label_rejected_before_any_forward(self, monkeypatch):
+        graphs = tiny_graph_dataset(num=5)
+        graphs[1] = Graph(num_nodes=3, edges=np.array([[0, 1]]),
+                          node_features=np.ones((3, 2)))
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
+                          num_heads=2, task="graph_classification", num_classes=2)
+        masks = [build_head_masks(augment(g), [1, 3]) for g in graphs]
+        model = init_model(cfg, 2)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(training, "forward", no_forward)
+        with pytest.raises(GraphError, match="graph 1 has no graph_label"):
+            train(model, graphs, masks, TrainConfig(learning_rate=1e-2, epochs=2))
+        with pytest.raises(GraphError, match="graph 1 has no graph_label"):
+            evaluate(model, graphs, masks, np.arange(3))
+
+    @pytest.mark.parametrize("fracs, split", [((0.6, 0.4, 0.0), "test"),
+                                              ((0.8, 0.0, 0.2), "val"),
+                                              ((0.0, 0.5, 0.5), "train")])
+    def test_empty_split_rejected_before_any_forward(self, monkeypatch, fracs, split):
+        graphs = tiny_graph_dataset(num=3)
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
+                          num_heads=2, task="graph_classification", num_classes=2)
+        masks = [build_head_masks(augment(g), [1, 3]) for g in graphs]
+        calls = []
+        real = training.forward
+        monkeypatch.setattr(training, "forward",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        tc = TrainConfig(learning_rate=1e-2, epochs=2, train_frac=fracs[0],
+                         val_frac=fracs[1], test_frac=fracs[2])
+        with pytest.raises(ValueError, match=f"the {split} split of 3 graphs is empty"):
+            train(init_model(cfg, 2), graphs, masks, tc)
+        assert calls == []
+
+    def test_empty_node_split_names_the_node_count(self):
+        g = labelled_graph(n=4)
+        cfg = node_cfg()
+        masks = build_head_masks(augment(g), list(cfg.head_hops))
+        tc = TrainConfig(learning_rate=1e-2, epochs=1, train_frac=0.9, val_frac=0.1,
+                         test_frac=0.0)
+        with pytest.raises(ValueError, match="split of 4 nodes is empty"):
+            train(init_model(cfg, 3), g, masks, tc)
+
     def test_zero_node_graph_rejected_before_any_forward(self, monkeypatch):
         graphs = tiny_graph_dataset(num=6)
         graphs[4] = Graph(num_nodes=0, edges=np.zeros((0, 2)),
