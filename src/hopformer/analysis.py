@@ -17,7 +17,7 @@ import numpy as np
 
 from .autograd import (Tensor, attention_flops, count_attention_flops,
                        scratch_tape)
-from .graphs import AugmentedGraph, Graph, augment
+from .graphs import AugmentedGraph, Graph, augment, csr_from_pairs
 from .masks import HopMask, build_head_masks, hop_distance_blocks
 from .model import Model, ModelConfig, encode, encoder_layer, forward, init_model
 
@@ -82,14 +82,11 @@ def _path_summary(g: Graph) -> _PathSummary:
     n = g.num_nodes
     if n < 2:
         raise ValueError(f"average path length needs at least 2 nodes, got {n}")
-    ends = np.concatenate([g.edges, g.edges[:, ::-1]])
-    order = np.argsort(ends[:, 0], kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends[:, 0], minlength=n), out=indptr[1:])
+    indptr, indices = csr_from_pairs(g.edges.ravel(), g.edges[:, ::-1].ravel(), n)
     component = np.empty(n, dtype=np.int64)
     eccentricity = np.empty(n, dtype=np.int64)
     total = pairs = 0
-    for rows, cols, dist in hop_distance_blocks(indptr, ends[order, 1], n, n):
+    for rows, cols, dist in hop_distance_blocks(indptr, indices, n, n):
         # every row holds its diagonal, so the first entry of a row is the
         # smallest node id reachable from it
         first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
@@ -266,6 +263,8 @@ def flops_vs_nnz_report(graphs: list[Graph], hop_configs: list[list[int]],
     Each row's attention term is cross-checked against an instrumented
     forward pass of the sparse kernel; any disagreement is a hard error.
     """
+    if not graphs:
+        raise ValueError("flops_vs_nnz_report needs a non-empty graph list, got []")
     if len(hop_configs) < 3:
         raise ValueError(f"need at least 3 hop configurations, got {len(hop_configs)}")
     rows: list[FlopRow] = []

@@ -61,6 +61,14 @@ def _read_file(path: str, loader=json.load):
             raise ValueError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
 
 
+def _read_dataset(path: str) -> list:
+    """The graphs of a dataset file; a file holding none is refused."""
+    graphs = _read_file(path, load_dataset)
+    if not graphs:
+        raise ValueError(f"{path} holds no graphs")
+    return graphs
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -147,10 +155,8 @@ def cmd_train(args) -> int:
         model_cfg = replace(model_cfg, seed=args.seed)
     os.makedirs(args.output, exist_ok=True)
 
-    graphs = _read_file(args.input, load_dataset)
+    graphs = _read_dataset(args.input)
     node_task = model_cfg.task == "node_classification"
-    if not graphs:
-        raise ValueError(f"{args.input} holds no graphs")
     if node_task and len(graphs) != 1:
         raise ValueError("node classification expects a single-graph input file")
     masks = [prepare_graph(g, model_cfg.head_hops)[1] for g in graphs]
@@ -181,9 +187,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    graphs = _read_file(args.input, load_dataset)
-    if not graphs:
-        raise ValueError(f"{args.input} holds no graphs")
+    graphs = _read_dataset(args.input)
     reports = [small_world_report(g) for g in graphs]
     mean_c = float(np.mean([r.clustering for r in reports]))
     mean_l = float(np.mean([r.avg_path_length for r in reports]))
@@ -202,7 +206,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    graphs = _read_file(args.input, load_dataset)
+    graphs = _read_dataset(args.input)
     config_obj = _read_file(args.config)
     cfg = _model_config(config_obj)
     hop_configs = _parse_hop_configs(args.hop_configs)

@@ -4,13 +4,15 @@ A :class:`Graph` is an undirected edge list plus dense per-node (and optional
 per-edge) feature matrices.  :func:`augment` rewrites it into the token graph
 the attention masks are built on: every original edge becomes an extra token
 wired to its two endpoints, so node and edge attributes can be attended over
-uniformly while the structure stays sparse.
+uniformly while the structure stays sparse.  :func:`csr_from_pairs` is the
+package's one edge-list-to-CSR step; the hop masks share its ``indptr`` step.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -164,6 +166,21 @@ class AugmentedGraph:
         return self.indices[self.indptr[token]:self.indptr[token + 1]]
 
 
+def csr_indptr(rows: np.ndarray, t: int) -> np.ndarray:
+    """Row pointers of t CSR rows holding the row-major entries of ``rows``."""
+    indptr = np.zeros(t + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=t), out=indptr[1:])
+    return indptr
+
+
+def csr_from_pairs(rows: np.ndarray, cols: np.ndarray,
+                   t: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 CSR ``(indptr, indices)`` of t rows, one entry per int64 pair
+    ``(rows[k], cols[k])``; one stable sort by ``rows * t + cols`` orders them."""
+    order = np.argsort(rows * t + cols, kind="stable")
+    return csr_indptr(rows, t), cols[order]
+
+
 def augment(g: Graph) -> AugmentedGraph:
     """Expand each edge into a token linked to its endpoints.
 
@@ -172,33 +189,16 @@ def augment(g: Graph) -> AugmentedGraph:
     so node tokens only neighbour edge tokens and vice versa.
     """
     n, m = g.num_nodes, g.num_edges
-    t = n + m
-    node_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for j in range(m):
-        u, v = int(g.edges[j, 0]), int(g.edges[j, 1])
-        node_nbrs[u].append(n + j)
-        node_nbrs[v].append(n + j)
-    indptr = np.zeros(t + 1, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    for u in range(n):
-        indptr[u + 1] = indptr[u] + len(node_nbrs[u])
-        chunks.append(np.asarray(node_nbrs[u], dtype=np.int64))
-    for j in range(m):
-        u, v = int(g.edges[j, 0]), int(g.edges[j, 1])
-        indptr[n + j + 1] = indptr[n + j] + 2
-        chunks.append(np.asarray(sorted((u, v)), dtype=np.int64))
-    indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    kind = np.concatenate([
-        np.full(n, NODE_TOKEN, dtype=np.int8),
-        np.full(m, EDGE_TOKEN, dtype=np.int8),
-    ])
+    ends, e = g.edges.ravel(), np.repeat(np.arange(n, n + m, dtype=np.int64), 2)
+    indptr, indices = csr_from_pairs(np.concatenate([ends, e]), np.concatenate([e, ends]), n + m)
     return AugmentedGraph(
         num_node_tokens=n,
         num_edge_tokens=m,
         indptr=_frozen(indptr),
         indices=_frozen(indices),
-        token_kind=_frozen(kind),
-        edge_token_origin=_frozen(np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).copy()),
+        token_kind=_frozen(np.repeat(np.array([NODE_TOKEN, EDGE_TOKEN], dtype=np.int8),
+                                     [n, m])),
+        edge_token_origin=_frozen(g.edges.copy()),
     )
 
 
@@ -206,20 +206,19 @@ def augment(g: Graph) -> AugmentedGraph:
 # JSON graph files
 
 
-def _decode_json(text: str):
+def _read_json(source):
+    """Parse a file (any path-like, or a one-line str not opening like JSON),
+    a stream, or the JSON text itself."""
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and "\n" not in source
+                                           and source.lstrip()[:1] not in "[{"):
+        with open(source, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    elif hasattr(source, "read"):
+        source = source.read()
     try:
-        return json.loads(text)
+        return json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
     except json.JSONDecodeError as e:
         raise GraphError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-
-
-def _read_text(source) -> str:
-    if isinstance(source, str) and "\n" not in source and source.lstrip()[:1] not in "[{":
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    if hasattr(source, "read"):
-        source = source.read()
-    return source.decode("utf-8") if isinstance(source, bytes) else source
 
 
 def _graph_from_obj(obj) -> Graph:
@@ -267,21 +266,17 @@ def _symmetrize(raw_edges: list) -> list[list[int]]:
     return kept
 
 
-def load_graph(source, fmt: str = "json") -> Graph:
+def load_graph(source) -> Graph:
     """Load a single graph from a JSON file path, byte/str stream, or text."""
-    if fmt != "json":
-        raise GraphError(f"unsupported format {fmt!r}")
-    obj = _decode_json(_read_text(source))
+    obj = _read_json(source)
     if isinstance(obj, list):
         raise GraphError("expected a single graph object, got an array (use load_dataset)")
     return _graph_from_obj(obj)
 
 
-def load_dataset(source, fmt: str = "json") -> list[Graph]:
+def load_dataset(source) -> list[Graph]:
     """Load one graph or an array of graphs; always returns a list."""
-    if fmt != "json":
-        raise GraphError(f"unsupported format {fmt!r}")
-    obj = _decode_json(_read_text(source))
+    obj = _read_json(source)
     if isinstance(obj, dict):
         return [_graph_from_obj(obj)]
     if not isinstance(obj, list):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import AugmentedGraph, _frozen
+from .graphs import AugmentedGraph, _frozen, csr_indptr
 
 
 @dataclass(eq=False)
@@ -128,10 +128,9 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, t: int,
 
 def _mask_within(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, t: int,
                  n: int) -> HopMask:
+    # the pairs are already row-major with ascending columns: no sort
     keep = dist <= n
-    indptr = np.zeros(t + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=t), out=indptr[1:])
-    return HopMask(hop_budget=n, size=t, indptr=_frozen(indptr),
+    return HopMask(hop_budget=n, size=t, indptr=_frozen(csr_indptr(rows[keep], t)),
                    indices=_frozen(cols[keep]))
 
 

@@ -1,16 +1,18 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately use different algorithms from the library:
-dense matrix reachability instead of BFS, full dense attention instead of the
-sparse kernel, Floyd-Warshall instead of BFS path sums, and O(n^3) triangle
-counting for clustering.
+per-edge neighbour lists instead of one sorted CSR build, dense matrix
+reachability instead of BFS, full dense attention instead of the sparse
+kernel, Floyd-Warshall instead of BFS path sums, and O(n^3) triangle counting
+for clustering.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hopformer import Graph, augment
+from hopformer import AugmentedGraph, Graph
+from hopformer.graphs import EDGE_TOKEN, NODE_TOKEN
 from hopformer.masks import HopMask
 from hopformer.model import Model
 
@@ -68,6 +70,51 @@ def random_graph_fixed_n(rng: np.random.Generator, n: int,
     edges = np.column_stack([iu[keep], ju[keep]])
     return Graph(num_nodes=n, edges=edges,
                  node_features=rng.standard_normal((n, feature_dim)))
+
+
+def shuffled_reversed_copy(g: Graph, rng: np.random.Generator) -> Graph:
+    """``g`` with its edge list in a random order and about half of its edges
+    written (v, u)."""
+    edges = g.edges[rng.permutation(g.num_edges)]
+    flip = rng.random(g.num_edges) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return Graph(num_nodes=g.num_nodes, edges=edges, node_features=g.node_features)
+
+
+# ---------------------------------------------------------------------------
+# Reference augmentation: per-node neighbour lists built edge by edge
+
+
+def reference_augment(g: Graph) -> AugmentedGraph:
+    n, m = g.num_nodes, g.num_edges
+    t = n + m
+    node_nbrs: list[list[int]] = [[] for _ in range(n)]
+    for j in range(m):
+        u, v = int(g.edges[j, 0]), int(g.edges[j, 1])
+        node_nbrs[u].append(n + j)
+        node_nbrs[v].append(n + j)
+    indptr = np.zeros(t + 1, dtype=np.int64)
+    chunks: list[np.ndarray] = []
+    for u in range(n):
+        indptr[u + 1] = indptr[u] + len(node_nbrs[u])
+        chunks.append(np.asarray(node_nbrs[u], dtype=np.int64))
+    for j in range(m):
+        u, v = int(g.edges[j, 0]), int(g.edges[j, 1])
+        indptr[n + j + 1] = indptr[n + j] + 2
+        chunks.append(np.asarray(sorted((u, v)), dtype=np.int64))
+    indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    kind = np.concatenate([
+        np.full(n, NODE_TOKEN, dtype=np.int8),
+        np.full(m, EDGE_TOKEN, dtype=np.int8),
+    ])
+    return AugmentedGraph(
+        num_node_tokens=n,
+        num_edge_tokens=m,
+        indptr=indptr,
+        indices=indices,
+        token_kind=kind,
+        edge_token_origin=np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).copy(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from hopformer.graphs import Graph
 
 from helpers import (augmented_distances, brute_avg_path, brute_clustering,
                      brute_components_and_diameter,
-                     path3_graph, random_graph, single_edge_graph, star_graph,
-                     triangle_graph)
+                     path3_graph, random_graph, shuffled_reversed_copy,
+                     single_edge_graph, star_graph, triangle_graph)
 
 
 class TestClustering:
@@ -82,6 +82,12 @@ class TestSmallWorldReport:
             assert (rep.num_components, rep.diameter_of_largest_component) == \
                 brute_components_and_diameter(g)
             assert rep.avg_path_length == avg_shortest_path(g)
+
+    def test_edge_order_and_orientation_do_not_matter(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            g = random_graph(rng, max_nodes=16, p=float(rng.uniform(0.0, 0.4)))
+            assert small_world_report(shuffled_reversed_copy(g, rng)) == small_world_report(g)
 
     @pytest.mark.parametrize("edges, diameter", [
         ([[0, 1], [1, 2], [3, 4], [4, 5], [3, 5]], 2),   # path first, then triangle
@@ -273,6 +279,10 @@ class TestFlopsReport:
         cfg = probe_cfg([1, 2])
         with pytest.raises(ValueError, match="3"):
             flops_vs_nnz_report([g], [[1, 2], [2, 3]], cfg)
+
+    def test_empty_graph_list_rejected(self):
+        with pytest.raises(ValueError, match="non-empty graph list"):
+            flops_vs_nnz_report([], [[1, 2], [2, 3], [3, 4]], probe_cfg([1, 2]))
 
     def test_degenerate_fit_rejected(self):
         g = Graph(num_nodes=4, edges=np.zeros((0, 2)), node_features=np.ones((4, 1)))

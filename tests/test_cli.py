@@ -280,6 +280,17 @@ class TestFlops:
         assert main(["flops", str(src), "--config", str(cfg_path),
                      "--output", str(out)]) == 0
 
+    def test_empty_dataset_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "empty.json"
+        src.write_text("[]")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(run_config()))
+        out = tmp_path / "flops.csv"
+        assert main(["flops", str(src), "--config", str(cfg_path),
+                     "--output", str(out)]) == 2
+        assert f"{src} holds no graphs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, tmp_path, capsys):

@@ -7,9 +7,19 @@ from hopformer import (Graph, GraphError, augment, generate_erdos_renyi,
                        generate_sbm, generate_watts_strogatz, load_dataset,
                        load_graph, relabel_nodes, save_graph)
 from hopformer import graphs as graphs_module
-from hopformer.graphs import EDGE_TOKEN, NODE_TOKEN
+from hopformer.graphs import EDGE_TOKEN, NODE_TOKEN, csr_from_pairs
 
-from helpers import brute_clustering, single_edge_graph, triangle_graph
+from helpers import (brute_clustering, random_graph, reference_augment,
+                     shuffled_reversed_copy, single_edge_graph, triangle_graph)
+
+
+def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_columns_ascend(indptr: np.ndarray, indices: np.ndarray) -> None:
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    assert np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))
 
 
 class TestGraphInvariants:
@@ -81,7 +91,42 @@ class TestGraphInvariants:
                   node_features=np.ones((4, 2)), edge_features=ef)
 
 
+class TestCsrFromPairs:
+    def test_matches_dense_nonzero(self):
+        rng = np.random.default_rng(11)
+        for t in (1, 2, 7, 30):
+            dense = rng.random((t, t)) < 0.3
+            rows, cols = np.nonzero(dense)   # row-major, columns ascending
+            order = rng.permutation(rows.size)
+            indptr, indices = csr_from_pairs(rows[order], cols[order], t)
+            assert indptr.dtype == indices.dtype == np.int64
+            assert np.array_equal(indptr, np.r_[0, np.cumsum(dense.sum(axis=1))])
+            assert np.array_equal(indices, cols)
+
+
 class TestAugment:
+    @staticmethod
+    def assert_matches_reference(g):
+        ag, ref = augment(g), reference_augment(g)
+        assert (ag.num_node_tokens, ag.num_edge_tokens) == \
+            (ref.num_node_tokens, ref.num_edge_tokens)
+        for name in ("indptr", "indices", "token_kind", "edge_token_origin"):
+            assert_same_bytes(getattr(ag, name), getattr(ref, name))
+        assert_columns_ascend(ag.indptr, ag.indices)
+
+    def test_matches_loop_reference_on_shuffled_reversed_edges(self):
+        rng = np.random.default_rng(17)
+        graphs = [random_graph(rng, max_nodes=20) for _ in range(40)]
+        graphs.append(generate_sbm((150, 150), 0.04, 0.004, seed=3))
+        for g in graphs:
+            self.assert_matches_reference(g)
+            self.assert_matches_reference(shuffled_reversed_copy(g, rng))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_matches_loop_reference_without_edges(self, n):
+        self.assert_matches_reference(
+            Graph(num_nodes=n, edges=np.zeros((0, 2)), node_features=np.ones((n, 1))))
+
     def test_single_edge(self):
         ag = augment(single_edge_graph())
         assert ag.total_tokens == 3
@@ -243,6 +288,13 @@ class TestLoadGraph:
         assert g.node_features.tolist() == [[1.5], [2.5]]
         g = load_graph(json.dumps({"num_nodes": 0, "edges": [], "node_features": []}))
         assert g.num_nodes == 0 and g.node_features.shape == (0, 1)
+
+    def test_path_objects_are_read_as_files(self, tmp_path):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [2]]}
+        path = tmp_path / "[g].json"   # a str of this name would parse as JSON
+        path.write_text(json.dumps(obj))
+        assert load_graph(path).num_edges == 1
+        assert [g.num_nodes for g in load_dataset(path)] == [2]
 
     def test_dataset_array(self):
         obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [2]],
