@@ -8,15 +8,21 @@ only on the stored entries of a reachability mask: excluded pairs enter
 neither the scores nor the softmax normalization, in forward or backward.
 
 The kernel picks one of two paths per call from the mask's density.  Below
-``DENSE_MIN_DENSITY`` the nnz path gathers and reduces over stored entries
-only.  At or above it the masked dense path computes the T x T scores with
-BLAS, sets off-support scores to -inf, and runs its backward as four matrix
-products; since T^2 <= nnz / DENSE_MIN_DENSITY there, its memory and work
-stay linear in nnz.  Both paths give the same results up to rounding.
+``DENSE_MIN_DENSITY`` the nnz path works on stored entries only, in a column
+layout: q, k, v and the upstream gradient are transposed once to contiguous
+(d_h, T) arrays, each gather is one ``take`` into a (d_h, nnz) block, scores
+are one column sum of a product of two blocks, and per-row sums are one
+``np.add.reduceat`` along the nnz axis.  The number of numpy calls per kernel
+call is fixed; it does not grow with nnz.  At or above the threshold the
+masked dense path computes the T x T scores with BLAS, sets off-support
+scores to -inf, and runs its backward as four matrix products; since
+T^2 <= nnz / DENSE_MIN_DENSITY there, its memory and work stay linear in nnz.
+Both paths give the same results up to rounding.
 
-Determinism: on the nnz path per-row reductions run in ascending column order
-(CSR order) and scatter accumulations in stored-entry order; the dense path
-runs fixed BLAS products.  Identical inputs produce bit-identical outputs.
+Determinism: on the nnz path per-row sums (``reduceat``) run in ascending
+column order (CSR order) and the key and value scatters (one ``bincount`` per
+column) in stored-entry order; the dense path runs fixed BLAS products.
+Identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -361,12 +367,23 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool) -> Tensor:
 # Sparse masked attention
 
 
-def _scatter_rows(values: np.ndarray, idx: np.ndarray, t: int) -> np.ndarray:
-    # Deterministic scatter-add of (nnz, d) rows into t bins.
-    out = np.empty((t, values.shape[1]))
-    for j in range(values.shape[1]):
-        out[:, j] = np.bincount(idx, weights=values[:, j], minlength=t)
+def _take_times(a: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a.take(idx, axis=1) * w`` in the one (d_h, nnz) buffer of the gather."""
+    out = a.take(idx, axis=1)
+    out *= w
     return out
+
+
+def _masked_softmax(qt: np.ndarray, kt: np.ndarray, mask: HopMask) -> np.ndarray:
+    # Scores and row softmax on (d_h, T) column layouts: one gather per
+    # operand into a (d_h, nnz) block, one column sum, and row max and sum as
+    # reduceat over the CSR row starts.
+    row, starts = mask.row_indices, mask.indptr[:-1]
+    scores = _take_times(qt, row, kt.take(mask.indices, axis=1)).sum(axis=0)
+    scores *= 1.0 / np.sqrt(qt.shape[0])
+    scores -= np.maximum.reduceat(scores, starts)[row]
+    expd = np.exp(scores, out=scores)
+    return expd / np.add.reduceat(expd, starts)[row]
 
 
 def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarray:
@@ -376,52 +393,58 @@ def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarr
     subtracted before exponentiation and each row normalizes over its own
     support, so off-support weights are exactly zero by construction.
     """
-    row, col, indptr = mask.row_indices, mask.indices, mask.indptr
-    d_h = qv.shape[1]
-    inv_sqrt = 1.0 / np.sqrt(d_h)
-    scores = np.einsum("ij,ij->i", qv[row], kv[col]) * inv_sqrt
-    rowmax = np.maximum.reduceat(scores, indptr[:-1]) if scores.size else scores
-    expd = np.exp(scores - rowmax[row])
-    denom = np.add.reduceat(expd, indptr[:-1]) if expd.size else expd
-    return expd / denom[row]
+    if qv.shape != kv.shape or qv.shape[0] != mask.size:
+        raise ShapeError(f"q/k shapes {qv.shape}, {kv.shape} do not fit a mask "
+                         f"for {mask.size} tokens")
+    return _masked_softmax(np.ascontiguousarray(qv.T), np.ascontiguousarray(kv.T), mask)
 
 
 # Masks with nnz >= DENSE_MIN_DENSITY * T^2 run on the masked dense path,
 # sparser ones on the nnz path.  Per-call forward + backward, d_h = 4,
-# float64, OpenBLAS 0.3.31 on 2 vCPUs, nnz path vs dense path:
-#   SBM hop masks, T = 333:   density 0.06: 1.2 vs 2.1 ms; 0.14: 3.1 vs 1.8 ms;
-#                             1.00: 47 vs 1.1 ms
-#   SBM hop masks, T = 1212:  density 0.07: 29 vs 34 ms; 0.14: 64 vs 36 ms
-#   ring hop masks, density 0.25: 8.1 vs 1.5 ms (T = 340), 104 vs 20 ms (T = 1212)
+# float64, OpenBLAS 0.3.31 on 2 vCPUs, median of 21 calls, column-layout nnz
+# path vs dense path:
+#   SBM hop masks, T = 333:   density 0.06: 0.66 vs 2.7 ms; 0.14: 1.1 vs 3.2 ms;
+#                             0.42: 6.9 vs 2.1 ms; 1.00: 20 vs 1.0 ms
+#   SBM hop masks, T = 1256:  density 0.08: 13 vs 40 ms; 0.15: 30 vs 46 ms;
+#                             0.21: 53 vs 48 ms
+#   ring hop masks, density 0.25: 2.9 vs 1.8 ms (T = 340), 58 vs 28 ms (T = 1212)
 # At T <= 44 the dense path is faster at every density.  The paths break even
-# near density 0.1, where repeated timings differ by up to 2x.  0.25 keeps
-# the dense path about 5x faster wherever it is chosen, keeps heads near the
-# break-even (such as the 14% hop-3 heads of the SBM node task) on one path
-# for every seed, and bounds the T x T buffers by T^2 <= 4 * nnz.
+# near density 0.2, where repeated timings differ by up to 1.5x.  0.25 keeps
+# the dense path 1.6-2x faster wherever it is chosen, keeps the 14% hop-3
+# heads of the SBM node task on the nnz path, where they run 3x faster, and
+# bounds the T x T buffers by T^2 <= 4 * nnz.
 DENSE_MIN_DENSITY = 0.25
 
 
 def _sparse_path(qv, kv, vv, mask: HopMask, dropmult):
-    """Attention over the stored entries only; returns (out, grads(g))."""
+    """Attention over the stored entries only; returns (out, grads(g)).
+
+    Works on (d_h, T) transposes: every gather is a ``take`` into a (d_h, nnz)
+    block, row sums are ``reduceat`` over the CSR row starts, and the key and
+    value scatters are one ``bincount`` per column.  The backward gathers
+    again instead of keeping any (d_h, nnz) block alive until it runs.
+    """
     t, d_h = qv.shape
-    row, col, indptr = mask.row_indices, mask.indices, mask.indptr
+    qt, kt, vt = (np.ascontiguousarray(a.T) for a in (qv, kv, vv))
     inv_sqrt = 1.0 / np.sqrt(d_h)
-    alpha = attention_weights(qv, kv, mask)
+    alpha = _masked_softmax(qt, kt, mask)
     applied = alpha if dropmult is None else alpha * dropmult
-    out = np.add.reduceat(applied[:, None] * vv[col], indptr[:-1], axis=0) \
-        if applied.size else np.zeros((t, d_h))
+    out = np.add.reduceat(_take_times(vt, mask.indices, applied), mask.indptr[:-1], axis=1)
 
     def grads(g):
-        gr = g[row]
-        d_applied = np.einsum("ij,ij->i", gr, vv[col])
-        d_alpha = d_applied if dropmult is None else d_applied * dropmult
-        rowdot = np.add.reduceat(alpha * d_alpha, indptr[:-1])
-        dscore = alpha * (d_alpha - rowdot[row]) * inv_sqrt
-        return (np.add.reduceat(dscore[:, None] * kv[col], indptr[:-1], axis=0),
-                _scatter_rows(dscore[:, None] * qv[row], col, t),
-                _scatter_rows(applied[:, None] * gr, col, t))
+        row, col, starts = mask.row_indices, mask.indices, mask.indptr[:-1]
+        g_rows = np.ascontiguousarray(g.T).take(row, axis=1)
+        # alpha * d_alpha == applied * d_applied, so dropout needs no own term
+        wd = applied * _take_times(vt, col, g_rows).sum(axis=0)
+        dscore = wd - alpha * np.add.reduceat(wd, starts)[row]
+        dscore *= inv_sqrt
+        dq = np.add.reduceat(_take_times(kt, col, dscore), starts, axis=1)
+        dk = [np.bincount(col, weights=w, minlength=t) for w in _take_times(qt, row, dscore)]
+        g_rows *= applied
+        dv = [np.bincount(col, weights=w, minlength=t) for w in g_rows]
+        return dq.T, np.array(dk).T, np.array(dv).T
 
-    return out, grads
+    return out.T, grads
 
 
 def _dense_path(qv, kv, vv, mask: HopMask, dropmult):

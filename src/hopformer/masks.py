@@ -23,14 +23,53 @@ from .graphs import AugmentedGraph, _frozen, csr_indptr
 
 @dataclass(eq=False)
 class HopMask:
-    """Boolean T x T reachability matrix in CSR form, diagonal always present."""
+    """Boolean T x T reachability matrix in CSR form, diagonal always present.
+
+    Construction checks the CSR structure and raises ``ValueError`` naming
+    the first bad row: every row needs at least one column, and columns lie
+    in [0, T) and strictly ascend within their row.
+    """
 
     hop_budget: int
     size: int
     indptr: np.ndarray   # (T+1,) int64
-    indices: np.ndarray  # (nnz,) int64, ascending within each row
+    indices: np.ndarray  # (nnz,) int64, strictly ascending within each row
     _row_indices: np.ndarray | None = field(default=None, repr=False)
     _dense_support: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # O(T + nnz) structure check: the attention kernel's row reductions
+        # assume every row holds at least one in-range, ascending column.
+        # Slices and ufunc reductions rather than np.diff and array methods:
+        # most masks are small, and this runs once per mask.
+        t, indptr, indices = self.size, self.indptr, self.indices
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise ValueError(f"mask indptr and indices must be integer arrays, "
+                             f"got {indptr.dtype} and {indices.dtype}")
+        indptr = indptr.astype(np.int64, copy=False)   # row counts below may be negative
+        if indptr.shape != (t + 1,) or indices.ndim != 1:
+            raise ValueError(f"mask for {t} tokens needs indptr of shape ({t + 1},) and 1-D "
+                             f"indices, got {indptr.shape} and {indices.shape}")
+        if indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError(f"mask indptr must run from 0 to nnz = {indices.size}, "
+                             f"got {indptr[0]} to {indptr[-1]}")
+        if t == 0:
+            return
+        counts = indptr[1:] - indptr[:-1]
+        if np.minimum.reduce(counts) <= 0:
+            i = int(np.argmax(counts <= 0))
+            if counts[i] < 0:
+                raise ValueError(f"mask indptr decreases at row {i}")
+            raise ValueError(f"mask row {i} is empty; every row needs at least one entry")
+        # as unsigned, a negative column compares above every valid one
+        if np.maximum.reduce(indices.astype(np.uint64, copy=False)) >= t:
+            i = int(indptr.searchsorted(np.argmax((indices < 0) | (indices >= t)), "right")) - 1
+            raise ValueError(f"mask row {i} has a column outside [0, {t})")
+        step_ok = indices[1:] > indices[:-1]
+        step_ok[indptr[1:-1] - 1] = True   # steps across a row boundary
+        if not np.logical_and.reduce(step_ok):
+            i = int(indptr.searchsorted(np.argmin(step_ok), "right")) - 1
+            raise ValueError(f"mask row {i} has columns that do not strictly ascend")
 
     @property
     def nnz(self) -> int:
@@ -99,9 +138,12 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
             ends = np.cumsum(deg)
             pos = np.arange(ends[-1], dtype=np.int64) + np.repeat(starts[node] - ends + deg, deg)
             reach = np.repeat(frontier - node, deg) + indices[pos]
-            frontier = np.unique(reach[~seen[reach]])
-            if frontier.size == 0:
+            # the sorted unique new keys, as np.unique gives them; it hashes
+            # before it sorts and took about twice as long on hop masks
+            fresh = np.sort(reach[~seen[reach]])
+            if fresh.size == 0:
                 break
+            frontier = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
             seen[frontier] = True
             keys.append(frontier)
             dist.append(np.full(frontier.size, level, dtype=dist_dtype))

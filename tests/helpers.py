@@ -167,6 +167,41 @@ def dense_attention_weights_oracle(qv, kv, support) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def reference_sparse_path(qv, kv, vv, mask: HopMask, dropmult):
+    """The row-layout nnz attention kernel: (nnz, d_h) row gathers, einsum
+    scores, reduceat over axis 0 and one bincount per column for the key and
+    value scatters.  Same contract as ``autograd._sparse_path``."""
+    t, d_h = qv.shape
+    row, col, indptr = mask.row_indices, mask.indices, mask.indptr
+    inv_sqrt = 1.0 / np.sqrt(d_h)
+    scores = np.einsum("ij,ij->i", qv[row], kv[col]) * inv_sqrt
+    rowmax = np.maximum.reduceat(scores, indptr[:-1]) if scores.size else scores
+    expd = np.exp(scores - rowmax[row])
+    denom = np.add.reduceat(expd, indptr[:-1]) if expd.size else expd
+    alpha = expd / denom[row]
+    applied = alpha if dropmult is None else alpha * dropmult
+    out = np.add.reduceat(applied[:, None] * vv[col], indptr[:-1], axis=0) \
+        if applied.size else np.zeros((t, d_h))
+
+    def scatter_rows(values):
+        out = np.empty((t, values.shape[1]))
+        for j in range(values.shape[1]):
+            out[:, j] = np.bincount(col, weights=values[:, j], minlength=t)
+        return out
+
+    def grads(g):
+        gr = g[row]
+        d_applied = np.einsum("ij,ij->i", gr, vv[col])
+        d_alpha = d_applied if dropmult is None else d_applied * dropmult
+        rowdot = np.add.reduceat(alpha * d_alpha, indptr[:-1])
+        dscore = alpha * (d_alpha - rowdot[row]) * inv_sqrt
+        return (np.add.reduceat(dscore[:, None] * kv[col], indptr[:-1], axis=0),
+                scatter_rows(dscore[:, None] * qv[row]),
+                scatter_rows(applied[:, None] * gr))
+
+    return out, grads
+
+
 def augmented_distances(ag) -> np.ndarray:
     """All-pairs shortest-path distances on the augmented graph (-1 = unreachable)."""
     t = ag.total_tokens

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from hopformer import (Graph, ShapeError, Tensor, augment, backward, build_mask,
-                       generate_erdos_renyi, generate_watts_strogatz, grad_check,
+from hopformer import (Graph, ShapeError, Tensor, augment, backward, build_head_masks,
+                       build_mask, generate_erdos_renyi, generate_watts_strogatz, grad_check,
                        sparse_masked_attention,
                        attention_weights, attention_flops, count_attention_flops)
 from hopformer import autograd as ops
+from hopformer.masks import HopMask
 
 from helpers import (dense_attention_oracle, dense_attention_weights_oracle,
-                     mask_to_dense, random_graph, single_edge_graph)
+                     mask_to_dense, random_graph, reference_sparse_path, single_edge_graph)
 
 
 def full_mask_for(g):
@@ -224,6 +225,9 @@ class TestSparseMaskedAttention:
     def test_shape_mismatch(self):
         g = single_edge_graph()
         mask = build_mask(augment(g), 1)
+        for rows in (2, 4):   # unchecked, 4 rows give the weights of a 3-row prefix
+            with pytest.raises(ShapeError, match="mask for 3 tokens"):
+                attention_weights(np.ones((rows, 4)), np.ones((rows, 4)), mask)
         with pytest.raises(ShapeError):
             sparse_masked_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
                                     Tensor(np.ones((3, 5))), mask)
@@ -437,6 +441,141 @@ class TestDensityDispatch:
 
 def _edgeless(nodes):
     return Graph(num_nodes=nodes, edges=np.zeros((0, 2)), node_features=np.ones((nodes, 1)))
+
+
+def _random_csr_mask(rng, t: int, density: float) -> HopMask:
+    """Hand-built mask: each row a random ascending column set, never empty
+    and not necessarily holding the diagonal."""
+    support = rng.random((t, t)) < density
+    support[np.arange(t), rng.integers(0, t, t)] = True
+    indptr = np.concatenate([[0], np.cumsum(support.sum(axis=1))]).astype(np.int64)
+    return HopMask(hop_budget=0, size=t, indptr=indptr,
+                   indices=np.nonzero(support)[1].astype(np.int64))
+
+
+def _seeded_mask(seed: int) -> HopMask:
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        return _random_csr_mask(rng, int(rng.integers(2, 60)), float(rng.uniform(0.01, 0.6)))
+    return build_mask(augment(random_graph(rng, max_nodes=20)), int(rng.integers(0, 6)))
+
+
+def _compare_with_reference(mask, d_h, rate, seed):
+    t = mask.size
+    rng = np.random.default_rng(seed)
+    qv, kv, vv, g = rng.standard_normal((4, t, d_h))
+    dropmult = None if rate == 0.0 else (rng.random(mask.nnz) >= rate) / (1.0 - rate)
+    out, grads = ops._sparse_path(qv, kv, vv, mask, dropmult)
+    ref_out, ref_grads = reference_sparse_path(qv, kv, vv, mask, dropmult)
+    assert out.shape == (t, d_h)
+    assert np.abs(out - ref_out).max(initial=0.0) <= 1e-13
+    for got, ref in zip(grads(g), ref_grads(g)):
+        assert got.shape == (t, d_h)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-13
+
+
+class TestColumnLayoutNnzPath:
+    """The (d_h, nnz) column-layout nnz path against the row-layout reference
+    kernel, its determinism and what its backward closure keeps alive."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_row_layout_reference(self, seed):
+        _compare_with_reference(_seeded_mask(seed), d_h=(1, 3, 4, 8)[seed % 4],
+                                rate=0.0 if seed % 8 < 4 else 0.3, seed=seed)
+
+    @pytest.mark.parametrize("graph, hops", [
+        (lambda: _edgeless(1), 0),      # T = 1
+        (lambda: _edgeless(1), 4),
+        (lambda: _edgeless(7), 3),      # edgeless: identity at every budget
+        (single_edge_graph, 0),         # hop 0
+        (lambda: generate_watts_strogatz(12, 2, 0.0), 0),
+    ])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("d_h", [1, 3, 4, 8])
+    def test_matches_reference_on_identity_masks(self, graph, hops, rate, d_h):
+        mask = build_mask(augment(graph()), hops)
+        assert mask.nnz == mask.size
+        _compare_with_reference(mask, d_h, rate, seed=d_h)
+
+    def test_attention_weights_are_the_kernels_softmax(self):
+        mask = _seeded_mask(3)
+        qv, kv, vv = _qkv(mask.size, seed=11)
+        alpha = attention_weights(qv, kv, mask)
+        out, _ = ops._sparse_path(qv, kv, vv, mask, None)
+        assert np.abs(np.add.reduceat(alpha, mask.indptr[:-1]) - 1.0).max() <= 1e-12
+        assert np.array_equal(out, np.add.reduceat(alpha[:, None] * vv[mask.indices],
+                                                   mask.indptr[:-1], axis=0))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_reruns_bitwise_identical(self, rate):
+        mask = _ring_mask(40, 6)
+        assert not _runs_dense(mask)
+        qv, kv, vv = _qkv(mask.size, d_h=3, seed=12)
+        g = np.random.default_rng(13).standard_normal(qv.shape)
+        dropmult = None if rate == 0.0 else (
+            np.random.default_rng(14).random(mask.nnz) >= rate) / (1.0 - rate)
+        runs = []
+        for _ in range(2):
+            out, grads = ops._sparse_path(qv.copy(), kv.copy(), vv.copy(), mask, dropmult)
+            runs.append([out, *grads(g.copy())])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_backward_closure_keeps_no_gathered_block(self, rate):
+        # alpha and applied (nnz each) plus the three (d_h, T) transposes;
+        # one gathered (d_h, nnz) block would alone exceed the bound
+        mask = _ring_mask(200, 20)        # T = 400, 41 entries per row
+        t, d_h = mask.size, 4
+        assert not _runs_dense(mask) and d_h * mask.nnz > 2 * mask.nnz + 3 * t * d_h
+        qv, kv, vv = _qkv(t, d_h=d_h, seed=15)
+        dropmult = None if rate == 0.0 else (
+            np.random.default_rng(16).random(mask.nnz) >= rate) / (1.0 - rate)
+        _, grads = ops._sparse_path(qv, kv, vv, mask, dropmult)
+        kept = sum(c.cell_contents.nbytes for c in grads.__closure__
+                   if isinstance(c.cell_contents, np.ndarray))
+        assert kept <= 8 * (2 * mask.nnz + 3 * t * d_h)
+
+
+# (indptr, indices, size, message): hand-built masks the kernel cannot run
+MALFORMED_MASKS = {
+    # unchecked, the nnz path gives an interior empty row the next row's
+    # value and dies in reduceat on a trailing one; the dense path gives NaN
+    "interior_empty_row": ([0, 1, 1, 2], [0, 2], 3, "row 1 is empty"),
+    "trailing_empty_row": ([0, 1, 2, 2], [0, 1], 3, "row 2 is empty"),
+    "empty_row_at_dense_density": ([0, 3, 3, 6], [0, 1, 2, 0, 1, 2], 3, "row 1 is empty"),
+    "indptr_length": ([0, 1, 2], [0, 1], 3, r"indptr of shape \(4,\)"),
+    "indptr_start": ([1, 2, 3, 4], [0, 1, 2, 0], 3, "from 0 to nnz = 4, got 1"),
+    "indptr_end": ([0, 1, 2, 4], [0, 1, 2], 3, "from 0 to nnz = 3, got 0 to 4"),
+    "indptr_decreases": ([0, 2, 1, 3], [0, 1, 2], 3, "decreases at row 1"),
+    "column_too_large": ([0, 1, 2, 3], [0, 1, 3], 3, r"row 2 has a column outside \[0, 3\)"),
+    "negative_column": ([0, 1, 2, 3], [0, -1, 2], 3, "row 1 has a column outside"),
+    "descending_columns": ([0, 1, 3, 4], [0, 2, 1, 2], 3, "row 1 has columns that do not"),
+    "repeated_column": ([0, 1, 3, 4], [0, 1, 1, 2], 3, "row 1 has columns that do not"),
+    "float_indices": ([0, 1, 2, 3], [0.0, 1.0, 2.0], 3, "integer arrays"),
+}
+
+
+class TestMalformedMasks:
+    @pytest.mark.parametrize("name", MALFORMED_MASKS)
+    def test_rejected_naming_the_row(self, name):
+        indptr, indices, size, message = MALFORMED_MASKS[name]
+        with pytest.raises(ValueError, match=message):
+            HopMask(hop_budget=1, size=size, indptr=np.array(indptr, dtype=np.int64),
+                    indices=np.array(indices))
+
+    def test_unsigned_decreasing_indptr_rejected(self):
+        # unsigned row counts would wrap to large positive numbers
+        with pytest.raises(ValueError, match="decreases at row 1"):
+            HopMask(hop_budget=1, size=3, indptr=np.array([0, 2, 1, 3], dtype=np.uint64),
+                    indices=np.array([0, 1, 2], dtype=np.uint64))
+
+    def test_built_masks_pass_unchanged(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            for m in build_head_masks(augment(random_graph(rng, max_nodes=15)), [0, 1, 3, 9]):
+                again = HopMask(m.hop_budget, m.size, m.indptr, m.indices)
+                assert again.indptr is m.indptr and again.indices is m.indices
 
 
 class TestGradCheck:
