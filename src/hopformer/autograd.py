@@ -1,11 +1,18 @@
 """Minimal reverse-mode differentiation on dense 2-D float64 arrays.
 
-Each primitive computes its result eagerly and records a backward closure on
-a per-thread tape; :func:`backward` walks the tape in reverse, accumulating
-into ``Tensor.grad``, then clears it.  The one non-standard primitive is
-:func:`sparse_masked_attention`, which evaluates scaled dot-product attention
-only on the stored entries of a reachability mask: excluded pairs enter
-neither the scores nor the softmax normalization, in forward or backward.
+A primitive computes its forward values eagerly, defines ``grad_fn(g)`` that
+adds its inputs' grads given its output's grad ``g``, and returns
+``primitive(values, grad_fn)``: the one place that wraps the values in a
+:class:`Tensor` and records the output with its ``grad_fn`` on a per-thread
+tape.  (:func:`record` takes a closure of no arguments, for multi-output
+primitives.)  :func:`backward` walks the tape in reverse, calling each
+``grad_fn`` whose output received a grad, which accumulates into
+``Tensor.grad``, then clears the tape.
+
+The one non-standard primitive is :func:`sparse_masked_attention`, which
+evaluates scaled dot-product attention only on the stored entries of a
+reachability mask: excluded pairs enter neither the scores nor the softmax
+normalization, in forward or backward.
 
 The kernel picks one of two paths per call from the mask's density.  Below
 ``DENSE_MIN_DENSITY`` the nnz path works on stored entries only, in a column
@@ -68,7 +75,8 @@ _state = threading.local()
 
 
 def _tape() -> list:
-    """The active tape: backward closures in the order their primitives ran."""
+    """The active tape: one ``(output, grad_fn)`` entry per primitive call, in
+    the order the calls ran (``output`` is None for a :func:`record` entry)."""
     t = getattr(_state, "tape", None)
     if t is None:
         t = _state.tape = []
@@ -76,8 +84,23 @@ def _tape() -> list:
 
 
 def record(backward_fn) -> None:
-    """Record a backward closure for a custom primitive on the active tape."""
-    _tape().append(backward_fn)
+    """Record a closure that :func:`backward` calls with no arguments, for
+    multi-output and custom primitives."""
+    _tape().append((None, backward_fn))
+
+
+def primitive(values, grad_fn) -> Tensor:
+    """``values`` as a new Tensor whose backward calls ``grad_fn(out.grad)``.
+
+    :func:`backward` skips the call when no grad reached the output, so
+    ``grad_fn`` needs no check of its own.  The tape keeps the pair
+    ``(out, grad_fn)`` rather than a guarding closure: building one more
+    closure per call cost about 0.4 us on 2 vCPUs, +10% on the smallest
+    primitives.
+    """
+    out = Tensor(values)
+    _tape().append((out, grad_fn))
+    return out
 
 
 @contextmanager
@@ -99,8 +122,11 @@ def backward(loss: Tensor) -> None:
     if not t:
         raise RuntimeError("backward called on an empty tape")
     loss._accum(np.ones((1, 1)))
-    for fn in reversed(t):
-        fn()
+    for out, fn in reversed(t):
+        if out is None:
+            fn()
+        elif out.grad is not None:
+            fn(out.grad)
     t.clear()
 
 
@@ -154,16 +180,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.values.shape} @ {b.values.shape}")
     av, bv = a.values, b.values
-    out = Tensor(av @ bv)
 
-    def bwd():
-        if out.grad is None:
-            return
-        a._accum(out.grad @ bv.T)
-        b._accum(av.T @ out.grad)
+    def grad_fn(g):
+        a._accum(g @ bv.T)
+        b._accum(av.T @ g)
 
-    _tape().append(bwd)
-    return out
+    return primitive(av @ bv, grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -172,61 +194,47 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     broadcast = sb == (1, sa[1]) and sa[0] != 1
     if not broadcast and sa != sb:
         raise ShapeError(f"add mismatch: {sa} vs {sb}")
-    out = Tensor(a.values + b.values)
 
-    def bwd():
-        if out.grad is None:
-            return
-        a._accum(out.grad)
-        b._accum(out.grad.sum(axis=0, keepdims=True) if broadcast else out.grad)
+    def grad_fn(g):
+        a._accum(g)
+        b._accum(g.sum(axis=0, keepdims=True) if broadcast else g)
 
-    _tape().append(bwd)
-    return out
+    return primitive(a.values + b.values, grad_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(c * a.values)
-
-    def bwd():
-        if out.grad is None:
-            return
-        a._accum(c * out.grad)
-
-    _tape().append(bwd)
-    return out
+    return primitive(c * a.values, lambda g: a._accum(c * g))
 
 
 def relu(a: Tensor) -> Tensor:
     pos = a.values > 0
-    out = Tensor(np.where(pos, a.values, 0.0))
+    return primitive(np.where(pos, a.values, 0.0), lambda g: a._accum(g * pos))
 
-    def bwd():
-        if out.grad is None:
-            return
-        a._accum(out.grad * pos)
 
-    _tape().append(bwd)
-    return out
+def _concat(parts: list[Tensor], axis: int) -> Tensor:
+    """The body of concat_rows (axis 0) and concat_cols (axis 1)."""
+    name, kept, unit = ("concat_rows", "column", "cols") if axis == 0 else (
+        "concat_cols", "row", "rows")
+    n = parts[0].values.shape[1 - axis]
+    for p in parts:
+        if p.values.shape[1 - axis] != n:
+            raise ShapeError(f"{name} {kept} mismatch: {p.values.shape} vs {n} {unit}")
+    offsets = np.cumsum([0] + [p.values.shape[axis] for p in parts])
+
+    def grad_fn(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            p._accum(g[lo:hi] if axis == 0 else g[:, lo:hi])
+
+    return primitive(np.concatenate([p.values for p in parts], axis=axis), grad_fn)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    rows = parts[0].values.shape[0]
-    for p in parts:
-        if p.values.shape[0] != rows:
-            raise ShapeError(f"concat_cols row mismatch: {p.values.shape} vs {rows} rows")
-    widths = [p.values.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.values for p in parts], axis=1))
-    offsets = np.cumsum([0] + widths)
+    return _concat(parts, 1)
 
-    def bwd():
-        if out.grad is None:
-            return
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p._accum(out.grad[:, lo:hi])
 
-    _tape().append(bwd)
-    return out
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, 0)
 
 
 def split_cols(a: Tensor, n: int) -> list[Tensor]:
@@ -238,42 +246,19 @@ def split_cols(a: Tensor, n: int) -> list[Tensor]:
             a._accum(np.concatenate([np.zeros_like(p.values) if p.grad is None else p.grad
                                      for p in parts], axis=1))
 
-    _tape().append(bwd)
+    record(bwd)
     return parts
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    cols = parts[0].values.shape[1]
-    for p in parts:
-        if p.values.shape[1] != cols:
-            raise ShapeError(f"concat_rows column mismatch: {p.values.shape} vs {cols} cols")
-    heights = [p.values.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.values for p in parts], axis=0))
-    offsets = np.cumsum([0] + heights)
-
-    def bwd():
-        if out.grad is None:
-            return
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p._accum(out.grad[lo:hi])
-
-    _tape().append(bwd)
-    return out
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
     """``a[rows]`` for a slice or an array of distinct row indices."""
-    out = Tensor(a.values[rows].copy())
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.values)
-        g[rows] = out.grad
-        a._accum(g)
+    def grad_fn(g):
+        full = np.zeros_like(a.values)
+        full[rows] = g
+        a._accum(full)
 
-    _tape().append(bwd)
-    return out
+    return primitive(a.values[rows].copy(), grad_fn)
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
@@ -281,40 +266,18 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor([[a.values.sum()]])
-
-    def bwd():
-        if out.grad is None:
-            return
-        a._accum(np.full_like(a.values, out.grad[0, 0]))
-
-    _tape().append(bwd)
-    return out
+    return primitive([[a.values.sum()]], lambda g: a._accum(np.full_like(a.values, g[0, 0])))
 
 
 def sum_rows(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum(axis=0, keepdims=True))
-
-    def bwd():
-        if out.grad is None:
-            return
-        a._accum(np.broadcast_to(out.grad, a.values.shape).copy())
-
-    _tape().append(bwd)
-    return out
+    return primitive(a.values.sum(axis=0, keepdims=True),
+                     lambda g: a._accum(np.broadcast_to(g, a.values.shape).copy()))
 
 
 def mean_rows(a: Tensor) -> Tensor:
     n = a.values.shape[0]
-    out = Tensor(a.values.mean(axis=0, keepdims=True))
-
-    def bwd():
-        if out.grad is None:
-            return
-        a._accum(np.broadcast_to(out.grad / n, a.values.shape).copy())
-
-    _tape().append(bwd)
-    return out
+    return primitive(a.values.mean(axis=0, keepdims=True),
+                     lambda g: a._accum(np.broadcast_to(g / n, a.values.shape).copy()))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -327,21 +290,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gamma.values + beta.values)
     gv = gamma.values
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def grad_fn(g):
         gamma._accum((g * xhat).sum(axis=0, keepdims=True))
         beta._accum(g.sum(axis=0, keepdims=True))
         dxhat = g * gv
         x._accum(inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)))
 
-    _tape().append(bwd)
-    return out
+    return primitive(xhat * gv + beta.values, grad_fn)
 
 
 def dropout(x: Tensor, rate: float, seed, training_flag: bool) -> Tensor:
@@ -352,15 +310,7 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool) -> Tensor:
         return x
     rng = np.random.default_rng(seed)
     keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x.values * keep)
-
-    def bwd():
-        if out.grad is None:
-            return
-        x._accum(out.grad * keep)
-
-    _tape().append(bwd)
-    return out
+    return primitive(x.values * keep, lambda g: x._accum(g * keep))
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +457,18 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: HopMask, *,
         dropmult = (rng.random(mask.nnz) >= dropout_rate) / (1.0 - dropout_rate)
     dense = mask.nnz >= DENSE_MIN_DENSITY * t * t
     path = _dense_path if dense else _sparse_path
-    out_vals, grads = path(q.values, k.values, v.values, mask, dropmult)
-    out = Tensor(out_vals)
-
+    out, grads = path(q.values, k.values, v.values, mask, dropmult)
     for meter in _meters():
         meter.attention_flops += attention_flops(mask.nnz, d_h)
         meter.executed_flops += attention_flops(t * t if dense else mask.nnz, d_h)
 
-    def bwd():
-        if out.grad is None:
-            return
-        dq, dk, dv = grads(out.grad)
+    def grad_fn(g):
+        dq, dk, dv = grads(g)
         q._accum(dq)
         k._accum(dk)
         v._accum(dv)
 
-    _tape().append(bwd)
-    return out
+    return primitive(out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import flops_vs_nnz_report, small_world_report
-from .graphs import (GraphError, augment, generate_erdos_renyi,
+from .graphs import (GraphError, _write_json, augment, generate_erdos_renyi,
                      generate_watts_strogatz, graph_to_obj, load_dataset,
                      load_graph)
 from .masks import build_head_masks, mask_stats, write_mask_dump
@@ -67,12 +67,6 @@ def _read_dataset(path: str) -> list:
     if not graphs:
         raise ValueError(f"{path} holds no graphs")
     return graphs
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _config_hash(obj) -> str:

@@ -49,6 +49,32 @@ def _int_field(name: str, values) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(
+        x, (bool, np.bool_))
+
+
+def _is_float(x) -> bool:
+    return isinstance(x, (float, np.floating))
+
+
+def _int_value(name: str, x) -> int:
+    """``x`` as a Python int, by the rule of :func:`_int_field`: booleans,
+    non-numbers and numbers with a fractional part raise ``ValueError``
+    naming the field; integral floats pass."""
+    if not _is_number(x) or _is_float(x) and not (math.isfinite(x) and x.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _finite_value(name: str, x) -> float:
+    """``x`` if it is a finite number (numpy scalars as Python numbers);
+    booleans, NaN and infinities raise ``ValueError`` naming the field."""
+    if not _is_number(x) or _is_float(x) and not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _finite_rows(name: str, values) -> np.ndarray:
     """``values`` as float64, refusing ragged rows and NaN or infinite entries."""
     try:
@@ -66,10 +92,9 @@ def _check_graph_label(label) -> None:
     """A graph label is None, an integer class, or a finite regression target."""
     if label is None:
         return
-    if isinstance(label, (bool, np.bool_)) or not isinstance(
-            label, (int, float, np.integer, np.floating)):
+    if not _is_number(label):
         raise GraphError(f"graph_label must be an integer or a finite number, got {label!r}")
-    if isinstance(label, (float, np.floating)) and not math.isfinite(label):
+    if _is_float(label) and not math.isfinite(label):
         raise GraphError(f"graph_label must be finite, got {label!r}")
 
 
@@ -94,6 +119,7 @@ class Graph:
         n = self.num_nodes
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
             raise GraphError(f"num_nodes must be a non-negative integer, got {n!r}")
+        object.__setattr__(self, "num_nodes", int(n))
         edges = _int_field("edges", self.edges).reshape(-1, 2)
         for i, (u, v) in enumerate(edges):
             if u < 0 or u >= n or v < 0 or v >= n:
@@ -305,10 +331,17 @@ def graph_to_obj(g: Graph) -> dict:
     return obj
 
 
-def save_graph(g: Graph, path: str) -> None:
-    text = json.dumps(graph_to_obj(g), indent=2, sort_keys=True) + "\n"
+def _write_json(path, obj) -> None:
+    """The package's one JSON file writer: indented, sorted keys, a final
+    newline.  The text is built before the file is opened, so an object that
+    cannot be encoded raises without touching the file."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def save_graph(g: Graph, path: str) -> None:
+    _write_json(path, graph_to_obj(g))
 
 
 # ---------------------------------------------------------------------------

@@ -21,21 +21,22 @@ import numpy as np
 from .graphs import AugmentedGraph, _frozen, csr_indptr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HopMask:
     """Boolean T x T reachability matrix in CSR form, diagonal always present.
 
     Construction checks the CSR structure and raises ``ValueError`` naming
     the first bad row: every row needs at least one column, and columns lie
-    in [0, T) and strictly ascend within their row.
+    in [0, T) and strictly ascend within their row.  The mask is frozen, so
+    the checked structure and the caches derived from it cannot drift apart.
     """
 
     hop_budget: int
     size: int
     indptr: np.ndarray   # (T+1,) int64
     indices: np.ndarray  # (nnz,) int64, strictly ascending within each row
-    _row_indices: np.ndarray | None = field(default=None, repr=False)
-    _dense_support: np.ndarray | None = field(default=None, repr=False)
+    _row_indices: np.ndarray | None = field(init=False, default=None, repr=False)
+    _dense_support: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         # O(T + nnz) structure check: the attention kernel's row reductions
@@ -79,8 +80,8 @@ class HopMask:
     def row_indices(self) -> np.ndarray:
         """Row id of each stored entry, aligned with ``indices`` (cached)."""
         if self._row_indices is None:
-            self._row_indices = _frozen(
-                np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr)))
+            object.__setattr__(self, "_row_indices", _frozen(
+                np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr))))
         return self._row_indices
 
     @property
@@ -93,7 +94,7 @@ class HopMask:
         if self._dense_support is None:
             support = np.zeros((self.size, self.size), dtype=bool)
             support[self.row_indices, self.indices] = True
-            self._dense_support = _frozen(support)
+            object.__setattr__(self, "_dense_support", _frozen(support))
         return self._dense_support
 
     def row(self, i: int) -> np.ndarray:

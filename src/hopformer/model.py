@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, ShapeError
-from .graphs import AugmentedGraph, Graph
+from .graphs import AugmentedGraph, Graph, _finite_value, _int_value, _write_json
 from .masks import HopMask
 
 CHECKPOINT_MAGIC = "HOPFORMER2"
@@ -45,7 +45,23 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "head_hops", tuple(int(h) for h in self.head_hops))
+        for name in ("hidden_dim", "num_layers", "ffn_dim", "num_heads", "output_dim", "seed"):
+            object.__setattr__(self, name, _int_value(name, getattr(self, name)))
+        if self.num_classes is not None:
+            object.__setattr__(self, "num_classes", _int_value("num_classes", self.num_classes))
+        if isinstance(self.head_hops, (str, bytes)) or not hasattr(self.head_hops, "__iter__"):
+            raise ValueError(f"head_hops must be a list of integers, got {self.head_hops!r}")
+        object.__setattr__(self, "head_hops", tuple(
+            _int_value(f"head_hops entry {i}", h) for i, h in enumerate(self.head_hops)))
+        for name in ("dropout", "attention_dropout"):
+            r = _finite_value(name, getattr(self, name))
+            if not 0.0 <= r < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {r}")
+            object.__setattr__(self, name, r)
+        for name in ("hidden_dim", "ffn_dim", "output_dim", "num_classes"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.num_heads < 1 or self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"num_heads ({self.num_heads}) must divide hidden_dim ({self.hidden_dim})")
@@ -56,10 +72,6 @@ class ModelConfig:
             raise ValueError(f"hop budgets must be non-negative, got {self.head_hops}")
         if self.num_layers < 0:
             raise ValueError(f"num_layers must be non-negative, got {self.num_layers}")
-        for name in ("dropout", "attention_dropout"):
-            r = getattr(self, name)
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {r}")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.readout not in READOUTS:
@@ -111,6 +123,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_model(cfg: ModelConfig, d_v: int, d_e: int = 0) -> Model:
     """Glorot-uniform weights, zero biases, unit layer-norm gains; seeded."""
+    d_v, d_e = _int_value("d_v", d_v), _int_value("d_e", d_e)
     if d_v < 1:
         raise ValueError(f"d_v must be at least 1, got {d_v}")
     if d_e < 0:
@@ -279,9 +292,7 @@ def save_model(m: Model, path: str) -> None:
         "d_e": m.d_e,
         "params": {name: t.values.tolist() for name, t in named_parameters(m).items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, obj)
 
 
 def load_model(path: str) -> Model:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, scratch_tape
-from .graphs import Graph, GraphError, augment
+from .graphs import Graph, GraphError, _finite_value, _int_value, augment
 from .masks import build_head_masks
 from .model import (Model, copy_parameter_values, forward, named_parameters,
                     predict_graph, predict_node, readout, set_parameter_values)
@@ -45,6 +45,10 @@ class TrainConfig:
     test_frac: float = 0.2
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "early_stop_patience"):
+            object.__setattr__(self, name, _int_value(name, getattr(self, name)))
+        for name in ("learning_rate", "weight_decay", "train_frac", "val_frac", "test_frac"):
+            object.__setattr__(self, name, _finite_value(name, getattr(self, name)))
         # lr = 0 and epochs = 0 are legal no-op configurations
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
@@ -99,19 +103,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask=None) -> Tensor:
     shifted = lv - lv.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
-    out = Tensor([[-log_p[sel, labels[sel]].mean()]])
 
-    def bwd():
-        if out.grad is None:
-            return
+    def grad_fn(g):
         probs = np.exp(log_p[sel])
         probs[np.arange(sel.size), labels[sel]] -= 1.0
-        g = np.zeros_like(lv)
-        g[sel] = probs * (out.grad[0, 0] / sel.size)
-        logits._accum(g)
+        full = np.zeros_like(lv)
+        full[sel] = probs * (g[0, 0] / sel.size)
+        logits._accum(full)
 
-    ops.record(bwd)
-    return out
+    return ops.primitive([[-log_p[sel, labels[sel]].mean()]], grad_fn)
 
 
 def mae(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -120,15 +120,8 @@ def mae(pred: Tensor, target: np.ndarray) -> Tensor:
     if target.shape != pred.values.shape:
         raise ValueError(f"pred shape {pred.values.shape} vs target shape {target.shape}")
     diff = pred.values - target
-    out = Tensor([[np.abs(diff).mean()]])
-
-    def bwd():
-        if out.grad is None:
-            return
-        pred._accum(np.sign(diff) * (out.grad[0, 0] / diff.size))
-
-    ops.record(bwd)
-    return out
+    return ops.primitive([[np.abs(diff).mean()]],
+                         lambda g: pred._accum(np.sign(diff) * (g[0, 0] / diff.size)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hopformer import (Graph, ShapeError, Tensor, augment, backward, build_head_
                        attention_weights, attention_flops, count_attention_flops)
 from hopformer import autograd as ops
 from hopformer.masks import HopMask
+from hopformer.training import cross_entropy, mae
 
 from helpers import (dense_attention_oracle, dense_attention_weights_oracle,
                      mask_to_dense, random_graph, reference_sparse_path, single_edge_graph)
@@ -723,3 +724,76 @@ class TestConcurrentTapes:
         for (sx, sw), (tx, tw) in zip(serial, results):
             assert np.array_equal(sx, tx)
             assert np.array_equal(sw, tw)
+
+
+def _operands() -> dict:
+    rng = np.random.default_rng(16)
+    return {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+            for name, shape in (("x", (6, 4)), ("y", (6, 4)), ("z", (6, 4)),
+                                ("w", (4, 3)), ("gamma", (1, 4)), ("beta", (1, 4)))}
+
+
+def _triangle_mask():
+    return build_mask(augment(generate_erdos_renyi(3, 1.0, seed=13)), 2)   # T = 6
+
+
+# Every single-output primitive, the two losses included, on the operands
+SINGLE_OUTPUT_PRIMITIVES = {
+    "matmul": lambda t: ops.matmul(t["x"], t["w"]),
+    "add": lambda t: ops.add(t["x"], t["y"]),
+    "add_broadcast": lambda t: ops.add(t["x"], t["beta"]),
+    "scale": lambda t: ops.scale(t["x"], 2.5),
+    "relu": lambda t: ops.relu(t["x"]),
+    "concat_cols": lambda t: ops.concat_cols([t["x"], t["y"]]),
+    "concat_rows": lambda t: ops.concat_rows([t["x"], t["y"]]),
+    "take_rows": lambda t: ops.take_rows(t["x"], np.array([4, 1])),
+    "row_slice": lambda t: ops.row_slice(t["x"], 1, 3),
+    "sum_all": lambda t: ops.sum_all(t["x"]),
+    "sum_rows": lambda t: ops.sum_rows(t["x"]),
+    "mean_rows": lambda t: ops.mean_rows(t["x"]),
+    "layer_norm": lambda t: ops.layer_norm(t["x"], t["gamma"], t["beta"]),
+    "dropout": lambda t: ops.dropout(t["x"], 0.5, 7, True),
+    "sparse_masked_attention": lambda t: sparse_masked_attention(
+        t["x"], t["y"], t["z"], _triangle_mask(), dropout_rate=0.3, dropout_seed=2,
+        training=True),
+    "cross_entropy": lambda t: cross_entropy(t["x"], np.array([0, 1, 2, 3, 0, 1])),
+    "mae": lambda t: mae(t["x"], np.zeros((6, 4))),
+}
+
+
+class TestPrimitiveRecording:
+    @pytest.mark.parametrize("name", sorted(SINGLE_OUTPUT_PRIMITIVES))
+    def test_one_tape_entry_and_no_grads_when_output_is_unused(self, name):
+        operands = _operands()
+        other = Tensor(np.ones((2, 2)), requires_grad=True)
+        with ops.scratch_tape() as tape:
+            SINGLE_OUTPUT_PRIMITIVES[name](operands)
+            assert len(tape) == 1
+            backward(ops.sum_all(other))
+        assert other.grad is not None
+        assert all(t.grad is None for t in operands.values())
+
+    def test_primitive_wraps_values_like_a_tensor(self):
+        with ops.scratch_tape():
+            out = ops.primitive([1, 2], lambda g: None)
+        assert isinstance(out, Tensor)
+        assert out.values.dtype == np.float64 and out.shape == (1, 2)
+        assert out.grad is None and not out.requires_grad
+
+    def test_grad_fn_runs_only_when_the_output_has_a_grad(self):
+        calls = []
+        with ops.scratch_tape():
+            ops.primitive(np.zeros((2, 3)), calls.append)
+            backward(ops.sum_all(Tensor(np.ones((1, 1)))))
+            assert calls == []
+            out = ops.primitive(np.zeros((2, 3)), calls.append)
+            backward(ops.scale(ops.sum_all(out), 3.0))
+        assert len(calls) == 1 and calls[0] is out.grad
+        assert np.array_equal(out.grad, np.full((2, 3), 3.0))
+
+    def test_custom_primitive_passes_grad_check(self):
+        def square(x):
+            return ops.primitive(x.values ** 2, lambda g: x._accum(2.0 * x.values * g))
+
+        x = Tensor(np.random.default_rng(17).standard_normal((3, 2)), requires_grad=True)
+        assert grad_check(lambda t: ops.sum_all(square(t)), x) < 1e-8

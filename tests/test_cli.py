@@ -430,6 +430,44 @@ class TestTrain:
         assert "the test split of 3 graphs is empty" in capsys.readouterr().err
         assert not (outdir / "model.json").exists()
 
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("train", "learning_rate", float("nan"), "learning_rate must be a finite number, got nan"),
+        ("train", "weight_decay", float("nan"), "weight_decay must be a finite number, got nan"),
+        ("train", "val_frac", float("nan"), "val_frac must be a finite number, got nan"),
+        ("train", "epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("model", "head_hops", [1.5, 3], "head_hops entry 0 must be an integer, got 1.5"),
+        ("model", "hidden_dim", 8.5, "hidden_dim must be an integer, got 8.5"),
+        ("model", "num_layers", True, "num_layers must be an integer, got True"),
+        ("model", "hidden_dim", 0, "hidden_dim must be positive, got 0")])
+    def test_bad_config_value_exits_two_naming_the_field(self, tmp_path, capsys, section,
+                                                          field, value, message):
+        src = tmp_path / "g.json"
+        write_labelled_graph(src)
+        cfg = run_config()
+        cfg[section][field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "run"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (outdir / "model.json").exists()
+
+    def test_integral_float_dims_train_and_are_saved_as_ints(self, tmp_path):
+        src = tmp_path / "g.json"
+        write_labelled_graph(src)
+        cfgs = run_config(), run_config()
+        cfgs[1]["model"].update(hidden_dim=8.0, head_hops=[1.0, 3])
+        cfgs[1]["train"]["epochs"] = 3.0
+        outs = []
+        for i, cfg in enumerate(cfgs):
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            outs.append(tmp_path / f"run{i}")
+            assert main(["train", str(src), "--config", str(cfg_path),
+                         "--output", str(outs[-1])]) == 0
+        assert (outs[0] / "model.json").read_bytes() == (outs[1] / "model.json").read_bytes()
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"
         write_labelled_graph(src)

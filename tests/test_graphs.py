@@ -319,6 +319,24 @@ class TestSaveGraph:
         assert np.array_equal(back.node_features, g.node_features)
         assert np.array_equal(back.edges, g.edges)
 
+    def test_numpy_integer_node_count_is_stored_and_saved_as_int(self, tmp_path):
+        g = Graph(num_nodes=np.int64(3), edges=np.array([[0, 1]]),
+                  node_features=np.ones((3, 1)))
+        assert type(g.num_nodes) is int
+        plain = Graph(num_nodes=3, edges=np.array([[0, 1]]), node_features=np.ones((3, 1)))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_graph(g, str(a))
+        save_graph(plain, str(b))
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text() == json.dumps(graphs_module.graph_to_obj(plain), indent=2, sort_keys=True) + "\n"
+
+    def test_unencodable_object_leaves_an_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text("previous\n")
+        with pytest.raises(TypeError):
+            graphs_module._write_json(str(path), {"a": 1, "b": {1, 2}})
+        assert path.read_text() == "previous\n"
+
     def test_unserializable_graph_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(graphs_module, "graph_to_obj", lambda g: {"x": object()})
         path = tmp_path / "g.json"

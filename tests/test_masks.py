@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hopformer import (Graph, augment, build_head_masks, build_mask,
                        generate_erdos_renyi, mask_stats)
 from hopformer import masks as masks_mod
-from hopformer.masks import hop_distance_blocks, hop_distances, write_mask_dump
+from hopformer.masks import HopMask, hop_distance_blocks, hop_distances, write_mask_dump
 
 from helpers import (augmented_distances, dense_reachability_oracle,
                      mask_to_dense, random_graph, single_edge_graph)
@@ -175,6 +176,35 @@ class TestMaskStats:
     def test_mean_row_degree(self, single_edge_ag):
         stats = mask_stats(build_mask(single_edge_ag, 1))
         assert stats["mean_row_degree"] == pytest.approx(7 / 3)
+
+
+class TestFrozenMask:
+    @pytest.mark.parametrize("field,value", [
+        ("indptr", np.array([0, 1, 1, 7])), ("indices", np.arange(7)), ("size", 4),
+        ("hop_budget", 2), ("_row_indices", np.zeros(7, dtype=np.int64)),
+        ("_dense_support", None)])
+    def test_assigning_a_field_raises(self, single_edge_ag, field, value):
+        m = build_mask(single_edge_ag, 1)
+        before = (m.indptr.copy(), m.indices.copy(), m.row_indices.copy())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, field, value)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(before, (m.indptr, m.indices, m.row_indices)))
+
+    @pytest.mark.parametrize("cache", ["_row_indices", "_dense_support"])
+    def test_cache_keyword_is_refused(self, single_edge_ag, cache):
+        m = build_mask(single_edge_ag, 1)
+        with pytest.raises(TypeError, match=cache):
+            HopMask(m.hop_budget, m.size, m.indptr, m.indices,
+                    **{cache: np.zeros(m.nnz, dtype=np.int64)})
+
+    def test_caches_fill_once_from_the_checked_structure(self, single_edge_ag):
+        m = build_mask(single_edge_ag, 1)
+        rows = m.row_indices
+        assert rows is m.row_indices
+        assert np.array_equal(rows, np.repeat(np.arange(3), np.diff(m.indptr)))
+        assert np.array_equal(m.dense_support, mask_to_dense(m))
+        assert "_row_indices" not in repr(m)
 
 
 class TestDumpFormat:

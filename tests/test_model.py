@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -48,8 +49,54 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="num_classes"):
             small_cfg(num_classes=None)
 
+    @pytest.mark.parametrize("field,value", [
+        ("hidden_dim", 8.5), ("hidden_dim", True), ("num_layers", 1.5), ("ffn_dim", "16"),
+        ("num_heads", False), ("num_classes", 2.5), ("output_dim", float("nan")),
+        ("seed", 0.5), ("seed", float("inf"))])
+    def test_integer_field_refuses_fractions_booleans_and_non_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("hops,message", [
+        ((1.5, 3), "head_hops entry 0 must be an integer, got 1.5"),
+        ((1, True), "head_hops entry 1 must be an integer, got True"),
+        ([1, [3]], "head_hops entry 1 must be an integer, got [3]"),
+        ("13", "head_hops must be a list of integers, got '13'"),
+        (3, "head_hops must be a list of integers, got 3")])
+    def test_head_hops_entries_are_not_truncated(self, hops, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_cfg(head_hops=hops)
+
+    @pytest.mark.parametrize("field", ["dropout", "attention_dropout"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.1"])
+    def test_rate_must_be_a_finite_number(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["hidden_dim", "ffn_dim", "output_dim", "num_classes"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_dimension_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
+            small_cfg(**{field: value})
+
+    def test_integral_numbers_are_stored_as_python_ints(self):
+        cfg = small_cfg(hidden_dim=np.int64(8), head_hops=[np.int32(1), 3.0], num_layers=2.0,
+                        num_classes=np.uint8(3), seed=np.int64(5))
+        assert cfg == small_cfg(head_hops=(1, 3), seed=5)
+        for value in (cfg.hidden_dim, cfg.num_layers, cfg.num_classes, cfg.seed,
+                      *cfg.head_hops):
+            assert type(value) is int
+        assert type(small_cfg(dropout=np.float32(0.5)).dropout) is float
+
 
 class TestInitModel:
+    @pytest.mark.parametrize("dims,message", [
+        (dict(d_v=2.5), "d_v must be an integer, got 2.5"),
+        (dict(d_v=2, d_e=True), "d_e must be an integer, got True")])
+    def test_feature_dims_must_be_integers(self, dims, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            init_model(small_cfg(), **dims)
+
     def test_deterministic_under_seed(self):
         a = init_model(small_cfg(), d_v=3)
         b = init_model(small_cfg(), d_v=3)
@@ -375,6 +422,28 @@ class TestCheckpoint:
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="HOPFORMER1"):
             load_model(str(path))
+
+    def test_numpy_integer_config_saves_the_same_bytes(self, tmp_path):
+        plain, numpy_ints = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(init_model(small_cfg(), d_v=3), str(plain))
+        save_model(init_model(small_cfg(hidden_dim=np.int64(8), num_heads=np.int64(2)),
+                              d_v=np.int64(3)), str(numpy_ints))
+        assert numpy_ints.read_bytes() == plain.read_bytes()
+
+    def test_checkpoint_text_is_indented_sorted_json_with_a_final_newline(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_unencodable_checkpoint_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("previous\n")
+        m = init_model(small_cfg(), d_v=1)
+        m.d_e = object()
+        with pytest.raises(TypeError):
+            save_model(m, str(path))
+        assert path.read_text() == "previous\n"
 
     def test_magic_string_present_and_checked(self, tmp_path):
         path = tmp_path / "model.json"

@@ -148,6 +148,34 @@ class TestSplits:
                         test_frac=0.5)
 
 
+class TestTrainConfigBoundary:
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "train_frac",
+                                       "val_frac", "test_frac"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.1"])
+    def test_float_field_must_be_a_finite_number(self, field, value):
+        kwargs = dict(learning_rate=0.1, epochs=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed", "early_stop_patience"])
+    @pytest.mark.parametrize("value", [2.5, True, float("nan"), "3", None])
+    def test_integer_field_refuses_fractions_booleans_and_non_numbers(self, field, value):
+        kwargs = dict(learning_rate=0.1, epochs=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            TrainConfig(**kwargs)
+
+    def test_integral_numbers_are_stored_as_python_ints(self):
+        cfg = TrainConfig(learning_rate=np.float32(0.5), epochs=np.int64(3), batch_size=4.0,
+                          seed=np.uint16(2), early_stop_patience=np.int8(1))
+        assert cfg == TrainConfig(learning_rate=0.5, epochs=3, batch_size=4, seed=2,
+                                  early_stop_patience=1)
+        for value in (cfg.epochs, cfg.batch_size, cfg.seed, cfg.early_stop_patience):
+            assert type(value) is int
+        assert type(cfg.learning_rate) is float
+
+
 class TestTrainNodeTask:
     def _setup(self, **cfg_over):
         g = labelled_graph()
