@@ -37,12 +37,9 @@ class SmallWorldReport:
     diameter_of_largest_component: int
 
 
-def _neighbor_sets(g: Graph) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(g.num_nodes)]
-    for u, v in g.edges:
-        nbrs[int(u)].add(int(v))
-        nbrs[int(v)].add(int(u))
-    return nbrs
+def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The original graph's symmetric adjacency as CSR, columns ascending."""
+    return csr_from_pairs(g.edges.ravel(), g.edges[:, ::-1].ravel(), g.num_nodes)
 
 
 def clustering_coefficient(g: Graph) -> float:
@@ -52,13 +49,15 @@ def clustering_coefficient(g: Graph) -> float:
     """
     if g.num_nodes == 0:
         return 0.0
-    nbrs = _neighbor_sets(g)
+    indptr, indices = _adjacency(g)
+    flat, ptr = indices.tolist(), indptr.tolist()
+    rows = [flat[ptr[v]:ptr[v + 1]] for v in range(g.num_nodes)]
+    nbrs = [set(row) for row in rows]
     total = 0.0
-    for v in range(g.num_nodes):
-        deg = len(nbrs[v])
+    for neighborhood in rows:
+        deg = len(neighborhood)
         if deg < 2:
             continue
-        neighborhood = sorted(nbrs[v])
         links = sum(1 for i, a in enumerate(neighborhood)
                     for b in neighborhood[i + 1:] if b in nbrs[a])
         total += 2.0 * links / (deg * (deg - 1))
@@ -82,7 +81,7 @@ def _path_summary(g: Graph) -> _PathSummary:
     n = g.num_nodes
     if n < 2:
         raise ValueError(f"average path length needs at least 2 nodes, got {n}")
-    indptr, indices = csr_from_pairs(g.edges.ravel(), g.edges[:, ::-1].ravel(), n)
+    indptr, indices = _adjacency(g)
     component = np.empty(n, dtype=np.int64)
     eccentricity = np.empty(n, dtype=np.int64)
     total = pairs = 0

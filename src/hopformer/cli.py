@@ -2,10 +2,14 @@
 
 Subcommands: gen, augment, masks, train, analyze, flops.  All configuration
 comes from JSON files plus a few override flags; no environment variables
-affect numerics.  Exit codes: 0 success, 2 usage or input error, 3 runtime
-abort (non-finite training loss).  Outputs are byte-identical across reruns
-with the same inputs and seed, except for wall-clock fields (the manifest's
-timestamps and the history's seconds column).
+affect numerics.  Every input file is read by ``graphs._read_json`` and
+checked by ``graphs._json_object``, so every subcommand reports bad input the
+same way: ``<path>: invalid JSON at line L, column C: ...``, ``<what> must be
+a JSON object, got <type>`` or ``<what> is missing required field '<name>'``.
+Exit codes: 0 success, 2 usage or input error, 3 runtime abort (non-finite
+training loss).  Outputs are byte-identical across reruns with the same
+inputs and seed, except for wall-clock fields (the manifest's timestamps and
+the history's seconds column).
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import flops_vs_nnz_report, small_world_report
-from .graphs import (GraphError, _write_json, augment, generate_erdos_renyi,
-                     generate_watts_strogatz, graph_to_obj, load_dataset,
-                     load_graph)
+from .graphs import (GraphError, _json_object, _read_json, _write_json, augment,
+                     generate_erdos_renyi, generate_watts_strogatz, graph_to_obj,
+                     load_dataset, load_graph)
 from .masks import build_head_masks, mask_stats, write_mask_dump
 from .model import ModelConfig, init_model, save_model
 from .training import TrainConfig, TrainingAbort, prepare_graph, train
@@ -51,19 +56,10 @@ def _parse_hop_configs(text: str) -> list[list[int]]:
     return [_parse_hops(part) for part in text.split(";") if part.strip() != ""]
 
 
-def _read_file(path: str, loader=json.load):
-    """``loader`` run on the opened file, so that a path such as "[g].json"
-    always reaches a graph loader as a file and never as JSON text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return loader(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-
-
 def _read_dataset(path: str) -> list:
-    """The graphs of a dataset file; a file holding none is refused."""
-    graphs = _read_file(path, load_dataset)
+    """The graphs of a dataset file; a file holding none is refused.  Paths
+    reach the loaders as ``Path``s, so "[g].json" is read as a file."""
+    graphs = load_dataset(Path(path))
     if not graphs:
         raise ValueError(f"{path} holds no graphs")
     return graphs
@@ -74,19 +70,10 @@ def _config_hash(obj) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _model_config(obj: dict) -> ModelConfig:
-    if "model" not in obj:
-        raise ValueError("run config is missing the 'model' section")
-    return ModelConfig(**obj["model"])
-
-
-def _train_config(obj: dict, seed_override: int | None) -> TrainConfig:
-    if "train" not in obj:
-        raise ValueError("run config is missing the 'train' section")
-    section = dict(obj["train"])
-    if seed_override is not None:
-        section["seed"] = seed_override
-    return TrainConfig(**section)
+def _section(config_obj, name: str, cls):
+    """``cls`` built from section ``name`` of a run config."""
+    section = _json_object("run config", config_obj, (name,))[name]
+    return cls(**_json_object(f"run config section '{name}'", section))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +91,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    g = _read_file(args.input, load_graph)
-    ag = augment(g)
+    ag = augment(load_graph(Path(args.input)))
     obj = {
         "num_node_tokens": ag.num_node_tokens,
         "num_edge_tokens": ag.num_edge_tokens,
@@ -122,8 +108,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_masks(args) -> int:
-    g = _read_file(args.input, load_graph)
-    ag = augment(g)
+    ag = augment(load_graph(Path(args.input)))
     hops = _parse_hops(args.hops)
     masks = build_head_masks(ag, hops)
     stats = {}
@@ -142,11 +127,12 @@ def cmd_masks(args) -> int:
 
 def cmd_train(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    config_obj = _read_file(args.config)
-    model_cfg = _model_config(config_obj)
-    train_cfg = _train_config(config_obj, args.seed)
+    config_obj = _read_json(Path(args.config))
+    model_cfg = _section(config_obj, "model", ModelConfig)
+    train_cfg = _section(config_obj, "train", TrainConfig)
     if args.seed is not None:
         model_cfg = replace(model_cfg, seed=args.seed)
+        train_cfg = replace(train_cfg, seed=args.seed)
     os.makedirs(args.output, exist_ok=True)
 
     graphs = _read_dataset(args.input)
@@ -201,8 +187,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_flops(args) -> int:
     graphs = _read_dataset(args.input)
-    config_obj = _read_file(args.config)
-    cfg = _model_config(config_obj)
+    cfg = _section(_read_json(Path(args.config)), "model", ModelConfig)
     hop_configs = _parse_hop_configs(args.hop_configs)
     report = flops_vs_nnz_report(graphs, hop_configs, cfg)
     with open(args.output, "w", encoding="utf-8") as fh:

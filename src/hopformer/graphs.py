@@ -23,7 +23,9 @@ EDGE_TOKEN = 1
 
 
 class GraphError(ValueError):
-    """Structurally invalid graph or malformed graph file."""
+    """Malformed input: a structurally invalid graph, or an input file (graph,
+    dataset, run config or checkpoint) that is not valid JSON or lacks a
+    required field."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -76,9 +78,9 @@ def _finite_value(name: str, x) -> float:
 
 
 def _finite_rows(name: str, values) -> np.ndarray:
-    """``values`` as float64, refusing ragged rows and NaN or infinite entries."""
+    """``values`` copied to float64, refusing ragged rows and NaN or infinite entries."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise GraphError(f"{name} must be numeric rows of equal length") from e
     bad = ~np.isfinite(arr)
@@ -233,10 +235,13 @@ def augment(g: Graph) -> AugmentedGraph:
 
 
 def _read_json(source):
-    """Parse a file (any path-like, or a one-line str not opening like JSON),
-    a stream, or the JSON text itself."""
+    """The package's one input reader.  Parses a file (any path-like, or a
+    one-line str not opening like JSON), a stream, or the JSON text itself;
+    invalid JSON is a ``GraphError`` that, for a file, starts with its path."""
+    where = ""
     if isinstance(source, os.PathLike) or (isinstance(source, str) and "\n" not in source
                                            and source.lstrip()[:1] not in "[{"):
+        where = f"{os.fspath(source)}: "
         with open(source, "r", encoding="utf-8") as fh:
             source = fh.read()
     elif hasattr(source, "read"):
@@ -244,20 +249,28 @@ def _read_json(source):
     try:
         return json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
     except json.JSONDecodeError as e:
-        raise GraphError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+        raise GraphError(
+            f"{where}invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+
+
+def _json_object(what: str, obj, required=()) -> dict:
+    """``obj`` if it is a JSON object holding every field in ``required``;
+    otherwise a ``GraphError`` that starts with ``what``."""
+    if not isinstance(obj, dict):
+        raise GraphError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise GraphError(f"{what} is missing required field '{key}'")
+    return obj
 
 
 def _graph_from_obj(obj) -> Graph:
-    if not isinstance(obj, dict):
-        raise GraphError(f"graph object must be a JSON object, got {type(obj).__name__}")
-    for key in ("num_nodes", "edges", "node_features"):
-        if key not in obj:
-            raise GraphError(f"missing required field '{key}'")
+    _json_object("graph object", obj, ("num_nodes", "edges", "node_features"))
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list) or any(
             not isinstance(e, list) or len(e) != 2 for e in raw_edges):
         raise GraphError("field 'edges' must be an array of [u, v] pairs")
-    edges = _symmetrize(raw_edges)
+    edges = _symmetrize(raw_edges, obj.get("edge_features") is not None)
     feats = _finite_rows("node_features", obj["node_features"])
     return Graph(
         num_nodes=obj["num_nodes"],
@@ -269,22 +282,26 @@ def _graph_from_obj(obj) -> Graph:
     )
 
 
-def _symmetrize(raw_edges: list) -> list[list[int]]:
+def _symmetrize(raw_edges: list, has_edge_features: bool) -> list[list[int]]:
     # (u,v) together with (v,u) is treated as a directed input and merged with
     # a warning; a repeated orientation is a parallel edge and is rejected.
+    # With edge features a merge would leave one feature row too many, so a
+    # reversed pair is rejected too.
     kept: list[list[int]] = []
-    orientations: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    position: dict[tuple[int, int], int] = {}   # orientation -> where it came
     merged = 0
     for i, (u, v) in enumerate(raw_edges):
-        key = (min(u, v), max(u, v))
-        if key in orientations:
-            if (u, v) in orientations[key]:
-                raise GraphError(f"duplicate edge ({u}, {v}) at position {i}")
-            orientations[key].add((u, v))
+        if (u, v) in position:
+            raise GraphError(f"duplicate edge ({u}, {v}) at position {i}")
+        first = position.get((v, u))
+        position[(u, v)] = i
+        if first is None:
+            kept.append([u, v])
+        elif has_edge_features:
+            raise GraphError(f"edge ({u}, {v}) at position {i} reverses edge ({v}, {u}) at "
+                             f"position {first}; with edge_features each edge is listed once")
+        else:
             merged += 1
-            continue
-        orientations[key] = {(u, v)}
-        kept.append([u, v])
     if merged:
         warnings.warn(
             f"symmetrized directed input: merged {merged} reversed edge pair(s)",

@@ -27,7 +27,8 @@ class HopMask:
 
     Construction checks the CSR structure and raises ``ValueError`` naming
     the first bad row: every row needs at least one column, and columns lie
-    in [0, T) and strictly ascend within their row.  The mask is frozen, so
+    in [0, T) and strictly ascend within their row.  The mask and its arrays
+    are frozen (a writable array or a view is stored as a read-only copy), so
     the checked structure and the caches derived from it cannot drift apart.
     """
 
@@ -39,6 +40,10 @@ class HopMask:
     _dense_support: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        for name in ("indptr", "indices"):   # build_mask's arrays are kept as they are
+            a = getattr(self, name)
+            if a.flags.writeable or not a.flags.owndata:
+                object.__setattr__(self, name, _frozen(a.copy()))
         # O(T + nnz) structure check: the attention kernel's row reductions
         # assume every row holds at least one in-range, ascending column.
         # Slices and ufunc reductions rather than np.diff and array methods:

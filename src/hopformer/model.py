@@ -11,14 +11,15 @@ edge tokens of a graph without edge features enter as exact zero rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, ShapeError
-from .graphs import AugmentedGraph, Graph, _finite_value, _int_value, _write_json
+from .graphs import (AugmentedGraph, Graph, _finite_value, _int_value, _json_object,
+                     _read_json, _write_json)
 from .masks import HopMask
 
 CHECKPOINT_MAGIC = "HOPFORMER2"
@@ -296,14 +297,15 @@ def save_model(m: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a model checkpoint (magic {obj.get('magic')!r})")
-    cfg = ModelConfig(**obj["config"])   # turns the head_hops list into a tuple
+    obj = _json_object(f"checkpoint {path}", _read_json(Path(path)),
+                       ("magic", "config", "d_v", "d_e", "params"))
+    if obj["magic"] != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a model checkpoint (magic {obj['magic']!r})")
+    # ModelConfig turns the head_hops list into a tuple
+    cfg = ModelConfig(**_json_object(f"checkpoint {path} field 'config'", obj["config"]))
     m = init_model(cfg, obj["d_v"], obj["d_e"])
     params = named_parameters(m)
-    stored = obj["params"]
+    stored = _json_object(f"checkpoint {path} field 'params'", obj["params"])
     if set(stored) != set(params):
         raise ValueError("checkpoint parameter names do not match the config")
     for name, t in params.items():

@@ -56,6 +56,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        for name in ("train_frac", "val_frac", "test_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {total}")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopformer import analysis, dataset_small_world, load_dataset
+from hopformer import GraphError, analysis, dataset_small_world, load_dataset, load_model
 from hopformer.cli import main
 
 
@@ -468,6 +468,22 @@ class TestTrain:
                          "--output", str(outs[-1])]) == 0
         assert (outs[0] / "model.json").read_bytes() == (outs[1] / "model.json").read_bytes()
 
+    def test_seed_flag_equals_seed_seven_in_both_sections(self, tmp_path):
+        src = tmp_path / "g.json"
+        write_labelled_graph(src)
+        cfg, cfg7 = run_config(), run_config()
+        cfg7["model"]["seed"] = cfg7["train"]["seed"] = 7
+        runs = {}
+        for name, obj, extra in [("flag", cfg, ["--seed", "7"]), ("config", cfg7, []),
+                                 ("unseeded", cfg, [])]:
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(obj))
+            assert main(["train", str(src), "--config", str(cfg_path),
+                         "--output", str(tmp_path / name), *extra]) == 0
+            runs[name] = (tmp_path / name / "model.json").read_bytes()
+        assert runs["flag"] == runs["config"] != runs["unseeded"]
+        assert json.loads((tmp_path / "flag" / "manifest.json").read_text())["seeds"] == [7]
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"
         write_labelled_graph(src)
@@ -476,3 +492,87 @@ class TestTrain:
         assert main(["train", str(src), "--config", str(cfg_path),
                      "--output", str(tmp_path / "run")]) == 2
         assert "model" in capsys.readouterr().err
+
+
+class TestInputFiles:
+    """Every input file is read by one reader, so every kind reports invalid
+    JSON the same way, naming the file, and the CLI exits 2."""
+
+    BAD = '{"num_nodes": 2,\n  "edges": [[0, 1],, ]}'
+
+    def _setup(self, tmp_path):
+        good = tmp_path / "g.json"
+        write_labelled_graph(good)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(run_config()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(self.BAD)
+        return good, cfg, bad
+
+    @pytest.mark.parametrize("kind", ["graph", "dataset", "run config", "flops run config",
+                                      "checkpoint"])
+    def test_invalid_json_names_the_file_and_exits_two(self, tmp_path, capsys, kind):
+        good, cfg, bad = self._setup(tmp_path)
+        out = str(tmp_path / "out")
+        expected = f"{bad}: invalid JSON at line 2, column 20: Expecting value"
+        if kind == "checkpoint":   # no subcommand reads a checkpoint; the CLI exits 2 on GraphError
+            with pytest.raises(GraphError) as info:
+                load_model(str(bad))
+            assert str(info.value) == expected
+            return
+        argv = {"graph": ["augment", str(bad), "--output", out],
+                "dataset": ["analyze", str(bad), "--output", out],
+                "run config": ["train", str(good), "--config", str(bad), "--output", out],
+                "flops run config": ["flops", str(good), "--config", str(bad),
+                                     "--output", out]}[kind]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("command", ["train", "flops"])
+    @pytest.mark.parametrize("obj, message", [
+        ({"model": 5, "train": {"learning_rate": 0.1, "epochs": 1}},
+         "run config section 'model' must be a JSON object, got int"),
+        ([], "run config must be a JSON object, got list"),
+        ({"train": {"learning_rate": 0.1, "epochs": 1}},
+         "run config is missing required field 'model'")])
+    def test_malformed_run_config_names_what_is_wrong(self, tmp_path, capsys, command, obj,
+                                                      message):
+        good, cfg, _ = self._setup(tmp_path)
+        cfg.write_text(json.dumps(obj))
+        assert main([command, str(good), "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("section, message", [
+        ([], "run config section 'train' must be a JSON object, got list"),
+        (None, "run config is missing required field 'train'")])
+    def test_malformed_train_section_exits_two(self, tmp_path, capsys, section, message):
+        good, cfg, _ = self._setup(tmp_path)
+        obj = run_config()
+        if section is None:
+            del obj["train"]
+        else:
+            obj["train"] = section
+        cfg.write_text(json.dumps(obj))
+        assert main(["train", str(good), "--config", str(cfg), "--output",
+                     str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_split_fraction_outside_unit_interval_exits_two(self, tmp_path, capsys):
+        good, cfg, _ = self._setup(tmp_path)
+        obj = run_config()
+        obj["train"].update(train_frac=1.2, val_frac=-0.2, test_frac=0.0)
+        cfg.write_text(json.dumps(obj))
+        assert main(["train", str(good), "--config", str(cfg), "--output",
+                     str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: train_frac must be in [0, 1], got 1.2\n"
+
+    def test_reversed_pair_with_edge_features_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1], [1, 0]],
+                                   "node_features": [[1.0], [2.0]],
+                                   "edge_features": [[1.0], [2.0]]}))
+        assert main(["augment", str(src), "--output", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "position 1" in err and "position 0" in err and "edge_features" in err

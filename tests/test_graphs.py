@@ -1,13 +1,18 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import hopformer
 
 from hopformer import (Graph, GraphError, augment, generate_erdos_renyi,
                        generate_sbm, generate_watts_strogatz, load_dataset,
                        load_graph, relabel_nodes, save_graph)
 from hopformer import graphs as graphs_module
-from hopformer.graphs import EDGE_TOKEN, NODE_TOKEN, csr_from_pairs
+from hopformer.graphs import (EDGE_TOKEN, NODE_TOKEN, _json_object, _read_json,
+                              csr_from_pairs)
 
 from helpers import (brute_clustering, random_graph, reference_augment,
                      shuffled_reversed_copy, single_edge_graph, triangle_graph)
@@ -89,6 +94,15 @@ class TestGraphInvariants:
         with pytest.raises(GraphError, match="edge_features row 1 "):
             Graph(num_nodes=4, edges=np.array([[0, 1], [2, 3]]),
                   node_features=np.ones((4, 2)), edge_features=ef)
+
+    def test_feature_arrays_are_copied_not_frozen_in_place(self):
+        x, ef = np.ones((3, 2)), np.ones((2, 1))
+        g = Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]), node_features=x,
+                  edge_features=ef)
+        assert x.flags.writeable and ef.flags.writeable
+        x[0, 0] = ef[0, 0] = 5.0
+        assert g.node_features[0, 0] == 1.0 and g.edge_features[0, 0] == 1.0
+        assert not g.node_features.flags.writeable and not g.edge_features.flags.writeable
 
 
 class TestCsrFromPairs:
@@ -233,6 +247,13 @@ class TestLoadGraph:
             g = load_graph(text)
         assert g.num_edges == 1
 
+    def test_reversed_pair_with_edge_features_names_both_positions(self):
+        obj = {"num_nodes": 3, "edges": [[0, 1], [1, 2], [1, 0]],
+               "node_features": [[1], [2], [3]], "edge_features": [[1], [2], [3]]}
+        with pytest.raises(GraphError, match=r"edge \(1, 0\) at position 2 reverses edge "
+                                             r"\(0, 1\) at position 0"):
+            load_graph(json.dumps(obj))
+
     def test_parallel_edge_rejected(self):
         text = json.dumps({"num_nodes": 2, "edges": [[0, 1], [0, 1]],
                            "node_features": [[1], [2]]})
@@ -302,6 +323,76 @@ class TestLoadGraph:
         graphs = load_dataset(json.dumps([obj, obj]))
         assert len(graphs) == 2
         assert graphs[0].graph_label == 1
+
+
+class TestOneReader:
+    BAD = '{"num_nodes": 2,\n  "edges": [[0, 1],, ]}'
+
+    def test_invalid_json_in_a_file_starts_with_its_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(self.BAD)
+        message = f"{path}: invalid JSON at line 2, column 20: Expecting value"
+        for source in (path, str(path)):
+            with pytest.raises(GraphError) as info:
+                load_graph(source)
+            assert str(info.value) == message
+
+    def test_invalid_json_text_has_no_path(self):
+        with pytest.raises(GraphError) as info:
+            _read_json(self.BAD)
+        assert str(info.value) == "invalid JSON at line 2, column 20: Expecting value"
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "thing must be a JSON object, got list"),
+        (5, "thing must be a JSON object, got int"),
+        ({"a": 1}, "thing is missing required field 'b'")])
+    def test_json_object_check_names_what_is_wrong(self, obj, message):
+        with pytest.raises(GraphError) as info:
+            _json_object("thing", obj, ("a", "b"))
+        assert str(info.value) == message
+
+    def test_graph_object_check_names_the_field(self):
+        with pytest.raises(GraphError) as info:
+            load_graph(json.dumps({"num_nodes": 1, "node_features": [[1]]}))
+        assert str(info.value) == "graph object is missing required field 'edges'"
+        with pytest.raises(GraphError, match="graph 1: graph object must be a JSON object, "
+                                             "got list"):
+            load_dataset(json.dumps([{"num_nodes": 1, "edges": [], "node_features": [1]},
+                                     []]))
+
+    @staticmethod
+    def reads(path: Path) -> list[str]:
+        """Calls in a module that parse JSON or open a file for reading."""
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"from json import {a.name}" for a in node.names
+                          if a.name in ("load", "loads")]
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in ("load", "loads") and isinstance(f, ast.Attribute) \
+                    and getattr(f.value, "id", None) == "json":
+                found.append(f"line {node.lineno}: json.{name}")
+            elif name in ("read_text", "read_bytes"):
+                found.append(f"line {node.lineno}: {name}")
+            elif name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                writes = isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")
+                if not writes:
+                    found.append(f"line {node.lineno}: open for reading")
+        return found
+
+    def test_only_graphs_parses_json_or_opens_input_files(self):
+        package = Path(hopformer.__file__).resolve().parent
+        modules = sorted(package.glob("*.py"))
+        assert package / "graphs.py" in modules and len(modules) > 5
+        offenders = {p.name: self.reads(p) for p in modules if p.name != "graphs.py"}
+        assert {name: r for name, r in offenders.items() if r} == {}
+        # the scan does see the one reader's own parse and open
+        assert len(self.reads(package / "graphs.py")) == 2
 
 
 class TestSaveGraph:

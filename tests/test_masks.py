@@ -206,6 +206,31 @@ class TestFrozenMask:
         assert np.array_equal(m.dense_support, mask_to_dense(m))
         assert "_row_indices" not in repr(m)
 
+    def test_caller_arrays_are_copied_and_stay_writable(self):
+        indptr, indices = np.array([0, 1, 2]), np.array([0, 1])
+        m = HopMask(1, 2, indptr, indices)
+        indptr[1], indices[0] = 2, 1
+        assert m.indptr.tolist() == [0, 1, 2] and m.indices.tolist() == [0, 1]
+        assert indptr.flags.writeable and indices.flags.writeable
+        assert not m.indptr.flags.writeable and not m.indices.flags.writeable
+
+    def test_read_only_views_are_copied(self):
+        base = np.array([0, 1, 2, 0, 1])
+        indptr, indices = base[:3], base[3:]
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        m = HopMask(1, 2, indptr, indices)
+        base[1] = 2
+        assert m.indptr.tolist() == [0, 1, 2]
+        assert m.indptr is not indptr and m.indices is not indices
+
+    def test_built_masks_keep_their_own_read_only_arrays(self, single_edge_ag):
+        for m in build_head_masks(single_edge_ag, [0, 1, 2]):
+            for a in (m.indptr, m.indices):
+                assert a.flags.owndata and not a.flags.writeable
+            again = HopMask(m.hop_budget, m.size, m.indptr, m.indices)
+            assert again.indptr is m.indptr and again.indices is m.indices
+
 
 class TestDumpFormat:
     def test_header_and_sorted_pairs(self, single_edge_ag):

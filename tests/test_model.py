@@ -11,7 +11,7 @@ from hopformer import (ModelConfig, Tensor, augment, build_head_masks,
                        named_parameters, predict_graph, predict_node, readout,
                        relabel_nodes, save_model)
 from hopformer import autograd as ops
-from hopformer.graphs import Graph
+from hopformer.graphs import Graph, GraphError
 from hopformer.model import CHECKPOINT_MAGIC, LayerParams
 
 from helpers import (augmented_distances, dense_vanilla_encoder, path3_graph,
@@ -444,6 +444,36 @@ class TestCheckpoint:
         with pytest.raises(TypeError):
             save_model(m, str(path))
         assert path.read_text() == "previous\n"
+
+    def test_truncated_checkpoint_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(GraphError, match=f"^{re.escape(str(path))}: invalid JSON at "
+                                             r"line \d+, column \d+: "):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "checkpoint {} must be a JSON object, got list"),
+        ({"magic": CHECKPOINT_MAGIC}, "checkpoint {} is missing required field 'config'"),
+        ({"magic": CHECKPOINT_MAGIC, "config": [], "d_v": 1, "d_e": 0, "params": {}},
+         "checkpoint {} field 'config' must be a JSON object, got list"),
+    ])
+    def test_malformed_checkpoint_names_what_is_wrong(self, tmp_path, obj, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(GraphError) as info:
+            load_model(str(path))
+        assert str(info.value) == message.format(path)
+
+    def test_params_must_be_an_object(self, tmp_path):
+        path = tmp_path / "[m].json"   # read as a file, never as JSON text
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        obj["params"] = list(obj["params"])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(GraphError, match="field 'params' must be a JSON object, got list"):
+            load_model(str(path))
 
     def test_magic_string_present_and_checked(self, tmp_path):
         path = tmp_path / "model.json"

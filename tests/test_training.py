@@ -147,6 +147,19 @@ class TestSplits:
             TrainConfig(learning_rate=0.1, epochs=1, train_frac=0.5, val_frac=0.5,
                         test_frac=0.5)
 
+    @pytest.mark.parametrize("fracs, field, value", [
+        ((1.2, -0.2, 0.0), "train_frac", 1.2), ((0.6, -0.2, 0.6), "val_frac", -0.2),
+        ((0.0, -0.5, 1.5), "val_frac", -0.5), ((0.0, 0.0, 1.0 + 1e-12), "test_frac", 1.0 + 1e-12)])
+    def test_each_fraction_must_lie_in_unit_interval(self, fracs, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be in \\[0, 1\\], got {value}$"):
+            TrainConfig(learning_rate=0.1, epochs=1, train_frac=fracs[0], val_frac=fracs[1],
+                        test_frac=fracs[2])
+
+    def test_fractions_at_the_ends_of_the_interval_are_accepted(self):
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, train_frac=1.0, val_frac=0.0,
+                          test_frac=0.0)
+        assert cfg.train_frac == 1.0
+
 
 class TestTrainConfigBoundary:
     @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "train_frac",
