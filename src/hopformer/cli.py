@@ -5,7 +5,8 @@ comes from JSON files plus a few override flags; no environment variables
 affect numerics.  Every input file is read by ``graphs._read_json`` and
 checked by ``graphs._json_object``, so every subcommand reports bad input the
 same way: ``<path>: invalid JSON at line L, column C: ...``, ``<what> must be
-a JSON object, got <type>`` or ``<what> is missing required field '<name>'``.
+a JSON object, got <type>`` or ``<what> is missing required field '<name>'``,
+where ``<what>`` names the file (config sections also refuse unknown fields).
 Exit codes: 0 success, 2 usage or input error, 3 runtime abort (non-finite
 training loss).  Outputs are byte-identical across reruns with the same
 inputs and seed, except for wall-clock fields (the manifest's timestamps and
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import flops_vs_nnz_report, small_world_report
-from .graphs import (GraphError, _json_object, _read_json, _write_json, augment,
-                     generate_erdos_renyi, generate_watts_strogatz, graph_to_obj,
+from .graphs import (GraphError, _config_from_obj, _json_object, _read_json, _write_json,
+                     augment, generate_erdos_renyi, generate_watts_strogatz, graph_to_obj,
                      load_dataset, load_graph)
 from .masks import build_head_masks, mask_stats, write_mask_dump
 from .model import ModelConfig, init_model, save_model
@@ -70,10 +71,10 @@ def _config_hash(obj) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _section(config_obj, name: str, cls):
-    """``cls`` built from section ``name`` of a run config."""
-    section = _json_object("run config", config_obj, (name,))[name]
-    return cls(**_json_object(f"run config section '{name}'", section))
+def _section(path: str, config_obj, name: str, cls):
+    """``cls`` built from section ``name`` of the run config read from ``path``."""
+    section = _json_object(f"run config {path}", config_obj, (name,))[name]
+    return _config_from_obj(f"run config {path} section '{name}'", section, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,8 @@ def cmd_masks(args) -> int:
 def cmd_train(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     config_obj = _read_json(Path(args.config))
-    model_cfg = _section(config_obj, "model", ModelConfig)
-    train_cfg = _section(config_obj, "train", TrainConfig)
+    model_cfg = _section(args.config, config_obj, "model", ModelConfig)
+    train_cfg = _section(args.config, config_obj, "train", TrainConfig)
     if args.seed is not None:
         model_cfg = replace(model_cfg, seed=args.seed)
         train_cfg = replace(train_cfg, seed=args.seed)
@@ -187,7 +188,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_flops(args) -> int:
     graphs = _read_dataset(args.input)
-    cfg = _section(_read_json(Path(args.config)), "model", ModelConfig)
+    cfg = _section(args.config, _read_json(Path(args.config)), "model", ModelConfig)
     hop_configs = _parse_hop_configs(args.hop_configs)
     report = flops_vs_nnz_report(graphs, hop_configs, cfg)
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -14,7 +14,8 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -39,7 +40,10 @@ def _int_field(name: str, values) -> np.ndarray:
     if isinstance(values, list) and any(
             isinstance(x, bool) for x in np.asarray(values, dtype=object).flat):
         raise GraphError(f"{name} must hold integers, got a boolean")
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as e:   # ragged or nested lists
+        raise GraphError(f"{name} must hold integers, got nested or ragged lists") from e
     if arr.size and arr.dtype.kind not in "iuf":
         raise GraphError(f"{name} must hold integers, got {arr.dtype} values")
     if arr.dtype.kind == "f":
@@ -122,7 +126,10 @@ class Graph:
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
             raise GraphError(f"num_nodes must be a non-negative integer, got {n!r}")
         object.__setattr__(self, "num_nodes", int(n))
-        edges = _int_field("edges", self.edges).reshape(-1, 2)
+        edges = _int_field("edges", self.edges)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise GraphError(f"edges must have shape (M, 2), got {edges.shape}")
+        edges = edges.reshape(-1, 2)
         for i, (u, v) in enumerate(edges):
             if u < 0 or u >= n or v < 0 or v >= n:
                 raise GraphError(f"edge {i} = ({u}, {v}) has an endpoint outside [0, {n})")
@@ -234,14 +241,21 @@ def augment(g: Graph) -> AugmentedGraph:
 # JSON graph files
 
 
-def _read_json(source):
-    """The package's one input reader.  Parses a file (any path-like, or a
-    one-line str not opening like JSON), a stream, or the JSON text itself;
-    invalid JSON is a ``GraphError`` that, for a file, starts with its path."""
-    where = ""
+def _file_prefix(source) -> str:
+    """``"<path>: "`` if ``source`` names a file (any path-like, or a one-line
+    str not opening like JSON), else ``""``."""
     if isinstance(source, os.PathLike) or (isinstance(source, str) and "\n" not in source
                                            and source.lstrip()[:1] not in "[{"):
-        where = f"{os.fspath(source)}: "
+        return f"{os.fspath(source)}: "
+    return ""
+
+
+def _read_json(source):
+    """The package's one input reader.  Parses a file (see :func:`_file_prefix`),
+    a stream, or the JSON text itself; invalid JSON is a ``GraphError`` that,
+    for a file, starts with its path."""
+    where = _file_prefix(source)
+    if where:
         with open(source, "r", encoding="utf-8") as fh:
             source = fh.read()
     elif hasattr(source, "read"):
@@ -264,13 +278,30 @@ def _json_object(what: str, obj, required=()) -> dict:
     return obj
 
 
+def _config_from_obj(what: str, obj, cls):
+    """``cls(**obj)`` for a config dataclass ``cls`` and a JSON object holding
+    each of its required fields and no unknown one; otherwise a ``GraphError``
+    that starts with ``what`` and lists the accepted fields."""
+    names = [f.name for f in fields(cls)]
+    unknown = [k for k in _json_object(what, obj) if k not in names]
+    missing = [f.name for f in fields(cls) if f.name not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if unknown or missing:
+        problem = (f"has unknown field '{unknown[0]}'" if unknown
+                   else f"is missing required field '{missing[0]}'")
+        raise GraphError(f"{what} {problem}; accepted fields: {', '.join(names)}")
+    return cls(**obj)
+
+
 def _graph_from_obj(obj) -> Graph:
     _json_object("graph object", obj, ("num_nodes", "edges", "node_features"))
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list) or any(
             not isinstance(e, list) or len(e) != 2 for e in raw_edges):
         raise GraphError("field 'edges' must be an array of [u, v] pairs")
-    edges = _symmetrize(raw_edges, obj.get("edge_features") is not None)
+    # the integer rule runs first, so [True, 0] is refused, not merged with (1, 0)
+    edges = _symmetrize(_int_field("edges", raw_edges).tolist(),
+                        obj.get("edge_features") is not None)
     feats = _finite_rows("node_features", obj["node_features"])
     return Graph(
         num_nodes=obj["num_nodes"],
@@ -309,28 +340,42 @@ def _symmetrize(raw_edges: list, has_edge_features: bool) -> list[list[int]]:
     return kept
 
 
+@contextmanager
+def _naming(source):
+    """Prefix a ``GraphError`` raised inside with the path when ``source``
+    names a file, as invalid-JSON errors are."""
+    try:
+        yield
+    except GraphError as e:
+        if not _file_prefix(source):
+            raise
+        raise GraphError(f"{_file_prefix(source)}{e}") from e
+
+
 def load_graph(source) -> Graph:
     """Load a single graph from a JSON file path, byte/str stream, or text."""
     obj = _read_json(source)
-    if isinstance(obj, list):
-        raise GraphError("expected a single graph object, got an array (use load_dataset)")
-    return _graph_from_obj(obj)
+    with _naming(source):
+        if isinstance(obj, list):
+            raise GraphError("expected a single graph object, got an array (use load_dataset)")
+        return _graph_from_obj(obj)
 
 
 def load_dataset(source) -> list[Graph]:
     """Load one graph or an array of graphs; always returns a list."""
     obj = _read_json(source)
-    if isinstance(obj, dict):
-        return [_graph_from_obj(obj)]
-    if not isinstance(obj, list):
-        raise GraphError("top-level JSON must be a graph object or an array of them")
-    out = []
-    for i, item in enumerate(obj):
-        try:
-            out.append(_graph_from_obj(item))
-        except GraphError as e:
-            raise GraphError(f"graph {i}: {e}") from e
-    return out
+    with _naming(source):
+        if isinstance(obj, dict):
+            return [_graph_from_obj(obj)]
+        if not isinstance(obj, list):
+            raise GraphError("top-level JSON must be a graph object or an array of them")
+        out = []
+        for i, item in enumerate(obj):
+            try:
+                out.append(_graph_from_obj(item))
+            except GraphError as e:
+                raise GraphError(f"graph {i}: {e}") from e
+        return out
 
 
 def graph_to_obj(g: Graph) -> dict:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, ShapeError
-from .graphs import (AugmentedGraph, Graph, _finite_value, _int_value, _json_object,
-                     _read_json, _write_json)
+from .graphs import (AugmentedGraph, Graph, _config_from_obj, _finite_value, _int_value,
+                     _json_object, _read_json, _write_json)
 from .masks import HopMask
 
 CHECKPOINT_MAGIC = "HOPFORMER2"
@@ -302,7 +302,7 @@ def load_model(path: str) -> Model:
     if obj["magic"] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a model checkpoint (magic {obj['magic']!r})")
     # ModelConfig turns the head_hops list into a tuple
-    cfg = ModelConfig(**_json_object(f"checkpoint {path} field 'config'", obj["config"]))
+    cfg = _config_from_obj(f"checkpoint {path} field 'config'", obj["config"], ModelConfig)
     m = init_model(cfg, obj["d_v"], obj["d_e"])
     params = named_parameters(m)
     stored = _json_object(f"checkpoint {path} field 'params'", obj["params"])

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ops
-from .autograd import Tensor, scratch_tape
-from .graphs import Graph, GraphError, _finite_value, _int_value, augment
+from .autograd import ShapeError, Tensor, scratch_tape
+from .graphs import Graph, GraphError, _finite_value, _int_field, _int_value, augment
 from .masks import build_head_masks
-from .model import (Model, copy_parameter_values, forward, named_parameters,
+from .model import (Model, _check_masks, copy_parameter_values, forward, named_parameters,
                     predict_graph, predict_node, readout, set_parameter_values)
 
 
@@ -183,28 +183,62 @@ def evaluate(model: Model, dataset, masks, split) -> float:
     """Accuracy (argmax, ties to the lowest class) or MAE over the split.
 
     The split is treated as a set: indices are sorted internally so shuffled
-    splits produce bit-identical aggregates.
+    splits produce bit-identical aggregates.  The inputs are checked as by
+    ``train``, before any forward; only the split's graphs are augmented.
     """
-    _check_dataset(model.cfg.task, dataset)
-    ags = augment(dataset) if isinstance(dataset, Graph) else {
-        int(i): augment(dataset[int(i)]) for i in split}
-    return _scores(model, dataset, ags, masks, [split])[0]
+    ags, targets, splits = _prepare(model, dataset, masks, {"evaluated": split})
+    return _scores(model, dataset, ags, masks, targets, splits)[0]
 
 
-def _check_dataset(task: str, dataset) -> None:
-    if task == "node_classification":
-        if not isinstance(dataset, Graph):
-            raise ValueError("node classification trains on a single Graph")
-        if dataset.node_labels is None:
-            raise ValueError("node classification requires node_labels")
-        return
-    if isinstance(dataset, Graph):
-        raise ValueError("graph-level tasks train on a list of Graphs")
-    for i, g in enumerate(dataset):
-        if g.num_nodes == 0:
+def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
+    """Check a run's inputs (see ``train``) and return the augmented graph,
+    or the augmented graphs of ``splits`` by index; every item's target; and
+    the values of ``splits`` (a name -> indices dict), each sorted."""
+    cfg = model.cfg
+    node_task = cfg.task == "node_classification"
+    if node_task != isinstance(dataset, Graph):
+        raise ValueError("node classification trains on a single Graph" if node_task
+                         else "graph-level tasks train on a list of Graphs")
+    graphs, mask_lists = ([dataset], [masks]) if node_task else (dataset, masks)
+    if len(mask_lists) != len(graphs):
+        raise ValueError(f"{len(mask_lists)} head-mask lists for {len(graphs)} graphs")
+    for i, (g, gm) in enumerate(zip(graphs, mask_lists)):
+        name = "the graph" if node_task else f"graph {i}"
+        if not node_task and g.num_nodes == 0:
             raise GraphError(f"graph {i} has no nodes; graph-level tasks need at least one")
-        if g.graph_label is None:
+        if not node_task and g.graph_label is None:
             raise GraphError(f"graph {i} has no graph_label; graph-level tasks need one")
+        if g.node_feature_dim != model.d_v or g.num_edges and g.edge_feature_dim != model.d_e:
+            raise GraphError(f"{name} has node/edge feature dims {g.node_feature_dim}/"
+                             f"{g.edge_feature_dim}, the model expects {model.d_v}/{model.d_e}")
+        try:
+            _check_masks(model, gm, g.num_nodes + g.num_edges)
+        except ShapeError as e:
+            raise ShapeError(f"{name}: {e}") from e
+    if node_task and dataset.node_labels is None:
+        raise ValueError("node classification requires node_labels")
+    targets = dataset.node_labels if node_task else np.asarray(
+        [g.graph_label for g in dataset], dtype=np.float64)
+    if cfg.task != "graph_regression":
+        bad = np.flatnonzero((targets % 1 != 0) | (targets < 0) | (targets >= cfg.num_classes))
+        if bad.size:
+            item = f"node {bad[0]} has label" if node_task else f"graph {bad[0]} has graph_label"
+            raise GraphError(f"{item} {targets[bad[0]]:g}, not a class in [0, {cfg.num_classes})")
+        targets = targets.astype(np.int64, copy=False)
+    n = len(targets)
+    sorted_splits = []
+    for split, idx in splits.items():
+        idx = np.sort(_int_field(f"the {split} split", idx).reshape(-1))
+        if idx.size == 0:
+            raise ValueError(f"the {split} split of {n} "
+                             f"{'nodes' if node_task else 'graphs'} is empty")
+        if idx[0] < 0 or idx[-1] >= n:
+            raise ValueError(f"the {split} split holds index "
+                             f"{idx[0] if idx[0] < 0 else idx[-1]}, outside [0, {n})")
+        sorted_splits.append(idx)
+    ags = augment(dataset) if node_task else {
+        i: augment(dataset[i]) for i in np.unique(np.concatenate(sorted_splits)).tolist()}
+    return ags, targets, sorted_splits
 
 
 def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False,
@@ -225,13 +259,6 @@ def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False
     return ops.concat_rows(outs)
 
 
-def _targets(task: str, dataset, items) -> np.ndarray:
-    if task == "node_classification":
-        return dataset.node_labels[items]
-    return np.asarray([dataset[int(i)].graph_label for i in items],
-                      dtype=np.float64 if task == "graph_regression" else np.int64)
-
-
 def _loss(task: str, out: Tensor, targets: np.ndarray) -> Tensor:
     return mae(out, targets) if task == "graph_regression" else cross_entropy(out, targets)
 
@@ -242,18 +269,12 @@ def _score(task: str, out: np.ndarray, targets: np.ndarray) -> float:
     return float((out.argmax(axis=1) == targets).mean())
 
 
-def _scores(model: Model, dataset, ags, masks, splits) -> list[float]:
-    """Score each split (sorted) from one prediction pass over all of them."""
-    task = model.cfg.task
-    splits = [np.sort(np.asarray(s, dtype=np.int64)) for s in splits]
-    if any(s.size == 0 for s in splits):
-        raise ValueError("evaluate called with an empty split")
-    items = np.concatenate(splits)
+def _scores(model: Model, dataset, ags, masks, targets, splits) -> list[float]:
+    """Score each split, as ``_prepare`` returns it, from one prediction pass."""
     with scratch_tape():
-        out = _predict(model, dataset, ags, masks, items).values
+        out = _predict(model, dataset, ags, masks, np.concatenate(splits)).values
     cuts = np.cumsum([s.size for s in splits[:-1]])
-    return [_score(task, o, y) for o, y in
-            zip(np.split(out, cuts), np.split(_targets(task, dataset, items), cuts))]
+    return [_score(model.cfg.task, o, targets[s]) for o, s in zip(np.split(out, cuts), splits)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +286,24 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
 
     Node tasks: ``dataset`` is one labelled Graph and ``masks`` its head
     masks.  Graph tasks: ``dataset`` is a list of Graphs and ``masks`` a
-    parallel list of per-graph head-mask lists.
+    parallel list of per-graph head-mask lists.  Refused before any forward,
+    naming the item: a dataset of the wrong kind; a graph without nodes or
+    without the task's label; a class label that is not an integer in [0,
+    num_classes); feature dims other than the model's ``d_v``/``d_e``; head
+    masks that do not fit their graph; an empty split.
     """
     task = model.cfg.task
-    _check_dataset(task, dataset)
     node_task = task == "node_classification"
+    idx_train, idx_val, idx_test = split_indices(
+        dataset.num_nodes if isinstance(dataset, Graph) else len(dataset), cfg)
+    ags, targets, (_, *scored) = _prepare(model, dataset, masks, {
+        "train": idx_train, "val": idx_val, "test": idx_test})
     params = named_parameters(model)
     state = init_adam_state(params)
     history = RunHistory()
     best_val = best_loss = None
     best_params = copy_parameter_values(model)
     since_best = 0
-    n_items = dataset.num_nodes if node_task else len(dataset)
-    idx_train, idx_val, idx_test = split_indices(n_items, cfg)
-    for split, idx in (("train", idx_train), ("val", idx_val), ("test", idx_test)):
-        if idx.size == 0:
-            raise ValueError(f"the {split} split of {n_items} "
-                             f"{'nodes' if node_task else 'graphs'} is empty")
-    ags = augment(dataset) if node_task else [augment(g) for g in dataset]
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -297,7 +318,7 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
         for step, batch in enumerate(batches):
             zero_grads(params)
             out = _predict(model, dataset, ags, masks, batch, training=True, seed=seed)
-            loss = _loss(task, out, _targets(task, dataset, batch))
+            loss = _loss(task, out, targets[batch])
             lv = float(loss.values[0, 0])
             if not np.isfinite(lv):
                 raise TrainingAbort(epoch, step, "non-finite training loss")
@@ -310,7 +331,7 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
         loss_value = batch_losses[0] if len(batches) == 1 else sum(
             lv * b.size for lv, b in zip(batch_losses, batches)) / idx_train.size
 
-        val, test = _scores(model, dataset, ags, masks, [idx_val, idx_test])
+        val, test = _scores(model, dataset, ags, masks, targets, scored)
         history.train_loss.append(loss_value)
         history.val_metric.append(val)
         history.test_metric.append(test)

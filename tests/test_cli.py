@@ -541,7 +541,8 @@ class TestInputFiles:
         cfg.write_text(json.dumps(obj))
         assert main([command, str(good), "--config", str(cfg), "--output",
                      str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        named = message.replace("run config", f"run config {cfg}")
+        assert capsys.readouterr().err == f"error: {named}\n"
 
     @pytest.mark.parametrize("section, message", [
         ([], "run config section 'train' must be a JSON object, got list"),
@@ -556,8 +557,72 @@ class TestInputFiles:
         cfg.write_text(json.dumps(obj))
         assert main(["train", str(good), "--config", str(cfg), "--output",
                      str(tmp_path / "run")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        named = message.replace("run config", f"run config {cfg}")
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda c: c["model"].update(foo=1), "section 'model' has unknown field 'foo'"),
+        (lambda c: c["model"].pop("hidden_dim"),
+         "section 'model' is missing required field 'hidden_dim'"),
+        (lambda c: c["train"].update(lr=1), "section 'train' has unknown field 'lr'")])
+    def test_config_fields_checked_naming_file_section_and_accepted(self, tmp_path, capsys,
+                                                                    edit, problem):
+        good, cfg, _ = self._setup(tmp_path)
+        obj = run_config()
+        edit(obj)
+        cfg.write_text(json.dumps(obj))
+        assert main(["train", str(good), "--config", str(cfg), "--output",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run config {cfg} {problem}; accepted fields: ")
+        assert ("hidden_dim, head_hops" in err) == ("'model'" in problem)
+
+    @pytest.mark.parametrize("command, obj, message", [
+        ("augment", {"num_nodes": 2, "node_features": [[1], [2]]},
+         "graph object is missing required field 'edges'"),
+        ("analyze", [{"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [2]]},
+                     {"num_nodes": 2, "node_features": [[1], [2]]}],
+         "graph 1: graph object is missing required field 'edges'")])
+    def test_field_errors_name_the_file(self, tmp_path, capsys, command, obj, message):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(obj))
+        assert main([command, str(src), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
+    @pytest.mark.parametrize("label, problem", [
+        (1.5, "graph 3 has graph_label 1.5, not a class in [0, 2)"),
+        (5, "graph 3 has graph_label 5, not a class in [0, 2)")])
+    def test_graph_class_outside_the_classes_exits_two(self, tmp_path, capsys, label,
+                                                      problem):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]]}
+        graphs = [dict(obj, graph_label=i % 2) for i in range(10)]
+        graphs[3]["graph_label"] = label
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps(graphs))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "run" / "model.json").exists()
+
+    def test_feature_dim_of_a_later_graph_exits_two(self, tmp_path, capsys):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]]}
+        graphs = [dict(obj, graph_label=i % 2) for i in range(10)]
+        graphs[6]["node_features"] = [[1.0, 0.0], [2.0, 0.0]]
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps(graphs))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == \
+            "error: graph 6 has node/edge feature dims 2/0, the model expects 1/0\n"
 
     def test_split_fraction_outside_unit_interval_exits_two(self, tmp_path, capsys):
         good, cfg, _ = self._setup(tmp_path)

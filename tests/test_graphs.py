@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ from hopformer import (Graph, GraphError, augment, generate_erdos_renyi,
                        generate_sbm, generate_watts_strogatz, load_dataset,
                        load_graph, relabel_nodes, save_graph)
 from hopformer import graphs as graphs_module
-from hopformer.graphs import (EDGE_TOKEN, NODE_TOKEN, _json_object, _read_json,
-                              csr_from_pairs)
+from hopformer.graphs import (EDGE_TOKEN, NODE_TOKEN, _config_from_obj, _json_object,
+                              _read_json, csr_from_pairs)
 
 from helpers import (brute_clustering, random_graph, reference_augment,
                      shuffled_reversed_copy, single_edge_graph, triangle_graph)
@@ -76,6 +77,16 @@ class TestGraphInvariants:
             Graph(num_nodes=True, edges=np.zeros((0, 2)), node_features=np.ones((1, 1)))
         with pytest.raises(GraphError, match="edges must hold integers"):
             Graph(num_nodes=2, edges=np.array([[True, False]]), node_features=np.ones((2, 1)))
+
+    @pytest.mark.parametrize("edges", [np.array([[0, 1, 2], [1, 2, 0]]),
+                                       np.array([0, 1, 1, 2]), np.zeros((1, 2, 2))])
+    def test_edges_of_another_shape_refused_not_re_paired(self, edges):
+        with pytest.raises(GraphError, match=re.escape(f"got {edges.shape}")):
+            Graph(num_nodes=3, edges=edges, node_features=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("edges", [[], np.zeros(0), np.zeros((0, 2))])
+    def test_any_empty_edge_array_is_edgeless(self, edges):
+        assert Graph(num_nodes=2, edges=edges, node_features=np.ones((2, 1))).num_edges == 0
 
     def test_fractional_node_label_rejected(self):
         with pytest.raises(GraphError, match=r"node_labels must hold integers, got 0\.5 at index 1"):
@@ -254,6 +265,13 @@ class TestLoadGraph:
                                              r"\(0, 1\) at position 0"):
             load_graph(json.dumps(obj))
 
+    def test_boolean_endpoint_refused_before_reversed_pairs_merge(self, recwarn):
+        text = json.dumps({"num_nodes": 2, "edges": [[0, 1], [True, 0]],
+                           "node_features": [[1], [2]]})
+        with pytest.raises(GraphError, match="edges must hold integers, got a boolean"):
+            load_graph(text)
+        assert len(recwarn) == 0
+
     def test_parallel_edge_rejected(self):
         text = json.dumps({"num_nodes": 2, "edges": [[0, 1], [0, 1]],
                            "node_features": [[1], [2]]})
@@ -274,6 +292,14 @@ class TestLoadGraph:
     ])
     def test_boolean_integer_field_rejected(self, obj, field):
         with pytest.raises(GraphError, match=field):
+            load_graph(json.dumps(obj))
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"num_nodes": 2, "edges": [[[0], 1]], "node_features": [[1], [1]]}, "edges"),
+        ({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [1]],
+          "node_labels": [[0], 1]}, "node_labels")])
+    def test_nested_integer_field_rejected_naming_it(self, obj, field):
+        with pytest.raises(GraphError, match=f"{field} must hold integers, got nested"):
             load_graph(json.dumps(obj))
 
     def test_non_finite_feature_rejected(self):
@@ -359,6 +385,32 @@ class TestOneReader:
                                              "got list"):
             load_dataset(json.dumps([{"num_nodes": 1, "edges": [], "node_features": [1]},
                                      []]))
+
+    def test_field_errors_in_a_file_start_with_its_path(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"num_nodes": 1, "node_features": [[1]]}))
+        message = f"{path}: graph object is missing required field 'edges'"
+        for source in (path, str(path)):
+            with pytest.raises(GraphError) as info:
+                load_graph(source)
+            assert str(info.value) == message
+        path.write_text(json.dumps([{"num_nodes": 2, "edges": [[0, 1], [1, 1]],
+                                     "node_features": [[1], [2]]}]))
+        with pytest.raises(GraphError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: graph 0: edge 1 = (1, 1) is a self-loop"
+
+    def test_config_from_obj_names_unknown_and_missing_fields(self):
+        accepted = "accepted fields: learning_rate, epochs, weight_decay, batch_size, seed, " \
+                   "early_stop_patience, train_frac, val_frac, test_frac"
+        for obj, problem in [({"learning_rate": 0.1, "epochs": 1, "lr": 2},
+                              "has unknown field 'lr'"),
+                             ({"learning_rate": 0.1}, "is missing required field 'epochs'")]:
+            with pytest.raises(GraphError) as info:
+                _config_from_obj("section 'train'", obj, hopformer.TrainConfig)
+            assert str(info.value) == f"section 'train' {problem}; {accepted}"
+        cfg = _config_from_obj("t", {"learning_rate": 0.1, "epochs": 1}, hopformer.TrainConfig)
+        assert cfg == hopformer.TrainConfig(learning_rate=0.1, epochs=1)
 
     @staticmethod
     def reads(path: Path) -> list[str]:

@@ -466,6 +466,21 @@ class TestCheckpoint:
             load_model(str(path))
         assert str(info.value) == message.format(path)
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda c: c.update(foo=1), "has unknown field 'foo'"),
+        (lambda c: c.pop("hidden_dim"), "is missing required field 'hidden_dim'")])
+    def test_config_fields_checked_naming_the_checkpoint(self, tmp_path, edit, problem):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        edit(obj["config"])
+        path.write_text(json.dumps(obj))
+        accepted = ", ".join(f.name for f in fields(ModelConfig))
+        with pytest.raises(GraphError) as info:
+            load_model(str(path))
+        assert str(info.value) == (f"checkpoint {path} field 'config' {problem}; "
+                                   f"accepted fields: {accepted}")
+
     def test_params_must_be_an_object(self, tmp_path):
         path = tmp_path / "[m].json"   # read as a file, never as JSON text
         save_model(init_model(small_cfg(), d_v=1), str(path))

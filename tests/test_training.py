@@ -491,7 +491,7 @@ class TestOnePredictionPath:
             for i in idx_train:
                 out = training._predict(model, graphs, ags, masks, [i], training=True,
                                         seed=tc.seed * 100003)
-                target = training._targets(task, graphs, [i])
+                target = np.array([graphs[i].graph_label])
                 losses.append(training._loss(task, out, target).values[0, 0])
         assert history.train_loss[0] == pytest.approx(np.mean(losses), rel=1e-12)
 
@@ -557,3 +557,115 @@ class TestOnePredictionPath:
             train(model, graphs, masks, TrainConfig(learning_rate=1e-2, epochs=2))
         with pytest.raises(GraphError, match="graph 4"):
             evaluate(model, graphs, masks, np.arange(3))
+
+
+def graph_task_inputs():
+    graphs = tiny_graph_dataset(num=6)
+    cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
+                      num_heads=2, task="graph_classification", num_classes=2)
+    masks = [build_head_masks(augment(g), [1, 3]) for g in graphs]
+    return init_model(cfg, 2), graphs, masks
+
+
+def relabelled(g, label):
+    return Graph(num_nodes=g.num_nodes, edges=g.edges, node_features=g.node_features,
+                 graph_label=label)
+
+
+class TestPrepare:
+    """Each refusal of ``_prepare`` comes from ``train`` and ``evaluate`` alike,
+    names the item and runs no forward."""
+
+    @staticmethod
+    def refused_without_forward(monkeypatch, model, dataset, masks, match, error=ValueError):
+        calls = []
+        real = training.forward
+        monkeypatch.setattr(training, "forward",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        n = dataset.num_nodes if isinstance(dataset, Graph) else len(dataset)
+        with pytest.raises(error, match=match):
+            train(model, dataset, masks, TrainConfig(learning_rate=1e-2, epochs=2))
+        with pytest.raises(error, match=match):
+            evaluate(model, dataset, masks, np.arange(n))
+        assert calls == []
+
+    @pytest.mark.parametrize("label, shown", [(1.5, "1.5"), (5, "5"), (-1, "-1")])
+    def test_graph_class_outside_the_classes_refused(self, monkeypatch, label, shown):
+        model, graphs, masks = graph_task_inputs()
+        graphs[3] = relabelled(graphs[3], label)
+        self.refused_without_forward(
+            monkeypatch, model, graphs, masks,
+            rf"graph 3 has graph_label {shown}, not a class in \[0, 2\)", GraphError)
+
+    def test_node_class_outside_the_classes_refused(self, monkeypatch):
+        g = labelled_graph()
+        labels = g.node_labels.copy()
+        labels[5] = 3
+        g = Graph(num_nodes=g.num_nodes, edges=g.edges, node_features=g.node_features,
+                  node_labels=labels)
+        cfg = node_cfg()
+        masks = build_head_masks(augment(g), list(cfg.head_hops))
+        self.refused_without_forward(monkeypatch, init_model(cfg, 3), g, masks,
+                                     r"node 5 has label 3, not a class in \[0, 2\)",
+                                     GraphError)
+
+    def test_integral_float_graph_class_trains_as_that_class(self):
+        model, graphs, masks = graph_task_inputs()
+        as_float = [relabelled(g, float(g.graph_label)) for g in graphs]
+        assert evaluate(model, as_float, masks, np.arange(6)) == \
+            evaluate(model, graphs, masks, np.arange(6))
+
+    def test_regression_targets_are_not_class_checked(self):
+        graphs = regression_dataset()
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
+                          num_heads=2, task="graph_regression")
+        masks = [build_head_masks(augment(g), [1, 3]) for g in graphs]
+        assert np.isfinite(evaluate(init_model(cfg, 1), graphs, masks, np.arange(10)))
+
+    def test_node_feature_dim_of_every_graph_checked(self, monkeypatch):
+        model, graphs, masks = graph_task_inputs()
+        g = graphs[4]
+        graphs[4] = Graph(num_nodes=g.num_nodes, edges=g.edges,
+                          node_features=np.ones((g.num_nodes, 1)), graph_label=g.graph_label)
+        self.refused_without_forward(
+            monkeypatch, model, graphs, masks,
+            "graph 4 has node/edge feature dims 1/0, the model expects 2/0", GraphError)
+
+    def test_edge_feature_dim_of_every_graph_checked(self, monkeypatch):
+        model, graphs, masks = graph_task_inputs()
+        g = graphs[2]
+        graphs[2] = Graph(num_nodes=g.num_nodes, edges=g.edges, node_features=g.node_features,
+                          edge_features=np.ones((g.num_edges, 3)), graph_label=g.graph_label)
+        self.refused_without_forward(
+            monkeypatch, model, graphs, masks,
+            "graph 2 has node/edge feature dims 2/3, the model expects 2/0", GraphError)
+
+    def test_one_mask_list_per_graph(self, monkeypatch):
+        model, graphs, masks = graph_task_inputs()
+        self.refused_without_forward(monkeypatch, model, graphs, masks[:-1],
+                                     "5 head-mask lists for 6 graphs")
+
+    def test_each_mask_list_covers_its_graph(self, monkeypatch):
+        model, graphs, masks = graph_task_inputs()
+        masks[1] = masks[0]     # a path's masks (5 tokens) for a triangle (6 tokens)
+        self.refused_without_forward(monkeypatch, model, graphs, masks,
+                                     "graph 1: mask 0 covers 5 tokens, expected 6")
+
+    @pytest.mark.parametrize("split, match", [
+        ([0, 6], r"the evaluated split holds index 6, outside \[0, 6\)"),
+        ([-1, 2], r"the evaluated split holds index -1, outside \[0, 6\)"),
+        ([0.5, 2], "the evaluated split must hold integers"),
+        ([], "the evaluated split of 6 graphs is empty")])
+    def test_bad_evaluated_split_refused(self, monkeypatch, split, match):
+        model, graphs, masks = graph_task_inputs()
+        monkeypatch.setattr(training, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        with pytest.raises(ValueError, match=match):
+            evaluate(model, graphs, masks, split)
+
+    def test_evaluate_augments_only_its_split(self, monkeypatch):
+        model, graphs, masks = graph_task_inputs()
+        seen = []
+        real = training.augment
+        monkeypatch.setattr(training, "augment", lambda g: seen.append(id(g)) or real(g))
+        evaluate(model, graphs, masks, [4, 1, 4])
+        assert sorted(seen) == sorted([id(graphs[1]), id(graphs[4])])
