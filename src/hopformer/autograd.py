@@ -26,6 +26,14 @@ scores to -inf, and runs its backward as four matrix products; since
 T^2 <= nnz / DENSE_MIN_DENSITY there, its memory and work stay linear in nnz.
 Both paths give the same results up to rounding.
 
+The mask may also be a list of masks over consecutive row blocks of q, k and
+v: a batch of graphs whose token rows are stacked, each graph's tokens
+attending only within its own block.  Each block takes its own path by its
+own density and does exactly the work of a call on it alone; the call still
+records one tape entry.  Row-wise primitives need no such form, as they act
+on each row alone; :func:`dropout` draws a batch's keep mask per segment, and
+:func:`pool_segments` pools each segment's rows into one.
+
 Determinism: on the nnz path per-row sums (``reduceat``) run in ascending
 column order (CSR order) and the key and value scatters (one ``bincount`` per
 column) in stored-entry order; the dense path runs fixed BLAS products.
@@ -280,6 +288,25 @@ def mean_rows(a: Tensor) -> Tensor:
                      lambda g: a._accum(np.broadcast_to(g / n, a.values.shape).copy()))
 
 
+def pool_segments(a: Tensor, sizes, mean: bool = False) -> Tensor:
+    """One row per segment of consecutive rows of ``a``: their sum, or with
+    ``mean`` their mean.  ``sizes`` lists the segments' row counts, each at
+    least 1, summing to the row count of ``a``."""
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != a.values.shape[0]:
+        raise ShapeError(f"segment sizes {sizes.tolist()} do not split "
+                         f"{a.values.shape[0]} rows into non-empty segments")
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    pooled = np.add.reduceat(a.values, starts, axis=0)
+    if mean:
+        pooled /= sizes[:, None]
+
+    def grad_fn(g):
+        a._accum(np.repeat(g / sizes[:, None] if mean else g, sizes, axis=0))
+
+    return primitive(pooled, grad_fn)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     d = x.values.shape[1]
     if gamma.values.shape != (1, d) or beta.values.shape != (1, d):
@@ -302,14 +329,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return primitive(xhat * gv + beta.values, grad_fn)
 
 
-def dropout(x: Tensor, rate: float, seed, training_flag: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is 0."""
+def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Tensor:
+    """Inverted dropout; identity when not training or rate is 0.
+
+    With ``sizes``, the row counts of consecutive segments of ``x``, ``seed``
+    holds one seed per segment, and each segment draws its keep mask from its
+    own seed exactly as a call on that segment alone would.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training_flag or rate == 0.0:
         return x
-    rng = np.random.default_rng(seed)
-    keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
+    n, d = x.values.shape
+    if sizes is None:
+        draw = np.random.default_rng(seed).random((n, d))
+    else:
+        if sum(sizes) != n or len(seed) != len(sizes):
+            raise ShapeError(f"{len(seed)} seeds and segment sizes summing to {sum(sizes)} "
+                             f"for {n} rows")
+        draw = np.concatenate([np.random.default_rng(s).random((r, d))
+                               for s, r in zip(seed, sizes)])
+    keep = (draw >= rate) / (1.0 - rate)
     return primitive(x.values * keep, lambda g: x._accum(g * keep))
 
 
@@ -430,7 +470,22 @@ def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
     return applied @ vv, grads
 
 
-def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: HopMask, *,
+def _attend(qv, kv, vv, mask: HopMask, dropout_rate: float, dropout_seed, training: bool):
+    """One mask's attention on the path its density picks; returns (out, grads)."""
+    t, d_h = qv.shape
+    dropmult = None
+    if training and dropout_rate > 0.0:
+        rng = np.random.default_rng(dropout_seed)
+        dropmult = (rng.random(mask.nnz) >= dropout_rate) / (1.0 - dropout_rate)
+    dense = mask.nnz >= DENSE_MIN_DENSITY * t * t
+    for meter in _meters():
+        meter.attention_flops += attention_flops(mask.nnz, d_h)
+        meter.executed_flops += attention_flops(t * t if dense else mask.nnz, d_h)
+    return (_dense_path if dense else _sparse_path)(qv, kv, vv, mask, dropmult)
+
+
+def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
+                            mask: HopMask | list[HopMask], *,
                             dropout_rate: float = 0.0, dropout_seed=None,
                             training: bool = False) -> Tensor:
     """Scaled dot-product attention restricted to the mask support.
@@ -444,23 +499,35 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: HopMask, *,
     entries.  ``dropout_rate`` drops individual attention weights (inverted
     scaling) when training, drawing one number per stored entry in CSR order,
     so a seed keeps the same weights on either path.
+
+    ``mask`` may also be a list of masks whose sizes sum to the row count:
+    block b covers the next ``mask[b].size`` rows of q, k and v and attends
+    only within them, exactly as a call on those rows alone with
+    ``dropout_seed[b]`` would.
     """
     if q.values.shape != k.values.shape or q.values.shape != v.values.shape:
         raise ShapeError(
             f"q/k/v shapes differ: {q.values.shape}, {k.values.shape}, {v.values.shape}")
-    t, d_h = q.values.shape
-    if mask.size != t:
-        raise ShapeError(f"mask is for {mask.size} tokens, inputs have {t} rows")
-    dropmult = None
-    if training and dropout_rate > 0.0:
-        rng = np.random.default_rng(dropout_seed)
-        dropmult = (rng.random(mask.nnz) >= dropout_rate) / (1.0 - dropout_rate)
-    dense = mask.nnz >= DENSE_MIN_DENSITY * t * t
-    path = _dense_path if dense else _sparse_path
-    out, grads = path(q.values, k.values, v.values, mask, dropmult)
-    for meter in _meters():
-        meter.attention_flops += attention_flops(mask.nnz, d_h)
-        meter.executed_flops += attention_flops(t * t if dense else mask.nnz, d_h)
+    blocks, seeds = ([mask], [dropout_seed]) if not isinstance(mask, list) else (
+        mask, [None] * len(mask) if dropout_seed is None else dropout_seed)
+    t = q.values.shape[0]
+    if sum(b.size for b in blocks) != t:
+        raise ShapeError(f"mask is for {sum(b.size for b in blocks)} tokens, "
+                         f"inputs have {t} rows")
+    if len(blocks) == 1:
+        out, grads = _attend(q.values, k.values, v.values, blocks[0], dropout_rate,
+                             seeds[0], training)
+    else:
+        ends = np.cumsum([b.size for b in blocks]).tolist()
+        rows = [slice(hi - b.size, hi) for b, hi in zip(blocks, ends)]
+        outs, block_grads = zip(*[
+            _attend(q.values[r], k.values[r], v.values[r], b, dropout_rate, s, training)
+            for r, b, s in zip(rows, blocks, seeds)])
+        out = np.concatenate(outs)
+
+        def grads(g):
+            per_block = [bg(g[r]) for r, bg in zip(rows, block_grads)]
+            return tuple(np.concatenate(d) for d in zip(*per_block))
 
     def grad_fn(g):
         dq, dk, dv = grads(g)

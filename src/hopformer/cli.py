@@ -33,7 +33,7 @@ from .graphs import (GraphError, _config_from_obj, _json_object, _read_json, _wr
                      load_dataset, load_graph)
 from .masks import build_head_masks, mask_stats, write_mask_dump
 from .model import ModelConfig, init_model, save_model
-from .training import TrainConfig, TrainingAbort, prepare_graph, train
+from .training import TrainConfig, TrainingAbort, train
 
 DEFAULT_HOP_MENU = "1,3,6,12,24,48"
 DEFAULT_HOP_CONFIGS = "3,6,12,24;3,3,6,12;3,3,3,6;3,3,3,3"
@@ -134,17 +134,17 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         model_cfg = replace(model_cfg, seed=args.seed)
         train_cfg = replace(train_cfg, seed=args.seed)
-    os.makedirs(args.output, exist_ok=True)
 
     graphs = _read_dataset(args.input)
     node_task = model_cfg.task == "node_classification"
     if node_task and len(graphs) != 1:
         raise ValueError("node classification expects a single-graph input file")
-    masks = [prepare_graph(g, model_cfg.head_hops)[1] for g in graphs]
     model = init_model(model_cfg, graphs[0].node_feature_dim, graphs[0].edge_feature_dim)
-    model, history = train(model, graphs[0] if node_task else graphs,
-                           masks[0] if node_task else masks, train_cfg)
+    # train augments each graph once and builds its head masks from the config
+    model, history = train(model, graphs[0] if node_task else graphs, None, train_cfg)
 
+    # made only now, so a refused run leaves no output directory behind
+    os.makedirs(args.output, exist_ok=True)
     checkpoint = os.path.join(args.output, "model.json")
     history_csv = os.path.join(args.output, "history.csv")
     manifest_path = os.path.join(args.output, "manifest.json")

@@ -98,7 +98,9 @@ class HopMask:
         """
         if self._dense_support is None:
             support = np.zeros((self.size, self.size), dtype=bool)
-            support[self.row_indices, self.indices] = True
+            # row ids made here and dropped: a mask on the dense path needs no
+            # nnz-long ``row_indices`` cache (about 2 MB over the er_graph masks)
+            support[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = True
             object.__setattr__(self, "_dense_support", _frozen(support))
         return self._dense_support
 

@@ -176,25 +176,51 @@ def named_parameters(m: Model) -> dict[str, Tensor]:
     return out
 
 
-def embed_tokens(m: Model, g: Graph, ag: AugmentedGraph) -> Tensor:
+def embed_tokens(m: Model, g: Graph | list[Graph],
+                 ag: AugmentedGraph | list[AugmentedGraph]) -> Tensor:
     """Project node features (rows 0..N-1) and edge features (rows N..T-1)
-    into the shared token space; featureless edge tokens come out as zeros."""
-    if g.node_feature_dim != m.d_v:
-        raise ShapeError(
-            f"graph node features have dim {g.node_feature_dim}, model expects {m.d_v}")
-    node_part = ops.matmul(Tensor(g.node_features), m.proj_node)
-    if ag.num_edge_tokens == 0:
+    into the shared token space; featureless edge tokens come out as zeros.
+
+    ``g`` and ``ag`` may also be parallel lists over a batch of graphs: each
+    graph's T rows, nodes then edges, follow the previous graph's.
+    """
+    graphs, ags = (g, ag) if isinstance(g, list) else ([g], [ag])
+    for x in graphs:
+        if x.node_feature_dim != m.d_v:
+            raise ShapeError(
+                f"graph node features have dim {x.node_feature_dim}, model expects {m.d_v}")
+        if x.num_edges and m.proj_edge is not None:
+            if x.edge_features is None:
+                raise ShapeError(f"model expects edge features of dim {m.d_e}, graph has none")
+            if x.edge_feature_dim != m.d_e:
+                raise ShapeError(f"graph edge features have dim {x.edge_feature_dim}, "
+                                 f"model expects {m.d_e}")
+
+    def stacked(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    node_part = ops.matmul(Tensor(stacked([x.node_features for x in graphs])), m.proj_node)
+    num_edges = [a.num_edge_tokens for a in ags]
+    if sum(num_edges) == 0:
         return node_part
     if m.proj_edge is not None:
-        if g.edge_features is None:
-            raise ShapeError(f"model expects edge features of dim {m.d_e}, graph has none")
-        if g.edge_feature_dim != m.d_e:
-            raise ShapeError(
-                f"graph edge features have dim {g.edge_feature_dim}, model expects {m.d_e}")
-        edge_part = ops.matmul(Tensor(g.edge_features), m.proj_edge)
+        edge_part = ops.matmul(Tensor(stacked([x.edge_features for x in graphs
+                                               if x.num_edges])), m.proj_edge)
     else:
-        edge_part = Tensor(np.zeros((ag.num_edge_tokens, m.cfg.hidden_dim)))
-    return ops.concat_rows([node_part, edge_part])
+        edge_part = Tensor(np.zeros((sum(num_edges), m.cfg.hidden_dim)))
+    tokens = ops.concat_rows([node_part, edge_part])
+    if len(graphs) == 1:
+        return tokens
+    # row r of graph b sits at node_at[b] + r among the node rows of
+    # ``tokens``, or, for an edge token, at edge_at[b] + r - N_b
+    num_nodes = np.array([x.num_nodes for x in graphs])
+    sizes = num_nodes + num_edges
+    graph = np.repeat(np.arange(len(graphs)), sizes)
+    r = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    node_at = np.cumsum(num_nodes) - num_nodes
+    edge_at = num_nodes.sum() + np.cumsum(num_edges) - num_edges - num_nodes
+    return ops.take_rows(tokens, np.where(r < num_nodes[graph], node_at[graph],
+                                          edge_at[graph]) + r)
 
 
 def _ffn(z: Tensor, lp: LayerParams) -> Tensor:
@@ -202,68 +228,122 @@ def _ffn(z: Tensor, lp: LayerParams) -> Tensor:
     return ops.add(ops.matmul(hidden, lp.ffn_w2), lp.ffn_b2)
 
 
-def encoder_layer(z: Tensor, masks: list[HopMask], lp: LayerParams, cfg: ModelConfig, *,
-                  training: bool = False, seed=None,
+def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: LayerParams,
+                  cfg: ModelConfig, *, training: bool = False, seed=None,
                   return_heads: bool = False):
     """One encoder layer: masked MHSA with residual, then FFN with residual.
 
-    With ``return_heads`` the per-head attention outputs (concatenated, before
-    the output projection) are returned alongside the layer output.
+    ``masks`` holds one HopMask per head.  For a batch of graphs whose token
+    rows are stacked in ``z``, each head's entry is instead the list of the
+    graphs' masks in row order, and ``seed`` the list of the graphs' seeds:
+    every graph's rows then come out as a layer on that graph alone with its
+    seed gives them.  With ``return_heads`` the per-head attention outputs
+    (concatenated, before the output projection) are returned alongside the
+    layer output.
     """
     if len(masks) != cfg.num_heads:
         raise ShapeError(f"got {len(masks)} masks for {cfg.num_heads} heads")
-    seed = [0] if seed is None else list(seed)   # keep dropout deterministic
+    sizes = [mk.size for mk in masks[0]] if isinstance(masks[0], list) else None
+    if seed is None:   # keep dropout deterministic
+        seed = [0] if sizes is None else [[0]] * len(sizes)
+    seed = list(seed) if sizes is None else [list(s) for s in seed]
+
+    def site(tag):
+        """The dropout seed of one site: one per graph of a batch."""
+        return seed + [tag] if sizes is None else [s + [tag] for s in seed]
+
     attn_in = ops.layer_norm(z, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "pre" else z
     nh = cfg.num_heads
     qkv = ops.split_cols(ops.matmul(attn_in, lp.wqkv), 3 * nh)
     concat = ops.concat_cols([ops.sparse_masked_attention(
         qkv[h], qkv[nh + h], qkv[2 * nh + h], masks[h], dropout_rate=cfg.attention_dropout,
-        dropout_seed=seed + [h], training=training) for h in range(nh)])
+        dropout_seed=site(h), training=training) for h in range(nh)])
     attn = ops.matmul(concat, lp.wo)
-    attn = ops.dropout(attn, cfg.dropout, seed + [101], training)
+    attn = ops.dropout(attn, cfg.dropout, site(101), training, sizes)
     res1 = ops.add(z, attn)
     t1 = ops.layer_norm(res1, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "post" else res1
     ffn_in = ops.layer_norm(t1, lp.ln2_gamma, lp.ln2_beta) if cfg.norm == "pre" else t1
-    ffn = ops.dropout(_ffn(ffn_in, lp), cfg.dropout, seed + [102], training)
+    ffn = ops.dropout(_ffn(ffn_in, lp), cfg.dropout, site(102), training, sizes)
     res2 = ops.add(t1, ffn)
     out = ops.layer_norm(res2, lp.ln2_gamma, lp.ln2_beta) if cfg.norm == "post" else res2
     return (out, concat) if return_heads else out
 
 
-def _check_masks(m: Model, masks: list[HopMask], total_tokens: int) -> None:
+def _check_masks(m: Model, masks: list[HopMask] | list[list[HopMask]], total_tokens: int) -> None:
+    """One mask per head, each with its head's budget and ``total_tokens``
+    rows; a batch's per-head mask lists must also agree on the graph sizes."""
     if len(masks) != m.cfg.num_heads:
         raise ShapeError(f"got {len(masks)} masks for {m.cfg.num_heads} heads")
+    sizes = None
     for h, (mask, budget) in enumerate(zip(masks, m.cfg.head_hops)):
-        if mask.size != total_tokens:
-            raise ShapeError(f"mask {h} covers {mask.size} tokens, expected {total_tokens}")
-        if mask.hop_budget != budget:
-            raise ShapeError(
-                f"mask {h} has hop budget {mask.hop_budget}, config says {budget}")
+        blocks = mask if isinstance(mask, list) else [mask]
+        if sum(b.size for b in blocks) != total_tokens:
+            raise ShapeError(f"mask {h} covers {sum(b.size for b in blocks)} tokens, "
+                             f"expected {total_tokens}")
+        if sizes is None:
+            sizes = [b.size for b in blocks]
+        elif [b.size for b in blocks] != sizes:
+            raise ShapeError(f"mask {h} covers graphs of {[b.size for b in blocks]} tokens, "
+                             f"mask 0 graphs of {sizes}")
+        for b in blocks:
+            if b.hop_budget != budget:
+                raise ShapeError(
+                    f"mask {h} has hop budget {b.hop_budget}, config says {budget}")
 
 
-def encode(m: Model, z: Tensor, masks: list[HopMask], *, training: bool = False,
-           rng_seed=None) -> Tensor:
-    """Run the layer stack on given token embeddings."""
+def encode(m: Model, z: Tensor, masks: list[HopMask] | list[list[HopMask]], *,
+           training: bool = False, rng_seed=None) -> Tensor:
+    """Run the layer stack on given token embeddings.  For a batch (see
+    ``encoder_layer``), ``rng_seed`` holds one seed per graph."""
     _check_masks(m, masks, z.values.shape[0])
+    batch = isinstance(masks[0], list)
+    if batch and rng_seed is None:
+        rng_seed = [0] * len(masks[0])
     for l, lp in enumerate(m.layers):
-        seed = [0 if rng_seed is None else int(rng_seed), l]
+        seed = ([[int(s), l] for s in rng_seed] if batch else
+                [0 if rng_seed is None else int(rng_seed), l])
         z = encoder_layer(z, masks, lp, m.cfg, training=training, seed=seed)
     return z
 
 
-def forward(m: Model, g: Graph, ag: AugmentedGraph, masks: list[HopMask], *,
-            training: bool = False, rng_seed=None) -> Tensor:
-    """Embed and encode; returns the T x d token representations."""
-    return encode(m, embed_tokens(m, g, ag), masks, training=training, rng_seed=rng_seed)
+def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[AugmentedGraph],
+            masks: list[HopMask] | list[list[HopMask]], *, training: bool = False,
+            rng_seed=None, graph_ids=None) -> Tensor:
+    """Embed and encode; returns the T x d token representations.
+
+    ``g``, ``ag`` and ``masks`` may also be parallel lists over a batch of
+    graphs (``masks`` then holds each graph's head-mask list).  The result
+    stacks each graph's T rows in batch order, and every graph attends only
+    within its own rows.  Graph b draws its dropout from ``rng_seed +
+    graph_ids[b]`` (``graph_ids`` defaults to the batch positions), so its
+    rows equal those of a forward on it alone with that seed, up to rounding.
+    """
+    if not isinstance(g, list):
+        return encode(m, embed_tokens(m, g, ag), masks, training=training, rng_seed=rng_seed)
+    ids = range(len(g)) if graph_ids is None else graph_ids
+    if not len(g) == len(ag) == len(masks) == len(ids):
+        raise ShapeError(f"a batch of {len(g)} graphs got {len(ag)} augmented graphs, "
+                         f"{len(masks)} head-mask lists and {len(ids)} graph ids")
+    for b, (gm, a) in enumerate(zip(masks, ag)):
+        try:
+            _check_masks(m, gm, a.total_tokens)
+        except ShapeError as e:
+            raise ShapeError(f"batch graph {b}: {e}") from e
+    seeds = None if rng_seed is None else [int(rng_seed) + int(i) for i in ids]
+    return encode(m, embed_tokens(m, g, ag), [list(hm) for hm in zip(*masks)],
+                  training=training, rng_seed=seeds)
 
 
-def readout(h: Tensor, mode: str) -> Tensor:
-    """Permutation-invariant pooling over ALL token rows (node and edge)."""
-    if mode == "mean":
-        return ops.mean_rows(h)
-    if mode == "sum":
-        return ops.sum_rows(h)
-    raise ValueError(f"readout must be one of {READOUTS}, got {mode!r}")
+def readout(h: Tensor, mode: str, sizes=None) -> Tensor:
+    """Permutation-invariant pooling over ALL token rows (node and edge).
+
+    For a batch, ``sizes`` lists each graph's row count, and the result holds
+    one pooled row per graph.
+    """
+    if mode not in READOUTS:
+        raise ValueError(f"readout must be one of {READOUTS}, got {mode!r}")
+    return ops.pool_segments(h, [h.values.shape[0]] if sizes is None else sizes,
+                             mean=mode == "mean")
 
 
 def predict_node(m: Model, h: Tensor, num_nodes: int) -> Tensor:
@@ -275,7 +355,7 @@ def predict_node(m: Model, h: Tensor, num_nodes: int) -> Tensor:
 
 
 def predict_graph(m: Model, h_graph: Tensor) -> Tensor:
-    """Apply the graph head to a pooled 1 x d representation."""
+    """Apply the graph head to pooled representations, one row per graph."""
     if m.cfg.task == "node_classification":
         raise ValueError("predict_graph needs a graph-level model")
     return ops.add(ops.matmul(h_graph, m.head_w), m.head_b)

@@ -1,11 +1,12 @@
 """Losses, Adam with decoupled weight decay, splits, and train/eval loops.
 
 Node and graph tasks share one prediction path, which returns one output row
-per item: a node of the one graph, or a graph of a dataset.  Training
-augments every graph once; each epoch steps over its batches and scores
-validation and test from one prediction pass.  The checkpoint returned is the
-one at the best validation metric.  A non-finite loss aborts with epoch/step
-context rather than being clamped.
+per item: a node of the one graph, or a graph of a dataset.  A node task runs
+one forward over its graph; a graph task runs one forward per batch of
+graphs, their token rows stacked.  Training augments every graph once; each
+epoch steps over its batches and scores validation and test.  The checkpoint
+returned is the one at the best validation metric.  A non-finite loss aborts
+with epoch/step context rather than being clamped.
 """
 
 from __future__ import annotations
@@ -184,22 +185,26 @@ def evaluate(model: Model, dataset, masks, split) -> float:
 
     The split is treated as a set: indices are sorted internally so shuffled
     splits produce bit-identical aggregates.  The inputs are checked as by
-    ``train``, before any forward; only the split's graphs are augmented.
+    ``train``, before any forward; only the split's graphs are augmented (and,
+    with ``masks=None``, given head masks).
     """
-    ags, targets, splits = _prepare(model, dataset, masks, {"evaluated": split})
+    ags, masks, targets, splits = _prepare(model, dataset, masks, {"evaluated": split})
     return _scores(model, dataset, ags, masks, targets, splits)[0]
 
 
 def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
     """Check a run's inputs (see ``train``) and return the augmented graph,
-    or the augmented graphs of ``splits`` by index; every item's target; and
-    the values of ``splits`` (a name -> indices dict), each sorted."""
+    or the augmented graphs of ``splits`` by index; the head masks, built
+    from ``model.cfg.head_hops`` for those graphs when ``masks`` is None;
+    every item's target; and the values of ``splits`` (a name -> indices
+    dict), each sorted."""
     cfg = model.cfg
     node_task = cfg.task == "node_classification"
     if node_task != isinstance(dataset, Graph):
         raise ValueError("node classification trains on a single Graph" if node_task
                          else "graph-level tasks train on a list of Graphs")
-    graphs, mask_lists = ([dataset], [masks]) if node_task else (dataset, masks)
+    graphs = [dataset] if node_task else dataset
+    mask_lists = [None] * len(graphs) if masks is None else [masks] if node_task else masks
     if len(mask_lists) != len(graphs):
         raise ValueError(f"{len(mask_lists)} head-mask lists for {len(graphs)} graphs")
     for i, (g, gm) in enumerate(zip(graphs, mask_lists)):
@@ -211,6 +216,8 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
         if g.node_feature_dim != model.d_v or g.num_edges and g.edge_feature_dim != model.d_e:
             raise GraphError(f"{name} has node/edge feature dims {g.node_feature_dim}/"
                              f"{g.edge_feature_dim}, the model expects {model.d_v}/{model.d_e}")
+        if gm is None:
+            continue
         try:
             _check_masks(model, gm, g.num_nodes + g.num_edges)
         except ShapeError as e:
@@ -236,27 +243,34 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
             raise ValueError(f"the {split} split holds index "
                              f"{idx[0] if idx[0] < 0 else idx[-1]}, outside [0, {n})")
         sorted_splits.append(idx)
-    ags = augment(dataset) if node_task else {
-        i: augment(dataset[i]) for i in np.unique(np.concatenate(sorted_splits)).tolist()}
-    return ags, targets, sorted_splits
+    if node_task:
+        ags = augment(dataset)
+        if masks is None:
+            masks = build_head_masks(ags, list(cfg.head_hops))
+    else:
+        ags = {i: augment(dataset[i])
+               for i in np.unique(np.concatenate(sorted_splits)).tolist()}
+        if masks is None:
+            masks = {i: build_head_masks(ag, list(cfg.head_hops)) for i, ag in ags.items()}
+    return ags, masks, targets, sorted_splits
 
 
 def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False,
              seed: int | None = None) -> Tensor:
     """One output row per item, in item order: the items' logit rows from one
-    forward over the graph (node task), or one forward, readout and graph
-    head per item graph, graph ``i`` drawing its dropout from ``seed + i``
-    (graph task; ``ags`` and ``masks`` are indexed by graph)."""
+    forward over the graph (node task), or from one forward over the item
+    graphs stacked, one readout row per graph and one graph head matmul,
+    graph ``i`` drawing its dropout from ``seed + i`` (graph task; ``ags``
+    and ``masks`` are indexed by graph)."""
     if model.cfg.task == "node_classification":
         h = forward(model, dataset, ags, masks, training=training, rng_seed=seed)
         return ops.take_rows(predict_node(model, h, dataset.num_nodes), items)
-    outs = []
-    for i in items:
-        i = int(i)
-        h = forward(model, dataset[i], ags[i], masks[i], training=training,
-                    rng_seed=None if seed is None else seed + i)
-        outs.append(predict_graph(model, readout(h, model.cfg.readout)))
-    return ops.concat_rows(outs)
+    items = [int(i) for i in items]
+    batch = [ags[i] for i in items]
+    h = forward(model, [dataset[i] for i in items], batch, [masks[i] for i in items],
+                training=training, rng_seed=seed, graph_ids=items)
+    return predict_graph(model, readout(h, model.cfg.readout,
+                                        [ag.total_tokens for ag in batch]))
 
 
 def _loss(task: str, out: Tensor, targets: np.ndarray) -> Tensor:
@@ -270,11 +284,22 @@ def _score(task: str, out: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _scores(model: Model, dataset, ags, masks, targets, splits) -> list[float]:
-    """Score each split, as ``_prepare`` returns it, from one prediction pass."""
+    """Score each split, as ``_prepare`` returns it.
+
+    A node task scores every split from one forward over its graph.  A graph
+    task runs one forward per split: a graph's logits depend in their last
+    bits on the other graphs of its batch (BLAS may round a row of a matrix
+    product differently when the product has more rows), and ``evaluate`` on
+    a split must reproduce the score ``train`` recorded for it exactly.
+    """
+    task = model.cfg.task
     with scratch_tape():
-        out = _predict(model, dataset, ags, masks, np.concatenate(splits)).values
-    cuts = np.cumsum([s.size for s in splits[:-1]])
-    return [_score(model.cfg.task, o, targets[s]) for o, s in zip(np.split(out, cuts), splits)]
+        if task == "node_classification":
+            out = _predict(model, dataset, ags, masks, np.concatenate(splits)).values
+            outs = np.split(out, np.cumsum([s.size for s in splits[:-1]]))
+        else:
+            outs = [_predict(model, dataset, ags, masks, s).values for s in splits]
+    return [_score(task, o, targets[s]) for o, s in zip(outs, splits)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +311,18 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
 
     Node tasks: ``dataset`` is one labelled Graph and ``masks`` its head
     masks.  Graph tasks: ``dataset`` is a list of Graphs and ``masks`` a
-    parallel list of per-graph head-mask lists.  Refused before any forward,
-    naming the item: a dataset of the wrong kind; a graph without nodes or
-    without the task's label; a class label that is not an integer in [0,
-    num_classes); feature dims other than the model's ``d_v``/``d_e``; head
-    masks that do not fit their graph; an empty split.
+    parallel list of per-graph head-mask lists.  With ``masks=None`` each
+    graph's head masks are built from ``model.cfg.head_hops``.  Refused before
+    any forward, naming the item: a dataset of the wrong kind; a graph without
+    nodes or without the task's label; a class label that is not an integer in
+    [0, num_classes); feature dims other than the model's ``d_v``/``d_e``;
+    head masks that do not fit their graph; an empty split.
     """
     task = model.cfg.task
     node_task = task == "node_classification"
     idx_train, idx_val, idx_test = split_indices(
         dataset.num_nodes if isinstance(dataset, Graph) else len(dataset), cfg)
-    ags, targets, (_, *scored) = _prepare(model, dataset, masks, {
+    ags, masks, targets, (_, *scored) = _prepare(model, dataset, masks, {
         "train": idx_train, "val": idx_val, "test": idx_test})
     params = named_parameters(model)
     state = init_adam_state(params)

@@ -60,3 +60,26 @@ def test_no_traced_primitive_runs_inside_another(tracing):
               if s.parent is not None and spans[s.parent].name in tracing.PRIMITIVES]
     assert nested == []
     assert getattr(ops.matmul, "__wrapped__", None) is None   # tracer uninstalled
+
+
+def test_traced_graph_task_train_runs_one_forward_per_batch(tracing):
+    # model.forward_useful_ratio divides by the model.forward spans inside
+    # train(), so a graph task must keep going through model.forward
+    rng = np.random.default_rng(3)
+    graphs = [hf.Graph(num_nodes=n, edges=hf.generate_erdos_renyi(n, 0.5, seed=n).edges,
+                       node_features=rng.standard_normal((n, 2)), graph_label=n % 2)
+              for n in range(2, 12)]
+    cfg = hf.ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=2, ffn_dim=8,
+                         num_heads=2, dropout=0.1, task="graph_classification",
+                         num_classes=2)
+    tc = hf.TrainConfig(learning_rate=1e-2, epochs=2, batch_size=3)
+    tracer = tracing.Tracer()
+    with tracer.installed("unit"):
+        hf.train(hf.init_model(cfg, 2), graphs, None, tc)
+    spans = tracer.spans
+    forwards = [s for s in spans if s.name == "model.forward"]
+    n_train = hf.split_indices(len(graphs), tc)[0].size
+    assert len(forwards) == tc.epochs * (-(-n_train // tc.batch_size) + 2)
+    nested = [s.name for s in spans if s.name in tracing.PRIMITIVES
+              and s.parent is not None and spans[s.parent].name in tracing.PRIMITIVES]
+    assert nested == []

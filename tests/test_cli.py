@@ -389,6 +389,38 @@ class TestTrain:
         assert "graph 1 has no nodes" in capsys.readouterr().err
         assert not (outdir / "model.json").exists()
 
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, capsys):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]]}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([dict(obj, graph_label=i % 2) for i in range(4)]
+                                  + [dict(obj, graph_label=5)]))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "fresh_out"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        assert "graph 4 has graph_label 5" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_each_graph_is_augmented_once(self, tmp_path, monkeypatch):
+        from hopformer import graphs as graphs_module, training
+        obj = {"num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_features": [[1.0]] * 3}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([dict(obj, graph_label=i % 2) for i in range(6)]))
+        cfg = run_config(epochs=1)
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        calls = []
+        real = graphs_module.augment
+        for module in (graphs_module, training, sys.modules["hopformer.cli"]):
+            monkeypatch.setattr(module, "augment", lambda g: calls.append(g) or real(g))
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(tmp_path / "run")]) == 0
+        assert len(calls) == 6
+
     def test_empty_dataset_exits_two(self, tmp_path, capsys):
         src = tmp_path / "empty.json"
         src.write_text("[]")

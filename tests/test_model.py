@@ -11,7 +11,9 @@ from hopformer import (ModelConfig, Tensor, augment, build_head_masks,
                        named_parameters, predict_graph, predict_node, readout,
                        relabel_nodes, save_model)
 from hopformer import autograd as ops
+from hopformer import training
 from hopformer.graphs import Graph, GraphError
+from hopformer.autograd import ShapeError
 from hopformer.model import CHECKPOINT_MAGIC, LayerParams
 
 from helpers import (augmented_distances, dense_vanilla_encoder, path3_graph,
@@ -390,6 +392,179 @@ class TestPredictHeads:
         m2 = init_model(small_cfg(task="graph_classification"), d_v=1)
         with pytest.raises(ValueError):
             predict_node(m2, Tensor(np.ones((5, 8))), 3)
+
+
+def batch_graphs(rng, d_e=0, labels=None):
+    """Graphs for a batch: random ones, an edgeless one, a single node, and a
+    path whose hop-1 mask is sparse enough for the nnz attention path."""
+    graphs = [random_graph(rng, max_nodes=7, feature_dim=3) for _ in range(5)]
+    graphs.insert(2, Graph(num_nodes=4, edges=np.zeros((0, 2), dtype=int),
+                           node_features=rng.standard_normal((4, 3))))
+    graphs.append(Graph(num_nodes=1, edges=np.zeros((0, 2), dtype=int),
+                        node_features=rng.standard_normal((1, 3))))
+    graphs.append(Graph(num_nodes=12, edges=np.column_stack([np.arange(11), np.arange(1, 12)]),
+                        node_features=rng.standard_normal((12, 3))))
+    out = []
+    for i, g in enumerate(graphs):
+        out.append(Graph(num_nodes=g.num_nodes, edges=g.edges, node_features=g.node_features,
+                         edge_features=rng.standard_normal((g.num_edges, d_e)) if d_e else None,
+                         node_labels=rng.integers(0, 2, g.num_nodes),
+                         graph_label=None if labels is None else labels(i)))
+    return out
+
+
+BATCH_CASES = [
+    # task, norm, readout, edge feature dim
+    ("node_classification", "post", "mean", 0),
+    ("graph_classification", "post", "mean", 0),
+    ("graph_classification", "pre", "sum", 2),
+    ("graph_regression", "post", "sum", 0),
+    ("graph_regression", "pre", "mean", 2),
+]
+
+
+class TestGraphBatch:
+    """A batch's stacked forward against a forward per graph."""
+
+    def setup_case(self, task, norm, mode, d_e, **over):
+        cfg = small_cfg(task=task, norm=norm, readout=mode, head_hops=(1, 4),
+                        num_classes=None if task == "graph_regression" else 2, **over)
+        rng = np.random.default_rng(17)
+        graphs = batch_graphs(rng, d_e, labels=lambda i: i % 2)
+        ags = [augment(g) for g in graphs]
+        masks = [build_head_masks(a, list(cfg.head_hops)) for a in ags]
+        return init_model(cfg, 3, d_e), graphs, ags, masks
+
+    def per_graph(self, m, g, ag, masks, **kw):
+        h = forward(m, g, ag, masks, **kw)
+        if m.cfg.task == "node_classification":
+            return predict_node(m, h, g.num_nodes).values
+        return predict_graph(m, readout(h, m.cfg.readout)).values
+
+    def test_the_batch_covers_both_attention_paths(self):
+        _, _, ags, masks = self.setup_case(*BATCH_CASES[1])
+        density = [mk.nnz / mk.size ** 2 for gm in masks for mk in gm]
+        assert min(density) < ops.DENSE_MIN_DENSITY <= max(density)
+
+    @pytest.mark.parametrize("task,norm,mode,d_e", BATCH_CASES)
+    def test_each_graph_matches_its_own_forward(self, task, norm, mode, d_e):
+        m, graphs, ags, masks = self.setup_case(task, norm, mode, d_e)
+        with ops.scratch_tape():
+            h = forward(m, graphs, ags, masks)
+            rows = np.cumsum([0] + [a.total_tokens for a in ags])
+            for b, (g, a, gm) in enumerate(zip(graphs, ags, masks)):
+                alone = forward(m, g, a, gm).values
+                assert np.abs(h.values[rows[b]:rows[b + 1]] - alone).max() <= 1e-12
+                if task == "node_classification":
+                    got = predict_node(m, Tensor(h.values[rows[b]:rows[b + 1]]),
+                                       g.num_nodes).values
+                    assert np.abs(got - self.per_graph(m, g, a, gm)).max() <= 1e-12
+            if task != "node_classification":
+                items = np.arange(len(graphs))[::-1]
+                batched = training._predict(m, graphs, ags, masks, items).values
+                for row, i in zip(batched, items):
+                    want = self.per_graph(m, graphs[i], ags[i], masks[i])
+                    assert np.abs(row - want[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("task,norm,mode,d_e", BATCH_CASES)
+    def test_dropout_draws_each_graph_from_its_own_seed(self, task, norm, mode, d_e):
+        m, graphs, ags, masks = self.setup_case(task, norm, mode, d_e, dropout=0.3,
+                                                attention_dropout=0.3)
+        ids = [7, 3, 11, 0, 5, 2, 9, 4]
+        with ops.scratch_tape():
+            h = forward(m, graphs, ags, masks, training=True, rng_seed=40, graph_ids=ids)
+            rows = np.cumsum([0] + [a.total_tokens for a in ags])
+            differs = False
+            for b, (g, a, gm) in enumerate(zip(graphs, ags, masks)):
+                alone = forward(m, g, a, gm, training=True, rng_seed=40 + ids[b]).values
+                assert np.abs(h.values[rows[b]:rows[b + 1]] - alone).max() <= 1e-12
+                plain = forward(m, g, a, gm).values
+                differs |= not np.allclose(alone, plain)
+            assert differs   # dropout acted
+            if task != "node_classification":
+                seed = 123
+                items = [5, 0, 7, 3]
+                batched = training._predict(m, graphs, ags, masks, items, training=True,
+                                            seed=seed).values
+                for row, i in zip(batched, items):
+                    want = self.per_graph(m, graphs[i], ags[i], masks[i], training=True,
+                                          rng_seed=seed + i)
+                    assert np.abs(row - want[0]).max() <= 1e-12
+
+    def test_gradients_match_the_sum_of_per_graph_gradients(self):
+        m, graphs, ags, masks = self.setup_case("graph_classification", "pre", "sum", 2,
+                                                dropout=0.2, attention_dropout=0.2)
+        params = named_parameters(m)
+
+        def grads(run):
+            for p in params.values():
+                p.grad = None
+            ops.backward(run())
+            return {k: np.zeros_like(p.values) if p.grad is None else p.grad
+                    for k, p in params.items()}
+
+        items = list(range(len(graphs)))
+        labels = np.array([g.graph_label for g in graphs])
+        batched = grads(lambda: training._loss(
+            "graph_classification",
+            training._predict(m, graphs, ags, masks, items, training=True, seed=5), labels))
+        summed = {}
+        for i in items:
+            gi = grads(lambda: training._loss(
+                "graph_classification",
+                training._predict(m, graphs, ags, masks, [i], training=True, seed=5),
+                labels[[i]]))
+            for k, v in gi.items():
+                summed[k] = summed.get(k, 0.0) + v / len(items)
+        for k in params:
+            assert np.abs(batched[k] - summed[k]).max() <= 1e-12, k
+
+    def test_attention_flops_of_a_batch_are_the_sum_over_its_graphs(self):
+        m, graphs, ags, masks = self.setup_case(*BATCH_CASES[2])
+        with ops.scratch_tape():
+            with ops.count_attention_flops() as batch:
+                forward(m, graphs, ags, masks)
+            with ops.count_attention_flops() as alone:
+                for g, a, gm in zip(graphs, ags, masks):
+                    forward(m, g, a, gm)
+        assert batch.attention_flops == alone.attention_flops > 0
+        assert batch.executed_flops == alone.executed_flops > batch.attention_flops
+
+    def test_one_forward_and_one_attention_call_per_head_and_layer(self, monkeypatch):
+        m, graphs, ags, masks = self.setup_case(*BATCH_CASES[1])
+        calls = []
+        real = ops.sparse_masked_attention
+        monkeypatch.setattr(ops, "sparse_masked_attention",
+                            lambda *a, **k: calls.append(a[3]) or real(*a, **k))
+        with ops.scratch_tape():
+            training._predict(m, graphs, ags, masks, range(len(graphs)))
+        assert len(calls) == m.cfg.num_layers * m.cfg.num_heads
+        assert all(len(c) == len(graphs) for c in calls)
+
+    def test_mismatched_batch_masks_refused(self):
+        m, graphs, ags, masks = self.setup_case(*BATCH_CASES[1])
+        swapped = masks[:1] + masks[2:3] + masks[1:2] + masks[3:]
+        with pytest.raises(ShapeError, match="batch graph 1: mask 0 covers"):
+            forward(m, graphs[:4], ags[:4], swapped[:4])
+        with pytest.raises(ShapeError, match="3 head-mask lists"):
+            forward(m, graphs[:4], ags[:4], masks[:3])
+
+
+class TestPoolSegments:
+    def test_sum_and_mean_per_segment_with_gradients(self):
+        x = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+        with ops.scratch_tape():
+            out = ops.pool_segments(x, [1, 3, 2], mean=True)
+            assert np.array_equal(out.values, [[0, 1], [4, 5], [9, 10]])
+            assert np.array_equal(ops.pool_segments(x, [1, 3, 2]).values,
+                                  [[0, 1], [12, 15], [18, 20]])
+        assert ops.grad_check(lambda t: ops.sum_all(ops.relu(
+            ops.pool_segments(t, [2, 4], mean=True))), x) < 1e-8
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [5, 0], [], [7]])
+    def test_sizes_must_split_every_row(self, sizes):
+        with pytest.raises(ShapeError, match="segment sizes"):
+            ops.pool_segments(Tensor(np.ones((5, 2))), sizes)
 
 
 class TestCheckpoint:

@@ -559,6 +559,75 @@ class TestOnePredictionPath:
             evaluate(model, graphs, masks, np.arange(3))
 
 
+def batched_task_fixture(task):
+    """A graph task with the options a stacked batch must keep apart per graph:
+    pre-norm, sum readout, edge features, both dropouts and odd graph sizes."""
+    rng = np.random.default_rng(21)
+    graphs = []
+    for i in range(14):
+        n = int(rng.integers(1, 7))
+        iu, ju = np.triu_indices(n, k=1)
+        edges = np.column_stack([iu, ju])[rng.random(iu.size) < 0.5]
+        graphs.append(Graph(num_nodes=n, edges=edges,
+                            node_features=rng.standard_normal((n, 2)),
+                            edge_features=rng.standard_normal((len(edges), 3)),
+                            graph_label=(i % 2) if task == "graph_classification"
+                            else float(len(edges)) / n))
+    cfg = ModelConfig(hidden_dim=8, head_hops=(1, 4), num_layers=2, ffn_dim=16,
+                      num_heads=2, task=task, norm="pre", readout="sum", dropout=0.2,
+                      attention_dropout=0.2, seed=2,
+                      num_classes=2 if task == "graph_classification" else None)
+    tc = TrainConfig(learning_rate=2e-2, epochs=5, batch_size=4, seed=6)
+    return init_model(cfg, 2, d_e=3), graphs, tc
+
+
+class TestBatchedGraphTasks:
+    @pytest.mark.parametrize("task", TASKS[1:])
+    def test_evaluate_equals_the_recorded_metrics_bit_for_bit(self, task):
+        model, graphs, tc = batched_task_fixture(task)
+        masks = [build_head_masks(augment(g), [1, 4]) for g in graphs]
+        model, history = train(model, graphs, masks, tc)
+        _, idx_val, idx_test = split_indices(len(graphs), tc)
+        best = history.best_epoch
+        assert history.val_metric[best] == evaluate(model, graphs, masks, idx_val)
+        assert history.test_metric[best] == evaluate(model, graphs, masks, idx_test)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_masks_none_builds_the_configured_masks(self, task):
+        if task == "node_classification":
+            model, dataset, masks, tc = task_fixture(task)
+            model2 = task_fixture(task)[0]
+        else:
+            (model, dataset, tc), model2 = batched_task_fixture(task), \
+                batched_task_fixture(task)[0]
+            masks = [build_head_masks(augment(g), [1, 4]) for g in dataset]
+        _, given = train(model, dataset, masks, tc)
+        _, built = train(model2, dataset, None, tc)
+        assert given.train_loss == built.train_loss
+        assert given.val_metric == built.val_metric
+        for a, b in zip(named_parameters(model).values(), named_parameters(model2).values()):
+            assert np.array_equal(a.values, b.values)
+        split = np.arange(3)
+        assert evaluate(model2, dataset, None, split) == evaluate(model, dataset, masks, split)
+
+    def test_one_forward_per_batch_and_per_scored_split(self, monkeypatch):
+        model, graphs, tc = batched_task_fixture("graph_classification")
+        calls = []
+        real = training.forward
+
+        def counting(m, g, *args, **kwargs):
+            calls.append((kwargs.get("training", False), len(g)))
+            return real(m, g, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counting)
+        train(model, graphs, None, tc)
+        idx_train, idx_val, idx_test = split_indices(len(graphs), tc)
+        sizes = [min(tc.batch_size, idx_train.size - lo)
+                 for lo in range(0, idx_train.size, tc.batch_size)]
+        epoch = [(True, s) for s in sizes] + [(False, idx_val.size), (False, idx_test.size)]
+        assert calls == epoch * tc.epochs
+
+
 def graph_task_inputs():
     graphs = tiny_graph_dataset(num=6)
     cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
