@@ -19,7 +19,8 @@ from .autograd import (Tensor, attention_flops, count_attention_flops,
                        scratch_tape)
 from .graphs import AugmentedGraph, Graph, augment, csr_from_pairs
 from .masks import HopMask, build_head_masks, hop_distance_blocks
-from .model import Model, ModelConfig, encode, encoder_layer, forward, init_model
+from .model import (Model, ModelConfig, _check_masks, _encode, encoder_layer, forward,
+                    init_model)
 
 FLOP_CONVENTIONS = ("multiply-add=2; exp/div/sub/add=1; layer_norm=5 per element; "
                     "relu=1 per element; attention=nnz*(4*d_h+5) per head per layer")
@@ -130,11 +131,12 @@ def dataset_small_world(graphs: list[Graph]) -> tuple[float, float]:
 # Receptive-field probing
 
 
-def _probe_output(model: Model, z_values: np.ndarray, masks: list[HopMask],
+def _probe_output(model: Model, z_values: np.ndarray, masks: list[list[HopMask]],
                   head: int | None) -> np.ndarray:
     with scratch_tape():
         if head is None:
-            return np.array(encode(model, Tensor(z_values), masks).values, copy=True)
+            return np.array(_encode(model, Tensor(z_values), masks, [0], False).values,
+                            copy=True)
         if not model.layers:
             raise ValueError("head-slice probing needs at least one layer")
         _, concat = encoder_layer(Tensor(z_values), masks, model.layers[0], model.cfg,
@@ -151,8 +153,12 @@ def influence_matrix(model: Model, ag: AugmentedGraph, masks: list[HopMask], *,
 
     With ``head`` set, rows are compared on that head's slice of the first
     layer's concatenated attention output (before the output projection).
+    The head masks are checked against the model and ``ag`` once, before the
+    first probe.
     """
     t = ag.total_tokens
+    _check_masks(model, masks, t)
+    masks = [[mk] for mk in masks]   # one graph: a batch of one
     rng = np.random.default_rng([seed, 211])
     if z0 is None:
         z0 = rng.standard_normal((t, model.cfg.hidden_dim))

@@ -26,13 +26,14 @@ scores to -inf, and runs its backward as four matrix products; since
 T^2 <= nnz / DENSE_MIN_DENSITY there, its memory and work stay linear in nnz.
 Both paths give the same results up to rounding.
 
-The mask may also be a list of masks over consecutive row blocks of q, k and
-v: a batch of graphs whose token rows are stacked, each graph's tokens
-attending only within its own block.  Each block takes its own path by its
-own density and does exactly the work of a call on it alone; the call still
-records one tape entry.  Row-wise primitives need no such form, as they act
-on each row alone; :func:`dropout` draws a batch's keep mask per segment, and
-:func:`pool_segments` pools each segment's rows into one.
+The kernel runs on a batch of graphs: a list of masks over consecutive row
+blocks of q, k and v, the graphs' token rows stacked, each graph's tokens
+attending only within its own block.  One mask is a batch of one.  Each block
+takes its own path by its own density and does exactly the work of a call on
+it alone; the call records one tape entry.  Row-wise primitives need no such
+form, as they act on each row alone; :func:`dropout` draws a batch's keep
+mask per segment, one tensor being one segment, and :func:`pool_segments`
+pools each segment's rows into one.
 
 Determinism: on the nnz path per-row sums (``reduceat``) run in ascending
 column order (CSR order) and the key and value scatters (one ``bincount`` per
@@ -332,25 +333,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Tensor:
     """Inverted dropout; identity when not training or rate is 0.
 
-    With ``sizes``, the row counts of consecutive segments of ``x``, ``seed``
-    holds one seed per segment, and each segment draws its keep mask from its
-    own seed exactly as a call on that segment alone would.
+    ``sizes`` lists the row counts of consecutive segments of ``x`` and
+    ``seed`` holds one seed per segment; each segment draws its keep mask from
+    its own seed exactly as a call on that segment alone would.  Without
+    ``sizes``, ``x`` is one segment and ``seed`` its seed.
     """
+    seeds, sizes = ([seed], [x.values.shape[0]]) if sizes is None else (seed, sizes)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training_flag or rate == 0.0:
         return x
     n, d = x.values.shape
-    if sizes is None:
-        draw = np.random.default_rng(seed).random((n, d))
-    else:
-        if sum(sizes) != n or len(seed) != len(sizes):
-            raise ShapeError(f"{len(seed)} seeds and segment sizes summing to {sum(sizes)} "
-                             f"for {n} rows")
-        draw = np.concatenate([np.random.default_rng(s).random((r, d))
-                               for s, r in zip(seed, sizes)])
+    if sum(sizes) != n or len(seeds) != len(sizes):
+        raise ShapeError(f"{len(seeds)} seeds and segment sizes summing to {sum(sizes)} "
+                         f"for {n} rows")
+    draw = _stack_rows([np.random.default_rng(s).random((r, d)) for s, r in zip(seeds, sizes)])
     keep = (draw >= rate) / (1.0 - rate)
     return primitive(x.values * keep, lambda g: x._accum(g * keep))
+
+
+def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts' rows in order; one part is returned as it is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -503,39 +507,34 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     ``mask`` may also be a list of masks whose sizes sum to the row count:
     block b covers the next ``mask[b].size`` rows of q, k and v and attends
     only within them, exactly as a call on those rows alone with
-    ``dropout_seed[b]`` would.
+    ``dropout_seed[b]`` would.  One mask is a batch of one.
     """
+    if isinstance(mask, HopMask):   # one graph: a batch of one
+        mask, dropout_seed = [mask], [dropout_seed]
     if q.values.shape != k.values.shape or q.values.shape != v.values.shape:
         raise ShapeError(
             f"q/k/v shapes differ: {q.values.shape}, {k.values.shape}, {v.values.shape}")
-    blocks, seeds = ([mask], [dropout_seed]) if not isinstance(mask, list) else (
-        mask, [None] * len(mask) if dropout_seed is None else dropout_seed)
-    t = q.values.shape[0]
-    if sum(b.size for b in blocks) != t:
-        raise ShapeError(f"mask is for {sum(b.size for b in blocks)} tokens, "
-                         f"inputs have {t} rows")
-    if len(blocks) == 1:
-        out, grads = _attend(q.values, k.values, v.values, blocks[0], dropout_rate,
-                             seeds[0], training)
-    else:
-        ends = np.cumsum([b.size for b in blocks]).tolist()
-        rows = [slice(hi - b.size, hi) for b, hi in zip(blocks, ends)]
-        outs, block_grads = zip(*[
-            _attend(q.values[r], k.values[r], v.values[r], b, dropout_rate, s, training)
-            for r, b, s in zip(rows, blocks, seeds)])
-        out = np.concatenate(outs)
-
-        def grads(g):
-            per_block = [bg(g[r]) for r, bg in zip(rows, block_grads)]
-            return tuple(np.concatenate(d) for d in zip(*per_block))
+    seeds = [None] * len(mask) if dropout_seed is None else dropout_seed
+    if len(seeds) != len(mask):
+        raise ShapeError(f"got {len(seeds)} dropout seeds for {len(mask)} mask blocks")
+    sizes = [b.size for b in mask]
+    if sum(sizes) != q.values.shape[0]:
+        raise ShapeError(f"mask is for {sum(sizes)} tokens, "
+                         f"inputs have {q.values.shape[0]} rows")
+    ends = np.cumsum(sizes).tolist()
+    rows = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
+    outs, block_grads = zip(*[
+        _attend(q.values[r], k.values[r], v.values[r], b, dropout_rate, s, training)
+        for r, b, s in zip(rows, mask, seeds)])
 
     def grad_fn(g):
-        dq, dk, dv = grads(g)
+        dq, dk, dv = (_stack_rows(d) for d in zip(*[bg(g[r])
+                                                     for r, bg in zip(rows, block_grads)]))
         q._accum(dq)
         k._accum(dk)
         v._accum(dv)
 
-    return primitive(out, grad_fn)
+    return primitive(_stack_rows(outs), grad_fn)
 
 
 # ---------------------------------------------------------------------------

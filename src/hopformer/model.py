@@ -7,6 +7,10 @@ kernel: one fused Q/K/V projection per layer feeds every head, and the heads
 differ only in their masks.  Normalization defaults to post-norm (after each
 residual add); a config switch selects pre-norm.  Projectors are bias-free so
 edge tokens of a graph without edge features enter as exact zero rows.
+
+Everything below the public entry points runs on a batch of graphs, their
+token rows stacked and each head holding the list of the graphs' masks; a
+single graph is a batch of one, wrapped as such on the entry's first line.
 """
 
 from __future__ import annotations
@@ -184,8 +188,9 @@ def embed_tokens(m: Model, g: Graph | list[Graph],
     ``g`` and ``ag`` may also be parallel lists over a batch of graphs: each
     graph's T rows, nodes then edges, follow the previous graph's.
     """
-    graphs, ags = (g, ag) if isinstance(g, list) else ([g], [ag])
-    for x in graphs:
+    if isinstance(g, Graph):   # one graph: a batch of one
+        g, ag = [g], [ag]
+    for x in g:
         if x.node_feature_dim != m.d_v:
             raise ShapeError(
                 f"graph node features have dim {x.node_feature_dim}, model expects {m.d_v}")
@@ -195,27 +200,23 @@ def embed_tokens(m: Model, g: Graph | list[Graph],
             if x.edge_feature_dim != m.d_e:
                 raise ShapeError(f"graph edge features have dim {x.edge_feature_dim}, "
                                  f"model expects {m.d_e}")
-
-    def stacked(arrays):
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    node_part = ops.matmul(Tensor(stacked([x.node_features for x in graphs])), m.proj_node)
-    num_edges = [a.num_edge_tokens for a in ags]
-    if sum(num_edges) == 0:
-        return node_part
-    if m.proj_edge is not None:
-        edge_part = ops.matmul(Tensor(stacked([x.edge_features for x in graphs
-                                               if x.num_edges])), m.proj_edge)
-    else:
-        edge_part = Tensor(np.zeros((sum(num_edges), m.cfg.hidden_dim)))
-    tokens = ops.concat_rows([node_part, edge_part])
-    if len(graphs) == 1:
+    tokens = ops.matmul(Tensor(ops._stack_rows([x.node_features for x in g])), m.proj_node)
+    num_nodes = np.array([x.num_nodes for x in g])
+    num_edges = np.array([a.num_edge_tokens for a in ag])
+    if num_edges.any():
+        if m.proj_edge is not None:
+            edge_part = ops.matmul(Tensor(ops._stack_rows([x.edge_features for x in g
+                                                           if x.num_edges])), m.proj_edge)
+        else:
+            edge_part = Tensor(np.zeros((num_edges.sum(), m.cfg.hidden_dim)))
+        tokens = ops.concat_rows([tokens, edge_part])
+    if not num_edges[:-1].any():
+        # all node rows, then all edge rows, is already each graph's rows in turn
         return tokens
     # row r of graph b sits at node_at[b] + r among the node rows of
     # ``tokens``, or, for an edge token, at edge_at[b] + r - N_b
-    num_nodes = np.array([x.num_nodes for x in graphs])
     sizes = num_nodes + num_edges
-    graph = np.repeat(np.arange(len(graphs)), sizes)
+    graph = np.repeat(np.arange(len(g)), sizes)
     r = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     node_at = np.cumsum(num_nodes) - num_nodes
     edge_at = num_nodes.sum() + np.cumsum(num_edges) - num_edges - num_nodes
@@ -233,24 +234,25 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
                   return_heads: bool = False):
     """One encoder layer: masked MHSA with residual, then FFN with residual.
 
-    ``masks`` holds one HopMask per head.  For a batch of graphs whose token
-    rows are stacked in ``z``, each head's entry is instead the list of the
-    graphs' masks in row order, and ``seed`` the list of the graphs' seeds:
-    every graph's rows then come out as a layer on that graph alone with its
-    seed gives them.  With ``return_heads`` the per-head attention outputs
-    (concatenated, before the output projection) are returned alongside the
-    layer output.
+    ``masks`` holds one HopMask per head and ``seed`` the layer's dropout
+    seed.  For a batch of graphs whose token rows are stacked in ``z``, each
+    head's entry is instead the list of the graphs' masks in row order, and
+    ``seed`` the list of the graphs' seeds: every graph's rows then come out
+    as a layer on that graph alone with its seed gives them.  An unset seed
+    is 0 for every graph, so dropout stays deterministic.  With
+    ``return_heads`` the per-head attention outputs (concatenated, before the
+    output projection) are returned alongside the layer output.
     """
     if len(masks) != cfg.num_heads:
         raise ShapeError(f"got {len(masks)} masks for {cfg.num_heads} heads")
-    sizes = [mk.size for mk in masks[0]] if isinstance(masks[0], list) else None
-    if seed is None:   # keep dropout deterministic
-        seed = [0] if sizes is None else [[0]] * len(sizes)
-    seed = list(seed) if sizes is None else [list(s) for s in seed]
+    if isinstance(masks[0], HopMask):   # one graph: a batch of one
+        masks, seed = [[mk] for mk in masks], None if seed is None else [seed]
+    sizes = [mk.size for mk in masks[0]]
+    seeds = [[0]] * len(sizes) if seed is None else [list(s) for s in seed]
 
     def site(tag):
-        """The dropout seed of one site: one per graph of a batch."""
-        return seed + [tag] if sizes is None else [s + [tag] for s in seed]
+        """The dropout seeds of one site, one per graph."""
+        return [s + [tag] for s in seeds]
 
     attn_in = ops.layer_norm(z, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "pre" else z
     nh = cfg.num_heads
@@ -269,41 +271,35 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     return (out, concat) if return_heads else out
 
 
-def _check_masks(m: Model, masks: list[HopMask] | list[list[HopMask]], total_tokens: int) -> None:
-    """One mask per head, each with its head's budget and ``total_tokens``
-    rows; a batch's per-head mask lists must also agree on the graph sizes."""
+def _check_masks(m: Model, masks: list[HopMask], total_tokens: int) -> None:
+    """One graph's head masks: one per head, each with its head's budget and
+    ``total_tokens`` rows."""
     if len(masks) != m.cfg.num_heads:
         raise ShapeError(f"got {len(masks)} masks for {m.cfg.num_heads} heads")
-    sizes = None
     for h, (mask, budget) in enumerate(zip(masks, m.cfg.head_hops)):
-        blocks = mask if isinstance(mask, list) else [mask]
-        if sum(b.size for b in blocks) != total_tokens:
-            raise ShapeError(f"mask {h} covers {sum(b.size for b in blocks)} tokens, "
-                             f"expected {total_tokens}")
-        if sizes is None:
-            sizes = [b.size for b in blocks]
-        elif [b.size for b in blocks] != sizes:
-            raise ShapeError(f"mask {h} covers graphs of {[b.size for b in blocks]} tokens, "
-                             f"mask 0 graphs of {sizes}")
-        for b in blocks:
-            if b.hop_budget != budget:
-                raise ShapeError(
-                    f"mask {h} has hop budget {b.hop_budget}, config says {budget}")
+        if mask.size != total_tokens:
+            raise ShapeError(f"mask {h} covers {mask.size} tokens, expected {total_tokens}")
+        if mask.hop_budget != budget:
+            raise ShapeError(f"mask {h} has hop budget {mask.hop_budget}, config says {budget}")
 
 
-def encode(m: Model, z: Tensor, masks: list[HopMask] | list[list[HopMask]], *,
-           training: bool = False, rng_seed=None) -> Tensor:
-    """Run the layer stack on given token embeddings.  For a batch (see
-    ``encoder_layer``), ``rng_seed`` holds one seed per graph."""
-    _check_masks(m, masks, z.values.shape[0])
-    batch = isinstance(masks[0], list)
-    if batch and rng_seed is None:
-        rng_seed = [0] * len(masks[0])
+def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
+            training: bool) -> Tensor:
+    """The layer stack on a batch's stacked token rows, given per head the
+    list of the graphs' masks (already checked) and one seed per graph."""
     for l, lp in enumerate(m.layers):
-        seed = ([[int(s), l] for s in rng_seed] if batch else
-                [0 if rng_seed is None else int(rng_seed), l])
-        z = encoder_layer(z, masks, lp, m.cfg, training=training, seed=seed)
+        z = encoder_layer(z, masks, lp, m.cfg, training=training,
+                          seed=[[s, l] for s in seeds])
     return z
+
+
+def encode(m: Model, z: Tensor, masks: list[HopMask], *, training: bool = False,
+           rng_seed=None) -> Tensor:
+    """Run the layer stack on one graph's token embeddings (T x d) and head
+    masks; dropout draws from ``rng_seed`` (default 0)."""
+    _check_masks(m, masks, z.values.shape[0])
+    return _encode(m, z, [[mk] for mk in masks], [0 if rng_seed is None else int(rng_seed)],
+                   training)
 
 
 def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[AugmentedGraph],
@@ -312,14 +308,15 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     """Embed and encode; returns the T x d token representations.
 
     ``g``, ``ag`` and ``masks`` may also be parallel lists over a batch of
-    graphs (``masks`` then holds each graph's head-mask list).  The result
-    stacks each graph's T rows in batch order, and every graph attends only
-    within its own rows.  Graph b draws its dropout from ``rng_seed +
-    graph_ids[b]`` (``graph_ids`` defaults to the batch positions), so its
-    rows equal those of a forward on it alone with that seed, up to rounding.
+    graphs (``masks`` then holds each graph's head-mask list); one graph is a
+    batch of one.  The result stacks each graph's T rows in batch order, and
+    every graph attends only within its own rows.  Graph b draws its dropout
+    from ``rng_seed + graph_ids[b]`` (``graph_ids`` defaults to the batch
+    positions; an unset ``rng_seed`` is 0 for every graph), so its rows equal
+    those of a forward on it alone with that seed, up to rounding.
     """
-    if not isinstance(g, list):
-        return encode(m, embed_tokens(m, g, ag), masks, training=training, rng_seed=rng_seed)
+    if isinstance(g, Graph):   # one graph: a batch of one
+        g, ag, masks = [g], [ag], [masks]
     ids = range(len(g)) if graph_ids is None else graph_ids
     if not len(g) == len(ag) == len(masks) == len(ids):
         raise ShapeError(f"a batch of {len(g)} graphs got {len(ag)} augmented graphs, "
@@ -329,9 +326,9 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
             _check_masks(m, gm, a.total_tokens)
         except ShapeError as e:
             raise ShapeError(f"batch graph {b}: {e}") from e
-    seeds = None if rng_seed is None else [int(rng_seed) + int(i) for i in ids]
-    return encode(m, embed_tokens(m, g, ag), [list(hm) for hm in zip(*masks)],
-                  training=training, rng_seed=seeds)
+    seeds = [0] * len(g) if rng_seed is None else [int(rng_seed) + int(i) for i in ids]
+    return _encode(m, embed_tokens(m, g, ag), [list(hm) for hm in zip(*masks)], seeds,
+                   training)
 
 
 def readout(h: Tensor, mode: str, sizes=None) -> Tensor:

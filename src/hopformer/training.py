@@ -87,35 +87,29 @@ class RunHistory:
 # Losses (fused tape primitives)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, mask=None) -> Tensor:
-    """Mean negative log-softmax of the true class over selected rows."""
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the true class over the rows."""
     lv = logits.values
     n, c = lv.shape
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.shape[0] != n:
         raise ValueError(f"{labels.shape[0]} labels for {n} rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
+    if n == 0:
+        raise ValueError("cross_entropy needs at least one row")
+    if labels.min() < 0 or labels.max() >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise ValueError(f"label {bad} out of range [0, {c})")
-    if mask is None:
-        sel = np.arange(n)
-    else:
-        mask = np.asarray(mask)
-        sel = np.flatnonzero(mask) if mask.dtype == bool else mask.astype(np.int64)
-    if sel.size == 0:
-        raise ValueError("cross_entropy mask selects no rows")
+    rows = np.arange(n)
     shifted = lv - lv.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
 
     def grad_fn(g):
-        probs = np.exp(log_p[sel])
-        probs[np.arange(sel.size), labels[sel]] -= 1.0
-        full = np.zeros_like(lv)
-        full[sel] = probs * (g[0, 0] / sel.size)
-        logits._accum(full)
+        probs = np.exp(log_p)
+        probs[rows, labels] -= 1.0
+        logits._accum(probs * (g[0, 0] / n))
 
-    return ops.primitive([[-log_p[sel, labels[sel]].mean()]], grad_fn)
+    return ops.primitive([[-log_p[rows, labels].mean()]], grad_fn)
 
 
 def mae(pred: Tensor, target: np.ndarray) -> Tensor:

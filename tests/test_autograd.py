@@ -135,6 +135,18 @@ class TestDensePrimitives:
         assert np.allclose(a.values[kept], 1 / 0.75)
         assert 0.55 < kept.mean() < 0.9
 
+    def test_dropout_of_a_tensor_is_one_segment(self):
+        # a tensor and its seed are a batch of one segment, bit for bit
+        runs = []
+        for seed, sizes in [([4, 2], None), ([[4, 2]], [6])]:
+            x = Tensor(np.arange(18.0).reshape(6, 3), requires_grad=True)
+            out = ops.dropout(x, 0.4, seed, True, sizes)
+            backward(ops.sum_all(ops.scale(out, 1.5)))
+            runs.append([out.values, x.grad])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+        assert (runs[0][0] == 0).any()
+
     def test_dropout_bad_rate(self):
         with pytest.raises(ValueError):
             ops.dropout(Tensor(np.ones((2, 2))), 1.0, 0, True)
@@ -376,6 +388,29 @@ class TestDensityDispatch:
         other = PATHS["nnz" if EXPECT_DENSE[name] else "dense"]
         ref, _ = other(qv, kv, vv, mask, dropmult)
         assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["nnz", "dense"])
+    def test_one_mask_is_a_batch_of_one(self, name):
+        # outputs and grads of a call on one mask equal those of the call on
+        # the list holding it, bit for bit, with attention dropout on
+        mask = DISPATCH_MASKS[name]()
+        assert _runs_dense(mask) == EXPECT_DENSE[name]
+        runs = []
+        for blocks, seed in [(mask, [7, 1]), ([mask], [[7, 1]])]:
+            q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(mask.size, seed=11))
+            out = sparse_masked_attention(q, k, v, blocks, dropout_rate=0.3,
+                                          dropout_seed=seed, training=True)
+            backward(ops.sum_all(ops.matmul(out, Tensor(np.arange(1.0, 5.0).reshape(4, 1)))))
+            runs.append([out.values, q.grad, k.grad, v.grad])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
+    def test_one_dropout_seed_per_mask_block(self):
+        mask = DISPATCH_MASKS["nnz"]()
+        q, k, v = (Tensor(np.vstack([a, a])) for a in _qkv(mask.size))
+        with pytest.raises(ShapeError, match="1 dropout seeds for 2 mask blocks"):
+            sparse_masked_attention(q, k, v, [mask, mask], dropout_rate=0.3,
+                                    dropout_seed=[[7]], training=True)
 
     @pytest.mark.parametrize("name", ["nnz", "dense"])
     @pytest.mark.parametrize("which", [0, 1, 2])

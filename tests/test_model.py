@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from hopformer import (ModelConfig, Tensor, augment, build_head_masks,
-                       build_mask, embed_tokens, encoder_layer, forward,
-                       generate_erdos_renyi, init_model, load_model,
+                       build_mask, embed_tokens, encode, encoder_layer, forward,
+                       generate_erdos_renyi, influence_matrix, init_model, load_model,
                        named_parameters, predict_graph, predict_node, readout,
                        relabel_nodes, save_model)
+from hopformer import analysis as analysis_mod
 from hopformer import autograd as ops
+from hopformer import model as model_mod
 from hopformer import training
 from hopformer.graphs import Graph, GraphError
 from hopformer.autograd import ShapeError
@@ -548,6 +550,78 @@ class TestGraphBatch:
             forward(m, graphs[:4], ags[:4], swapped[:4])
         with pytest.raises(ShapeError, match="3 head-mask lists"):
             forward(m, graphs[:4], ags[:4], masks[:3])
+
+
+class TestBatchOfOne:
+    """One graph is a batch of one: same results, same refusals."""
+
+    @pytest.mark.parametrize("norm", ["post", "pre"])
+    def test_forward_of_one_graph_is_a_batch_of_one(self, norm):
+        cfg = small_cfg(norm=norm, head_hops=(1, 4), dropout=0.3, attention_dropout=0.3)
+        g = batch_graphs(np.random.default_rng(5), 2)[-1]   # 12-node path, edge features
+        ag = augment(g)
+        masks = build_head_masks(ag, list(cfg.head_hops))
+        m = init_model(cfg, 3, 2)
+        params = named_parameters(m)
+        w = Tensor(np.random.default_rng(6).standard_normal((cfg.hidden_dim, 1)))
+        runs = []
+        for args in [(g, ag, masks), ([g], [ag], [masks])]:
+            for p in params.values():
+                p.grad = None
+            h = forward(m, *args, training=True, rng_seed=9)
+            ops.backward(ops.sum_all(ops.matmul(h, w)))
+            runs.append([h.values] + [params[k].grad for k in params])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+        with ops.scratch_tape():
+            assert not np.allclose(runs[0][0], forward(m, g, ag, masks).values)   # dropout acted
+
+    BAD_MASKS = {
+        "hop budget": (lambda ag, other: build_head_masks(ag, [1, 2]),
+                       "mask 1 has hop budget 2, config says 3"),
+        "token count": (lambda ag, other: build_head_masks(other, [1, 3]),
+                        "mask 0 covers 3 tokens, expected 5"),
+        "head count": (lambda ag, other: build_head_masks(ag, [1]), "got 1 masks for 2 heads"),
+    }
+
+    def bad_case(self, fault):
+        m = init_model(small_cfg(), d_v=1)
+        g = path3_graph()
+        ag = augment(g)
+        make, message = self.BAD_MASKS[fault]
+        return m, g, ag, make(ag, augment(single_edge_graph())), message
+
+    @pytest.mark.parametrize("fault", BAD_MASKS)
+    def test_forward_and_encode_refuse_a_graphs_bad_masks(self, fault):
+        m, g, ag, masks, message = self.bad_case(fault)
+        with ops.scratch_tape():
+            with pytest.raises(ShapeError, match=f"batch graph 0: {message}"):
+                forward(m, g, ag, masks)
+            with pytest.raises(ShapeError, match=f"^{message}"):
+                encode(m, embed_tokens(m, g, ag), masks)
+
+    @pytest.mark.parametrize("head", [None, 0])
+    @pytest.mark.parametrize("fault", BAD_MASKS)
+    def test_influence_matrix_refuses_bad_masks(self, fault, head):
+        m, _, ag, masks, message = self.bad_case(fault)
+        with pytest.raises(ShapeError, match=f"^{message}"):
+            influence_matrix(m, ag, masks, head=head)
+
+    @pytest.mark.parametrize("head", [None, 0])
+    def test_influence_matrix_checks_the_masks_once(self, monkeypatch, head):
+        m = init_model(small_cfg(), d_v=1)
+        ag = augment(path3_graph())
+        calls = []
+        real = model_mod._check_masks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model_mod, "_check_masks", counted)
+        monkeypatch.setattr(analysis_mod, "_check_masks", counted)
+        influence_matrix(m, ag, build_head_masks(ag, [1, 3]), head=head)
+        assert len(calls) == 1
 
 
 class TestPoolSegments:

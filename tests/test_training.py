@@ -39,21 +39,9 @@ class TestCrossEntropy:
         loss = cross_entropy(Tensor(logits), np.array([1]))
         assert loss.values[0, 0] < 1e-10
 
-    def test_mask_selects_rows(self):
-        logits = np.array([[2.0, -1.0], [0.5, 0.25]])
-        labels = np.array([0, 1])
-        both = cross_entropy(Tensor(logits), labels)
-        only1 = cross_entropy(Tensor(logits), labels, np.array([False, True]))
-        row1 = cross_entropy(Tensor(logits[1:]), labels[1:])
-        assert only1.values[0, 0] == pytest.approx(row1.values[0, 0], abs=1e-15)
-        assert both.values[0, 0] != only1.values[0, 0]
-
-    def test_index_mask_supported(self):
-        logits = np.array([[2.0, -1.0], [0.5, 0.25]])
-        labels = np.array([0, 1])
-        a = cross_entropy(Tensor(logits), labels, np.array([1]))
-        b = cross_entropy(Tensor(logits), labels, np.array([False, True]))
-        assert a.values[0, 0] == b.values[0, 0]
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            cross_entropy(Tensor(np.zeros((0, 2))), np.zeros(0, dtype=int))
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="label"):
