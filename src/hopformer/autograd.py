@@ -35,6 +35,14 @@ form, as they act on each row alone; :func:`dropout` draws a batch's keep
 mask per segment, one tensor being one segment, and :func:`pool_segments`
 pools each segment's rows into one.
 
+On one mask the kernel also takes the queries of only its first r rows, keys
+and values keeping all T: it then reads the CSR prefix (``indptr[:r+1]`` and
+the first ``indptr[r]`` stored entries, as views) or the first r rows of the
+dense support, so its work scales with the prefix's stored entries.  A node
+task's last encoder layer computes its node rows this way; graph tasks pool
+every token and run full calls.  The path is still the one the whole mask's
+density picks.
+
 Determinism: on the nnz path per-row sums (``reduceat``) run in ascending
 column order (CSR order) and the key and value scatters (one ``bincount`` per
 column) in stored-entry order; the dense path runs fixed BLAS products.
@@ -368,16 +376,26 @@ def _take_times(a: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _masked_softmax(qt: np.ndarray, kt: np.ndarray, mask: HopMask) -> np.ndarray:
+def _masked_softmax(qt: np.ndarray, kt: np.ndarray, row: np.ndarray, col: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
     # Scores and row softmax on (d_h, T) column layouts: one gather per
     # operand into a (d_h, nnz) block, one column sum, and row max and sum as
     # reduceat over the CSR row starts.
-    row, starts = mask.row_indices, mask.indptr[:-1]
-    scores = _take_times(qt, row, kt.take(mask.indices, axis=1)).sum(axis=0)
+    scores = _take_times(qt, row, kt.take(col, axis=1)).sum(axis=0)
     scores *= 1.0 / np.sqrt(qt.shape[0])
     scores -= np.maximum.reduceat(scores, starts)[row]
     expd = np.exp(scores, out=scores)
     return expd / np.add.reduceat(expd, starts)[row]
+
+
+def _csr_prefix(mask: HopMask, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, starts) of the mask's first ``r`` rows: the stored entries'
+    row and column ids and the rows' starts in them, as views (no copy)."""
+    if r == mask.size:   # a full call skips the slices: about 0.5 us per call,
+        # paid on each of a graph batch's many small masks
+        return mask.row_indices, mask.indices, mask.indptr[:-1]
+    nnz = mask.indptr[r]
+    return mask.row_indices[:nnz], mask.indices[:nnz], mask.indptr[:r]
 
 
 def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarray:
@@ -390,7 +408,8 @@ def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarr
     if qv.shape != kv.shape or qv.shape[0] != mask.size:
         raise ShapeError(f"q/k shapes {qv.shape}, {kv.shape} do not fit a mask "
                          f"for {mask.size} tokens")
-    return _masked_softmax(np.ascontiguousarray(qv.T), np.ascontiguousarray(kv.T), mask)
+    return _masked_softmax(np.ascontiguousarray(qv.T), np.ascontiguousarray(kv.T),
+                           *_csr_prefix(mask, mask.size))
 
 
 # Masks with nnz >= DENSE_MIN_DENSITY * T^2 run on the masked dense path,
@@ -413,20 +432,24 @@ DENSE_MIN_DENSITY = 0.25
 def _sparse_path(qv, kv, vv, mask: HopMask, dropmult):
     """Attention over the stored entries only; returns (out, grads(g)).
 
-    Works on (d_h, T) transposes: every gather is a ``take`` into a (d_h, nnz)
-    block, row sums are ``reduceat`` over the CSR row starts, and the key and
-    value scatters are one ``bincount`` per column.  The backward gathers
-    again instead of keeping any (d_h, nnz) block alive until it runs.
+    The r rows of ``qv`` are the queries of the mask's first r rows, which
+    attend over all T rows of ``kv`` and ``vv``; the path reads only those
+    rows' stored entries.  Works on (d_h, T) transposes: every gather is a
+    ``take`` into a (d_h, nnz) block, row sums are ``reduceat`` over the CSR
+    row starts, and the key and value scatters are one ``bincount`` per
+    column.  The backward gathers again instead of keeping any (d_h, nnz)
+    block alive until it runs.
     """
-    t, d_h = qv.shape
+    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
+    row, col, starts = _csr_prefix(mask, r)
     qt, kt, vt = (np.ascontiguousarray(a.T) for a in (qv, kv, vv))
     inv_sqrt = 1.0 / np.sqrt(d_h)
-    alpha = _masked_softmax(qt, kt, mask)
+    alpha = _masked_softmax(qt, kt, row, col, starts)
     applied = alpha if dropmult is None else alpha * dropmult
-    out = np.add.reduceat(_take_times(vt, mask.indices, applied), mask.indptr[:-1], axis=1)
+    out = np.add.reduceat(_take_times(vt, col, applied), starts, axis=1)
 
     def grads(g):
-        row, col, starts = mask.row_indices, mask.indices, mask.indptr[:-1]
+        row, col, starts = _csr_prefix(mask, r)
         g_rows = np.ascontiguousarray(g.T).take(row, axis=1)
         # alpha * d_alpha == applied * d_applied, so dropout needs no own term
         wd = applied * _take_times(vt, col, g_rows).sum(axis=0)
@@ -442,14 +465,15 @@ def _sparse_path(qv, kv, vv, mask: HopMask, dropmult):
 
 
 def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
-    """Attention as T x T BLAS products with -inf scores off the support;
-    off-support weights are exact zeros.  Returns (out, grads(g))."""
-    t, d_h = qv.shape
+    """Attention as r x T BLAS products with -inf scores off the support, for
+    the queries of the mask's first r rows (the rows of ``qv``); off-support
+    weights are exact zeros.  Returns (out, grads(g))."""
+    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
     inv_sqrt = 1.0 / np.sqrt(d_h)
-    support = mask.dense_support
+    support = mask.dense_support[:r]
     scores = qv @ kv.T
     scores *= inv_sqrt
-    if mask.nnz < t * t:
+    if mask.indptr[r] < r * t:
         np.copyto(scores, -np.inf, where=~support)
     scores -= scores.max(axis=1, keepdims=True)
     alpha = np.exp(scores, out=scores)
@@ -458,7 +482,7 @@ def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
         drop = None
         applied = alpha
     else:
-        drop = np.zeros((t, t))
+        drop = np.zeros((r, t))
         drop[support] = dropmult   # row-major order of the support is CSR order
         applied = alpha * drop
 
@@ -475,16 +499,20 @@ def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
 
 
 def _attend(qv, kv, vv, mask: HopMask, dropout_rate: float, dropout_seed, training: bool):
-    """One mask's attention on the path its density picks; returns (out, grads)."""
-    t, d_h = qv.shape
+    """One mask's attention for the queries of its first ``len(qv)`` rows, on
+    the path the density of the whole mask picks; returns (out, grads)."""
+    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
     dropmult = None
     if training and dropout_rate > 0.0:
+        # the first indptr[r] numbers of the whole mask's draw: the weights a
+        # call on all rows keeps for these rows
         rng = np.random.default_rng(dropout_seed)
-        dropmult = (rng.random(mask.nnz) >= dropout_rate) / (1.0 - dropout_rate)
+        dropmult = (rng.random(mask.indptr[r]) >= dropout_rate) / (1.0 - dropout_rate)
     dense = mask.nnz >= DENSE_MIN_DENSITY * t * t
     for meter in _meters():
-        meter.attention_flops += attention_flops(mask.nnz, d_h)
-        meter.executed_flops += attention_flops(t * t if dense else mask.nnz, d_h)
+        nnz = int(mask.indptr[r])
+        meter.attention_flops += attention_flops(nnz, d_h)
+        meter.executed_flops += attention_flops(r * t if dense else nnz, d_h)
     return (_dense_path if dense else _sparse_path)(qv, kv, vv, mask, dropmult)
 
 
@@ -508,28 +536,43 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     block b covers the next ``mask[b].size`` rows of q, k and v and attends
     only within them, exactly as a call on those rows alone with
     ``dropout_seed[b]`` would.  One mask is a batch of one.
+
+    With one mask, q may hold the queries of only its first r rows, k and v
+    keeping all T: the output and q's grad then have r rows, equal to the
+    first r rows of a call on all of them, and the call does only those rows'
+    work (``indptr[r]`` stored entries, or r x T on the dense path).  The path
+    is still the one the whole mask's density picks, and attention dropout
+    keeps the weights a call on all rows draws for these rows.
     """
     if isinstance(mask, HopMask):   # one graph: a batch of one
         mask, dropout_seed = [mask], [dropout_seed]
-    if q.values.shape != k.values.shape or q.values.shape != v.values.shape:
+    n_q, n_kv = q.values.shape[0], k.values.shape[0]
+    if k.values.shape != v.values.shape or q.values.shape[1] != k.values.shape[1]:
         raise ShapeError(
-            f"q/k/v shapes differ: {q.values.shape}, {k.values.shape}, {v.values.shape}")
+            f"q/k/v shapes do not fit: {q.values.shape}, {k.values.shape}, {v.values.shape}")
+    if n_q > n_kv:
+        raise ShapeError(f"q has shape {q.values.shape}, more rows than k/v "
+                         f"{k.values.shape}")
+    if n_q < n_kv and len(mask) > 1:
+        raise ShapeError(f"q of shape {q.values.shape} holds a prefix of the {n_kv} rows of "
+                         f"k/v; a prefix needs one mask, got a batch of {len(mask)}")
     seeds = [None] * len(mask) if dropout_seed is None else dropout_seed
     if len(seeds) != len(mask):
         raise ShapeError(f"got {len(seeds)} dropout seeds for {len(mask)} mask blocks")
     sizes = [b.size for b in mask]
-    if sum(sizes) != q.values.shape[0]:
+    if sum(sizes) != n_kv:
         raise ShapeError(f"mask is for {sum(sizes)} tokens, "
-                         f"inputs have {q.values.shape[0]} rows")
+                         f"inputs have {n_kv} rows")
     ends = np.cumsum(sizes).tolist()
     rows = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
+    q_rows = rows if n_q == n_kv else [slice(0, n_q)]
     outs, block_grads = zip(*[
-        _attend(q.values[r], k.values[r], v.values[r], b, dropout_rate, s, training)
-        for r, b, s in zip(rows, mask, seeds)])
+        _attend(q.values[qr], k.values[r], v.values[r], b, dropout_rate, s, training)
+        for qr, r, b, s in zip(q_rows, rows, mask, seeds)])
 
     def grad_fn(g):
-        dq, dk, dv = (_stack_rows(d) for d in zip(*[bg(g[r])
-                                                     for r, bg in zip(rows, block_grads)]))
+        dq, dk, dv = (_stack_rows(d) for d in zip(*[bg(g[qr])
+                                                     for qr, bg in zip(q_rows, block_grads)]))
         q._accum(dq)
         k._accum(dk)
         v._accum(dv)

@@ -11,6 +11,12 @@ edge tokens of a graph without edge features enter as exact zero rows.
 Everything below the public entry points runs on a batch of graphs, their
 token rows stacked and each head holding the list of the graphs' masks; a
 single graph is a batch of one, wrapped as such on the entry's first line.
+
+A node task's head reads only the node-token rows, so its last layer computes
+those rows alone (``forward(..., rows=N)``): their queries attend over every
+token's keys and values, with each head's kernel path still chosen by the
+density of its whole mask.  Graph tasks pool every token and run every row of
+every layer.
 """
 
 from __future__ import annotations
@@ -229,9 +235,24 @@ def _ffn(z: Tensor, lp: LayerParams) -> Tensor:
     return ops.add(ops.matmul(hidden, lp.ffn_w2), lp.ffn_b2)
 
 
+def _prefix_rows(rows, sizes: list[int]) -> int | None:
+    """``rows`` checked as a count of leading token rows of one graph of
+    ``sizes[0]`` tokens (``sizes`` lists a batch's token counts); None when
+    unset or all of them, which is the full computation."""
+    if rows is None:
+        return None
+    if len(sizes) != 1:
+        raise ShapeError(f"rows asks for leading rows of one graph, got a batch of {len(sizes)}")
+    rows = _int_value("rows", rows)
+    if not 1 <= rows <= sizes[0]:
+        raise ShapeError(f"rows must be in [1, {sizes[0]}] for a graph of {sizes[0]} tokens, "
+                         f"got {rows}")
+    return None if rows == sizes[0] else rows
+
+
 def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: LayerParams,
                   cfg: ModelConfig, *, training: bool = False, seed=None,
-                  return_heads: bool = False):
+                  return_heads: bool = False, rows: int | None = None):
     """One encoder layer: masked MHSA with residual, then FFN with residual.
 
     ``masks`` holds one HopMask per head and ``seed`` the layer's dropout
@@ -242,13 +263,21 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     is 0 for every graph, so dropout stays deterministic.  With
     ``return_heads`` the per-head attention outputs (concatenated, before the
     output projection) are returned alongside the layer output.
+
+    With ``rows`` (one graph only) the layer computes only its first ``rows``
+    output rows: their queries attend over the keys and values of all T
+    rows, and the residuals, output projection, layer norms, FFN and dropout
+    run on those rows alone.  They equal the first rows of the full layer's
+    output, up to rounding of the weight gradients, which sum over fewer rows.
     """
     if len(masks) != cfg.num_heads:
         raise ShapeError(f"got {len(masks)} masks for {cfg.num_heads} heads")
     if isinstance(masks[0], HopMask):   # one graph: a batch of one
         masks, seed = [[mk] for mk in masks], None if seed is None else [seed]
     sizes = [mk.size for mk in masks[0]]
-    seeds = [[0]] * len(sizes) if seed is None else [list(s) for s in seed]
+    rows = _prefix_rows(rows, sizes)
+    sizes = sizes if rows is None else [rows]
+    seeds = [[0]] * len(masks[0]) if seed is None else [list(s) for s in seed]
 
     def site(tag):
         """The dropout seeds of one site, one per graph."""
@@ -257,12 +286,14 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     attn_in = ops.layer_norm(z, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "pre" else z
     nh = cfg.num_heads
     qkv = ops.split_cols(ops.matmul(attn_in, lp.wqkv), 3 * nh)
+    queries = qkv[:nh] if rows is None else [ops.row_slice(qh, 0, rows) for qh in qkv[:nh]]
     concat = ops.concat_cols([ops.sparse_masked_attention(
-        qkv[h], qkv[nh + h], qkv[2 * nh + h], masks[h], dropout_rate=cfg.attention_dropout,
-        dropout_seed=site(h), training=training) for h in range(nh)])
+        queries[h], qkv[nh + h], qkv[2 * nh + h], masks[h],
+        dropout_rate=cfg.attention_dropout, dropout_seed=site(h), training=training)
+        for h in range(nh)])
     attn = ops.matmul(concat, lp.wo)
     attn = ops.dropout(attn, cfg.dropout, site(101), training, sizes)
-    res1 = ops.add(z, attn)
+    res1 = ops.add(z if rows is None else ops.row_slice(z, 0, rows), attn)
     t1 = ops.layer_norm(res1, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "post" else res1
     ffn_in = ops.layer_norm(t1, lp.ln2_gamma, lp.ln2_beta) if cfg.norm == "pre" else t1
     ffn = ops.dropout(_ffn(ffn_in, lp), cfg.dropout, site(102), training, sizes)
@@ -284,12 +315,17 @@ def _check_masks(m: Model, masks: list[HopMask], total_tokens: int) -> None:
 
 
 def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
-            training: bool) -> Tensor:
+            training: bool, rows: int | None = None) -> Tensor:
     """The layer stack on a batch's stacked token rows, given per head the
-    list of the graphs' masks (already checked) and one seed per graph."""
+    list of the graphs' masks (already checked) and one seed per graph.  With
+    ``rows`` (one graph) the last layer computes only the first ``rows`` rows,
+    and only they are returned."""
     for l, lp in enumerate(m.layers):
         z = encoder_layer(z, masks, lp, m.cfg, training=training,
-                          seed=[[s, l] for s in seeds])
+                          seed=[[s, l] for s in seeds],
+                          rows=rows if l == len(m.layers) - 1 else None)
+    if not m.layers and rows is not None:
+        z = ops.row_slice(z, 0, rows)
     return z
 
 
@@ -304,7 +340,7 @@ def encode(m: Model, z: Tensor, masks: list[HopMask], *, training: bool = False,
 
 def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[AugmentedGraph],
             masks: list[HopMask] | list[list[HopMask]], *, training: bool = False,
-            rng_seed=None, graph_ids=None) -> Tensor:
+            rng_seed=None, graph_ids=None, rows: int | None = None) -> Tensor:
     """Embed and encode; returns the T x d token representations.
 
     ``g``, ``ag`` and ``masks`` may also be parallel lists over a batch of
@@ -314,6 +350,13 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     from ``rng_seed + graph_ids[b]`` (``graph_ids`` defaults to the batch
     positions; an unset ``rng_seed`` is 0 for every graph), so its rows equal
     those of a forward on it alone with that seed, up to rounding.
+
+    ``rows`` (one graph only, in [1, T]) asks for the first ``rows`` token
+    rows alone, a node task's N node rows: the last layer then computes only
+    those rows, every earlier layer all T, since the kept rows attend over
+    every token.  They equal the first rows of a full forward; only rounding
+    in the weight gradients differs.  Graph tasks pool every token and so
+    leave it unset.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
         g, ag, masks = [g], [ag], [masks]
@@ -321,6 +364,7 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     if not len(g) == len(ag) == len(masks) == len(ids):
         raise ShapeError(f"a batch of {len(g)} graphs got {len(ag)} augmented graphs, "
                          f"{len(masks)} head-mask lists and {len(ids)} graph ids")
+    rows = _prefix_rows(rows, [a.total_tokens for a in ag])
     for b, (gm, a) in enumerate(zip(masks, ag)):
         try:
             _check_masks(m, gm, a.total_tokens)
@@ -328,7 +372,7 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
             raise ShapeError(f"batch graph {b}: {e}") from e
     seeds = [0] * len(g) if rng_seed is None else [int(rng_seed) + int(i) for i in ids]
     return _encode(m, embed_tokens(m, g, ag), [list(hm) for hm in zip(*masks)], seeds,
-                   training)
+                   training, rows)
 
 
 def readout(h: Tensor, mode: str, sizes=None) -> Tensor:
@@ -344,10 +388,16 @@ def readout(h: Tensor, mode: str, sizes=None) -> Tensor:
 
 
 def predict_node(m: Model, h: Tensor, num_nodes: int) -> Tensor:
-    """Apply the shared node head to node-token rows only; logits N x C."""
+    """Apply the shared node head to node-token rows only; logits N x C.
+
+    ``h`` holds the graph's token rows, nodes first, or just its N node rows
+    (a forward with ``rows=N``); fewer rows than nodes are refused."""
     if m.cfg.task != "node_classification":
         raise ValueError(f"predict_node needs a node_classification model, got {m.cfg.task!r}")
-    nodes = ops.row_slice(h, 0, num_nodes)
+    if h.values.shape[0] < num_nodes:
+        raise ShapeError(f"predict_node needs {num_nodes} node rows, h has "
+                         f"{h.values.shape[0]} rows")
+    nodes = h if h.values.shape[0] == num_nodes else ops.row_slice(h, 0, num_nodes)
     return ops.add(ops.matmul(nodes, m.head_w), m.head_b)
 
 

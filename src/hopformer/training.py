@@ -2,8 +2,9 @@
 
 Node and graph tasks share one prediction path, which returns one output row
 per item: a node of the one graph, or a graph of a dataset.  A node task runs
-one forward over its graph; a graph task runs one forward per batch of
-graphs, their token rows stacked.  Training augments every graph once; each
+one forward over its graph, whose last layer computes only the node-token
+rows its head reads; a graph task runs one forward per batch of graphs, their
+token rows stacked, and pools every token.  Training augments every graph once; each
 epoch steps over its batches and scores validation and test.  The checkpoint
 returned is the one at the best validation metric.  A non-finite loss aborts
 with epoch/step context rather than being clamped.
@@ -252,12 +253,14 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
 def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False,
              seed: int | None = None) -> Tensor:
     """One output row per item, in item order: the items' logit rows from one
-    forward over the graph (node task), or from one forward over the item
-    graphs stacked, one readout row per graph and one graph head matmul,
-    graph ``i`` drawing its dropout from ``seed + i`` (graph task; ``ags``
-    and ``masks`` are indexed by graph)."""
+    forward over the graph whose last layer computes the node rows alone
+    (node task), or from one forward over the item graphs stacked, one
+    readout row per graph and one graph head matmul, graph ``i`` drawing its
+    dropout from ``seed + i`` (graph task; ``ags`` and ``masks`` are indexed
+    by graph)."""
     if model.cfg.task == "node_classification":
-        h = forward(model, dataset, ags, masks, training=training, rng_seed=seed)
+        h = forward(model, dataset, ags, masks, training=training, rng_seed=seed,
+                    rows=dataset.num_nodes)
         return ops.take_rows(predict_node(model, h, dataset.num_nodes), items)
     items = [int(i) for i in items]
     batch = [ags[i] for i in items]

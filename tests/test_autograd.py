@@ -832,3 +832,146 @@ class TestPrimitiveRecording:
 
         x = Tensor(np.random.default_rng(17).standard_normal((3, 2)), requires_grad=True)
         assert grad_check(lambda t: ops.sum_all(square(t)), x) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Queries for a prefix of a mask's rows
+
+ORACLE_TOL = 1e-10   # acceptance 01's tolerance
+
+
+def _weighted_sum(out: Tensor, g: np.ndarray) -> Tensor:
+    """sum(out * g): a scalar whose gradient with respect to ``out`` is ``g``."""
+    return ops.primitive([[float((out.values * g).sum())]], lambda gg: out._accum(g * gg[0, 0]))
+
+
+def _attention_run(qv, kv, vv, mask, g, **kw):
+    """Output, q/k/v grads and the FLOP meter of one kernel call, under the
+    upstream gradient ``g`` (shaped like the output)."""
+    q, k, v = (Tensor(a, requires_grad=True) for a in (qv, kv, vv))
+    with ops.scratch_tape(), count_attention_flops() as meter:
+        out = sparse_masked_attention(q, k, v, mask, **kw)
+        backward(_weighted_sum(out, g))
+    return [out.values, q.grad, k.grad, v.grad], meter
+
+
+def _dense_oracle_grads(qv, kv, vv, support, g):
+    """q/k/v grads of the masked dense oracle, for as many query rows as
+    ``qv`` and ``support`` hold."""
+    w = dense_attention_weights_oracle(qv, kv, support)
+    dw = g @ vv.T
+    ds = w * (dw - (w * dw).sum(axis=1, keepdims=True)) / np.sqrt(qv.shape[1])
+    return ds @ kv, ds.T @ qv, w.T @ g
+
+
+def _prefix_case(seed: int) -> tuple[HopMask, int]:
+    """(mask, N) for one seed: even seeds take a hop mask of a random graph
+    (edgeless graphs, T = 1 and graphs with isolated nodes among them), N its
+    node count; odd seeds a hand-built mask whose density forces the dense
+    path (seed % 4 == 1) or the nnz path (seed % 4 == 3), N drawn in [1, T]."""
+    rng = np.random.default_rng([seed, 31])
+    if seed % 2 == 0:
+        g = [lambda: _edgeless(1),
+             lambda: _edgeless(int(rng.integers(2, 9))),
+             lambda: random_graph(rng, max_nodes=14, p=0.08),   # isolated nodes
+             lambda: random_graph(rng, max_nodes=14)][seed // 2 % 4]()
+        return build_mask(augment(g), int(rng.integers(0, 6))), g.num_nodes
+    dense = seed % 4 == 1
+    t = int(rng.integers(1, 30)) if dense else int(rng.integers(12, 40))
+    mask = _random_csr_mask(rng, t, float(rng.uniform(0.3, 0.9) if dense
+                                          else rng.uniform(0.0, 0.08)))
+    assert _runs_dense(mask) == dense
+    return mask, int(rng.integers(1, t + 1))
+
+
+class TestQueryPrefix:
+    """A call with the queries of a mask's first r rows against the call on all
+    T rows and against the masked dense oracle."""
+
+    def test_cases_cover_both_paths_and_the_edge_cases(self):
+        cases = [_prefix_case(seed) for seed in range(48)]
+        assert {_runs_dense(mask) for mask, _ in cases[0::2]} == {False, True}
+        assert any(mask.size == 1 for mask, _ in cases)
+        assert any(mask.nnz == mask.size > 1 for mask, _ in cases)   # identity: edgeless
+        assert any(0 < n < mask.size for mask, n in cases[0::2])      # nodes and edges
+        assert any(mask.hop_budget > 0 and mask.nnz > mask.size       # an isolated token
+                   and (np.diff(mask.indptr) == 1).any() for mask, _ in cases[0::2])
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_prefix_is_the_first_rows_of_the_full_call(self, seed):
+        mask, n = _prefix_case(seed)
+        t, d_h = mask.size, (1, 3, 4)[seed % 3]
+        dense = _runs_dense(mask)
+        rng = np.random.default_rng(seed)
+        qv, kv, vv, g = rng.standard_normal((4, t, d_h))
+        support = mask_to_dense(mask)
+        for r in sorted({1, n, t}):
+            nnz = int(mask.indptr[r])
+            g_r = g.copy()
+            g_r[r:] = 0.0
+            full, _ = _attention_run(qv, kv, vv, mask, g_r)
+            pre, meter = _attention_run(qv[:r], kv, vv, mask, g_r[:r])
+            assert pre[0].shape == pre[1].shape == (r, d_h)
+            # out and dq are the full call's first r rows; dk and dv its grads
+            # when no gradient reaches the rows past r
+            for got, want in zip(pre, [full[0][:r], full[1][:r], full[2], full[3]]):
+                if dense:
+                    assert np.abs(got - want).max() <= 1e-12
+                else:
+                    assert np.array_equal(got, want)
+            assert meter.attention_flops == attention_flops(nnz, d_h)
+            assert meter.executed_flops == attention_flops(r * t if dense else nnz, d_h)
+            oracle = [dense_attention_oracle(qv[:r], kv, vv, support[:r]),
+                      *_dense_oracle_grads(qv[:r], kv, vv, support[:r], g_r[:r])]
+            for got, want in zip(pre, oracle):
+                assert np.abs(got - want).max() <= ORACLE_TOL
+            # attention dropout keeps the weights the full call draws for these rows
+            kw = dict(dropout_rate=0.3, dropout_seed=[seed, 2], training=True)
+            full_drop, _ = _attention_run(qv, kv, vv, mask, g_r, **kw)
+            pre_drop, _ = _attention_run(qv[:r], kv, vv, mask, g_r[:r], **kw)
+            for got, want in zip(pre_drop, [full_drop[0][:r], full_drop[1][:r],
+                                            full_drop[2], full_drop[3]]):
+                if dense:
+                    assert np.abs(got - want).max() <= 1e-12
+                else:
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", DISPATCH_MASKS)
+    def test_meter_counts_the_prefix(self, name):
+        mask = DISPATCH_MASKS[name]()
+        t, r = mask.size, mask.size // 2
+        q, k, v = (Tensor(a) for a in _qkv(t))
+        with count_attention_flops() as meter:
+            sparse_masked_attention(Tensor(q.values[:r]), k, v, mask)
+        nnz = int(mask.indptr[r])
+        assert nnz < mask.nnz
+        assert meter.attention_flops == attention_flops(nnz, 4)
+        assert meter.executed_flops == attention_flops(r * t if EXPECT_DENSE[name] else nnz, 4)
+
+    def test_the_whole_masks_density_picks_the_path(self):
+        # the hop-3 mask of a path is sparse overall but dense in its first
+        # rows; the prefix call stays on the nnz path and builds no T x T support
+        mask = build_mask(augment(Graph(num_nodes=40, edges=np.column_stack(
+            [np.arange(39), np.arange(1, 40)]), node_features=np.ones((40, 1)))), 3)
+        r = 2
+        assert not _runs_dense(mask) and mask.indptr[r] >= ops.DENSE_MIN_DENSITY * r * r
+        q, k, v = (Tensor(a) for a in _qkv(mask.size))
+        with count_attention_flops() as meter:
+            sparse_masked_attention(Tensor(q.values[:r]), k, v, mask)
+        assert meter.executed_flops == meter.attention_flops
+        assert mask._dense_support is None
+
+    def test_more_query_rows_than_keys_refused(self):
+        mask = _ring_mask(6, 1)
+        qv, kv, vv = _qkv(mask.size)
+        with pytest.raises(ShapeError, match=r"q has shape \(13, 4\), more rows than k/v "
+                                             r"\(12, 4\)"):
+            sparse_masked_attention(Tensor(np.vstack([qv, qv[:1]])), Tensor(kv), Tensor(vv),
+                                    mask)
+
+    def test_prefix_of_a_batch_refused(self):
+        mask = _ring_mask(6, 1)
+        q, k, v = (np.vstack([a, a]) for a in _qkv(mask.size))
+        with pytest.raises(ShapeError, match=r"q of shape \(5, 4\) holds a prefix of the 24 "
+                                             r"rows of k/v; .* a batch of 2"):
+            sparse_masked_attention(Tensor(q[:5]), Tensor(k), Tensor(v), [mask, mask])

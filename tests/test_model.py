@@ -395,6 +395,11 @@ class TestPredictHeads:
         with pytest.raises(ValueError):
             predict_node(m2, Tensor(np.ones((5, 8))), 3)
 
+    def test_node_head_refuses_fewer_rows_than_nodes(self):
+        m = init_model(small_cfg(num_classes=2), d_v=1)
+        with pytest.raises(ShapeError, match="needs 60 node rows, h has 10 rows"):
+            predict_node(m, Tensor(np.ones((10, 8))), 60)
+
 
 def batch_graphs(rng, d_e=0, labels=None):
     """Graphs for a batch: random ones, an edgeless one, a single node, and a
@@ -622,6 +627,73 @@ class TestBatchOfOne:
         monkeypatch.setattr(analysis_mod, "_check_masks", counted)
         influence_matrix(m, ag, build_head_masks(ag, [1, 3]), head=head)
         assert len(calls) == 1
+
+
+class TestNodeRows:
+    """``forward(rows=N)``: the last layer computes a node task's N node rows
+    alone, equal to the first N rows of the full forward."""
+
+    def setup_case(self, norm, num_layers=2, edges=True, **over):
+        cfg = small_cfg(norm=norm, head_hops=(1, 4), num_layers=num_layers, **over)
+        g = batch_graphs(np.random.default_rng(5), 2)[-1 if edges else 2]
+        ag = augment(g)
+        return init_model(cfg, 3, 2), g, ag, build_head_masks(ag, list(cfg.head_hops))
+
+    def test_the_case_has_edge_tokens_and_both_attention_paths(self):
+        _, g, ag, masks = self.setup_case("post")
+        assert 0 < g.num_nodes < ag.total_tokens
+        assert {mk.nnz >= ops.DENSE_MIN_DENSITY * mk.size ** 2 for mk in masks} == {False, True}
+
+    @pytest.mark.parametrize("norm", ["post", "pre"])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_node_rows_and_gradients_match_the_full_forward(self, norm, num_layers):
+        m, g, ag, masks = self.setup_case(norm, num_layers, dropout=0.2, attention_dropout=0.2)
+        params = named_parameters(m)
+        n = g.num_nodes
+        w = Tensor(np.random.default_rng(6).standard_normal((m.cfg.hidden_dim, 1)))
+        runs = []
+        for rows in (None, n):
+            for p in params.values():
+                p.grad = None
+            h = forward(m, g, ag, masks, training=True, rng_seed=9, rows=rows)
+            nodes = predict_node(m, h, n)
+            ops.backward(ops.sum_all(nodes))
+            runs.append((h.values[:n], nodes.values, {k: p.grad for k, p in params.items()}))
+        (full_h, full_logits, full_grads), (h_n, logits, grads) = runs
+        assert h_n.shape == (n, m.cfg.hidden_dim)
+        assert np.array_equal(h_n, full_h)
+        assert np.array_equal(logits, full_logits)
+        for k in params:
+            assert np.abs(grads[k] - full_grads[k]).max() <= 1e-12, k
+        with ops.scratch_tape():   # dropout acted
+            assert not np.allclose(h_n, forward(m, g, ag, masks, rows=n).values)
+
+    def test_all_rows_and_no_layers(self):
+        m, g, ag, masks = self.setup_case("post")
+        t = ag.total_tokens
+        with ops.scratch_tape():
+            full = forward(m, g, ag, masks).values
+            assert np.array_equal(forward(m, g, ag, masks, rows=t).values, full)
+            m0, *_ = self.setup_case("post", num_layers=0)
+            h0 = forward(m0, g, ag, masks, rows=3).values
+            assert np.array_equal(h0, forward(m0, g, ag, masks).values[:3])
+
+    @pytest.mark.parametrize("rows", [0, -1, 28, 2.5])
+    def test_rows_outside_the_graph_refused(self, rows):
+        m, g, ag, masks = self.setup_case("post")
+        assert ag.total_tokens == 23
+        message = "rows must be an integer" if rows == 2.5 else r"rows must be in \[1, 23\]"
+        with ops.scratch_tape(), pytest.raises(ValueError, match=message):
+            forward(m, g, ag, masks, rows=rows)
+
+    def test_rows_of_a_batch_refused(self):
+        m, g, ag, masks = self.setup_case("post")
+        with ops.scratch_tape():
+            with pytest.raises(ShapeError, match="one graph, got a batch of 2"):
+                forward(m, [g, g], [ag, ag], [masks, masks], rows=g.num_nodes)
+            with pytest.raises(ShapeError, match="one graph, got a batch of 2"):
+                encoder_layer(Tensor(np.ones((46, 8))), [[mk, mk] for mk in masks],
+                              m.layers[0], m.cfg, rows=4)
 
 
 class TestPoolSegments:

@@ -429,6 +429,66 @@ def task_fixture(task):
 TASKS = ["node_classification", "graph_classification", "graph_regression"]
 
 
+class TestNodeRowsInTraining:
+    """A node task's last layer computes its node rows alone; graph tasks run
+    every row of every layer."""
+
+    def test_meter_counts_node_rows_in_the_last_layer_only(self):
+        g = labelled_graph(n=20, seed=12)
+        ag = augment(g)
+        cfg = node_cfg(num_layers=3, head_hops=(1, 4))
+        model = init_model(cfg, g.node_feature_dim)
+        masks = build_head_masks(ag, list(cfg.head_hops))
+        n, t, d_h = g.num_nodes, ag.total_tokens, cfg.head_dim
+        with ops.scratch_tape(), ops.count_attention_flops() as meter:
+            training._predict(model, g, ag, masks, np.arange(n))
+        logical = executed = 0
+        for mk in masks:
+            node_nnz = int(mk.indptr[n])
+            dense = mk.nnz >= ops.DENSE_MIN_DENSITY * t * t
+            logical += 2 * ops.attention_flops(mk.nnz, d_h) + ops.attention_flops(node_nnz, d_h)
+            executed += (2 * ops.attention_flops(t * t, d_h) + ops.attention_flops(n * t, d_h)
+                         if dense else 2 * ops.attention_flops(mk.nnz, d_h)
+                         + ops.attention_flops(node_nnz, d_h))
+            assert node_nnz < mk.nnz
+        assert meter.attention_flops == logical
+        assert meter.executed_flops == executed
+        assert executed > logical   # a head ran on the dense path
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_edgeless_graph_trains_as_the_full_forward(self, monkeypatch, dropout):
+        # N = T: asking for the node rows is asking for every row
+        rng = np.random.default_rng(3)
+        g = Graph(num_nodes=15, edges=np.zeros((0, 2), dtype=int),
+                  node_features=rng.standard_normal((15, 3)), node_labels=rng.integers(0, 2, 15))
+        tc = TrainConfig(learning_rate=2e-2, epochs=4, seed=3)
+
+        def run():
+            model = init_model(node_cfg(dropout=dropout, attention_dropout=dropout), 3)
+            model, h = train(model, g, None, tc)
+            return (h.train_loss, h.val_metric, h.test_metric, h.best_epoch), \
+                copy_parameter_values(model)
+
+        with_rows = run()
+        real = training.forward
+        monkeypatch.setattr(training, "forward",
+                            lambda *a, rows=None, **kw: real(*a, **kw))
+        without_rows = run()
+        assert with_rows[0] == without_rows[0]
+        for k, v in with_rows[1].items():
+            assert np.array_equal(v, without_rows[1][k]), k
+
+    @pytest.mark.parametrize("task", ["graph_classification", "graph_regression"])
+    def test_graph_tasks_run_every_row(self, monkeypatch, task):
+        model, dataset, masks, tc = task_fixture(task)
+        shapes = []
+        real = ops.sparse_masked_attention
+        monkeypatch.setattr(ops, "sparse_masked_attention", lambda q, k, *a, **kw: (
+            shapes.append((q.values.shape, k.values.shape)) or real(q, k, *a, **kw)))
+        train(model, dataset, masks, tc)
+        assert shapes and all(qs == ks for qs, ks in shapes)
+
+
 class TestOnePredictionPath:
     def test_node_task_runs_two_forwards_per_epoch(self, monkeypatch):
         model, g, masks, tc = task_fixture("node_classification")
