@@ -7,7 +7,7 @@ that token graph, so one hop of the original graph costs two.
 
 import numpy as np
 
-from hopformer import Graph, augment, build_head_masks, build_mask, mask_stats
+from hopformer import Graph, augment, build_head_masks, mask_stats
 
 g = Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]),
           node_features=np.ones((3, 1)))
@@ -26,8 +26,7 @@ for tok in range(ag.total_tokens):
 print()
 
 # Reachability grows with the hop budget until the mask saturates.
-for n in range(5):
-    m = build_mask(ag, n)
+for n, m in enumerate(build_head_masks(ag, list(range(5)))):
     stats = mask_stats(m)
     row_a = ", ".join(names[j] for j in m.row(0))
     print(f"hops={n}: nnz={stats['nnz']:2d} density={stats['density']:.2f} "

@@ -20,7 +20,7 @@ path runs; its executed count shows the T^2 work of dense-path calls.
 
 import numpy as np
 
-from hopformer import (Tensor, attention_flops, augment, build_mask,
+from hopformer import (Tensor, attention_flops, augment, build_head_masks,
                        count_attention_flops, generate_watts_strogatz,
                        sparse_masked_attention)
 from hopformer.autograd import DENSE_MIN_DENSITY
@@ -37,8 +37,8 @@ print(f"graph: {g.num_nodes} nodes -> {t} tokens, head dim {d_h}, "
 print(f"{'hops':>4} {'nnz':>7} {'share of T^2':>12} {'path':>6} {'model FLOPs':>12} "
       f"{'executed FLOPs':>14} {'max err vs dense':>17}")
 
-for hops in (1, 2, 4, 8, 16):
-    mask = build_mask(ag, hops)
+budgets = [1, 2, 4, 8, 16]
+for hops, mask in zip(budgets, build_head_masks(ag, budgets)):
     with count_attention_flops() as meter:
         out = sparse_masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
 

@@ -6,12 +6,13 @@ therefore requires aggregating over the graph structure, which is exactly
 what the hop-masked heads provide.
 """
 
-from hopformer import (ModelConfig, TrainConfig, evaluate, generate_sbm,
-                       init_model, prepare_graph, split_indices, train)
+from hopformer import (ModelConfig, TrainConfig, augment, build_head_masks, evaluate,
+                       generate_sbm, init_model, split_indices, train)
 
 seed = 0
 g = generate_sbm((30, 30), p_in=0.3, p_out=0.02, seed=seed)
-ag, masks = prepare_graph(g, [1, 3, 6, 12])
+ag = augment(g)
+masks = build_head_masks(ag, [1, 3, 6, 12])
 print(f"graph: {g.num_nodes} nodes, {g.num_edges} edges -> {ag.total_tokens} tokens")
 
 # baseline: best threshold on the mean feature, no structure used

@@ -268,7 +268,14 @@ def split_cols(a: Tensor, n: int) -> list[Tensor]:
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
-    """``a[rows]`` for a slice or an array of distinct row indices."""
+    """``a[rows]`` for a slice or an array of distinct row indices, all within
+    the n rows of ``a``: nothing is clipped or wrapped."""
+    n = a.values.shape[0]
+    if isinstance(rows, slice):
+        if rows.step is not None or not 0 <= rows.start <= rows.stop <= n:
+            raise ShapeError(f"row slice {rows.start}:{rows.stop} is not within the {n} rows")
+    elif np.size(rows) and not 0 <= np.min(rows) <= np.max(rows) < n:
+        raise ShapeError(f"row indices {np.min(rows)}..{np.max(rows)} are not all in [0, {n})")
 
     def grad_fn(g):
         full = np.zeros_like(a.values)
@@ -287,14 +294,11 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def sum_rows(a: Tensor) -> Tensor:
-    return primitive(a.values.sum(axis=0, keepdims=True),
-                     lambda g: a._accum(np.broadcast_to(g, a.values.shape).copy()))
+    return pool_segments(a, [a.values.shape[0]])
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    n = a.values.shape[0]
-    return primitive(a.values.mean(axis=0, keepdims=True),
-                     lambda g: a._accum(np.broadcast_to(g / n, a.values.shape).copy()))
+    return pool_segments(a, [a.values.shape[0]], mean=True)
 
 
 def pool_segments(a: Tensor, sizes, mean: bool = False) -> Tensor:

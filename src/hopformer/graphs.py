@@ -94,16 +94,6 @@ def _finite_rows(name: str, values) -> np.ndarray:
     return arr
 
 
-def _check_graph_label(label) -> None:
-    """A graph label is None, an integer class, or a finite regression target."""
-    if label is None:
-        return
-    if not _is_number(label):
-        raise GraphError(f"graph_label must be an integer or a finite number, got {label!r}")
-    if _is_float(label) and not math.isfinite(label):
-        raise GraphError(f"graph_label must be finite, got {label!r}")
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with node features and optional edge features/labels.
@@ -122,10 +112,15 @@ class Graph:
     graph_label: float | int | None = None
 
     def __post_init__(self):
-        n = self.num_nodes
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-            raise GraphError(f"num_nodes must be a non-negative integer, got {n!r}")
-        object.__setattr__(self, "num_nodes", int(n))
+        try:   # the package's integer and finite-number rules
+            n = _int_value("num_nodes", self.num_nodes)
+            if self.graph_label is not None:
+                _finite_value("graph_label", self.graph_label)
+        except ValueError as e:
+            raise GraphError(str(e)) from e
+        if n < 0:
+            raise GraphError(f"num_nodes must be non-negative, got {n}")
+        object.__setattr__(self, "num_nodes", n)
         edges = _int_field("edges", self.edges)
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise GraphError(f"edges must have shape (M, 2), got {edges.shape}")
@@ -158,7 +153,6 @@ class Graph:
             if lab.shape[0] != n:
                 raise GraphError(f"node_labels must have length {n}, got {lab.shape[0]}")
             object.__setattr__(self, "node_labels", _frozen(lab))
-        _check_graph_label(self.graph_label)
 
     @property
     def num_edges(self) -> int:

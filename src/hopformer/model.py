@@ -28,8 +28,8 @@ import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, ShapeError
-from .graphs import (AugmentedGraph, Graph, _config_from_obj, _finite_value, _int_value,
-                     _json_object, _read_json, _write_json)
+from .graphs import (AugmentedGraph, Graph, GraphError, _config_from_obj, _finite_value,
+                     _int_value, _json_object, _read_json, _write_json)
 from .masks import HopMask
 
 CHECKPOINT_MAGIC = "HOPFORMER2"
@@ -186,29 +186,21 @@ def named_parameters(m: Model) -> dict[str, Tensor]:
     return out
 
 
-def embed_tokens(m: Model, g: Graph | list[Graph],
-                 ag: AugmentedGraph | list[AugmentedGraph]) -> Tensor:
+def embed_tokens(m: Model, g: Graph | list[Graph]) -> Tensor:
     """Project node features (rows 0..N-1) and edge features (rows N..T-1)
     into the shared token space; featureless edge tokens come out as zeros.
 
-    ``g`` and ``ag`` may also be parallel lists over a batch of graphs: each
-    graph's T rows, nodes then edges, follow the previous graph's.
+    ``g`` may also be a list, a batch of graphs: each graph's T rows, nodes
+    then edges, follow the previous graph's.  :func:`_check_graph` checks
+    each graph's features first.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
-        g, ag = [g], [ag]
-    for x in g:
-        if x.node_feature_dim != m.d_v:
-            raise ShapeError(
-                f"graph node features have dim {x.node_feature_dim}, model expects {m.d_v}")
-        if x.num_edges and m.proj_edge is not None:
-            if x.edge_features is None:
-                raise ShapeError(f"model expects edge features of dim {m.d_e}, graph has none")
-            if x.edge_feature_dim != m.d_e:
-                raise ShapeError(f"graph edge features have dim {x.edge_feature_dim}, "
-                                 f"model expects {m.d_e}")
+        g = [g]
+    for b, x in enumerate(g):
+        _check_graph(m, x, None, f"batch graph {b}")
     tokens = ops.matmul(Tensor(ops._stack_rows([x.node_features for x in g])), m.proj_node)
     num_nodes = np.array([x.num_nodes for x in g])
-    num_edges = np.array([a.num_edge_tokens for a in ag])
+    num_edges = np.array([x.num_edges for x in g])
     if num_edges.any():
         if m.proj_edge is not None:
             edge_part = ops.matmul(Tensor(ops._stack_rows([x.edge_features for x in g
@@ -314,6 +306,20 @@ def _check_masks(m: Model, masks: list[HopMask], total_tokens: int) -> None:
             raise ShapeError(f"mask {h} has hop budget {mask.hop_budget}, config says {budget}")
 
 
+def _check_graph(m: Model, g: Graph, masks: list[HopMask] | None, name: str) -> None:
+    """The one rule for a graph fitting the model, a refusal naming ``name``:
+    node features of dim ``d_v``; with edges, exactly ``d_e`` edge-feature
+    columns; ``masks``, unless None, passing :func:`_check_masks` for N + M tokens."""
+    if g.node_feature_dim != m.d_v or g.num_edges and g.edge_feature_dim != m.d_e:
+        raise GraphError(f"{name} has node/edge feature dims {g.node_feature_dim}/"
+                         f"{g.edge_feature_dim}, the model expects {m.d_v}/{m.d_e}")
+    try:
+        if masks is not None:
+            _check_masks(m, masks, g.num_nodes + g.num_edges)
+    except ShapeError as e:
+        raise ShapeError(f"{name}: {e}") from e
+
+
 def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
             training: bool, rows: int | None = None) -> Tensor:
     """The layer stack on a batch's stacked token rows, given per head the
@@ -357,6 +363,9 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     every token.  They equal the first rows of a full forward; only rounding
     in the weight gradients differs.  Graph tasks pool every token and so
     leave it unset.
+
+    ``g`` gives the token layout (nodes, then edges); ``ag`` is only checked
+    against it.  :func:`_check_graph` checks each graph before any tape entry.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
         g, ag, masks = [g], [ag], [masks]
@@ -364,14 +373,15 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     if not len(g) == len(ag) == len(masks) == len(ids):
         raise ShapeError(f"a batch of {len(g)} graphs got {len(ag)} augmented graphs, "
                          f"{len(masks)} head-mask lists and {len(ids)} graph ids")
-    rows = _prefix_rows(rows, [a.total_tokens for a in ag])
-    for b, (gm, a) in enumerate(zip(masks, ag)):
-        try:
-            _check_masks(m, gm, a.total_tokens)
-        except ShapeError as e:
-            raise ShapeError(f"batch graph {b}: {e}") from e
+    for b, (x, a, gm) in enumerate(zip(g, ag, masks)):
+        if (a.num_node_tokens, a.num_edge_tokens) != (x.num_nodes, x.num_edges):
+            raise ShapeError(f"batch graph {b}: the augmented graph has {a.num_node_tokens} "
+                             f"node and {a.num_edge_tokens} edge tokens, the graph "
+                             f"{x.num_nodes} nodes and {x.num_edges} edges")
+        _check_graph(m, x, gm, f"batch graph {b}")
+    rows = _prefix_rows(rows, [x.num_nodes + x.num_edges for x in g])
     seeds = [0] * len(g) if rng_seed is None else [int(rng_seed) + int(i) for i in ids]
-    return _encode(m, embed_tokens(m, g, ag), [list(hm) for hm in zip(*masks)], seeds,
+    return _encode(m, embed_tokens(m, g), [list(hm) for hm in zip(*masks)], seeds,
                    training, rows)
 
 

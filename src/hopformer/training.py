@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ops
-from .autograd import ShapeError, Tensor, scratch_tape
+from .autograd import Tensor, scratch_tape
 from .graphs import Graph, GraphError, _finite_value, _int_field, _int_value, augment
 from .masks import build_head_masks
-from .model import (Model, _check_masks, copy_parameter_values, forward, named_parameters,
+from .model import (Model, _check_graph, copy_parameter_values, forward, named_parameters,
                     predict_graph, predict_node, readout, set_parameter_values)
 
 
@@ -203,20 +203,11 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
     if len(mask_lists) != len(graphs):
         raise ValueError(f"{len(mask_lists)} head-mask lists for {len(graphs)} graphs")
     for i, (g, gm) in enumerate(zip(graphs, mask_lists)):
-        name = "the graph" if node_task else f"graph {i}"
         if not node_task and g.num_nodes == 0:
             raise GraphError(f"graph {i} has no nodes; graph-level tasks need at least one")
         if not node_task and g.graph_label is None:
             raise GraphError(f"graph {i} has no graph_label; graph-level tasks need one")
-        if g.node_feature_dim != model.d_v or g.num_edges and g.edge_feature_dim != model.d_e:
-            raise GraphError(f"{name} has node/edge feature dims {g.node_feature_dim}/"
-                             f"{g.edge_feature_dim}, the model expects {model.d_v}/{model.d_e}")
-        if gm is None:
-            continue
-        try:
-            _check_masks(model, gm, g.num_nodes + g.num_edges)
-        except ShapeError as e:
-            raise ShapeError(f"{name}: {e}") from e
+        _check_graph(model, g, gm, "the graph" if node_task else f"graph {i}")
     if node_task and dataset.node_labels is None:
         raise ValueError("node classification requires node_labels")
     targets = dataset.node_labels if node_task else np.asarray(

@@ -121,6 +121,19 @@ class TestDensePrimitives:
         expect[1:3] = 1.0
         assert np.array_equal(x.grad, expect)
 
+    @pytest.mark.parametrize("take, message", [
+        (lambda x: ops.row_slice(x, 0, 60), "row slice 0:60 is not within the 10 rows"),
+        (lambda x: ops.row_slice(x, -2, 4), "row slice -2:4 is not within the 10 rows"),
+        (lambda x: ops.row_slice(x, 5, 3), "row slice 5:3 is not within the 10 rows"),
+        (lambda x: ops.take_rows(x, np.array([3, 10])),
+         r"row indices 3\.\.10 are not all in \[0, 10\)"),
+        (lambda x: ops.take_rows(x, [3, -1]), r"row indices -1\.\.3 are not all in \[0, 10\)")])
+    def test_rows_outside_the_tensor_are_refused_not_clipped(self, take, message):
+        with ops.scratch_tape() as tape:
+            with pytest.raises(ShapeError, match=message):
+                take(Tensor(np.ones((10, 8))))
+            assert tape == []
+
     def test_dropout_inactive_is_identity(self):
         x = Tensor(np.ones((3, 3)))
         assert ops.dropout(x, 0.5, 0, False) is x

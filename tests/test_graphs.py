@@ -64,6 +64,19 @@ class TestGraphInvariants:
                   graph_label=label)
         assert g.graph_label is label
 
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0)], ids=["float", "np.float64"])
+    def test_integral_float_node_count_accepted(self, n):
+        g = Graph(num_nodes=n, edges=np.array([[0, 2]]), node_features=np.ones((3, 1)))
+        assert type(g.num_nodes) is int and g.num_nodes == 3
+        text = json.dumps({"num_nodes": float(n), "edges": [[0, 2]], "node_features": [1] * 3})
+        assert text.startswith('{"num_nodes": 3.0,') and load_graph(text).num_nodes == 3
+
+    @pytest.mark.parametrize("n, message", [(-1, "num_nodes must be non-negative, got -1"),
+                                            (2.5, "num_nodes must be an integer, got 2.5")])
+    def test_negative_or_fractional_node_count_refused(self, n, message):
+        with pytest.raises(GraphError, match=message):
+            Graph(num_nodes=n, edges=np.zeros((0, 2)), node_features=np.ones((2, 1)))
+
     def test_fractional_endpoint_rejected_not_truncated(self):
         with pytest.raises(GraphError, match=r"edges must hold integers, got 0\.7"):
             Graph(num_nodes=2, edges=np.array([[0.7, 1.0]]), node_features=np.ones((2, 1)))

@@ -19,7 +19,7 @@ from hopformer.autograd import ShapeError
 from hopformer.model import CHECKPOINT_MAGIC, LayerParams
 
 from helpers import (augmented_distances, dense_vanilla_encoder, path3_graph,
-                     random_graph, single_edge_graph)
+                     random_graph, single_edge_graph, triangle_graph)
 
 
 def small_cfg(**over):
@@ -162,14 +162,14 @@ class TestEmbedTokens:
         m = init_model(small_cfg(hidden_dim=2, num_heads=2, head_hops=(1, 1),
                                  ffn_dim=4), d_v=2)
         m.proj_node.values = np.eye(2)
-        h = embed_tokens(m, g, augment(g))
+        h = embed_tokens(m, g)
         assert np.array_equal(h.values[:2], g.node_features)
 
     def test_featureless_edge_tokens_are_zero_rows(self):
         g = path3_graph()
         ag = augment(g)
         m = init_model(small_cfg(), d_v=1)
-        h = embed_tokens(m, g, ag)
+        h = embed_tokens(m, g)
         assert h.values.shape == (5, 8)
         assert np.all(h.values[3:] == 0.0)
 
@@ -177,14 +177,14 @@ class TestEmbedTokens:
         g = Graph(num_nodes=2, edges=np.array([[0, 1]]),
                   node_features=np.ones((2, 1)), edge_features=np.array([[2.0, 3.0]]))
         m = init_model(small_cfg(), d_v=1, d_e=2)
-        h = embed_tokens(m, g, augment(g))
+        h = embed_tokens(m, g)
         assert np.allclose(h.values[2], g.edge_features @ m.proj_edge.values)
 
     def test_dimension_mismatch(self):
         g = path3_graph()
         m = init_model(small_cfg(), d_v=4)
         with pytest.raises(Exception, match="dim"):
-            embed_tokens(m, g, augment(g))
+            embed_tokens(m, g)
 
     def test_per_token_map_permutes_rows(self):
         rng = np.random.default_rng(0)
@@ -192,8 +192,8 @@ class TestEmbedTokens:
         m = init_model(small_cfg(), d_v=3)
         perm = rng.permutation(g.num_nodes)
         g2 = relabel_nodes(g, perm)
-        h1 = embed_tokens(m, g, augment(g)).values
-        h2 = embed_tokens(m, g2, augment(g2)).values
+        h1 = embed_tokens(m, g).values
+        h2 = embed_tokens(m, g2).values
         assert np.allclose(h2[perm], h1[:g.num_nodes])
 
 
@@ -262,7 +262,7 @@ class TestForward:
         m = init_model(cfg, d_v=1)
         masks = build_head_masks(ag, list(cfg.head_hops))
         h = forward(m, g, ag, masks)
-        assert np.array_equal(h.values, embed_tokens(m, g, ag).values)
+        assert np.array_equal(h.values, embed_tokens(m, g).values)
 
     def test_deterministic(self):
         cfg = small_cfg()
@@ -603,7 +603,19 @@ class TestBatchOfOne:
             with pytest.raises(ShapeError, match=f"batch graph 0: {message}"):
                 forward(m, g, ag, masks)
             with pytest.raises(ShapeError, match=f"^{message}"):
-                encode(m, embed_tokens(m, g, ag), masks)
+                encode(m, embed_tokens(m, g), masks)
+
+    @pytest.mark.parametrize("masks_of", ["graph", "augmented graph"])
+    def test_forward_refuses_another_graphs_augmented_graph(self, masks_of):
+        m = init_model(small_cfg(), d_v=1)
+        g, other = path3_graph(), augment(triangle_graph())
+        masks = build_head_masks(augment(g) if masks_of == "graph" else other, [1, 3])
+        with ops.scratch_tape() as tape:
+            with pytest.raises(ShapeError, match=re.escape(
+                    "batch graph 0: the augmented graph has 3 node and 3 edge tokens, "
+                    "the graph 3 nodes and 2 edges")):
+                forward(m, g, other, masks)
+            assert tape == []
 
     @pytest.mark.parametrize("head", [None, 0])
     @pytest.mark.parametrize("fault", BAD_MASKS)

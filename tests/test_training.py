@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hopformer import (ModelConfig, Tensor, TrainConfig, TrainingAbort,
                        init_model, mae, named_parameters, split_indices, train)
 from hopformer import autograd as ops
 from hopformer import training
+from hopformer.autograd import ShapeError
 from hopformer.graphs import Graph, GraphError
 from hopformer.model import copy_parameter_values
 
@@ -689,6 +692,46 @@ def relabelled(g, label):
                  graph_label=label)
 
 
+def refeatured(g, node_features=None, edge_features=None):
+    return Graph(num_nodes=g.num_nodes, edges=g.edges,
+                 node_features=g.node_features if node_features is None else node_features,
+                 edge_features=edge_features, graph_label=g.graph_label)
+
+
+# fault -> (error, message after the graph's name) for graph 1, a triangle
+FIT_FAULTS = {
+    "node dim": (GraphError, " has node/edge feature dims 1/0, the model expects 2/0"),
+    "edge features, no edge projector": (
+        GraphError, " has node/edge feature dims 2/3, the model expects 2/0"),
+    "no edge features, an edge projector": (
+        GraphError, " has node/edge feature dims 2/0, the model expects 2/3"),
+    "mask count": (ShapeError, ": got 1 masks for 2 heads"),
+    "mask size": (ShapeError, ": mask 0 covers 5 tokens, expected 6"),
+    "mask budget": (ShapeError, ": mask 1 has hop budget 2, config says 3"),
+}
+
+
+def fit_fault(fault):
+    """``graph_task_inputs`` with ``fault`` in graph 1."""
+    model, graphs, masks = graph_task_inputs()
+    g = graphs[1]
+    if fault == "node dim":
+        graphs[1] = refeatured(g, node_features=np.ones((3, 1)))
+    elif fault == "edge features, no edge projector":
+        graphs[1] = refeatured(g, edge_features=np.ones((3, 3)))
+    elif fault == "no edge features, an edge projector":
+        model = init_model(model.cfg, 2, 3)
+        graphs = [x if i == 1 else refeatured(x, edge_features=np.ones((x.num_edges, 3)))
+                  for i, x in enumerate(graphs)]
+    elif fault == "mask count":
+        masks[1] = masks[1][:1]
+    elif fault == "mask size":
+        masks[1] = masks[0]     # a path's masks (5 tokens)
+    else:
+        masks[1] = build_head_masks(augment(g), [1, 2])
+    return model, graphs, masks
+
+
 class TestPrepare:
     """Each refusal of ``_prepare`` comes from ``train`` and ``evaluate`` alike,
     names the item and runs no forward."""
@@ -767,6 +810,17 @@ class TestPrepare:
         masks[1] = masks[0]     # a path's masks (5 tokens) for a triangle (6 tokens)
         self.refused_without_forward(monkeypatch, model, graphs, masks,
                                      "graph 1: mask 0 covers 5 tokens, expected 6")
+
+    @pytest.mark.parametrize("fault", FIT_FAULTS)
+    def test_train_evaluate_and_forward_refuse_a_misfit_graph_alike(self, monkeypatch, fault):
+        error, text = FIT_FAULTS[fault]
+        model, graphs, masks = fit_fault(fault)
+        self.refused_without_forward(monkeypatch, model, graphs, masks,
+                                     f"^graph 1{re.escape(text)}$", error)
+        with ops.scratch_tape() as tape:
+            with pytest.raises(error, match=f"^batch graph 1{re.escape(text)}$"):
+                forward(model, graphs, [augment(g) for g in graphs], masks)
+            assert tape == []
 
     @pytest.mark.parametrize("split, match", [
         ([0, 6], r"the evaluated split holds index 6, outside \[0, 6\)"),
