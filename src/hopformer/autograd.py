@@ -122,7 +122,15 @@ def primitive(values, grad_fn) -> Tensor:
 
 @contextmanager
 def scratch_tape():
-    """Run recording on a throwaway tape (forwards whose grads are unwanted)."""
+    """Record on a fresh tape inside the block and put the thread's tape back,
+    untouched, however the block ends.
+
+    What the block records stays on its tape until a :func:`backward` in the
+    block walks and clears it, or the block ends and drops it: a forward
+    recorded in one step may be differentiated in a later step of the same
+    block (``train`` holds its node-task forward across the Adam step this
+    way), and a forward whose grads are unwanted is simply dropped.
+    """
     prev = _tape()
     _state.tape = []
     try:
@@ -132,7 +140,11 @@ def scratch_tape():
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of everything feeding a scalar loss; clears the tape."""
+    """Populate grads of everything feeding a scalar loss; clears the tape.
+
+    The tape walked is the active one: the innermost :func:`scratch_tape`
+    block's, holding everything recorded in that block since its last
+    backward, or else the thread's."""
     if loss.values.shape != (1, 1):
         raise ShapeError(f"loss must be scalar (1, 1), got shape {loss.values.shape}")
     t = _tape()
@@ -269,13 +281,21 @@ def split_cols(a: Tensor, n: int) -> list[Tensor]:
 
 def take_rows(a: Tensor, rows) -> Tensor:
     """``a[rows]`` for a slice or an array of distinct row indices, all within
-    the n rows of ``a``: nothing is clipped or wrapped."""
+    the n rows of ``a``: nothing is clipped or wrapped, and a repeated row is
+    refused, since the backward assigns each row's grad once rather than
+    summing it."""
     n = a.values.shape[0]
     if isinstance(rows, slice):
         if rows.step is not None or not 0 <= rows.start <= rows.stop <= n:
             raise ShapeError(f"row slice {rows.start}:{rows.stop} is not within the {n} rows")
-    elif np.size(rows) and not 0 <= np.min(rows) <= np.max(rows) < n:
-        raise ShapeError(f"row indices {np.min(rows)}..{np.max(rows)} are not all in [0, {n})")
+    elif np.size(rows):
+        if not 0 <= np.min(rows) <= np.max(rows) < n:
+            raise ShapeError(f"row indices {np.min(rows)}..{np.max(rows)} "
+                             f"are not all in [0, {n})")
+        counts = np.bincount(np.reshape(rows, -1), minlength=n)
+        if counts.max() > 1:
+            first = next(r for r in np.reshape(rows, -1).tolist() if counts[r] > 1)
+            raise ShapeError(f"row index {first} is taken more than once")
 
     def grad_fn(g):
         full = np.zeros_like(a.values)

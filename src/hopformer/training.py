@@ -5,9 +5,13 @@ per item: a node of the one graph, or a graph of a dataset.  A node task runs
 one forward over its graph, whose last layer computes only the node-token
 rows its head reads; a graph task runs one forward per batch of graphs, their
 token rows stacked, and pools every token.  Training augments every graph once; each
-epoch steps over its batches and scores validation and test.  The checkpoint
-returned is the one at the best validation metric.  A non-finite loss aborts
-with epoch/step context rather than being clamped.
+epoch steps over its batches and scores validation and test.  A node task
+without dropout makes one forward per epoch: the forward that scores an epoch,
+held on the tape with its logits, is the next epoch's training forward, as
+with dropout off training and scoring compute the same values.  Training
+records on a tape of its own, never the caller's.  The checkpoint returned is
+the one at the best validation metric.  A non-finite loss aborts with
+epoch/step context rather than being clamped.
 """
 
 from __future__ import annotations
@@ -250,15 +254,23 @@ def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False
     dropout from ``seed + i`` (graph task; ``ags`` and ``masks`` are indexed
     by graph)."""
     if model.cfg.task == "node_classification":
-        h = forward(model, dataset, ags, masks, training=training, rng_seed=seed,
-                    rows=dataset.num_nodes)
-        return ops.take_rows(predict_node(model, h, dataset.num_nodes), items)
+        return ops.take_rows(_node_logits(model, dataset, ags, masks, training=training,
+                                          seed=seed), items)
     items = [int(i) for i in items]
     batch = [ags[i] for i in items]
     h = forward(model, [dataset[i] for i in items], batch, [masks[i] for i in items],
                 training=training, rng_seed=seed, graph_ids=items)
     return predict_graph(model, readout(h, model.cfg.readout,
                                         [ag.total_tokens for ag in batch]))
+
+
+def _node_logits(model: Model, graph: Graph, ag, masks, *, training: bool = False,
+                 seed: int | None = None) -> Tensor:
+    """Every node's logit row from one forward over ``graph`` whose last layer
+    computes the node rows alone."""
+    h = forward(model, graph, ag, masks, training=training, rng_seed=seed,
+                rows=graph.num_nodes)
+    return predict_node(model, h, graph.num_nodes)
 
 
 def _loss(task: str, out: Tensor, targets: np.ndarray) -> Tensor:
@@ -283,8 +295,8 @@ def _scores(model: Model, dataset, ags, masks, targets, splits) -> list[float]:
     task = model.cfg.task
     with scratch_tape():
         if task == "node_classification":
-            out = _predict(model, dataset, ags, masks, np.concatenate(splits)).values
-            outs = np.split(out, np.cumsum([s.size for s in splits[:-1]]))
+            logits = _node_logits(model, dataset, ags, masks).values
+            outs = [logits[s] for s in splits]
         else:
             outs = [_predict(model, dataset, ags, masks, s).values for s in splits]
     return [_score(task, o, targets[s]) for o, s in zip(outs, splits)]
@@ -305,6 +317,15 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     nodes or without the task's label; a class label that is not an integer in
     [0, num_classes); feature dims other than the model's ``d_v``/``d_e``;
     head masks that do not fit their graph; an empty split.
+
+    A node task with ``dropout`` and ``attention_dropout`` both 0 runs E + 1
+    forwards for E epochs: one before the first step (timed in epoch 0), then
+    one after each Adam step, which scores val and test and, kept on train's
+    tape, gives the next step its loss and backward.  With any dropout, and
+    for graph tasks, each step runs its own training forward and the scoring
+    forwards follow it.  Every step records on a tape ``train`` owns and drops
+    on return, early stop or ``TrainingAbort``; the caller's tape is left as
+    it was.
     """
     task = model.cfg.task
     node_task = task == "node_classification"
@@ -318,52 +339,64 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     best_val = best_loss = None
     best_params = copy_parameter_values(model)
     since_best = 0
+    # without dropout, training=True changes nothing in the forward: the one
+    # that scores an epoch is bit for bit the next epoch's training forward
+    held = node_task and model.cfg.dropout == model.cfg.attention_dropout == 0
+    with scratch_tape():   # train's own tape, dropped however the loop ends
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            seed = cfg.seed * 100003 + epoch
+            if held and epoch == 0:
+                logits = _node_logits(model, dataset, ags, masks)
+            if node_task:
+                batches = [idx_train]
+            else:
+                order = np.random.default_rng([cfg.seed, 29, epoch]).permutation(idx_train)
+                batches = [order[lo:lo + cfg.batch_size]
+                           for lo in range(0, order.size, cfg.batch_size)]
+            batch_losses = []
+            for step, batch in enumerate(batches):
+                zero_grads(params)
+                # the loss takes idx_train's rows in its seeded order: sorted,
+                # they move the mean's last bits
+                out = ops.take_rows(logits, batch) if held else _predict(
+                    model, dataset, ags, masks, batch, training=True, seed=seed)
+                loss = _loss(task, out, targets[batch])
+                lv = float(loss.values[0, 0])
+                if not np.isfinite(lv):
+                    raise TrainingAbort(epoch, step, "non-finite training loss")
+                batch_losses.append(lv)
+                ops.backward(loss)
+                adam_step(params, collect_grads(params), state, cfg.learning_rate,
+                          weight_decay=cfg.weight_decay)
+            # size-weighted mean over the epoch's batches; one batch's loss is
+            # kept as it is, not multiplied and divided by its size
+            loss_value = batch_losses[0] if len(batches) == 1 else sum(
+                lv * b.size for lv, b in zip(batch_losses, batches)) / idx_train.size
 
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        seed = cfg.seed * 100003 + epoch
-        if node_task:
-            batches = [idx_train]
-        else:
-            order = np.random.default_rng([cfg.seed, 29, epoch]).permutation(idx_train)
-            batches = [order[lo:lo + cfg.batch_size]
-                       for lo in range(0, order.size, cfg.batch_size)]
-        batch_losses = []
-        for step, batch in enumerate(batches):
-            zero_grads(params)
-            out = _predict(model, dataset, ags, masks, batch, training=True, seed=seed)
-            loss = _loss(task, out, targets[batch])
-            lv = float(loss.values[0, 0])
-            if not np.isfinite(lv):
-                raise TrainingAbort(epoch, step, "non-finite training loss")
-            batch_losses.append(lv)
-            ops.backward(loss)
-            adam_step(params, collect_grads(params), state, cfg.learning_rate,
-                      weight_decay=cfg.weight_decay)
-        # size-weighted mean over the epoch's batches; one batch's loss is
-        # kept as it is, not multiplied and divided by its size
-        loss_value = batch_losses[0] if len(batches) == 1 else sum(
-            lv * b.size for lv, b in zip(batch_losses, batches)) / idx_train.size
+            if held:
+                logits = _node_logits(model, dataset, ags, masks)
+                val, test = (_score(task, logits.values[s], targets[s]) for s in scored)
+            else:
+                val, test = _scores(model, dataset, ags, masks, targets, scored)
+            history.train_loss.append(loss_value)
+            history.val_metric.append(val)
+            history.test_metric.append(test)
+            history.seconds.append(time.perf_counter() - t0)
 
-        val, test = _scores(model, dataset, ags, masks, targets, scored)
-        history.train_loss.append(loss_value)
-        history.val_metric.append(val)
-        history.test_metric.append(test)
-        history.seconds.append(time.perf_counter() - t0)
-
-        # checkpoint at best val; ties go to the lower training loss so a
-        # saturated val metric still tracks the converged model
-        improved = best_val is None or (
-            val < best_val if task == "graph_regression" else val > best_val)
-        if improved or (val == best_val and loss_value < best_loss):
-            best_val, best_loss, history.best_epoch = val, loss_value, epoch
-            best_params = copy_parameter_values(model)
-        if improved:
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.early_stop_patience:
-                break
+            # checkpoint at best val; ties go to the lower training loss so a
+            # saturated val metric still tracks the converged model
+            improved = best_val is None or (
+                val < best_val if task == "graph_regression" else val > best_val)
+            if improved or (val == best_val and loss_value < best_loss):
+                best_val, best_loss, history.best_epoch = val, loss_value, epoch
+                best_params = copy_parameter_values(model)
+            if improved:
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best > cfg.early_stop_patience:
+                    break
 
     set_parameter_values(model, best_params)
     return model, history

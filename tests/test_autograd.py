@@ -134,6 +134,16 @@ class TestDensePrimitives:
                 take(Tensor(np.ones((10, 8))))
             assert tape == []
 
+    @pytest.mark.parametrize("rows, first", [([1, 1], 1), (np.array([3, 1, 3, 1]), 3),
+                                             (np.array([0, 9, 4, 9]), 9)])
+    def test_repeated_rows_are_refused(self, rows, first):
+        # the backward assigns each taken row's grad once: a repeated row
+        # would get one of its grads, not their sum
+        with ops.scratch_tape() as tape:
+            with pytest.raises(ShapeError, match=f"^row index {first} is taken more than once$"):
+                ops.take_rows(Tensor(np.ones((10, 8))), rows)
+            assert tape == []
+
     def test_dropout_inactive_is_identity(self):
         x = Tensor(np.ones((3, 3)))
         assert ops.dropout(x, 0.5, 0, False) is x

@@ -6,12 +6,13 @@ import pytest
 from hopformer import (ModelConfig, Tensor, TrainConfig, TrainingAbort,
                        adam_step, augment, backward, build_head_masks,
                        cross_entropy, evaluate, forward, init_adam_state,
-                       init_model, mae, named_parameters, split_indices, train)
+                       init_model, mae, named_parameters, predict_node, split_indices,
+                       train)
 from hopformer import autograd as ops
 from hopformer import training
 from hopformer.autograd import ShapeError
 from hopformer.graphs import Graph, GraphError
-from hopformer.model import copy_parameter_values
+from hopformer.model import copy_parameter_values, set_parameter_values
 
 
 
@@ -292,6 +293,19 @@ class TestEvaluate:
         assert abs(acc - 1 / c) <= 5 * sigma
         assert acc == (g.node_labels == 0).mean()
 
+    def test_node_split_is_scored_as_given(self):
+        # a repeated node counts once per occurrence in the mean
+        g = labelled_graph(seed=5)
+        cfg = node_cfg()
+        masks = build_head_masks(augment(g), list(cfg.head_hops))
+        model = init_model(cfg, g.node_feature_dim)
+        with ops.scratch_tape():
+            h = forward(model, g, augment(g), masks)
+            pred = predict_node(model, h, g.num_nodes).values.argmax(axis=1)
+        split = np.array([3, 1, 3, 3])
+        assert evaluate(model, g, masks, split) == \
+            float((pred[split] == g.node_labels[split]).mean())
+
     def test_empty_split_rejected(self):
         g = labelled_graph()
         cfg = node_cfg()
@@ -409,19 +423,19 @@ def regression_dataset(num=10, seed=10):
     return graphs
 
 
-def task_fixture(task):
+def task_fixture(task, dropout=0.2):
     """(model, dataset, masks, train config) for one task, small and seeded."""
     hops = (1, 3)
     if task == "node_classification":
         dataset = labelled_graph(n=20, seed=12)
-        cfg = node_cfg(head_hops=hops, dropout=0.2)
+        cfg = node_cfg(head_hops=hops, dropout=dropout)
         d_v = dataset.node_feature_dim
         masks = build_head_masks(augment(dataset), list(hops))
     else:
         dataset = tiny_graph_dataset() if task == "graph_classification" \
             else regression_dataset()
         cfg = ModelConfig(hidden_dim=8, head_hops=hops, num_layers=1, ffn_dim=16,
-                          num_heads=2, task=task, dropout=0.2, seed=1,
+                          num_heads=2, task=task, dropout=dropout, seed=1,
                           num_classes=2 if task == "graph_classification" else None)
         d_v = dataset[0].node_feature_dim
         masks = [build_head_masks(augment(g), list(hops)) for g in dataset]
@@ -506,6 +520,27 @@ class TestOnePredictionPath:
         _, history = train(model, g, masks, tc)
         assert len(history) == tc.epochs
         assert calls == [True, False] * tc.epochs
+
+    @pytest.mark.parametrize("dropout, attention_dropout, patience, forwards", [
+        (0.0, 0.0, 50, lambda e: e + 1),
+        (0.0, 0.0, 0, lambda e: e + 1),     # early stop ends the run
+        (0.2, 0.0, 50, lambda e: 2 * e),
+        (0.0, 0.2, 50, lambda e: 2 * e)])
+    def test_node_task_forwards_per_run(self, monkeypatch, dropout, attention_dropout,
+                                        patience, forwards):
+        # without dropout the forward that scores an epoch is the next
+        # epoch's training forward; with any dropout each epoch runs two
+        g = labelled_graph(n=20, seed=12)
+        model = init_model(node_cfg(dropout=dropout, attention_dropout=attention_dropout),
+                           g.node_feature_dim)
+        tc = TrainConfig(learning_rate=2e-2, epochs=12, seed=4, early_stop_patience=patience)
+        calls = []
+        real = training.forward
+        monkeypatch.setattr(training, "forward",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        _, history = train(model, g, None, tc)
+        assert (len(history) < tc.epochs) == (patience == 0)
+        assert len(calls) == forwards(len(history))
 
     @pytest.mark.parametrize("task", TASKS)
     def test_augment_runs_once_per_graph(self, monkeypatch, task):
@@ -608,6 +643,96 @@ class TestOnePredictionPath:
             train(model, graphs, masks, TrainConfig(learning_rate=1e-2, epochs=2))
         with pytest.raises(GraphError, match="graph 4"):
             evaluate(model, graphs, masks, np.arange(3))
+
+
+def reference_node_train(model, g, masks, tc):
+    """The two-forward loop, from public pieces: each epoch a training
+    forward, its backward and an Adam step, then a scoring forward for val
+    and test; the checkpoint at the best val, ties to the lower loss."""
+    idx_train, idx_val, idx_test = split_indices(g.num_nodes, tc)
+    ag, scored = augment(g), [np.sort(idx_val), np.sort(idx_test)]
+    params = named_parameters(model)
+    state = init_adam_state(params)
+    losses, vals, tests = [], [], []
+    best_epoch = best_val = best_loss = None
+    best_params = copy_parameter_values(model)
+    since_best = 0
+    for epoch in range(tc.epochs):
+        training.zero_grads(params)
+        with ops.scratch_tape():
+            out = training._predict(model, g, ag, masks, idx_train, training=True,
+                                    seed=tc.seed * 100003 + epoch)
+            loss = training._loss(model.cfg.task, out, g.node_labels[idx_train])
+            backward(loss)
+        adam_step(params, training.collect_grads(params), state, tc.learning_rate,
+                  weight_decay=tc.weight_decay)
+        val, test = training._scores(model, g, ag, masks, g.node_labels, scored)
+        losses.append(float(loss.values[0, 0]))
+        vals.append(val)
+        tests.append(test)
+        if best_val is None or val > best_val or (val == best_val and losses[-1] < best_loss):
+            best_epoch, best_loss = epoch, losses[-1]
+            best_params = copy_parameter_values(model)
+        if best_val is None or val > best_val:
+            best_val, since_best = val, 0
+        else:
+            since_best += 1
+            if since_best > tc.early_stop_patience:
+                break
+    set_parameter_values(model, best_params)
+    return losses, vals, tests, best_epoch
+
+
+class TestHeldForwardMatchesTheReferenceLoop:
+    @pytest.mark.parametrize("seed, epochs, patience, weight_decay", [
+        (0, 8, 50, 0.0), (1, 8, 50, 1e-2), (2, 10, 50, 0.0), (3, 40, 1, 0.0)])
+    def test_train_is_the_two_forward_loop_bit_for_bit(self, seed, epochs, patience,
+                                                       weight_decay):
+        g = labelled_graph(n=24, seed=seed)
+        cfg = node_cfg(num_layers=2, head_hops=(1, 3), seed=seed)
+        masks = build_head_masks(augment(g), list(cfg.head_hops))
+        tc = TrainConfig(learning_rate=2e-2, epochs=epochs, seed=seed,
+                         early_stop_patience=patience, weight_decay=weight_decay)
+        model, history = train(init_model(cfg, g.node_feature_dim), g, masks, tc)
+        ref_model = init_model(cfg, g.node_feature_dim)
+        losses, vals, tests, best_epoch = reference_node_train(ref_model, g, masks, tc)
+        assert (len(losses) < epochs) == (patience == 1)   # early stop ran
+        assert history.train_loss == losses
+        assert history.val_metric == vals
+        assert history.test_metric == tests
+        assert history.best_epoch == best_epoch
+        for name, p in named_parameters(ref_model).items():
+            assert named_parameters(model)[name].values.tobytes() == p.values.tobytes(), name
+        _, _, idx_test = split_indices(g.num_nodes, tc)
+        assert evaluate(model, g, masks, idx_test) == history.test_metric[best_epoch]
+
+
+OWNED_TAPE_RUNS = [("node_classification", 0.0), ("node_classification", 0.2),
+                   ("graph_classification", 0.2)]
+
+
+class TestTrainOwnsItsTape:
+    """train records on a tape of its own and leaves the caller's as it was,
+    for the held node-task forward and for the per-step loop alike."""
+
+    @pytest.mark.parametrize("task, dropout", OWNED_TAPE_RUNS)
+    def test_abort_leaves_no_entry_on_the_callers_tape(self, task, dropout):
+        model, dataset, masks, _ = task_fixture(task, dropout)
+        with ops.scratch_tape() as tape, np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingAbort):
+                train(model, dataset, masks, TrainConfig(learning_rate=1e150, epochs=10))
+            assert tape == []
+
+    @pytest.mark.parametrize("task, dropout", OWNED_TAPE_RUNS)
+    def test_callers_entry_is_neither_run_nor_cleared(self, task, dropout):
+        model, dataset, masks, tc = task_fixture(task, dropout)
+        ran = []
+        with ops.scratch_tape() as tape:
+            ops.record(lambda: ran.append(1))
+            entry = tape[0]
+            _, history = train(model, dataset, masks, tc)
+            assert len(history) == tc.epochs
+            assert ran == [] and tape == [entry]
 
 
 def batched_task_fixture(task):
