@@ -17,7 +17,7 @@ import numpy as np
 
 from .autograd import (Tensor, attention_flops, count_attention_flops,
                        scratch_tape)
-from .graphs import AugmentedGraph, Graph, augment, csr_from_pairs
+from .graphs import Graph, augment, csr_from_pairs
 from .masks import HopMask, build_head_masks, hop_distance_blocks
 from .model import (Model, ModelConfig, _check_masks, _encode, encoder_layer, forward,
                     init_model)
@@ -145,23 +145,25 @@ def _probe_output(model: Model, z_values: np.ndarray, masks: list[list[HopMask]]
         return np.array(concat.values[:, head * d_h:(head + 1) * d_h], copy=True)
 
 
-def influence_matrix(model: Model, ag: AugmentedGraph, masks: list[HopMask], *,
-                     head: int | None = None, z0: np.ndarray | None = None,
+def influence_matrix(model: Model, masks: list[HopMask], *, head: int | None = None,
                      seed: int = 0) -> np.ndarray:
-    """Boolean T x T matrix: entry (i, j) is True iff perturbing the input
-    embedding of token j changes output row i (bitwise comparison).
+    """Boolean T x T matrix, T the masks' size: entry (i, j) is True iff
+    perturbing the input embedding of token j changes output row i (bitwise
+    comparison).
 
     With ``head`` set, rows are compared on that head's slice of the first
     layer's concatenated attention output (before the output projection).
-    The head masks are checked against the model and ``ag`` once, before the
-    first probe.
+    The head masks are checked against the model once, before the first
+    probe: one per head, each with its head's budget, all of one size.
     """
-    t = ag.total_tokens
+    t = masks[0].size if masks else 0
     _check_masks(model, masks, t)
+    if head is not None and head not in range(model.cfg.num_heads):
+        raise ValueError(f"head must be one of the model's heads 0..{model.cfg.num_heads - 1}, "
+                         f"got {head!r}")
     masks = [[mk] for mk in masks]   # one graph: a batch of one
     rng = np.random.default_rng([seed, 211])
-    if z0 is None:
-        z0 = rng.standard_normal((t, model.cfg.hidden_dim))
+    z0 = rng.standard_normal((t, model.cfg.hidden_dim))
     delta = rng.standard_normal(model.cfg.hidden_dim)
     base = _probe_output(model, z0, masks, head)
     out = np.zeros((t, t), dtype=bool)
@@ -173,12 +175,9 @@ def influence_matrix(model: Model, ag: AugmentedGraph, masks: list[HopMask], *,
     return out
 
 
-def receptive_field_probe(model: Model, ag: AugmentedGraph, masks: list[HopMask],
-                          token: int, head: int | None = None, *,
-                          z0: np.ndarray | None = None, seed: int = 0) -> set[int]:
+def receptive_field_probe(model: Model, masks: list[HopMask], token: int) -> set[int]:
     """Tokens whose input perturbation changes output row ``token``."""
-    infl = influence_matrix(model, ag, masks, head=head, z0=z0, seed=seed)
-    return set(np.flatnonzero(infl[token]).tolist())
+    return set(np.flatnonzero(influence_matrix(model, masks)[token]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +190,13 @@ def attention_flop_count(cfg: ModelConfig, masks: list[HopMask]) -> int:
     return cfg.num_layers * per_layer
 
 
-def flop_count(cfg: ModelConfig, masks: list[HopMask], t: int, d_v: int, d_e: int,
-               num_nodes: int | None = None) -> int:
-    """Analytic forward-pass FLOPs of the full model on a T-token graph.
-
-    ``num_nodes`` splits the projector term between node and edge tokens;
-    when omitted every token is costed as a node token.
-    """
-    n = t if num_nodes is None else num_nodes
-    m_edges = t - n
+def flop_count(cfg: ModelConfig, g: Graph, masks: list[HopMask]) -> int:
+    """Analytic forward-pass FLOPs of the full model on graph ``g`` and its
+    head masks; the projectors cost node and edge tokens at their own
+    feature dims."""
+    n, t = g.num_nodes, g.num_nodes + g.num_edges
     d, f = cfg.hidden_dim, cfg.ffn_dim
-    total = 2 * n * d_v * d
-    if d_e > 0:
-        total += 2 * m_edges * d_e * d
+    total = 2 * d * (n * g.node_feature_dim + g.num_edges * g.edge_feature_dim)
     dense_layer = (
         6 * t * d * d        # fused Q/K/V projection (d x 3d)
         + 2 * t * d * d      # output projection
@@ -216,7 +209,7 @@ def flop_count(cfg: ModelConfig, masks: list[HopMask], t: int, d_v: int, d_e: in
     total += cfg.num_layers * dense_layer
     total += attention_flop_count(cfg, masks)
     if cfg.task == "node_classification":
-        c = cfg.num_classes or 1
+        c = cfg.num_classes
         total += 2 * n * d * c + n * c
     else:
         out_dim = cfg.num_classes if cfg.task == "graph_classification" else cfg.output_dim
@@ -275,13 +268,11 @@ def flops_vs_nnz_report(graphs: list[Graph], hop_configs: list[list[int]],
     rows: list[FlopRow] = []
     for gi, g in enumerate(graphs):
         ag = augment(g)
-        t = ag.total_tokens
         for config in hop_configs:
             run_cfg = replace(cfg, head_hops=tuple(config))
             masks = build_head_masks(ag, list(config))
             nnz_total = sum(m.nnz for m in masks)
-            total = flop_count(run_cfg, masks, t, g.node_feature_dim,
-                               g.edge_feature_dim, num_nodes=g.num_nodes)
+            total = flop_count(run_cfg, g, masks)
             attn = attention_flop_count(run_cfg, masks)
             model = init_model(run_cfg, g.node_feature_dim, g.edge_feature_dim)
             with count_attention_flops() as meter:

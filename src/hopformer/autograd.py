@@ -340,7 +340,10 @@ def pool_segments(a: Tensor, sizes, mean: bool = False) -> Tensor:
     return primitive(pooled, grad_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.values.shape[1]
     if gamma.values.shape != (1, d) or beta.values.shape != (1, d):
         raise ShapeError(
@@ -348,7 +351,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.values.mean(axis=1, keepdims=True)
     xc = x.values - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     gv = gamma.values
 
@@ -461,8 +464,8 @@ def _sparse_path(qv, kv, vv, mask: HopMask, dropmult):
     rows' stored entries.  Works on (d_h, T) transposes: every gather is a
     ``take`` into a (d_h, nnz) block, row sums are ``reduceat`` over the CSR
     row starts, and the key and value scatters are one ``bincount`` per
-    column.  The backward gathers again instead of keeping any (d_h, nnz)
-    block alive until it runs.
+    column.  The backward reuses the forward's CSR views and gathers again
+    instead of keeping any (d_h, nnz) block alive until it runs.
     """
     r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
     row, col, starts = _csr_prefix(mask, r)
@@ -473,7 +476,6 @@ def _sparse_path(qv, kv, vv, mask: HopMask, dropmult):
     out = np.add.reduceat(_take_times(vt, col, applied), starts, axis=1)
 
     def grads(g):
-        row, col, starts = _csr_prefix(mask, r)
         g_rows = np.ascontiguousarray(g.T).take(row, axis=1)
         # alpha * d_alpha == applied * d_applied, so dropout needs no own term
         wd = applied * _take_times(vt, col, g_rows).sum(axis=0)
@@ -608,9 +610,13 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
 # Gradient verification
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
+GRAD_CHECK_EPS = 1e-5
+
+
+def grad_check(f, x: Tensor) -> float:
     """Max relative error between f's analytic gradient at x and central
-    finite differences: max |a - n| / max(1, |a|, |n|) over coordinates.
+    finite differences of step ``GRAD_CHECK_EPS``: max |a - n| / max(1, |a|, |n|)
+    over coordinates.
 
     f must map x to a scalar Tensor.  Grads of other tensors touched by f are
     disturbed; callers re-zero before training on.
@@ -630,14 +636,14 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
         numeric = np.zeros_like(work)
         for idx in np.ndindex(*work.shape):
             base = work[idx]
-            work[idx] = base + eps
+            work[idx] = base + GRAD_CHECK_EPS
             with scratch_tape():
                 fp = float(f(x).values[0, 0])
-            work[idx] = base - eps
+            work[idx] = base - GRAD_CHECK_EPS
             with scratch_tape():
                 fm = float(f(x).values[0, 0])
             work[idx] = base
-            numeric[idx] = (fp - fm) / (2.0 * eps)
+            numeric[idx] = (fp - fm) / (2.0 * GRAD_CHECK_EPS)
     finally:
         x.values = orig_values
         x.grad = orig_grad

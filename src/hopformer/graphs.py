@@ -401,8 +401,9 @@ def save_graph(g: Graph, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Random generators.  All are deterministic under ``seed`` and attach constant
-# scalar node features so generated graphs are trainable as-is.
+# Random generators.  All are deterministic under ``seed`` and attach node
+# features (a constant scalar, or the SBM's block-shifted Gaussians) so
+# generated graphs are trainable as-is.
 
 
 def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
@@ -461,20 +462,17 @@ def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     return Graph(num_nodes=n, edges=edges, node_features=np.ones((n, 1)))
 
 
-def generate_sbm(sizes: tuple[int, ...], p_in: float, p_out: float, seed: int = 0,
-                 feature_mode: str = "signal", feature_dim: int = 8,
-                 signal: float = 0.2) -> Graph:
+def generate_sbm(sizes: tuple[int, ...], p_in: float, p_out: float, seed: int = 0) -> Graph:
     """Stochastic block model with block labels; the training sanity fixture.
 
-    feature_mode 'signal' shifts each node's Gaussian features by +/- signal
-    according to its block: individually too noisy to classify well, but
-    denoised by aggregation over the (homophilous) neighbourhood, so solving
-    the task requires using the structure.  'onehot' gives indicator features
-    (a free per-node embedding through the projector); 'constant' gives the
-    scalar 1.0 used by the other generators.
+    Each node's 8 Gaussian features are shifted by +/-0.2 according to its
+    block: individually too noisy to classify well, but denoised by
+    aggregation over the (homophilous) neighbourhood, so solving the task
+    requires using the structure.
     """
-    if not 0.0 <= p_in <= 1.0 or not 0.0 <= p_out <= 1.0:
-        raise GraphError("p_in and p_out must be in [0, 1]")
+    for name, p in (("p_in", p_in), ("p_out", p_out)):
+        if not 0.0 <= p <= 1.0:
+            raise GraphError(f"{name} must be in [0, 1], got {p}")
     n = int(sum(sizes))
     blocks = np.repeat(np.arange(len(sizes)), sizes)
     rng = np.random.default_rng(seed)
@@ -482,16 +480,8 @@ def generate_sbm(sizes: tuple[int, ...], p_in: float, p_out: float, seed: int = 
     probs = np.where(blocks[iu] == blocks[ju], p_in, p_out)
     keep = rng.random(iu.shape[0]) < probs
     edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
-    if feature_mode == "signal":
-        signs = np.where(blocks % 2 == 0, 1.0, -1.0)
-        feats = signal * signs[:, None] + np.random.default_rng(
-            [seed, 5]).standard_normal((n, feature_dim))
-    elif feature_mode == "onehot":
-        feats = np.eye(n)
-    elif feature_mode == "constant":
-        feats = np.ones((n, 1))
-    else:
-        raise GraphError(f"unknown feature_mode {feature_mode!r}")
+    shift = np.where(blocks % 2 == 0, 0.2, -0.2)
+    feats = shift[:, None] + np.random.default_rng([seed, 5]).standard_normal((n, 8))
     return Graph(num_nodes=n, edges=edges, node_features=feats, node_labels=blocks)
 
 

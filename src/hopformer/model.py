@@ -80,7 +80,7 @@ class ModelConfig:
             raise ValueError(
                 f"head_hops has {len(self.head_hops)} entries for {self.num_heads} heads")
         if any(h < 0 for h in self.head_hops):
-            raise ValueError(f"hop budgets must be non-negative, got {self.head_hops}")
+            raise ValueError(f"head_hops entries must be non-negative, got {self.head_hops}")
         if self.num_layers < 0:
             raise ValueError(f"num_layers must be non-negative, got {self.num_layers}")
         if self.task not in TASKS:
@@ -335,13 +335,11 @@ def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
     return z
 
 
-def encode(m: Model, z: Tensor, masks: list[HopMask], *, training: bool = False,
-           rng_seed=None) -> Tensor:
-    """Run the layer stack on one graph's token embeddings (T x d) and head
-    masks; dropout draws from ``rng_seed`` (default 0)."""
+def encode(m: Model, z: Tensor, masks: list[HopMask]) -> Tensor:
+    """Run the layer stack, in eval mode, on one graph's token embeddings
+    (T x d) and head masks."""
     _check_masks(m, masks, z.values.shape[0])
-    return _encode(m, z, [[mk] for mk in masks], [0 if rng_seed is None else int(rng_seed)],
-                   training)
+    return _encode(m, z, [[mk] for mk in masks], [0], False)
 
 
 def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[AugmentedGraph],
@@ -443,8 +441,10 @@ def load_model(path: str) -> Model:
     m = init_model(cfg, obj["d_v"], obj["d_e"])
     params = named_parameters(m)
     stored = _json_object(f"checkpoint {path} field 'params'", obj["params"])
-    if set(stored) != set(params):
-        raise ValueError("checkpoint parameter names do not match the config")
+    odd = sorted(set(stored) ^ set(params))
+    if odd:
+        raise ValueError(f"checkpoint parameter names do not match the config: {odd[0]} is "
+                         f"{'unknown' if odd[0] in stored else 'missing'}")
     for name, t in params.items():
         arr = np.asarray(stored[name], dtype=np.float64)
         if arr.shape != t.values.shape:

@@ -119,16 +119,20 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def mae(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean absolute error; subgradient 0 at exact ties."""
-    target = np.asarray(target, dtype=np.float64).reshape(pred.values.shape[0], -1)
-    if target.shape != pred.values.shape:
-        raise ValueError(f"pred shape {pred.values.shape} vs target shape {target.shape}")
-    diff = pred.values - target
+    target = np.asarray(target, dtype=np.float64)
+    if target.size != pred.values.size or target.size == 0:
+        raise ValueError(f"mae needs one target per entry of pred {pred.values.shape}, "
+                         f"got {target.size} targets")
+    diff = pred.values - target.reshape(pred.values.shape)
     return ops.primitive([[np.abs(diff).mean()]],
                          lambda g: pred._accum(np.sign(diff) * (g[0, 0] / diff.size)))
 
 
 # ---------------------------------------------------------------------------
 # Optimizer
+
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def init_adam_state(params: dict[str, Tensor]) -> dict:
@@ -140,10 +144,9 @@ def init_adam_state(params: dict[str, Tensor]) -> dict:
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: dict,
-              lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
-              weight_decay: float = 0.0) -> None:
+              lr: float, weight_decay: float = 0.0) -> None:
     """One Adam step with decoupled weight decay; missing grads mean zero."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state["t"] += 1
     t = state["t"]
     c1 = 1.0 - b1 ** t
@@ -154,7 +157,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: di
             g = np.zeros_like(p.values)
         m = state["m"][name] = b1 * state["m"][name] + (1.0 - b1) * g
         v = state["v"][name] = b2 * state["v"][name] + (1.0 - b2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.values = p.values - lr * weight_decay * p.values - lr * update
 
 
@@ -182,10 +185,10 @@ def split_indices(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.
 def evaluate(model: Model, dataset, masks, split) -> float:
     """Accuracy (argmax, ties to the lowest class) or MAE over the split.
 
-    The split is treated as a set: indices are sorted internally so shuffled
-    splits produce bit-identical aggregates.  The inputs are checked as by
-    ``train``, before any forward; only the split's graphs are augmented (and,
-    with ``masks=None``, given head masks).
+    The split is a set: a repeated index is refused, and indices are sorted
+    internally so shuffled splits produce bit-identical aggregates.  The
+    inputs are checked as by ``train``, before any forward; only the split's
+    graphs are augmented (and, with ``masks=None``, given head masks).
     """
     ags, masks, targets, splits = _prepare(model, dataset, masks, {"evaluated": split})
     return _scores(model, dataset, ags, masks, targets, splits)[0]
@@ -232,6 +235,9 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
         if idx[0] < 0 or idx[-1] >= n:
             raise ValueError(f"the {split} split holds index "
                              f"{idx[0] if idx[0] < 0 else idx[-1]}, outside [0, {n})")
+        repeated = idx[1:][idx[1:] == idx[:-1]]
+        if repeated.size:
+            raise ValueError(f"the {split} split holds index {repeated[0]} more than once")
         sorted_splits.append(idx)
     if node_task:
         ags = augment(dataset)
@@ -316,7 +322,8 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     any forward, naming the item: a dataset of the wrong kind; a graph without
     nodes or without the task's label; a class label that is not an integer in
     [0, num_classes); feature dims other than the model's ``d_v``/``d_e``;
-    head masks that do not fit their graph; an empty split.
+    head masks that do not fit their graph; an empty split, or one that
+    repeats an index.
 
     A node task with ``dropout`` and ``attention_dropout`` both 0 runs E + 1
     forwards for E epochs: one before the first step (timed in epoch 0), then

@@ -84,7 +84,7 @@ def test_03_single_layer_locality_exhaustive():
                                  seed=gi)
             model = hf.init_model(cfg, 2)
             masks = hf.build_head_masks(ag, [n])
-            infl = hf.influence_matrix(model, ag, masks, seed=gi)
+            infl = hf.influence_matrix(model, masks, seed=gi)
             far = (dist < 0) | (dist > n)
             violations += int((infl & far).sum())
             pairs += int(far.sum())
@@ -103,18 +103,18 @@ def test_04_distinct_hop_heads_resolve_distance_three_token():
     cfg = hf.ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
                          num_heads=2, task="graph_regression", seed=0)
     model = hf.init_model(cfg, 1)
-    hop1_sees = hf.influence_matrix(model, ag, masks_13, head=0)[0, 4]
-    hop3_sees = hf.influence_matrix(model, ag, masks_13, head=1)[0, 4]
-    concat_sees = hf.influence_matrix(model, ag, masks_13)[0, 4]
+    hop1_sees = hf.influence_matrix(model, masks_13, head=0)[0, 4]
+    hop3_sees = hf.influence_matrix(model, masks_13, head=1)[0, 4]
+    concat_sees = hf.influence_matrix(model, masks_13)[0, 4]
 
     cfg_uni = hf.ModelConfig(hidden_dim=8, head_hops=(1, 1), num_layers=1, ffn_dim=16,
                              num_heads=2, task="graph_regression", seed=0)
     model_uni = hf.init_model(cfg_uni, 1)
     masks_11 = hf.build_head_masks(ag, [1, 1])
     uniform_sees = any([
-        hf.influence_matrix(model_uni, ag, masks_11, head=0)[0, 4],
-        hf.influence_matrix(model_uni, ag, masks_11, head=1)[0, 4],
-        hf.influence_matrix(model_uni, ag, masks_11)[0, 4],
+        hf.influence_matrix(model_uni, masks_11, head=0)[0, 4],
+        hf.influence_matrix(model_uni, masks_11, head=1)[0, 4],
+        hf.influence_matrix(model_uni, masks_11)[0, 4],
     ])
     ok = hop3_sees and not hop1_sees and concat_sees and not uniform_sees
     _report(4, "hop-{1,3} heads separate a distance-3 token, hop-{1,1} cannot", ok,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,7 +155,7 @@ class TestReceptiveFieldProbe:
         masks = build_head_masks(ag, [0])
         for i in range(ag.total_tokens):
             # FFN and residuals are per-token, so only i itself can influence i
-            assert receptive_field_probe(model, ag, masks, i) == {i}
+            assert receptive_field_probe(model, masks, i) == {i}
 
     def test_single_edge_probe_within_mask_row(self):
         g = single_edge_graph()
@@ -161,7 +163,7 @@ class TestReceptiveFieldProbe:
         cfg = probe_cfg([1])
         model = init_model(cfg, 2)
         masks = build_head_masks(ag, [1])
-        probe = receptive_field_probe(model, ag, masks, 0)
+        probe = receptive_field_probe(model, masks, 0)
         assert probe <= {0, 2}
 
     def test_probe_subset_of_mask_support(self):
@@ -173,7 +175,7 @@ class TestReceptiveFieldProbe:
             cfg = probe_cfg(hops)
             model = init_model(cfg, g.node_feature_dim)
             masks = build_head_masks(ag, hops)
-            infl = influence_matrix(model, ag, masks, seed=trial)
+            infl = influence_matrix(model, masks, seed=trial)
             dist = augmented_distances(ag)
             reach = (dist >= 0) & (dist <= max(hops))
             assert not infl[~reach].any()
@@ -186,21 +188,30 @@ class TestReceptiveFieldProbe:
         assert dist[0, 4] == 3
         model = init_model(probe_cfg([1, 3]), 1)
         masks = build_head_masks(ag, [1, 3])
-        hop1 = influence_matrix(model, ag, masks, head=0)
-        hop3 = influence_matrix(model, ag, masks, head=1)
-        full = influence_matrix(model, ag, masks)
+        hop1 = influence_matrix(model, masks, head=0)
+        hop3 = influence_matrix(model, masks, head=1)
+        full = influence_matrix(model, masks)
         assert not hop1[0, 4]
         assert hop3[0, 4]
         assert full[0, 4]
+
+    @pytest.mark.parametrize("head", [2, -1, 1.5])
+    def test_head_outside_the_model_refused(self, head):
+        # a slice past the last head is empty and would compare equal everywhere
+        ag = augment(path3_graph())
+        model = init_model(probe_cfg([1, 3]), 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"head must be one of the model's heads 0..1, got {head!r}")):
+            influence_matrix(model, build_head_masks(ag, [1, 3]), head=head)
 
     def test_uniform_hops_cannot_resolve_it(self):
         g = path3_graph()
         ag = augment(g)
         model = init_model(probe_cfg([1, 1]), 1)
         masks = build_head_masks(ag, [1, 1])
-        assert not influence_matrix(model, ag, masks, head=0)[0, 4]
-        assert not influence_matrix(model, ag, masks, head=1)[0, 4]
-        assert not influence_matrix(model, ag, masks)[0, 4]
+        assert not influence_matrix(model, masks, head=0)[0, 4]
+        assert not influence_matrix(model, masks, head=1)[0, 4]
+        assert not influence_matrix(model, masks)[0, 4]
 
 
 class TestFlopModel:
@@ -228,18 +239,28 @@ class TestFlopModel:
     def test_total_flops_affine_in_nnz_with_zero_residual(self):
         g = generate_watts_strogatz(30, 4, 0.2, seed=3)
         ag = augment(g)
-        t = ag.total_tokens
         cfg = ModelConfig(hidden_dim=8, head_hops=(1, 1, 1, 1), num_layers=1,
                           ffn_dim=16, num_heads=4, task="graph_regression", seed=0)
         xs, ys = [], []
         for hops in ([1, 2, 3, 4], [2, 2, 4, 4], [1, 1, 1, 6], [3, 3, 3, 3]):
             masks = build_head_masks(ag, hops)
             xs.append(sum(m.nnz for m in masks))
-            ys.append(flop_count(cfg, masks, t, 1, 0, num_nodes=g.num_nodes))
+            ys.append(flop_count(cfg, g, masks))
         slope, intercept = np.polyfit(xs, ys, 1)
         fitted = slope * np.asarray(xs) + intercept
         assert np.abs(fitted - np.asarray(ys)).max() < 1e-6 * max(ys)
         assert slope > 0
+
+    def test_edge_features_cost_their_projector(self):
+        # the edge projector is a (d_e x d) matmul over the M edge tokens
+        g = generate_erdos_renyi(10, 0.4, seed=5)
+        with_edges = Graph(num_nodes=g.num_nodes, edges=g.edges, node_features=g.node_features,
+                           edge_features=np.ones((g.num_edges, 3)))
+        cfg = probe_cfg([1, 2])
+        masks = build_head_masks(augment(g), [1, 2])
+        assert g.num_edges > 0
+        assert flop_count(cfg, with_edges, masks) - flop_count(cfg, g, masks) == \
+            2 * g.num_edges * 3 * cfg.hidden_dim
 
     def test_flop_count_monotone_in_nnz(self):
         g = generate_erdos_renyi(12, 0.2, seed=47)
@@ -248,8 +269,7 @@ class TestFlopModel:
         counts = []
         for hops in ([0, 0], [1, 1], [2, 3], [4, 6]):
             masks = build_head_masks(ag, hops)
-            counts.append(flop_count(cfg, masks, ag.total_tokens, 1, 0,
-                                     num_nodes=g.num_nodes))
+            counts.append(flop_count(cfg, g, masks))
         assert counts == sorted(counts)
         assert len(set(counts)) == len(counts)
 

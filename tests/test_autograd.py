@@ -580,20 +580,32 @@ class TestColumnLayoutNnzPath:
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def owned_closure_bytes(fn, mask):
+        """Bytes of the arrays ``fn``'s closure holds, not counting views of
+        the mask's own ``indptr``, ``indices`` and ``row_indices``."""
+        own = (mask.indptr, mask.indices, mask.row_indices)
+        arrays = [c.cell_contents for c in fn.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        return sum(a.nbytes for a in arrays if not any(np.shares_memory(a, m) for m in own))
+
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_backward_closure_keeps_no_gathered_block(self, rate):
         # alpha and applied (nnz each) plus the three (d_h, T) transposes;
         # one gathered (d_h, nnz) block would alone exceed the bound
         mask = _ring_mask(200, 20)        # T = 400, 41 entries per row
         t, d_h = mask.size, 4
-        assert not _runs_dense(mask) and d_h * mask.nnz > 2 * mask.nnz + 3 * t * d_h
+        bound = 8 * (2 * mask.nnz + 3 * t * d_h)
+        assert not _runs_dense(mask) and 8 * d_h * mask.nnz > bound
         qv, kv, vv = _qkv(t, d_h=d_h, seed=15)
         dropmult = None if rate == 0.0 else (
             np.random.default_rng(16).random(mask.nnz) >= rate) / (1.0 - rate)
         _, grads = ops._sparse_path(qv, kv, vv, mask, dropmult)
-        kept = sum(c.cell_contents.nbytes for c in grads.__closure__
-                   if isinstance(c.cell_contents, np.ndarray))
-        assert kept <= 8 * (2 * mask.nnz + 3 * t * d_h)
+        assert self.owned_closure_bytes(grads, mask) <= bound
+        # the count does see a held gathered block next to the mask's views
+        block = np.ascontiguousarray(kv.T).take(mask.indices, axis=1)
+        col = mask.indices
+        assert self.owned_closure_bytes(lambda: (block, col), mask) == block.nbytes > bound
 
 
 # (indptr, indices, size, message): hand-built masks the kernel cannot run

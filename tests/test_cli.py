@@ -189,6 +189,14 @@ class TestMasks:
         assert "hop" in capsys.readouterr().err
 
 
+    def test_empty_hop_list_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        write_single_edge(src)
+        assert main(["masks", str(src), "--hops", ",", "--output", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err == "error: hop list is empty\n"
+        assert list(tmp_path.iterdir()) == [src]
+
+
 class TestAnalyze:
     def test_csv_schema_and_values(self, tmp_path):
         src = tmp_path / "tri.json"
@@ -470,7 +478,14 @@ class TestTrain:
         ("model", "head_hops", [1.5, 3], "head_hops entry 0 must be an integer, got 1.5"),
         ("model", "hidden_dim", 8.5, "hidden_dim must be an integer, got 8.5"),
         ("model", "num_layers", True, "num_layers must be an integer, got True"),
-        ("model", "hidden_dim", 0, "hidden_dim must be positive, got 0")])
+        ("model", "hidden_dim", 0, "hidden_dim must be positive, got 0"),
+        ("train", "learning_rate", -0.1, "learning_rate must be non-negative, got -0.1"),
+        ("train", "epochs", -1, "epochs must be non-negative, got -1"),
+        ("train", "batch_size", 0, "batch_size must be positive, got 0"),
+        ("model", "head_hops", [1, -3], "head_hops entries must be non-negative, got (1, -3)"),
+        ("model", "num_layers", -1, "num_layers must be non-negative, got -1"),
+        ("model", "readout", "max", "readout must be one of ('mean', 'sum'), got 'max'"),
+        ("model", "norm", "mid", "norm must be one of ('post', 'pre'), got 'mid'")])
     def test_bad_config_value_exits_two_naming_the_field(self, tmp_path, capsys, section,
                                                           field, value, message):
         src = tmp_path / "g.json"
@@ -484,6 +499,20 @@ class TestTrain:
                      "--output", str(outdir)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (outdir / "model.json").exists()
+
+    def test_node_task_on_a_multi_graph_file_exits_two(self, tmp_path, capsys):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]],
+               "node_labels": [0, 1]}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([obj, obj]))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(run_config()))
+        outdir = tmp_path / "run"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == \
+            "error: node classification expects a single-graph input file\n"
+        assert not outdir.exists()
 
     def test_integral_float_dims_train_and_are_saved_as_ints(self, tmp_path):
         src = tmp_path / "g.json"

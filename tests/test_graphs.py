@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import re
 from pathlib import Path
@@ -100,6 +101,11 @@ class TestGraphInvariants:
     @pytest.mark.parametrize("edges", [[], np.zeros(0), np.zeros((0, 2))])
     def test_any_empty_edge_array_is_edgeless(self, edges):
         assert Graph(num_nodes=2, edges=edges, node_features=np.ones((2, 1))).num_edges == 0
+
+    def test_node_label_count_must_match_nodes(self):
+        with pytest.raises(GraphError, match=r"^node_labels must have length 2, got 3$"):
+            Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=np.ones((2, 1)),
+                  node_labels=np.array([0, 1, 1]))
 
     def test_fractional_node_label_rejected(self):
         with pytest.raises(GraphError, match=r"node_labels must hold integers, got 0\.5 at index 1"):
@@ -315,6 +321,31 @@ class TestLoadGraph:
         with pytest.raises(GraphError, match=f"{field} must hold integers, got nested"):
             load_graph(json.dumps(obj))
 
+    @pytest.mark.parametrize("edges", [[[0, 1, 2]], [0, 1], [[0, 1], [1]], {"0": 1}])
+    def test_edges_that_are_not_pairs_refused(self, edges):
+        obj = {"num_nodes": 3, "edges": edges, "node_features": [[1], [1], [1]]}
+        with pytest.raises(GraphError, match=re.escape(
+                "field 'edges' must be an array of [u, v] pairs")):
+            load_graph(json.dumps(obj))
+
+    def test_array_refused_by_load_graph(self):
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [2]]}
+        with pytest.raises(GraphError, match=re.escape(
+                "expected a single graph object, got an array (use load_dataset)")):
+            load_graph(json.dumps([obj]))
+
+    @pytest.mark.parametrize("text", ["3", '"g"', "null"])
+    def test_top_level_value_neither_object_nor_array_refused(self, text):
+        with pytest.raises(GraphError, match="^top-level JSON must be a graph object or an "
+                                             "array of them$"):
+            load_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("stream", [io.StringIO, lambda text: io.BytesIO(text.encode())])
+    def test_open_stream_is_read(self, stream):
+        text = json.dumps({"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [2]]})
+        g = load_graph(stream(text))
+        assert g.num_nodes == 2 and g.edges.tolist() == [[0, 1]]
+
     def test_non_finite_feature_rejected(self):
         # Python's json reads the NaN and Infinity literals
         text = '{"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1], [NaN]]}'
@@ -486,6 +517,17 @@ class TestSaveGraph:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text() == json.dumps(graphs_module.graph_to_obj(plain), indent=2, sort_keys=True) + "\n"
 
+    def test_edge_features_and_node_labels_round_trip(self, tmp_path):
+        g = Graph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]), node_features=np.ones((3, 2)),
+                  edge_features=np.array([[0.5], [-1.5]]), node_labels=np.array([2, 0, 1]))
+        path = tmp_path / "g.json"
+        save_graph(g, str(path))
+        obj = json.loads(path.read_text())
+        assert obj["edge_features"] == [[0.5], [-1.5]] and obj["node_labels"] == [2, 0, 1]
+        back = load_graph(path)
+        assert_same_bytes(back.edge_features, g.edge_features)
+        assert_same_bytes(back.node_labels, g.node_labels)
+
     def test_unencodable_object_leaves_an_existing_file_untouched(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text("previous\n")
@@ -548,6 +590,14 @@ class TestGenerators:
         g = generate_erdos_renyi(6, 0.5, seed=0)
         assert np.array_equal(g.node_features, np.ones((6, 1)))
 
+    @pytest.mark.parametrize("p_in, p_out, message", [
+        (1.5, 0.1, "p_in must be in [0, 1], got 1.5"),
+        (0.5, -0.1, "p_out must be in [0, 1], got -0.1"),
+        (float("nan"), 0.1, "p_in must be in [0, 1], got nan")])
+    def test_sbm_invalid_params(self, p_in, p_out, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            generate_sbm((5, 5), p_in, p_out)
+
     def test_sbm_labels_and_determinism(self):
         a = generate_sbm((5, 5), 0.8, 0.1, seed=2)
         b = generate_sbm((5, 5), 0.8, 0.1, seed=2)
@@ -565,3 +615,15 @@ class TestRelabel:
         assert np.array_equal(np.sort(g3.edges, axis=1).tolist(),
                               np.sort(g.edges, axis=1).tolist())
         assert np.array_equal(g3.node_features, g.node_features)
+
+    def test_labels_follow_their_nodes(self):
+        g = generate_sbm((3, 4), 0.8, 0.2, seed=1)
+        perm = np.random.default_rng(2).permutation(7)
+        g2 = relabel_nodes(g, perm)
+        assert_same_bytes(g2.node_labels[perm], g.node_labels)
+        assert_same_bytes(g2.node_features[perm], g.node_features)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3], [0, 1, 2, 3]])
+    def test_bad_permutation_refused(self, perm):
+        with pytest.raises(GraphError, match=r"^perm must be a permutation of 0\.\.N-1$"):
+            relabel_nodes(generate_erdos_renyi(3, 0.5, seed=0), perm)

@@ -96,7 +96,9 @@ class TestModelConfig:
 class TestInitModel:
     @pytest.mark.parametrize("dims,message", [
         (dict(d_v=2.5), "d_v must be an integer, got 2.5"),
-        (dict(d_v=2, d_e=True), "d_e must be an integer, got True")])
+        (dict(d_v=2, d_e=True), "d_e must be an integer, got True"),
+        (dict(d_v=0), "d_v must be at least 1, got 0"),
+        (dict(d_v=2, d_e=-1), "d_e must be non-negative, got -1")])
     def test_feature_dims_must_be_integers(self, dims, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             init_model(small_cfg(), **dims)
@@ -306,7 +308,7 @@ class TestForward:
         m = init_model(cfg, d_v=2)
         masks = build_head_masks(ag, [n])
         from hopformer import influence_matrix
-        infl = influence_matrix(m, ag, masks)
+        infl = influence_matrix(m, masks)
         reach = (dist >= 0) & (dist <= 2 * n)
         assert not infl[~reach].any()
         # and composition genuinely extends past a single layer's budget
@@ -617,12 +619,20 @@ class TestBatchOfOne:
                 forward(m, g, other, masks)
             assert tape == []
 
+    # influence_matrix takes T from the masks, so its token-count fault is
+    # masks of two sizes
+    INFLUENCE_BAD_MASKS = {**BAD_MASKS, "token count": (
+        lambda ag, other: build_head_masks(ag, [1]) + build_head_masks(other, [3]),
+        "mask 1 covers 3 tokens, expected 5")}
+
     @pytest.mark.parametrize("head", [None, 0])
-    @pytest.mark.parametrize("fault", BAD_MASKS)
+    @pytest.mark.parametrize("fault", INFLUENCE_BAD_MASKS)
     def test_influence_matrix_refuses_bad_masks(self, fault, head):
-        m, _, ag, masks, message = self.bad_case(fault)
+        m = init_model(small_cfg(), d_v=1)
+        make, message = self.INFLUENCE_BAD_MASKS[fault]
+        masks = make(augment(path3_graph()), augment(single_edge_graph()))
         with pytest.raises(ShapeError, match=f"^{message}"):
-            influence_matrix(m, ag, masks, head=head)
+            influence_matrix(m, masks, head=head)
 
     @pytest.mark.parametrize("head", [None, 0])
     def test_influence_matrix_checks_the_masks_once(self, monkeypatch, head):
@@ -637,7 +647,7 @@ class TestBatchOfOne:
 
         monkeypatch.setattr(model_mod, "_check_masks", counted)
         monkeypatch.setattr(analysis_mod, "_check_masks", counted)
-        influence_matrix(m, ag, build_head_masks(ag, [1, 3]), head=head)
+        influence_matrix(m, build_head_masks(ag, [1, 3]), head=head)
         assert len(calls) == 1
 
 
@@ -813,6 +823,23 @@ class TestCheckpoint:
             load_model(str(path))
         assert str(info.value) == (f"checkpoint {path} field 'config' {problem}; "
                                    f"accepted fields: {accepted}")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("layer0.wo"), "checkpoint parameter names do not match the config: "
+                                       "layer0.wo is missing"),
+        (lambda p: p.update(extra=[[0.0]]), "checkpoint parameter names do not match the "
+                                            "config: extra is unknown"),
+        (lambda p: p.update({"head.bias": [[0.0, 0.0]]}),
+         "checkpoint param head.bias has shape (1, 2), expected (1, 3)")])
+    def test_parameters_must_match_the_config_by_name_and_shape(self, tmp_path, edit,
+                                                                 message):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        edit(obj["params"])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(str(path))
 
     def test_params_must_be_an_object(self, tmp_path):
         path = tmp_path / "[m].json"   # read as a file, never as JSON text

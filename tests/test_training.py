@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,10 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="at least one row"):
             cross_entropy(Tensor(np.zeros((0, 2))), np.zeros(0, dtype=int))
 
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="^3 labels for 2 rows$"):
+            cross_entropy(Tensor(np.zeros((2, 2))), np.array([0, 1, 1]))
+
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="label"):
             cross_entropy(Tensor(np.zeros((2, 2))), np.array([0, 2]))
@@ -82,6 +87,12 @@ class TestMae:
         with pytest.raises(ValueError):
             mae(Tensor(np.ones((3, 1))), np.ones(4))
 
+    @pytest.mark.parametrize("rows, targets", [(2, 4), (2, 1), (0, 0)])
+    def test_target_count_must_match_pred_naming_both(self, rows, targets):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mae needs one target per entry of pred ({rows}, 1), got {targets} targets")):
+            mae(Tensor(np.ones((rows, 1))), np.ones(targets))
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
@@ -90,6 +101,18 @@ class TestAdam:
         state = init_adam_state(params)
         adam_step(params, {"p": np.zeros((2, 2))}, state, lr=0.1)
         assert np.array_equal(p.values, np.ones((2, 2)))
+
+    def test_missing_grad_steps_as_a_zero_grad(self):
+        def run(grads):
+            params = {"a": Tensor(np.full((2, 2), 0.5)), "b": Tensor(np.full((1, 3), -1.0))}
+            state = init_adam_state(params)
+            for _ in range(3):
+                adam_step(params, dict(grads), state, lr=0.1, weight_decay=0.2)
+            return [p.values for p in params.values()]
+
+        g = {"a": np.full((2, 2), 0.25)}
+        for got, want in zip(run(g), run({**g, "b": np.zeros((1, 3))})):
+            assert np.array_equal(got, want)
 
     def test_first_step_is_lr_times_sign(self):
         rng = np.random.default_rng(0)
@@ -293,18 +316,15 @@ class TestEvaluate:
         assert abs(acc - 1 / c) <= 5 * sigma
         assert acc == (g.node_labels == 0).mean()
 
-    def test_node_split_is_scored_as_given(self):
-        # a repeated node counts once per occurrence in the mean
+    def test_node_split_repeating_a_node_refused(self, monkeypatch):
+        # a split is a set: [3, 1, 3, 3] would weight node 3 three times
         g = labelled_graph(seed=5)
         cfg = node_cfg()
         masks = build_head_masks(augment(g), list(cfg.head_hops))
         model = init_model(cfg, g.node_feature_dim)
-        with ops.scratch_tape():
-            h = forward(model, g, augment(g), masks)
-            pred = predict_node(model, h, g.num_nodes).values.argmax(axis=1)
-        split = np.array([3, 1, 3, 3])
-        assert evaluate(model, g, masks, split) == \
-            float((pred[split] == g.node_labels[split]).mean())
+        monkeypatch.setattr(training, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        with pytest.raises(ValueError, match="the evaluated split holds index 3 more than once"):
+            evaluate(model, g, masks, np.array([3, 1, 3, 3]))
 
     def test_empty_split_rejected(self):
         g = labelled_graph()
@@ -894,6 +914,24 @@ class TestPrepare:
                                      r"node 5 has label 3, not a class in \[0, 2\)",
                                      GraphError)
 
+    @pytest.mark.parametrize("task, message", [
+        ("node_classification", "node classification trains on a single Graph"),
+        ("graph_classification", "graph-level tasks train on a list of Graphs")])
+    def test_dataset_of_the_wrong_kind_refused(self, monkeypatch, task, message):
+        model, graphs, masks = graph_task_inputs()
+        model = init_model(replace(model.cfg, task=task), 2)
+        dataset, masks = (graphs, masks) if task == "node_classification" else (
+            graphs[0], masks[0])
+        self.refused_without_forward(monkeypatch, model, dataset, masks, f"^{message}$")
+
+    def test_node_task_without_node_labels_refused(self, monkeypatch):
+        g = labelled_graph()
+        g = Graph(num_nodes=g.num_nodes, edges=g.edges, node_features=g.node_features)
+        cfg = node_cfg()
+        masks = build_head_masks(augment(g), list(cfg.head_hops))
+        self.refused_without_forward(monkeypatch, init_model(cfg, 3), g, masks,
+                                     "^node classification requires node_labels$")
+
     def test_integral_float_graph_class_trains_as_that_class(self):
         model, graphs, masks = graph_task_inputs()
         as_float = [relabelled(g, float(g.graph_label)) for g in graphs]
@@ -951,6 +989,7 @@ class TestPrepare:
         ([0, 6], r"the evaluated split holds index 6, outside \[0, 6\)"),
         ([-1, 2], r"the evaluated split holds index -1, outside \[0, 6\)"),
         ([0.5, 2], "the evaluated split must hold integers"),
+        ([4, 1, 4], "the evaluated split holds index 4 more than once"),
         ([], "the evaluated split of 6 graphs is empty")])
     def test_bad_evaluated_split_refused(self, monkeypatch, split, match):
         model, graphs, masks = graph_task_inputs()
@@ -963,5 +1002,5 @@ class TestPrepare:
         seen = []
         real = training.augment
         monkeypatch.setattr(training, "augment", lambda g: seen.append(id(g)) or real(g))
-        evaluate(model, graphs, masks, [4, 1, 4])
+        evaluate(model, graphs, masks, [4, 1])
         assert sorted(seen) == sorted([id(graphs[1]), id(graphs[4])])
