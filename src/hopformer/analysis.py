@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autograd import (Tensor, attention_flops, count_attention_flops,
+from .autograd import (ShapeError, Tensor, attention_flops, count_attention_flops,
                        scratch_tape)
 from .graphs import Graph, augment, csr_from_pairs
 from .masks import HopMask, build_head_masks, hop_distance_blocks
@@ -193,8 +193,11 @@ def attention_flop_count(cfg: ModelConfig, masks: list[HopMask]) -> int:
 def flop_count(cfg: ModelConfig, g: Graph, masks: list[HopMask]) -> int:
     """Analytic forward-pass FLOPs of the full model on graph ``g`` and its
     head masks; the projectors cost node and edge tokens at their own
-    feature dims."""
+    feature dims.  A mask that does not cover g's N + M tokens is refused."""
     n, t = g.num_nodes, g.num_nodes + g.num_edges
+    for h, mask in enumerate(masks):
+        if mask.size != t:
+            raise ShapeError(f"mask {h} covers {mask.size} tokens, the graph has {t}")
     d, f = cfg.hidden_dim, cfg.ffn_dim
     total = 2 * d * (n * g.node_feature_dim + g.num_edges * g.edge_feature_dim)
     dense_layer = (

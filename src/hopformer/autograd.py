@@ -374,8 +374,7 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
     ``sizes``, ``x`` is one segment and ``seed`` its seed.
     """
     seeds, sizes = ([seed], [x.values.shape[0]]) if sizes is None else (seed, sizes)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    _check_rate(rate)
     if not training_flag or rate == 0.0:
         return x
     n, d = x.values.shape
@@ -385,6 +384,13 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
     draw = _stack_rows([np.random.default_rng(s).random((r, d)) for s, r in zip(seeds, sizes)])
     keep = (draw >= rate) / (1.0 - rate)
     return primitive(x.values * keep, lambda g: x._accum(g * keep))
+
+
+def _check_rate(rate: float) -> None:
+    """Refuse a dropout rate outside [0, 1): NaN and negative rates would drop
+    nothing, and a rate of 1 or more every weight."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
 
 
 def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
@@ -554,9 +560,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     on the nnz path, whose work is proportional to nnz(mask) * d_h in both
     directions; denser ones run as BLAS products over the T x T score matrix
     with -inf off the support, which is at most nnz / DENSE_MIN_DENSITY
-    entries.  ``dropout_rate`` drops individual attention weights (inverted
-    scaling) when training, drawing one number per stored entry in CSR order,
-    so a seed keeps the same weights on either path.
+    entries.  ``dropout_rate``, in [0, 1), drops individual attention weights
+    (inverted scaling) when training, drawing one number per stored entry in
+    CSR order, so a seed keeps the same weights on either path.
 
     ``mask`` may also be a list of masks whose sizes sum to the row count:
     block b covers the next ``mask[b].size`` rows of q, k and v and attends
@@ -570,6 +576,7 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     is still the one the whole mask's density picks, and attention dropout
     keeps the weights a call on all rows draws for these rows.
     """
+    _check_rate(dropout_rate)
     if isinstance(mask, HopMask):   # one graph: a batch of one
         mask, dropout_seed = [mask], [dropout_seed]
     n_q, n_kv = q.values.shape[0], k.values.shape[0]

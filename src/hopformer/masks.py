@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import AugmentedGraph, _frozen, csr_indptr
+from .graphs import AugmentedGraph, _frozen, _int_value, csr_indptr
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +195,9 @@ def build_mask(ag: AugmentedGraph, n: int) -> HopMask:
 
 def build_head_masks(ag: AugmentedGraph, hops: list[int]) -> list[HopMask]:
     """One mask per head from a single search to ``max(hops)``; identical
-    budgets share a single underlying mask."""
+    budgets share a single underlying mask.  Budgets follow the package's
+    integer rule: ``2.0`` is 2, a boolean or a fraction is refused."""
+    hops = [_int_value(f"hop budget {i}", n) for i, n in enumerate(hops)]
     if not hops:
         raise ValueError("hops must be non-empty")
     if min(hops) < 0:

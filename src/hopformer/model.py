@@ -81,8 +81,9 @@ class ModelConfig:
                 f"head_hops has {len(self.head_hops)} entries for {self.num_heads} heads")
         if any(h < 0 for h in self.head_hops):
             raise ValueError(f"head_hops entries must be non-negative, got {self.head_hops}")
-        if self.num_layers < 0:
-            raise ValueError(f"num_layers must be non-negative, got {self.num_layers}")
+        for name in ("num_layers", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.readout not in READOUTS:
@@ -191,35 +192,26 @@ def embed_tokens(m: Model, g: Graph | list[Graph]) -> Tensor:
     into the shared token space; featureless edge tokens come out as zeros.
 
     ``g`` may also be a list, a batch of graphs: each graph's T rows, nodes
-    then edges, follow the previous graph's.  :func:`_check_graph` checks
-    each graph's features first.
+    then edges, follow the previous graph's.  Every token's features fill one
+    row of ``d_v + d_e`` columns, node features in the first ``d_v`` and edge
+    features in the rest, zeros elsewhere, so the whole batch is one product
+    with ``proj_node`` stacked over ``proj_edge``.  :func:`_check_graph`
+    checks each graph's features first.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
         g = [g]
     for b, x in enumerate(g):
         _check_graph(m, x, None, f"batch graph {b}")
-    tokens = ops.matmul(Tensor(ops._stack_rows([x.node_features for x in g])), m.proj_node)
-    num_nodes = np.array([x.num_nodes for x in g])
-    num_edges = np.array([x.num_edges for x in g])
-    if num_edges.any():
-        if m.proj_edge is not None:
-            edge_part = ops.matmul(Tensor(ops._stack_rows([x.edge_features for x in g
-                                                           if x.num_edges])), m.proj_edge)
-        else:
-            edge_part = Tensor(np.zeros((num_edges.sum(), m.cfg.hidden_dim)))
-        tokens = ops.concat_rows([tokens, edge_part])
-    if not num_edges[:-1].any():
-        # all node rows, then all edge rows, is already each graph's rows in turn
-        return tokens
-    # row r of graph b sits at node_at[b] + r among the node rows of
-    # ``tokens``, or, for an edge token, at edge_at[b] + r - N_b
-    sizes = num_nodes + num_edges
-    graph = np.repeat(np.arange(len(g)), sizes)
-    r = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    node_at = np.cumsum(num_nodes) - num_nodes
-    edge_at = num_nodes.sum() + np.cumsum(num_edges) - num_edges - num_nodes
-    return ops.take_rows(tokens, np.where(r < num_nodes[graph], node_at[graph],
-                                          edge_at[graph]) + r)
+    feats = np.zeros((sum(x.num_nodes + x.num_edges for x in g), m.d_v + m.d_e))
+    lo = 0
+    for x in g:
+        feats[lo:lo + x.num_nodes, :m.d_v] = x.node_features
+        lo += x.num_nodes
+        if m.d_e and x.num_edges:
+            feats[lo:lo + x.num_edges, m.d_v:] = x.edge_features
+        lo += x.num_edges
+    proj = m.proj_node if m.proj_edge is None else ops.concat_rows([m.proj_node, m.proj_edge])
+    return ops.matmul(Tensor(feats), proj)
 
 
 def _ffn(z: Tensor, lp: LayerParams) -> Tensor:

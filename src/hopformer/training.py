@@ -1,17 +1,19 @@
 """Losses, Adam with decoupled weight decay, splits, and train/eval loops.
 
-Node and graph tasks share one prediction path, which returns one output row
-per item: a node of the one graph, or a graph of a dataset.  A node task runs
+Node and graph tasks share one output function for training and evaluation:
+given a list of splits, it returns one output Tensor per split, one row per
+item (a node of the one graph, or a graph of a dataset).  A node task runs
 one forward over its graph, whose last layer computes only the node-token
-rows its head reads; a graph task runs one forward per batch of graphs, their
-token rows stacked, and pools every token.  Training augments every graph once; each
-epoch steps over its batches and scores validation and test.  A node task
-without dropout makes one forward per epoch: the forward that scores an epoch,
-held on the tape with its logits, is the next epoch's training forward, as
-with dropout off training and scoring compute the same values.  Training
-records on a tape of its own, never the caller's.  The checkpoint returned is
-the one at the best validation metric.  A non-finite loss aborts with
-epoch/step context rather than being clamped.
+rows its head reads, and takes each split's rows from it; a graph task runs
+one forward per split, its graphs' token rows stacked, and pools every token.
+Training augments every graph once; each epoch steps over its batches and
+scores validation and test.  A node task without dropout makes one forward
+per epoch: the call that scores an epoch also returns the train rows, held on
+the tape, that the next epoch's step takes its loss from, as with dropout off
+training and scoring compute the same values.  Training records on a tape of
+its own, never the caller's.  The checkpoint returned is the one at the best
+validation metric.  A non-finite loss aborts with epoch/step context rather
+than being clamped.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ class TrainConfig:
         # lr = 0 and epochs = 0 are legal no-op configurations
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        for name in ("epochs", "seed", "early_stop_patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         for name in ("train_frac", "val_frac", "test_frac"):
@@ -251,32 +254,34 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
     return ags, masks, targets, sorted_splits
 
 
-def _predict(model: Model, dataset, ags, masks, items, *, training: bool = False,
-             seed: int | None = None) -> Tensor:
-    """One output row per item, in item order: the items' logit rows from one
-    forward over the graph whose last layer computes the node rows alone
-    (node task), or from one forward over the item graphs stacked, one
+def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = False,
+             seed: int | None = None) -> list[Tensor]:
+    """One output Tensor per split, one row per item in the split's order.
+
+    A node task runs one forward over its graph, whose last layer computes
+    the node rows alone, and takes each split's logit rows from it.  A graph
+    task runs one forward per split over the split's graphs stacked, one
     readout row per graph and one graph head matmul, graph ``i`` drawing its
-    dropout from ``seed + i`` (graph task; ``ags`` and ``masks`` are indexed
-    by graph)."""
+    dropout from ``seed + i`` (``ags`` and ``masks`` are indexed by graph).
+    A graph's outputs depend in their last bits on the other graphs of its
+    forward (BLAS may round a row of a matrix product differently when the
+    product has more rows), so each split gets its own: ``evaluate`` on a
+    split then reproduces the score ``train`` recorded for it exactly.
+    """
     if model.cfg.task == "node_classification":
-        return ops.take_rows(_node_logits(model, dataset, ags, masks, training=training,
-                                          seed=seed), items)
-    items = [int(i) for i in items]
-    batch = [ags[i] for i in items]
-    h = forward(model, [dataset[i] for i in items], batch, [masks[i] for i in items],
-                training=training, rng_seed=seed, graph_ids=items)
-    return predict_graph(model, readout(h, model.cfg.readout,
-                                        [ag.total_tokens for ag in batch]))
-
-
-def _node_logits(model: Model, graph: Graph, ag, masks, *, training: bool = False,
-                 seed: int | None = None) -> Tensor:
-    """Every node's logit row from one forward over ``graph`` whose last layer
-    computes the node rows alone."""
-    h = forward(model, graph, ag, masks, training=training, rng_seed=seed,
-                rows=graph.num_nodes)
-    return predict_node(model, h, graph.num_nodes)
+        h = forward(model, dataset, ags, masks, training=training, rng_seed=seed,
+                    rows=dataset.num_nodes)
+        logits = predict_node(model, h, dataset.num_nodes)
+        return [ops.take_rows(logits, items) for items in splits]
+    outs = []
+    for items in splits:
+        items = [int(i) for i in items]
+        batch = [ags[i] for i in items]
+        h = forward(model, [dataset[i] for i in items], batch, [masks[i] for i in items],
+                    training=training, rng_seed=seed, graph_ids=items)
+        outs.append(predict_graph(model, readout(h, model.cfg.readout,
+                                                 [ag.total_tokens for ag in batch])))
+    return outs
 
 
 def _loss(task: str, out: Tensor, targets: np.ndarray) -> Tensor:
@@ -290,22 +295,11 @@ def _score(task: str, out: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _scores(model: Model, dataset, ags, masks, targets, splits) -> list[float]:
-    """Score each split, as ``_prepare`` returns it.
-
-    A node task scores every split from one forward over its graph.  A graph
-    task runs one forward per split: a graph's logits depend in their last
-    bits on the other graphs of its batch (BLAS may round a row of a matrix
-    product differently when the product has more rows), and ``evaluate`` on
-    a split must reproduce the score ``train`` recorded for it exactly.
-    """
-    task = model.cfg.task
+    """Score each split, as ``_prepare`` returns it, from :func:`_outputs` on a
+    scratch tape."""
     with scratch_tape():
-        if task == "node_classification":
-            logits = _node_logits(model, dataset, ags, masks).values
-            outs = [logits[s] for s in splits]
-        else:
-            outs = [_predict(model, dataset, ags, masks, s).values for s in splits]
-    return [_score(task, o, targets[s]) for o, s in zip(outs, splits)]
+        outs = _outputs(model, dataset, ags, masks, splits)
+    return [_score(model.cfg.task, o.values, targets[s]) for o, s in zip(outs, splits)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +319,13 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     head masks that do not fit their graph; an empty split, or one that
     repeats an index.
 
-    A node task with ``dropout`` and ``attention_dropout`` both 0 runs E + 1
-    forwards for E epochs: one before the first step (timed in epoch 0), then
-    one after each Adam step, which scores val and test and, kept on train's
-    tape, gives the next step its loss and backward.  With any dropout, and
-    for graph tasks, each step runs its own training forward and the scoring
-    forwards follow it.  Every step records on a tape ``train`` owns and drops
+    A step runs its own training forward unless a held forward has already
+    given it its rows.  A node task with ``dropout`` and
+    ``attention_dropout`` both 0 holds one: after each Adam step, one forward
+    scores val and test and, kept on train's tape, gives the next step its
+    train rows, loss and backward, so E epochs run E + 1 forwards.  With any
+    dropout, and for graph tasks, the scoring forwards run on a scratch tape
+    after the steps.  Every step records on a tape ``train`` owns and drops
     on return, early stop or ``TrainingAbort``; the caller's tape is left as
     it was.
     """
@@ -349,12 +344,11 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     # without dropout, training=True changes nothing in the forward: the one
     # that scores an epoch is bit for bit the next epoch's training forward
     held = node_task and model.cfg.dropout == model.cfg.attention_dropout == 0
+    out = None   # a held forward's train rows, the next step's outputs
     with scratch_tape():   # train's own tape, dropped however the loop ends
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             seed = cfg.seed * 100003 + epoch
-            if held and epoch == 0:
-                logits = _node_logits(model, dataset, ags, masks)
             if node_task:
                 batches = [idx_train]
             else:
@@ -366,9 +360,11 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
                 zero_grads(params)
                 # the loss takes idx_train's rows in its seeded order: sorted,
                 # they move the mean's last bits
-                out = ops.take_rows(logits, batch) if held else _predict(
-                    model, dataset, ags, masks, batch, training=True, seed=seed)
+                if out is None:
+                    out = _outputs(model, dataset, ags, masks, [batch], training=True,
+                                   seed=seed)[0]
                 loss = _loss(task, out, targets[batch])
+                out = None
                 lv = float(loss.values[0, 0])
                 if not np.isfinite(lv):
                     raise TrainingAbort(epoch, step, "non-finite training loss")
@@ -382,8 +378,8 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
                 lv * b.size for lv, b in zip(batch_losses, batches)) / idx_train.size
 
             if held:
-                logits = _node_logits(model, dataset, ags, masks)
-                val, test = (_score(task, logits.values[s], targets[s]) for s in scored)
+                out, *outs = _outputs(model, dataset, ags, masks, [idx_train, *scored])
+                val, test = (_score(task, o.values, targets[s]) for o, s in zip(outs, scored))
             else:
                 val, test = _scores(model, dataset, ags, masks, targets, scored)
             history.train_loss.append(loss_value)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hopformer import (ModelConfig, augment, avg_shortest_path,
+from hopformer import (ModelConfig, ShapeError, augment, avg_shortest_path,
                        build_head_masks, clustering_coefficient,
                        dataset_small_world, flop_count, attention_flop_count,
                        flops_vs_nnz_report, generate_erdos_renyi,
@@ -261,6 +261,15 @@ class TestFlopModel:
         assert g.num_edges > 0
         assert flop_count(cfg, with_edges, masks) - flop_count(cfg, g, masks) == \
             2 * g.num_edges * 3 * cfg.hidden_dim
+
+    def test_another_graphs_masks_refused(self):
+        # a 5-node graph costed with an 8-node graph's masks returned 13588
+        small, large = (generate_erdos_renyi(n, 0.5, seed=1) for n in (5, 8))
+        masks = build_head_masks(augment(large), [1, 2])
+        t_small, t_large = (x.num_nodes + x.num_edges for x in (small, large))
+        with pytest.raises(ShapeError,
+                           match=f"^mask 0 covers {t_large} tokens, the graph has {t_small}$"):
+            flop_count(probe_cfg([1, 2]), small, masks)
 
     def test_flop_count_monotone_in_nnz(self):
         g = generate_erdos_renyi(12, 0.2, seed=47)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hopformer import (Graph, ShapeError, Tensor, augment, backward, build_head_masks,
-                       build_mask, generate_erdos_renyi, generate_watts_strogatz, grad_check,
-                       sparse_masked_attention,
+                       build_mask, generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
+                       grad_check, sparse_masked_attention,
                        attention_weights, attention_flops, count_attention_flops)
 from hopformer import autograd as ops
 from hopformer.masks import HopMask
@@ -314,6 +314,25 @@ class TestSparseMaskedAttention:
                                     dropout_rate=0.5, dropout_seed=4, training=True)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_attention_dropout_rate_outside_unit_interval_refused(self, rate, training):
+        # a rate of 1 returned all-NaN rows on both paths, one above 1 zeroed
+        # every weight, and a negative or NaN rate dropped nothing
+        g = generate_sbm((10, 10), 0.3, 0.05, seed=0)
+        sparse, dense = build_head_masks(augment(g), [1, 3])
+        t = sparse.size
+        assert sparse.nnz < ops.DENSE_MIN_DENSITY * t * t <= dense.nnz
+        qv, kv, vv = np.random.default_rng(0).standard_normal((3, t, 4))
+        for mask, rows in [(sparse, t), (dense, t), (sparse, 20), (dense, 20)]:
+            with ops.scratch_tape() as tape:
+                with pytest.raises(ValueError,
+                                   match=rf"^dropout rate must be in \[0, 1\), got {rate}$"):
+                    sparse_masked_attention(Tensor(qv[:rows]), Tensor(kv), Tensor(vv), mask,
+                                            dropout_rate=rate, dropout_seed=1,
+                                            training=training)
+                assert tape == []
 
     def test_flop_meter_counts_formula(self):
         g = generate_erdos_renyi(6, 0.5, seed=9)

@@ -484,6 +484,9 @@ class TestTrain:
         ("train", "batch_size", 0, "batch_size must be positive, got 0"),
         ("model", "head_hops", [1, -3], "head_hops entries must be non-negative, got (1, -3)"),
         ("model", "num_layers", -1, "num_layers must be non-negative, got -1"),
+        ("model", "seed", -1, "seed must be non-negative, got -1"),
+        ("train", "seed", -5, "seed must be non-negative, got -5"),
+        ("train", "early_stop_patience", -1, "early_stop_patience must be non-negative, got -1"),
         ("model", "readout", "max", "readout must be one of ('mean', 'sum'), got 'max'"),
         ("model", "norm", "mid", "norm must be one of ('post', 'pre'), got 'mid'")])
     def test_bad_config_value_exits_two_naming_the_field(self, tmp_path, capsys, section,
@@ -544,6 +547,17 @@ class TestTrain:
             runs[name] = (tmp_path / name / "model.json").read_bytes()
         assert runs["flag"] == runs["config"] != runs["unseeded"]
         assert json.loads((tmp_path / "flag" / "manifest.json").read_text())["seeds"] == [7]
+
+    def test_negative_seed_flag_exits_two_naming_the_field(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        write_labelled_graph(src)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(run_config()))
+        outdir = tmp_path / "run"
+        assert main(["train", str(src), "--config", str(cfg_path), "--output", str(outdir),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not outdir.exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"

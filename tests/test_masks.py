@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ class TestBuildHeadMasks:
     def test_empty_hops_rejected(self, single_edge_ag):
         with pytest.raises(ValueError):
             build_head_masks(single_edge_ag, [])
+
+    def test_integral_float_budget_is_the_integer(self):
+        ag = augment(generate_erdos_renyi(12, 0.3, seed=2))
+        (got,), (want,) = build_head_masks(ag, [2.0]), build_head_masks(ag, [2])
+        assert type(got.hop_budget) is int and got.hop_budget == 2
+        for name in ("indptr", "indices", "row_indices"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert np.array_equal(got.dense_support, want.dense_support)
+
+    @pytest.mark.parametrize("hops,message", [
+        ([1.5], "hop budget 0 must be an integer, got 1.5"),
+        ([True, 2], "hop budget 0 must be an integer, got True"),
+        ([1, 2.5], "hop budget 1 must be an integer, got 2.5")])
+    def test_fraction_or_boolean_budget_refused(self, single_edge_ag, hops, message):
+        # range() raised a bare TypeError on a fraction, and True built a
+        # mask whose hop_budget was True
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_head_masks(single_edge_ag, hops)
 
 
 class TestMaskStats:

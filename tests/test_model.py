@@ -83,6 +83,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
             small_cfg(**{field: value})
 
+    def test_seed_must_be_non_negative(self):
+        # a negative seed used to fail later, inside numpy, in init_model
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            small_cfg(seed=-1)
+
     def test_integral_numbers_are_stored_as_python_ints(self):
         cfg = small_cfg(hidden_dim=np.int64(8), head_hops=[np.int32(1), 3.0], num_layers=2.0,
                         num_classes=np.uint8(3), seed=np.int64(5))
@@ -470,7 +475,7 @@ class TestGraphBatch:
                     assert np.abs(got - self.per_graph(m, g, a, gm)).max() <= 1e-12
             if task != "node_classification":
                 items = np.arange(len(graphs))[::-1]
-                batched = training._predict(m, graphs, ags, masks, items).values
+                batched = training._outputs(m, graphs, ags, masks, [items])[0].values
                 for row, i in zip(batched, items):
                     want = self.per_graph(m, graphs[i], ags[i], masks[i])
                     assert np.abs(row - want[0]).max() <= 1e-12
@@ -493,8 +498,8 @@ class TestGraphBatch:
             if task != "node_classification":
                 seed = 123
                 items = [5, 0, 7, 3]
-                batched = training._predict(m, graphs, ags, masks, items, training=True,
-                                            seed=seed).values
+                batched = training._outputs(m, graphs, ags, masks, [items], training=True,
+                                            seed=seed)[0].values
                 for row, i in zip(batched, items):
                     want = self.per_graph(m, graphs[i], ags[i], masks[i], training=True,
                                           rng_seed=seed + i)
@@ -516,12 +521,12 @@ class TestGraphBatch:
         labels = np.array([g.graph_label for g in graphs])
         batched = grads(lambda: training._loss(
             "graph_classification",
-            training._predict(m, graphs, ags, masks, items, training=True, seed=5), labels))
+            training._outputs(m, graphs, ags, masks, [items], training=True, seed=5)[0], labels))
         summed = {}
         for i in items:
             gi = grads(lambda: training._loss(
                 "graph_classification",
-                training._predict(m, graphs, ags, masks, [i], training=True, seed=5),
+                training._outputs(m, graphs, ags, masks, [[i]], training=True, seed=5)[0],
                 labels[[i]]))
             for k, v in gi.items():
                 summed[k] = summed.get(k, 0.0) + v / len(items)
@@ -546,7 +551,7 @@ class TestGraphBatch:
         monkeypatch.setattr(ops, "sparse_masked_attention",
                             lambda *a, **k: calls.append(a[3]) or real(*a, **k))
         with ops.scratch_tape():
-            training._predict(m, graphs, ags, masks, range(len(graphs)))
+            training._outputs(m, graphs, ags, masks, [range(len(graphs))])
         assert len(calls) == m.cfg.num_layers * m.cfg.num_heads
         assert all(len(c) == len(graphs) for c in calls)
 

@@ -194,6 +194,15 @@ class TestTrainConfigBoundary:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [("seed", -5), ("early_stop_patience", -1)])
+    def test_count_must_be_non_negative(self, field, value):
+        # a negative seed used to fail later, inside numpy, in split_indices,
+        # and a negative patience acted as 0
+        kwargs = dict(learning_rate=0.1, epochs=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got {value}$"):
+            TrainConfig(**kwargs)
+
     def test_integral_numbers_are_stored_as_python_ints(self):
         cfg = TrainConfig(learning_rate=np.float32(0.5), epochs=np.int64(3), batch_size=4.0,
                           seed=np.uint16(2), early_stop_patience=np.int8(1))
@@ -478,7 +487,7 @@ class TestNodeRowsInTraining:
         masks = build_head_masks(ag, list(cfg.head_hops))
         n, t, d_h = g.num_nodes, ag.total_tokens, cfg.head_dim
         with ops.scratch_tape(), ops.count_attention_flops() as meter:
-            training._predict(model, g, ag, masks, np.arange(n))
+            training._outputs(model, g, ag, masks, [np.arange(n)])
         logical = executed = 0
         for mk in masks:
             node_nnz = int(mk.indptr[n])
@@ -595,8 +604,8 @@ class TestOnePredictionPath:
         losses = []
         with ops.scratch_tape():
             for i in idx_train:
-                out = training._predict(model, graphs, ags, masks, [i], training=True,
-                                        seed=tc.seed * 100003)
+                out = training._outputs(model, graphs, ags, masks, [[i]], training=True,
+                                        seed=tc.seed * 100003)[0]
                 target = np.array([graphs[i].graph_label])
                 losses.append(training._loss(task, out, target).values[0, 0])
         assert history.train_loss[0] == pytest.approx(np.mean(losses), rel=1e-12)
@@ -680,8 +689,8 @@ def reference_node_train(model, g, masks, tc):
     for epoch in range(tc.epochs):
         training.zero_grads(params)
         with ops.scratch_tape():
-            out = training._predict(model, g, ag, masks, idx_train, training=True,
-                                    seed=tc.seed * 100003 + epoch)
+            out = training._outputs(model, g, ag, masks, [idx_train], training=True,
+                                    seed=tc.seed * 100003 + epoch)[0]
             loss = training._loss(model.cfg.task, out, g.node_labels[idx_train])
             backward(loss)
         adam_step(params, training.collect_grads(params), state, tc.learning_rate,
