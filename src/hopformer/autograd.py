@@ -28,9 +28,20 @@ Both paths give the same results up to rounding.
 
 The kernel runs on a batch of graphs: a list of masks over consecutive row
 blocks of q, k and v, the graphs' token rows stacked, each graph's tokens
-attending only within its own block.  One mask is a batch of one.  Each block
-takes its own path by its own density and does exactly the work of a call on
-it alone; the call records one tape entry.  Row-wise primitives need no such
+attending only within its own block.  One mask is a batch of one, and a call
+records one tape entry.  Each block's own density picks its path.  Dense
+blocks run one by one, each on its own rows.  The nnz blocks run as one
+nnz-path call over one block-diagonal CSR triple (row ids, column ids, row
+starts): each block's ids offset by its first row in the joined rows, its row
+starts by the stored entries before it, and its dropout draws concatenated in
+block order.  So a graph batch makes one nnz-path call per head, not one per
+graph, and pays the path's fixed numpy-call cost once.  The joined call is
+bit-identical to one call per block: elementwise steps see the same
+operands, each row's ``reduceat`` sums the same entries in the same order, and
+each column's ``bincount`` receives only its own block's entries, in
+stored-entry order.  When every block takes the nnz path, q, k and v are used
+as they are; only a batch that mixes the paths gathers the nnz blocks' rows
+and scatters their outputs and grads back.  Row-wise primitives need no such
 form, as they act on each row alone; :func:`dropout` draws a batch's keep
 mask per segment, one tensor being one segment, and :func:`pool_segments`
 pools each segment's rows into one.
@@ -462,19 +473,41 @@ def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarr
 DENSE_MIN_DENSITY = 0.25
 
 
-def _sparse_path(qv, kv, vv, mask: HopMask, dropmult):
-    """Attention over the stored entries only; returns (out, grads(g)).
+def _joined_csr(masks: list[HopMask], r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, starts) of a batch's masks joined block-diagonally, over
+    their first ``r`` rows: any r for one mask, all rows for several.
 
-    The r rows of ``qv`` are the queries of the mask's first r rows, which
-    attend over all T rows of ``kv`` and ``vv``; the path reads only those
-    rows' stored entries.  Works on (d_h, T) transposes: every gather is a
-    ``take`` into a (d_h, nnz) block, row sums are ``reduceat`` over the CSR
-    row starts, and the key and value scatters are one ``bincount`` per
-    column.  The backward reuses the forward's CSR views and gathers again
-    instead of keeping any (d_h, nnz) block alive until it runs.
+    One mask gives its ``_csr_prefix`` views.  Several give, per block, its
+    row and column ids offset by the block's first row in the joined rows,
+    and its row starts offset by the stored entries before it, so every row
+    holds the entries, in the order, that a call on its block alone reads.
     """
-    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
-    row, col, starts = _csr_prefix(mask, r)
+    if len(masks) == 1:
+        return _csr_prefix(masks[0], r)
+    sizes = np.array([b.size for b in masks])
+    nnzs = np.array([b.nnz for b in masks])
+    first_row = np.repeat(np.cumsum(sizes) - sizes, nnzs)
+    return (np.concatenate([b.row_indices for b in masks]) + first_row,
+            np.concatenate([b.indices for b in masks], dtype=np.int64) + first_row,
+            np.concatenate([b.indptr[:-1] for b in masks], dtype=np.int64)
+            + np.repeat(np.cumsum(nnzs) - nnzs, sizes))
+
+
+def _sparse_path(qv, kv, vv, csr, dropmult):
+    """Attention over the stored entries of a CSR triple ``(row, col,
+    starts)``: the stored entries' row and column ids and the rows' starts in
+    them.  Returns (out, grads(g)).
+
+    The r rows of ``qv`` are the queries of the triple's r rows, which attend
+    over all T rows of ``kv`` and ``vv``; the path reads only those rows'
+    stored entries.  Works on (d_h, T) transposes: every gather is a ``take``
+    into a (d_h, nnz) block, row sums are ``reduceat`` over the row starts,
+    and the key and value scatters are one ``bincount`` per column.  The
+    backward reuses the forward's triple and gathers again instead of keeping
+    any (d_h, nnz) block alive until it runs.
+    """
+    t, d_h = kv.shape
+    row, col, starts = csr
     qt, kt, vt = (np.ascontiguousarray(a.T) for a in (qv, kv, vv))
     inv_sqrt = 1.0 / np.sqrt(d_h)
     alpha = _masked_softmax(qt, kt, row, col, starts)
@@ -530,22 +563,15 @@ def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
     return applied @ vv, grads
 
 
-def _attend(qv, kv, vv, mask: HopMask, dropout_rate: float, dropout_seed, training: bool):
-    """One mask's attention for the queries of its first ``len(qv)`` rows, on
-    the path the density of the whole mask picks; returns (out, grads)."""
-    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
-    dropmult = None
-    if training and dropout_rate > 0.0:
-        # the first indptr[r] numbers of the whole mask's draw: the weights a
-        # call on all rows keeps for these rows
-        rng = np.random.default_rng(dropout_seed)
-        dropmult = (rng.random(mask.indptr[r]) >= dropout_rate) / (1.0 - dropout_rate)
-    dense = mask.nnz >= DENSE_MIN_DENSITY * t * t
-    for meter in _meters():
-        nnz = int(mask.indptr[r])
-        meter.attention_flops += attention_flops(nnz, d_h)
-        meter.executed_flops += attention_flops(r * t if dense else nnz, d_h)
-    return (_dense_path if dense else _sparse_path)(qv, kv, vv, mask, dropmult)
+def _rows_of(n: int, parts: list) -> np.ndarray:
+    """An n-row array assembled from ``(rows, values)`` parts; a single part
+    covers all n rows and is returned as it is, not copied."""
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.empty((n, parts[0][1].shape[1]))
+    for rows, values in parts:
+        out[rows] = values
+    return out
 
 
 def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -564,10 +590,12 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     (inverted scaling) when training, drawing one number per stored entry in
     CSR order, so a seed keeps the same weights on either path.
 
-    ``mask`` may also be a list of masks whose sizes sum to the row count:
-    block b covers the next ``mask[b].size`` rows of q, k and v and attends
-    only within them, exactly as a call on those rows alone with
-    ``dropout_seed[b]`` would.  One mask is a batch of one.
+    ``mask`` may also be a non-empty list of masks whose sizes sum to the row
+    count: block b covers the next ``mask[b].size`` rows of q, k and v and
+    attends only within them, exactly as a call on those rows alone with
+    ``dropout_seed[b]`` would.  One mask is a batch of one.  The batch's nnz
+    blocks run as one block-diagonal nnz-path call, its dense blocks one by
+    one.
 
     With one mask, q may hold the queries of only its first r rows, k and v
     keeping all T: the output and q's grad then have r rows, equal to the
@@ -579,8 +607,10 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     _check_rate(dropout_rate)
     if isinstance(mask, HopMask):   # one graph: a batch of one
         mask, dropout_seed = [mask], [dropout_seed]
-    n_q, n_kv = q.values.shape[0], k.values.shape[0]
-    if k.values.shape != v.values.shape or q.values.shape[1] != k.values.shape[1]:
+    if not mask:
+        raise ShapeError("a batch needs at least one mask")
+    n_q, (n_kv, d_h) = q.values.shape[0], k.values.shape
+    if k.values.shape != v.values.shape or q.values.shape[1] != d_h:
         raise ShapeError(
             f"q/k/v shapes do not fit: {q.values.shape}, {k.values.shape}, {v.values.shape}")
     if n_q > n_kv:
@@ -599,18 +629,41 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     ends = np.cumsum(sizes).tolist()
     rows = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
     q_rows = rows if n_q == n_kv else [slice(0, n_q)]
-    outs, block_grads = zip(*[
-        _attend(q.values[qr], k.values[r], v.values[r], b, dropout_rate, s, training)
-        for qr, r, b, s in zip(q_rows, rows, mask, seeds)])
+    n_rows = sizes if n_q == n_kv else [n_q]   # the query rows of each block
+    dense = [b.nnz >= DENSE_MIN_DENSITY * b.size * b.size for b in mask]
+    drops = [None] * len(mask)
+    if training and dropout_rate > 0.0:
+        # per block, the first indptr[r] numbers of the whole mask's draw: the
+        # weights a call on all rows keeps for its first r rows
+        drops = [(np.random.default_rng(s).random(b.indptr[r]) >= dropout_rate)
+                 / (1.0 - dropout_rate) for b, r, s in zip(mask, n_rows, seeds)]
+    for meter in _meters():
+        for b, r, d in zip(mask, n_rows, dense):
+            nnz = int(b.indptr[r])
+            meter.attention_flops += attention_flops(nnz, d_h)
+            meter.executed_flops += attention_flops(r * b.size if d else nnz, d_h)
+
+    # Dense blocks run one by one; the nnz blocks run as one block-diagonal
+    # mask, on their own rows gathered only when the batch mixes both paths.
+    # Each part is (q rows, k/v rows, out, grads).
+    parts = [(qr, r, *_dense_path(q.values[qr], k.values[r], v.values[r], b, dm))
+             for qr, r, b, dm, d in zip(q_rows, rows, mask, drops, dense) if d]
+    if not all(dense):
+        nnz_blocks = [i for i, d in enumerate(dense) if not d]
+        sel = slice(None) if not parts else np.repeat(~np.array(dense), sizes)
+        qv = q.values[sel]
+        dm = None if drops[0] is None else _stack_rows([drops[i] for i in nnz_blocks])
+        parts.append((sel, sel, *_sparse_path(
+            qv, k.values[sel], v.values[sel],
+            _joined_csr([mask[i] for i in nnz_blocks], len(qv)), dm)))
 
     def grad_fn(g):
-        dq, dk, dv = (_stack_rows(d) for d in zip(*[bg(g[qr])
-                                                     for qr, bg in zip(q_rows, block_grads)]))
-        q._accum(dq)
-        k._accum(dk)
-        v._accum(dv)
+        block_grads = [(qr, r, grads(g[qr])) for qr, r, _, grads in parts]
+        q._accum(_rows_of(n_q, [(qr, d[0]) for qr, _, d in block_grads]))
+        k._accum(_rows_of(n_kv, [(r, d[1]) for _, r, d in block_grads]))
+        v._accum(_rows_of(n_kv, [(r, d[2]) for _, r, d in block_grads]))
 
-    return primitive(_stack_rows(outs), grad_fn)
+    return primitive(_rows_of(n_q, [(qr, out) for qr, _, out, _ in parts]), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,14 @@ class RunHistory:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the true class over the rows."""
+    """Mean negative log-softmax of the true class over the rows.
+
+    ``labels`` are read by the package's integer rule: a label with a
+    fractional part, NaN, an infinity or a boolean raises ``GraphError``
+    naming its index, rather than being truncated."""
     lv = logits.values
     n, c = lv.shape
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = _int_field("labels", labels).reshape(-1)
     if labels.shape[0] != n:
         raise ValueError(f"{labels.shape[0]} labels for {n} rows")
     if n == 0:

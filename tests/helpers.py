@@ -170,7 +170,8 @@ def dense_attention_weights_oracle(qv, kv, support) -> np.ndarray:
 def reference_sparse_path(qv, kv, vv, mask: HopMask, dropmult):
     """The row-layout nnz attention kernel: (nnz, d_h) row gathers, einsum
     scores, reduceat over axis 0 and one bincount per column for the key and
-    value scatters.  Same contract as ``autograd._sparse_path``."""
+    value scatters.  Same contract as ``autograd._sparse_path`` given the
+    mask's CSR triple."""
     t, d_h = qv.shape
     row, col, indptr = mask.row_indices, mask.indices, mask.indptr
     inv_sqrt = 1.0 / np.sqrt(d_h)

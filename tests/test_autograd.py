@@ -366,7 +366,14 @@ DISPATCH_MASKS = {
     "full": lambda: _ring_mask(16, 16),
 }
 EXPECT_DENSE = {"nnz": False, "threshold": True, "dense": True, "full": True}
-PATHS = {"nnz": ops._sparse_path, "dense": ops._dense_path}
+
+
+def _nnz_path(qv, kv, vv, mask, dropmult):
+    """The nnz path on one mask: its CSR triple as ``_csr_prefix`` gives it."""
+    return ops._sparse_path(qv, kv, vv, ops._csr_prefix(mask, qv.shape[0]), dropmult)
+
+
+PATHS = {"nnz": _nnz_path, "dense": ops._dense_path}
 
 
 def _qkv(t, d_h=4, seed=0):
@@ -411,7 +418,7 @@ class TestDensityDispatch:
         g = np.random.default_rng(3).standard_normal(qv.shape)
         dropmult = None if rate == 0.0 else (
             np.random.default_rng(4).random(mask.nnz) >= rate) / (1.0 - rate)
-        out_s, grads_s = ops._sparse_path(qv, kv, vv, mask, dropmult)
+        out_s, grads_s = _nnz_path(qv, kv, vv, mask, dropmult)
         out_d, grads_d = ops._dense_path(qv, kv, vv, mask, dropmult)
         assert np.abs(out_s - out_d).max() <= 1e-12
         for gs, gd in zip(grads_s(g), grads_d(g)):
@@ -543,13 +550,83 @@ def _compare_with_reference(mask, d_h, rate, seed):
     rng = np.random.default_rng(seed)
     qv, kv, vv, g = rng.standard_normal((4, t, d_h))
     dropmult = None if rate == 0.0 else (rng.random(mask.nnz) >= rate) / (1.0 - rate)
-    out, grads = ops._sparse_path(qv, kv, vv, mask, dropmult)
+    out, grads = _nnz_path(qv, kv, vv, mask, dropmult)
     ref_out, ref_grads = reference_sparse_path(qv, kv, vv, mask, dropmult)
     assert out.shape == (t, d_h)
     assert np.abs(out - ref_out).max(initial=0.0) <= 1e-13
     for got, ref in zip(grads(g), ref_grads(g)):
         assert got.shape == (t, d_h)
         assert np.abs(got - ref).max(initial=0.0) <= 1e-13
+
+
+def _int32_mask(mask: HopMask) -> HopMask:
+    """The same mask with 32-bit ``indptr`` and ``indices``."""
+    return HopMask(hop_budget=mask.hop_budget, size=mask.size,
+                   indptr=mask.indptr.astype(np.int32), indices=mask.indices.astype(np.int32))
+
+
+# Graph batches for the joined nnz-path call.  "mixed" interleaves nnz blocks
+# (one of them an edgeless graph's identity mask) with dense ones (one of them
+# a one-token graph); in "nnz" every block takes the nnz path.
+BATCHES = {
+    "mixed": lambda: [_ring_mask(16, 2), build_mask(augment(_edgeless(1)), 3),
+                      build_mask(augment(_edgeless(6)), 2), _ring_mask(16, 8),
+                      _seeded_mask(2), _ring_mask(6, 1)],
+    "nnz": lambda: [build_mask(augment(_edgeless(6)), 2), _ring_mask(16, 2),
+                    _int32_mask(_ring_mask(40, 6)), _seeded_mask(3)],
+}
+BATCH_PATHS = {"mixed": [False, True, False, True, False, True],
+               "nnz": [False, False, False, False]}
+
+
+class TestJoinedNnzBlocks:
+    """A batch's nnz blocks run as one block-diagonal nnz-path call."""
+
+    @pytest.mark.parametrize("kind", BATCHES)
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_batch_equals_a_call_per_block(self, kind, rate):
+        # a call on one mask runs that mask's ops alone; the batch must match
+        # it bit for bit in out, dq, dk and dv
+        masks = BATCHES[kind]()
+        assert [_runs_dense(b) for b in masks] == BATCH_PATHS[kind]
+        ends = np.cumsum([b.size for b in masks])
+        qv, kv, vv, g = np.random.default_rng(21).standard_normal((4, ends[-1], 4))
+        seeds = [[b, 5] for b in range(len(masks))]
+        kw = dict(dropout_rate=rate, training=True)
+        batch, _ = _attention_run(qv, kv, vv, masks, g, dropout_seed=seeds, **kw)
+        for b, (mask, hi) in enumerate(zip(masks, ends)):
+            rows = slice(hi - mask.size, hi)
+            alone, _ = _attention_run(qv[rows], kv[rows], vv[rows], mask, g[rows],
+                                      dropout_seed=seeds[b], **kw)
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[rows], want)
+
+    @pytest.mark.parametrize("kind", BATCHES)
+    def test_one_nnz_path_call_and_one_dense_call_per_dense_block(self, kind, monkeypatch):
+        masks = BATCHES[kind]()
+        calls = []
+        for name in ("_sparse_path", "_dense_path"):
+            real = getattr(ops, name)
+            monkeypatch.setattr(ops, name, lambda *a, _real=real, _name=name:
+                                calls.append((_name, a)) or _real(*a))
+        n = sum(b.size for b in masks)
+        q, k, v = (Tensor(a) for a in np.random.default_rng(22).standard_normal((3, n, 4)))
+        with ops.scratch_tape():
+            backward(ops.sum_all(sparse_masked_attention(q, k, v, masks)))
+        nnz_calls = [a for name, a in calls if name == "_sparse_path"]
+        assert len(nnz_calls) == 1
+        assert len(calls) - 1 == sum(BATCH_PATHS[kind])
+        # the rows are gathered only when the batch mixes the paths
+        in_place = [np.shares_memory(a, t.values) for a, t in zip(nnz_calls[0][:3], (q, k, v))]
+        assert in_place == [kind == "nnz"] * 3
+
+    def test_empty_batch_refused_before_any_tape_entry(self):
+        x = Tensor(np.zeros((0, 4)))
+        with ops.scratch_tape() as tape:
+            for kw in ({}, dict(dropout_rate=0.3, dropout_seed=[], training=True)):
+                with pytest.raises(ShapeError, match="^a batch needs at least one mask$"):
+                    sparse_masked_attention(x, x, x, [], **kw)
+            assert tape == []
 
 
 class TestColumnLayoutNnzPath:
@@ -579,7 +656,7 @@ class TestColumnLayoutNnzPath:
         mask = _seeded_mask(3)
         qv, kv, vv = _qkv(mask.size, seed=11)
         alpha = attention_weights(qv, kv, mask)
-        out, _ = ops._sparse_path(qv, kv, vv, mask, None)
+        out, _ = _nnz_path(qv, kv, vv, mask, None)
         assert np.abs(np.add.reduceat(alpha, mask.indptr[:-1]) - 1.0).max() <= 1e-12
         assert np.array_equal(out, np.add.reduceat(alpha[:, None] * vv[mask.indices],
                                                    mask.indptr[:-1], axis=0))
@@ -594,7 +671,7 @@ class TestColumnLayoutNnzPath:
             np.random.default_rng(14).random(mask.nnz) >= rate) / (1.0 - rate)
         runs = []
         for _ in range(2):
-            out, grads = ops._sparse_path(qv.copy(), kv.copy(), vv.copy(), mask, dropmult)
+            out, grads = _nnz_path(qv.copy(), kv.copy(), vv.copy(), mask, dropmult)
             runs.append([out, *grads(g.copy())])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
@@ -619,7 +696,7 @@ class TestColumnLayoutNnzPath:
         qv, kv, vv = _qkv(t, d_h=d_h, seed=15)
         dropmult = None if rate == 0.0 else (
             np.random.default_rng(16).random(mask.nnz) >= rate) / (1.0 - rate)
-        _, grads = ops._sparse_path(qv, kv, vv, mask, dropmult)
+        _, grads = _nnz_path(qv, kv, vv, mask, dropmult)
         assert self.owned_closure_bytes(grads, mask) <= bound
         # the count does see a held gathered block next to the mask's views
         block = np.ascontiguousarray(kv.T).take(mask.indices, axis=1)

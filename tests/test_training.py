@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,23 @@ class TestCrossEntropy:
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="label"):
             cross_entropy(Tensor(np.zeros((2, 2))), np.array([0, 2]))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1.0, 1.5], "got 1.5 at index 1"),   # not truncated to class 1
+        ([np.nan, 0], "got nan at index 0"),
+        (np.array([0.0, np.inf]), "got inf at index 1"),
+        ([0, True], "got a boolean"),
+    ])
+    def test_non_integer_label_refused_naming_it(self, labels, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy cast warning on the way
+            with pytest.raises(GraphError, match=f"^labels must hold integers, {message}"):
+                cross_entropy(Tensor(np.zeros((2, 2))), labels)
+
+    def test_integral_float_labels_read_as_classes(self):
+        logits = Tensor(np.array([[0.0, 3.0], [1.0, -1.0]]))
+        assert np.array_equal(cross_entropy(logits, [1.0, 0.0]).values,
+                              cross_entropy(logits, np.array([1, 0])).values)
 
     def test_gradient_is_softmax_minus_onehot(self):
         logits = Tensor(np.array([[1.0, 2.0, 0.5]]), requires_grad=True)
