@@ -17,13 +17,17 @@ normalization, in forward or backward.
 The kernel picks one of two paths per call from the mask's density.  Below
 ``DENSE_MIN_DENSITY`` the nnz path works on stored entries only, in a column
 layout: q, k, v and the upstream gradient are transposed once to contiguous
-(d_h, T) arrays, each gather is one ``take`` into a (d_h, nnz) block, scores
-are one column sum of a product of two blocks, and per-row sums are one
-``np.add.reduceat`` along the nnz axis.  The number of numpy calls per kernel
-call is fixed; it does not grow with nnz.  At or above the threshold the
-masked dense path computes the T x T scores with BLAS, sets off-support
-scores to -inf, and runs its backward as four matrix products; since
-T^2 <= nnz / DENSE_MIN_DENSITY there, its memory and work stay linear in nnz.
+(d_h, T) arrays.  CSR rows are sorted, so a query-side array reaches each
+row's stored entries by ``np.repeat`` over the row counts, and a key-side
+array by one ``take`` of the column ids; no per-entry row ids are built.
+The forward's scores are one column sum of a product of two (d_h, nnz)
+blocks, and per-row sums are one ``np.add.reduceat`` along the nnz axis.
+The backward runs one head dimension at a time on nnz-long vectors, so it
+holds no (d_h, nnz) block.  The number of numpy calls per kernel call grows
+with d_h, not with nnz.  At or above the threshold the masked dense path
+computes the T x T scores with BLAS, sets off-support scores to -inf, and
+runs its backward as four matrix products; since T^2 <= nnz /
+DENSE_MIN_DENSITY there, its memory and work stay linear in nnz.
 Both paths give the same results up to rounding.
 
 The kernel runs on a batch of graphs: a list of masks over consecutive row
@@ -31,10 +35,10 @@ blocks of q, k and v, the graphs' token rows stacked, each graph's tokens
 attending only within its own block.  One mask is a batch of one, and a call
 records one tape entry.  Each block's own density picks its path.  Dense
 blocks run one by one, each on its own rows.  The nnz blocks run as one
-nnz-path call over one block-diagonal CSR triple (row ids, column ids, row
-starts): each block's ids offset by its first row in the joined rows, its row
-starts by the stored entries before it, and its dropout draws concatenated in
-block order.  So a graph batch makes one nnz-path call per head, not one per
+nnz-path call over one block-diagonal CSR pair (column ids, row starts):
+each block's column ids offset by its first row in the joined rows, its row
+starts by the stored entries before it, and its dropout draws concatenated
+in block order.  So a graph batch makes one nnz-path call per head, not one per
 graph, and pays the path's fixed numpy-call cost once.  The joined call is
 bit-identical to one call per block: elementwise steps see the same
 operands, each row's ``reduceat`` sums the same entries in the same order, and
@@ -413,33 +417,29 @@ def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
 # Sparse masked attention
 
 
-def _take_times(a: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``a.take(idx, axis=1) * w`` in the one (d_h, nnz) buffer of the gather."""
-    out = a.take(idx, axis=1)
-    out *= w
-    return out
-
-
-def _masked_softmax(qt: np.ndarray, kt: np.ndarray, row: np.ndarray, col: np.ndarray,
+def _masked_softmax(qt: np.ndarray, kt: np.ndarray, col: np.ndarray,
                     starts: np.ndarray) -> np.ndarray:
-    # Scores and row softmax on (d_h, T) column layouts: one gather per
-    # operand into a (d_h, nnz) block, one column sum, and row max and sum as
-    # reduceat over the CSR row starts.
-    scores = _take_times(qt, row, kt.take(col, axis=1)).sum(axis=0)
+    # Scores and row softmax on (d_h, T) column layouts: the key columns
+    # gathered and the query columns repeated by row count into (d_h, nnz)
+    # blocks, one column sum, and row max and sum as reduceat over the CSR
+    # row starts, repeated back over each row's entries.
+    counts = np.diff(starts, append=col.size)
+    scores = np.repeat(qt, counts, axis=1)
+    scores *= kt.take(col, axis=1)
+    scores = scores.sum(axis=0)
     scores *= 1.0 / np.sqrt(qt.shape[0])
-    scores -= np.maximum.reduceat(scores, starts)[row]
+    scores -= np.repeat(np.maximum.reduceat(scores, starts), counts)
     expd = np.exp(scores, out=scores)
-    return expd / np.add.reduceat(expd, starts)[row]
+    return expd / np.repeat(np.add.reduceat(expd, starts), counts)
 
 
-def _csr_prefix(mask: HopMask, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, col, starts) of the mask's first ``r`` rows: the stored entries'
-    row and column ids and the rows' starts in them, as views (no copy)."""
+def _csr_prefix(mask: HopMask, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(col, starts) of the mask's first ``r`` rows: the stored entries'
+    column ids and the rows' starts in them, as views (no copy)."""
     if r == mask.size:   # a full call skips the slices: about 0.5 us per call,
         # paid on each of a graph batch's many small masks
-        return mask.row_indices, mask.indices, mask.indptr[:-1]
-    nnz = mask.indptr[r]
-    return mask.row_indices[:nnz], mask.indices[:nnz], mask.indptr[:r]
+        return mask.indices, mask.indptr[:-1]
+    return mask.indices[:mask.indptr[r]], mask.indptr[:r]
 
 
 def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarray:
@@ -473,58 +473,79 @@ def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarr
 DENSE_MIN_DENSITY = 0.25
 
 
-def _joined_csr(masks: list[HopMask], r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, col, starts) of a batch's masks joined block-diagonally, over
-    their first ``r`` rows: any r for one mask, all rows for several.
+def _joined_csr(masks: list[HopMask], r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(col, starts) of a batch's masks joined block-diagonally, over their
+    first ``r`` rows: any r for one mask, all rows for several.
 
     One mask gives its ``_csr_prefix`` views.  Several give, per block, its
-    row and column ids offset by the block's first row in the joined rows,
-    and its row starts offset by the stored entries before it, so every row
-    holds the entries, in the order, that a call on its block alone reads.
+    column ids offset by the block's first row in the joined rows, and its
+    row starts offset by the stored entries before it, so every row holds
+    the entries, in the order, that a call on its block alone reads.
     """
     if len(masks) == 1:
         return _csr_prefix(masks[0], r)
     sizes = np.array([b.size for b in masks])
     nnzs = np.array([b.nnz for b in masks])
-    first_row = np.repeat(np.cumsum(sizes) - sizes, nnzs)
-    return (np.concatenate([b.row_indices for b in masks]) + first_row,
-            np.concatenate([b.indices for b in masks], dtype=np.int64) + first_row,
-            np.concatenate([b.indptr[:-1] for b in masks], dtype=np.int64)
+    return (np.concatenate([b.indices for b in masks])
+            + np.repeat(np.cumsum(sizes) - sizes, nnzs),
+            np.concatenate([b.indptr[:-1] for b in masks])
             + np.repeat(np.cumsum(nnzs) - nnzs, sizes))
 
 
 def _sparse_path(qv, kv, vv, csr, dropmult):
-    """Attention over the stored entries of a CSR triple ``(row, col,
-    starts)``: the stored entries' row and column ids and the rows' starts in
-    them.  Returns (out, grads(g)).
+    """Attention over the stored entries of a CSR pair ``(col, starts)``:
+    the stored entries' column ids and the rows' starts in them.  Returns
+    (out, grads(g)).
 
-    The r rows of ``qv`` are the queries of the triple's r rows, which attend
+    The r rows of ``qv`` are the queries of the pair's r rows, which attend
     over all T rows of ``kv`` and ``vv``; the path reads only those rows'
-    stored entries.  Works on (d_h, T) transposes: every gather is a ``take``
-    into a (d_h, nnz) block, row sums are ``reduceat`` over the row starts,
-    and the key and value scatters are one ``bincount`` per column.  The
-    backward reuses the forward's triple and gathers again instead of keeping
-    any (d_h, nnz) block alive until it runs.
+    stored entries.  Works on (d_h, T) transposes.  Rows are sorted, so a
+    query-side array reaches its row's entries by ``np.repeat`` over the
+    row counts, and a key-side one by a ``take`` of the column ids; row sums
+    are ``reduceat`` over the row starts, and the key and value scatters one
+    ``bincount`` per column.  The forward works on (d_h, nnz) blocks.  The
+    backward keeps none alive until it runs, and runs one head dimension at
+    a time, so it holds nothing larger than a few nnz-long vectors.
     """
     t, d_h = kv.shape
-    row, col, starts = csr
+    col, starts = csr
     qt, kt, vt = (np.ascontiguousarray(a.T) for a in (qv, kv, vv))
     inv_sqrt = 1.0 / np.sqrt(d_h)
-    alpha = _masked_softmax(qt, kt, row, col, starts)
+    alpha = _masked_softmax(qt, kt, col, starts)
     applied = alpha if dropmult is None else alpha * dropmult
-    out = np.add.reduceat(_take_times(vt, col, applied), starts, axis=1)
+    vals = vt.take(col, axis=1)
+    vals *= applied
+    out = np.add.reduceat(vals, starts, axis=1)
 
     def grads(g):
-        g_rows = np.ascontiguousarray(g.T).take(row, axis=1)
+        counts = np.diff(starts, append=col.size)
+        gt = np.ascontiguousarray(g.T)
+        dq, dk, dv = np.empty_like(qt), np.empty_like(kt), np.empty_like(vt)
+        # wd is <v_j, g_i> per entry, summed over d in order from +0.0 as a
+        # column sum of the (d_h, nnz) block is (so an all -0.0 sum is +0.0);
+        # dv takes the same repeated g rows
+        wd = 0.0
+        for d in range(d_h):
+            g_rows = np.repeat(gt[d], counts)
+            term = vt[d].take(col)
+            term *= g_rows
+            wd += term
+            g_rows *= applied
+            dv[d] = np.bincount(col, weights=g_rows, minlength=t)
+            del term, g_rows   # at most three nnz-long vectors at a time
         # alpha * d_alpha == applied * d_applied, so dropout needs no own term
-        wd = applied * _take_times(vt, col, g_rows).sum(axis=0)
-        dscore = wd - alpha * np.add.reduceat(wd, starts)[row]
+        wd *= applied
+        dscore = wd   # in place: wd is not read again
+        dscore -= alpha * np.repeat(np.add.reduceat(wd, starts), counts)
         dscore *= inv_sqrt
-        dq = np.add.reduceat(_take_times(kt, col, dscore), starts, axis=1)
-        dk = [np.bincount(col, weights=w, minlength=t) for w in _take_times(qt, row, dscore)]
-        g_rows *= applied
-        dv = [np.bincount(col, weights=w, minlength=t) for w in g_rows]
-        return dq.T, np.array(dk).T, np.array(dv).T
+        for d in range(d_h):
+            term = kt[d].take(col)
+            term *= dscore
+            np.add.reduceat(term, starts, out=dq[d])
+            term = np.repeat(qt[d], counts)
+            term *= dscore
+            dk[d] = np.bincount(col, weights=term, minlength=t)
+        return dq.T, dk.T, dv.T
 
     return out.T, grads
 

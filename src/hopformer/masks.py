@@ -28,8 +28,9 @@ class HopMask:
     Construction checks the CSR structure and raises ``ValueError`` naming
     the first bad row: every row needs at least one column, and columns lie
     in [0, T) and strictly ascend within their row.  The mask and its arrays
-    are frozen (a writable array or a view is stored as a read-only copy), so
-    the checked structure and the caches derived from it cannot drift apart.
+    are frozen (a writable array, a view or another integer dtype is stored
+    as a read-only int64 copy), so the checked structure and the caches
+    derived from it cannot drift apart, and the kernel reads one index dtype.
     """
 
     hop_budget: int
@@ -40,19 +41,21 @@ class HopMask:
     _dense_support: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("indptr", "indices"):   # build_mask's arrays are kept as they are
+        indptr, indices = self.indptr, self.indices
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise ValueError(f"mask indptr and indices must be integer arrays, "
+                             f"got {indptr.dtype} and {indices.dtype}")
+        # build_mask's arrays are kept as they are.  An unsigned value past
+        # the int64 range turns negative here, and the checks below refuse it.
+        for name in ("indptr", "indices"):
             a = getattr(self, name)
-            if a.flags.writeable or not a.flags.owndata:
-                object.__setattr__(self, name, _frozen(a.copy()))
+            if a.dtype != np.int64 or a.flags.writeable or not a.flags.owndata:
+                object.__setattr__(self, name, _frozen(a.astype(np.int64)))
         # O(T + nnz) structure check: the attention kernel's row reductions
         # assume every row holds at least one in-range, ascending column.
         # Slices and ufunc reductions rather than np.diff and array methods:
         # most masks are small, and this runs once per mask.
         t, indptr, indices = self.size, self.indptr, self.indices
-        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
-            raise ValueError(f"mask indptr and indices must be integer arrays, "
-                             f"got {indptr.dtype} and {indices.dtype}")
-        indptr = indptr.astype(np.int64, copy=False)   # row counts below may be negative
         if indptr.shape != (t + 1,) or indices.ndim != 1:
             raise ValueError(f"mask for {t} tokens needs indptr of shape ({t + 1},) and 1-D "
                              f"indices, got {indptr.shape} and {indices.shape}")
@@ -68,7 +71,7 @@ class HopMask:
                 raise ValueError(f"mask indptr decreases at row {i}")
             raise ValueError(f"mask row {i} is empty; every row needs at least one entry")
         # as unsigned, a negative column compares above every valid one
-        if np.maximum.reduce(indices.astype(np.uint64, copy=False)) >= t:
+        if np.maximum.reduce(indices.view(np.uint64)) >= t:
             i = int(indptr.searchsorted(np.argmax((indices < 0) | (indices >= t)), "right")) - 1
             raise ValueError(f"mask row {i} has a column outside [0, {t})")
         step_ok = indices[1:] > indices[:-1]
@@ -83,7 +86,10 @@ class HopMask:
 
     @property
     def row_indices(self) -> np.ndarray:
-        """Row id of each stored entry, aligned with ``indices`` (cached)."""
+        """Row id of each stored entry, aligned with ``indices`` (cached).
+
+        For dumps and reference checks: the attention kernel reaches a row's
+        entries by its count and never builds this cache."""
         if self._row_indices is None:
             object.__setattr__(self, "_row_indices", _frozen(
                 np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr))))
@@ -98,7 +104,7 @@ class HopMask:
         """
         if self._dense_support is None:
             support = np.zeros((self.size, self.size), dtype=bool)
-            # row ids made here and dropped: a mask on the dense path needs no
+            # row ids made here and dropped: the kernel never builds the
             # nnz-long ``row_indices`` cache (about 2 MB over the er_graph masks)
             support[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = True
             object.__setattr__(self, "_dense_support", _frozen(support))

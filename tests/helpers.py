@@ -171,7 +171,7 @@ def reference_sparse_path(qv, kv, vv, mask: HopMask, dropmult):
     """The row-layout nnz attention kernel: (nnz, d_h) row gathers, einsum
     scores, reduceat over axis 0 and one bincount per column for the key and
     value scatters.  Same contract as ``autograd._sparse_path`` given the
-    mask's CSR triple."""
+    mask's CSR pair."""
     t, d_h = qv.shape
     row, col, indptr = mask.row_indices, mask.indices, mask.indptr
     inv_sqrt = 1.0 / np.sqrt(d_h)

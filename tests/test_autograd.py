@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -369,7 +371,7 @@ EXPECT_DENSE = {"nnz": False, "threshold": True, "dense": True, "full": True}
 
 
 def _nnz_path(qv, kv, vv, mask, dropmult):
-    """The nnz path on one mask: its CSR triple as ``_csr_prefix`` gives it."""
+    """The nnz path on one mask: its CSR pair as ``_csr_prefix`` gives it."""
     return ops._sparse_path(qv, kv, vv, ops._csr_prefix(mask, qv.shape[0]), dropmult)
 
 
@@ -400,6 +402,17 @@ class TestDensityDispatch:
         q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(mask.size))
         backward(ops.sum_all(sparse_masked_attention(q, k, v, mask)))
         assert mask._dense_support is None
+
+    @pytest.mark.parametrize("call", ["one mask", "prefix", "joined batch"])
+    def test_nnz_path_never_builds_row_indices(self, call):
+        # the path reaches a row's entries by its count; a mask's nnz-long
+        # row-id cache is for dumps and reference checks only
+        masks = BATCHES["nnz"]() if call == "joined batch" else [DISPATCH_MASKS["nnz"]()]
+        n = sum(b.size for b in masks)
+        qv, kv, vv, g = np.random.default_rng(23).standard_normal((4, n, 4))
+        r = n // 3 if call == "prefix" else n
+        _attention_run(qv[:r], kv, vv, masks, g[:r])
+        assert all(b._row_indices is None for b in masks)
 
     @pytest.mark.parametrize("name", DISPATCH_MASKS)
     @pytest.mark.parametrize("path", PATHS)
@@ -620,6 +633,22 @@ class TestJoinedNnzBlocks:
         in_place = [np.shares_memory(a, t.values) for a, t in zip(nnz_calls[0][:3], (q, k, v))]
         assert in_place == [kind == "nnz"] * 3
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int32])
+    def test_any_integer_index_dtype_gives_the_int64_results(self, dtype):
+        # a hand-built mask's indices are stored as int64, so every integer
+        # dtype runs the same ops, alone and inside an all-nnz batch
+        masks = BATCHES["nnz"]()
+        other = [HopMask(hop_budget=b.hop_budget, size=b.size, indptr=b.indptr.astype(dtype),
+                         indices=b.indices.astype(dtype)) for b in masks]
+        n = sum(b.size for b in masks)
+        qv, kv, vv, g = np.random.default_rng(24).standard_normal((4, n, 4))
+        for want, got, rows in [(masks, other, slice(None)),
+                                (masks[1], other[1], slice(0, masks[1].size))]:
+            ref, _ = _attention_run(qv[rows], kv[rows], vv[rows], want, g[rows])
+            res, _ = _attention_run(qv[rows], kv[rows], vv[rows], got, g[rows])
+            for a, b in zip(ref, res):
+                assert np.array_equal(a, b)
+
     def test_empty_batch_refused_before_any_tape_entry(self):
         x = Tensor(np.zeros((0, 4)))
         with ops.scratch_tape() as tape:
@@ -703,6 +732,27 @@ class TestColumnLayoutNnzPath:
         col = mask.indices
         assert self.owned_closure_bytes(lambda: (block, col), mask) == block.nbytes > bound
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_backward_allocates_no_gathered_block(self, rate):
+        # what grads(g) allocates at its peak: a few nnz-long vectors, the
+        # (d_h, T) transpose of g and the three (d_h, T) grads; one gathered
+        # (d_h, nnz) block would alone exceed the bound
+        mask = _ring_mask(200, 20)        # T = 400, 41 entries per row
+        t, d_h = mask.size, 8
+        bound = 8 * (6 * mask.nnz + 4 * t * d_h)
+        assert not _runs_dense(mask) and 8 * d_h * mask.nnz > bound
+        qv, kv, vv, g = np.random.default_rng(17).standard_normal((4, t, d_h))
+        dropmult = None if rate == 0.0 else (
+            np.random.default_rng(18).random(mask.nnz) >= rate) / (1.0 - rate)
+        _, grads = _nnz_path(qv, kv, vv, mask, dropmult)
+        tracemalloc.start()
+        try:
+            grads(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
 
 # (indptr, indices, size, message): hand-built masks the kernel cannot run
 MALFORMED_MASKS = {
@@ -736,6 +786,12 @@ class TestMalformedMasks:
         with pytest.raises(ValueError, match="decreases at row 1"):
             HopMask(hop_budget=1, size=3, indptr=np.array([0, 2, 1, 3], dtype=np.uint64),
                     indices=np.array([0, 1, 2], dtype=np.uint64))
+
+    def test_unsigned_column_past_the_int64_range_rejected(self):
+        # stored as int64 it reads -1, which the column range check refuses
+        with pytest.raises(ValueError, match=r"row 1 has a column outside \[0, 3\)"):
+            HopMask(hop_budget=1, size=3, indptr=np.array([0, 1, 2, 3], dtype=np.uint64),
+                    indices=np.array([0, 2**64 - 1, 2], dtype=np.uint64))
 
     def test_built_masks_pass_unchanged(self):
         rng = np.random.default_rng(17)

@@ -233,6 +233,13 @@ class TestFrozenMask:
         assert indptr.flags.writeable and indices.flags.writeable
         assert not m.indptr.flags.writeable and not m.indices.flags.writeable
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int32, np.int16])
+    def test_other_integer_dtypes_are_stored_as_int64(self, dtype):
+        m = HopMask(1, 2, np.array([0, 1, 2], dtype=dtype), np.array([0, 1], dtype=dtype))
+        assert m.indptr.dtype == m.indices.dtype == np.int64
+        assert m.indptr.tolist() == [0, 1, 2] and m.indices.tolist() == [0, 1]
+        assert not m.indptr.flags.writeable and not m.indices.flags.writeable
+
     def test_read_only_views_are_copied(self):
         base = np.array([0, 1, 2, 0, 1])
         indptr, indices = base[:3], base[3:]
