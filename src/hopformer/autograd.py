@@ -50,6 +50,22 @@ form, as they act on each row alone; :func:`dropout` draws a batch's keep
 mask per segment, one tensor being one segment, and :func:`pool_segments`
 pools each segment's rows into one.
 
+Heads are a batch axis too: one call takes a layer's heads, q, k and v
+holding H * d_h columns (head h's are columns h*d_h:(h+1)*d_h) and one mask
+list per head, and records one tape entry per layer.  One mask list is one
+head.  The batch bookkeeping runs once per call; the path is still picked
+per (head, graph) block.  Each head's nnz blocks make its own joined
+nnz-path call.  A graph's dense heads, when it has at most
+``STACK_MAX_TOKENS`` tokens, run as one pass over exact-shape (heads, T, T)
+stacks, with no padding: one ``np.matmul`` per product, which runs the same
+GEMM per head as a call on that head alone, and row reductions over the
+last axis, which see the same rows.  So a stacked head's results equal its
+own call's bit for bit, and on small graphs a layer pays the dense path's
+numpy-call overhead once per graph, not once per head.  Larger graphs run
+their dense heads one by one.  Every part writes its results into its
+heads' columns of one (rows, H * d_h) array, which is the layer's
+concatenation of the heads.
+
 On one mask the kernel also takes the queries of only its first r rows, keys
 and values keeping all T: it then reads the CSR prefix (``indptr[:r+1]`` and
 the first ``indptr[r]`` stored entries, as views) or the first r rows of the
@@ -584,19 +600,88 @@ def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
     return applied @ vv, grads
 
 
-def _rows_of(n: int, parts: list) -> np.ndarray:
-    """An n-row array assembled from ``(rows, values)`` parts; a single part
-    covers all n rows and is returned as it is, not copied."""
-    if len(parts) == 1:
-        return parts[0][1]
-    out = np.empty((n, parts[0][1].shape[1]))
-    for rows, values in parts:
-        out[rows] = values
-    return out
+# A graph's dense-path heads run as one stacked (heads, T, T) pass when its T
+# is at most STACK_MAX_TOKENS, as one r x T pass per head above it.  Forward
+# plus backward, d_h = 4, random masks of densities 0.45-1, float64, numpy
+# 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs (Xeon, 4 MiB L2), medians of 21-201
+# calls; per-head 2-D calls vs one stacked call:
+#   T:        8    16    24    32    48    64    96   128   192   256   339
+#   2 heads: 0.70  0.77  0.78  0.82  0.90  0.92  0.97  1.28  1.28  1.09  1.11
+#   4 heads: 0.42  0.50  0.54  0.62  0.74  0.84  1.21  1.34  1.48  1.62  1.80
+# (stacked time over per-head time; 4 heads at T = 64: 276 vs 330 us, at
+# T = 339: 12.3 vs 6.8 ms).  Below the bound the per-call numpy overhead,
+# paid once per graph instead of once per head, dominates; above it the
+# stacked (heads, T, T) temporaries outgrow the cache that per-head ones fit.
+STACK_MAX_TOKENS = 64
+
+
+def _stacked_dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
+    """The masked dense path of several heads on one graph at once: ``q3``
+    holds the queries of the masks' first r rows as (r, H, d_h), ``k3`` and
+    ``v3`` the keys and values of all T rows as (T, H, d_h), head i's mask
+    being ``masks[i]``.  Each product is one ``np.matmul`` over the heads,
+    which runs the same GEMM per head as :func:`_dense_path`, and each row
+    reduction sees the same row, so every head's results equal that
+    function's bit for bit.  Returns (out, grads(g)) in the (r, H, d_h)
+    layout."""
+    qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
+    r, t = qs.shape[1], ks.shape[1]
+    inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
+    full = all(b.indptr[r] == r * t for b in masks)
+    support = None if full and dropmults[0] is None else np.stack(
+        [b.dense_support[:r] for b in masks])
+    scores = qs @ ks.transpose(0, 2, 1)
+    scores *= inv_sqrt
+    if not full:
+        np.copyto(scores, -np.inf, where=~support)
+    scores -= scores.max(axis=2, keepdims=True)
+    alpha = np.exp(scores, out=scores)
+    alpha /= alpha.sum(axis=2, keepdims=True)
+    if dropmults[0] is None:
+        drop = None
+        applied = alpha
+    else:
+        drop = np.zeros((len(masks), r, t))
+        drop[support] = np.concatenate(dropmults)   # head by head, each in CSR order
+        applied = alpha * drop
+
+    def grads(g3):
+        g = g3.transpose(1, 0, 2)
+        d_alpha = g @ vs.transpose(0, 2, 1)
+        if drop is not None:
+            d_alpha *= drop
+        d_alpha -= np.einsum("hij,hij->hi", alpha, d_alpha)[:, :, None]
+        d_alpha *= alpha
+        d_alpha *= inv_sqrt
+        return ((d_alpha @ ks).transpose(1, 0, 2),
+                (d_alpha.transpose(0, 2, 1) @ qs).transpose(1, 0, 2),
+                (applied.transpose(0, 2, 1) @ g).transpose(1, 0, 2))
+
+    return (applied @ vs).transpose(1, 0, 2), grads
+
+
+def _heads_index(heads: list[int]):
+    """``heads`` as a slice when they are consecutive, so that indexing the
+    head axis with it gives a view rather than a copy."""
+    return slice(heads[0], heads[-1] + 1) if heads[-1] - heads[0] == len(heads) - 1 else heads
+
+
+def _by_head(n: int, n_heads: int, d_h: int, cells: list) -> np.ndarray:
+    """The (n, n_heads * d_h) array, head h in columns h*d_h:(h+1)*d_h, of
+    the ``(rows, heads, values)`` cells, values shaped as indexing the
+    (n, n_heads, d_h) view with (rows, heads) gives.  It is the transpose of
+    an (n_heads * d_h, n) array: the nnz path's (d_h, T) results copy into it
+    contiguously, and its consumers, such as ``split_cols``'s concatenation
+    of the q, k and v grads, read the transpose in one pass."""
+    out = np.empty((n_heads, d_h, n))
+    cols = out.transpose(2, 0, 1)
+    for rows, heads, values in cells:
+        cols[rows, heads] = values
+    return out.reshape(n_heads * d_h, n).T
 
 
 def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
-                            mask: HopMask | list[HopMask], *,
+                            mask: HopMask | list[HopMask] | list[list[HopMask]], *,
                             dropout_rate: float = 0.0, dropout_seed=None,
                             training: bool = False) -> Tensor:
     """Scaled dot-product attention restricted to the mask support.
@@ -618,6 +703,14 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     blocks run as one block-diagonal nnz-path call, its dense blocks one by
     one.
 
+    ``mask`` may also hold one such list per head, the heads' lists covering
+    the same blocks, with ``dropout_seed`` one seed list per head.  q, k and
+    v then hold H * d_h columns, head h's being columns h*d_h:(h+1)*d_h, and
+    so does the output: head h's columns equal a call on that head's columns
+    and masks alone, bit for bit.  One mask list is one head.  Each head makes
+    its own nnz-path call; the dense heads of a graph of at most
+    ``STACK_MAX_TOKENS`` tokens run as one stacked pass.
+
     With one mask, q may hold the queries of only its first r rows, k and v
     keeping all T: the output and q's grad then have r rows, equal to the
     first r rows of a call on all of them, and the call does only those rows'
@@ -628,22 +721,36 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     _check_rate(dropout_rate)
     if isinstance(mask, HopMask):   # one graph: a batch of one
         mask, dropout_seed = [mask], [dropout_seed]
-    if not mask:
+    if not mask or isinstance(mask[0], HopMask):   # one head: a layer of one
+        mask, dropout_seed = [mask], [dropout_seed]
+    if not all(mask):
         raise ShapeError("a batch needs at least one mask")
-    n_q, (n_kv, d_h) = q.values.shape[0], k.values.shape
-    if k.values.shape != v.values.shape or q.values.shape[1] != d_h:
+    n_heads, sizes = len(mask), [b.size for b in mask[0]]
+    for h, head in enumerate(mask):
+        if [b.size for b in head] != sizes:
+            raise ShapeError(f"head {h}'s masks are for {[b.size for b in head]} tokens, "
+                             f"head 0's for {sizes}")
+    (n_q, width), n_kv = q.values.shape, k.values.shape[0]
+    if k.values.shape != v.values.shape or width != k.values.shape[1]:
         raise ShapeError(
             f"q/k/v shapes do not fit: {q.values.shape}, {k.values.shape}, {v.values.shape}")
+    if width % n_heads:
+        raise ShapeError(f"q/k/v have {width} columns, which is not {n_heads} heads "
+                         f"times a head dimension")
+    d_h = width // n_heads
     if n_q > n_kv:
         raise ShapeError(f"q has shape {q.values.shape}, more rows than k/v "
                          f"{k.values.shape}")
-    if n_q < n_kv and len(mask) > 1:
+    if n_q < n_kv and len(sizes) > 1:
         raise ShapeError(f"q of shape {q.values.shape} holds a prefix of the {n_kv} rows of "
-                         f"k/v; a prefix needs one mask, got a batch of {len(mask)}")
-    seeds = [None] * len(mask) if dropout_seed is None else dropout_seed
-    if len(seeds) != len(mask):
-        raise ShapeError(f"got {len(seeds)} dropout seeds for {len(mask)} mask blocks")
-    sizes = [b.size for b in mask]
+                         f"k/v; a prefix needs one mask, got a batch of {len(sizes)}")
+    seeds = [None] * n_heads if dropout_seed is None else dropout_seed
+    if len(seeds) != n_heads:
+        raise ShapeError(f"got {len(seeds)} dropout seed lists for {n_heads} heads")
+    seeds = [[None] * len(sizes) if s is None else s for s in seeds]
+    for s in seeds:
+        if len(s) != len(sizes):
+            raise ShapeError(f"got {len(s)} dropout seeds for {len(sizes)} mask blocks")
     if sum(sizes) != n_kv:
         raise ShapeError(f"mask is for {sum(sizes)} tokens, "
                          f"inputs have {n_kv} rows")
@@ -651,40 +758,63 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     rows = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
     q_rows = rows if n_q == n_kv else [slice(0, n_q)]
     n_rows = sizes if n_q == n_kv else [n_q]   # the query rows of each block
-    dense = [b.nnz >= DENSE_MIN_DENSITY * b.size * b.size for b in mask]
-    drops = [None] * len(mask)
+    dense = [[b.nnz >= DENSE_MIN_DENSITY * b.size * b.size for b in head] for head in mask]
+    drops = [[None] * len(sizes)] * n_heads
     if training and dropout_rate > 0.0:
         # per block, the first indptr[r] numbers of the whole mask's draw: the
         # weights a call on all rows keeps for its first r rows
-        drops = [(np.random.default_rng(s).random(b.indptr[r]) >= dropout_rate)
-                 / (1.0 - dropout_rate) for b, r, s in zip(mask, n_rows, seeds)]
+        drops = [[(np.random.default_rng(s).random(b.indptr[r]) >= dropout_rate)
+                  / (1.0 - dropout_rate) for b, r, s in zip(head, n_rows, head_seeds)]
+                 for head, head_seeds in zip(mask, seeds)]
     for meter in _meters():
-        for b, r, d in zip(mask, n_rows, dense):
-            nnz = int(b.indptr[r])
-            meter.attention_flops += attention_flops(nnz, d_h)
-            meter.executed_flops += attention_flops(r * b.size if d else nnz, d_h)
+        for head, head_dense in zip(mask, dense):
+            for b, r, d in zip(head, n_rows, head_dense):
+                nnz = int(b.indptr[r])
+                meter.attention_flops += attention_flops(nnz, d_h)
+                meter.executed_flops += attention_flops(r * b.size if d else nnz, d_h)
 
-    # Dense blocks run one by one; the nnz blocks run as one block-diagonal
-    # mask, on their own rows gathered only when the batch mixes both paths.
-    # Each part is (q rows, k/v rows, out, grads).
-    parts = [(qr, r, *_dense_path(q.values[qr], k.values[r], v.values[r], b, dm))
-             for qr, r, b, dm, d in zip(q_rows, rows, mask, drops, dense) if d]
-    if not all(dense):
-        nnz_blocks = [i for i, d in enumerate(dense) if not d]
-        sel = slice(None) if not parts else np.repeat(~np.array(dense), sizes)
-        qv = q.values[sel]
-        dm = None if drops[0] is None else _stack_rows([drops[i] for i in nnz_blocks])
-        parts.append((sel, sel, *_sparse_path(
-            qv, k.values[sel], v.values[sel],
-            _joined_csr([mask[i] for i in nnz_blocks], len(qv)), dm)))
+    # Each part runs some heads on some rows: (q rows, k/v rows, heads, out,
+    # grads), out and grads shaped as indexing the (rows, H, d_h) views of
+    # q, k and v with (rows, heads) gives.
+    q3, k3, v3 = (a.values.reshape(a.values.shape[0], n_heads, d_h) for a in (q, k, v))
+    parts = []
+    # Each head's nnz blocks run as one block-diagonal mask, on their own rows
+    # gathered only when the head mixes both paths.
+    for h, (head, head_dense, head_drops) in enumerate(zip(mask, dense, drops)):
+        nnz_blocks = [b for b, d in enumerate(head_dense) if not d]
+        if not nnz_blocks:
+            continue
+        sel = slice(None) if len(nnz_blocks) == len(sizes) else np.repeat(
+            ~np.array(head_dense), sizes)
+        qv = q3[sel, h]
+        dm = None if head_drops[0] is None else _stack_rows([head_drops[b] for b in nnz_blocks])
+        parts.append((sel, sel, h, *_sparse_path(
+            qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks], len(qv)), dm)))
+    # A graph's dense heads run stacked, or one by one above STACK_MAX_TOKENS.
+    for b, (qr, r) in enumerate(zip(q_rows, rows)):
+        heads = [h for h in range(n_heads) if dense[h][b]]
+        if len(heads) > 1 and sizes[b] <= STACK_MAX_TOKENS:
+            hi = _heads_index(heads)
+            parts.append((qr, r, hi, *_stacked_dense_path(
+                q3[qr, hi], k3[r, hi], v3[r, hi], [mask[h][b] for h in heads],
+                [drops[h][b] for h in heads])))
+        else:
+            parts.extend((qr, r, h, *_dense_path(q3[qr, h], k3[r, h], v3[r, h], mask[h][b],
+                                                 drops[h][b])) for h in heads)
 
     def grad_fn(g):
-        block_grads = [(qr, r, grads(g[qr])) for qr, r, _, grads in parts]
-        q._accum(_rows_of(n_q, [(qr, d[0]) for qr, _, d in block_grads]))
-        k._accum(_rows_of(n_kv, [(r, d[1]) for _, r, d in block_grads]))
-        v._accum(_rows_of(n_kv, [(r, d[2]) for _, r, d in block_grads]))
+        g3 = g.reshape(n_q, n_heads, d_h)
+        # Last part first: the largest budget's nnz pass, usually the last
+        # head's, then runs while no other part's grads are held, which keeps
+        # the backward's peak memory down.
+        part_grads = [grads(g3[qr, h]) for qr, _, h, _, grads in reversed(parts)][::-1]
+        cells = [(qr, r, h, d) for (qr, r, h, _, _), d in zip(parts, part_grads)]
+        q._accum(_by_head(n_q, n_heads, d_h, [(qr, h, d[0]) for qr, _, h, d in cells]))
+        k._accum(_by_head(n_kv, n_heads, d_h, [(r, h, d[1]) for _, r, h, d in cells]))
+        v._accum(_by_head(n_kv, n_heads, d_h, [(r, h, d[2]) for _, r, h, d in cells]))
 
-    return primitive(_rows_of(n_q, [(qr, out) for qr, _, out, _ in parts]), grad_fn)
+    out = _by_head(n_q, n_heads, d_h, [(qr, h, o) for qr, _, h, o, _ in parts])
+    return primitive(out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

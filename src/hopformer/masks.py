@@ -27,10 +27,12 @@ class HopMask:
 
     Construction checks the CSR structure and raises ``ValueError`` naming
     the first bad row: every row needs at least one column, and columns lie
-    in [0, T) and strictly ascend within their row.  The mask and its arrays
-    are frozen (a writable array, a view or another integer dtype is stored
-    as a read-only int64 copy), so the checked structure and the caches
-    derived from it cannot drift apart, and the kernel reads one index dtype.
+    in [0, T) and strictly ascend within their row.  ``hop_budget`` and
+    ``size`` follow the package's integer rule (``2.0`` is 2, a fraction is
+    refused) and may not be negative.  The mask and its arrays are frozen (a
+    list, a writable array, a view or another integer dtype is stored as a
+    read-only int64 copy), so the checked structure and the caches derived
+    from it cannot drift apart, and the kernel reads one index dtype.
     """
 
     hop_budget: int
@@ -41,14 +43,18 @@ class HopMask:
     _dense_support: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        indptr, indices = self.indptr, self.indices
+        for name in ("hop_budget", "size"):
+            value = _int_value(f"mask {name}", getattr(self, name))
+            if value < 0:
+                raise ValueError(f"mask {name} must be non-negative, got {value}")
+            object.__setattr__(self, name, value)
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
         if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
             raise ValueError(f"mask indptr and indices must be integer arrays, "
                              f"got {indptr.dtype} and {indices.dtype}")
         # build_mask's arrays are kept as they are.  An unsigned value past
         # the int64 range turns negative here, and the checks below refuse it.
-        for name in ("indptr", "indices"):
-            a = getattr(self, name)
+        for name, a in (("indptr", indptr), ("indices", indices)):
             if a.dtype != np.int64 or a.flags.writeable or not a.flags.owndata:
                 object.__setattr__(self, name, _frozen(a.astype(np.int64)))
         # O(T + nnz) structure check: the attention kernel's row reductions

@@ -268,13 +268,11 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
         return [s + [tag] for s in seeds]
 
     attn_in = ops.layer_norm(z, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "pre" else z
-    nh = cfg.num_heads
-    qkv = ops.split_cols(ops.matmul(attn_in, lp.wqkv), 3 * nh)
-    queries = qkv[:nh] if rows is None else [ops.row_slice(qh, 0, rows) for qh in qkv[:nh]]
-    concat = ops.concat_cols([ops.sparse_masked_attention(
-        queries[h], qkv[nh + h], qkv[2 * nh + h], masks[h],
-        dropout_rate=cfg.attention_dropout, dropout_seed=site(h), training=training)
-        for h in range(nh)])
+    q, k, v = ops.split_cols(ops.matmul(attn_in, lp.wqkv), 3)
+    concat = ops.sparse_masked_attention(
+        q if rows is None else ops.row_slice(q, 0, rows), k, v, masks,
+        dropout_rate=cfg.attention_dropout,
+        dropout_seed=[site(h) for h in range(cfg.num_heads)], training=training)
     attn = ops.matmul(concat, lp.wo)
     attn = ops.dropout(attn, cfg.dropout, site(101), training, sizes)
     res1 = ops.add(z if rows is None else ops.row_slice(z, 0, rows), attn)

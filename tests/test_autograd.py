@@ -1027,6 +1027,157 @@ class TestPrimitiveRecording:
 ORACLE_TOL = 1e-10   # acceptance 01's tolerance
 
 
+# Per head, the masks of a graph batch, for one call per layer.  In "batch"
+# (an edgeless graph, a one-token graph, rings and a random graph) every head
+# but the last mixes the paths across graphs, and the stacked dense heads of
+# a graph mix partial and full supports.  In "large" the first head runs
+# every block on the nnz path, and one graph, past the default stacking
+# bound, has two dense heads.  "one" is a single graph with both paths, for
+# query prefixes.
+LAYER_CASES = {
+    "batch": ((1, 2, 4, 8), lambda: [
+        _edgeless(3), _ring(16), _edgeless(1), _ring(6), _edgeless(8), _ring(10),
+        random_graph(np.random.default_rng(40), max_nodes=10)]),
+    "large": ((1, 4, 24, 40), lambda: [_ring(16), _ring(40), _ring(12)]),
+    "one": ((1, 2, 4, 8), lambda: [_ring(16)]),
+}
+
+
+def _ring(nodes: int) -> Graph:
+    return generate_watts_strogatz(nodes, 2, 0.0, seed=0)
+
+
+def _layer_masks(kind: str) -> list[list[HopMask]]:
+    hops, graphs = LAYER_CASES[kind]
+    per_graph = [build_head_masks(augment(g), list(hops)) for g in graphs()]
+    return [list(head) for head in zip(*per_graph)]
+
+
+def _stacked_sizes(masks) -> list[int]:
+    """The token counts of the graphs with at least two dense heads."""
+    return [head0.size for b, head0 in enumerate(masks[0])
+            if sum(_runs_dense(head[b]) for head in masks) > 1]
+
+
+def _head_cols(h: int, d_h: int) -> slice:
+    return slice(h * d_h, (h + 1) * d_h)
+
+
+class TestOneCallPerLayer:
+    """One call on a layer's heads, q/k/v holding H * d_h columns, against
+    one call per head on its columns: out, dq, dk and dv bit for bit."""
+
+    D_H = 3
+
+    def run_both(self, masks, r=None, rate=0.0, seed=0):
+        n_heads, d_h = len(masks), self.D_H
+        n = sum(b.size for b in masks[0])
+        r = n if r is None else r
+        qv, kv, vv, g = np.random.default_rng(seed).standard_normal((4, n, n_heads * d_h))
+        seeds = [[[b, 9, h] for b in range(len(masks[0]))] for h in range(n_heads)]
+        kw = dict(dropout_rate=rate, training=True)
+        layer, meter = _attention_run(qv[:r], kv, vv, masks, g[:r], dropout_seed=seeds, **kw)
+        heads = [_attention_run(qv[:r, _head_cols(h, d_h)], kv[:, _head_cols(h, d_h)],
+                                vv[:, _head_cols(h, d_h)], masks[h], g[:r, _head_cols(h, d_h)],
+                                dropout_seed=seeds[h], **kw) for h in range(n_heads)]
+        return layer, meter, heads
+
+    def assert_equal_per_head(self, layer, heads):
+        for h, (alone, _) in enumerate(heads):
+            for got, want in zip(layer, alone):
+                assert np.array_equal(got[:, _head_cols(h, self.D_H)], want)
+
+    def test_cases_cover_the_paths(self):
+        masks = _layer_masks("batch")
+        dense = [[_runs_dense(b) for b in head] for head in masks]
+        assert all(set(head) == {False, True} for head in dense[:-1])
+        assert any({masks[h][b].nnz == masks[h][b].size ** 2
+                    for h in range(len(masks)) if dense[h][b]} == {False, True}
+                   for b in range(len(masks[0])))
+        assert {b.size for b in masks[0]} >= {1, 3}
+        masks = _layer_masks("large")
+        assert not any(_runs_dense(b) for b in masks[0])
+        assert max(_stacked_sizes(masks)) > ops.STACK_MAX_TOKENS >= min(_stacked_sizes(masks))
+        masks = _layer_masks("one")
+        assert {_runs_dense(head[0]) for head in masks} == {False, True}
+        assert len(_stacked_sizes(masks)) == 1
+
+    @pytest.mark.parametrize("kind", ["batch", "large"])
+    @pytest.mark.parametrize("stack", ["default", "never", "always"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_layer_call_equals_a_call_per_head(self, kind, stack, rate, monkeypatch):
+        if stack != "default":
+            monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0 if stack == "never" else 10**6)
+        masks = _layer_masks(kind)
+        stacked = []
+        real = ops._stacked_dense_path
+        monkeypatch.setattr(ops, "_stacked_dense_path",
+                            lambda *a: stacked.append(a[3][0].size) or real(*a))
+        layer, _, heads = self.run_both(masks, rate=rate, seed=1)
+        self.assert_equal_per_head(layer, heads)
+        assert stacked == [t for t in _stacked_sizes(masks) if t <= ops.STACK_MAX_TOKENS]
+
+    @pytest.mark.parametrize("stack", ["never", "always"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_query_prefix(self, stack, rate, monkeypatch):
+        monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0 if stack == "never" else 10**6)
+        masks = _layer_masks("one")
+        t = masks[0][0].size
+        for r in [1, t // 2, t]:
+            layer, _, heads = self.run_both(masks, r=r, rate=rate, seed=r)
+            assert layer[0].shape == layer[1].shape == (r, len(masks) * self.D_H)
+            self.assert_equal_per_head(layer, heads)
+
+    @pytest.mark.parametrize("nodes", [1, 5])
+    @pytest.mark.parametrize("stack", ["never", "always"])
+    def test_edgeless_graph(self, nodes, stack, monkeypatch):
+        monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0 if stack == "never" else 10**6)
+        masks = [[m] for m in build_head_masks(augment(_edgeless(nodes)), [0, 1, 2])]
+        layer, _, heads = self.run_both(masks, rate=0.3, seed=2)
+        self.assert_equal_per_head(layer, heads)
+        # identity masks: every token attends to itself alone
+        plain, _, _ = self.run_both(masks, seed=2)
+        vv = np.random.default_rng(2).standard_normal((4, nodes, 9))[2]
+        assert np.array_equal(plain[0], vv)
+
+    def test_one_tape_entry_and_the_flops_of_the_heads(self):
+        masks = _layer_masks("batch")
+        n = sum(b.size for b in masks[0])
+        q, k, v = (Tensor(a) for a in np.random.default_rng(3).standard_normal(
+            (3, n, len(masks) * self.D_H)))
+        with ops.scratch_tape() as tape:
+            sparse_masked_attention(q, k, v, masks)
+            assert len(tape) == 1
+        _, meter, heads = self.run_both(masks, seed=3)
+        assert meter.attention_flops == sum(m.attention_flops for _, m in heads) > 0
+        assert meter.executed_flops == sum(m.executed_flops for _, m in heads)
+
+    def test_columns_not_a_multiple_of_the_heads_refused(self):
+        masks = _layer_masks("batch")
+        n = sum(b.size for b in masks[0])
+        x = Tensor(np.zeros((n, 10)))
+        with ops.scratch_tape() as tape:
+            with pytest.raises(ShapeError, match="have 10 columns, which is not 4 heads"):
+                sparse_masked_attention(x, x, x, masks)
+            assert tape == []
+
+    def test_heads_over_other_blocks_refused(self):
+        masks = _layer_masks("batch")
+        masks[2] = masks[2][1:] + masks[2][:1]
+        n = sum(b.size for b in masks[0])
+        x = Tensor(np.zeros((n, 12)))
+        with pytest.raises(ShapeError, match="head 2's masks are for"):
+            sparse_masked_attention(x, x, x, masks)
+
+    def test_one_seed_list_per_head(self):
+        masks = _layer_masks("batch")
+        n = sum(b.size for b in masks[0])
+        x = Tensor(np.zeros((n, 12)))
+        with pytest.raises(ShapeError, match="got 3 dropout seed lists for 4 heads"):
+            sparse_masked_attention(x, x, x, masks, dropout_rate=0.3, training=True,
+                                    dropout_seed=[[0] * len(masks[0])] * 3)
+
+
 def _weighted_sum(out: Tensor, g: np.ndarray) -> Tensor:
     """sum(out * g): a scalar whose gradient with respect to ``out`` is ``g``."""
     return ops.primitive([[float((out.values * g).sum())]], lambda gg: out._accum(g * gg[0, 0]))

@@ -55,7 +55,7 @@ def test_no_traced_primitive_runs_inside_another(tracing):
     spans = tracer.spans
     prims = [s for s in spans if s.name in tracing.PRIMITIVES]
     assert {s.name for s in prims} >= {"autograd.matmul", "autograd.sparse_masked_attention",
-                                       "autograd.dropout", "autograd.concat_cols"}
+                                       "autograd.dropout", "autograd.layer_norm"}
     nested = [s.name for s in prims
               if s.parent is not None and spans[s.parent].name in tracing.PRIMITIVES]
     assert nested == []

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from hopformer import (Graph, augment, build_head_masks, build_mask,
-                       generate_erdos_renyi, mask_stats)
+from hopformer import (Graph, Tensor, augment, build_head_masks, build_mask,
+                       generate_erdos_renyi, mask_stats, sparse_masked_attention)
 from hopformer import masks as masks_mod
 from hopformer.masks import HopMask, hop_distance_blocks, hop_distances, write_mask_dump
 
@@ -256,6 +256,41 @@ class TestFrozenMask:
                 assert a.flags.owndata and not a.flags.writeable
             again = HopMask(m.hop_budget, m.size, m.indptr, m.indices)
             assert again.indptr is m.indptr and again.indices is m.indices
+
+
+class TestMaskFields:
+    """Hand-built masks: the integer fields follow the package's integer
+    rule, and index lists are taken as arrays."""
+
+    def test_integral_float_fields_are_stored_as_ints(self):
+        m = HopMask(1.0, 2.0, np.array([0, 1, 2]), np.array([0, 1]))
+        assert (m.hop_budget, m.size) == (1, 2)
+        assert type(m.hop_budget) is int and type(m.size) is int
+        # the kernel, which slices by size, runs on it
+        q = Tensor(np.eye(2))
+        assert np.array_equal(sparse_masked_attention(q, q, q, m).values, np.eye(2))
+
+    @pytest.mark.parametrize("field,value", [("size", 2.5), ("hop_budget", 1.5),
+                                             ("size", True), ("hop_budget", "1"),
+                                             ("size", -1), ("hop_budget", -2)])
+    def test_bad_integer_fields_are_refused_naming_the_field(self, field, value):
+        kw = dict(hop_budget=1, size=2, indptr=np.array([0, 1, 2]), indices=np.array([0, 1]))
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"^mask {field} must be"):
+            HopMask(**kw)
+
+    def test_index_lists_are_stored_as_read_only_int64_arrays(self):
+        m = HopMask(1, 2, [0, 1, 2], [0, 1])
+        assert m.indptr.dtype == m.indices.dtype == np.int64
+        assert m.indptr.tolist() == [0, 1, 2] and m.indices.tolist() == [0, 1]
+        assert not m.indptr.flags.writeable and not m.indices.flags.writeable
+
+    @pytest.mark.parametrize("indptr,indices,dtypes", [
+        ([0, 1, 2], [0.0, 1.0], "int64 and float64"),
+        ([0.0, 1.0, 2.0], [0, 1], "float64 and int64")])
+    def test_non_integer_lists_are_refused_naming_the_dtype(self, indptr, indices, dtypes):
+        with pytest.raises(ValueError, match=f"must be integer arrays, got {dtypes}$"):
+            HopMask(1, 2, indptr, indices)
 
 
 class TestDumpFormat:

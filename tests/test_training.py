@@ -7,7 +7,7 @@ import pytest
 
 from hopformer import (ModelConfig, Tensor, TrainConfig, TrainingAbort,
                        adam_step, augment, backward, build_head_masks,
-                       cross_entropy, evaluate, forward, init_adam_state,
+                       cross_entropy, evaluate, forward, generate_erdos_renyi, init_adam_state,
                        init_model, mae, named_parameters, predict_node, split_indices,
                        train)
 from hopformer import autograd as ops
@@ -491,6 +491,51 @@ def task_fixture(task, dropout=0.2):
 
 
 TASKS = ["node_classification", "graph_classification", "graph_regression"]
+
+
+class TestStackedHeadsDigest:
+    """Stacking a graph's dense heads into one pass changes no result: seeded
+    node and graph task trains give byte-identical parameters and history
+    with the stacking bound at 0 (every dense head on its own) and at its
+    default."""
+
+    @staticmethod
+    def case(task):
+        rng = np.random.default_rng(6)
+        hops = (1, 2, 4, 8)
+        if task == "node_classification":
+            dataset = labelled_graph(n=14, seed=5)
+            masks = build_head_masks(augment(dataset), list(hops))
+        else:
+            dataset = [Graph(num_nodes=n, edges=generate_erdos_renyi(n, 0.3, seed=n).edges,
+                             node_features=rng.standard_normal((n, 3)), graph_label=n % 2)
+                       for n in range(2, 16)]
+            masks = [build_head_masks(augment(g), list(hops)) for g in dataset]
+        cfg = ModelConfig(hidden_dim=8, head_hops=hops, num_layers=2, ffn_dim=8, num_heads=4,
+                          dropout=0.1, attention_dropout=0.1, task=task, num_classes=2,
+                          seed=3)
+        return init_model(cfg, 3), dataset, masks, TrainConfig(
+            learning_rate=1e-2, epochs=3, batch_size=4, seed=7)
+
+    @pytest.mark.parametrize("task", ["node_classification", "graph_classification"])
+    def test_train_is_byte_identical_without_stacking(self, task, monkeypatch):
+        stacked = []
+        real = ops._stacked_dense_path
+        monkeypatch.setattr(ops, "_stacked_dense_path",
+                            lambda *a: stacked.append(a[3][0].size) or real(*a))
+        runs = []
+        for bound in (ops.STACK_MAX_TOKENS, 0):
+            monkeypatch.setattr(ops, "STACK_MAX_TOKENS", bound)
+            stacked.clear()
+            model, history = train(*self.case(task))
+            runs.append((copy_parameter_values(model), history))
+            assert (len(stacked) > 0) == (bound > 0)
+        (params, history), (params_0, history_0) = runs
+        assert params.keys() == params_0.keys()
+        for name in params:
+            assert params[name].tobytes() == params_0[name].tobytes(), name
+        for name in ("train_loss", "val_metric", "test_metric", "best_epoch"):
+            assert getattr(history, name) == getattr(history_0, name), name
 
 
 class TestNodeRowsInTraining:
