@@ -21,7 +21,7 @@ path runs; its executed count shows the T^2 work of dense-path calls.
 import numpy as np
 
 from hopformer import (Tensor, attention_flops, augment, build_head_masks,
-                       count_attention_flops, generate_watts_strogatz, scratch_tape,
+                       count_attention_flops, generate_watts_strogatz, no_grad,
                        sparse_masked_attention)
 from hopformer.autograd import DENSE_MIN_DENSITY
 
@@ -39,9 +39,8 @@ print(f"{'hops':>4} {'nnz':>7} {'share of T^2':>12} {'path':>6} {'model FLOPs':>
 
 budgets = [1, 2, 4, 8, 16]
 for hops, mask in zip(budgets, build_head_masks(ag, budgets)):
-    # a scratch tape drops the call's backward closure instead of leaving it
-    # on the thread's tape
-    with count_attention_flops() as meter, scratch_tape():
+    # only FLOPs and values are read: no_grad records no backward closure
+    with count_attention_flops() as meter, no_grad():
         out = sparse_masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
 
     # dense reference: full score matrix, -inf off support

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autograd import (ShapeError, Tensor, attention_flops, count_attention_flops,
-                       scratch_tape)
+from .autograd import ShapeError, Tensor, attention_flops, count_attention_flops, no_grad
 from .graphs import Graph, augment, csr_from_pairs
 from .masks import HopMask, build_head_masks, hop_distance_blocks
 from .model import (Model, ModelConfig, _check_masks, _encode, encoder_layer, forward,
@@ -133,7 +132,7 @@ def dataset_small_world(graphs: list[Graph]) -> tuple[float, float]:
 
 def _probe_output(model: Model, z_values: np.ndarray, masks: list[list[HopMask]],
                   head: int | None) -> np.ndarray:
-    with scratch_tape():
+    with no_grad():
         if head is None:
             return np.array(_encode(model, Tensor(z_values), masks, [0], False).values,
                             copy=True)
@@ -278,9 +277,8 @@ def flops_vs_nnz_report(graphs: list[Graph], hop_configs: list[list[int]],
             total = flop_count(run_cfg, g, masks)
             attn = attention_flop_count(run_cfg, masks)
             model = init_model(run_cfg, g.node_feature_dim, g.edge_feature_dim)
-            with count_attention_flops() as meter:
-                with scratch_tape():
-                    forward(model, g, ag, masks)
+            with count_attention_flops() as meter, no_grad():
+                forward(model, g, ag, masks)
             if meter.attention_flops != attn:
                 raise RuntimeError(
                     f"instrumented attention FLOPs {meter.attention_flops} != "

@@ -7,7 +7,17 @@ adds its inputs' grads given its output's grad ``g``, and returns
 tape.  (:func:`record` takes a closure of no arguments, for multi-output
 primitives.)  :func:`backward` walks the tape in reverse, calling each
 ``grad_fn`` whose output received a grad, which accumulates into
-``Tensor.grad``, then clears the tape.
+``Tensor.grad``, then clears the tape.  A recorded ``grad_fn`` keeps the
+arrays its backward reads alive until then.
+
+Two context managers choose what is recorded.  Inside :func:`no_grad`, for a
+forward whose result is only read (scoring, ``evaluate``, the probes, FLOP
+counting), ``primitive`` and ``record`` check one per-thread flag and leave
+the tape alone, so each ``grad_fn`` and what it holds is freed as soon as the
+forward is past it; values are the same as when recorded.
+:func:`scratch_tape` gives a forward that is differentiated (``train``,
+``grad_check``'s analytic pass) a tape of its own, recording even inside
+``no_grad``.
 
 The one non-standard primitive is :func:`sparse_masked_attention`, which
 evaluates scaled dot-product attention only on the stored entries of a
@@ -119,22 +129,30 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
-_state = threading.local()
+class _ThreadState(threading.local):
+    """Per thread: the active tape, whether primitives record on it, and the
+    open FLOP meters."""
+
+    def __init__(self):
+        self.tape = []
+        self.recording = True
+        self.meters = []
+
+
+_state = _ThreadState()
 
 
 def _tape() -> list:
     """The active tape: one ``(output, grad_fn)`` entry per primitive call, in
     the order the calls ran (``output`` is None for a :func:`record` entry)."""
-    t = getattr(_state, "tape", None)
-    if t is None:
-        t = _state.tape = []
-    return t
+    return _state.tape
 
 
 def record(backward_fn) -> None:
     """Record a closure that :func:`backward` calls with no arguments, for
-    multi-output and custom primitives."""
-    _tape().append((None, backward_fn))
+    multi-output and custom primitives; inside :func:`no_grad`, drop it."""
+    if _state.recording:
+        _state.tape.append((None, backward_fn))
 
 
 def primitive(values, grad_fn) -> Tensor:
@@ -144,30 +162,52 @@ def primitive(values, grad_fn) -> Tensor:
     ``grad_fn`` needs no check of its own.  The tape keeps the pair
     ``(out, grad_fn)`` rather than a guarding closure: building one more
     closure per call cost about 0.4 us on 2 vCPUs, +10% on the smallest
-    primitives.
+    primitives.  Inside :func:`no_grad` nothing is recorded.
     """
     out = Tensor(values)
-    _tape().append((out, grad_fn))
+    if _state.recording:
+        _state.tape.append((out, grad_fn))
     return out
 
 
 @contextmanager
+def no_grad():
+    """Record nothing inside the block, for a forward whose result is only
+    read: :func:`primitive` and :func:`record` leave the tape alone, so each
+    backward closure, and the arrays it holds, is freed as soon as the
+    forward is done with its inputs.  Values are the same as when recorded.
+
+    The flag is the thread's and is put back however the block ends.  A
+    :func:`scratch_tape` block inside records on its own tape; a ``no_grad``
+    block inside a ``scratch_tape`` block records nothing.
+    """
+    prev = _state.recording
+    _state.recording = False
+    try:
+        yield
+    finally:
+        _state.recording = prev
+
+
+@contextmanager
 def scratch_tape():
-    """Record on a fresh tape inside the block and put the thread's tape back,
-    untouched, however the block ends.
+    """Record on a fresh tape inside the block, even inside :func:`no_grad`,
+    and put the thread's tape and recording flag back, untouched, however the
+    block ends.
 
     What the block records stays on its tape until a :func:`backward` in the
     block walks and clears it, or the block ends and drops it: a forward
     recorded in one step may be differentiated in a later step of the same
     block (``train`` holds its node-task forward across the Adam step this
-    way), and a forward whose grads are unwanted is simply dropped.
+    way).  It is for forwards that are differentiated; a forward whose grads
+    are unwanted runs under :func:`no_grad` instead.
     """
-    prev = _tape()
-    _state.tape = []
+    prev, prev_recording = _state.tape, _state.recording
+    _state.tape, _state.recording = [], True
     try:
         yield _state.tape
     finally:
-        _state.tape = prev
+        _state.tape, _state.recording = prev, prev_recording
 
 
 def backward(loss: Tensor) -> None:
@@ -214,22 +254,15 @@ class FlopMeter:
     executed_flops: int = 0
 
 
-def _meters() -> list[FlopMeter]:
-    m = getattr(_state, "meters", None)
-    if m is None:
-        m = _state.meters = []
-    return m
-
-
 @contextmanager
 def count_attention_flops():
     """Collect the attention FLOPs of every sparse kernel call in the block."""
     meter = FlopMeter()
-    _meters().append(meter)
+    _state.meters.append(meter)
     try:
         yield meter
     finally:
-        _meters().pop()
+        _state.meters.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +699,14 @@ def _heads_index(heads: list[int]):
     return slice(heads[0], heads[-1] + 1) if heads[-1] - heads[0] == len(heads) - 1 else heads
 
 
-def _by_head(n: int, n_heads: int, d_h: int, cells: list) -> np.ndarray:
+def _by_head(n: int, n_heads: int, d_h: int, cells) -> np.ndarray:
     """The (n, n_heads * d_h) array, head h in columns h*d_h:(h+1)*d_h, of
-    the ``(rows, heads, values)`` cells, values shaped as indexing the
-    (n, n_heads, d_h) view with (rows, heads) gives.  It is the transpose of
-    an (n_heads * d_h, n) array: the nnz path's (d_h, T) results copy into it
-    contiguously, and its consumers, such as ``split_cols``'s concatenation
-    of the q, k and v grads, read the transpose in one pass."""
+    the ``(rows, heads, values)`` cells, each written as the iterable gives
+    it, values shaped as indexing the (n, n_heads, d_h) view with (rows,
+    heads) gives.  It is the transpose of an (n_heads * d_h, n) array: the
+    nnz path's (d_h, T) results copy into it contiguously, and its
+    consumers, such as ``split_cols``'s concatenation of the q, k and v
+    grads, read the transpose in one pass."""
     out = np.empty((n_heads, d_h, n))
     cols = out.transpose(2, 0, 1)
     for rows, heads, values in cells:
@@ -717,6 +751,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     work (``indptr[r]`` stored entries, or r x T on the dense path).  The path
     is still the one the whole mask's density picks, and attention dropout
     keeps the weights a call on all rows draws for these rows.
+
+    Under :func:`no_grad` the call builds no ``grad_fn``, and each part's
+    backward closure is dropped as soon as that part's output is written.
     """
     _check_rate(dropout_rate)
     if isinstance(mask, HopMask):   # one graph: a batch of one
@@ -766,54 +803,70 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
         drops = [[(np.random.default_rng(s).random(b.indptr[r]) >= dropout_rate)
                   / (1.0 - dropout_rate) for b, r, s in zip(head, n_rows, head_seeds)]
                  for head, head_seeds in zip(mask, seeds)]
-    for meter in _meters():
+    for meter in _state.meters:
         for head, head_dense in zip(mask, dense):
             for b, r, d in zip(head, n_rows, head_dense):
                 nnz = int(b.indptr[r])
                 meter.attention_flops += attention_flops(nnz, d_h)
                 meter.executed_flops += attention_flops(r * b.size if d else nnz, d_h)
 
-    # Each part runs some heads on some rows: (q rows, k/v rows, heads, out,
-    # grads), out and grads shaped as indexing the (rows, H, d_h) views of
-    # q, k and v with (rows, heads) gives.
+    # Each part runs some heads on some rows and gives (q rows, k/v rows,
+    # heads, out, grads), out and grads shaped as indexing the (rows, H, d_h)
+    # views of q, k and v with (rows, heads) gives.  Its out is written as
+    # soon as it is made; its grads closure, and the arrays it holds, is kept
+    # only when the call is recorded.
     q3, k3, v3 = (a.values.reshape(a.values.shape[0], n_heads, d_h) for a in (q, k, v))
-    parts = []
-    # Each head's nnz blocks run as one block-diagonal mask, on their own rows
-    # gathered only when the head mixes both paths.
-    for h, (head, head_dense, head_drops) in enumerate(zip(mask, dense, drops)):
-        nnz_blocks = [b for b, d in enumerate(head_dense) if not d]
-        if not nnz_blocks:
-            continue
-        sel = slice(None) if len(nnz_blocks) == len(sizes) else np.repeat(
-            ~np.array(head_dense), sizes)
-        qv = q3[sel, h]
-        dm = None if head_drops[0] is None else _stack_rows([head_drops[b] for b in nnz_blocks])
-        parts.append((sel, sel, h, *_sparse_path(
-            qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks], len(qv)), dm)))
-    # A graph's dense heads run stacked, or one by one above STACK_MAX_TOKENS.
-    for b, (qr, r) in enumerate(zip(q_rows, rows)):
-        heads = [h for h in range(n_heads) if dense[h][b]]
-        if len(heads) > 1 and sizes[b] <= STACK_MAX_TOKENS:
-            hi = _heads_index(heads)
-            parts.append((qr, r, hi, *_stacked_dense_path(
-                q3[qr, hi], k3[r, hi], v3[r, hi], [mask[h][b] for h in heads],
-                [drops[h][b] for h in heads])))
-        else:
-            parts.extend((qr, r, h, *_dense_path(q3[qr, h], k3[r, h], v3[r, h], mask[h][b],
-                                                 drops[h][b])) for h in heads)
+    recording = _state.recording
+    parts = []   # (q rows, k/v rows, heads, grads) of each part, when recording
+
+    def output_of(qr, r, h, o, grads):
+        if recording:
+            parts.append((qr, r, h, grads))
+        return qr, h, o
+
+    def part_outputs():
+        # Each head's nnz blocks run as one block-diagonal mask, on their own
+        # rows gathered only when the head mixes both paths.
+        for h, (head, head_dense, head_drops) in enumerate(zip(mask, dense, drops)):
+            nnz_blocks = [b for b, d in enumerate(head_dense) if not d]
+            if not nnz_blocks:
+                continue
+            sel = slice(None) if len(nnz_blocks) == len(sizes) else np.repeat(
+                ~np.array(head_dense), sizes)
+            qv = q3[sel, h]
+            dm = None if head_drops[0] is None else _stack_rows(
+                [head_drops[b] for b in nnz_blocks])
+            yield output_of(sel, sel, h, *_sparse_path(
+                qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks], len(qv)),
+                dm))
+        # A graph's dense heads run stacked, or one by one above STACK_MAX_TOKENS.
+        for b, (qr, r) in enumerate(zip(q_rows, rows)):
+            heads = [h for h in range(n_heads) if dense[h][b]]
+            if len(heads) > 1 and sizes[b] <= STACK_MAX_TOKENS:
+                hi = _heads_index(heads)
+                yield output_of(qr, r, hi, *_stacked_dense_path(
+                    q3[qr, hi], k3[r, hi], v3[r, hi], [mask[h][b] for h in heads],
+                    [drops[h][b] for h in heads]))
+            else:
+                for h in heads:
+                    yield output_of(qr, r, h, *_dense_path(q3[qr, h], k3[r, h], v3[r, h],
+                                                           mask[h][b], drops[h][b]))
+
+    out = _by_head(n_q, n_heads, d_h, part_outputs())
+    if not recording:
+        return primitive(out, None)
 
     def grad_fn(g):
         g3 = g.reshape(n_q, n_heads, d_h)
         # Last part first: the largest budget's nnz pass, usually the last
         # head's, then runs while no other part's grads are held, which keeps
         # the backward's peak memory down.
-        part_grads = [grads(g3[qr, h]) for qr, _, h, _, grads in reversed(parts)][::-1]
-        cells = [(qr, r, h, d) for (qr, r, h, _, _), d in zip(parts, part_grads)]
+        part_grads = [grads(g3[qr, h]) for qr, _, h, grads in reversed(parts)][::-1]
+        cells = [(qr, r, h, d) for (qr, r, h, _), d in zip(parts, part_grads)]
         q._accum(_by_head(n_q, n_heads, d_h, [(qr, h, d[0]) for qr, _, h, d in cells]))
         k._accum(_by_head(n_kv, n_heads, d_h, [(r, h, d[1]) for _, r, h, d in cells]))
         v._accum(_by_head(n_kv, n_heads, d_h, [(r, h, d[2]) for _, r, h, d in cells]))
 
-    out = _by_head(n_q, n_heads, d_h, [(qr, h, o) for qr, _, h, o, _ in parts])
     return primitive(out, grad_fn)
 
 
@@ -845,16 +898,15 @@ def grad_check(f, x: Tensor) -> float:
         analytic = np.zeros_like(work) if x.grad is None else np.array(x.grad, copy=True)
 
         numeric = np.zeros_like(work)
-        for idx in np.ndindex(*work.shape):
-            base = work[idx]
-            work[idx] = base + GRAD_CHECK_EPS
-            with scratch_tape():
+        with no_grad():
+            for idx in np.ndindex(*work.shape):
+                base = work[idx]
+                work[idx] = base + GRAD_CHECK_EPS
                 fp = float(f(x).values[0, 0])
-            work[idx] = base - GRAD_CHECK_EPS
-            with scratch_tape():
+                work[idx] = base - GRAD_CHECK_EPS
                 fm = float(f(x).values[0, 0])
-            work[idx] = base
-            numeric[idx] = (fp - fm) / (2.0 * GRAD_CHECK_EPS)
+                work[idx] = base
+                numeric[idx] = (fp - fm) / (2.0 * GRAD_CHECK_EPS)
     finally:
         x.values = orig_values
         x.grad = orig_grad

@@ -30,9 +30,10 @@ class HopMask:
     in [0, T) and strictly ascend within their row.  ``hop_budget`` and
     ``size`` follow the package's integer rule (``2.0`` is 2, a fraction is
     refused) and may not be negative.  The mask and its arrays are frozen (a
-    list, a writable array, a view or another integer dtype is stored as a
-    read-only int64 copy), so the checked structure and the caches derived
-    from it cannot drift apart, and the kernel reads one index dtype.
+    list, a writable array, a view, another integer dtype or an empty
+    sequence of any dtype is stored as a read-only int64 copy), so the
+    checked structure and the caches derived from it cannot drift apart, and
+    the kernel reads one index dtype.
     """
 
     hop_budget: int
@@ -48,7 +49,9 @@ class HopMask:
             if value < 0:
                 raise ValueError(f"mask {name} must be non-negative, got {value}")
             object.__setattr__(self, name, value)
-        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        # np.asarray([]) is float64; an empty sequence holds no non-integer
+        indptr, indices = (a.astype(np.int64) if a.size == 0 else a
+                           for a in (np.asarray(self.indptr), np.asarray(self.indices)))
         if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
             raise ValueError(f"mask indptr and indices must be integer arrays, "
                              f"got {indptr.dtype} and {indices.dtype}")

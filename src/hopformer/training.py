@@ -11,9 +11,9 @@ scores validation and test.  A node task without dropout makes one forward
 per epoch: the call that scores an epoch also returns the train rows, held on
 the tape, that the next epoch's step takes its loss from, as with dropout off
 training and scoring compute the same values.  Training records on a tape of
-its own, never the caller's.  The checkpoint returned is the one at the best
-validation metric.  A non-finite loss aborts with epoch/step context rather
-than being clamped.
+its own, never the caller's; every other scoring forward records nothing.
+The checkpoint returned is the one at the best validation metric.  A
+non-finite loss aborts with epoch/step context rather than being clamped.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ops
-from .autograd import Tensor, scratch_tape
+from .autograd import Tensor, no_grad, scratch_tape
 from .graphs import Graph, GraphError, _finite_value, _int_field, _int_value, augment
 from .masks import build_head_masks
 from .model import (Model, _check_graph, copy_parameter_values, forward, named_parameters,
@@ -299,9 +299,9 @@ def _score(task: str, out: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _scores(model: Model, dataset, ags, masks, targets, splits) -> list[float]:
-    """Score each split, as ``_prepare`` returns it, from :func:`_outputs` on a
-    scratch tape."""
-    with scratch_tape():
+    """Score each split, as ``_prepare`` returns it, from :func:`_outputs`
+    run under ``no_grad``."""
+    with no_grad():
         outs = _outputs(model, dataset, ags, masks, splits)
     return [_score(model.cfg.task, o.values, targets[s]) for o, s in zip(outs, splits)]
 
@@ -328,7 +328,7 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     ``attention_dropout`` both 0 holds one: after each Adam step, one forward
     scores val and test and, kept on train's tape, gives the next step its
     train rows, loss and backward, so E epochs run E + 1 forwards.  With any
-    dropout, and for graph tasks, the scoring forwards run on a scratch tape
+    dropout, and for graph tasks, the scoring forwards run under ``no_grad``
     after the steps.  Every step records on a tape ``train`` owns and drops
     on return, early stop or ``TrainingAbort``; the caller's tape is left as
     it was.

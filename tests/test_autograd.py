@@ -1313,3 +1313,233 @@ class TestQueryPrefix:
         with pytest.raises(ShapeError, match=r"q of shape \(5, 4\) holds a prefix of the 24 "
                                              r"rows of k/v; .* a batch of 2"):
             sparse_masked_attention(Tensor(q[:5]), Tensor(k), Tensor(v), [mask, mask])
+
+
+# ---------------------------------------------------------------------------
+# Forwards that record nothing
+
+
+class TestNoGrad:
+    """Under no_grad, primitives leave the tape alone and give the values a
+    recorded forward gives."""
+
+    @pytest.mark.parametrize("kind", ["batch", "large", "one"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_kernel_outputs_and_flops_equal_the_recorded_ones(self, kind, rate):
+        # "batch" and "large" run the nnz, stacked dense and per-head dense
+        # paths (see TestOneCallPerLayer), "one" a query prefix of both paths
+        masks = _layer_masks(kind)
+        n, n_heads = sum(b.size for b in masks[0]), len(masks)
+        r = n // 2 if kind == "one" else n
+        qv, kv, vv = np.random.default_rng(5).standard_normal((3, n, n_heads * 3))
+        seeds = [[[b, 9, h] for b in range(len(masks[0]))] for h in range(n_heads)]
+        kw = dict(dropout_rate=rate, dropout_seed=seeds, training=True)
+        runs = []
+        for context in (ops.scratch_tape, ops.no_grad):
+            tape = ops._tape()
+            before = len(tape)
+            with context(), count_attention_flops() as meter:
+                out = sparse_masked_attention(Tensor(qv[:r]), Tensor(kv), Tensor(vv), masks,
+                                              **kw)
+                recorded = len(ops._tape())
+            assert ops._tape() is tape and len(tape) == before
+            runs.append((out.values, meter.attention_flops, meter.executed_flops, recorded))
+        (want, *want_flops, one_entry), (got, *got_flops, entries) = runs
+        assert np.array_equal(got, want)
+        assert got_flops == want_flops and want_flops[0] > 0
+        assert one_entry == 1 and entries == before
+
+    def test_each_part_closure_is_freed_once_its_output_is_written(self, monkeypatch):
+        import weakref
+
+        refs, alive_at_start = [], []
+        for name in ("_sparse_path", "_dense_path", "_stacked_dense_path"):
+            def traced(*args, _path=getattr(ops, name)):
+                alive_at_start.append(sum(ref() is not None for ref in refs))
+                out, grads = _path(*args)
+                refs.append(weakref.ref(grads))
+                return out, grads
+            monkeypatch.setattr(ops, name, traced)
+        masks = _layer_masks("batch")
+        n = sum(b.size for b in masks[0])
+        q, k, v = (Tensor(a) for a in np.random.default_rng(6).standard_normal(
+            (3, n, len(masks) * 3)))
+        with ops.no_grad():
+            sparse_masked_attention(q, k, v, masks)
+        assert len(refs) > 3 and alive_at_start == [0] * len(refs)
+        assert all(ref() is None for ref in refs)
+        # recorded, every part's closure lives on the tape until the backward
+        refs.clear()
+        alive_at_start.clear()
+        with ops.scratch_tape() as tape:
+            sparse_masked_attention(q, k, v, masks)
+            assert alive_at_start == list(range(len(refs)))
+            assert all(ref() is not None for ref in refs)
+            tape.clear()
+        assert all(ref() is None for ref in refs)
+
+    def test_inference_loop_leaves_the_tape_as_it_was(self):
+        # the README's Library model: five recorded forwards leave 135 entries
+        from hopformer import ModelConfig, forward, init_model
+
+        g = generate_sbm((30, 30), p_in=0.3, p_out=0.02, seed=0)
+        cfg = ModelConfig(hidden_dim=16, head_hops=(1, 3, 6, 12), num_layers=2, ffn_dim=32,
+                          num_heads=4, task="node_classification", num_classes=2, seed=0)
+        model = init_model(cfg, g.node_feature_dim)
+        ag = augment(g)
+        masks = build_head_masks(ag, list(cfg.head_hops))
+        with ops.scratch_tape() as tape:
+            recorded = [forward(model, g, ag, masks).values for _ in range(5)]
+            assert len(tape) == 135
+        tape = ops._tape()
+        before = list(tape)
+        with ops.no_grad():
+            outs = [forward(model, g, ag, masks).values for _ in range(5)]
+        assert ops._tape() is tape and tape == before
+        for got, want in zip(outs, recorded):
+            assert np.array_equal(got, want)
+
+    def test_grad_check_inside_no_grad_gives_the_same_value(self):
+        mask = _triangle_mask()
+        rng = np.random.default_rng(7)
+        kv, vv = (Tensor(rng.standard_normal((6, 4))) for _ in range(2))
+
+        recording = []
+
+        def f(x):
+            recording.append(ops._state.recording)
+            out = sparse_masked_attention(x, kv, vv, mask)
+            return ops.sum_all(ops.layer_norm(out, Tensor(np.ones((1, 4))),
+                                              Tensor(np.zeros((1, 4)))))
+
+        x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        plain = grad_check(f, x)
+        with ops.no_grad():
+            assert grad_check(f, x) == plain
+        assert plain < 1e-4
+        # the analytic pass records, the 2 * 24 numeric probes do not
+        assert recording == 2 * ([True] + [False] * 48)
+
+    def test_scratch_tape_inside_records_and_no_grad_inside_it_does_not(self):
+        x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        with ops.no_grad():
+            with ops.scratch_tape() as tape:
+                a, b = ops.split_cols(ops.scale(x, 3.0), 2)
+                assert len(tape) == 2
+                with ops.no_grad():
+                    ops.split_cols(ops.scale(x, 2.0), 2)
+                assert len(tape) == 2
+                backward(ops.sum_all(a))
+            assert not ops._state.recording
+        assert np.array_equal(x.grad, [[3.0, 0.0], [3.0, 0.0]])
+        assert ops._state.recording
+
+    def test_flag_is_restored_after_an_exception(self):
+        def fail():
+            ops.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+        with pytest.raises(ShapeError, match="matmul mismatch"):
+            with ops.no_grad():
+                fail()
+        assert ops._state.recording
+        for context in (ops.no_grad, ops.scratch_tape):
+            with ops.no_grad():
+                with pytest.raises(ShapeError, match="matmul mismatch"):
+                    with context():
+                        fail()
+                assert not ops._state.recording
+            assert ops._state.recording
+        with ops.scratch_tape() as tape:
+            ops.scale(Tensor(np.ones((1, 1))), 2.0)
+            assert len(tape) == 1
+
+    def test_another_thread_still_records(self):
+        import threading
+
+        rng = np.random.default_rng(8)
+        x_vals, w_vals = rng.standard_normal((6, 4)), rng.standard_normal((4, 3))
+
+        def compute():
+            x, w = Tensor(x_vals, requires_grad=True), Tensor(w_vals, requires_grad=True)
+            with ops.scratch_tape():
+                backward(ops.sum_all(ops.relu(ops.matmul(x, w))))
+            return x.grad, w.grad
+
+        def worker():
+            # the worker's own thread tape, no scratch_tape: it records
+            ops.scale(Tensor(np.ones((1, 1))), 2.0)
+            results.append((len(ops._tape()), compute()))
+
+        serial, results = compute(), []
+        with ops.no_grad():
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        (entries, (gx, gw)), = results
+        assert entries == 1
+        assert np.array_equal(gx, serial[0]) and np.array_equal(gw, serial[1])
+
+
+class TestTapeUsers:
+    """Only a forward that is differentiated records on a tape of its own;
+    every other forward in the package runs under no_grad."""
+
+    @staticmethod
+    def users(path) -> dict[str, bool]:
+        """For each function of the module that enters scratch_tape: whether
+        it also calls backward."""
+        import ast
+
+        found = {}
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = {c.func.attr if isinstance(c.func, ast.Attribute) else
+                      getattr(c.func, "id", None)
+                      for c in ast.walk(fn) if isinstance(c, ast.Call)}
+            if "scratch_tape" in called:
+                found[fn.name] = "backward" in called
+        return found
+
+    def test_only_functions_that_call_backward_enter_scratch_tape(self):
+        from pathlib import Path
+
+        import hopformer
+
+        package = Path(hopformer.__file__).resolve().parent
+        users = {f"{p.stem}.{name}": differentiates for p in sorted(package.glob("*.py"))
+                 for name, differentiates in self.users(p).items()}
+        assert {name for name, differentiates in users.items() if not differentiates} == set()
+        # the scan does see the two differentiated forwards
+        assert set(users) == {"training.train", "autograd.grad_check"}
+
+    def test_scoring_probing_and_counting_record_nothing(self, monkeypatch):
+        from dataclasses import replace
+
+        from hopformer import (ModelConfig, TrainConfig, evaluate, flops_vs_nnz_report,
+                               influence_matrix, init_model, train)
+
+        recording = []
+        for name in ("_sparse_path", "_dense_path", "_stacked_dense_path"):
+            def traced(*args, _path=getattr(ops, name)):
+                recording.append(ops._state.recording)
+                return _path(*args)
+            monkeypatch.setattr(ops, name, traced)
+        g = generate_sbm((8, 8), p_in=0.5, p_out=0.1, seed=1)
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 4), num_layers=1, ffn_dim=8, num_heads=2,
+                          task="node_classification", num_classes=2, seed=0)
+        model = init_model(cfg, g.node_feature_dim)
+        masks = build_head_masks(augment(g), [1, 4])
+        for run in (lambda: evaluate(model, g, None, np.arange(g.num_nodes)),
+                    lambda: influence_matrix(model, masks),
+                    lambda: influence_matrix(model, masks, head=1),
+                    lambda: flops_vs_nnz_report([g], [[1, 1], [1, 2], [2, 4]], cfg)):
+            recording.clear()
+            run()
+            assert recording and not any(recording)
+        # with dropout, train records its steps and scores val and test unrecorded
+        recording.clear()
+        model = init_model(replace(cfg, dropout=0.1), g.node_feature_dim)
+        train(model, g, None, TrainConfig(learning_rate=0.01, epochs=2))
+        assert recording == 2 * (2 * [True] + 2 * [False])

@@ -292,6 +292,22 @@ class TestMaskFields:
         with pytest.raises(ValueError, match=f"must be integer arrays, got {dtypes}$"):
             HopMask(1, 2, indptr, indices)
 
+    @pytest.mark.parametrize("indices", [[], (), np.array([]), np.array([], dtype=np.float32),
+                                         np.array([], dtype=np.uint8)])
+    def test_empty_index_sequences_are_stored_as_int64(self, indices):
+        # np.asarray([]) is float64, but an empty sequence holds no non-integer
+        m = HopMask(0, 0, [0], indices)
+        assert m.indptr.dtype == m.indices.dtype == np.int64
+        assert m.indptr.tolist() == [0] and m.nnz == 0
+        assert not m.indices.flags.writeable
+
+    @pytest.mark.parametrize("indptr,indices,dtypes", [
+        ([0.0], [], "float64 and int64"),
+        (np.array([0, 1], dtype=np.float32), [0], "float32 and int64")])
+    def test_non_empty_float_sequence_is_still_refused(self, indptr, indices, dtypes):
+        with pytest.raises(ValueError, match=f"must be integer arrays, got {dtypes}$"):
+            HopMask(0, len(indptr) - 1, indptr, indices)
+
 
 class TestDumpFormat:
     def test_header_and_sorted_pairs(self, single_edge_ag):
