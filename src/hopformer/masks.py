@@ -9,7 +9,13 @@ Every head's mask comes from one level-synchronous, multi-source breadth-first
 search (:func:`hop_distances`) that labels each reachable pair with its hop
 distance up to the largest budget; a head's mask is the filter ``dist <= n``.
 Sources run in blocks sized so that the search's transient arrays stay
-within ``BLOCK_CELLS`` entries, and nothing T x T is materialized.
+within ``BLOCK_CELLS`` entries.  A level expands the frontier's
+``(source, token)`` keys through the CSR, which costs t^2 * degree once the
+reach is dense.  So a search that fits one block, whose ``seen`` buffer
+already holds the whole t x t reach, finishes on bit rows once a key level
+would expand more neighbours than a bit level gathers words: each row of the
+reach packed into uint64 words, and a level ORs each row's neighbours' rows
+into it (a multi-source bitset BFS, as in Then et al., VLDB 2014).
 """
 
 from __future__ import annotations
@@ -127,7 +133,34 @@ class HopMask:
 # has a B x T ``seen`` buffer (bytes), frontiers and output of at most B x T
 # keys, and per level at most B x nnz expanded neighbours (each source expands
 # each stored link at most once).  B = BLOCK_CELLS // max(T, nnz), at least
-# one, keeps all of them within BLOCK_CELLS entries.
+# one, keeps all of them within BLOCK_CELLS entries.  A search that fits one
+# block (T * max(T, nnz) <= BLOCK_CELLS) may finish on bit rows, whose arrays
+# (the packed reach, a T x T dist buffer, a gather of nnz x ceil(T/64) words)
+# hold at most T^2 entries each, so the same bound covers them.
+#
+# Such a search switches at the first level, short of its last, whose key
+# expansion would exceed the nnz * ceil(T/64) words one bit level gathers.
+# Medians of interleaved build_head_masks calls, keys only -> switched, numpy
+# 2.4.6 on 2 vCPUs, seed 3, budgets up to 4 (shallow) and 1,3,6,12,24,48
+# (deep):
+#   sbm_node, T = 341, budgets 1,3,6,12:          17.3 -> 6.4 ms
+#   er_graph, 128 graphs, T <= 54, budgets 1..8:   48.7 -> 44.2 ms
+#   Watts-Strogatz          T   shallow            deep
+#   beta 0,   n=20,  k=4    60   0.27 -> 0.25 ms    0.77 -> 0.62 ms
+#   beta 0,   n=100, k=6   400   1.39 -> 1.06       18.5 -> 11.9
+#   beta 0,   n=160, k=4   480   0.92 (keys)        15.2 (keys)
+#   beta 0.1, n=20,  k=4    60   0.30 -> 0.27       0.84 -> 0.64
+#   beta 0.1, n=100, k=6   400   1.77 -> 1.33       18.9 -> 8.6
+#   beta 0.1, n=160, k=4   480   1.20 (keys)        31.4 -> 18.3
+#   beta 1,   n=20,  k=4    60   0.36 -> 0.31       0.83 -> 0.62
+#   beta 1,   n=100, k=6   400   3.22 -> 2.45       23.8 -> 10.6
+#   beta 1,   n=160, k=4   480   2.44 (keys)        40.6 -> 19.0
+#   n=250, k=6, any beta  1000   multi-block, keys: 3.5-9.1 and 70-223 ms
+#   ring (k=2), n=300      600   keys at every level: 8.8 ms deep
+# In a separate interleaved run, bit rows from the first level took 9.8 ms
+# against 6.7 on keys for the n=300 ring (deep), whose frontiers stay short.  Switching at the last level made
+# beta 1, n=160, k=4 shallow 1.19x slower: one bit level does not repay
+# packing the reach and unpacking it.
 BLOCK_CELLS = 2**20
 
 
@@ -142,6 +175,15 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
     yet seen.  Levels stop at
     ``min(max_hops, t - 1)`` or at an empty frontier; ``dist`` has the
     smallest unsigned dtype that holds the last level.
+
+    A key level costs one expanded neighbour per frontier key and link, which
+    grows like t^2 * degree once the reach is dense.  So a search that runs
+    as one block (``t * max(t, nnz) <= BLOCK_CELLS``) switches to
+    :func:`_bit_levels`, which finishes it on packed bit rows, at the first
+    level, short of the last, whose expansion would hold more entries than
+    the ``nnz * ceil(t / 64)`` words a bit level gathers.  Edgeless graphs
+    never switch (``0 > 0`` is false), nor does any multi-block search.  The
+    triples, their order and the ``dist`` dtype do not depend on the switch.
     """
     if max_hops < 0:
         raise ValueError(f"hop budget must be non-negative, got {max_hops}")
@@ -149,6 +191,9 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
     dist_dtype = np.min_scalar_type(levels)
     starts, degrees = indptr[:-1], np.diff(indptr)
     block = max(1, BLOCK_CELLS // max(t, indices.size, 1))
+    # one bit level gathers nnz rows of ceil(t/64) words; -1 keeps a
+    # multi-block search on keys
+    bit_words = indices.size * -(-t // 64) if block >= t else -1
     seen = np.zeros(min(block, t) * t, dtype=bool)
     for s0 in range(0, t, block):
         b = min(block, t - s0)
@@ -159,6 +204,9 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
             node = frontier % t
             deg = degrees[node]
             ends = np.cumsum(deg)
+            if 0 <= bit_words < ends[-1] and level < levels:
+                yield _bit_levels(indptr, indices, t, seen, keys, dist, level, levels)
+                return
             pos = np.arange(ends[-1], dtype=np.int64) + np.repeat(starts[node] - ends + deg, deg)
             reach = np.repeat(frontier - node, deg) + indices[pos]
             # the sorted unique new keys, as np.unique gives them; it hashes
@@ -175,6 +223,46 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
         order = np.argsort(keys)
         keys = keys[order]
         yield keys // t + s0, keys % t, dist[order]
+
+
+def _bit_levels(indptr: np.ndarray, indices: np.ndarray, t: int, seen: np.ndarray,
+                keys: list, dist: list, first: int, last: int):
+    """Finish a one-block search at levels ``first..last`` on bit rows.
+
+    ``seen`` is the t x t reach up to level ``first - 1`` and ``keys``/``dist``
+    its levels.  Row i of the reach is packed into little-endian uint64 words
+    (column c is bit c % 64 of word c // 64), and a level sets
+    ``reach[i] |= OR of reach[j] over i's CSR row``: one gather and one
+    ``np.bitwise_or.reduceat``.  This pull step is exact for any directed CSR
+    (j within d - 1 of c and i -> j put c within d of i).  Levels stop at
+    ``last`` or at the first level that sets no bit.  Each level's new bits
+    write their level into a t x t dist buffer, and the final reach, unpacked,
+    gives the row-major triples in one ``np.flatnonzero``.
+    """
+    dist_buf = np.zeros(t * t, dtype=dist[0].dtype)
+    dist_buf[np.concatenate(keys)] = np.concatenate(dist)
+    # row t stays zero: the gather's last entry, pulled by a trailing row
+    # without links; reduceat's value for every row without links is reset
+    packed = np.zeros((t + 1, 8 * -(-t // 64)), dtype=np.uint8)
+    packed[:t, :-(-t // 8)] = np.packbits(seen.reshape(t, t), axis=1, bitorder="little")
+    reach = packed.view("<u8")
+    links = np.append(indices, t)
+    unlinked = np.flatnonzero(indptr[1:] == indptr[:-1])
+    for level in range(first, last + 1):
+        pulled = np.bitwise_or.reduceat(reach[links], indptr[:-1], axis=0)
+        pulled[unlinked] = 0   # reduceat gives an empty segment its next entry
+        new_bits = pulled & ~reach[:t]
+        r, w = np.nonzero(new_bits)   # the words that gained bits
+        if r.size == 0:
+            break
+        reach[:t] |= new_bits
+        # nonzero runs about 2.5x faster on a bool view than on uint8
+        bit = np.flatnonzero(np.unpackbits(
+            np.asarray(new_bits[r, w], dtype="<u8").view(np.uint8), bitorder="little").view(bool))
+        dist_buf[(r * t + w * 64)[bit >> 6] + (bit & 63)] = level
+    flat = np.flatnonzero(
+        np.unpackbits(packed[:t], axis=1, count=t, bitorder="little").view(bool))
+    return flat // t, flat % t, dist_buf[flat]
 
 
 def hop_distances(indptr: np.ndarray, indices: np.ndarray, t: int,
@@ -243,6 +331,6 @@ def mask_stats(m: HopMask) -> dict:
 def write_mask_dump(m: HopMask, fh) -> None:
     """Dump format: header 'T nnz n_hop', then one sorted 'row col' per line."""
     fh.write(f"{m.size} {m.nnz} {m.hop_budget}\n")
-    rows = m.row_indices
-    for r, c in zip(rows, m.indices):
-        fh.write(f"{r} {c}\n")
+    # one write of Python ints: numpy scalars formatted line by line took
+    # 2-3x as long on a dense hop-12 mask (118,336 entries)
+    fh.write("".join(f"{r} {c}\n" for r, c in zip(m.row_indices.tolist(), m.indices.tolist())))

@@ -108,6 +108,25 @@ class TestSmallWorldReport:
             monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
             assert small_world_report(g) == whole
 
+    @pytest.mark.parametrize("g", [
+        *(generate_watts_strogatz(50, 6, beta, seed=seed)
+          for beta in (0.0, 0.1, 1.0) for seed in (0, 1)),
+        *(generate_erdos_renyi(n, 0.3, seed=seed) for n, seed in ((8, 1), (12, 2), (15, 3))),
+        generate_erdos_renyi(40, 0.04, seed=6)])
+    def test_bit_levels_give_the_key_search_report(self, monkeypatch, g):
+        # an all-pairs search on a connected graph ends dense, so it finishes
+        # on bit rows; n * n - 1 cells split any n-node search into blocks,
+        # which keeps it on keys
+        switched = []
+        bit_levels = masks_mod._bit_levels
+        with monkeypatch.context() as m:
+            m.setattr(masks_mod, "_bit_levels",
+                      lambda *a: switched.append(a[6]) or bit_levels(*a))
+            bits = (small_world_report(g), avg_shortest_path(g))
+        assert len(switched) == 2
+        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", g.num_nodes ** 2 - 1)
+        assert (small_world_report(g), avg_shortest_path(g)) == bits
+
     def test_dataset_means(self):
         tri, p3 = triangle_graph(), path3_graph()
         assert dataset_small_world([tri, tri]) == (1.0, 1.0)

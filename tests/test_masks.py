@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hopformer import (Graph, Tensor, augment, build_head_masks, build_mask,
-                       generate_erdos_renyi, mask_stats, sparse_masked_attention)
+                       generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
+                       mask_stats, sparse_masked_attention)
 from hopformer import masks as masks_mod
 from hopformer.masks import HopMask, hop_distance_blocks, hop_distances, write_mask_dump
 
@@ -320,6 +321,22 @@ class TestDumpFormat:
         assert len(pairs) == m.nnz
         assert pairs == sorted(pairs)
 
+    @pytest.mark.parametrize("g,n", [
+        (single_edge_graph(), 0), (Graph(num_nodes=1, edges=np.zeros((0, 2)),
+                                         node_features=np.ones((1, 1))), 3),
+        (generate_erdos_renyi(12, 0.3, seed=2), 2),
+        (generate_sbm((30, 30), 0.3, 0.02, seed=3), 12)],
+        ids=["identity", "T1", "er", "dense_sbm"])
+    def test_joined_dump_equals_the_per_line_format(self, g, n):
+        m = build_mask(augment(g), n)
+        per_line = io.StringIO()
+        per_line.write(f"{m.size} {m.nnz} {m.hop_budget}\n")
+        for r, c in zip(m.row_indices, m.indices):   # numpy scalars, one line each
+            per_line.write(f"{r} {c}\n")
+        joined = io.StringIO()
+        write_mask_dump(m, joined)
+        assert joined.getvalue().encode() == per_line.getvalue().encode()
+
 
 def _edgeless(n):
     return Graph(num_nodes=n, edges=np.zeros((0, 2)), node_features=np.ones((n, 1)))
@@ -452,3 +469,157 @@ class TestSinglePassSearch:
             build_head_masks(single_edge_ag, [2, -1])
         with pytest.raises(ValueError, match="non-negative"):
             hop_distances(single_edge_ag.indptr, single_edge_ag.indices, 3, -1)
+
+
+def _csr(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (np.concatenate(([0], np.cumsum(dense.sum(axis=1)))).astype(np.int64),
+            np.nonzero(dense)[1].astype(np.int64))
+
+
+def _searches(monkeypatch, indptr, indices, t, max_hops):
+    """``hop_distances`` as the package runs it, and with its sources split
+    into two blocks, which keeps every level on keys; plus the number of
+    times the first search finished on bit rows."""
+    switched = []
+    bit_levels = masks_mod._bit_levels
+    with monkeypatch.context() as m:
+        m.setattr(masks_mod, "_bit_levels",
+                  lambda *a: switched.append(a[6]) or bit_levels(*a))
+        bits = hop_distances(indptr, indices, t, max_hops)
+    with monkeypatch.context() as m:
+        m.setattr(masks_mod, "BLOCK_CELLS", t * max(t, indices.size, 1) - 1)
+        keys = hop_distances(indptr, indices, t, max_hops)
+    return bits, keys, len(switched)
+
+
+def _assert_triples_equal(a, b):
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+class TestBitLevels:
+    """A one-block search finishes on packed bit rows once a key level would
+    expand more neighbours than a bit level gathers words; its triples equal
+    the key-only search's."""
+
+    BUDGETS = (0, 1, 2, 3, 6, 12, 48, 10**9)
+
+    @pytest.mark.parametrize("g", [
+        generate_erdos_renyi(40, 0.1, seed=3), generate_erdos_renyi(14, 0.3, seed=4),
+        generate_watts_strogatz(100, 6, 0.0, seed=3),
+        generate_watts_strogatz(100, 6, 0.1, seed=3),
+        generate_watts_strogatz(100, 6, 1.0, seed=4),
+        generate_sbm((30, 30), 0.3, 0.02, seed=3), generate_sbm((20, 25), 0.3, 0.03, seed=4),
+    ], ids=["er40", "er14", "ws0", "ws0.1", "ws1", "sbm_node", "sbm45"])
+    def test_seeded_graphs_equal_the_key_search(self, monkeypatch, g):
+        ag = augment(g)
+        switches = 0
+        for n in self.BUDGETS:
+            bits, keys, switched = _searches(monkeypatch, ag.indptr, ag.indices,
+                                             ag.total_tokens, n)
+            _assert_triples_equal(bits, keys)
+            switches += switched
+        assert switches > 0
+
+    @pytest.mark.parametrize("g", [
+        _edgeless(1), _edgeless(7), _path(2),
+        Graph(num_nodes=8, edges=np.array([[0, 1], [1, 2], [0, 2], [2, 3]]),
+              node_features=np.ones((8, 1))),                     # isolated 4-7
+        Graph(num_nodes=9, edges=np.array([[0, 1], [1, 2], [0, 2], [4, 5], [5, 6],
+                                           [4, 6], [6, 7]]),
+              node_features=np.ones((9, 1))),                     # two components
+    ], ids=["T1", "edgeless", "single_edge", "isolated_tokens", "disconnected"])
+    def test_degenerate_graphs_equal_the_key_search(self, monkeypatch, g):
+        ag = augment(g)
+        for n in self.BUDGETS:
+            bits, keys, _ = _searches(monkeypatch, ag.indptr, ag.indices, ag.total_tokens, n)
+            _assert_triples_equal(bits, keys)
+
+    def test_edgeless_graph_never_switches(self, monkeypatch):
+        # nnz = 0: no key level expands anything, and 0 > 0 is false
+        ag = augment(_edgeless(7))
+        assert ag.indices.size == 0
+        for n in self.BUDGETS:
+            assert _searches(monkeypatch, ag.indptr, ag.indices, ag.total_tokens, n)[2] == 0
+
+    def test_head_masks_equal_the_key_search(self, monkeypatch):
+        ag = augment(generate_sbm((30, 30), 0.3, 0.02, seed=3))
+        hops = [0, 12, 3, 12, 40, 10**6, 40]   # budget 0, repeats, past the diameter
+        switched = build_head_masks(ag, hops)
+        assert switched[1] is switched[3] and switched[4] is switched[6]
+        assert len({id(m) for m in switched}) == 5
+        assert switched[5].nnz == switched[4].nnz == ag.total_tokens ** 2
+        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", ag.total_tokens * ag.indices.size - 1)
+        for a, b in zip(switched, build_head_masks(ag, hops)):
+            _assert_masks_equal(a, b)
+
+    def test_asymmetric_csr(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        switches = 0
+        for _ in range(40):
+            t = int(rng.integers(1, 70))
+            dense = rng.random((t, t)) < rng.uniform(0.0, 0.25)
+            indptr, indices = _csr(dense)
+            for n in (0, 1, 2, 5, 10**9):
+                bits, keys, switched = _searches(monkeypatch, indptr, indices, t, n)
+                _assert_triples_equal(bits, keys)
+                switches += switched
+        assert switches > 0
+
+    def test_masks_match_scipy_shortest_path(self):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        hops = [1, 3, 6, 12, 48]
+        for g in (generate_sbm((30, 30), 0.3, 0.02, seed=3),
+                  generate_watts_strogatz(100, 6, 0.1, seed=3),
+                  generate_erdos_renyi(14, 0.3, seed=4), _edgeless(3)):
+            ag = augment(g)
+            t = ag.total_tokens
+            adj = sparse.csr_matrix((np.ones(ag.indices.size), ag.indices, ag.indptr),
+                                    shape=(t, t))
+            dist = csgraph.shortest_path(adj, unweighted=True)
+            for n, m in zip(hops, build_head_masks(ag, hops)):
+                assert np.array_equal(mask_to_dense(m), dist <= n)
+
+
+class TestBitLevelDispatch:
+    """Which searches finish on bit rows: the bit step is patched to raise."""
+
+    @pytest.fixture
+    def no_bits(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search switched to bit rows")
+        monkeypatch.setattr(masks_mod, "_bit_levels", refuse)
+
+    def test_node_task_sbm_switches_at_budget_12(self, no_bits):
+        ag = augment(generate_sbm((30, 30), 0.3, 0.02, seed=3))
+        assert ag.total_tokens * max(ag.total_tokens, ag.indices.size) <= masks_mod.BLOCK_CELLS
+        with pytest.raises(AssertionError, match="switched"):
+            build_head_masks(ag, [1, 3, 6, 12])
+
+    def test_sparse_ring_stays_on_keys(self, no_bits):
+        ag = augment(generate_watts_strogatz(500, 2, 0.0, seed=3))
+        masks = build_head_masks(ag, [1, 3, 6, 12, 24, 48])
+        assert masks[-1].nnz < ag.total_tokens ** 2
+
+    def test_one_block_ring_stays_on_keys(self, no_bits):
+        # a 300-node ring is one block; its frontiers stay short at every level
+        ag = augment(generate_watts_strogatz(300, 2, 0.0, seed=3))
+        assert ag.total_tokens * max(ag.total_tokens, ag.indices.size) <= masks_mod.BLOCK_CELLS
+        build_head_masks(ag, [1, 3, 6, 12, 24, 48])
+
+    def test_the_last_level_stays_on_keys(self, no_bits):
+        # this graph's first level past the switch rule is level 4: one bit
+        # level would not repay packing the reach and unpacking it
+        ag = augment(generate_watts_strogatz(160, 4, 1.0, seed=3))
+        build_head_masks(ag, [1, 2, 4])
+        with pytest.raises(AssertionError, match="switched"):
+            build_head_masks(ag, [1, 2, 5])
+
+    def test_multi_block_searches_never_switch(self, no_bits, monkeypatch):
+        ag = augment(generate_sbm((30, 30), 0.3, 0.02, seed=3))
+        t, nnz = ag.total_tokens, ag.indices.size
+        for cells in (1, t * nnz // 3, t * nnz - 1):
+            monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
+            assert build_head_masks(ag, [12])[0].nnz == t * t
