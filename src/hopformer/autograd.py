@@ -35,9 +35,11 @@ blocks, and per-row sums are one ``np.add.reduceat`` along the nnz axis.
 The backward runs one head dimension at a time on nnz-long vectors, so it
 holds no (d_h, nnz) block.  The number of numpy calls per kernel call grows
 with d_h, not with nnz.  At or above the threshold the masked dense path
-computes the T x T scores with BLAS, sets off-support scores to -inf, and
-runs its backward as four matrix products; since T^2 <= nnz /
-DENSE_MIN_DENSITY there, its memory and work stay linear in nnz.
+computes the T x T scores with BLAS, adds the mask's cached additive bias
+(0.0 on the support, -inf off it; none for a full mask), keeps ``np.exp``
+on finite values by a clamp at ``EXP_FLOOR``, and runs its backward as four
+matrix products; since T^2 <= nnz / DENSE_MIN_DENSITY there, its memory
+and work stay linear in nnz.
 Both paths give the same results up to rounding.
 
 The kernel runs on a batch of graphs: a list of masks over consecutive row
@@ -79,7 +81,7 @@ concatenation of the heads.
 On one mask the kernel also takes the queries of only its first r rows, keys
 and values keeping all T: it then reads the CSR prefix (``indptr[:r+1]`` and
 the first ``indptr[r]`` stored entries, as views) or the first r rows of the
-dense support, so its work scales with the prefix's stored entries.  A node
+dense bias, so its work scales with the prefix's stored entries.  A node
 task's last encoder layer computes its node rows this way; graph tasks pool
 every token and run full calls.  The path is still the one the whole mask's
 density picks.
@@ -439,12 +441,14 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
     """
     seeds, sizes = ([seed], [x.values.shape[0]]) if sizes is None else (seed, sizes)
     _check_rate(rate)
-    if not training_flag or rate == 0.0:
-        return x
     n, d = x.values.shape
+    # checked in every mode, as sparse_masked_attention checks its seeds, so a
+    # mismatch shows at evaluation too, not only once training starts
     if sum(sizes) != n or len(seeds) != len(sizes):
         raise ShapeError(f"{len(seeds)} seeds and segment sizes summing to {sum(sizes)} "
                          f"for {n} rows")
+    if not training_flag or rate == 0.0:
+        return x
     draw = _stack_rows([np.random.default_rng(s).random((r, d)) for s, r in zip(seeds, sizes)])
     keep = (draw >= rate) / (1.0 - rate)
     return primitive(x.values * keep, lambda g: x._accum(g * keep))
@@ -507,18 +511,23 @@ def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarr
 
 # Masks with nnz >= DENSE_MIN_DENSITY * T^2 run on the masked dense path,
 # sparser ones on the nnz path.  Per-call forward + backward, d_h = 4,
-# float64, OpenBLAS 0.3.31 on 2 vCPUs, median of 21 calls, column-layout nnz
-# path vs dense path:
-#   SBM hop masks, T = 333:   density 0.06: 0.66 vs 2.7 ms; 0.14: 1.1 vs 3.2 ms;
-#                             0.42: 6.9 vs 2.1 ms; 1.00: 20 vs 1.0 ms
-#   SBM hop masks, T = 1256:  density 0.08: 13 vs 40 ms; 0.15: 30 vs 46 ms;
-#                             0.21: 53 vs 48 ms
-#   ring hop masks, density 0.25: 2.9 vs 1.8 ms (T = 340), 58 vs 28 ms (T = 1212)
-# At T <= 44 the dense path is faster at every density.  The paths break even
-# near density 0.2, where repeated timings differ by up to 1.5x.  0.25 keeps
-# the dense path 1.6-2x faster wherever it is chosen, keeps the 14% hop-3
-# heads of the SBM node task on the nnz path, where they run 3x faster, and
-# bounds the T x T buffers by T^2 <= 4 * nnz.
+# float64, numpy 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs, medians of 21
+# interleaved calls, column-layout nnz path vs dense path (masked by the
+# additive bias):
+#   SBM hop masks, T = 344:   density 0.06: 0.57 vs 1.04 ms; 0.14: 1.04 vs 1.02 ms;
+#                             0.41: 4.2 vs 1.08 ms; 1.00: 11 vs 0.87 ms
+#   SBM hop masks, T = 1305:  density 0.05: 7.1 vs 24 ms; 0.19: 27 vs 24 ms;
+#                             0.32: 62 vs 26 ms
+#   ring hop masks, T = 340:  density 0.10: 0.76 vs 1.09 ms; 0.14: 1.17 vs 1.21 ms;
+#                             0.25: 2.5 vs 1.45 ms
+#   ring hop masks, T = 1212: density 0.10: 14 vs 22 ms; 0.15: 24 vs 24 ms;
+#                             0.25: 39 vs 24 ms
+# At T <= 44 the dense path is faster at every density (ring, T = 44, density
+# 0.07: 191 vs 75 us).  The paths break even near density 0.14-0.15; a
+# second run, 1.5x slower throughout, put it at the same densities.  0.25
+# keeps the dense path at least 1.6x faster wherever it is chosen, keeps the
+# 14% hop-3 heads of the SBM node task on the nnz path, where the two paths
+# take about the same time, and bounds the T x T buffers by T^2 <= 4 * nnz.
 DENSE_MIN_DENSITY = 0.25
 
 
@@ -599,26 +608,68 @@ def _sparse_path(qv, kv, vv, csr, dropmult):
     return out.T, grads
 
 
+# The masked dense path's softmax clamps shifted scores at EXP_FLOOR, so
+# np.exp only sees finite values: over -inf it takes numpy's slow path.  At
+# T = 339 with 30% of the cells off the support (2 vCPUs, best of 5), exp took
+# 766 us with -inf there against 117 us on the clamped scores, and writing
+# the -inf by np.copyto(..., where=~support) took 800 us against 145 us for
+# adding the bias.  e^-700 (about 9.9e-305) is still a normal
+# double; e^-709 ... e^-745 are subnormal and e^-746 underflows to 0.  An
+# off-support cell's clamped e^-700 is cleared back to an exact +0.0 by
+# adding the -inf bias and taking the maximum with 0.  An on-support shifted
+# score below -700 gets the weight e^-700 / sum instead of e^x / sum, both
+# below 1e-304; every other weight is bit-identical to masking with -inf
+# before the exp.
+EXP_FLOOR = -700.0
+
+
+def _dense_softmax(scores: np.ndarray, biases) -> np.ndarray:
+    """Row softmax over the last axis of ``scores``, in place, masked by the
+    ``(index, bias)`` pairs: ``scores[index]`` gets the additive ``bias``
+    (0.0 on the support, -inf off it) and exact +0.0 weights where it is
+    -inf.  Scores no pair names keep every entry.
+
+    The shifted scores of a biased block are clamped at ``EXP_FLOOR``
+    before the exp, and the bias is added to its weights again, whose
+    maximum with 0 clears the off-support cells before the row sums."""
+    blocks = [(scores[i], bias) for i, bias in biases]
+    for block, bias in blocks:
+        block += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    for block, _ in blocks:
+        # np.maximum, not fmax or clip: a NaN score stays NaN
+        np.maximum(block, EXP_FLOOR, out=block)
+    alpha = np.exp(scores, out=scores)
+    if blocks:
+        for block, bias in blocks:
+            block += bias
+        np.maximum(alpha, 0.0, out=alpha)   # a weight that no bias reached is already >= 0
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    return alpha
+
+
 def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
-    """Attention as r x T BLAS products with -inf scores off the support, for
-    the queries of the mask's first r rows (the rows of ``qv``); off-support
-    weights are exact zeros.  Returns (out, grads(g))."""
+    """Attention as r x T BLAS products for the queries of the mask's first
+    r rows (the rows of ``qv``); off-support weights are exact zeros.
+    Returns (out, grads(g)).
+
+    A mask that is not full is masked by adding its cached
+    ``dense_bias[:r]`` (0.0 on the support, -inf off it) to the scores, with
+    ``np.exp`` kept on finite values (:func:`_dense_softmax`); a full mask
+    (nnz = T^2) skips the masking and builds no bias.  Attention dropout
+    alone reads ``dense_support``, to place its draws."""
     r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
     inv_sqrt = 1.0 / np.sqrt(d_h)
-    support = mask.dense_support[:r]
     scores = qv @ kv.T
     scores *= inv_sqrt
-    if mask.indptr[r] < r * t:
-        np.copyto(scores, -np.inf, where=~support)
-    scores -= scores.max(axis=1, keepdims=True)
-    alpha = np.exp(scores, out=scores)
-    alpha /= alpha.sum(axis=1, keepdims=True)
+    alpha = _dense_softmax(scores, [] if mask.indptr[r] == r * t else
+                           [(Ellipsis, mask.dense_bias[:r])])
     if dropmult is None:
         drop = None
         applied = alpha
     else:
         drop = np.zeros((r, t))
-        drop[support] = dropmult   # row-major order of the support is CSR order
+        drop[mask.dense_support[:r]] = dropmult   # row-major order of the support is CSR order
         applied = alpha * drop
 
     def grads(g):
@@ -635,16 +686,18 @@ def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
 
 # A graph's dense-path heads run as one stacked (heads, T, T) pass when its T
 # is at most STACK_MAX_TOKENS, as one r x T pass per head above it.  Forward
-# plus backward, d_h = 4, random masks of densities 0.45-1, float64, numpy
-# 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs (Xeon, 4 MiB L2), medians of 21-201
-# calls; per-head 2-D calls vs one stacked call:
+# plus backward, d_h = 4, random masks of densities 0.45-1 (the last head
+# full), float64, numpy 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs (Xeon, 4 MiB
+# L2), medians of 41-201 interleaved calls; per-head 2-D calls vs one
+# stacked call, both masked by the additive bias:
 #   T:        8    16    24    32    48    64    96   128   192   256   339
-#   2 heads: 0.70  0.77  0.78  0.82  0.90  0.92  0.97  1.28  1.28  1.09  1.11
-#   4 heads: 0.42  0.50  0.54  0.62  0.74  0.84  1.21  1.34  1.48  1.62  1.80
-# (stacked time over per-head time; 4 heads at T = 64: 276 vs 330 us, at
-# T = 339: 12.3 vs 6.8 ms).  Below the bound the per-call numpy overhead,
+#   2 heads: 0.65  0.70  0.70  0.73  0.77  0.87  0.89  1.35  1.45  1.43  1.53
+#   4 heads: 0.41  0.47  0.49  0.51  0.61  0.66  0.78  0.86  0.99  1.97  1.91
+# (stacked time over per-head time; 4 heads at T = 64: 282 vs 426 us, at
+# T = 339: 11.7 vs 6.1 ms).  Below the bound the per-call numpy overhead,
 # paid once per graph instead of once per head, dominates; above it the
 # stacked (heads, T, T) temporaries outgrow the cache that per-head ones fit.
+# The bound sits below T = 96, where both head counts still gain.
 STACK_MAX_TOKENS = 64
 
 
@@ -653,29 +706,26 @@ def _stacked_dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
     holds the queries of the masks' first r rows as (r, H, d_h), ``k3`` and
     ``v3`` the keys and values of all T rows as (T, H, d_h), head i's mask
     being ``masks[i]``.  Each product is one ``np.matmul`` over the heads,
-    which runs the same GEMM per head as :func:`_dense_path`, and each row
-    reduction sees the same row, so every head's results equal that
-    function's bit for bit.  Returns (out, grads(g)) in the (r, H, d_h)
-    layout."""
+    which runs the same GEMM per head as :func:`_dense_path`, each row
+    reduction sees the same row, and each head that is not full is masked
+    by the steps :func:`_dense_path` takes, on its own (r, T) slice of the
+    stack with its own ``dense_bias``, with no stacked support; so every
+    head's results equal that function's bit for bit.  Returns (out,
+    grads(g)) in the (r, H, d_h) layout."""
     qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
     r, t = qs.shape[1], ks.shape[1]
     inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
-    full = all(b.indptr[r] == r * t for b in masks)
-    support = None if full and dropmults[0] is None else np.stack(
-        [b.dense_support[:r] for b in masks])
     scores = qs @ ks.transpose(0, 2, 1)
     scores *= inv_sqrt
-    if not full:
-        np.copyto(scores, -np.inf, where=~support)
-    scores -= scores.max(axis=2, keepdims=True)
-    alpha = np.exp(scores, out=scores)
-    alpha /= alpha.sum(axis=2, keepdims=True)
+    alpha = _dense_softmax(scores, [(i, b.dense_bias[:r]) for i, b in enumerate(masks)
+                                    if b.indptr[r] < r * t])
     if dropmults[0] is None:
         drop = None
         applied = alpha
     else:
         drop = np.zeros((len(masks), r, t))
-        drop[support] = np.concatenate(dropmults)   # head by head, each in CSR order
+        for i, (b, dm) in enumerate(zip(masks, dropmults)):
+            drop[i][b.dense_support[:r]] = dm   # row-major order of the support is CSR order
         applied = alpha * drop
 
     def grads(g3):
@@ -724,11 +774,12 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     over the stored (i, j) only, and the output row is the resulting convex
     combination of value rows.  Masks sparser than ``DENSE_MIN_DENSITY`` run
     on the nnz path, whose work is proportional to nnz(mask) * d_h in both
-    directions; denser ones run as BLAS products over the T x T score matrix
-    with -inf off the support, which is at most nnz / DENSE_MIN_DENSITY
-    entries.  ``dropout_rate``, in [0, 1), drops individual attention weights
-    (inverted scaling) when training, drawing one number per stored entry in
-    CSR order, so a seed keeps the same weights on either path.
+    directions; denser ones run as BLAS products over the T x T score matrix,
+    masked by an additive bias that is -inf off the support, which is at
+    most nnz / DENSE_MIN_DENSITY entries.  ``dropout_rate``, in [0, 1), drops
+    individual attention weights (inverted scaling) when training, drawing
+    one number per stored entry in CSR order, so a seed keeps the same
+    weights on either path.
 
     ``mask`` may also be a non-empty list of masks whose sizes sum to the row
     count: block b covers the next ``mask[b].size`` rows of q, k and v and

@@ -40,6 +40,13 @@ class HopMask:
     sequence of any dtype is stored as a read-only int64 copy), so the
     checked structure and the caches derived from it cannot drift apart, and
     the kernel reads one index dtype.
+
+    Three read-only caches are built from the CSR on first use, each by the
+    reader that needs it: ``row_indices`` for dumps and reference checks,
+    and two T x T forms for the attention kernel's masked dense path,
+    ``dense_bias`` (0.0 on the support, -inf off it), which masks the
+    scores, and ``dense_support`` (boolean), which places attention dropout
+    draws.  The nnz path builds none of them.
     """
 
     hop_budget: int
@@ -48,6 +55,7 @@ class HopMask:
     indices: np.ndarray  # (nnz,) int64, strictly ascending within each row
     _row_indices: np.ndarray | None = field(init=False, default=None, repr=False)
     _dense_support: np.ndarray | None = field(init=False, default=None, repr=False)
+    _dense_bias: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         for name in ("hop_budget", "size"):
@@ -114,16 +122,38 @@ class HopMask:
     def dense_support(self) -> np.ndarray:
         """The mask as a boolean T x T array (cached).
 
-        T^2 bytes: the attention kernel asks for it only on masks whose
-        density is at least ``autograd.DENSE_MIN_DENSITY``.
+        T^2 bytes.  The attention kernel reads it only to scatter attention
+        dropout draws onto a dense-path mask, one whose density is at least
+        ``autograd.DENSE_MIN_DENSITY``.
         """
         if self._dense_support is None:
             support = np.zeros((self.size, self.size), dtype=bool)
-            # row ids made here and dropped: the kernel never builds the
-            # nnz-long ``row_indices`` cache (about 2 MB over the er_graph masks)
-            support[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = True
+            support[self._dense_cells()] = True
             object.__setattr__(self, "_dense_support", _frozen(support))
         return self._dense_support
+
+    @property
+    def dense_bias(self) -> np.ndarray:
+        """The mask as an additive float64 T x T score bias (cached): 0.0 on
+        the support, -inf off it.
+
+        8 T^2 bytes.  The attention kernel asks for it only on masks that
+        take its dense path (density at least ``autograd.DENSE_MIN_DENSITY``,
+        0.25, so T^2 <= 4 nnz) and are not full: at most 32 bytes per stored
+        entry.
+        """
+        if self._dense_bias is None:
+            bias = np.full((self.size, self.size), -np.inf)
+            bias[self._dense_cells()] = 0.0
+            object.__setattr__(self, "_dense_bias", _frozen(bias))
+        return self._dense_bias
+
+    def _dense_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row ids, column ids) of the stored entries, for filling a T x T
+        array.  The row ids are made here and dropped: the kernel never
+        builds the nnz-long ``row_indices`` cache (about 2 MB over the
+        er_graph masks)."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices
 
     def row(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]

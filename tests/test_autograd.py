@@ -176,6 +176,15 @@ class TestDensePrimitives:
         with pytest.raises(ValueError):
             ops.dropout(Tensor(np.ones((2, 2))), 1.0, 0, True)
 
+    @pytest.mark.parametrize("rate, training", [(0.0, True), (0.3, False)])
+    @pytest.mark.parametrize("seeds, sizes", [([1, 2], [5]), ([1], [2, 2]), ([1, 2], [2, 2])])
+    def test_dropout_seed_and_size_mismatch_refused_in_every_mode(self, rate, training,
+                                                                   seeds, sizes):
+        # the segments are checked before the identity shortcut, as
+        # sparse_masked_attention checks its seeds in every mode
+        with pytest.raises(ShapeError, match="seeds and segment sizes summing to"):
+            ops.dropout(Tensor(np.ones((5, 3))), rate, seeds, training, sizes=sizes)
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)))
         y = ops.scale(x, 2.0)
@@ -401,7 +410,7 @@ class TestDensityDispatch:
         mask = DISPATCH_MASKS["nnz"]()
         q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(mask.size))
         backward(ops.sum_all(sparse_masked_attention(q, k, v, mask)))
-        assert mask._dense_support is None
+        assert mask._dense_support is None and mask._dense_bias is None
 
     @pytest.mark.parametrize("call", ["one mask", "prefix", "joined batch"])
     def test_nnz_path_never_builds_row_indices(self, call):
@@ -535,6 +544,269 @@ class TestDensityDispatch:
         backward(ops.sum_all(out))
         assert np.all(q.grad == 0.0) and np.all(k.grad == 0.0)
         assert np.array_equal(v.grad, np.ones_like(vv))
+
+
+def _copyto_dense_path(qv, kv, vv, support, dropmult):
+    """Reference masked dense path: -inf written off the boolean ``support``
+    by ``np.copyto`` before the row max, exp and sum.  Same contract as
+    ``autograd._dense_path`` given ``support``, the mask's first r rows as a
+    boolean r x T array."""
+    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
+    inv_sqrt = 1.0 / np.sqrt(d_h)
+    scores = qv @ kv.T
+    scores *= inv_sqrt
+    if not support.all():
+        np.copyto(scores, -np.inf, where=~support)
+    scores -= scores.max(axis=1, keepdims=True)
+    alpha = np.exp(scores, out=scores)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    drop = None
+    applied = alpha
+    if dropmult is not None:
+        drop = np.zeros((r, t))
+        drop[support] = dropmult
+        applied = alpha * drop
+
+    def grads(g):
+        d_alpha = g @ vv.T
+        if drop is not None:
+            d_alpha *= drop
+        d_alpha -= np.einsum("ij,ij->i", alpha, d_alpha)[:, None]
+        d_alpha *= alpha
+        d_alpha *= inv_sqrt
+        return d_alpha @ kv, d_alpha.T @ qv, applied.T @ g
+
+    return applied @ vv, grads
+
+
+def _copyto_stacked_path(q3, k3, v3, supports, dropmults):
+    """Reference stacked dense path: the heads' boolean supports stacked and
+    -inf written off them by ``np.copyto`` before the row max, exp and sum.
+    Same contract as ``autograd._stacked_dense_path`` given ``supports``, one
+    r x T boolean array per head."""
+    qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
+    r, t = qs.shape[1], ks.shape[1]
+    inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
+    support = np.stack(supports)
+    scores = qs @ ks.transpose(0, 2, 1)
+    scores *= inv_sqrt
+    if not support.all():
+        np.copyto(scores, -np.inf, where=~support)
+    scores -= scores.max(axis=2, keepdims=True)
+    alpha = np.exp(scores, out=scores)
+    alpha /= alpha.sum(axis=2, keepdims=True)
+    drop = None
+    applied = alpha
+    if dropmults[0] is not None:
+        drop = np.zeros((len(supports), r, t))
+        drop[support] = np.concatenate(dropmults)
+        applied = alpha * drop
+
+    def grads(g3):
+        g = g3.transpose(1, 0, 2)
+        d_alpha = g @ vs.transpose(0, 2, 1)
+        if drop is not None:
+            d_alpha *= drop
+        d_alpha -= np.einsum("hij,hij->hi", alpha, d_alpha)[:, :, None]
+        d_alpha *= alpha
+        d_alpha *= inv_sqrt
+        return ((d_alpha @ ks).transpose(1, 0, 2),
+                (d_alpha.transpose(0, 2, 1) @ qs).transpose(1, 0, 2),
+                (applied.transpose(0, 2, 1) @ g).transpose(1, 0, 2))
+
+    return (applied @ vs).transpose(1, 0, 2), grads
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bytes in C order: +0.0 and -0.0 differ, and a
+    NaN equals the same NaN."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _mask_of_density(rng, t: int, density: float) -> HopMask:
+    """Hand-built mask holding the diagonal and ceil(density * t^2) cells in
+    all, the rest at random; at least the diagonal, and short of full for a
+    density below 1."""
+    support = np.eye(t, dtype=bool)
+    off = np.flatnonzero(~support)
+    cells = min(int(np.ceil(density * t * t)), t * t - (density < 1.0))
+    support.flat[rng.choice(off, max(0, cells - t), replace=False)] = True
+    return _mask_of_support(support)
+
+
+def _mask_of_support(support: np.ndarray) -> HopMask:
+    """The mask of a boolean T x T support whose rows are all non-empty."""
+    return HopMask(hop_budget=0, size=support.shape[0], indices=np.nonzero(support)[1],
+                   indptr=np.concatenate([[0], np.cumsum(support.sum(axis=1))]))
+
+
+def _prefix_dropmult(rng, mask: HopMask, r: int, rate: float):
+    """Attention dropout multipliers of the mask's first r rows, or None."""
+    if rate == 0.0:
+        return None
+    return (rng.random(mask.indptr[r]) >= rate) / (1.0 - rate)
+
+
+EQUIV_TOKENS = [1, 8, 31, 64, 65, 339]
+EQUIV_DENSITIES = [0.25, 0.5, 0.75, 0.99, 1.0]
+# head densities of the stacks: full heads among partial ones, only partial, only full
+EQUIV_STACKS = {"mixed": [1.0, 0.25, 0.99, 0.6, 1.0], "partial": [0.3, 0.8], "full": [1.0, 1.0]}
+
+
+def _prefix_rows(t: int) -> list[int]:
+    return sorted({1, max(1, t // 3), t})
+
+
+class TestAdditiveBiasMasking:
+    """The masked dense paths add a cached float bias (0.0 on the support,
+    -inf off it) and clamp the shifted scores at EXP_FLOOR before the exp.
+    Against -inf written off the support before the exp, outputs and grads
+    are bit-identical unless an on-support shifted score lies below
+    EXP_FLOOR."""
+
+    @pytest.mark.parametrize("t", EQUIV_TOKENS)
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_dense_path_equals_copyto_reference_bit_for_bit(self, t, rate):
+        rng = np.random.default_rng([t, int(rate * 10)])
+        for density in EQUIV_DENSITIES:
+            mask = _mask_of_density(rng, t, density)
+            for r in _prefix_rows(t):
+                qv = 3.0 * rng.standard_normal((r, 4))
+                kv, vv = rng.standard_normal((2, t, 4))
+                g = rng.standard_normal((r, 4))
+                dropmult = _prefix_dropmult(rng, mask, r, rate)
+                out, grads = ops._dense_path(qv, kv, vv, mask, dropmult)
+                ref_out, ref_grads = _copyto_dense_path(qv, kv, vv, mask_to_dense(mask)[:r],
+                                                        dropmult)
+                assert _same_bits(out, ref_out), (density, r)
+                for got, ref in zip(grads(g), ref_grads(g)):
+                    assert _same_bits(got, ref), (density, r)
+
+    @pytest.mark.parametrize("t", EQUIV_TOKENS)
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_stacked_path_equals_copyto_reference_bit_for_bit(self, t, rate):
+        rng = np.random.default_rng([t, int(rate * 10), 1])
+        for kind, densities in EQUIV_STACKS.items():
+            masks = [_mask_of_density(rng, t, d) for d in densities]
+            h = len(masks)
+            for r in _prefix_rows(t):
+                q3 = 3.0 * rng.standard_normal((r, h, 4))
+                k3, v3 = rng.standard_normal((2, t, h, 4))
+                g3 = rng.standard_normal((r, h, 4))
+                dropmults = [_prefix_dropmult(rng, b, r, rate) for b in masks]
+                out, grads = ops._stacked_dense_path(q3, k3, v3, masks, dropmults)
+                ref_out, ref_grads = _copyto_stacked_path(
+                    q3, k3, v3, [mask_to_dense(b)[:r] for b in masks], dropmults)
+                assert _same_bits(out, ref_out), (kind, r)
+                for got, ref in zip(grads(g3), ref_grads(g3)):
+                    assert _same_bits(got, ref), (kind, r)
+
+    def test_cases_cover_partial_and_full_masks(self):
+        rng = np.random.default_rng(0)
+        for t in EQUIV_TOKENS[1:]:
+            nnzs = [_mask_of_density(rng, t, d).nnz for d in EQUIV_DENSITIES]
+            assert nnzs[0] >= ops.DENSE_MIN_DENSITY * t * t
+            assert nnzs[-2] < t * t == nnzs[-1]
+
+    @pytest.mark.parametrize("path", ["dense", "stacked"])
+    def test_off_support_weights_are_positive_zeros(self, path):
+        # with V the identity (d_h = T) the output rows are the weights
+        rng = np.random.default_rng(41)
+        t = 31
+        mask = _mask_of_density(rng, t, 0.4)
+        qv, kv = 3.0 * rng.standard_normal((2, t, t))
+        if path == "dense":
+            weights, _ = ops._dense_path(qv, kv, np.eye(t), mask, None)
+        else:
+            full = _mask_of_density(rng, t, 1.0)
+            q3, k3 = (np.stack([a, a[::-1]], axis=1) for a in (qv, kv))
+            out, _ = ops._stacked_dense_path(q3, k3, np.stack([np.eye(t)] * 2, axis=1),
+                                             [mask, full], [None, None])
+            weights = out[:, 0]
+            assert np.all(out[:, 1] > 0.0)
+        off = ~mask_to_dense(mask)
+        assert off.any()
+        assert np.all(weights[off] == 0.0) and not np.signbit(weights[off]).any()
+        assert np.all(weights[~off] > 0.0)
+
+    @pytest.mark.parametrize("path", ["dense", "stacked"])
+    def test_far_tail_scores_give_finite_normalized_rows(self, path):
+        # d_h = 1 and q = 1, so row i's scores are the keys: key 0 (on every
+        # row) is the row max, keys 1 and 2 lie 720 and 800 below it, on
+        # rows 0-3 only; V is the identity, so the output rows are the weights
+        t = 8
+        support = np.eye(t, dtype=bool)
+        support[:, 0] = True
+        support[:4, 1:3] = True
+        mask = _mask_of_support(support)
+        assert ops.DENSE_MIN_DENSITY * t * t <= mask.nnz < t * t
+        qv = np.ones((t, 1))
+        kv = np.array([[0.0], [-720.0], [-800.0], [-1.0], [-2.0], [-3.0], [-0.5], [-4.0]])
+        assert kv[1, 0] < ops.EXP_FLOOR and kv[2, 0] < -746.0
+        if path == "dense":
+            weights, _ = ops._dense_path(qv, kv, np.eye(t), mask, None)
+        else:
+            out, _ = ops._stacked_dense_path(qv[:, None], kv[:, None], np.eye(t)[:, None],
+                                             [mask], [None])
+            weights = out[:, 0]
+        assert np.isfinite(weights).all()
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-15
+        oracle = dense_attention_oracle(qv, kv, np.eye(t), support)
+        assert np.abs(weights - oracle).max() <= 1e-10
+        assert np.all(weights[:4, 1:3] <= 1e-300)
+        # rows without a far-tail score equal the -inf masking bit for bit
+        ref, _ = _copyto_dense_path(qv, kv, np.eye(t), support, None)
+        assert _same_bits(weights[4:], ref[4:])
+
+    @pytest.mark.parametrize("path", ["nnz", "dense", "stacked"])
+    @pytest.mark.parametrize("site", ["q", "k", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_gives_non_finite_rows(self, path, site, bad):
+        # every output row the bad entry reaches holds a non-finite value, so a
+        # training loss over them is non-finite and training aborts
+        mask = _ring_mask(8, 1 if path == "nnz" else 3)   # T = 16, density 3/16 or 7/16
+        assert _runs_dense(mask) == (path != "nnz") and mask.nnz < mask.size ** 2
+        t, j = mask.size, 5
+        qv, kv, vv = _qkv(t, seed=12)
+        qv[:, 0] = np.abs(qv[:, 0]) + 0.1   # an inf key gives +inf scores
+        {"q": qv, "k": kv, "v": vv}[site][j, 0] = bad
+        reached = [j] if site == "q" else np.flatnonzero(mask_to_dense(mask)[:, j])
+        with np.errstate(invalid="ignore", over="ignore"):
+            if path == "nnz":
+                out, _ = _nnz_path(qv, kv, vv, mask, None)
+            elif path == "dense":
+                out, _ = ops._dense_path(qv, kv, vv, mask, None)
+            else:
+                q3, k3, v3 = (np.stack([a, np.ones_like(a)], axis=1) for a in (qv, kv, vv))
+                out3, _ = ops._stacked_dense_path(q3, k3, v3, [mask, mask], [None, None])
+                assert np.isfinite(out3[:, 1]).all()   # the other head is untouched
+                out = out3[:, 0]
+        assert (~np.isfinite(out[reached])).any(axis=1).all()
+
+    @pytest.mark.parametrize("call", ["one mask", "stacked"])
+    def test_full_mask_builds_no_dense_cache(self, call):
+        mask = DISPATCH_MASKS["full"]()
+        t = mask.size
+        masks = mask if call == "one mask" else [[mask], [mask]]
+        width = 4 if call == "one mask" else 8
+        qv, kv, vv, g = np.random.default_rng(42).standard_normal((4, t, width))
+        _attention_run(qv, kv, vv, masks, g)
+        assert mask._dense_bias is None and mask._dense_support is None
+
+    @pytest.mark.parametrize("call", ["one mask", "prefix", "stacked"])
+    def test_call_without_dropout_builds_only_the_bias(self, call):
+        mask = DISPATCH_MASKS["dense"]()
+        assert _runs_dense(mask) and mask.size <= ops.STACK_MAX_TOKENS
+        t = mask.size
+        r = t // 3 if call == "prefix" else t
+        masks = [[mask], [mask]] if call == "stacked" else mask
+        width = 8 if call == "stacked" else 4
+        qv, kv, vv, g = np.random.default_rng(43).standard_normal((4, t, width))
+        _attention_run(qv[:r], kv, vv, masks, g[:r])
+        assert mask._dense_bias is not None and mask._dense_support is None
+        _attention_run(qv[:r], kv, vv, masks, g[:r], dropout_rate=0.3,
+                       dropout_seed=[[1], [2]] if call == "stacked" else 1, training=True)
+        assert mask._dense_support is not None
 
 
 def _edgeless(nodes):
@@ -1297,7 +1569,7 @@ class TestQueryPrefix:
         with count_attention_flops() as meter:
             sparse_masked_attention(Tensor(q.values[:r]), k, v, mask)
         assert meter.executed_flops == meter.attention_flops
-        assert mask._dense_support is None
+        assert mask._dense_support is None and mask._dense_bias is None
 
     def test_more_query_rows_than_keys_refused(self):
         mask = _ring_mask(6, 1)

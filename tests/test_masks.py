@@ -202,7 +202,7 @@ class TestFrozenMask:
     @pytest.mark.parametrize("field,value", [
         ("indptr", np.array([0, 1, 1, 7])), ("indices", np.arange(7)), ("size", 4),
         ("hop_budget", 2), ("_row_indices", np.zeros(7, dtype=np.int64)),
-        ("_dense_support", None)])
+        ("_dense_support", None), ("_dense_bias", None)])
     def test_assigning_a_field_raises(self, single_edge_ag, field, value):
         m = build_mask(single_edge_ag, 1)
         before = (m.indptr.copy(), m.indices.copy(), m.row_indices.copy())
@@ -211,7 +211,7 @@ class TestFrozenMask:
         assert all(np.array_equal(a, b) for a, b in
                    zip(before, (m.indptr, m.indices, m.row_indices)))
 
-    @pytest.mark.parametrize("cache", ["_row_indices", "_dense_support"])
+    @pytest.mark.parametrize("cache", ["_row_indices", "_dense_support", "_dense_bias"])
     def test_cache_keyword_is_refused(self, single_edge_ag, cache):
         m = build_mask(single_edge_ag, 1)
         with pytest.raises(TypeError, match=cache):
@@ -224,7 +224,13 @@ class TestFrozenMask:
         assert rows is m.row_indices
         assert np.array_equal(rows, np.repeat(np.arange(3), np.diff(m.indptr)))
         assert np.array_equal(m.dense_support, mask_to_dense(m))
-        assert "_row_indices" not in repr(m)
+        assert np.array_equal(m.dense_bias, np.where(mask_to_dense(m), 0.0, -np.inf))
+        assert m.dense_bias.dtype == np.float64
+        assert not np.signbit(m.dense_bias[mask_to_dense(m)]).any()   # +0.0 on the support
+        for cache in ("row_indices", "dense_support", "dense_bias"):
+            assert getattr(m, cache) is getattr(m, cache)
+            assert not getattr(m, cache).flags.writeable, cache
+        assert "_row_indices" not in repr(m) and "_dense_bias" not in repr(m)
 
     def test_caller_arrays_are_copied_and_stay_writable(self):
         indptr, indices = np.array([0, 1, 2]), np.array([0, 1])

@@ -14,7 +14,7 @@ from hopformer import autograd as ops
 from hopformer import training
 from hopformer.autograd import ShapeError
 from hopformer.graphs import Graph, GraphError
-from hopformer.model import copy_parameter_values, set_parameter_values
+from hopformer.model import copy_parameter_values, named_parameters, set_parameter_values
 
 
 
@@ -536,6 +536,31 @@ class TestStackedHeadsDigest:
             assert params[name].tobytes() == params_0[name].tobytes(), name
         for name in ("train_loss", "val_metric", "test_metric", "best_epoch"):
             assert getattr(history, name) == getattr(history_0, name), name
+
+
+class TestNonFiniteAttentionAborts:
+    """A NaN that reaches the attention kernel's queries gives non-finite
+    output rows on every kernel path, so the loss is non-finite and training
+    aborts rather than training on."""
+
+    @pytest.mark.parametrize("path", ["nnz", "dense", "stacked"])
+    @pytest.mark.parametrize("task", ["node_classification", "graph_classification"])
+    def test_nan_query_weight_aborts(self, path, task, monkeypatch):
+        monkeypatch.setattr(ops, "DENSE_MIN_DENSITY", 2.0 if path == "nnz" else 0.0)
+        monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 10**6 if path == "stacked" else 0)
+        calls = {"nnz": 0, "dense": 0, "stacked": 0}
+        for name, key in [("_sparse_path", "nnz"), ("_dense_path", "dense"),
+                          ("_stacked_dense_path", "stacked")]:
+            real = getattr(ops, name)
+            monkeypatch.setattr(ops, name, lambda *a, real=real, key=key:
+                                calls.__setitem__(key, calls[key] + 1) or real(*a))
+        model, dataset, masks, tc = TestStackedHeadsDigest.case(task)
+        named_parameters(model)["layer0.wqkv"].values[0, 0] = np.nan   # head 0's first q column
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the first forward's loss, before any update could spread the NaN
+            with pytest.raises(TrainingAbort, match=r"loss \(epoch 0, step 0\)"):
+                train(model, dataset, masks, tc)
+        assert calls[path] > 0 and sum(calls.values()) == calls[path]
 
 
 class TestNodeRowsInTraining:
