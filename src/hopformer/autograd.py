@@ -45,13 +45,14 @@ Both paths give the same results up to rounding.
 The kernel runs on a batch of graphs: a list of masks over consecutive row
 blocks of q, k and v, the graphs' token rows stacked, each graph's tokens
 attending only within its own block.  One mask is a batch of one, and a call
-records one tape entry.  Each block's own density picks its path.  Dense
-blocks run one by one, each on its own rows.  The nnz blocks run as one
-nnz-path call over one block-diagonal CSR pair (column ids, row starts):
-each block's column ids offset by its first row in the joined rows, its row
+records one tape entry.  Each block's own density picks its path, and a
+block of no tokens (an empty graph) takes neither.  Each dense block makes
+its own dense-path call on its own rows.  The nnz blocks run as one nnz-path
+call over one block-diagonal CSR pair (column ids, row starts): each
+block's column ids offset by its first row in the joined rows, its row
 starts by the stored entries before it, and its dropout draws concatenated
-in block order.  So a graph batch makes one nnz-path call per head, not one per
-graph, and pays the path's fixed numpy-call cost once.  The joined call is
+in block order.  So a graph batch makes one nnz-path call per head, not one
+per graph, and pays the path's fixed numpy-call cost once.  The joined call is
 bit-identical to one call per block: elementwise steps see the same
 operands, each row's ``reduceat`` sums the same entries in the same order, and
 each column's ``bincount`` receives only its own block's entries, in
@@ -67,16 +68,16 @@ holding H * d_h columns (head h's are columns h*d_h:(h+1)*d_h) and one mask
 list per head, and records one tape entry per layer.  One mask list is one
 head.  The batch bookkeeping runs once per call; the path is still picked
 per (head, graph) block.  Each head's nnz blocks make its own joined
-nnz-path call.  A graph's dense heads, when it has at most
-``STACK_MAX_TOKENS`` tokens, run as one pass over exact-shape (heads, T, T)
-stacks, with no padding: one ``np.matmul`` per product, which runs the same
-GEMM per head as a call on that head alone, and row reductions over the
-last axis, which see the same rows.  So a stacked head's results equal its
-own call's bit for bit, and on small graphs a layer pays the dense path's
-numpy-call overhead once per graph, not once per head.  Larger graphs run
-their dense heads one by one.  Every part writes its results into its
-heads' columns of one (rows, H * d_h) array, which is the layer's
-concatenation of the heads.
+nnz-path call.  The dense path works on exact-shape (heads, T, T) stacks,
+with no padding, of any H >= 1 heads: one ``np.matmul`` per product, which
+runs the same GEMM per head as a stack of that head alone, and row
+reductions over the last axis, which see the same rows.  So a head's
+results do not depend on the heads stacked with it.  A graph of at most
+``STACK_MAX_TOKENS`` tokens runs all its dense heads as one stack, paying
+the path's numpy-call overhead once per graph, not once per head; a larger
+graph runs one stack per dense head, a stack of one.  Every part writes its
+results into its heads' columns of one (rows, H * d_h) array, which is the
+layer's concatenation of the heads.
 
 On one mask the kernel also takes the queries of only its first r rows, keys
 and values keeping all T: it then reads the CSR prefix (``indptr[:r+1]`` and
@@ -624,15 +625,15 @@ EXP_FLOOR = -700.0
 
 
 def _dense_softmax(scores: np.ndarray, biases) -> np.ndarray:
-    """Row softmax over the last axis of ``scores``, in place, masked by the
-    ``(index, bias)`` pairs: ``scores[index]`` gets the additive ``bias``
-    (0.0 on the support, -inf off it) and exact +0.0 weights where it is
-    -inf.  Scores no pair names keep every entry.
+    """Row softmax over the last axis of an (H, r, T) stack of ``scores``, in
+    place, masked by the ``(head, bias)`` pairs: ``scores[head]`` gets the
+    additive ``bias`` (0.0 on the support, -inf off it) and exact +0.0
+    weights where it is -inf.  A head no pair names keeps every entry.
 
-    The shifted scores of a biased block are clamped at ``EXP_FLOOR``
-    before the exp, and the bias is added to its weights again, whose
-    maximum with 0 clears the off-support cells before the row sums."""
-    blocks = [(scores[i], bias) for i, bias in biases]
+    The shifted scores of a biased head are clamped at ``EXP_FLOOR`` before
+    the exp, and the bias is added to its weights again, whose maximum with
+    0 clears the off-support cells before the row sums."""
+    blocks = [(scores[h], bias) for h, bias in biases]
     for block, bias in blocks:
         block += bias
     scores -= scores.max(axis=-1, keepdims=True)
@@ -648,70 +649,39 @@ def _dense_softmax(scores: np.ndarray, biases) -> np.ndarray:
     return alpha
 
 
-def _dense_path(qv, kv, vv, mask: HopMask, dropmult):
-    """Attention as r x T BLAS products for the queries of the mask's first
-    r rows (the rows of ``qv``); off-support weights are exact zeros.
-    Returns (out, grads(g)).
-
-    A mask that is not full is masked by adding its cached
-    ``dense_bias[:r]`` (0.0 on the support, -inf off it) to the scores, with
-    ``np.exp`` kept on finite values (:func:`_dense_softmax`); a full mask
-    (nnz = T^2) skips the masking and builds no bias.  Attention dropout
-    alone reads ``dense_support``, to place its draws."""
-    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
-    inv_sqrt = 1.0 / np.sqrt(d_h)
-    scores = qv @ kv.T
-    scores *= inv_sqrt
-    alpha = _dense_softmax(scores, [] if mask.indptr[r] == r * t else
-                           [(Ellipsis, mask.dense_bias[:r])])
-    if dropmult is None:
-        drop = None
-        applied = alpha
-    else:
-        drop = np.zeros((r, t))
-        drop[mask.dense_support[:r]] = dropmult   # row-major order of the support is CSR order
-        applied = alpha * drop
-
-    def grads(g):
-        d_alpha = g @ vv.T
-        if drop is not None:
-            d_alpha *= drop
-        d_alpha -= np.einsum("ij,ij->i", alpha, d_alpha)[:, None]
-        d_alpha *= alpha
-        d_alpha *= inv_sqrt
-        return d_alpha @ kv, d_alpha.T @ qv, applied.T @ g
-
-    return applied @ vv, grads
-
-
-# A graph's dense-path heads run as one stacked (heads, T, T) pass when its T
-# is at most STACK_MAX_TOKENS, as one r x T pass per head above it.  Forward
-# plus backward, d_h = 4, random masks of densities 0.45-1 (the last head
-# full), float64, numpy 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs (Xeon, 4 MiB
-# L2), medians of 41-201 interleaved calls; per-head 2-D calls vs one
-# stacked call, both masked by the additive bias:
+# A graph's dense heads run as one (heads, T, T) stack when its T is at most
+# STACK_MAX_TOKENS, as one stack per head above it.  Forward plus backward,
+# d_h = 4, random masks of densities 0.45-1 (the last head full), float64,
+# numpy 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs (Xeon, 4 MiB L2), medians of
+# 41-201 interleaved calls; one stack of all the heads vs one stack per head:
 #   T:        8    16    24    32    48    64    96   128   192   256   339
-#   2 heads: 0.65  0.70  0.70  0.73  0.77  0.87  0.89  1.35  1.45  1.43  1.53
-#   4 heads: 0.41  0.47  0.49  0.51  0.61  0.66  0.78  0.86  0.99  1.97  1.91
-# (stacked time over per-head time; 4 heads at T = 64: 282 vs 426 us, at
-# T = 339: 11.7 vs 6.1 ms).  Below the bound the per-call numpy overhead,
+#   2 heads: 0.57  0.61  0.62  0.64  0.71  0.82  0.86  0.90  1.36  1.02  1.16
+#   4 heads: 0.35  0.40  0.42  0.47  0.59  0.65  1.05  1.41  1.41  1.59  2.15
+# (one stack's time over the per-head stacks' time; 4 heads at T = 64: 260 vs
+# 402 us, at T = 339: 9.8 vs 4.5 ms).  A second run gave the same ratios to
+# within 0.05 up to T = 96.  Below the bound the per-call numpy overhead,
 # paid once per graph instead of once per head, dominates; above it the
-# stacked (heads, T, T) temporaries outgrow the cache that per-head ones fit.
-# The bound sits below T = 96, where both head counts still gain.
+# (heads, T, T) temporaries outgrow the cache that one head's fit.  The
+# bound sits below T = 96, where 4 heads no longer gain.
 STACK_MAX_TOKENS = 64
 
 
-def _stacked_dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
-    """The masked dense path of several heads on one graph at once: ``q3``
+def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
+    """The masked dense path of one graph's heads, H >= 1 of them: ``q3``
     holds the queries of the masks' first r rows as (r, H, d_h), ``k3`` and
     ``v3`` the keys and values of all T rows as (T, H, d_h), head i's mask
-    being ``masks[i]``.  Each product is one ``np.matmul`` over the heads,
-    which runs the same GEMM per head as :func:`_dense_path`, each row
-    reduction sees the same row, and each head that is not full is masked
-    by the steps :func:`_dense_path` takes, on its own (r, T) slice of the
-    stack with its own ``dense_bias``, with no stacked support; so every
-    head's results equal that function's bit for bit.  Returns (out,
-    grads(g)) in the (r, H, d_h) layout."""
+    being ``masks[i]`` and its attention dropout multipliers ``dropmults[i]``
+    (all None without dropout).  Returns (out, grads(g)) in the (r, H, d_h)
+    layout; off-support weights are exact zeros.
+
+    Each product is one ``np.matmul`` over the heads, which runs the same
+    GEMM per head as a stack of that head alone, and each row reduction sees
+    one row; so a head's results do not depend on the heads stacked with it.
+    A head whose mask is not full is masked by adding its cached
+    ``dense_bias[:r]`` to its (r, T) slice of the scores, with ``np.exp``
+    kept on finite values (:func:`_dense_softmax`); a full head (nnz = T^2)
+    skips the masking and builds no bias.  Attention dropout alone reads
+    ``dense_support``, to place a head's draws."""
     qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
     r, t = qs.shape[1], ks.shape[1]
     inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
@@ -785,16 +755,18 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     count: block b covers the next ``mask[b].size`` rows of q, k and v and
     attends only within them, exactly as a call on those rows alone with
     ``dropout_seed[b]`` would.  One mask is a batch of one.  The batch's nnz
-    blocks run as one block-diagonal nnz-path call, its dense blocks one by
-    one.
+    blocks run as one block-diagonal nnz-path call, and each dense block as
+    its own dense-path call.  A block of no tokens (an empty graph) makes no
+    call: it adds no rows to the output and no grads.
 
     ``mask`` may also hold one such list per head, the heads' lists covering
     the same blocks, with ``dropout_seed`` one seed list per head.  q, k and
     v then hold H * d_h columns, head h's being columns h*d_h:(h+1)*d_h, and
     so does the output: head h's columns equal a call on that head's columns
     and masks alone, bit for bit.  One mask list is one head.  Each head makes
-    its own nnz-path call; the dense heads of a graph of at most
-    ``STACK_MAX_TOKENS`` tokens run as one stacked pass.
+    its own nnz-path call.  A graph's dense heads make one dense-path call
+    on a (heads, T, T) stack when it has at most ``STACK_MAX_TOKENS`` tokens,
+    and one call per head, a stack of one, above that.
 
     With one mask, q may hold the queries of only its first r rows, k and v
     keeping all T: the output and q's grad then have r rows, equal to the
@@ -846,7 +818,10 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     rows = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
     q_rows = rows if n_q == n_kv else [slice(0, n_q)]
     n_rows = sizes if n_q == n_kv else [n_q]   # the query rows of each block
-    dense = [[b.nnz >= DENSE_MIN_DENSITY * b.size * b.size for b in head] for head in mask]
+    # a block with no tokens makes no kernel part: it is neither dense nor
+    # among the nnz blocks
+    dense = [[b.size > 0 and b.nnz >= DENSE_MIN_DENSITY * b.size * b.size for b in head]
+             for head in mask]
     drops = [[None] * len(sizes)] * n_heads
     if training and dropout_rate > 0.0:
         # per block, the first indptr[r] numbers of the whole mask's draw: the
@@ -879,29 +854,27 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
         # Each head's nnz blocks run as one block-diagonal mask, on their own
         # rows gathered only when the head mixes both paths.
         for h, (head, head_dense, head_drops) in enumerate(zip(mask, dense, drops)):
-            nnz_blocks = [b for b, d in enumerate(head_dense) if not d]
+            nnz_blocks = [b for b, d in enumerate(head_dense) if not d and sizes[b]]
             if not nnz_blocks:
                 continue
-            sel = slice(None) if len(nnz_blocks) == len(sizes) else np.repeat(
-                ~np.array(head_dense), sizes)
+            sel = slice(None) if not any(head_dense) else np.repeat(~np.array(head_dense), sizes)
             qv = q3[sel, h]
             dm = None if head_drops[0] is None else _stack_rows(
                 [head_drops[b] for b in nnz_blocks])
             yield output_of(sel, sel, h, *_sparse_path(
                 qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks], len(qv)),
                 dm))
-        # A graph's dense heads run stacked, or one by one above STACK_MAX_TOKENS.
+        # A graph's dense heads run as one stack, or one stack per head above
+        # STACK_MAX_TOKENS.
         for b, (qr, r) in enumerate(zip(q_rows, rows)):
             heads = [h for h in range(n_heads) if dense[h][b]]
-            if len(heads) > 1 and sizes[b] <= STACK_MAX_TOKENS:
-                hi = _heads_index(heads)
-                yield output_of(qr, r, hi, *_stacked_dense_path(
-                    q3[qr, hi], k3[r, hi], v3[r, hi], [mask[h][b] for h in heads],
-                    [drops[h][b] for h in heads]))
-            else:
-                for h in heads:
-                    yield output_of(qr, r, h, *_dense_path(q3[qr, h], k3[r, h], v3[r, h],
-                                                           mask[h][b], drops[h][b]))
+            if not heads:
+                continue
+            for group in [heads] if sizes[b] <= STACK_MAX_TOKENS else [[h] for h in heads]:
+                hi = _heads_index(group)
+                yield output_of(qr, r, hi, *_dense_path(
+                    q3[qr, hi], k3[r, hi], v3[r, hi], [mask[h][b] for h in group],
+                    [drops[h][b] for h in group]))
 
     out = _by_head(n_q, n_heads, d_h, part_outputs())
     if not recording:

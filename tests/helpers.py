@@ -9,9 +9,12 @@ for clustering.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from hopformer import AugmentedGraph, Graph
+from hopformer import autograd
 from hopformer.graphs import EDGE_TOKEN, NODE_TOKEN
 from hopformer.masks import HopMask
 from hopformer.model import Model
@@ -318,3 +321,39 @@ def brute_components_and_diameter(g: Graph) -> tuple[int, int]:
     components = {tuple(np.flatnonzero(row)) for row in reach}
     largest = max(sorted(components), key=len)
     return len(components), int(dist[np.ix_(largest, largest)].max())
+
+
+# ---------------------------------------------------------------------------
+# Spying on the attention kernel's paths
+
+
+@dataclass
+class PathCall:
+    """One call of an attention path function: its name, its arguments, and
+    whether the kernel was recording on a tape when it made the call."""
+
+    name: str
+    args: tuple
+    recording: bool
+
+    @property
+    def kind(self) -> str:
+        """The call's path, "nnz", or for a dense call its stack, "one-head"
+        or "multi-head"."""
+        if self.name == "_sparse_path":
+            return "nnz"
+        return "one-head" if len(self.args[3]) == 1 else "multi-head"
+
+
+def spy_on_paths(monkeypatch, around=None) -> list[PathCall]:
+    """Wrap the attention kernel's two path functions, ``_sparse_path`` and
+    ``_dense_path``, so that each call appends a :class:`PathCall` to the
+    returned list, in call order, and then runs the path.  With ``around``,
+    ``around(path, args)`` runs it instead, and its result is the call's."""
+    calls = []
+    for name in ("_sparse_path", "_dense_path"):
+        def spy(*args, _name=name, _path=getattr(autograd, name)):
+            calls.append(PathCall(_name, args, autograd._state.recording))
+            return _path(*args) if around is None else around(_path, args)
+        monkeypatch.setattr(autograd, name, spy)
+    return calls

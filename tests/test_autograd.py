@@ -12,7 +12,8 @@ from hopformer.masks import HopMask
 from hopformer.training import cross_entropy, mae
 
 from helpers import (dense_attention_oracle, dense_attention_weights_oracle,
-                     mask_to_dense, random_graph, reference_sparse_path, single_edge_graph)
+                     mask_to_dense, random_graph, reference_sparse_path, single_edge_graph,
+                     spy_on_paths)
 
 
 def full_mask_for(g):
@@ -384,7 +385,13 @@ def _nnz_path(qv, kv, vv, mask, dropmult):
     return ops._sparse_path(qv, kv, vv, ops._csr_prefix(mask, qv.shape[0]), dropmult)
 
 
-PATHS = {"nnz": _nnz_path, "dense": ops._dense_path}
+def _one_head_dense_path(qv, kv, vv, mask, dropmult):
+    """The dense path on one mask: a stack of one head, in the 2-D layout."""
+    out, grads = ops._dense_path(qv[:, None], kv[:, None], vv[:, None], [mask], [dropmult])
+    return out[:, 0], lambda g: tuple(d[:, 0] for d in grads(g[:, None]))
+
+
+PATHS = {"nnz": _nnz_path, "dense": _one_head_dense_path}
 
 
 def _qkv(t, d_h=4, seed=0):
@@ -441,7 +448,7 @@ class TestDensityDispatch:
         dropmult = None if rate == 0.0 else (
             np.random.default_rng(4).random(mask.nnz) >= rate) / (1.0 - rate)
         out_s, grads_s = _nnz_path(qv, kv, vv, mask, dropmult)
-        out_d, grads_d = ops._dense_path(qv, kv, vv, mask, dropmult)
+        out_d, grads_d = PATHS["dense"](qv, kv, vv, mask, dropmult)
         assert np.abs(out_s - out_d).max() <= 1e-12
         for gs, gd in zip(grads_s(g), grads_d(g)):
             assert np.abs(gs - gd).max() <= 1e-12
@@ -546,44 +553,11 @@ class TestDensityDispatch:
         assert np.array_equal(v.grad, np.ones_like(vv))
 
 
-def _copyto_dense_path(qv, kv, vv, support, dropmult):
-    """Reference masked dense path: -inf written off the boolean ``support``
-    by ``np.copyto`` before the row max, exp and sum.  Same contract as
-    ``autograd._dense_path`` given ``support``, the mask's first r rows as a
-    boolean r x T array."""
-    r, t, d_h = qv.shape[0], kv.shape[0], kv.shape[1]
-    inv_sqrt = 1.0 / np.sqrt(d_h)
-    scores = qv @ kv.T
-    scores *= inv_sqrt
-    if not support.all():
-        np.copyto(scores, -np.inf, where=~support)
-    scores -= scores.max(axis=1, keepdims=True)
-    alpha = np.exp(scores, out=scores)
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    drop = None
-    applied = alpha
-    if dropmult is not None:
-        drop = np.zeros((r, t))
-        drop[support] = dropmult
-        applied = alpha * drop
-
-    def grads(g):
-        d_alpha = g @ vv.T
-        if drop is not None:
-            d_alpha *= drop
-        d_alpha -= np.einsum("ij,ij->i", alpha, d_alpha)[:, None]
-        d_alpha *= alpha
-        d_alpha *= inv_sqrt
-        return d_alpha @ kv, d_alpha.T @ qv, applied.T @ g
-
-    return applied @ vv, grads
-
-
 def _copyto_stacked_path(q3, k3, v3, supports, dropmults):
     """Reference stacked dense path: the heads' boolean supports stacked and
     -inf written off them by ``np.copyto`` before the row max, exp and sum.
-    Same contract as ``autograd._stacked_dense_path`` given ``supports``, one
-    r x T boolean array per head."""
+    Same contract as ``autograd._dense_path`` given ``supports``, one r x T
+    boolean array per head."""
     qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
     r, t = qs.shape[1], ks.shape[1]
     inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
@@ -648,9 +622,10 @@ def _prefix_dropmult(rng, mask: HopMask, r: int, rate: float):
 
 
 EQUIV_TOKENS = [1, 8, 31, 64, 65, 339]
-EQUIV_DENSITIES = [0.25, 0.5, 0.75, 0.99, 1.0]
-# head densities of the stacks: full heads among partial ones, only partial, only full
-EQUIV_STACKS = {"mixed": [1.0, 0.25, 0.99, 0.6, 1.0], "partial": [0.3, 0.8], "full": [1.0, 1.0]}
+# head densities of the stacks: full heads among partial ones, only partial, only
+# full, and one-head stacks, which is how a graph past STACK_MAX_TOKENS runs
+EQUIV_STACKS = {"mixed": [1.0, 0.25, 0.99, 0.6, 1.0], "partial": [0.3, 0.8], "full": [1.0, 1.0],
+                "one partial": [0.9], "one full": [1.0]}
 
 
 def _prefix_rows(t: int) -> list[int]:
@@ -658,29 +633,11 @@ def _prefix_rows(t: int) -> list[int]:
 
 
 class TestAdditiveBiasMasking:
-    """The masked dense paths add a cached float bias (0.0 on the support,
-    -inf off it) and clamp the shifted scores at EXP_FLOOR before the exp.
+    """The masked dense path adds a cached float bias (0.0 on the support,
+    -inf off it) and clamps the shifted scores at EXP_FLOOR before the exp.
     Against -inf written off the support before the exp, outputs and grads
     are bit-identical unless an on-support shifted score lies below
     EXP_FLOOR."""
-
-    @pytest.mark.parametrize("t", EQUIV_TOKENS)
-    @pytest.mark.parametrize("rate", [0.0, 0.3])
-    def test_dense_path_equals_copyto_reference_bit_for_bit(self, t, rate):
-        rng = np.random.default_rng([t, int(rate * 10)])
-        for density in EQUIV_DENSITIES:
-            mask = _mask_of_density(rng, t, density)
-            for r in _prefix_rows(t):
-                qv = 3.0 * rng.standard_normal((r, 4))
-                kv, vv = rng.standard_normal((2, t, 4))
-                g = rng.standard_normal((r, 4))
-                dropmult = _prefix_dropmult(rng, mask, r, rate)
-                out, grads = ops._dense_path(qv, kv, vv, mask, dropmult)
-                ref_out, ref_grads = _copyto_dense_path(qv, kv, vv, mask_to_dense(mask)[:r],
-                                                        dropmult)
-                assert _same_bits(out, ref_out), (density, r)
-                for got, ref in zip(grads(g), ref_grads(g)):
-                    assert _same_bits(got, ref), (density, r)
 
     @pytest.mark.parametrize("t", EQUIV_TOKENS)
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -694,7 +651,7 @@ class TestAdditiveBiasMasking:
                 k3, v3 = rng.standard_normal((2, t, h, 4))
                 g3 = rng.standard_normal((r, h, 4))
                 dropmults = [_prefix_dropmult(rng, b, r, rate) for b in masks]
-                out, grads = ops._stacked_dense_path(q3, k3, v3, masks, dropmults)
+                out, grads = ops._dense_path(q3, k3, v3, masks, dropmults)
                 ref_out, ref_grads = _copyto_stacked_path(
                     q3, k3, v3, [mask_to_dense(b)[:r] for b in masks], dropmults)
                 assert _same_bits(out, ref_out), (kind, r)
@@ -702,38 +659,40 @@ class TestAdditiveBiasMasking:
                     assert _same_bits(got, ref), (kind, r)
 
     def test_cases_cover_partial_and_full_masks(self):
+        # every stacked head takes the dense path, and is partial below
+        # density 1 and full at it
         rng = np.random.default_rng(0)
         for t in EQUIV_TOKENS[1:]:
-            nnzs = [_mask_of_density(rng, t, d).nnz for d in EQUIV_DENSITIES]
-            assert nnzs[0] >= ops.DENSE_MIN_DENSITY * t * t
-            assert nnzs[-2] < t * t == nnzs[-1]
+            for d in sorted({d for densities in EQUIV_STACKS.values() for d in densities}):
+                nnz = _mask_of_density(rng, t, d).nnz
+                assert nnz >= ops.DENSE_MIN_DENSITY * t * t
+                assert (nnz == t * t) == (d == 1.0)
 
-    @pytest.mark.parametrize("path", ["dense", "stacked"])
-    def test_off_support_weights_are_positive_zeros(self, path):
-        # with V the identity (d_h = T) the output rows are the weights
+    @pytest.mark.parametrize("stack", ["one-head", "multi-head"])
+    def test_off_support_weights_are_positive_zeros(self, stack):
+        # with V the identity (d_h = T) the output rows are the weights; a
+        # second head is full, on the queries and keys in reverse order
         rng = np.random.default_rng(41)
         t = 31
         mask = _mask_of_density(rng, t, 0.4)
         qv, kv = 3.0 * rng.standard_normal((2, t, t))
-        if path == "dense":
-            weights, _ = ops._dense_path(qv, kv, np.eye(t), mask, None)
-        else:
-            full = _mask_of_density(rng, t, 1.0)
-            q3, k3 = (np.stack([a, a[::-1]], axis=1) for a in (qv, kv))
-            out, _ = ops._stacked_dense_path(q3, k3, np.stack([np.eye(t)] * 2, axis=1),
-                                             [mask, full], [None, None])
-            weights = out[:, 0]
-            assert np.all(out[:, 1] > 0.0)
+        masks = [mask, _mask_of_density(rng, t, 1.0)][:1 if stack == "one-head" else 2]
+        h = len(masks)
+        q3, k3 = (np.stack([a, a[::-1]], axis=1)[:, :h] for a in (qv, kv))
+        out, _ = ops._dense_path(q3, k3, np.stack([np.eye(t)] * h, axis=1), masks, [None] * h)
+        weights = out[:, 0]
+        assert np.all(out[:, 1:] > 0.0)
         off = ~mask_to_dense(mask)
         assert off.any()
         assert np.all(weights[off] == 0.0) and not np.signbit(weights[off]).any()
         assert np.all(weights[~off] > 0.0)
 
-    @pytest.mark.parametrize("path", ["dense", "stacked"])
-    def test_far_tail_scores_give_finite_normalized_rows(self, path):
+    @pytest.mark.parametrize("stack", ["one-head", "multi-head"])
+    def test_far_tail_scores_give_finite_normalized_rows(self, stack):
         # d_h = 1 and q = 1, so row i's scores are the keys: key 0 (on every
         # row) is the row max, keys 1 and 2 lie 720 and 800 below it, on
-        # rows 0-3 only; V is the identity, so the output rows are the weights
+        # rows 0-3 only; V is the identity, so the output rows are the
+        # weights.  A second head is full, on the same queries and keys.
         t = 8
         support = np.eye(t, dtype=bool)
         support[:, 0] = True
@@ -743,22 +702,23 @@ class TestAdditiveBiasMasking:
         qv = np.ones((t, 1))
         kv = np.array([[0.0], [-720.0], [-800.0], [-1.0], [-2.0], [-3.0], [-0.5], [-4.0]])
         assert kv[1, 0] < ops.EXP_FLOOR and kv[2, 0] < -746.0
-        if path == "dense":
-            weights, _ = ops._dense_path(qv, kv, np.eye(t), mask, None)
-        else:
-            out, _ = ops._stacked_dense_path(qv[:, None], kv[:, None], np.eye(t)[:, None],
-                                             [mask], [None])
-            weights = out[:, 0]
-        assert np.isfinite(weights).all()
+        masks = [mask, _mask_of_support(np.ones((t, t), dtype=bool))][
+            :1 if stack == "one-head" else 2]
+        h = len(masks)
+        out, _ = ops._dense_path(*(np.stack([a] * h, axis=1) for a in (qv, kv, np.eye(t))),
+                                 masks, [None] * h)
+        weights = out[:, 0]
+        assert np.isfinite(out).all()
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-15
         oracle = dense_attention_oracle(qv, kv, np.eye(t), support)
         assert np.abs(weights - oracle).max() <= 1e-10
         assert np.all(weights[:4, 1:3] <= 1e-300)
         # rows without a far-tail score equal the -inf masking bit for bit
-        ref, _ = _copyto_dense_path(qv, kv, np.eye(t), support, None)
-        assert _same_bits(weights[4:], ref[4:])
+        ref, _ = _copyto_stacked_path(qv[:, None], kv[:, None], np.eye(t)[:, None], [support],
+                                      [None])
+        assert _same_bits(weights[4:], ref[4:, 0])
 
-    @pytest.mark.parametrize("path", ["nnz", "dense", "stacked"])
+    @pytest.mark.parametrize("path", ["nnz", "one-head", "multi-head"])
     @pytest.mark.parametrize("site", ["q", "k", "v"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_gives_non_finite_rows(self, path, site, bad):
@@ -772,15 +732,13 @@ class TestAdditiveBiasMasking:
         {"q": qv, "k": kv, "v": vv}[site][j, 0] = bad
         reached = [j] if site == "q" else np.flatnonzero(mask_to_dense(mask)[:, j])
         with np.errstate(invalid="ignore", over="ignore"):
-            if path == "nnz":
-                out, _ = _nnz_path(qv, kv, vv, mask, None)
-            elif path == "dense":
-                out, _ = ops._dense_path(qv, kv, vv, mask, None)
-            else:
+            if path == "multi-head":
                 q3, k3, v3 = (np.stack([a, np.ones_like(a)], axis=1) for a in (qv, kv, vv))
-                out3, _ = ops._stacked_dense_path(q3, k3, v3, [mask, mask], [None, None])
+                out3, _ = ops._dense_path(q3, k3, v3, [mask, mask], [None, None])
                 assert np.isfinite(out3[:, 1]).all()   # the other head is untouched
                 out = out3[:, 0]
+            else:
+                out, _ = PATHS["nnz" if path == "nnz" else "dense"](qv, kv, vv, mask, None)
         assert (~np.isfinite(out[reached])).any(axis=1).all()
 
     @pytest.mark.parametrize("call", ["one mask", "stacked"])
@@ -889,18 +847,14 @@ class TestJoinedNnzBlocks:
     @pytest.mark.parametrize("kind", BATCHES)
     def test_one_nnz_path_call_and_one_dense_call_per_dense_block(self, kind, monkeypatch):
         masks = BATCHES[kind]()
-        calls = []
-        for name in ("_sparse_path", "_dense_path"):
-            real = getattr(ops, name)
-            monkeypatch.setattr(ops, name, lambda *a, _real=real, _name=name:
-                                calls.append((_name, a)) or _real(*a))
+        calls = spy_on_paths(monkeypatch)
         n = sum(b.size for b in masks)
         q, k, v = (Tensor(a) for a in np.random.default_rng(22).standard_normal((3, n, 4)))
         with ops.scratch_tape():
             backward(ops.sum_all(sparse_masked_attention(q, k, v, masks)))
-        nnz_calls = [a for name, a in calls if name == "_sparse_path"]
+        nnz_calls = [c.args for c in calls if c.kind == "nnz"]
         assert len(nnz_calls) == 1
-        assert len(calls) - 1 == sum(BATCH_PATHS[kind])
+        assert sorted(c.kind for c in calls) == ["nnz"] + ["one-head"] * sum(BATCH_PATHS[kind])
         # the rows are gathered only when the batch mixes the paths
         in_place = [np.shares_memory(a, t.values) for a, t in zip(nnz_calls[0][:3], (q, k, v))]
         assert in_place == [kind == "nnz"] * 3
@@ -1381,13 +1335,29 @@ class TestOneCallPerLayer:
         if stack != "default":
             monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0 if stack == "never" else 10**6)
         masks = _layer_masks(kind)
-        stacked = []
-        real = ops._stacked_dense_path
-        monkeypatch.setattr(ops, "_stacked_dense_path",
-                            lambda *a: stacked.append(a[3][0].size) or real(*a))
+        calls = spy_on_paths(monkeypatch)
         layer, _, heads = self.run_both(masks, rate=rate, seed=1)
         self.assert_equal_per_head(layer, heads)
-        assert stacked == [t for t in _stacked_sizes(masks) if t <= ops.STACK_MAX_TOKENS]
+        # (T, heads) of each dense-path call: in the layer call, one per graph
+        # of at most STACK_MAX_TOKENS tokens with a dense head, and one per
+        # dense head of a larger graph; then one per dense block of each
+        # head's own call
+        hops = LAYER_CASES[kind][0]
+        dense = [[h for h in range(len(masks)) if _runs_dense(masks[h][b])]
+                 for b in range(len(masks[0]))]
+        sizes = [b.size for b in masks[0]]
+        layer_calls = [(t, group) for t, hs in zip(sizes, dense) if hs
+                       for group in ([hs] if t <= ops.STACK_MAX_TOKENS else [[h] for h in hs])]
+        head_calls = [(t, [h]) for h in range(len(masks)) for t, hs in zip(sizes, dense)
+                      if h in hs]
+        got = [(c.args[3][0].size, [hops.index(b.hop_budget) for b in c.args[3]])
+               for c in calls if c.name == "_dense_path"]
+        assert got == layer_calls + head_calls
+        if stack == "default":
+            assert layer_calls == {
+                "batch": [(3, [0, 1, 2, 3]), (32, [2, 3]), (1, [0, 1, 2, 3]), (12, [0, 1, 2, 3]),
+                          (20, [1, 2, 3]), (18, [1, 2, 3])],
+                "large": [(32, [1, 2, 3]), (80, [2]), (80, [3]), (24, [1, 2, 3])]}[kind]
 
     @pytest.mark.parametrize("stack", ["never", "always"])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -1448,6 +1418,46 @@ class TestOneCallPerLayer:
         with pytest.raises(ShapeError, match="got 3 dropout seed lists for 4 heads"):
             sparse_masked_attention(x, x, x, masks, dropout_rate=0.3, training=True,
                                     dropout_seed=[[0] * len(masks[0])] * 3)
+
+
+class TestEmptyBlocks:
+    """A block of no tokens (an empty graph's mask) makes no kernel part: a
+    call on it alone gives no rows, and in a batch it adds no rows, grads or
+    path calls, on every grouping of the dense heads and with every block
+    forced onto the nnz path."""
+
+    D_H = 3
+
+    @pytest.mark.parametrize("where", ["alone", "first", "mid"])
+    @pytest.mark.parametrize("forced", ["default", "nnz", "one-head"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_empty_block_makes_no_part(self, where, forced, rate, monkeypatch):
+        if forced == "nnz":
+            monkeypatch.setattr(ops, "DENSE_MIN_DENSITY", 2.0)
+        if forced == "one-head":
+            monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0)
+        masks = _layer_masks("batch") if where != "alone" else [[] for _ in range(4)]
+        at = {"alone": 0, "first": 0, "mid": 3}[where]
+        with_empty = [head[:at] + [HopMask(0, 0, [0], [])] + head[at:] for head in masks]
+        n = sum(b.size for b in with_empty[0])
+        qv, kv, vv, g = np.random.default_rng(44).standard_normal((4, n, 4 * self.D_H))
+        seeds = [[[b, h] for b in range(len(with_empty[0]))] for h in range(4)]
+        kw = dict(dropout_rate=rate, training=True)
+        calls = spy_on_paths(monkeypatch)
+        got, meter = _attention_run(qv, kv, vv, with_empty, g, **kw, dropout_seed=seeds)
+        kinds = [c.kind for c in calls]
+        if where == "alone":
+            assert [a.shape for a in got] == [(0, 4 * self.D_H)] * 4 and kinds == []
+            assert meter.attention_flops == meter.executed_flops == 0
+            return
+        calls.clear()
+        want, want_meter = _attention_run(
+            qv, kv, vv, masks, g, **kw,
+            dropout_seed=[head[:at] + head[at + 1:] for head in seeds])
+        assert [c.kind for c in calls] == kinds and len(kinds) > 1
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert meter == want_meter
 
 
 def _weighted_sum(out: Tensor, g: np.ndarray) -> Tensor:
@@ -1598,8 +1608,9 @@ class TestNoGrad:
     @pytest.mark.parametrize("kind", ["batch", "large", "one"])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_kernel_outputs_and_flops_equal_the_recorded_ones(self, kind, rate):
-        # "batch" and "large" run the nnz, stacked dense and per-head dense
-        # paths (see TestOneCallPerLayer), "one" a query prefix of both paths
+        # "batch" and "large" run the nnz path and one-head and multi-head
+        # dense stacks (see TestOneCallPerLayer), "one" a query prefix of both
+        # paths
         masks = _layer_masks(kind)
         n, n_heads = sum(b.size for b in masks[0]), len(masks)
         r = n // 2 if kind == "one" else n
@@ -1625,13 +1636,14 @@ class TestNoGrad:
         import weakref
 
         refs, alive_at_start = [], []
-        for name in ("_sparse_path", "_dense_path", "_stacked_dense_path"):
-            def traced(*args, _path=getattr(ops, name)):
-                alive_at_start.append(sum(ref() is not None for ref in refs))
-                out, grads = _path(*args)
-                refs.append(weakref.ref(grads))
-                return out, grads
-            monkeypatch.setattr(ops, name, traced)
+
+        def traced(path, args):
+            alive_at_start.append(sum(ref() is not None for ref in refs))
+            out, grads = path(*args)
+            refs.append(weakref.ref(grads))
+            return out, grads
+
+        spy_on_paths(monkeypatch, around=traced)
         masks = _layer_masks("batch")
         n = sum(b.size for b in masks[0])
         q, k, v = (Tensor(a) for a in np.random.default_rng(6).standard_normal(
@@ -1792,12 +1804,7 @@ class TestTapeUsers:
         from hopformer import (ModelConfig, TrainConfig, evaluate, flops_vs_nnz_report,
                                influence_matrix, init_model, train)
 
-        recording = []
-        for name in ("_sparse_path", "_dense_path", "_stacked_dense_path"):
-            def traced(*args, _path=getattr(ops, name)):
-                recording.append(ops._state.recording)
-                return _path(*args)
-            monkeypatch.setattr(ops, name, traced)
+        calls = spy_on_paths(monkeypatch)
         g = generate_sbm((8, 8), p_in=0.5, p_out=0.1, seed=1)
         cfg = ModelConfig(hidden_dim=8, head_hops=(1, 4), num_layers=1, ffn_dim=8, num_heads=2,
                           task="node_classification", num_classes=2, seed=0)
@@ -1807,11 +1814,11 @@ class TestTapeUsers:
                     lambda: influence_matrix(model, masks),
                     lambda: influence_matrix(model, masks, head=1),
                     lambda: flops_vs_nnz_report([g], [[1, 1], [1, 2], [2, 4]], cfg)):
-            recording.clear()
+            calls.clear()
             run()
-            assert recording and not any(recording)
+            assert calls and not any(c.recording for c in calls)
         # with dropout, train records its steps and scores val and test unrecorded
-        recording.clear()
+        calls.clear()
         model = init_model(replace(cfg, dropout=0.1), g.node_feature_dim)
         train(model, g, None, TrainConfig(learning_rate=0.01, epochs=2))
-        assert recording == 2 * (2 * [True] + 2 * [False])
+        assert [c.recording for c in calls] == 2 * (2 * [True] + 2 * [False])

@@ -565,6 +565,56 @@ class TestGraphBatch:
             forward(m, graphs[:4], ags[:4], masks[:3])
 
 
+def empty_graph() -> Graph:
+    return Graph(num_nodes=0, edges=np.zeros((0, 2), dtype=int), node_features=np.zeros((0, 3)))
+
+
+class TestEmptyGraph:
+    """A graph of no nodes has no token rows: alone its forward gives none,
+    and in a batch it adds no rows and no grads.  Pooling refuses it."""
+
+    @staticmethod
+    def model(dropout):
+        return init_model(small_cfg(task="graph_classification", num_classes=2,
+                                    head_hops=(1, 4), dropout=dropout,
+                                    attention_dropout=dropout), 3)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_forward_alone_gives_no_rows(self, dropout):
+        m, g = self.model(dropout), empty_graph()
+        ag = augment(g)
+        masks = build_head_masks(ag, list(m.cfg.head_hops))
+        with ops.scratch_tape():
+            h = forward(m, g, ag, masks, training=True, rng_seed=2)
+            assert h.values.shape == (0, m.cfg.hidden_dim)
+            assert forward(m, g, ag, masks).values.shape == (0, m.cfg.hidden_dim)
+            assert encode(m, Tensor(np.zeros((0, 8))), masks).values.shape == (0, 8)
+            with pytest.raises(ShapeError, match=r"segment sizes \[0\] do not split 0 rows"):
+                readout(h, "mean")
+
+    @pytest.mark.parametrize("where", [0, 3])   # first and mid-batch
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_adds_no_rows_or_grads_to_a_batch(self, where, dropout):
+        m = self.model(dropout)
+        params = named_parameters(m)
+        graphs = batch_graphs(np.random.default_rng(19))
+        ids = list(range(len(graphs)))
+        runs = []
+        for gs, gi in [(graphs, ids), (graphs[:where] + [empty_graph()] + graphs[where:],
+                                       ids[:where] + [99] + ids[where:])]:
+            ags = [augment(g) for g in gs]
+            masks = [build_head_masks(a, list(m.cfg.head_hops)) for a in ags]
+            for p in params.values():
+                p.grad = None
+            with ops.scratch_tape():
+                h = forward(m, gs, ags, masks, training=True, rng_seed=3, graph_ids=gi)
+                weights = Tensor(np.arange(1.0, m.cfg.hidden_dim + 1).reshape(-1, 1))
+                ops.backward(ops.sum_all(ops.matmul(h, weights)))
+            runs.append([h.values.tobytes()] + [None if params[k].grad is None else
+                                                params[k].grad.tobytes() for k in sorted(params)])
+        assert runs[0] == runs[1] and runs[0].count(None) < len(params)
+
+
 class TestBatchOfOne:
     """One graph is a batch of one: same results, same refusals."""
 

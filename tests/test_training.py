@@ -16,6 +16,7 @@ from hopformer.autograd import ShapeError
 from hopformer.graphs import Graph, GraphError
 from hopformer.model import copy_parameter_values, named_parameters, set_parameter_values
 
+from helpers import spy_on_paths
 
 
 def node_cfg(**over):
@@ -519,17 +520,14 @@ class TestStackedHeadsDigest:
 
     @pytest.mark.parametrize("task", ["node_classification", "graph_classification"])
     def test_train_is_byte_identical_without_stacking(self, task, monkeypatch):
-        stacked = []
-        real = ops._stacked_dense_path
-        monkeypatch.setattr(ops, "_stacked_dense_path",
-                            lambda *a: stacked.append(a[3][0].size) or real(*a))
+        calls = spy_on_paths(monkeypatch)
         runs = []
         for bound in (ops.STACK_MAX_TOKENS, 0):
             monkeypatch.setattr(ops, "STACK_MAX_TOKENS", bound)
-            stacked.clear()
+            calls.clear()
             model, history = train(*self.case(task))
             runs.append((copy_parameter_values(model), history))
-            assert (len(stacked) > 0) == (bound > 0)
+            assert any(c.kind == "multi-head" for c in calls) == (bound > 0)
         (params, history), (params_0, history_0) = runs
         assert params.keys() == params_0.keys()
         for name in params:
@@ -543,24 +541,19 @@ class TestNonFiniteAttentionAborts:
     output rows on every kernel path, so the loss is non-finite and training
     aborts rather than training on."""
 
-    @pytest.mark.parametrize("path", ["nnz", "dense", "stacked"])
+    @pytest.mark.parametrize("path", ["nnz", "one-head", "multi-head"])
     @pytest.mark.parametrize("task", ["node_classification", "graph_classification"])
     def test_nan_query_weight_aborts(self, path, task, monkeypatch):
         monkeypatch.setattr(ops, "DENSE_MIN_DENSITY", 2.0 if path == "nnz" else 0.0)
-        monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 10**6 if path == "stacked" else 0)
-        calls = {"nnz": 0, "dense": 0, "stacked": 0}
-        for name, key in [("_sparse_path", "nnz"), ("_dense_path", "dense"),
-                          ("_stacked_dense_path", "stacked")]:
-            real = getattr(ops, name)
-            monkeypatch.setattr(ops, name, lambda *a, real=real, key=key:
-                                calls.__setitem__(key, calls[key] + 1) or real(*a))
+        monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 10**6 if path == "multi-head" else 0)
+        calls = spy_on_paths(monkeypatch)
         model, dataset, masks, tc = TestStackedHeadsDigest.case(task)
         named_parameters(model)["layer0.wqkv"].values[0, 0] = np.nan   # head 0's first q column
         with np.errstate(invalid="ignore", over="ignore"):
             # the first forward's loss, before any update could spread the NaN
             with pytest.raises(TrainingAbort, match=r"loss \(epoch 0, step 0\)"):
                 train(model, dataset, masks, tc)
-        assert calls[path] > 0 and sum(calls.values()) == calls[path]
+        assert calls and {c.kind for c in calls} == {path}
 
 
 class TestNodeRowsInTraining:
