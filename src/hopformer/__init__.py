@@ -8,7 +8,7 @@ from .graphs import (Graph, AugmentedGraph, GraphError, augment, load_graph,
                      generate_erdos_renyi, generate_sbm, relabel_nodes)
 from .masks import HopMask, build_mask, build_head_masks, mask_stats
 from .autograd import (Tensor, backward, grad_check, no_grad, scratch_tape,
-                       sparse_masked_attention, attention_weights,
+                       sparse_masked_attention,
                        attention_flops, count_attention_flops, ShapeError)
 from .model import (ModelConfig, Model, init_model, named_parameters,
                     embed_tokens, encoder_layer, encode, forward, readout,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autograd import ShapeError, Tensor, attention_flops, count_attention_flops, no_grad
-from .graphs import Graph, augment, csr_from_pairs
+from .graphs import Graph, GraphError, augment, csr_from_pairs
 from .masks import HopMask, build_head_masks, hop_distance_blocks
 from .model import (Model, ModelConfig, _check_masks, _encode, encoder_layer, forward,
                     init_model)
@@ -107,12 +107,15 @@ def avg_shortest_path(g: Graph) -> float:
 
 def small_world_report(g: Graph) -> SmallWorldReport:
     paths = _path_summary(g)
-    labels, sizes = np.unique(paths.component, return_counts=True)
-    largest = paths.component == labels[np.argmax(sizes)]   # ties: smallest node id
+    # a component's label is its smallest node id, so counting labels by id
+    # gives each component's size at its label (np.unique's first call
+    # imports numpy.ma: 12-22 ms of a CLI run on 2 vCPUs)
+    sizes = np.bincount(paths.component)
+    largest = paths.component == np.argmax(sizes)   # ties: smallest node id
     return SmallWorldReport(
         clustering=clustering_coefficient(g),
         avg_path_length=paths.mean,
-        num_components=len(labels),
+        num_components=int(np.count_nonzero(sizes)),
         diameter_of_largest_component=int(paths.eccentricity[largest].max()),
     )
 
@@ -192,8 +195,12 @@ def attention_flop_count(cfg: ModelConfig, masks: list[HopMask]) -> int:
 def flop_count(cfg: ModelConfig, g: Graph, masks: list[HopMask]) -> int:
     """Analytic forward-pass FLOPs of the full model on graph ``g`` and its
     head masks; the projectors cost node and edge tokens at their own
-    feature dims.  A mask that does not cover g's N + M tokens is refused."""
+    feature dims.  A mask that does not cover g's N + M tokens is refused,
+    and so is a graph of no nodes on a graph-level task, which no forward
+    can pool."""
     n, t = g.num_nodes, g.num_nodes + g.num_edges
+    if n == 0 and cfg.task != "node_classification":
+        raise GraphError("the graph has no nodes; graph-level tasks need at least one")
     for h, mask in enumerate(masks):
         if mask.size != t:
             raise ShapeError(f"mask {h} covers {mask.size} tokens, the graph has {t}")
@@ -267,6 +274,9 @@ def flops_vs_nnz_report(graphs: list[Graph], hop_configs: list[list[int]],
         raise ValueError("flops_vs_nnz_report needs a non-empty graph list, got []")
     if len(hop_configs) < 3:
         raise ValueError(f"need at least 3 hop configurations, got {len(hop_configs)}")
+    for gi, g in enumerate(graphs):
+        if g.num_nodes == 0 and cfg.task != "node_classification":
+            raise GraphError(f"graph {gi} has no nodes; graph-level tasks need at least one")
     rows: list[FlopRow] = []
     for gi, g in enumerate(graphs):
         ag = augment(g)

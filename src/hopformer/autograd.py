@@ -24,39 +24,46 @@ evaluates scaled dot-product attention only on the stored entries of a
 reachability mask: excluded pairs enter neither the scores nor the softmax
 normalization, in forward or backward.
 
-The kernel picks one of two paths per call from the mask's density.  Below
-``DENSE_MIN_DENSITY`` the nnz path works on stored entries only, in a column
-layout: q, k, v and the upstream gradient are transposed once to contiguous
-(d_h, T) arrays.  CSR rows are sorted, so a query-side array reaches each
-row's stored entries by ``np.repeat`` over the row counts, and a key-side
-array by one ``take`` of the column ids; no per-entry row ids are built.
+The kernel picks one of two paths per mask from its size and density.  A
+mask of at most ``STACK_MAX_TOKENS`` tokens (a small graph) always takes the
+masked dense path: at that size, for a layer of several heads, the nnz
+path's fixed numpy-call cost outweighs the dense path's cost for the cells
+off the support at nearly every density (the table beside the constant,
+which also shows the loss on batches of layers of one or two sparse heads).
+A larger mask takes the nnz path below ``DENSE_MIN_DENSITY``.  The nnz path
+works on stored entries only, in a column layout: q, k, v and the upstream
+gradient are transposed once to contiguous (d_h, T) arrays.  CSR rows are
+sorted, so a query-side array reaches each row's stored entries by
+``np.repeat`` over the row counts, and a key-side array by one ``take`` of
+the column ids; no per-entry row ids are built.
 The forward's scores are one column sum of a product of two (d_h, nnz)
 blocks, and per-row sums are one ``np.add.reduceat`` along the nnz axis.
 The backward runs one head dimension at a time on nnz-long vectors, so it
 holds no (d_h, nnz) block.  The number of numpy calls per kernel call grows
-with d_h, not with nnz.  At or above the threshold the masked dense path
-computes the T x T scores with BLAS, adds the mask's cached additive bias
-(0.0 on the support, -inf off it; none for a full mask), keeps ``np.exp``
-on finite values by a clamp at ``EXP_FLOOR``, and runs its backward as four
-matrix products; since T^2 <= nnz / DENSE_MIN_DENSITY there, its memory
-and work stay linear in nnz.
-Both paths give the same results up to rounding.
+with d_h, not with nnz.  The masked dense path computes the T x T scores
+with BLAS, adds the mask's cached additive bias (0.0 on the support, -inf
+off it; none for a full mask), keeps ``np.exp`` on finite values by a clamp
+at ``EXP_FLOOR``, and runs its backward as four matrix products.  It scores
+T^2 <= max(nnz / DENSE_MIN_DENSITY, STACK_MAX_TOKENS^2) cells: linear in nnz
+above the small-graph bound, and at most STACK_MAX_TOKENS^2 cells per head
+below it.  Both paths give the same results up to rounding.
 
 The kernel runs on a batch of graphs: a list of masks over consecutive row
 blocks of q, k and v, the graphs' token rows stacked, each graph's tokens
 attending only within its own block.  One mask is a batch of one, and a call
-records one tape entry.  Each block's own density picks its path, and a
-block of no tokens (an empty graph) takes neither.  Each dense block makes
-its own dense-path call on its own rows.  The nnz blocks run as one nnz-path
-call over one block-diagonal CSR pair (column ids, row starts): each
-block's column ids offset by its first row in the joined rows, its row
-starts by the stored entries before it, and its dropout draws concatenated
-in block order.  So a graph batch makes one nnz-path call per head, not one
-per graph, and pays the path's fixed numpy-call cost once.  The joined call is
-bit-identical to one call per block: elementwise steps see the same
-operands, each row's ``reduceat`` sums the same entries in the same order, and
-each column's ``bincount`` receives only its own block's entries, in
-stored-entry order.  When every block takes the nnz path, q, k and v are used
+records one tape entry.  Each block's own size and density pick its path,
+and a block of no tokens (an empty graph) takes neither.  Each dense block
+makes its own dense-path call on its own rows.  The nnz blocks, all of more
+than ``STACK_MAX_TOKENS`` tokens, run as one nnz-path call over one
+block-diagonal CSR pair (column ids, row starts): each block's column ids
+offset by its first row in the joined rows, its row starts by the stored
+entries before it, and its dropout draws concatenated in block order.  So
+a graph batch makes one nnz-path call per head, not one per graph, and pays
+the path's fixed numpy-call cost once.  The joined call is bit-identical
+to one call per block: elementwise steps see the same operands, each row's
+``reduceat`` sums the same entries in the same order, and each column's
+``bincount`` receives only its own block's entries, in stored-entry order.
+When every block takes the nnz path, q, k and v are used
 as they are; only a batch that mixes the paths gathers the nnz blocks' rows
 and scatters their outputs and grads back.  Row-wise primitives need no such
 form, as they act on each row alone; :func:`dropout` draws a batch's keep
@@ -73,11 +80,12 @@ with no padding, of any H >= 1 heads: one ``np.matmul`` per product, which
 runs the same GEMM per head as a stack of that head alone, and row
 reductions over the last axis, which see the same rows.  So a head's
 results do not depend on the heads stacked with it.  A graph of at most
-``STACK_MAX_TOKENS`` tokens runs all its dense heads as one stack, paying
-the path's numpy-call overhead once per graph, not once per head; a larger
-graph runs one stack per dense head, a stack of one.  Every part writes its
-results into its heads' columns of one (rows, H * d_h) array, which is the
-layer's concatenation of the heads.
+``STACK_MAX_TOKENS`` tokens runs every head as one stack, whatever the
+heads' densities, paying the path's numpy-call overhead once per graph and
+layer, and makes no nnz-path call; a larger graph runs one stack per dense
+head, a stack of one.  Every part writes its results into its heads'
+columns of one (rows, H * d_h) array, which is the layer's concatenation of
+the heads.
 
 On one mask the kernel also takes the queries of only its first r rows, keys
 and values keeping all T: it then reads the CSR prefix (``indptr[:r+1]`` and
@@ -85,7 +93,7 @@ the first ``indptr[r]`` stored entries, as views) or the first r rows of the
 dense bias, so its work scales with the prefix's stored entries.  A node
 task's last encoder layer computes its node rows this way; graph tasks pool
 every token and run full calls.  The path is still the one the whole mask's
-density picks.
+size and density pick.
 
 Determinism: on the nnz path per-row sums (``reduceat``) run in ascending
 column order (CSR order) and the key and value scatters (one ``bincount`` per
@@ -496,25 +504,11 @@ def _csr_prefix(mask: HopMask, r: int) -> tuple[np.ndarray, np.ndarray]:
     return mask.indices[:mask.indptr[r]], mask.indptr[:r]
 
 
-def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarray:
-    """Softmax weights over each row's mask support, aligned with mask.indices.
-
-    Scores are computed only for stored (i, j) pairs; the per-row max is
-    subtracted before exponentiation and each row normalizes over its own
-    support, so off-support weights are exactly zero by construction.
-    """
-    if qv.shape != kv.shape or qv.shape[0] != mask.size:
-        raise ShapeError(f"q/k shapes {qv.shape}, {kv.shape} do not fit a mask "
-                         f"for {mask.size} tokens")
-    return _masked_softmax(np.ascontiguousarray(qv.T), np.ascontiguousarray(kv.T),
-                           *_csr_prefix(mask, mask.size))
-
-
-# Masks with nnz >= DENSE_MIN_DENSITY * T^2 run on the masked dense path,
-# sparser ones on the nnz path.  Per-call forward + backward, d_h = 4,
-# float64, numpy 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs, medians of 21
-# interleaved calls, column-layout nnz path vs dense path (masked by the
-# additive bias):
+# Masks of more than STACK_MAX_TOKENS tokens with nnz >= DENSE_MIN_DENSITY *
+# T^2 run on the masked dense path, sparser ones on the nnz path.  Per-call
+# forward + backward, d_h = 4, float64, numpy 2.4.6 with OpenBLAS 0.3.31 on 2
+# vCPUs, medians of 21 interleaved calls, column-layout nnz path vs dense
+# path (masked by the additive bias):
 #   SBM hop masks, T = 344:   density 0.06: 0.57 vs 1.04 ms; 0.14: 1.04 vs 1.02 ms;
 #                             0.41: 4.2 vs 1.08 ms; 1.00: 11 vs 0.87 ms
 #   SBM hop masks, T = 1305:  density 0.05: 7.1 vs 24 ms; 0.19: 27 vs 24 ms;
@@ -524,7 +518,8 @@ def attention_weights(qv: np.ndarray, kv: np.ndarray, mask: HopMask) -> np.ndarr
 #   ring hop masks, T = 1212: density 0.10: 14 vs 22 ms; 0.15: 24 vs 24 ms;
 #                             0.25: 39 vs 24 ms
 # At T <= 44 the dense path is faster at every density (ring, T = 44, density
-# 0.07: 191 vs 75 us).  The paths break even near density 0.14-0.15; a
+# 0.07: 191 vs 75 us), which is why small graphs skip this rule (see
+# STACK_MAX_TOKENS).  The paths break even near density 0.14-0.15; a
 # second run, 1.5x slower throughout, put it at the same densities.  0.25
 # keeps the dense path at least 1.6x faster wherever it is chosen, keeps the
 # 14% hop-3 heads of the SBM node task on the nnz path, where the two paths
@@ -649,21 +644,56 @@ def _dense_softmax(scores: np.ndarray, biases) -> np.ndarray:
     return alpha
 
 
-# A graph's dense heads run as one (heads, T, T) stack when its T is at most
-# STACK_MAX_TOKENS, as one stack per head above it.  Forward plus backward,
-# d_h = 4, random masks of densities 0.45-1 (the last head full), float64,
-# numpy 2.4.6 with OpenBLAS 0.3.31 on 2 vCPUs (Xeon, 4 MiB L2), medians of
-# 41-201 interleaved calls; one stack of all the heads vs one stack per head:
+# The small-graph bound.  A graph of at most STACK_MAX_TOKENS tokens runs
+# every head on the masked dense path as one (heads, T, T) stack, whatever
+# the heads' densities; a larger graph picks each head's path by density and
+# runs one stack per dense head.
+#
+# Stacking, on dense heads alone.  Forward plus backward, d_h = 4, random
+# masks of densities 0.45-1 (the last head full), float64, numpy 2.4.6 with
+# OpenBLAS 0.3.31 on 2 vCPUs (Xeon, 4 MiB L2), medians of 41-201 interleaved
+# calls; one stack of all the heads over one stack per head:
 #   T:        8    16    24    32    48    64    96   128   192   256   339
 #   2 heads: 0.57  0.61  0.62  0.64  0.71  0.82  0.86  0.90  1.36  1.02  1.16
 #   4 heads: 0.35  0.40  0.42  0.47  0.59  0.65  1.05  1.41  1.41  1.59  2.15
-# (one stack's time over the per-head stacks' time; 4 heads at T = 64: 260 vs
-# 402 us, at T = 339: 9.8 vs 4.5 ms).  A second run gave the same ratios to
-# within 0.05 up to T = 96.  Below the bound the per-call numpy overhead,
-# paid once per graph instead of once per head, dominates; above it the
-# (heads, T, T) temporaries outgrow the cache that one head's fit.  The
-# bound sits below T = 96, where 4 heads no longer gain.
+# Below T = 96 the per-call numpy overhead, paid once per graph instead of
+# once per head, dominates; above it the (heads, T, T) temporaries outgrow
+# the cache that one head's fit.
+#
+# Every head dense, against the density rule (sparse heads joined into one
+# nnz-path call per head, the dense ones stacked).  One call, forward plus
+# backward, 4 heads at hop budgets 1, 2, 4, 8, d_h = 4, same host, medians of
+# 21-41 interleaved calls; all-dense time over density-rule time, head
+# densities in brackets:
+#   ring (Watts-Strogatz k = 2, beta = 0), one graph:
+#     T = 16 (0.19-1.00): 0.51;  32 (0.09-0.53): 0.44;  48 (0.06-0.35):
+#     0.37-0.39;  64 (0.05-0.27): 0.42-0.50;  80, 96: 1.00 (bound passed)
+#   ER (p = 0.3), one graph: T = 13-59 (hop 1: 0.22-0.06): 0.47-0.57
+#   32 equal rings:  T = 16: 0.90;  32: 0.90;  40: 0.88-0.91;
+#                    48: 0.88-1.00;  56: 0.98-1.08;  64: 1.05-1.13
+#   32 ER graphs:    n = 7 (T 13): 0.89;  12 (T 31): 0.85;  14 (T 40):
+#                    0.83-0.90;  16 (T 51): 0.82-0.83;  17 (T 56): 0.94-0.98;
+#                    18 (T 63): 0.90-0.95
+#   32 mixed sizes:  rings T 16-64: 0.86;  ER n 8-15 (T 15-60, mean 29):
+#                    0.83;  ER n 8-18: 0.92
+# With 4 heads, only batches of equal rings at T 56-64 lose, by 4-13%.  With
+# fewer heads, mostly sparse, a batch loses more, since each graph's dense
+# call then replaces a share of one joined nnz-path call: the same 32 mixed
+# sizes at hop 1 alone read 2.45 (ER) and 2.66 (rings), at hops 1, 2 0.99
+# and 1.36, and at hop 8 alone 0.98-0.99.  A bound of 48
+# instead cut that loss to 2-4% but cost 32 ER graphs at T 56-63 17-18%,
+# since their dense heads then run as one stack each (same calls, bound 48
+# against 64 vs the density rule: ER n = 17 1.18 vs 0.94, n = 18 1.17 vs
+# 0.95).  So 64 stays.  Every dense stack here is at most 64^2 cells a head.
 STACK_MAX_TOKENS = 64
+
+
+def _runs_dense(b: HopMask) -> bool:
+    """Whether a block of tokens takes the masked dense path: every block of
+    at most ``STACK_MAX_TOKENS`` tokens, and a larger one whose density is at
+    least ``DENSE_MIN_DENSITY``.  A block of no tokens takes neither path."""
+    return 0 < b.size and (b.size <= STACK_MAX_TOKENS
+                           or b.nnz >= DENSE_MIN_DENSITY * b.size * b.size)
 
 
 def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
@@ -742,11 +772,13 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
 
     For each row i, the softmax over scores <q_i, k_j>/sqrt(d_h) normalizes
     over the stored (i, j) only, and the output row is the resulting convex
-    combination of value rows.  Masks sparser than ``DENSE_MIN_DENSITY`` run
-    on the nnz path, whose work is proportional to nnz(mask) * d_h in both
-    directions; denser ones run as BLAS products over the T x T score matrix,
-    masked by an additive bias that is -inf off the support, which is at
-    most nnz / DENSE_MIN_DENSITY entries.  ``dropout_rate``, in [0, 1), drops
+    combination of value rows.  A mask of at most ``STACK_MAX_TOKENS``
+    tokens, and a larger one at least ``DENSE_MIN_DENSITY`` dense, runs as
+    BLAS products over the T x T score matrix, masked by an additive bias
+    that is -inf off the support: at most max(nnz / DENSE_MIN_DENSITY,
+    STACK_MAX_TOKENS^2) entries.  A larger, sparser mask runs on the nnz
+    path, whose work is proportional to nnz(mask) * d_h in both
+    directions.  ``dropout_rate``, in [0, 1), drops
     individual attention weights (inverted scaling) when training, drawing
     one number per stored entry in CSR order, so a seed keeps the same
     weights on either path.
@@ -763,17 +795,18 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     the same blocks, with ``dropout_seed`` one seed list per head.  q, k and
     v then hold H * d_h columns, head h's being columns h*d_h:(h+1)*d_h, and
     so does the output: head h's columns equal a call on that head's columns
-    and masks alone, bit for bit.  One mask list is one head.  Each head makes
-    its own nnz-path call.  A graph's dense heads make one dense-path call
-    on a (heads, T, T) stack when it has at most ``STACK_MAX_TOKENS`` tokens,
-    and one call per head, a stack of one, above that.
+    and masks alone, bit for bit.  One mask list is one head.  A graph of at
+    most ``STACK_MAX_TOKENS`` tokens makes one dense-path call on a (heads,
+    T, T) stack of all its heads and no nnz-path call.  Above that, each head
+    makes its own nnz-path call for its sparse blocks, and each dense head
+    one dense-path call, a stack of one.
 
     With one mask, q may hold the queries of only its first r rows, k and v
     keeping all T: the output and q's grad then have r rows, equal to the
     first r rows of a call on all of them, and the call does only those rows'
     work (``indptr[r]`` stored entries, or r x T on the dense path).  The path
-    is still the one the whole mask's density picks, and attention dropout
-    keeps the weights a call on all rows draws for these rows.
+    is still the one the whole mask's size and density pick, and attention
+    dropout keeps the weights a call on all rows draws for these rows.
 
     Under :func:`no_grad` the call builds no ``grad_fn``, and each part's
     backward closure is dropped as soon as that part's output is written.
@@ -820,8 +853,7 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     n_rows = sizes if n_q == n_kv else [n_q]   # the query rows of each block
     # a block with no tokens makes no kernel part: it is neither dense nor
     # among the nnz blocks
-    dense = [[b.size > 0 and b.nnz >= DENSE_MIN_DENSITY * b.size * b.size for b in head]
-             for head in mask]
+    dense = [[_runs_dense(b) for b in head] for head in mask]
     drops = [[None] * len(sizes)] * n_heads
     if training and dropout_rate > 0.0:
         # per block, the first indptr[r] numbers of the whole mask's draw: the

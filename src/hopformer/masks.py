@@ -123,8 +123,9 @@ class HopMask:
         """The mask as a boolean T x T array (cached).
 
         T^2 bytes.  The attention kernel reads it only to scatter attention
-        dropout draws onto a dense-path mask, one whose density is at least
-        ``autograd.DENSE_MIN_DENSITY``.
+        dropout draws onto a dense-path mask: one of at most
+        ``autograd.STACK_MAX_TOKENS`` tokens, or one whose density is at
+        least ``autograd.DENSE_MIN_DENSITY``.
         """
         if self._dense_support is None:
             support = np.zeros((self.size, self.size), dtype=bool)
@@ -138,9 +139,10 @@ class HopMask:
         the support, -inf off it.
 
         8 T^2 bytes.  The attention kernel asks for it only on masks that
-        take its dense path (density at least ``autograd.DENSE_MIN_DENSITY``,
-        0.25, so T^2 <= 4 nnz) and are not full: at most 32 bytes per stored
-        entry.
+        take its dense path and are not full: one of at most
+        ``autograd.STACK_MAX_TOKENS`` (64) tokens, at most 32 KiB, or one
+        whose density is at least ``autograd.DENSE_MIN_DENSITY`` (0.25, so
+        T^2 <= 4 nnz), at most 32 bytes per stored entry.
         """
         if self._dense_bias is None:
             bias = np.full((self.size, self.size), -np.inf)

@@ -251,8 +251,10 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
         if masks is None:
             masks = build_head_masks(ags, list(cfg.head_hops))
     else:
+        # the splits' union in ascending order, by counting indices (np.unique's
+        # first call imports numpy.ma: 12-22 ms of a CLI run on 2 vCPUs)
         ags = {i: augment(dataset[i])
-               for i in np.unique(np.concatenate(sorted_splits)).tolist()}
+               for i in np.flatnonzero(np.bincount(np.concatenate(sorted_splits))).tolist()}
         if masks is None:
             masks = {i: build_head_masks(ag, list(cfg.head_hops)) for i, ag in ags.items()}
     return ags, masks, targets, sorted_splits

@@ -10,7 +10,7 @@ from hopformer import (ModelConfig, ShapeError, augment, avg_shortest_path,
                        generate_watts_strogatz, influence_matrix, init_model,
                        receptive_field_probe, small_world_report)
 from hopformer import masks as masks_mod
-from hopformer.graphs import Graph
+from hopformer.graphs import Graph, GraphError
 
 from helpers import (augmented_distances, brute_avg_path, brute_clustering,
                      brute_components_and_diameter,
@@ -290,6 +290,23 @@ class TestFlopModel:
                            match=f"^mask 0 covers {t_large} tokens, the graph has {t_small}$"):
             flop_count(probe_cfg([1, 2]), small, masks)
 
+    @pytest.mark.parametrize("task", ["graph_classification", "graph_regression",
+                                      "node_classification"])
+    def test_zero_node_graph(self, task):
+        # a graph-level count priced readout and prediction head, 42 FLOPs at
+        # hidden 8, 2 classes and mean readout, for a graph no forward can pool
+        g = Graph(num_nodes=0, edges=np.zeros((0, 2)), node_features=np.zeros((0, 1)))
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 2), num_layers=1, ffn_dim=16,
+                          num_heads=2, task=task, readout="mean",
+                          num_classes=None if task == "graph_regression" else 2, seed=0)
+        masks = build_head_masks(augment(g), [1, 2])
+        if task == "node_classification":
+            assert flop_count(cfg, g, masks) == 0
+            return
+        with pytest.raises(GraphError, match="^the graph has no nodes; graph-level tasks "
+                                             "need at least one$"):
+            flop_count(cfg, g, masks)
+
     def test_flop_count_monotone_in_nnz(self):
         g = generate_erdos_renyi(12, 0.2, seed=47)
         ag = augment(g)
@@ -331,6 +348,13 @@ class TestFlopsReport:
     def test_empty_graph_list_rejected(self):
         with pytest.raises(ValueError, match="non-empty graph list"):
             flops_vs_nnz_report([], [[1, 2], [2, 3], [3, 4]], probe_cfg([1, 2]))
+
+    def test_zero_node_graph_refused_by_index(self):
+        empty = Graph(num_nodes=0, edges=np.zeros((0, 2)), node_features=np.zeros((0, 1)))
+        graphs = [generate_watts_strogatz(12, 4, 0.3, seed=0), empty]
+        with pytest.raises(GraphError, match="^graph 1 has no nodes; graph-level tasks "
+                                             "need at least one$"):
+            flops_vs_nnz_report(graphs, [[1, 1], [1, 3], [2, 4]], probe_cfg([1, 2]))
 
     def test_degenerate_fit_rejected(self):
         g = Graph(num_nodes=4, edges=np.zeros((0, 2)), node_features=np.ones((4, 1)))

@@ -5,8 +5,8 @@ import pytest
 
 from hopformer import (Graph, ShapeError, Tensor, augment, backward, build_head_masks,
                        build_mask, generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
-                       grad_check, sparse_masked_attention,
-                       attention_weights, attention_flops, count_attention_flops)
+                       grad_check, sparse_masked_attention, attention_flops,
+                       count_attention_flops)
 from hopformer import autograd as ops
 from hopformer.masks import HopMask
 from hopformer.training import cross_entropy, mae
@@ -19,6 +19,13 @@ from helpers import (dense_attention_oracle, dense_attention_weights_oracle,
 def full_mask_for(g):
     ag = augment(g)
     return build_mask(ag, 2 * ag.total_tokens)
+
+
+def softmax_weights(qv, kv, mask):
+    """The nnz path's softmax weights over each row's mask support, aligned
+    with ``mask.indices``."""
+    return ops._masked_softmax(np.ascontiguousarray(qv.T), np.ascontiguousarray(kv.T),
+                               *ops._csr_prefix(mask, mask.size))
 
 
 class TestDensePrimitives:
@@ -250,7 +257,7 @@ class TestSparseMaskedAttention:
         mask = build_mask(ag, 1)
         t = ag.total_tokens
         q, k = rng.standard_normal((2, t, 4))
-        alpha = attention_weights(q, k, mask)
+        alpha = softmax_weights(q, k, mask)
         dense = np.zeros((t, t))
         dense[mask.row_indices, mask.indices] = alpha
         support = mask_to_dense(mask)
@@ -265,17 +272,14 @@ class TestSparseMaskedAttention:
             ag = augment(g)
             mask = build_mask(ag, int(rng.integers(0, 4)))
             t = ag.total_tokens
-            alpha = attention_weights(rng.standard_normal((t, 4)),
-                                      rng.standard_normal((t, 4)), mask)
+            alpha = softmax_weights(rng.standard_normal((t, 4)),
+                                    rng.standard_normal((t, 4)), mask)
             sums = np.add.reduceat(alpha, mask.indptr[:-1])
             assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_shape_mismatch(self):
         g = single_edge_graph()
         mask = build_mask(augment(g), 1)
-        for rows in (2, 4):   # unchecked, 4 rows give the weights of a 3-row prefix
-            with pytest.raises(ShapeError, match="mask for 3 tokens"):
-                attention_weights(np.ones((rows, 4)), np.ones((rows, 4)), mask)
         with pytest.raises(ShapeError):
             sparse_masked_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
                                     Tensor(np.ones((3, 5))), mask)
@@ -366,18 +370,26 @@ def _ring_mask(nodes: int, hops: int):
     return build_mask(augment(generate_watts_strogatz(nodes, 2, 0.0, seed=0)), hops)
 
 
-def _runs_dense(mask) -> bool:
+def _dense_by_density(mask) -> bool:
     return mask.nnz >= ops.DENSE_MIN_DENSITY * mask.size ** 2
 
 
-# One mask per side of the threshold, one exactly on it, and a full one.
+def _runs_dense(mask) -> bool:
+    """The kernel's path rule: every mask of at most STACK_MAX_TOKENS tokens
+    runs dense, a larger one by its density, and one of no tokens on neither."""
+    return 0 < mask.size and (mask.size <= ops.STACK_MAX_TOKENS or _dense_by_density(mask))
+
+
+# Past the small-graph bound, one mask per side of the density threshold and
+# one exactly on it; within it, a sparse mask, a partial one and a full one.
 DISPATCH_MASKS = {
-    "nnz": lambda: _ring_mask(16, 2),          # density 5/32
-    "threshold": lambda: _ring_mask(6, 1),     # density 3/12
+    "nnz": lambda: _ring_mask(40, 2),          # T = 80, density 5/80
+    "threshold": lambda: _ring_mask(34, 8),    # T = 68, density 17/68
     "dense": lambda: _ring_mask(16, 8),        # density 17/32, off-support entries
     "full": lambda: _ring_mask(16, 16),
+    "small": lambda: _ring_mask(16, 2),        # T = 32, density 5/32
 }
-EXPECT_DENSE = {"nnz": False, "threshold": True, "dense": True, "full": True}
+EXPECT_DENSE = {"nnz": False, "threshold": True, "dense": True, "full": True, "small": True}
 
 
 def _nnz_path(qv, kv, vv, mask, dropmult):
@@ -400,18 +412,23 @@ def _qkv(t, d_h=4, seed=0):
 
 class TestDensityDispatch:
     @pytest.mark.parametrize("name", DISPATCH_MASKS)
-    def test_dispatch_and_meter_follow_density(self, name):
+    def test_dispatch_and_meter_follow_density(self, name, monkeypatch):
         mask = DISPATCH_MASKS[name]()
         t = mask.size
         assert _runs_dense(mask) == EXPECT_DENSE[name]
+        assert (t > ops.STACK_MAX_TOKENS) == (name in ("nnz", "threshold"))
         if name == "threshold":
             assert mask.nnz == ops.DENSE_MIN_DENSITY * t * t
+        if name == "small":
+            assert not _dense_by_density(mask)
+        calls = spy_on_paths(monkeypatch)
         q, k, v = (Tensor(a) for a in _qkv(t))
         with count_attention_flops() as meter:
             sparse_masked_attention(q, k, v, mask)
         assert meter.attention_flops == attention_flops(mask.nnz, 4)
         executed = t * t if EXPECT_DENSE[name] else mask.nnz
         assert meter.executed_flops == attention_flops(executed, 4)
+        assert [c.kind for c in calls] == ["one-head" if EXPECT_DENSE[name] else "nnz"]
 
     def test_nnz_path_never_builds_a_dense_support(self):
         mask = DISPATCH_MASKS["nnz"]()
@@ -492,7 +509,9 @@ class TestDensityDispatch:
 
     @pytest.mark.parametrize("name", ["nnz", "dense"])
     @pytest.mark.parametrize("which", [0, 1, 2])
-    def test_grad_check_each_path(self, name, which):
+    def test_grad_check_each_path(self, name, which, monkeypatch):
+        if name == "nnz":   # the small mask takes the density rule
+            monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0)
         mask = _ring_mask(8, 1 if name == "nnz" else 4)   # T = 16
         assert _runs_dense(mask) == EXPECT_DENSE[name]
         fixed = [Tensor(a) for a in _qkv(mask.size, d_h=3, seed=6)]
@@ -537,9 +556,9 @@ class TestDensityDispatch:
     @pytest.mark.parametrize("graph, hops, dense", [
         (lambda: _edgeless(1), 3, True),     # T = 1
         (lambda: _edgeless(3), 2, True),     # edgeless, density 1/3
-        (lambda: _edgeless(6), 2, False),    # edgeless, density 1/6
+        (lambda: _edgeless(70), 2, False),   # edgeless, density 1/70
         (single_edge_graph, 0, True),        # hop 0, density 1/3
-        (lambda: generate_watts_strogatz(16, 2, 0.0), 0, False),   # hop 0, 1/32
+        (lambda: generate_watts_strogatz(40, 2, 0.0), 0, False),   # hop 0, 1/80
     ])
     def test_identity_masks_return_values(self, graph, hops, dense):
         mask = build_mask(augment(graph()), hops)
@@ -725,7 +744,7 @@ class TestAdditiveBiasMasking:
         # every output row the bad entry reaches holds a non-finite value, so a
         # training loss over them is non-finite and training aborts
         mask = _ring_mask(8, 1 if path == "nnz" else 3)   # T = 16, density 3/16 or 7/16
-        assert _runs_dense(mask) == (path != "nnz") and mask.nnz < mask.size ** 2
+        assert _dense_by_density(mask) == (path != "nnz") and mask.nnz < mask.size ** 2
         t, j = mask.size, 5
         qv, kv, vv = _qkv(t, seed=12)
         qv[:, 0] = np.abs(qv[:, 0]) + 0.1   # an inf key gives +inf scores
@@ -810,16 +829,23 @@ def _int32_mask(mask: HopMask) -> HopMask:
 
 # Graph batches for the joined nnz-path call.  "mixed" interleaves nnz blocks
 # (one of them an edgeless graph's identity mask) with dense ones (one of them
-# a one-token graph); in "nnz" every block takes the nnz path.
+# a one-token graph, one a small sparse mask); in "nnz" every block takes the
+# nnz path, each past the small-graph bound.
 BATCHES = {
-    "mixed": lambda: [_ring_mask(16, 2), build_mask(augment(_edgeless(1)), 3),
-                      build_mask(augment(_edgeless(6)), 2), _ring_mask(16, 8),
-                      _seeded_mask(2), _ring_mask(6, 1)],
-    "nnz": lambda: [build_mask(augment(_edgeless(6)), 2), _ring_mask(16, 2),
-                    _int32_mask(_ring_mask(40, 6)), _seeded_mask(3)],
+    "mixed": lambda: [_ring_mask(40, 2), build_mask(augment(_edgeless(1)), 3),
+                      build_mask(augment(_edgeless(70)), 2), _ring_mask(16, 8),
+                      _large_random_mask(2), _ring_mask(16, 2), _ring_mask(6, 1)],
+    "nnz": lambda: [build_mask(augment(_edgeless(70)), 2), _ring_mask(40, 2),
+                    _int32_mask(_ring_mask(40, 6)), _large_random_mask(3)],
 }
-BATCH_PATHS = {"mixed": [False, True, False, True, False, True],
+BATCH_PATHS = {"mixed": [False, True, False, True, False, True, True],
                "nnz": [False, False, False, False]}
+
+
+def _large_random_mask(seed: int) -> HopMask:
+    """A hand-built mask of 65-100 tokens, sparse enough for the nnz path."""
+    rng = np.random.default_rng([seed, 65])
+    return _random_csr_mask(rng, int(rng.integers(65, 101)), float(rng.uniform(0.01, 0.15)))
 
 
 class TestJoinedNnzBlocks:
@@ -907,10 +933,10 @@ class TestColumnLayoutNnzPath:
         assert mask.nnz == mask.size
         _compare_with_reference(mask, d_h, rate, seed=d_h)
 
-    def test_attention_weights_are_the_kernels_softmax(self):
+    def test_softmax_weights_are_the_kernels_softmax(self):
         mask = _seeded_mask(3)
         qv, kv, vv = _qkv(mask.size, seed=11)
-        alpha = attention_weights(qv, kv, mask)
+        alpha = softmax_weights(qv, kv, mask)
         out, _ = _nnz_path(qv, kv, vv, mask, None)
         assert np.abs(np.add.reduceat(alpha, mask.indptr[:-1]) - 1.0).max() <= 1e-12
         assert np.array_equal(out, np.add.reduceat(alpha[:, None] * vv[mask.indices],
@@ -1255,17 +1281,17 @@ ORACLE_TOL = 1e-10   # acceptance 01's tolerance
 
 # Per head, the masks of a graph batch, for one call per layer.  In "batch"
 # (an edgeless graph, a one-token graph, rings and a random graph) every head
-# but the last mixes the paths across graphs, and the stacked dense heads of
-# a graph mix partial and full supports.  In "large" the first head runs
-# every block on the nnz path, and one graph, past the default stacking
-# bound, has two dense heads.  "one" is a single graph with both paths, for
-# query prefixes.
+# mixes the paths across graphs: the two graphs past the small-graph bound run
+# every head on the nnz path, and the small graphs' stacks mix partial and
+# full supports.  In "large" one graph, past the bound, runs
+# two heads on the nnz path and has two dense heads, each its own stack.
+# "one" is a single graph with both paths, for query prefixes.
 LAYER_CASES = {
     "batch": ((1, 2, 4, 8), lambda: [
-        _edgeless(3), _ring(16), _edgeless(1), _ring(6), _edgeless(8), _ring(10),
+        _edgeless(3), _ring(40), _edgeless(1), _ring(6), _edgeless(70), _ring(10),
         random_graph(np.random.default_rng(40), max_nodes=10)]),
     "large": ((1, 4, 24, 40), lambda: [_ring(16), _ring(40), _ring(12)]),
-    "one": ((1, 2, 4, 8), lambda: [_ring(16)]),
+    "one": ((1, 2, 12, 40), lambda: [_ring(40)]),
 }
 
 
@@ -1316,13 +1342,15 @@ class TestOneCallPerLayer:
     def test_cases_cover_the_paths(self):
         masks = _layer_masks("batch")
         dense = [[_runs_dense(b) for b in head] for head in masks]
-        assert all(set(head) == {False, True} for head in dense[:-1])
+        assert all(set(head) == {False, True} for head in dense)
         assert any({masks[h][b].nnz == masks[h][b].size ** 2
                     for h in range(len(masks)) if dense[h][b]} == {False, True}
                    for b in range(len(masks[0])))
         assert {b.size for b in masks[0]} >= {1, 3}
         masks = _layer_masks("large")
-        assert not any(_runs_dense(b) for b in masks[0])
+        large = [b for b, m in enumerate(masks[0]) if m.size > ops.STACK_MAX_TOKENS]
+        assert [[_runs_dense(head[b]) for head in masks] for b in large] == [
+            [False, False, True, True]]
         assert max(_stacked_sizes(masks)) > ops.STACK_MAX_TOKENS >= min(_stacked_sizes(masks))
         masks = _layer_masks("one")
         assert {_runs_dense(head[0]) for head in masks} == {False, True}
@@ -1355,9 +1383,9 @@ class TestOneCallPerLayer:
         assert got == layer_calls + head_calls
         if stack == "default":
             assert layer_calls == {
-                "batch": [(3, [0, 1, 2, 3]), (32, [2, 3]), (1, [0, 1, 2, 3]), (12, [0, 1, 2, 3]),
-                          (20, [1, 2, 3]), (18, [1, 2, 3])],
-                "large": [(32, [1, 2, 3]), (80, [2]), (80, [3]), (24, [1, 2, 3])]}[kind]
+                "batch": [(3, [0, 1, 2, 3]), (1, [0, 1, 2, 3]), (12, [0, 1, 2, 3]),
+                          (20, [0, 1, 2, 3]), (18, [0, 1, 2, 3])],
+                "large": [(32, [0, 1, 2, 3]), (80, [2]), (80, [3]), (24, [0, 1, 2, 3])]}[kind]
 
     @pytest.mark.parametrize("stack", ["never", "always"])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -1418,6 +1446,85 @@ class TestOneCallPerLayer:
         with pytest.raises(ShapeError, match="got 3 dropout seed lists for 4 heads"):
             sparse_masked_attention(x, x, x, masks, dropout_rate=0.3, training=True,
                                     dropout_seed=[[0] * len(masks[0])] * 3)
+
+
+class TestSmallGraphBound:
+    """A graph of at most STACK_MAX_TOKENS tokens runs every head on the
+    masked dense path as one stack, whatever the heads' densities; a larger
+    graph picks each head's path by its density."""
+
+    HOPS = (1, 2, 12, 40)
+
+    @staticmethod
+    def ring_plus_isolated(nodes: int, isolated: int) -> Graph:
+        """A ring of ``nodes`` nodes and ``isolated`` more nodes without edges:
+        2 * nodes + isolated tokens."""
+        ring = _ring(nodes)
+        return Graph(num_nodes=nodes + isolated, edges=ring.edges,
+                     node_features=np.ones((nodes + isolated, 1)))
+
+    def test_a_batch_of_small_graphs_makes_one_dense_call_per_graph_and_layer(
+            self, monkeypatch):
+        from hopformer import ModelConfig, forward, init_model
+
+        rng = np.random.default_rng(9)
+        graphs = [_ring(32), _edgeless(5), self.ring_plus_isolated(20, 3),
+                  *(Graph(num_nodes=n, edges=generate_erdos_renyi(n, 0.3, seed=n).edges,
+                          node_features=rng.standard_normal((n, 1))) for n in (8, 12, 15))]
+        hops = (1, 2, 4, 8)
+        ags = [augment(g) for g in graphs]
+        masks = [build_head_masks(ag, list(hops)) for ag in ags]
+        sizes = [ag.total_tokens for ag in ags]
+        assert max(sizes) == ops.STACK_MAX_TOKENS
+        assert sum(not _dense_by_density(mk) for gm in masks for mk in gm) > len(graphs)
+        cfg = ModelConfig(hidden_dim=8, head_hops=hops, num_layers=2, ffn_dim=8, num_heads=4,
+                          task="graph_classification", num_classes=2, seed=0)
+        model = init_model(cfg, 1)
+        calls = spy_on_paths(monkeypatch)
+        with ops.no_grad(), count_attention_flops() as meter:
+            forward(model, graphs, ags, masks)
+        assert [c.kind for c in calls] == ["multi-head"] * len(graphs) * cfg.num_layers
+        assert [[b.size for b in c.args[3]] for c in calls] == [
+            [t] * cfg.num_heads for t in sizes] * cfg.num_layers
+        d_h = cfg.head_dim
+        assert meter.executed_flops == cfg.num_layers * cfg.num_heads * sum(
+            attention_flops(t * t, d_h) for t in sizes)
+        assert meter.attention_flops == cfg.num_layers * sum(
+            attention_flops(mk.nnz, d_h) for gm in masks for mk in gm)
+
+    @pytest.mark.parametrize("isolated", [0, 1])
+    def test_one_token_past_the_bound_follows_density(self, isolated, monkeypatch):
+        # a 64-token ring, and the same ring with one isolated node: its hop 1
+        # and 2 masks are sparse, hop 12 partial and hop 40 (nearly) full
+        masks = [[mk] for mk in build_head_masks(
+            augment(self.ring_plus_isolated(32, isolated)), list(self.HOPS))]
+        t = masks[0][0].size
+        assert t == ops.STACK_MAX_TOKENS + isolated
+        assert [_dense_by_density(head[0]) for head in masks] == [False, False, True, True]
+        qv, kv, vv = np.random.default_rng(10).standard_normal((3, t, 4 * 3))
+        calls = spy_on_paths(monkeypatch)
+        with count_attention_flops() as meter:
+            sparse_masked_attention(Tensor(qv), Tensor(kv), Tensor(vv), masks)
+        if isolated:
+            assert [c.kind for c in calls] == ["nnz", "nnz", "one-head", "one-head"]
+            executed = [masks[0][0].nnz, masks[1][0].nnz, t * t, t * t]
+        else:
+            assert [c.kind for c in calls] == ["multi-head"] and len(calls[0].args[3]) == 4
+            executed = [t * t] * 4
+        assert meter.executed_flops == sum(attention_flops(n, 3) for n in executed)
+
+    @pytest.mark.parametrize("r", [1, 7, 32])
+    def test_a_small_prefix_scores_r_times_t_cells_on_every_head(self, r):
+        masks = [[mk] for mk in build_head_masks(augment(_ring(16)), list(self.HOPS))]
+        t = masks[0][0].size
+        assert not _dense_by_density(masks[0][0])
+        qv, kv, vv = np.random.default_rng(11).standard_normal((3, t, 4 * 3))
+        with count_attention_flops() as meter:
+            out = sparse_masked_attention(Tensor(qv[:r]), Tensor(kv), Tensor(vv), masks)
+        assert out.values.shape == (r, 12)
+        assert meter.executed_flops == 4 * attention_flops(r * t, 3)
+        assert meter.attention_flops == sum(attention_flops(int(head[0].indptr[r]), 3)
+                                            for head in masks)
 
 
 class TestEmptyBlocks:
@@ -1486,18 +1593,20 @@ def _dense_oracle_grads(qv, kv, vv, support, g):
 
 def _prefix_case(seed: int) -> tuple[HopMask, int]:
     """(mask, N) for one seed: even seeds take a hop mask of a random graph
-    (edgeless graphs, T = 1 and graphs with isolated nodes among them), N its
-    node count; odd seeds a hand-built mask whose density forces the dense
-    path (seed % 4 == 1) or the nnz path (seed % 4 == 3), N drawn in [1, T]."""
+    (edgeless graphs, T = 1 and graphs with isolated nodes among them, some of
+    these past STACK_MAX_TOKENS and sparse), N its node count; odd seeds a
+    hand-built mask whose size and density force the dense path (seed % 4 ==
+    1) or the nnz path (seed % 4 == 3, more than STACK_MAX_TOKENS tokens), N
+    drawn in [1, T]."""
     rng = np.random.default_rng([seed, 31])
     if seed % 2 == 0:
         g = [lambda: _edgeless(1),
              lambda: _edgeless(int(rng.integers(2, 9))),
-             lambda: random_graph(rng, max_nodes=14, p=0.08),   # isolated nodes
+             lambda: random_graph(rng, max_nodes=60, p=0.04),   # isolated nodes
              lambda: random_graph(rng, max_nodes=14)][seed // 2 % 4]()
         return build_mask(augment(g), int(rng.integers(0, 6))), g.num_nodes
     dense = seed % 4 == 1
-    t = int(rng.integers(1, 30)) if dense else int(rng.integers(12, 40))
+    t = int(rng.integers(1, 30)) if dense else int(rng.integers(65, 100))
     mask = _random_csr_mask(rng, t, float(rng.uniform(0.3, 0.9) if dense
                                           else rng.uniform(0.0, 0.08)))
     assert _runs_dense(mask) == dense
@@ -1804,6 +1913,7 @@ class TestTapeUsers:
         from hopformer import (ModelConfig, TrainConfig, evaluate, flops_vs_nnz_report,
                                influence_matrix, init_model, train)
 
+        monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0)   # both paths on a small graph
         calls = spy_on_paths(monkeypatch)
         g = generate_sbm((8, 8), p_in=0.5, p_out=0.1, seed=1)
         cfg = ModelConfig(hidden_dim=8, head_hops=(1, 4), num_layers=1, ffn_dim=8, num_heads=2,

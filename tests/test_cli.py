@@ -299,6 +299,22 @@ class TestFlops:
         assert f"{src} holds no graphs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_node_graph_exits_two_naming_it(self, tmp_path, capsys):
+        tri = {"num_nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]], "node_features": [[1.0]] * 3}
+        empty = {"num_nodes": 0, "edges": [], "node_features": []}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([tri, tri, empty]))
+        cfg = run_config()
+        cfg["model"]["task"] = "graph_classification"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "flops.csv"
+        assert main(["flops", str(src), "--config", str(cfg_path),
+                     "--hop-configs", "1,2;1,4;2,6", "--output", str(out)]) == 2
+        assert ("error: graph 2 has no nodes; graph-level tasks need at least one"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """numpy is the package's only runtime dependency.
 
 Other packages installed next to it (scipy, hypothesis) may serve tests, so an
-accidental import of one in the package would pass every other test.
+accidental import of one in the package would pass every other test.  The CLI
+also leaves numpy's lazily loaded submodules alone where it can: numpy.ma,
+which ``np.unique`` imports on its first call, costs every run of the command.
 """
 
 import os
@@ -23,13 +25,13 @@ print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "hopform
 """
 
 
-def run_probe(probe: str, *paths) -> list[str]:
+def run_probe(probe: str, *paths, args=()) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *map(str, paths)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.split()
 
@@ -42,3 +44,39 @@ def test_the_probe_sees_a_third_party_import(tmp_path):
     (tmp_path / "not_stdlib.py").write_text("")
     probe = PROBE.replace("import hopformer,", "import not_stdlib, hopformer,")
     assert run_probe(probe, tmp_path) == ["not_stdlib"]
+
+
+# Runs ``hopformer analyze`` and ``hopformer train`` on a tiny graph-level
+# dataset in one interpreter, then prints whether a plain ``import numpy``
+# loaded numpy.ma and whether it is loaded after the two commands.
+MA_PROBE = """
+import json, sys
+from pathlib import Path
+import numpy as np
+plain = "numpy.ma" in sys.modules
+from hopformer.cli import main
+d = Path(sys.argv[1])
+rng = np.random.default_rng(0)
+graphs = []
+for i in range(10):
+    n = 4 + i % 3
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < 0.5
+    graphs.append({"num_nodes": n, "edges": np.column_stack([iu[keep], ju[keep]]).tolist(),
+                   "node_features": rng.standard_normal((n, 2)).tolist(),
+                   "graph_label": i % 2})
+(d / "data.json").write_text(json.dumps(graphs))
+(d / "cfg.json").write_text(json.dumps({
+    "model": {"hidden_dim": 8, "head_hops": [1, 2], "num_layers": 1, "ffn_dim": 8,
+              "num_heads": 2, "task": "graph_classification", "num_classes": 2, "seed": 0},
+    "train": {"learning_rate": 0.01, "epochs": 2, "seed": 0}}))
+assert main(["analyze", str(d / "data.json"), "--output", str(d / "report.csv")]) == 0
+assert main(["train", str(d / "data.json"), "--config", str(d / "cfg.json"),
+             "--output", str(d / "run")]) == 0
+print(plain, "numpy.ma" in sys.modules)
+"""
+
+
+def test_analyze_and_train_do_not_import_numpy_ma(tmp_path):
+    plain, after = run_probe(MA_PROBE, args=[tmp_path])[-2:]
+    assert plain == "True" or after == "False"
