@@ -109,6 +109,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _int_field
 from .masks import HopMask
 
 
@@ -399,9 +400,10 @@ def mean_rows(a: Tensor) -> Tensor:
 def pool_segments(a: Tensor, sizes, mean: bool = False) -> Tensor:
     """One row per segment of consecutive rows of ``a``: their sum, or with
     ``mean`` their mean.  ``sizes`` lists the segments' row counts, each at
-    least 1, summing to the row count of ``a``."""
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != a.values.shape[0]:
+    least 1, summing to the row count of ``a``; they follow the package's
+    integer rule (``2.0`` is 2, a fraction or a boolean is refused)."""
+    sizes = _int_field("segment sizes", sizes)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != a.values.shape[0]:
         raise ShapeError(f"segment sizes {sizes.tolist()} do not split "
                          f"{a.values.shape[0]} rows into non-empty segments")
     starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
@@ -446,9 +448,15 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
     ``sizes`` lists the row counts of consecutive segments of ``x`` and
     ``seed`` holds one seed per segment; each segment draws its keep mask from
     its own seed exactly as a call on that segment alone would.  Without
-    ``sizes``, ``x`` is one segment and ``seed`` its seed.
+    ``sizes``, ``x`` is one segment and ``seed`` its seed.  Sizes follow the
+    package's integer rule in every mode (``2.0`` is 2, a fraction or a
+    boolean is refused).
     """
-    seeds, sizes = ([seed], [x.values.shape[0]]) if sizes is None else (seed, sizes)
+    if sizes is not None:
+        sizes = _int_field("segment sizes", sizes)
+        if sizes.ndim != 1:
+            raise ShapeError(f"segment sizes must be a flat list, got {sizes.tolist()}")
+    seeds, sizes = ([seed], [x.values.shape[0]]) if sizes is None else (seed, sizes.tolist())
     _check_rate(rate)
     n, d = x.values.shape
     # checked in every mode, as sparse_masked_attention checks its seeds, so a
@@ -495,15 +503,6 @@ def _masked_softmax(qt: np.ndarray, kt: np.ndarray, col: np.ndarray,
     return expd / np.repeat(np.add.reduceat(expd, starts), counts)
 
 
-def _csr_prefix(mask: HopMask, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(col, starts) of the mask's first ``r`` rows: the stored entries'
-    column ids and the rows' starts in them, as views (no copy)."""
-    if r == mask.size:   # a full call skips the slices: about 0.5 us per call,
-        # paid on each of a graph batch's many small masks
-        return mask.indices, mask.indptr[:-1]
-    return mask.indices[:mask.indptr[r]], mask.indptr[:r]
-
-
 # Masks of more than STACK_MAX_TOKENS tokens with nnz >= DENSE_MIN_DENSITY *
 # T^2 run on the masked dense path, sparser ones on the nnz path.  Per-call
 # forward + backward, d_h = 4, float64, numpy 2.4.6 with OpenBLAS 0.3.31 on 2
@@ -529,15 +528,18 @@ DENSE_MIN_DENSITY = 0.25
 
 def _joined_csr(masks: list[HopMask], r: int) -> tuple[np.ndarray, np.ndarray]:
     """(col, starts) of a batch's masks joined block-diagonally, over their
-    first ``r`` rows: any r for one mask, all rows for several.
+    first ``r`` rows: the stored entries' column ids and the rows' starts in
+    them.  Any r for one mask, all rows for several.
 
-    One mask gives its ``_csr_prefix`` views.  Several give, per block, its
-    column ids offset by the block's first row in the joined rows, and its
-    row starts offset by the stored entries before it, so every row holds
-    the entries, in the order, that a call on its block alone reads.
+    One mask gives views of its first ``indptr[r]`` column ids and its first
+    r row starts (no copy).  Several give, per block, its column ids offset
+    by the block's first row in the joined rows, and its row starts offset
+    by the stored entries before it, so every row holds the entries, in the
+    order, that a call on its block alone reads.
     """
     if len(masks) == 1:
-        return _csr_prefix(masks[0], r)
+        b = masks[0]
+        return b.indices[:b.indptr[r]], b.indptr[:r]
     sizes = np.array([b.size for b in masks])
     nnzs = np.array([b.nnz for b in masks])
     return (np.concatenate([b.indices for b in masks])
@@ -710,8 +712,9 @@ def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
     A head whose mask is not full is masked by adding its cached
     ``dense_bias[:r]`` to its (r, T) slice of the scores, with ``np.exp``
     kept on finite values (:func:`_dense_softmax`); a full head (nnz = T^2)
-    skips the masking and builds no bias.  Attention dropout alone reads
-    ``dense_support``, to place a head's draws."""
+    skips the masking and builds no bias.  Attention dropout places a head's
+    draws on the cells of its stored entries in the first r rows, whose CSR
+    order is their row-major order (``HopMask._dense_cells``)."""
     qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
     r, t = qs.shape[1], ks.shape[1]
     inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
@@ -725,7 +728,7 @@ def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
     else:
         drop = np.zeros((len(masks), r, t))
         for i, (b, dm) in enumerate(zip(masks, dropmults)):
-            drop[i][b.dense_support[:r]] = dm   # row-major order of the support is CSR order
+            drop[i][b._dense_cells(r)] = dm
         applied = alpha * drop
 
     def grads(g3):
@@ -741,12 +744,6 @@ def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
                 (applied.transpose(0, 2, 1) @ g).transpose(1, 0, 2))
 
     return (applied @ vs).transpose(1, 0, 2), grads
-
-
-def _heads_index(heads: list[int]):
-    """``heads`` as a slice when they are consecutive, so that indexing the
-    head axis with it gives a view rather than a copy."""
-    return slice(heads[0], heads[-1] + 1) if heads[-1] - heads[0] == len(heads) - 1 else heads
 
 
 def _by_head(n: int, n_heads: int, d_h: int, cells) -> np.ndarray:
@@ -896,17 +893,18 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
             yield output_of(sel, sel, h, *_sparse_path(
                 qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks], len(qv)),
                 dm))
-        # A graph's dense heads run as one stack, or one stack per head above
-        # STACK_MAX_TOKENS.
+        # A graph of at most STACK_MAX_TOKENS tokens runs all its heads, every
+        # one dense, as one stack; a larger one each dense head as a stack of
+        # one.  Either way the heads are a slice, so q3, k3 and v3 are views.
         for b, (qr, r) in enumerate(zip(q_rows, rows)):
-            heads = [h for h in range(n_heads) if dense[h][b]]
-            if not heads:
-                continue
-            for group in [heads] if sizes[b] <= STACK_MAX_TOKENS else [[h] for h in heads]:
-                hi = _heads_index(group)
+            if sizes[b] <= STACK_MAX_TOKENS:
+                stacks = [slice(0, n_heads)] if sizes[b] else []
+            else:
+                stacks = [slice(h, h + 1) for h in range(n_heads) if dense[h][b]]
+            for hi in stacks:
                 yield output_of(qr, r, hi, *_dense_path(
-                    q3[qr, hi], k3[r, hi], v3[r, hi], [mask[h][b] for h in group],
-                    [drops[h][b] for h in group]))
+                    q3[qr, hi], k3[r, hi], v3[r, hi], [m[b] for m in mask[hi]],
+                    [d[b] for d in drops[hi]]))
 
     out = _by_head(n_q, n_heads, d_h, part_outputs())
     if not recording:

@@ -37,8 +37,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _int_field(name: str, values) -> np.ndarray:
     """``values`` as int64.  Booleans and numbers with a fractional part are
     refused, not truncated; integral floats (as from ``np.zeros``) pass."""
-    if isinstance(values, list) and any(
-            isinstance(x, bool) for x in np.asarray(values, dtype=object).flat):
+    if isinstance(values, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
         raise GraphError(f"{name} must hold integers, got a boolean")
     try:
         arr = np.asarray(values)
@@ -411,7 +411,9 @@ def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph
 
     Rewiring replaces one endpoint of each lattice edge independently, never
     creating self-loops or parallel edges, so the edge count stays n*k/2.
+    ``n`` and ``k`` follow the package's integer rule (``10.0`` is 10).
     """
+    n, k = _int_value("n", n), _int_value("k", k)
     if k <= 0 or k % 2 != 0:
         raise GraphError(f"k must be a positive even integer, got {k}")
     if n <= k:
@@ -451,6 +453,7 @@ def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph
 
 def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each unordered pair kept independently with probability p."""
+    n = _int_value("n", n)
     if n < 1:
         raise GraphError(f"n must be at least 1, got {n}")
     if not 0.0 <= p <= 1.0:
@@ -468,8 +471,13 @@ def generate_sbm(sizes: tuple[int, ...], p_in: float, p_out: float, seed: int = 
     Each node's 8 Gaussian features are shifted by +/-0.2 according to its
     block: individually too noisy to classify well, but denoised by
     aggregation over the (homophilous) neighbourhood, so solving the task
-    requires using the structure.
+    requires using the structure.  ``sizes`` follows the package's integer
+    rule (``5.0`` is 5; a fraction, a boolean or a negative size is refused).
     """
+    sizes = _int_field("sizes", sizes)
+    if sizes.ndim != 1 or np.any(sizes < 0):
+        raise GraphError(f"sizes must be a flat sequence of non-negative block sizes, "
+                         f"got {sizes.tolist()}")
     for name, p in (("p_in", p_in), ("p_out", p_out)):
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"{name} must be in [0, 1], got {p}")

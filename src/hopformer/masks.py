@@ -20,7 +20,8 @@ into it (a multi-source bitset BFS, as in Then et al., VLDB 2014).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,24 +39,20 @@ class HopMask:
     refused) and may not be negative.  The mask and its arrays are frozen (a
     list, a writable array, a view, another integer dtype or an empty
     sequence of any dtype is stored as a read-only int64 copy), so the
-    checked structure and the caches derived from it cannot drift apart, and
+    checked structure and the views cached from it cannot drift apart, and
     the kernel reads one index dtype.
 
-    Three read-only caches are built from the CSR on first use, each by the
-    reader that needs it: ``row_indices`` for dumps and reference checks,
-    and two T x T forms for the attention kernel's masked dense path,
-    ``dense_bias`` (0.0 on the support, -inf off it), which masks the
-    scores, and ``dense_support`` (boolean), which places attention dropout
-    draws.  The nnz path builds none of them.
+    Two read-only views are built from the CSR on first use, each by the
+    reader that needs it, and cached: ``row_indices`` for dumps and
+    reference checks, and ``dense_bias`` (a T x T float64 array, 0.0 on the
+    support and -inf off it), which masks the scores of the attention
+    kernel's masked dense path.  The nnz path builds neither.
     """
 
     hop_budget: int
     size: int
     indptr: np.ndarray   # (T+1,) int64
     indices: np.ndarray  # (nnz,) int64, strictly ascending within each row
-    _row_indices: np.ndarray | None = field(init=False, default=None, repr=False)
-    _dense_support: np.ndarray | None = field(init=False, default=None, repr=False)
-    _dense_bias: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         for name in ("hop_budget", "size"):
@@ -107,33 +104,15 @@ class HopMask:
     def nnz(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
+    @cached_property
     def row_indices(self) -> np.ndarray:
         """Row id of each stored entry, aligned with ``indices`` (cached).
 
         For dumps and reference checks: the attention kernel reaches a row's
-        entries by its count and never builds this cache."""
-        if self._row_indices is None:
-            object.__setattr__(self, "_row_indices", _frozen(
-                np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.indptr))))
-        return self._row_indices
+        entries by its count and never builds this view."""
+        return _frozen(self._dense_cells(self.size)[0])
 
-    @property
-    def dense_support(self) -> np.ndarray:
-        """The mask as a boolean T x T array (cached).
-
-        T^2 bytes.  The attention kernel reads it only to scatter attention
-        dropout draws onto a dense-path mask: one of at most
-        ``autograd.STACK_MAX_TOKENS`` tokens, or one whose density is at
-        least ``autograd.DENSE_MIN_DENSITY``.
-        """
-        if self._dense_support is None:
-            support = np.zeros((self.size, self.size), dtype=bool)
-            support[self._dense_cells()] = True
-            object.__setattr__(self, "_dense_support", _frozen(support))
-        return self._dense_support
-
-    @property
+    @cached_property
     def dense_bias(self) -> np.ndarray:
         """The mask as an additive float64 T x T score bias (cached): 0.0 on
         the support, -inf off it.
@@ -144,20 +123,24 @@ class HopMask:
         whose density is at least ``autograd.DENSE_MIN_DENSITY`` (0.25, so
         T^2 <= 4 nnz), at most 32 bytes per stored entry.
         """
-        if self._dense_bias is None:
-            bias = np.full((self.size, self.size), -np.inf)
-            bias[self._dense_cells()] = 0.0
-            object.__setattr__(self, "_dense_bias", _frozen(bias))
-        return self._dense_bias
+        bias = np.full((self.size, self.size), -np.inf)
+        bias[self._dense_cells(self.size)] = 0.0
+        return _frozen(bias)
 
-    def _dense_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row ids, column ids) of the stored entries, for filling a T x T
-        array.  The row ids are made here and dropped: the kernel never
-        builds the nnz-long ``row_indices`` cache (about 2 MB over the
-        er_graph masks)."""
-        return np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices
+    def _dense_cells(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """(row ids, column ids) of the stored entries of the first ``r``
+        rows, in CSR order, which is the row-major order of their cells.
+        The row ids are made here and dropped: the dense path places
+        attention dropout draws with them and never builds the nnz-long
+        ``row_indices`` view (about 2 MB over the er_graph masks)."""
+        return (np.repeat(np.arange(r, dtype=np.int64), np.diff(self.indptr[:r + 1])),
+                self.indices[:self.indptr[r]])
 
     def row(self, i: int) -> np.ndarray:
+        """The column ids of row ``i``, a view; ``i`` must lie in [0, T)."""
+        i = _int_value("row", i)
+        if not 0 <= i < self.size:
+            raise ValueError(f"mask row {i} is outside [0, {self.size})")
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 

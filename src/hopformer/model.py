@@ -15,8 +15,8 @@ single graph is a batch of one, wrapped as such on the entry's first line.
 A node task's head reads only the node-token rows, so its last layer computes
 those rows alone (``forward(..., rows=N)``): their queries attend over every
 token's keys and values, with each head's kernel path still chosen by the
-density of its whole mask.  Graph tasks pool every token and run every row of
-every layer.
+size of its whole mask, then by its density.  Graph tasks pool every token
+and run every row of every layer.
 """
 
 from __future__ import annotations

@@ -182,7 +182,12 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
 
 def split_indices(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded random split of range(n) into train/val/test index arrays."""
+    """Seeded random split of range(n) into train/val/test index arrays.
+    ``n`` follows the package's integer rule (``10.0`` is 10) and may not be
+    negative."""
+    n = _int_value("n", n)
+    if n < 0:
+        raise GraphError(f"n must be non-negative, got {n}")
     perm = np.random.default_rng([cfg.seed, 17]).permutation(n)
     n_train = int(round(cfg.train_frac * n))
     n_val = int(round(cfg.val_frac * n))

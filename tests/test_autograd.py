@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hopformer import (Graph, ShapeError, Tensor, augment, backward, build_head_
                        grad_check, sparse_masked_attention, attention_flops,
                        count_attention_flops)
 from hopformer import autograd as ops
+from hopformer.graphs import GraphError
 from hopformer.masks import HopMask
 from hopformer.training import cross_entropy, mae
 
@@ -25,7 +27,7 @@ def softmax_weights(qv, kv, mask):
     """The nnz path's softmax weights over each row's mask support, aligned
     with ``mask.indices``."""
     return ops._masked_softmax(np.ascontiguousarray(qv.T), np.ascontiguousarray(kv.T),
-                               *ops._csr_prefix(mask, mask.size))
+                               *ops._joined_csr([mask], mask.size))
 
 
 class TestDensePrimitives:
@@ -192,6 +194,26 @@ class TestDensePrimitives:
         # sparse_masked_attention checks its seeds in every mode
         with pytest.raises(ShapeError, match="seeds and segment sizes summing to"):
             ops.dropout(Tensor(np.ones((5, 3))), rate, seeds, training, sizes=sizes)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_dropout_integral_float_sizes_are_the_integers(self, training):
+        # in training mode np.random's draw raised a bare TypeError on 2.0
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        got = ops.dropout(x, 0.5, [1, 2], training, [2.0, 2.0])
+        assert np.array_equal(got.values, ops.dropout(x, 0.5, [1, 2], training, [2, 2]).values)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("sizes, message", [
+        ([1.5, 2.5], "segment sizes must hold integers, got 1.5 at index 0"),
+        ([True, 3], "segment sizes must hold integers, got a boolean")])
+    def test_dropout_fraction_or_boolean_size_refused(self, training, sizes, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            ops.dropout(Tensor(np.ones((4, 3))), 0.5, [1, 2], training, sizes)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_dropout_nested_sizes_refused(self, training):
+        with pytest.raises(ShapeError, match=re.escape("flat list, got [[2], [2]]")):
+            ops.dropout(Tensor(np.ones((4, 3))), 0.5, [1, 2], training, [[2], [2]])
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)))
@@ -393,8 +415,8 @@ EXPECT_DENSE = {"nnz": False, "threshold": True, "dense": True, "full": True, "s
 
 
 def _nnz_path(qv, kv, vv, mask, dropmult):
-    """The nnz path on one mask: its CSR pair as ``_csr_prefix`` gives it."""
-    return ops._sparse_path(qv, kv, vv, ops._csr_prefix(mask, qv.shape[0]), dropmult)
+    """The nnz path on one mask: its CSR pair as ``_joined_csr`` gives it."""
+    return ops._sparse_path(qv, kv, vv, ops._joined_csr([mask], qv.shape[0]), dropmult)
 
 
 def _one_head_dense_path(qv, kv, vv, mask, dropmult):
@@ -430,11 +452,11 @@ class TestDensityDispatch:
         assert meter.executed_flops == attention_flops(executed, 4)
         assert [c.kind for c in calls] == ["one-head" if EXPECT_DENSE[name] else "nnz"]
 
-    def test_nnz_path_never_builds_a_dense_support(self):
+    def test_nnz_path_never_builds_a_dense_bias(self):
         mask = DISPATCH_MASKS["nnz"]()
         q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(mask.size))
         backward(ops.sum_all(sparse_masked_attention(q, k, v, mask)))
-        assert mask._dense_support is None and mask._dense_bias is None
+        assert "dense_bias" not in vars(mask)
 
     @pytest.mark.parametrize("call", ["one mask", "prefix", "joined batch"])
     def test_nnz_path_never_builds_row_indices(self, call):
@@ -445,7 +467,7 @@ class TestDensityDispatch:
         qv, kv, vv, g = np.random.default_rng(23).standard_normal((4, n, 4))
         r = n // 3 if call == "prefix" else n
         _attention_run(qv[:r], kv, vv, masks, g[:r])
-        assert all(b._row_indices is None for b in masks)
+        assert all("row_indices" not in vars(b) for b in masks)
 
     @pytest.mark.parametrize("name", DISPATCH_MASKS)
     @pytest.mark.parametrize("path", PATHS)
@@ -677,6 +699,35 @@ class TestAdditiveBiasMasking:
                 for got, ref in zip(grads(g3), ref_grads(g3)):
                     assert _same_bits(got, ref), (kind, r)
 
+    @pytest.mark.parametrize("t", [8, 64, 65, 339])
+    @pytest.mark.parametrize("densities", [[0.3], [0.3, 1.0, 0.7]], ids=["one-head", "multi-head"])
+    def test_dropout_on_stored_cells_equals_the_support_scatter(self, t, densities, monkeypatch):
+        # the draws land on the same cells as through a boolean support, so
+        # the kept weights, outputs and grads do not change
+        rng = np.random.default_rng([t, len(densities), 2])
+        masks = [_mask_of_density(rng, t, d) for d in densities]
+        supports = {id(b): mask_to_dense(b) for b in masks}
+        h = len(masks)
+        dropped = 0
+        for r in _prefix_rows(t):
+            q3 = 3.0 * rng.standard_normal((r, h, 4))
+            k3, v3 = rng.standard_normal((2, t, h, 4))
+            g3 = rng.standard_normal((r, h, 4))
+            dropmults = [_prefix_dropmult(rng, b, r, 0.3) for b in masks]
+            dropped += sum(int((dm == 0.0).sum()) for dm in dropmults)
+            out, grads = ops._dense_path(q3, k3, v3, masks, dropmults)
+            with monkeypatch.context() as patch:
+                # the reference placement: drop[i][support[:r]] = dm, each
+                # head's draws scattered through its boolean T x T support,
+                # whose cells in row-major order are the stored entries in
+                # CSR order
+                patch.setattr(HopMask, "_dense_cells", lambda b, n: supports[id(b)][:n])
+                ref_out, ref_grads = ops._dense_path(q3, k3, v3, masks, dropmults)
+            assert _same_bits(out, ref_out), r
+            for got, ref in zip(grads(g3), ref_grads(g3)):
+                assert _same_bits(got, ref), r
+        assert dropped > 0
+
     def test_cases_cover_partial_and_full_masks(self):
         # every stacked head takes the dense path, and is partial below
         # density 1 and full at it
@@ -768,7 +819,7 @@ class TestAdditiveBiasMasking:
         width = 4 if call == "one mask" else 8
         qv, kv, vv, g = np.random.default_rng(42).standard_normal((4, t, width))
         _attention_run(qv, kv, vv, masks, g)
-        assert mask._dense_bias is None and mask._dense_support is None
+        assert "dense_bias" not in vars(mask)
 
     @pytest.mark.parametrize("call", ["one mask", "prefix", "stacked"])
     def test_call_without_dropout_builds_only_the_bias(self, call):
@@ -780,10 +831,11 @@ class TestAdditiveBiasMasking:
         width = 8 if call == "stacked" else 4
         qv, kv, vv, g = np.random.default_rng(43).standard_normal((4, t, width))
         _attention_run(qv[:r], kv, vv, masks, g[:r])
-        assert mask._dense_bias is not None and mask._dense_support is None
+        assert "dense_bias" in vars(mask) and "row_indices" not in vars(mask)
+        # dropout places its draws on the stored cells without a cached view
         _attention_run(qv[:r], kv, vv, masks, g[:r], dropout_rate=0.3,
                        dropout_seed=[[1], [2]] if call == "stacked" else 1, training=True)
-        assert mask._dense_support is not None
+        assert "row_indices" not in vars(mask)
 
 
 def _edgeless(nodes):
@@ -1513,6 +1565,33 @@ class TestSmallGraphBound:
             executed = [t * t] * 4
         assert meter.executed_flops == sum(attention_flops(n, 3) for n in executed)
 
+    @pytest.mark.parametrize("case", ["small batch", "large graph"])
+    def test_dense_calls_take_views_of_q_k_v(self, case, monkeypatch):
+        # a small graph stacks all its heads and a larger one each dense head
+        # alone: either way the heads are a slice of the head axis, so every
+        # dense-path call reads q, k and v in place, with no copy
+        if case == "small batch":
+            graphs = [_ring(32), _edgeless(5), _ring(10), self.ring_plus_isolated(20, 3)]
+        else:
+            graphs = [self.ring_plus_isolated(32, 1), _ring(40)]
+        per_graph = [build_head_masks(augment(g), list(self.HOPS)) for g in graphs]
+        masks = [[gm[h] for gm in per_graph] for h in range(len(self.HOPS))]
+        n = sum(b.size for b in masks[0])
+        q, k, v = (Tensor(a, requires_grad=True)
+                   for a in np.random.default_rng(12).standard_normal((3, n, 4 * 3)))
+        calls = spy_on_paths(monkeypatch)
+        with ops.scratch_tape():
+            backward(ops.sum_all(sparse_masked_attention(q, k, v, masks, dropout_rate=0.3,
+                                                         dropout_seed=[[1] * len(graphs)] * 4,
+                                                         training=True)))
+        dense_calls = [c for c in calls if c.name == "_dense_path"]
+        assert {c.kind for c in dense_calls} == (
+            {"multi-head"} if case == "small batch" else {"one-head"})
+        assert len(dense_calls) == (len(graphs) if case == "small batch" else 4)
+        for c in dense_calls:
+            for a, t in zip(c.args[:3], (q, k, v)):
+                assert np.shares_memory(a, t.values)
+
     @pytest.mark.parametrize("r", [1, 7, 32])
     def test_a_small_prefix_scores_r_times_t_cells_on_every_head(self, r):
         masks = [[mk] for mk in build_head_masks(augment(_ring(16)), list(self.HOPS))]
@@ -1688,7 +1767,7 @@ class TestQueryPrefix:
         with count_attention_flops() as meter:
             sparse_masked_attention(Tensor(q.values[:r]), k, v, mask)
         assert meter.executed_flops == meter.attention_flops
-        assert mask._dense_support is None and mask._dense_bias is None
+        assert "dense_bias" not in vars(mask)
 
     def test_more_query_rows_than_keys_refused(self):
         mask = _ring_mask(6, 1)

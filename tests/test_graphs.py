@@ -291,6 +291,11 @@ class TestLoadGraph:
             load_graph(text)
         assert len(recwarn) == 0
 
+    def test_numpy_boolean_endpoint_refused(self):
+        # a numpy boolean in a list of endpoints was read as 0 or 1
+        with pytest.raises(GraphError, match="^edges must hold integers, got a boolean$"):
+            Graph(num_nodes=2, edges=[[0, np.True_]], node_features=np.ones((2, 1)))
+
     def test_parallel_edge_rejected(self):
         text = json.dumps({"num_nodes": 2, "edges": [[0, 1], [0, 1]],
                            "node_features": [[1], [2]]})
@@ -597,6 +602,42 @@ class TestGenerators:
     def test_sbm_invalid_params(self, p_in, p_out, message):
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             generate_sbm((5, 5), p_in, p_out)
+
+    @pytest.mark.parametrize("make, args, integer_args", [
+        (generate_watts_strogatz, (10.0, 4.0, 0.1), (10, 4, 0.1)),
+        (generate_erdos_renyi, (10.0, 0.3), (10, 0.3)),
+        (generate_sbm, ((5.0, 5), 0.5, 0.1), ((5, 5), 0.5, 0.1))])
+    def test_integral_floats_give_the_integers_graph(self, make, args, integer_args):
+        # watts_strogatz and erdos_renyi raised a bare TypeError on 10.0
+        got, want = make(*args, seed=1), make(*integer_args, seed=1)
+        assert type(got.num_nodes) is int and got.num_nodes == want.num_nodes == 10
+        for name in ("edges", "node_features", "node_labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: generate_sbm((5.5, 5), 0.5, 0.1), GraphError,
+         "sizes must hold integers, got 5.5 at index 0"),
+        (lambda: generate_sbm((True, 5), 0.5, 0.1), GraphError,
+         "sizes must hold integers, got a boolean"),
+        (lambda: generate_sbm((-1, 5), 0.5, 0.1), GraphError,
+         "sizes must be a flat sequence of non-negative block sizes, got [-1, 5]"),
+        (lambda: generate_sbm(((3, 3), (3, 3)), 0.5, 0.1), GraphError,
+         "sizes must be a flat sequence of non-negative block sizes, got [[3, 3], [3, 3]]"),
+        (lambda: generate_sbm(10, 0.5, 0.1), GraphError,
+         "sizes must be a flat sequence of non-negative block sizes, got 10"),
+        (lambda: generate_watts_strogatz(True, 4, 0.1), ValueError,
+         "n must be an integer, got True"),
+        (lambda: generate_watts_strogatz(10, 4.5, 0.1), ValueError,
+         "k must be an integer, got 4.5"),
+        (lambda: generate_erdos_renyi(10.5, 0.3), ValueError,
+         "n must be an integer, got 10.5")])
+    def test_fraction_boolean_or_negative_size_refused(self, make, error, message):
+        # (5.5, 5) built a 10-node graph, (-1, 5) raised numpy's repeat error,
+        # nested or scalar sizes a bare TypeError, and n=True was reported as
+        # "got n=True"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_sbm_labels_and_determinism(self):
         a = generate_sbm((5, 5), 0.8, 0.1, seed=2)

@@ -116,6 +116,23 @@ class TestBuildMask:
         m = build_mask(ag, 50)
         assert m.row(2).tolist() == [2]
 
+    @pytest.mark.parametrize("i", [-1, 3, 4, 1.5, True, "1"])
+    def test_row_outside_the_mask_refused(self, single_edge_ag, i):
+        # row(-1) sliced indptr[-1]:indptr[0] to an empty row, row(T) raised
+        # numpy's IndexError and row(2.0) numpy's index TypeError
+        m = build_mask(single_edge_ag, 1)
+        if isinstance(i, int) and not isinstance(i, bool):
+            message = f"mask row {i} is outside [0, 3)"
+        else:
+            message = f"row must be an integer, got {i!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            m.row(i)
+
+    def test_integral_float_row_is_the_integer(self, single_edge_ag):
+        m = build_mask(single_edge_ag, 1)
+        assert np.array_equal(m.row(2.0), m.row(2)) and m.row(np.int64(0)).tolist() == [0, 2]
+        assert np.array_equal(m.row(2), m.indices[m.indptr[2]:m.indptr[3]])
+
     def test_rows_sorted_ascending(self):
         g = generate_erdos_renyi(7, 0.5, seed=9)
         ag = augment(g)
@@ -164,7 +181,7 @@ class TestBuildHeadMasks:
         assert type(got.hop_budget) is int and got.hop_budget == 2
         for name in ("indptr", "indices", "row_indices"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert np.array_equal(got.dense_support, want.dense_support)
+        assert got.dense_bias.tobytes() == want.dense_bias.tobytes()
 
     @pytest.mark.parametrize("hops,message", [
         ([1.5], "hop budget 0 must be an integer, got 1.5"),
@@ -201,8 +218,8 @@ class TestMaskStats:
 class TestFrozenMask:
     @pytest.mark.parametrize("field,value", [
         ("indptr", np.array([0, 1, 1, 7])), ("indices", np.arange(7)), ("size", 4),
-        ("hop_budget", 2), ("_row_indices", np.zeros(7, dtype=np.int64)),
-        ("_dense_support", None), ("_dense_bias", None)])
+        ("hop_budget", 2), ("row_indices", np.zeros(7, dtype=np.int64)),
+        ("dense_bias", np.zeros((3, 3)))])
     def test_assigning_a_field_raises(self, single_edge_ag, field, value):
         m = build_mask(single_edge_ag, 1)
         before = (m.indptr.copy(), m.indices.copy(), m.row_indices.copy())
@@ -211,7 +228,7 @@ class TestFrozenMask:
         assert all(np.array_equal(a, b) for a, b in
                    zip(before, (m.indptr, m.indices, m.row_indices)))
 
-    @pytest.mark.parametrize("cache", ["_row_indices", "_dense_support", "_dense_bias"])
+    @pytest.mark.parametrize("cache", ["row_indices", "dense_bias"])
     def test_cache_keyword_is_refused(self, single_edge_ag, cache):
         m = build_mask(single_edge_ag, 1)
         with pytest.raises(TypeError, match=cache):
@@ -223,14 +240,13 @@ class TestFrozenMask:
         rows = m.row_indices
         assert rows is m.row_indices
         assert np.array_equal(rows, np.repeat(np.arange(3), np.diff(m.indptr)))
-        assert np.array_equal(m.dense_support, mask_to_dense(m))
         assert np.array_equal(m.dense_bias, np.where(mask_to_dense(m), 0.0, -np.inf))
         assert m.dense_bias.dtype == np.float64
         assert not np.signbit(m.dense_bias[mask_to_dense(m)]).any()   # +0.0 on the support
-        for cache in ("row_indices", "dense_support", "dense_bias"):
+        for cache in ("row_indices", "dense_bias"):
             assert getattr(m, cache) is getattr(m, cache)
             assert not getattr(m, cache).flags.writeable, cache
-        assert "_row_indices" not in repr(m) and "_dense_bias" not in repr(m)
+        assert "row_indices" not in repr(m) and "dense_bias" not in repr(m)
 
     def test_caller_arrays_are_copied_and_stay_writable(self):
         indptr, indices = np.array([0, 1, 2]), np.array([0, 1])

@@ -785,10 +785,26 @@ class TestPoolSegments:
         assert ops.grad_check(lambda t: ops.sum_all(ops.relu(
             ops.pool_segments(t, [2, 4], mean=True))), x) < 1e-8
 
-    @pytest.mark.parametrize("sizes", [[2, 2], [5, 0], [], [7]])
+    @pytest.mark.parametrize("sizes", [[2, 2], [5, 0], [], [7], [[2], [3]], 5])
     def test_sizes_must_split_every_row(self, sizes):
         with pytest.raises(ShapeError, match="segment sizes"):
             ops.pool_segments(Tensor(np.ones((5, 2))), sizes)
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([2.5, 2.5], "segment sizes must hold integers, got 2.5 at index 0"),
+        ([True, 3], "segment sizes must hold integers, got a boolean"),
+        ([np.True_, 3], "segment sizes must hold integers, got a boolean"),
+        ([2.5, 1.5], "segment sizes must hold integers, got 2.5 at index 0")])
+    def test_fraction_or_boolean_size_refused(self, sizes, message):
+        # sizes were cast to int64, so [2.5, 2.5] pooled as [2, 2], [True, 3]
+        # as [1, 3], and [2.5, 1.5] was refused as [2, 1]
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            readout(Tensor(np.ones((4, 2))), "mean", sizes)
+
+    def test_integral_float_sizes_are_the_integers(self):
+        h = Tensor(np.arange(8.0).reshape(4, 2))
+        assert np.array_equal(readout(h, "mean", [2.0, 2.0]).values,
+                              readout(h, "mean", [2, 2]).values)
 
 
 class TestCheckpoint:

@@ -169,6 +169,20 @@ class TestSplits:
         assert len(tr) == 60 and len(va) == 20 and len(te) == 20
         assert sorted(np.concatenate([tr, va, te]).tolist()) == list(range(100))
 
+    def test_integral_float_n_is_the_integer(self):
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=3)
+        for x, y in zip(split_indices(10.0, cfg), split_indices(10, cfg)):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("n, message", [
+        (10.5, "n must be an integer, got 10.5"), (True, "n must be an integer, got True"),
+        (-1, "n must be non-negative, got -1")])
+    def test_fraction_boolean_or_negative_n_refused(self, n, message):
+        # 10.5 raised numpy's AxisError
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split_indices(n, cfg)
+
     def test_deterministic(self):
         cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=3)
         a = split_indices(50, cfg)
