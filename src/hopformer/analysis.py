@@ -18,8 +18,8 @@ import numpy as np
 from .autograd import ShapeError, Tensor, attention_flops, count_attention_flops, no_grad
 from .graphs import Graph, GraphError, augment, csr_from_pairs
 from .masks import HopMask, build_head_masks, hop_distance_blocks
-from .model import (Model, ModelConfig, _check_masks, _encode, encoder_layer, forward,
-                    init_model)
+from .model import (Model, ModelConfig, _check_mask_list, _check_masks, _encode,
+                    encoder_layer, forward, init_model)
 
 FLOP_CONVENTIONS = ("multiply-add=2; exp/div/sub/add=1; layer_norm=5 per element; "
                     "relu=1 per element; attention=nnz*(4*d_h+5) per head per layer")
@@ -158,8 +158,7 @@ def influence_matrix(model: Model, masks: list[HopMask], *, head: int | None = N
     The head masks are checked against the model once, before the first
     probe: one per head, each with its head's budget, all of one size.
     """
-    t = masks[0].size if masks else 0
-    _check_masks(model, masks, t)
+    t = _check_masks(model, masks)
     if head is not None and head not in range(model.cfg.num_heads):
         raise ValueError(f"head must be one of the model's heads 0..{model.cfg.num_heads - 1}, "
                          f"got {head!r}")
@@ -195,12 +194,17 @@ def attention_flop_count(cfg: ModelConfig, masks: list[HopMask]) -> int:
 def flop_count(cfg: ModelConfig, g: Graph, masks: list[HopMask]) -> int:
     """Analytic forward-pass FLOPs of the full model on graph ``g`` and its
     head masks; the projectors cost node and edge tokens at their own
-    feature dims.  A mask that does not cover g's N + M tokens is refused,
-    and so is a graph of no nodes on a graph-level task, which no forward
-    can pool."""
+    feature dims.  Refused, as no forward could do the work: a mask list
+    that is not one HopMask per head of ``cfg``, a mask that does not cover
+    g's N + M tokens, and a graph of no nodes on a graph-level task.  The
+    masks' hop budgets are free: a count may price budgets
+    ``cfg.head_hops`` does not list."""
+    if not isinstance(g, Graph):
+        raise GraphError(f"flop_count prices a Graph, got {type(g).__name__}")
     n, t = g.num_nodes, g.num_nodes + g.num_edges
     if n == 0 and cfg.task != "node_classification":
         raise GraphError("the graph has no nodes; graph-level tasks need at least one")
+    _check_mask_list(masks, cfg.num_heads)
     for h, mask in enumerate(masks):
         if mask.size != t:
             raise ShapeError(f"mask {h} covers {mask.size} tokens, the graph has {t}")
@@ -259,7 +263,9 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     resid = y - (slope * x + intercept)
     ss_res = float((resid * resid).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    # a constant y is fit exactly by the zero-slope line; ss_res then holds
+    # only polyfit's rounding
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
 
 

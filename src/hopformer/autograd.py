@@ -448,9 +448,10 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
     ``sizes`` lists the row counts of consecutive segments of ``x`` and
     ``seed`` holds one seed per segment; each segment draws its keep mask from
     its own seed exactly as a call on that segment alone would.  Without
-    ``sizes``, ``x`` is one segment and ``seed`` its seed.  Sizes follow the
-    package's integer rule in every mode (``2.0`` is 2, a fraction or a
-    boolean is refused).
+    ``sizes``, ``x`` is one segment and ``seed`` its seed.  An unset (None)
+    seed is 0, so every draw is reproducible.  Sizes follow the package's
+    integer rule in every mode (``2.0`` is 2, a fraction or a boolean is
+    refused).
     """
     if sizes is not None:
         sizes = _int_field("segment sizes", sizes)
@@ -466,7 +467,8 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
                          f"for {n} rows")
     if not training_flag or rate == 0.0:
         return x
-    draw = _stack_rows([np.random.default_rng(s).random((r, d)) for s, r in zip(seeds, sizes)])
+    draw = _stack_rows([np.random.default_rng(0 if s is None else s).random((r, d))
+                        for s, r in zip(seeds, sizes)])
     keep = (draw >= rate) / (1.0 - rate)
     return primitive(x.values * keep, lambda g: x._accum(g * keep))
 
@@ -778,7 +780,8 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     directions.  ``dropout_rate``, in [0, 1), drops
     individual attention weights (inverted scaling) when training, drawing
     one number per stored entry in CSR order, so a seed keeps the same
-    weights on either path.
+    weights on either path.  An unset (None) seed is 0, so every draw is
+    reproducible.
 
     ``mask`` may also be a non-empty list of masks whose sizes sum to the row
     count: block b covers the next ``mask[b].size`` rows of q, k and v and
@@ -855,8 +858,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     if training and dropout_rate > 0.0:
         # per block, the first indptr[r] numbers of the whole mask's draw: the
         # weights a call on all rows keeps for its first r rows
-        drops = [[(np.random.default_rng(s).random(b.indptr[r]) >= dropout_rate)
-                  / (1.0 - dropout_rate) for b, r, s in zip(head, n_rows, head_seeds)]
+        drops = [[(np.random.default_rng(0 if s is None else s).random(b.indptr[r])
+                   >= dropout_rate) / (1.0 - dropout_rate)
+                  for b, r, s in zip(head, n_rows, head_seeds)]
                  for head, head_seeds in zip(mask, seeds)]
     for meter in _state.meters:
         for head, head_dense in zip(mask, dense):

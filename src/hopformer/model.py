@@ -196,12 +196,12 @@ def embed_tokens(m: Model, g: Graph | list[Graph]) -> Tensor:
     row of ``d_v + d_e`` columns, node features in the first ``d_v`` and edge
     features in the rest, zeros elsewhere, so the whole batch is one product
     with ``proj_node`` stacked over ``proj_edge``.  :func:`_check_graph`
-    checks each graph's features first.
+    checks each graph first.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
         g = [g]
     for b, x in enumerate(g):
-        _check_graph(m, x, None, f"batch graph {b}")
+        _check_graph(m, x, f"batch graph {b}")
     feats = np.zeros((sum(x.num_nodes + x.num_edges for x in g), m.d_v + m.d_e))
     lo = 0
     for x in g:
@@ -260,7 +260,8 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
         masks, seed = [[mk] for mk in masks], None if seed is None else [seed]
     sizes = [mk.size for mk in masks[0]]
     rows = _prefix_rows(rows, sizes)
-    sizes = sizes if rows is None else [rows]
+    # int64 segment sizes, which dropout takes without a per-element scan
+    sizes = np.array(sizes if rows is None else [rows], dtype=np.int64)
     seeds = [[0]] * len(masks[0]) if seed is None else [list(s) for s in seed]
 
     def site(tag):
@@ -284,28 +285,48 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     return (out, concat) if return_heads else out
 
 
-def _check_masks(m: Model, masks: list[HopMask], total_tokens: int) -> None:
-    """One graph's head masks: one per head, each with its head's budget and
-    ``total_tokens`` rows."""
-    if len(masks) != m.cfg.num_heads:
-        raise ShapeError(f"got {len(masks)} masks for {m.cfg.num_heads} heads")
+def _check_mask_list(masks, num_heads: int) -> None:
+    """A list or tuple of ``num_heads`` HopMasks; an entry that is not one is
+    refused by its head's index."""
+    if not isinstance(masks, (list, tuple)):
+        raise ShapeError(f"head masks must be a list of HopMask, got {type(masks).__name__}")
+    if len(masks) != num_heads:
+        raise ShapeError(f"got {len(masks)} masks for {num_heads} heads")
+    for h, mask in enumerate(masks):
+        if not isinstance(mask, HopMask):
+            raise ShapeError(f"mask {h} is a {type(mask).__name__}, not a HopMask")
+
+
+def _check_masks(m: Model, masks: list[HopMask], total_tokens: int | None = None) -> int:
+    """One graph's head masks: one HopMask per head, each with its head's
+    budget and ``total_tokens`` rows (by default the first mask's); returns
+    the token count."""
+    _check_mask_list(masks, m.cfg.num_heads)
+    total_tokens = masks[0].size if total_tokens is None else total_tokens
     for h, (mask, budget) in enumerate(zip(masks, m.cfg.head_hops)):
         if mask.size != total_tokens:
             raise ShapeError(f"mask {h} covers {mask.size} tokens, expected {total_tokens}")
         if mask.hop_budget != budget:
             raise ShapeError(f"mask {h} has hop budget {mask.hop_budget}, config says {budget}")
+    return total_tokens
 
 
-def _check_graph(m: Model, g: Graph, masks: list[HopMask] | None, name: str) -> None:
+def _check_graph(m: Model, g: Graph, name: str) -> None:
     """The one rule for a graph fitting the model, a refusal naming ``name``:
-    node features of dim ``d_v``; with edges, exactly ``d_e`` edge-feature
-    columns; ``masks``, unless None, passing :func:`_check_masks` for N + M tokens."""
+    a Graph with node features of dim ``d_v`` and, with edges, exactly
+    ``d_e`` edge-feature columns."""
+    if not isinstance(g, Graph):
+        raise GraphError(f"{name} is a {type(g).__name__}, not a Graph")
     if g.node_feature_dim != m.d_v or g.num_edges and g.edge_feature_dim != m.d_e:
         raise GraphError(f"{name} has node/edge feature dims {g.node_feature_dim}/"
                          f"{g.edge_feature_dim}, the model expects {m.d_v}/{m.d_e}")
+
+
+def _check_graph_masks(m: Model, g: Graph, masks: list[HopMask], name: str) -> None:
+    """:func:`_check_masks` for the N + M tokens of ``g``, a refusal naming
+    ``name``."""
     try:
-        if masks is not None:
-            _check_masks(m, masks, g.num_nodes + g.num_edges)
+        _check_masks(m, masks, g.num_nodes + g.num_edges)
     except ShapeError as e:
         raise ShapeError(f"{name}: {e}") from e
 
@@ -353,20 +374,25 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     leave it unset.
 
     ``g`` gives the token layout (nodes, then edges); ``ag`` is only checked
-    against it.  :func:`_check_graph` checks each graph before any tape entry.
+    against it.  :func:`_check_graph` and :func:`_check_graph_masks` check
+    each graph before any tape entry.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
         g, ag, masks = [g], [ag], [masks]
+    if not all(isinstance(x, (list, tuple)) for x in (g, ag, masks)):
+        raise ShapeError("forward takes a Graph, its AugmentedGraph and its head masks, "
+                         "or parallel lists of them")
     ids = range(len(g)) if graph_ids is None else graph_ids
     if not len(g) == len(ag) == len(masks) == len(ids):
         raise ShapeError(f"a batch of {len(g)} graphs got {len(ag)} augmented graphs, "
                          f"{len(masks)} head-mask lists and {len(ids)} graph ids")
     for b, (x, a, gm) in enumerate(zip(g, ag, masks)):
+        _check_graph(m, x, f"batch graph {b}")
         if (a.num_node_tokens, a.num_edge_tokens) != (x.num_nodes, x.num_edges):
             raise ShapeError(f"batch graph {b}: the augmented graph has {a.num_node_tokens} "
                              f"node and {a.num_edge_tokens} edge tokens, the graph "
                              f"{x.num_nodes} nodes and {x.num_edges} edges")
-        _check_graph(m, x, gm, f"batch graph {b}")
+        _check_graph_masks(m, x, gm, f"batch graph {b}")
     rows = _prefix_rows(rows, [x.num_nodes + x.num_edges for x in g])
     seeds = [0] * len(g) if rng_seed is None else [int(rng_seed) + int(i) for i in ids]
     return _encode(m, embed_tokens(m, g), [list(hm) for hm in zip(*masks)], seeds,

@@ -27,8 +27,9 @@ from . import autograd as ops
 from .autograd import Tensor, no_grad, scratch_tape
 from .graphs import Graph, GraphError, _finite_value, _int_field, _int_value, augment
 from .masks import build_head_masks
-from .model import (Model, _check_graph, copy_parameter_values, forward, named_parameters,
-                    predict_graph, predict_node, readout, set_parameter_values)
+from .model import (Model, _check_graph, _check_graph_masks, copy_parameter_values, forward,
+                    named_parameters, predict_graph, predict_node, readout,
+                    set_parameter_values)
 
 
 class TrainingAbort(RuntimeError):
@@ -206,27 +207,41 @@ def evaluate(model: Model, dataset, masks, split) -> float:
     return _scores(model, dataset, ags, masks, targets, splits)[0]
 
 
-def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
-    """Check a run's inputs (see ``train``) and return the augmented graph,
-    or the augmented graphs of ``splits`` by index; the head masks, built
-    from ``model.cfg.head_hops`` for those graphs when ``masks`` is None;
-    every item's target; and the values of ``splits`` (a name -> indices
-    dict), each sorted."""
-    cfg = model.cfg
-    node_task = cfg.task == "node_classification"
-    if node_task != isinstance(dataset, Graph):
+def _graphs(model: Model, dataset) -> list:
+    """A run's graphs: a node task's one Graph, or a graph task's list of
+    them; a dataset of the other kind is refused."""
+    node_task = model.cfg.task == "node_classification"
+    if not isinstance(dataset, Graph if node_task else (list, tuple)):
         raise ValueError("node classification trains on a single Graph" if node_task
                          else "graph-level tasks train on a list of Graphs")
-    graphs = [dataset] if node_task else dataset
-    mask_lists = [None] * len(graphs) if masks is None else [masks] if node_task else masks
-    if len(mask_lists) != len(graphs):
+    return [dataset] if node_task else dataset
+
+
+def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
+    """Check a run's inputs (see ``train``) and return the augmented graphs
+    and the head masks of the graphs the run reads, each a dict keyed by
+    graph index: ``{0: ...}`` for a node task, the splits' union for a graph
+    task, the masks built from ``model.cfg.head_hops`` when ``masks`` is
+    None; every item's target; and the values of ``splits`` (a name ->
+    indices dict), each sorted."""
+    cfg = model.cfg
+    node_task = cfg.task == "node_classification"
+    graphs = _graphs(model, dataset)
+    mask_lists = [masks] if node_task else masks
+    if masks is not None and not isinstance(mask_lists, (list, tuple)):
+        raise ValueError(f"graph-level tasks take a list of head-mask lists, "
+                         f"got {type(masks).__name__}")
+    if masks is not None and len(mask_lists) != len(graphs):
         raise ValueError(f"{len(mask_lists)} head-mask lists for {len(graphs)} graphs")
-    for i, (g, gm) in enumerate(zip(graphs, mask_lists)):
+    for i, g in enumerate(graphs):
+        name = "the graph" if node_task else f"graph {i}"
+        _check_graph(model, g, name)
         if not node_task and g.num_nodes == 0:
             raise GraphError(f"graph {i} has no nodes; graph-level tasks need at least one")
         if not node_task and g.graph_label is None:
             raise GraphError(f"graph {i} has no graph_label; graph-level tasks need one")
-        _check_graph(model, g, gm, "the graph" if node_task else f"graph {i}")
+        if masks is not None:   # a given None entry is refused, not built
+            _check_graph_masks(model, g, mask_lists[i], name)
     if node_task and dataset.node_labels is None:
         raise ValueError("node classification requires node_labels")
     targets = dataset.node_labels if node_task else np.asarray(
@@ -251,17 +266,13 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
         if repeated.size:
             raise ValueError(f"the {split} split holds index {repeated[0]} more than once")
         sorted_splits.append(idx)
-    if node_task:
-        ags = augment(dataset)
-        if masks is None:
-            masks = build_head_masks(ags, list(cfg.head_hops))
-    else:
-        # the splits' union in ascending order, by counting indices (np.unique's
-        # first call imports numpy.ma: 12-22 ms of a CLI run on 2 vCPUs)
-        ags = {i: augment(dataset[i])
-               for i in np.flatnonzero(np.bincount(np.concatenate(sorted_splits))).tolist()}
-        if masks is None:
-            masks = {i: build_head_masks(ag, list(cfg.head_hops)) for i, ag in ags.items()}
+    # a graph task reads the splits' union in ascending order, found by
+    # counting indices (np.unique's first call imports numpy.ma: 12-22 ms of
+    # a CLI run on 2 vCPUs)
+    ags = {i: augment(graphs[i]) for i in ([0] if node_task else np.flatnonzero(
+        np.bincount(np.concatenate(sorted_splits))).tolist())}
+    masks = {i: build_head_masks(ag, list(cfg.head_hops)) if masks is None else mask_lists[i]
+             for i, ag in ags.items()}
     return ags, masks, targets, sorted_splits
 
 
@@ -269,7 +280,7 @@ def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = Fals
              seed: int | None = None) -> list[Tensor]:
     """One output Tensor per split, one row per item in the split's order.
 
-    A node task runs one forward over its graph, whose last layer computes
+    A node task runs one forward over its graph 0, whose last layer computes
     the node rows alone, and takes each split's logit rows from it.  A graph
     task runs one forward per split over the split's graphs stacked, one
     readout row per graph and one graph head matmul, graph ``i`` drawing its
@@ -280,18 +291,18 @@ def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = Fals
     split then reproduces the score ``train`` recorded for it exactly.
     """
     if model.cfg.task == "node_classification":
-        h = forward(model, dataset, ags, masks, training=training, rng_seed=seed,
+        h = forward(model, dataset, ags[0], masks[0], training=training, rng_seed=seed,
                     rows=dataset.num_nodes)
         logits = predict_node(model, h, dataset.num_nodes)
         return [ops.take_rows(logits, items) for items in splits]
     outs = []
     for items in splits:
         items = [int(i) for i in items]
-        batch = [ags[i] for i in items]
-        h = forward(model, [dataset[i] for i in items], batch, [masks[i] for i in items],
+        batch = [dataset[i] for i in items]
+        h = forward(model, batch, [ags[i] for i in items], [masks[i] for i in items],
                     training=training, rng_seed=seed, graph_ids=items)
-        outs.append(predict_graph(model, readout(h, model.cfg.readout,
-                                                 [ag.total_tokens for ag in batch])))
+        sizes = np.array([g.num_nodes + g.num_edges for g in batch], dtype=np.int64)
+        outs.append(predict_graph(model, readout(h, model.cfg.readout, sizes)))
     return outs
 
 
@@ -343,7 +354,7 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     task = model.cfg.task
     node_task = task == "node_classification"
     idx_train, idx_val, idx_test = split_indices(
-        dataset.num_nodes if isinstance(dataset, Graph) else len(dataset), cfg)
+        dataset.num_nodes if isinstance(dataset, Graph) else len(_graphs(model, dataset)), cfg)
     ags, masks, targets, (_, *scored) = _prepare(model, dataset, masks, {
         "train": idx_train, "val": idx_val, "test": idx_test})
     params = named_parameters(model)

@@ -290,6 +290,22 @@ class TestFlopModel:
                            match=f"^mask 0 covers {t_large} tokens, the graph has {t_small}$"):
             flop_count(probe_cfg([1, 2]), small, masks)
 
+    @pytest.mark.parametrize("count", [0, 2, 5])
+    def test_a_mask_count_other_than_the_heads_refused(self, count):
+        # on 4 heads, 2 masks or none were priced: work no forward can do
+        g = generate_erdos_renyi(12, 0.2, seed=47)
+        masks = build_head_masks(augment(g), [1, 2, 3, 4, 5])[:count]
+        with pytest.raises(ShapeError, match=f"^got {count} masks for 4 heads$"):
+            flop_count(probe_cfg([1, 2, 3, 4]), g, masks)
+
+    @pytest.mark.parametrize("entry, kind", [(None, "NoneType"), ("hop 2", "str")])
+    def test_a_non_mask_entry_refused_by_head(self, entry, kind):
+        g = generate_erdos_renyi(12, 0.2, seed=47)
+        masks = build_head_masks(augment(g), [1, 2])
+        masks[1] = entry
+        with pytest.raises(ShapeError, match=f"^mask 1 is a {kind}, not a HopMask$"):
+            flop_count(probe_cfg([1, 2]), g, masks)
+
     @pytest.mark.parametrize("task", ["graph_classification", "graph_regression",
                                       "node_classification"])
     def test_zero_node_graph(self, task):
@@ -320,6 +336,17 @@ class TestFlopModel:
 
 
 class TestFlopsReport:
+    def test_constant_totals_fit_with_r_squared_one(self):
+        # with no layers every total is the same; polyfit's rounding left
+        # ss_res ~1e-16 over ss_tot = 0, a ZeroDivisionError
+        graphs = [Graph(num_nodes=4, edges=np.array([[0, 1], [1, 2], [2, 3]]),
+                        node_features=np.ones((4, 1))) for _ in range(5)]
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 1), num_layers=0, ffn_dim=16,
+                          num_heads=2, task="graph_regression")
+        report = flops_vs_nnz_report(graphs, [[1, 1], [1, 2], [2, 2]], cfg)
+        assert len({r.total_flops for r in report.rows}) == 1
+        assert report.r_squared == 1.0
+
     def test_report_fit_and_instrumented_agreement(self):
         graphs = [generate_watts_strogatz(20, 4, beta, seed=s)
                   for beta, s in ((0.0, 0), (0.2, 1), (0.6, 2))]

@@ -170,6 +170,15 @@ class TestDensePrimitives:
         assert np.allclose(a.values[kept], 1 / 0.75)
         assert 0.55 < kept.mean() < 0.9
 
+    @pytest.mark.parametrize("sizes", [None, [30, 20]])
+    def test_unseeded_dropout_is_seed_0(self, sizes):
+        # an unset seed drew from OS entropy: two identical calls differed
+        x = Tensor(np.ones((50, 20)))
+        unset, zero = (None, 0) if sizes is None else ([None, None], [0, 0])
+        a, b = (ops.dropout(x, 0.5, unset, True, sizes) for _ in range(2))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, ops.dropout(x, 0.5, zero, True, sizes).values)
+
     def test_dropout_of_a_tensor_is_one_segment(self):
         # a tensor and its seed are a batch of one segment, bit for bit
         runs = []
@@ -352,6 +361,17 @@ class TestSparseMaskedAttention:
                                     dropout_rate=0.5, dropout_seed=4, training=True)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("n, p", [(6, 0.6), (40, 0.05)])   # dense path, nnz path
+    def test_unseeded_attention_dropout_is_seed_0(self, n, p):
+        # an unset seed drew from OS entropy: two identical calls differed
+        rng = np.random.default_rng(8)
+        mask = build_mask(augment(generate_erdos_renyi(n, p, seed=8)), 1)
+        q, k, v = (Tensor(x) for x in rng.standard_normal((3, mask.size, 4)))
+        a, b, zero = (sparse_masked_attention(q, k, v, mask, dropout_rate=0.5, training=True,
+                                              **seed) for seed in ({}, {}, {"dropout_seed": 0}))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, zero.values)
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
     @pytest.mark.parametrize("training", [True, False])

@@ -1,0 +1,262 @@
+"""Seeded boundary fuzz: one input of a small valid run is mutated at a time.
+
+Library half: head-mask lists and datasets given to ``train``, ``evaluate``,
+``forward`` and ``flop_count``.  CLI half: fields and entries of the graph
+and run-config JSON read by ``hopformer train``, ``flops`` and ``analyze``.
+Every case either runs or is refused with a ``GraphError``, ``ShapeError`` or
+``ValueError`` (CLI exit 2) whose message names the mutated item; nothing
+fails with ``AttributeError``, ``TypeError``, ``ZeroDivisionError`` or a
+traceback.  The mutation kinds are enumerated; the graph, head, field and
+value each case mutates are drawn from a seeded generator.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from hopformer import (ModelConfig, TrainConfig, augment, build_head_masks, evaluate,
+                       flop_count, forward, generate_erdos_renyi, init_model, train)
+from hopformer.autograd import ShapeError, scratch_tape
+from hopformer.cli import main
+from hopformer.graphs import Graph, GraphError
+
+REFUSED = (GraphError, ShapeError, ValueError)
+SEEDS = [0, 1, 2]
+TRAIN = TrainConfig(learning_rate=1e-2, epochs=1, batch_size=4)
+
+
+def node_inputs():
+    rng = np.random.default_rng(3)
+    g = generate_erdos_renyi(10, 0.3, seed=3)
+    g = Graph(num_nodes=10, edges=g.edges, node_features=rng.standard_normal((10, 3)),
+              node_labels=rng.integers(0, 2, 10))
+    cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
+                      num_heads=2, task="node_classification", num_classes=2)
+    return init_model(cfg, 3), g
+
+
+def graph_inputs():
+    rng = np.random.default_rng(4)
+    graphs = []
+    for i, n in enumerate([4, 5, 6, 7, 8, 9]):
+        g = generate_erdos_renyi(n, 0.5, seed=i)
+        graphs.append(Graph(num_nodes=n, edges=g.edges,
+                            node_features=rng.standard_normal((n, 2)), graph_label=i % 2))
+    cfg = ModelConfig(hidden_dim=8, head_hops=(1, 2), num_layers=1, ffn_dim=16,
+                      num_heads=2, task="graph_classification", num_classes=2)
+    return init_model(cfg, 2), graphs
+
+
+def head_masks(model, g):
+    return build_head_masks(augment(g), list(model.cfg.head_hops))
+
+
+def mask_mutations(rng, masks, other):
+    """(kind, mutated head-mask list, substring its refusal must hold, or
+    None for a list a forward can run)."""
+    h = int(rng.integers(len(masks)))
+    return [
+        ("None", None, "head masks must be a list"),
+        ("a string", "masks", "head masks must be a list"),
+        ("another graph's masks", other,
+         "mask 0 covers" if other[0].size != masks[0].size else None),
+        ("one mask too few", masks[:-1], "masks for"),
+        ("one mask too many", masks + [masks[h]], "masks for"),
+        ("a None entry", masks[:h] + [None] + masks[h + 1:], f"mask {h} is a NoneType"),
+        ("a string entry", masks[:h] + ["hop"] + masks[h + 1:], f"mask {h} is a str"),
+        ("a tuple", tuple(masks), None),
+    ]
+
+
+def outcome(failures, case, call):
+    """None when ``call`` runs, else the refusal's message; any other
+    exception is recorded as a failure of ``case``."""
+    try:
+        with scratch_tape():
+            call()
+    except REFUSED as e:
+        return str(e)
+    except Exception as e:
+        failures.append(f"{case}: {type(e).__name__}: {e}")
+        return f"{type(e).__name__}: {e}"
+    return None
+
+
+def check(failures, case, message, *named):
+    """A case given names must be refused, its message holding every one;
+    a case given none may run or be refused."""
+    if message is None:
+        if named:
+            failures.append(f"{case}: ran")
+    elif not all(n in message for n in named):
+        failures.append(f"{case}: {message!r} does not name {named}")
+
+
+def naming(named, *context):
+    """The names a refusal must hold: none for a runnable case."""
+    return () if named is None else (*context, named)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_head_masks_are_run_or_refused_by_name(seed):
+    rng = np.random.default_rng([seed, 41])
+    failures = []
+    node_model, g = node_inputs()
+    graph_model, graphs = graph_inputs()
+    masks = [head_masks(graph_model, x) for x in graphs]
+    # a node task: its one mask list mutated
+    node_masks = head_masks(node_model, g)
+    for kind, mutated, named in mask_mutations(rng, node_masks, masks[0]):
+        case = f"node task, {kind}"
+        named = None if mutated is None else named   # masks=None: built from the config
+        for run in (lambda: train(node_model, g, mutated, TRAIN),
+                    lambda: evaluate(node_model, g, mutated, np.arange(10))):
+            check(failures, case, outcome(failures, case, run), *naming(named, "the graph"))
+    # a graph task: graph i's mask list mutated
+    i = int(rng.integers(len(graphs)))
+    other = masks[(i + 1) % len(graphs)]
+    for kind, mutated, named in mask_mutations(rng, masks[i], other):
+        case = f"graph task, graph {i}, {kind}"
+        lists = masks[:i] + [mutated] + masks[i + 1:]
+        for run in (lambda: train(graph_model, graphs, lists, TRAIN),
+                    lambda: evaluate(graph_model, graphs, lists, [i])):
+            check(failures, case, outcome(failures, case, run), *naming(named, f"graph {i}"))
+        # flop_count prices exactly the mask lists a forward can run
+        ran = outcome(failures, case,
+                      lambda: forward(graph_model, graphs[i], augment(graphs[i]), mutated))
+        priced = outcome(failures, case,
+                         lambda: flop_count(graph_model.cfg, graphs[i], mutated))
+        check(failures, case, ran, *naming(named, "batch graph 0"))
+        check(failures, case, priced, *naming(named))
+        if (ran is None) != (priced is None):
+            failures.append(f"{case}: forward {'ran' if ran is None else 'refused'}, "
+                            f"flop_count {'priced it' if priced is None else 'refused'}")
+    # a graph task: the whole argument mutated
+    for whole, named in [("masks", "take a list of head-mask lists, got str"),
+                         (7, "take a list of head-mask lists, got int"),
+                         (masks[i], "2 head-mask lists for 6 graphs")]:
+        case = f"graph task, masks {whole!r:.40}"
+        for run in (lambda: train(graph_model, graphs, whole, TRAIN),
+                    lambda: evaluate(graph_model, graphs, whole, [i])):
+            check(failures, case, outcome(failures, case, run), named)
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_datasets_are_run_or_refused_by_name(seed):
+    rng = np.random.default_rng([seed, 43])
+    failures = []
+    node_model, g = node_inputs()
+    graph_model, graphs = graph_inputs()
+    i = int(rng.integers(len(graphs)))
+    other = graphs[int(rng.integers(len(graphs)))]
+    cases = [
+        (node_model, None, "node classification trains on a single Graph"),
+        (node_model, "graph", "node classification trains on a single Graph"),
+        (node_model, [g], "node classification trains on a single Graph"),
+        (graph_model, None, "graph-level tasks train on a list of Graphs"),
+        (graph_model, "graphs", "graph-level tasks train on a list of Graphs"),
+        (graph_model, graphs[0], "graph-level tasks train on a list of Graphs"),
+        (graph_model, graphs[:i] + [None] + graphs[i + 1:], f"graph {i} is a NoneType"),
+        (graph_model, graphs[:i] + ["g"] + graphs[i + 1:], f"graph {i} is a str"),
+        (graph_model, graphs[:i] + [other] + graphs[i + 1:], None),
+    ]
+    for model, data, named in cases:
+        case = f"{model.cfg.task}, dataset {data!r:.40}"
+        for run in (lambda: train(model, data, None, TRAIN),
+                    lambda: evaluate(model, data, None, [0])):
+            check(failures, case, outcome(failures, case, run), *naming(named))
+    for data in (None, "graph", 3):
+        case = f"forward and flop_count of {data!r}"
+        masks = head_masks(graph_model, graphs[0])
+        ran = outcome(failures, case, lambda: forward(graph_model, data, None, masks))
+        priced = outcome(failures, case, lambda: flop_count(graph_model.cfg, data, masks))
+        check(failures, case, ran, "forward takes a Graph")
+        check(failures, case, priced, "flop_count prices a Graph")
+    assert not failures, "\n".join(failures)
+
+
+# ---------------------------------------------------------------------------
+# CLI half
+
+PATH = {"num_nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]], "node_features": [[1.0]] * 4}
+CONFIG = {
+    "model": {"hidden_dim": 8, "head_hops": [1, 1], "num_layers": 1, "ffn_dim": 16,
+              "num_heads": 2, "task": "graph_classification", "num_classes": 2,
+              "seed": 0},
+    "train": {"learning_rate": 1e-2, "epochs": 1, "batch_size": 2, "seed": 0},
+}
+# bounded values: no size, count or budget above 2
+VALUES = [None, "x", -1, 0, 1, 2, 2.5, True, [], {}, [1], [[0, 1]]]
+# what else a refusal may name a config field by: the heads a hop list must
+# match, or the default task the field's absence leaves
+ALIASES = {"num_heads": ("heads",), "task": ("node classification",)}
+
+
+def dataset():
+    """Five equal 4-node paths, labels alternating: with no layers every
+    hop configuration's FLOP total is the same."""
+    return [dict(PATH, graph_label=i % 2) for i in range(5)]
+
+
+def run_cli(tmp_path, capsys, command, graphs, config):
+    data, cfg = tmp_path / "data.json", tmp_path / "cfg.json"
+    data.write_text(json.dumps(graphs))
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / f"out-{command}"
+    argv = {"train": ["train", str(data), "--config", str(cfg), "--output", str(out)],
+            "flops": ["flops", str(data), "--config", str(cfg), "--hop-configs",
+                      "1,1;1,2;2,2", "--output", str(out)],
+            "analyze": ["analyze", str(data), "--output", str(out)]}[command]
+    try:
+        code = main(argv)
+    except Exception as e:   # main lets it out: the installed command prints a traceback
+        code = f"{type(e).__name__}: {e}"
+    return code, capsys.readouterr().err
+
+
+def cli_cases(rng):
+    """(label, commands, graphs, config, substrings a refusal must hold)."""
+    cases = []
+    for section, fields in CONFIG.items():
+        commands = ["train", "flops"] if section == "model" else ["train"]
+        for field in fields:
+            # 0 is every field's boundary; num_layers 0 makes the FLOP totals equal
+            for value in [0] + [VALUES[k] for k in rng.choice(len(VALUES), 3, replace=False)]:
+                config = json.loads(json.dumps(CONFIG))
+                config[section][field] = value
+                cases.append((f"{section}.{field} = {value!r}", commands, dataset(),
+                              config, (field,) + ALIASES.get(field, ())))
+            config = json.loads(json.dumps(CONFIG))
+            del config[section][field]
+            cases.append((f"{section}.{field} deleted", commands, dataset(), config,
+                          (field,) + ALIASES.get(field, ())))
+    for field in ["num_nodes", "edges", "node_features", "graph_label"]:
+        i = int(rng.integers(5))
+        for k in rng.choice(len(VALUES), 3, replace=False).tolist():
+            graphs = dataset()
+            graphs[i][field] = VALUES[k]
+            cases.append((f"graph {i} {field} = {VALUES[k]!r}", ["train", "flops", "analyze"],
+                          graphs, CONFIG, (f"graph {i}",)))
+    i = int(rng.integers(5))
+    for k in rng.choice(len(VALUES), 2, replace=False).tolist():
+        graphs = dataset()
+        graphs[i] = VALUES[k]
+        cases.append((f"graph {i} = {VALUES[k]!r}", ["train", "flops", "analyze"], graphs,
+                      CONFIG, (f"graph {i}",)))
+    return cases
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_json_exits_zero_or_two_naming_the_item(tmp_path, capsys, seed):
+    failures = []
+    for label, commands, graphs, config, named in cli_cases(np.random.default_rng([seed, 47])):
+        for command in commands:
+            code, err = run_cli(tmp_path, capsys, command, graphs, config)
+            if code not in (0, 2) or "Traceback" in err:
+                failures.append(f"{command}, {label}: exit {code}: {err!r}")
+            elif code == 2 and not (err.startswith("error: ")
+                                    and any(n in err for n in named)):
+                failures.append(f"{command}, {label}: {err!r} does not name {named}")
+    assert not failures, "\n".join(failures)

@@ -288,6 +288,23 @@ class TestFlops:
         assert main(["flops", str(src), "--config", str(cfg_path),
                      "--output", str(out)]) == 0
 
+    def test_constant_totals_exit_zero_with_r_squared_one(self, tmp_path, capsys):
+        # five equal path graphs and no layers: every total is the same, and
+        # the fit divided polyfit's rounding by ss_tot = 0
+        path = {"num_nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                "node_features": [[1.0]] * 4}
+        src = tmp_path / "data.json"
+        src.write_text(json.dumps([path] * 5))
+        cfg = run_config()
+        cfg["model"]["num_layers"] = 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "flops.csv"
+        assert main(["flops", str(src), "--config", str(cfg_path),
+                     "--hop-configs", "1,1;1,2;2,2", "--output", str(out)]) == 0
+        assert "r_squared=1.000000" in capsys.readouterr().out
+        assert "r_squared=1.0\n" in out.read_text()
+
     def test_empty_dataset_exits_two(self, tmp_path, capsys):
         src = tmp_path / "empty.json"
         src.write_text("[]")

@@ -645,6 +645,13 @@ class TestBatchOfOne:
         "token count": (lambda ag, other: build_head_masks(other, [1, 3]),
                         "mask 0 covers 3 tokens, expected 5"),
         "head count": (lambda ag, other: build_head_masks(ag, [1]), "got 1 masks for 2 heads"),
+        # a non-mask entry failed with a bare AttributeError on .size
+        "None entry": (lambda ag, other: [None] + build_head_masks(ag, [3]),
+                       "mask 0 is a NoneType, not a HopMask"),
+        "string entry": (lambda ag, other: build_head_masks(ag, [1]) + ["hop 3"],
+                         "mask 1 is a str, not a HopMask"),
+        "not a list": (lambda ag, other: None,
+                       "head masks must be a list of HopMask, got NoneType"),
     }
 
     def bad_case(self, fault):

@@ -585,7 +585,7 @@ class TestNodeRowsInTraining:
         masks = build_head_masks(ag, list(cfg.head_hops))
         n, t, d_h = g.num_nodes, ag.total_tokens, cfg.head_dim
         with ops.scratch_tape(), ops.count_attention_flops() as meter:
-            training._outputs(model, g, ag, masks, [np.arange(n)])
+            training._outputs(model, g, {0: ag}, {0: masks}, [np.arange(n)])
         logical = executed = 0
         for mk in masks:
             node_nnz = int(mk.indptr[n])
@@ -787,13 +787,13 @@ def reference_node_train(model, g, masks, tc):
     for epoch in range(tc.epochs):
         training.zero_grads(params)
         with ops.scratch_tape():
-            out = training._outputs(model, g, ag, masks, [idx_train], training=True,
-                                    seed=tc.seed * 100003 + epoch)[0]
+            out = training._outputs(model, g, {0: ag}, {0: masks}, [idx_train],
+                                    training=True, seed=tc.seed * 100003 + epoch)[0]
             loss = training._loss(model.cfg.task, out, g.node_labels[idx_train])
             backward(loss)
         adam_step(params, training.collect_grads(params), state, tc.learning_rate,
                   weight_decay=tc.weight_decay)
-        val, test = training._scores(model, g, ag, masks, g.node_labels, scored)
+        val, test = training._scores(model, g, {0: ag}, {0: masks}, g.node_labels, scored)
         losses.append(float(loss.values[0, 0]))
         vals.append(val)
         tests.append(test)
@@ -1074,6 +1074,26 @@ class TestPrepare:
         model, graphs, masks = graph_task_inputs()
         self.refused_without_forward(monkeypatch, model, graphs, masks[:-1],
                                      "5 head-mask lists for 6 graphs")
+
+    @pytest.mark.parametrize("entry, kind", [(None, "NoneType"), ("hop 3", "str")])
+    def test_a_non_mask_head_entry_refused_by_head(self, monkeypatch, entry, kind):
+        # failed with a bare AttributeError on .size
+        g = labelled_graph()
+        cfg = node_cfg()
+        masks = build_head_masks(augment(g), list(cfg.head_hops))
+        masks[1] = entry
+        self.refused_without_forward(monkeypatch, init_model(cfg, 3), g, masks,
+                                     f"^the graph: mask 1 is a {kind}, not a HopMask$",
+                                     ShapeError)
+
+    @pytest.mark.parametrize("entry, kind", [(None, "NoneType"), ("masks", "str")])
+    def test_a_graphs_non_list_masks_refused_by_graph(self, monkeypatch, entry, kind):
+        # a None entry passed the checks, then failed with a bare TypeError
+        model, graphs, masks = graph_task_inputs()
+        masks[3] = entry
+        self.refused_without_forward(
+            monkeypatch, model, graphs, masks,
+            f"^graph 3: head masks must be a list of HopMask, got {kind}$", ShapeError)
 
     def test_each_mask_list_covers_its_graph(self, monkeypatch):
         model, graphs, masks = graph_task_inputs()
