@@ -17,7 +17,8 @@ import numpy as np
 
 from .autograd import ShapeError, Tensor, attention_flops, count_attention_flops, no_grad
 from .graphs import Graph, GraphError, augment, csr_from_pairs
-from .masks import HopMask, build_head_masks, hop_distance_blocks
+from .masks import (HopMask, _one_block, _reach_levels, build_head_masks,
+                    hop_distance_blocks)
 from .model import (Model, ModelConfig, _check_mask_list, _check_masks, _encode,
                     encoder_layer, forward, init_model)
 
@@ -77,11 +78,16 @@ class _PathSummary:
 
 
 def _path_summary(g: Graph) -> _PathSummary:
-    """All-pairs unbounded BFS on the original graph, reduced block by block."""
+    """All-pairs unbounded BFS on the original graph.  A one-block search
+    (``masks._one_block``) is read off per-level bit counts of its bit-row
+    reach; a larger one is reduced from the key search's distances block by
+    block."""
     n = g.num_nodes
     if n < 2:
         raise ValueError(f"average path length needs at least 2 nodes, got {n}")
     indptr, indices = _adjacency(g)
+    if _one_block(n, indices.size):
+        return _bit_path_summary(indptr, indices, n)
     component = np.empty(n, dtype=np.int64)
     eccentricity = np.empty(n, dtype=np.int64)
     total = pairs = 0
@@ -94,6 +100,30 @@ def _path_summary(g: Graph) -> _PathSummary:
         total += int(dist.sum())
         pairs += dist.size - first.size
     return _PathSummary(component, eccentricity, total, pairs)
+
+
+def _bit_path_summary(indptr: np.ndarray, indices: np.ndarray, n: int) -> _PathSummary:
+    """The summary of a one-block search, from bit counts alone: row i's count
+    grows at level d by the nodes at distance d from i."""
+    # bits set in each byte value; np.bitwise_count needs numpy 2.0
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+        axis=1, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    eccentricity = np.zeros(n, dtype=np.int64)
+    total = 0
+    for level, reach in enumerate(_reach_levels(indptr, indices, n, n)):
+        grown = byte_bits[reach.view(np.uint8)].sum(axis=1)
+        gained = grown - counts
+        total += level * int(gained.sum())
+        eccentricity[gained > 0] = level
+        counts = grown
+    # the lowest set bit of a row is the smallest node id in its component;
+    # (x & -x) - 1 keeps exactly the bits below the lowest one of x
+    word = np.argmax(reach != 0, axis=1)
+    x = reach[np.arange(n), word]
+    below = (x & (~x + np.uint64(1))) - np.uint64(1)
+    component = word * 64 + byte_bits[below.view(np.uint8).reshape(n, 8)].sum(axis=1)
+    return _PathSummary(component, eccentricity, total, int(counts.sum()) - n)
 
 
 def avg_shortest_path(g: Graph) -> float:

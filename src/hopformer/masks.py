@@ -5,17 +5,18 @@ distance in the augmented graph is at most the head's hop budget.  Budgets
 count hops on the augmented graph, where one hop of the original graph costs
 two (node -> edge token -> node).
 
-Every head's mask comes from one level-synchronous, multi-source breadth-first
-search (:func:`hop_distances`) that labels each reachable pair with its hop
-distance up to the largest budget; a head's mask is the filter ``dist <= n``.
-Sources run in blocks sized so that the search's transient arrays stay
-within ``BLOCK_CELLS`` entries.  A level expands the frontier's
-``(source, token)`` keys through the CSR, which costs t^2 * degree once the
-reach is dense.  So a search that fits one block, whose ``seen`` buffer
-already holds the whole t x t reach, finishes on bit rows once a key level
-would expand more neighbours than a bit level gathers words: each row of the
-reach packed into uint64 words, and a level ORs each row's neighbours' rows
-into it (a multi-source bitset BFS, as in Then et al., VLDB 2014).
+Every head's mask comes from one level-synchronous, multi-source
+breadth-first search from all tokens to the largest budget, and which search
+runs depends only on its size (:func:`_one_block`).  A search whose t x t
+reach fits ``BLOCK_CELLS`` runs on bit rows from level 0
+(:func:`_reach_levels`): each row of the reach packed into uint64 words, and
+a level ORs each row's neighbours' rows into it (a multi-source bitset BFS,
+as in Then et al., VLDB 2014).  A head's mask is the reach after its budget's
+level, so no per-pair distance is ever written.  A larger search
+(:func:`hop_distances`) runs its sources in blocks sized so that its
+transient arrays stay within ``BLOCK_CELLS`` entries; a level expands the
+frontier's ``(source, token)`` keys through the CSR and labels each new pair
+with its hop distance, and a head's mask is the filter ``dist <= n``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import AugmentedGraph, _frozen, _int_value, csr_indptr
+from .graphs import AugmentedGraph, GraphError, _frozen, _int_value, csr_indptr
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,39 +145,87 @@ class HopMask:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
-# Bound on the transient arrays of one search block.  A block of B sources
-# has a B x T ``seen`` buffer (bytes), frontiers and output of at most B x T
-# keys, and per level at most B x nnz expanded neighbours (each source expands
-# each stored link at most once).  B = BLOCK_CELLS // max(T, nnz), at least
-# one, keeps all of them within BLOCK_CELLS entries.  A search that fits one
-# block (T * max(T, nnz) <= BLOCK_CELLS) may finish on bit rows, whose arrays
-# (the packed reach, a T x T dist buffer, a gather of nnz x ceil(T/64) words)
-# hold at most T^2 entries each, so the same bound covers them.
+# Bound on the transient arrays of one search.  A key search runs its sources
+# in blocks of B = BLOCK_CELLS // max(T, nnz), at least one: a block has a
+# B x T ``seen`` buffer (bytes), frontiers and output of at most B x T keys,
+# and per level at most B x nnz expanded neighbours (each source expands each
+# stored link at most once), all within BLOCK_CELLS entries.  A search that
+# fits one block (T * max(T, nnz) <= BLOCK_CELLS, :func:`_one_block`) runs on
+# bit rows instead, whose arrays (the packed reach, T x ceil(T/64) words; a
+# gather of (nnz + T) x ceil(T/64) words; one unpacked T x T snapshot of
+# bytes) stay within the same bound.
 #
-# Such a search switches at the first level, short of its last, whose key
-# expansion would exceed the nnz * ceil(T/64) words one bit level gathers.
-# Medians of interleaved build_head_masks calls, keys only -> switched, numpy
-# 2.4.6 on 2 vCPUs, seed 3, budgets up to 4 (shallow) and 1,3,6,12,24,48
-# (deep):
-#   sbm_node, T = 341, budgets 1,3,6,12:          17.3 -> 6.4 ms
-#   er_graph, 128 graphs, T <= 54, budgets 1..8:   48.7 -> 44.2 ms
-#   Watts-Strogatz          T   shallow            deep
-#   beta 0,   n=20,  k=4    60   0.27 -> 0.25 ms    0.77 -> 0.62 ms
-#   beta 0,   n=100, k=6   400   1.39 -> 1.06       18.5 -> 11.9
-#   beta 0,   n=160, k=4   480   0.92 (keys)        15.2 (keys)
-#   beta 0.1, n=20,  k=4    60   0.30 -> 0.27       0.84 -> 0.64
-#   beta 0.1, n=100, k=6   400   1.77 -> 1.33       18.9 -> 8.6
-#   beta 0.1, n=160, k=4   480   1.20 (keys)        31.4 -> 18.3
-#   beta 1,   n=20,  k=4    60   0.36 -> 0.31       0.83 -> 0.62
-#   beta 1,   n=100, k=6   400   3.22 -> 2.45       23.8 -> 10.6
-#   beta 1,   n=160, k=4   480   2.44 (keys)        40.6 -> 19.0
-#   n=250, k=6, any beta  1000   multi-block, keys: 3.5-9.1 and 70-223 ms
-#   ring (k=2), n=300      600   keys at every level: 8.8 ms deep
-# In a separate interleaved run, bit rows from the first level took 9.8 ms
-# against 6.7 on keys for the n=300 ring (deep), whose frontiers stay short.  Switching at the last level made
-# beta 1, n=160, k=4 shallow 1.19x slower: one bit level does not repay
-# packing the reach and unpacking it.
+# Medians of 21 interleaved build_head_masks calls, the earlier search (keys,
+# switching to bit rows once a key level would expand more neighbours than a
+# bit level gathers words) -> bit rows from level 0, numpy 2.4.6 on a shared
+# 2-vCPU host, seed 3, budgets 1,2,3,4 (shallow) and 1,3,6,12,24,48 (deep):
+#   sbm_node, T = 341, budgets 1,3,6,12:          6.7 -> 3.6 ms
+#   er_graph, 128 graphs, T <= 54, budgets 1..8:  45.6 -> 28.2 ms
+#   Watts-Strogatz          T   shallow             deep
+#   beta 0,   n=20,  k=4    60   0.25 -> 0.19 ms     0.52 -> 0.29 ms
+#   beta 0,   n=100, k=6   400   1.09 -> 1.15        12.4 -> 7.7
+#   beta 0,   n=160, k=4   480   1.02 -> 1.28        16.3 -> 7.5
+#   beta 0.1, n=20,  k=4    60   0.32 -> 0.24        0.64 -> 0.36
+#   beta 0.1, n=100, k=6   400   1.55 -> 1.36        12.9 -> 6.8
+#   beta 0.1, n=160, k=4   480   1.35 -> 1.44        18.7 -> 10.9
+#   beta 1,   n=20,  k=4    60   0.34 -> 0.24        0.58 -> 0.32
+#   beta 1,   n=100, k=6   400   2.01 -> 1.54        14.6 -> 5.3
+#   beta 1,   n=160, k=4   480   1.94 -> 1.95        21.5 -> 9.8
+#   ring (k=2), n=300      600   0.77 -> 1.70        6.83 -> 7.33
+#   n=250, k=6, any beta  1000   multi-block: keys, unchanged
+# analysis._path_summary (all pairs, original graph), same protocol: the 128
+# er_graph graphs 17.6 -> 14.1 ms; beta 1, n=160, k=4 1.02 -> 0.46 ms; the
+# n=300 ring 11.0 -> 12.7 ms.  Thin reaches lose: the ring (2.2x on shallow
+# masks, 1.07x deep, 1.15x on its path summary) and shallow masks of the
+# larger low-beta lattices (up to 1.26x).  A key level expands a short
+# frontier there, while a bit level still gathers every row and each
+# snapshot unpacks all T x T bits.  No benchmark workload has such graphs.
 BLOCK_CELLS = 2**20
+
+
+def _one_block(t: int, nnz: int) -> bool:
+    """Whether a search over t tokens and nnz links runs as one block of
+    sources, and so on bit rows (:func:`_reach_levels`) rather than on keys
+    (:func:`hop_distance_blocks`)."""
+    return t * max(t, nnz) <= BLOCK_CELLS
+
+
+def _reach_levels(indptr: np.ndarray, indices: np.ndarray, t: int, last: int):
+    """Yield the packed reach of every source of the t-node CSR graph after
+    levels 0, 1, ...: a fresh (t, ceil(t/64)) little-endian uint64 array whose
+    row i holds column c, as bit c % 64 of word c // 64, iff dist(i, c) is at
+    most the level.  Level 0 is the identity.
+
+    Each level sets ``reach[i] |= OR of reach[j] over i's CSR row``: one
+    gather and one ``np.bitwise_or.reduceat`` over the rows with each row's
+    own id put first, so no segment is empty (a multi-source bitset BFS, as
+    in Then et al., VLDB 2014).  The pull step is exact for any directed CSR:
+    j within d - 1 of c and i -> j put c within d of i.  Levels stop at
+    ``min(last, t - 1)`` or before the first level that sets no bit, whose
+    reach would repeat the last one yielded.
+    """
+    ids = np.arange(t)
+    reach = np.zeros((t, -(-t // 64)), dtype="<u8")
+    reach[ids, ids >> 6] = np.uint64(1) << (ids & 63).astype(np.uint64)
+    starts = indptr[:-1] + ids
+    links = np.insert(indices, indptr[:-1], ids)
+    yield reach
+    for _ in range(min(last, t - 1)):
+        grown = np.bitwise_or.reduceat(reach[links], starts, axis=0)
+        if np.array_equal(grown, reach):
+            return
+        reach = grown
+        yield reach
+
+
+def _snapshot_csr(reach: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 CSR ``(indptr, indices)`` of a packed reach, columns
+    ascending, unpacked row by row into a t x t bool array."""
+    bits = np.unpackbits(reach.view(np.uint8), axis=1, count=t,
+                         bitorder="little").view(bool)
+    indptr = np.zeros(t + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(bits, axis=1), out=indptr[1:])
+    return indptr, np.flatnonzero(bits) % t
 
 
 def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hops: int):
@@ -187,18 +236,12 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
     dist(i, j) <= max_hops.  Each block is one multi-source, level-synchronous
     BFS: a frontier of ``(source - s0) * t + node`` keys, s0 the block's first
     source, expands through the CSR one level at a time, keeping only keys not
-    yet seen.  Levels stop at
-    ``min(max_hops, t - 1)`` or at an empty frontier; ``dist`` has the
-    smallest unsigned dtype that holds the last level.
+    yet seen.  Levels stop at ``min(max_hops, t - 1)`` or at an empty
+    frontier; ``dist`` has the smallest unsigned dtype that holds the last
+    level.
 
-    A key level costs one expanded neighbour per frontier key and link, which
-    grows like t^2 * degree once the reach is dense.  So a search that runs
-    as one block (``t * max(t, nnz) <= BLOCK_CELLS``) switches to
-    :func:`_bit_levels`, which finishes it on packed bit rows, at the first
-    level, short of the last, whose expansion would hold more entries than
-    the ``nnz * ceil(t / 64)`` words a bit level gathers.  Edgeless graphs
-    never switch (``0 > 0`` is false), nor does any multi-block search.  The
-    triples, their order and the ``dist`` dtype do not depend on the switch.
+    The package runs this key search only for searches of more than one
+    block (:func:`_one_block`); one-block searches run on bit rows.
     """
     if max_hops < 0:
         raise ValueError(f"hop budget must be non-negative, got {max_hops}")
@@ -206,9 +249,6 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
     dist_dtype = np.min_scalar_type(levels)
     starts, degrees = indptr[:-1], np.diff(indptr)
     block = max(1, BLOCK_CELLS // max(t, indices.size, 1))
-    # one bit level gathers nnz rows of ceil(t/64) words; -1 keeps a
-    # multi-block search on keys
-    bit_words = indices.size * -(-t // 64) if block >= t else -1
     seen = np.zeros(min(block, t) * t, dtype=bool)
     for s0 in range(0, t, block):
         b = min(block, t - s0)
@@ -219,9 +259,6 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
             node = frontier % t
             deg = degrees[node]
             ends = np.cumsum(deg)
-            if 0 <= bit_words < ends[-1] and level < levels:
-                yield _bit_levels(indptr, indices, t, seen, keys, dist, level, levels)
-                return
             pos = np.arange(ends[-1], dtype=np.int64) + np.repeat(starts[node] - ends + deg, deg)
             reach = np.repeat(frontier - node, deg) + indices[pos]
             # the sorted unique new keys, as np.unique gives them; it hashes
@@ -238,46 +275,6 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
         order = np.argsort(keys)
         keys = keys[order]
         yield keys // t + s0, keys % t, dist[order]
-
-
-def _bit_levels(indptr: np.ndarray, indices: np.ndarray, t: int, seen: np.ndarray,
-                keys: list, dist: list, first: int, last: int):
-    """Finish a one-block search at levels ``first..last`` on bit rows.
-
-    ``seen`` is the t x t reach up to level ``first - 1`` and ``keys``/``dist``
-    its levels.  Row i of the reach is packed into little-endian uint64 words
-    (column c is bit c % 64 of word c // 64), and a level sets
-    ``reach[i] |= OR of reach[j] over i's CSR row``: one gather and one
-    ``np.bitwise_or.reduceat``.  This pull step is exact for any directed CSR
-    (j within d - 1 of c and i -> j put c within d of i).  Levels stop at
-    ``last`` or at the first level that sets no bit.  Each level's new bits
-    write their level into a t x t dist buffer, and the final reach, unpacked,
-    gives the row-major triples in one ``np.flatnonzero``.
-    """
-    dist_buf = np.zeros(t * t, dtype=dist[0].dtype)
-    dist_buf[np.concatenate(keys)] = np.concatenate(dist)
-    # row t stays zero: the gather's last entry, pulled by a trailing row
-    # without links; reduceat's value for every row without links is reset
-    packed = np.zeros((t + 1, 8 * -(-t // 64)), dtype=np.uint8)
-    packed[:t, :-(-t // 8)] = np.packbits(seen.reshape(t, t), axis=1, bitorder="little")
-    reach = packed.view("<u8")
-    links = np.append(indices, t)
-    unlinked = np.flatnonzero(indptr[1:] == indptr[:-1])
-    for level in range(first, last + 1):
-        pulled = np.bitwise_or.reduceat(reach[links], indptr[:-1], axis=0)
-        pulled[unlinked] = 0   # reduceat gives an empty segment its next entry
-        new_bits = pulled & ~reach[:t]
-        r, w = np.nonzero(new_bits)   # the words that gained bits
-        if r.size == 0:
-            break
-        reach[:t] |= new_bits
-        # nonzero runs about 2.5x faster on a bool view than on uint8
-        bit = np.flatnonzero(np.unpackbits(
-            np.asarray(new_bits[r, w], dtype="<u8").view(np.uint8), bitorder="little").view(bool))
-        dist_buf[(r * t + w * 64)[bit >> 6] + (bit & 63)] = level
-    flat = np.flatnonzero(
-        np.unpackbits(packed[:t], axis=1, count=t, bitorder="little").view(bool))
-    return flat // t, flat % t, dist_buf[flat]
 
 
 def hop_distances(indptr: np.ndarray, indices: np.ndarray, t: int,
@@ -314,21 +311,36 @@ def build_mask(ag: AugmentedGraph, n: int) -> HopMask:
 def build_head_masks(ag: AugmentedGraph, hops: list[int]) -> list[HopMask]:
     """One mask per head from a single search to ``max(hops)``; identical
     budgets share a single underlying mask.  Budgets follow the package's
-    integer rule: ``2.0`` is 2, a boolean or a fraction is refused."""
+    integer rule: ``2.0`` is 2, a boolean or a fraction is refused, and so is
+    a string, as ``ModelConfig`` refuses one for ``head_hops``.
+
+    A one-block search (:func:`_one_block`) turns the bit-row reach at each
+    budget into its mask, and budgets past the level where the reach stops
+    growing share that last reach's arrays; a larger one filters the key
+    search's distances per budget."""
+    if not isinstance(ag, AugmentedGraph):
+        raise GraphError(f"build_head_masks takes an AugmentedGraph (from augment), "
+                         f"got {type(ag).__name__}")
+    if isinstance(hops, (str, bytes)) or not hasattr(hops, "__iter__"):
+        raise ValueError(f"hops must be a list of integers, got {hops!r}")
     hops = [_int_value(f"hop budget {i}", n) for i, n in enumerate(hops)]
     if not hops:
         raise ValueError("hops must be non-empty")
     if min(hops) < 0:
         raise ValueError(f"hop budget must be non-negative, got {min(hops)}")
     t = ag.total_tokens
-    rows, cols, dist = hop_distances(ag.indptr, ag.indices, t, max(hops))
-    cache: dict[int, HopMask] = {}
-    out = []
-    for n in hops:
-        if n not in cache:
-            cache[n] = _mask_within(rows, cols, dist, t, n)
-        out.append(cache[n])
-    return out
+    if _one_block(t, ag.indices.size):
+        csr = {}
+        for level, reach in enumerate(_reach_levels(ag.indptr, ag.indices, t, max(hops))):
+            if level in hops:
+                csr[level] = tuple(map(_frozen, _snapshot_csr(reach, t)))
+        if level not in csr:   # the reach stopped growing before max(hops)
+            csr[level] = tuple(map(_frozen, _snapshot_csr(reach, t)))
+        masks = {n: HopMask(n, t, *csr[min(n, level)]) for n in set(hops)}
+    else:
+        rows, cols, dist = hop_distances(ag.indptr, ag.indices, t, max(hops))
+        masks = {n: _mask_within(rows, cols, dist, t, n) for n in set(hops)}
+    return [masks[n] for n in hops]
 
 
 def mask_stats(m: HopMask) -> dict:

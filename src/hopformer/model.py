@@ -29,7 +29,7 @@ import numpy as np
 from . import autograd as ops
 from .autograd import Tensor, ShapeError
 from .graphs import (AugmentedGraph, Graph, GraphError, _config_from_obj, _finite_value,
-                     _int_value, _json_object, _read_json, _write_json)
+                     _int_field, _int_value, _json_object, _read_json, _write_json)
 from .masks import HopMask
 
 CHECKPOINT_MAGIC = "HOPFORMER2"
@@ -364,7 +364,9 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     every graph attends only within its own rows.  Graph b draws its dropout
     from ``rng_seed + graph_ids[b]`` (``graph_ids`` defaults to the batch
     positions; an unset ``rng_seed`` is 0 for every graph), so its rows equal
-    those of a forward on it alone with that seed, up to rounding.
+    those of a forward on it alone with that seed, up to rounding.  Both
+    follow the package's integer rule (``2.0`` is 2, a boolean or a fraction
+    is refused) and may not be negative.
 
     ``rows`` (one graph only, in [1, T]) asks for the first ``rows`` token
     rows alone, a node task's N node rows: the last layer then computes only
@@ -382,19 +384,29 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     if not all(isinstance(x, (list, tuple)) for x in (g, ag, masks)):
         raise ShapeError("forward takes a Graph, its AugmentedGraph and its head masks, "
                          "or parallel lists of them")
-    ids = range(len(g)) if graph_ids is None else graph_ids
+    ids = range(len(g)) if graph_ids is None else _int_field("graph_ids", graph_ids)
+    if np.ndim(ids) != 1:
+        raise ShapeError(f"graph_ids must be a list of integers, got {graph_ids!r}")
     if not len(g) == len(ag) == len(masks) == len(ids):
         raise ShapeError(f"a batch of {len(g)} graphs got {len(ag)} augmented graphs, "
                          f"{len(masks)} head-mask lists and {len(ids)} graph ids")
+    if len(ids) and min(ids) < 0:
+        raise ValueError(f"graph_ids must be non-negative, got {int(min(ids))}")
+    seed = 0 if rng_seed is None else _int_value("rng_seed", rng_seed)
+    if seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {seed}")
     for b, (x, a, gm) in enumerate(zip(g, ag, masks)):
         _check_graph(m, x, f"batch graph {b}")
+        if not isinstance(a, AugmentedGraph):
+            raise ShapeError(f"batch graph {b}: the augmented graph is a "
+                             f"{type(a).__name__}, not an AugmentedGraph")
         if (a.num_node_tokens, a.num_edge_tokens) != (x.num_nodes, x.num_edges):
             raise ShapeError(f"batch graph {b}: the augmented graph has {a.num_node_tokens} "
                              f"node and {a.num_edge_tokens} edge tokens, the graph "
                              f"{x.num_nodes} nodes and {x.num_edges} edges")
         _check_graph_masks(m, x, gm, f"batch graph {b}")
     rows = _prefix_rows(rows, [x.num_nodes + x.num_edges for x in g])
-    seeds = [0] * len(g) if rng_seed is None else [int(rng_seed) + int(i) for i in ids]
+    seeds = [0] * len(g) if rng_seed is None else [seed + int(i) for i in ids]
     return _encode(m, embed_tokens(m, g), [list(hm) for hm in zip(*masks)], seeds,
                    training, rows)
 

@@ -357,3 +357,10 @@ def spy_on_paths(monkeypatch, around=None) -> list[PathCall]:
             return _path(*args) if around is None else around(_path, args)
         monkeypatch.setattr(autograd, name, spy)
     return calls
+
+
+def refuse(what: str):
+    """A stand-in for a search function that fails the test if called."""
+    def refused(*args):
+        raise AssertionError(f"the search {what}")
+    return refused

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -9,12 +10,13 @@ from hopformer import (ModelConfig, ShapeError, augment, avg_shortest_path,
                        flops_vs_nnz_report, generate_erdos_renyi,
                        generate_watts_strogatz, influence_matrix, init_model,
                        receptive_field_probe, small_world_report)
+from hopformer import analysis
 from hopformer import masks as masks_mod
 from hopformer.graphs import Graph, GraphError
 
 from helpers import (augmented_distances, brute_avg_path, brute_clustering,
                      brute_components_and_diameter,
-                     path3_graph, random_graph, shuffled_reversed_copy,
+                     path3_graph, random_graph, refuse, shuffled_reversed_copy,
                      single_edge_graph, star_graph, triangle_graph)
 
 
@@ -112,20 +114,75 @@ class TestSmallWorldReport:
         *(generate_watts_strogatz(50, 6, beta, seed=seed)
           for beta in (0.0, 0.1, 1.0) for seed in (0, 1)),
         *(generate_erdos_renyi(n, 0.3, seed=seed) for n, seed in ((8, 1), (12, 2), (15, 3))),
-        generate_erdos_renyi(40, 0.04, seed=6)])
-    def test_bit_levels_give_the_key_search_report(self, monkeypatch, g):
-        # an all-pairs search on a connected graph ends dense, so it finishes
-        # on bit rows; n * n - 1 cells split any n-node search into blocks,
-        # which keeps it on keys
-        switched = []
-        bit_levels = masks_mod._bit_levels
+        generate_erdos_renyi(40, 0.04, seed=6), generate_watts_strogatz(300, 2, 0.0, seed=3)])
+    def test_bit_rows_give_the_key_search_report(self, monkeypatch, g):
+        # these searches are one block, so they run on bit rows; one cell
+        # below n * max(n, nnz) splits them into blocks, which run on keys
+        nnz = 2 * g.num_edges
         with monkeypatch.context() as m:
-            m.setattr(masks_mod, "_bit_levels",
-                      lambda *a: switched.append(a[6]) or bit_levels(*a))
+            m.setattr(analysis, "hop_distance_blocks", refuse("expanded a key level"))
             bits = (small_world_report(g), avg_shortest_path(g))
-        assert len(switched) == 2
-        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", g.num_nodes ** 2 - 1)
+        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", g.num_nodes * max(g.num_nodes, nnz) - 1)
+        monkeypatch.setattr(analysis, "_reach_levels", refuse("used bit rows"))
         assert (small_world_report(g), avg_shortest_path(g)) == bits
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_word_edges_match_scipy_shortest_path(self, n):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng([n, 9])
+        for p in (0.01, 0.03, 0.2):   # many components, a few, one
+            g = generate_erdos_renyi(n, p, seed=int(rng.integers(2**31)))
+            rep = small_world_report(g)
+            rows = g.edges.ravel()
+            adj = sparse.csr_matrix((np.ones(rows.size), (rows, g.edges[:, ::-1].ravel())),
+                                    shape=(n, n))
+            dist = csgraph.shortest_path(adj, unweighted=True)
+            reach = np.isfinite(dist) & (dist > 0)
+            assert rep.avg_path_length == pytest.approx(
+                dist[reach].mean() if reach.any() else 0.0, abs=1e-12)
+            labels = csgraph.connected_components(adj, directed=False)[1]
+            sizes = np.bincount(labels)
+            # ties: the component of the smallest node id
+            largest = labels == labels[np.flatnonzero(sizes[labels] == sizes.max())[0]]
+            assert rep.num_components == sizes.size
+            assert rep.diameter_of_largest_component == int(
+                dist[np.ix_(largest, largest)].max())
+
+    # sha256 of repr(small_world_report(g)), computed with the key search
+    # that the bit-row search replaced: the reports must not move
+    PINNED = {
+        "ws50": (lambda: generate_watts_strogatz(50, 6, 0.1, seed=1),
+                 "fced941ffcaf6e13894c7de73bbcaae0a0e8668d347cff9d9df688a2d67efe61"),
+        "ring300": (lambda: generate_watts_strogatz(300, 2, 0.0, seed=3),
+                    "d5cdbb61cebef2701a65cc7d643c2bc1dcaf9cf3a06bc03fc60188d29dc7008b"),
+        "er40": (lambda: generate_erdos_renyi(40, 0.04, seed=6),
+                 "1c53c7b5ef989a7d3ea21c61f71fcb954bf9ca40886d437e7a72d0c414c66355"),
+        "multi_block": (lambda: generate_watts_strogatz(1100, 4, 0.1, seed=3),
+                        "cdfffe0a44e18385bc79f6b500f44e4cb6d7b80dafcb7be8801af171da985330"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_digests(self, name):
+        make, digest = self.PINNED[name]
+        assert hashlib.sha256(repr(small_world_report(make())).encode()).hexdigest() == digest
+
+    def test_masks_and_paths_share_the_block_rule(self, monkeypatch):
+        # build_head_masks and _path_summary take bit rows on the same side
+        # of masks._one_block: the original graph's search at n * max(n, nnz)
+        # cells, the augmented graph's at T * max(T, nnz)
+        g = generate_erdos_renyi(15, 0.3, seed=8)
+        ag = augment(g)
+        for t, nnz, run in ((g.num_nodes, 2 * g.num_edges, lambda: small_world_report(g)),
+                            (ag.total_tokens, ag.indices.size,
+                             lambda: build_head_masks(ag, [1, 2, 4, 8]))):
+            for cells, bits in ((t * max(t, nnz) - 1, False), (t * max(t, nnz), True)):
+                with monkeypatch.context() as m:
+                    m.setattr(masks_mod, "BLOCK_CELLS", cells)
+                    for module in (analysis, masks_mod):
+                        m.setattr(module, "hop_distance_blocks" if bits else "_reach_levels",
+                                  refuse("took the other search"))
+                    run()
 
     def test_dataset_means(self):
         tri, p3 = triangle_graph(), path3_graph()

@@ -177,6 +177,50 @@ def test_mutated_datasets_are_run_or_refused_by_name(seed):
     assert not failures, "\n".join(failures)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_forward_seeds_ids_and_augmented_graphs_are_refused_by_name(seed):
+    # with dropout, rng_seed -3 and graph_ids [-5] failed inside numpy,
+    # rng_seed 1.5 ran as 1, graph_ids 5 raised a bare TypeError, [1.5] was
+    # truncated, and an ag of None raised AttributeError
+    rng = np.random.default_rng([seed, 53])
+    failures = []
+    _, graphs = graph_inputs()
+    cfg = ModelConfig(hidden_dim=8, head_hops=(1, 2), num_layers=1, ffn_dim=16, num_heads=2,
+                      task="graph_classification", num_classes=2, dropout=0.2,
+                      attention_dropout=0.2)
+    model = init_model(cfg, 2)
+    batch = [graphs[int(i)] for i in rng.choice(len(graphs), 3, replace=False)]
+    ags = [augment(g) for g in batch]
+    masks = [head_masks(model, g) for g in batch]
+    b = int(rng.integers(len(batch)))
+    cases = [
+        ("rng_seed 1.5", dict(rng_seed=1.5), "rng_seed"),
+        ("rng_seed True", dict(rng_seed=True), "rng_seed"),
+        ("rng_seed -3", dict(rng_seed=-3), "rng_seed"),
+        ("rng_seed '1'", dict(rng_seed="1"), "rng_seed"),
+        ("rng_seed 2.0", dict(rng_seed=2.0), None),
+        ("graph_ids 5", dict(rng_seed=1, graph_ids=5), "graph_ids"),
+        ("graph_ids [1.5, ...]", dict(rng_seed=1, graph_ids=[1.5, 2, 3]), "graph_ids"),
+        ("graph_ids [-5, ...]", dict(rng_seed=1, graph_ids=[-5, 2, 3]), "graph_ids"),
+        ("graph_ids [True, ...]", dict(rng_seed=1, graph_ids=[True, 2, 3]), "graph_ids"),
+        ("graph_ids 'abc'", dict(rng_seed=1, graph_ids="abc"), "graph_ids"),
+        ("graph_ids of floats", dict(rng_seed=1, graph_ids=[4.0, 2.0, 3.0]), None),
+    ]
+    for kind, kwargs, named in cases:
+        case = f"forward, {kind}"
+        ran = outcome(failures, case, lambda: forward(model, batch, ags, masks, training=True,
+                                                      **kwargs))
+        check(failures, case, ran, *naming(named))
+    for kind, mutated in [("None", None), ("a string", "ag"), ("its Graph", batch[b])]:
+        case = f"forward, batch graph {b}'s augmented graph is {kind}"
+        lists = ags[:b] + [mutated] + ags[b + 1:]
+        ran = outcome(failures, case, lambda: forward(model, batch, lists, masks))
+        check(failures, case, ran, f"batch graph {b}", "AugmentedGraph")
+        one = outcome(failures, case, lambda: forward(model, batch[b], mutated, masks[b]))
+        check(failures, case, one, "batch graph 0", "AugmentedGraph")
+    assert not failures, "\n".join(failures)
+
+
 # ---------------------------------------------------------------------------
 # CLI half
 

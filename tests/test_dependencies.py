@@ -6,6 +6,7 @@ also leaves numpy's lazily loaded submodules alone where it can: numpy.ma,
 which ``np.unique`` imports on its first call, costs every run of the command.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -80,3 +81,45 @@ print(plain, "numpy.ma" in sys.modules)
 def test_analyze_and_train_do_not_import_numpy_ma(tmp_path):
     plain, after = run_probe(MA_PROBE, args=[tmp_path])[-2:]
     assert plain == "True" or after == "False"
+
+
+# pyproject.toml declares numpy>=1.24.  Names that numpy 2.0 added, and
+# np.asarray's copy= keyword (also 2.0), would pass every test where only a
+# newer numpy is installed, so the package source is scanned for them.
+NUMPY_2_NAMES = {"bitwise_count", "astype", "concat", "unique_counts", "unique_values",
+                 "unique_inverse", "unique_all", "isdtype", "cumulative_sum", "vecdot",
+                 "permute_dims", "matrix_transpose"}
+
+
+def numpy_2_uses(source: str) -> list[str]:
+    """``line: name`` for every use in ``source`` of a numpy 2.0 name, read
+    through ``np.``/``numpy.`` or imported from numpy, and of ``copy=``
+    passed to ``np.asarray``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy") and node.attr in NUMPY_2_NAMES):
+            found.append(f"{node.lineno}: np.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in NUMPY_2_NAMES]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in ("np", "numpy") and node.func.attr == "asarray"
+              and any(k.arg == "copy" for k in node.keywords)):
+            found.append(f"{node.lineno}: np.asarray(copy=)")
+    return found
+
+
+def test_the_package_needs_no_numpy_2_name():
+    found = [f"{path.name}:{use}" for path in sorted((ROOT / "src").rglob("*.py"))
+             for use in numpy_2_uses(path.read_text())]
+    assert found == []
+
+
+def test_the_numpy_floor_scan_sees_each_name():
+    for name in sorted(NUMPY_2_NAMES):
+        assert numpy_2_uses(f"import numpy as np\nnp.{name}(x)\n") == [f"2: np.{name}"]
+        assert numpy_2_uses(f"x = numpy.{name}\n") == [f"1: np.{name}"]
+        assert numpy_2_uses(f"from numpy import {name}\n") == [f"1: {name}"]
+    assert numpy_2_uses("np.asarray(\n    x,\n    copy=False)\n") == ["1: np.asarray(copy=)"]
+    assert numpy_2_uses("np.array(x, copy=False)\nnp.asarray(x)\nx.astype(int)\n") == []

@@ -1,18 +1,20 @@
 import dataclasses
+import hashlib
 import io
 import re
 
 import numpy as np
 import pytest
 
-from hopformer import (Graph, Tensor, augment, build_head_masks, build_mask,
+from hopformer import (Graph, ModelConfig, Tensor, augment, build_head_masks, build_mask,
                        generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
                        mask_stats, sparse_masked_attention)
 from hopformer import masks as masks_mod
+from hopformer.graphs import GraphError
 from hopformer.masks import HopMask, hop_distance_blocks, hop_distances, write_mask_dump
 
 from helpers import (augmented_distances, dense_reachability_oracle,
-                     mask_to_dense, random_graph, single_edge_graph)
+                     mask_to_dense, random_graph, refuse, single_edge_graph)
 
 
 @pytest.fixture
@@ -192,6 +194,25 @@ class TestBuildHeadMasks:
         # mask whose hop_budget was True
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_head_masks(single_edge_ag, hops)
+
+    @pytest.mark.parametrize("source", [single_edge_graph, lambda: None, lambda: "graph"])
+    def test_a_graph_that_is_not_augmented_is_refused(self, source):
+        # a Graph raised a bare AttributeError on total_tokens
+        g = source()
+        with pytest.raises(GraphError, match="^build_head_masks takes an AugmentedGraph "
+                                             rf"\(from augment\), got {type(g).__name__}$"):
+            build_head_masks(g, [1])
+
+    @pytest.mark.parametrize("hops", ["12", b"12", 3])
+    def test_a_string_or_a_number_of_budgets_is_refused(self, single_edge_ag, hops):
+        # "12" was read one character at a time: "hop budget 0 must be an
+        # integer, got '1'"
+        with pytest.raises(ValueError,
+                           match=f"^hops must be a list of integers, got {re.escape(repr(hops))}$"):
+            build_head_masks(single_edge_ag, hops)
+        with pytest.raises(ValueError, match="^head_hops must be a list of integers"):
+            ModelConfig(hidden_dim=4, head_hops=hops, num_layers=1, ffn_dim=4, num_heads=2,
+                        num_classes=2)
 
 
 class TestMaskStats:
@@ -498,32 +519,38 @@ def _csr(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.nonzero(dense)[1].astype(np.int64))
 
 
-def _searches(monkeypatch, indptr, indices, t, max_hops):
-    """``hop_distances`` as the package runs it, and with its sources split
-    into two blocks, which keeps every level on keys; plus the number of
-    times the first search finished on bit rows."""
-    switched = []
-    bit_levels = masks_mod._bit_levels
+def _searches(monkeypatch, ag, hops):
+    """``build_head_masks`` as the package runs it, which must take bit rows,
+    and with ``BLOCK_CELLS`` one below the search's T * max(T, nnz), which
+    splits its sources into blocks and so keeps it on keys."""
+    t, nnz = ag.total_tokens, ag.indices.size
+    assert masks_mod._one_block(t, nnz)
     with monkeypatch.context() as m:
-        m.setattr(masks_mod, "_bit_levels",
-                  lambda *a: switched.append(a[6]) or bit_levels(*a))
-        bits = hop_distances(indptr, indices, t, max_hops)
+        m.setattr(masks_mod, "hop_distance_blocks", refuse("expanded a key level"))
+        bits = build_head_masks(ag, hops)
     with monkeypatch.context() as m:
-        m.setattr(masks_mod, "BLOCK_CELLS", t * max(t, indices.size, 1) - 1)
-        keys = hop_distances(indptr, indices, t, max_hops)
-    return bits, keys, len(switched)
+        m.setattr(masks_mod, "BLOCK_CELLS", t * max(t, nnz, 1) - 1)
+        m.setattr(masks_mod, "_reach_levels", refuse("used bit rows"))
+        keys = build_head_masks(ag, hops)
+    return bits, keys
 
 
-def _assert_triples_equal(a, b):
-    for x, y in zip(a, b):
-        assert x.dtype == y.dtype
-        assert x.tobytes() == y.tobytes()
+def _unpacked(reach, t):
+    return np.unpackbits(reach.view(np.uint8), axis=1, count=t, bitorder="little").view(bool)
 
 
-class TestBitLevels:
-    """A one-block search finishes on packed bit rows once a key level would
-    expand more neighbours than a bit level gathers words; its triples equal
-    the key-only search's."""
+def _mask_digest(masks):
+    h = hashlib.sha256()
+    for m in masks:
+        h.update(np.int64(m.hop_budget).tobytes())
+        h.update(m.indptr.tobytes())
+        h.update(m.indices.tobytes())
+    return h.hexdigest()
+
+
+class TestBitRows:
+    """A one-block search runs on packed bit rows from level 0; its masks
+    equal the key search's, byte for byte."""
 
     BUDGETS = (0, 1, 2, 3, 6, 12, 48, 10**9)
 
@@ -532,17 +559,14 @@ class TestBitLevels:
         generate_watts_strogatz(100, 6, 0.0, seed=3),
         generate_watts_strogatz(100, 6, 0.1, seed=3),
         generate_watts_strogatz(100, 6, 1.0, seed=4),
+        generate_watts_strogatz(300, 2, 0.0, seed=3),
         generate_sbm((30, 30), 0.3, 0.02, seed=3), generate_sbm((20, 25), 0.3, 0.03, seed=4),
-    ], ids=["er40", "er14", "ws0", "ws0.1", "ws1", "sbm_node", "sbm45"])
+    ], ids=["er40", "er14", "ws0", "ws0.1", "ws1", "ring", "sbm_node", "sbm45"])
     def test_seeded_graphs_equal_the_key_search(self, monkeypatch, g):
         ag = augment(g)
-        switches = 0
         for n in self.BUDGETS:
-            bits, keys, switched = _searches(monkeypatch, ag.indptr, ag.indices,
-                                             ag.total_tokens, n)
-            _assert_triples_equal(bits, keys)
-            switches += switched
-        assert switches > 0
+            for a, b in zip(*_searches(monkeypatch, ag, [n])):
+                _assert_masks_equal(a, b)
 
     @pytest.mark.parametrize("g", [
         _edgeless(1), _edgeless(7), _path(2),
@@ -555,39 +579,50 @@ class TestBitLevels:
     def test_degenerate_graphs_equal_the_key_search(self, monkeypatch, g):
         ag = augment(g)
         for n in self.BUDGETS:
-            bits, keys, _ = _searches(monkeypatch, ag.indptr, ag.indices, ag.total_tokens, n)
-            _assert_triples_equal(bits, keys)
+            for a, b in zip(*_searches(monkeypatch, ag, [n])):
+                _assert_masks_equal(a, b)
 
-    def test_edgeless_graph_never_switches(self, monkeypatch):
-        # nnz = 0: no key level expands anything, and 0 > 0 is false
+    def test_edgeless_graph_stops_at_level_0(self):
+        # no level sets a bit: the identity is the only reach
         ag = augment(_edgeless(7))
-        assert ag.indices.size == 0
-        for n in self.BUDGETS:
-            assert _searches(monkeypatch, ag.indptr, ag.indices, ag.total_tokens, n)[2] == 0
+        levels = list(masks_mod._reach_levels(ag.indptr, ag.indices, 7, 10**9))
+        assert len(levels) == 1
+        assert np.array_equal(_unpacked(levels[0], 7), np.eye(7, dtype=bool))
 
     def test_head_masks_equal_the_key_search(self, monkeypatch):
         ag = augment(generate_sbm((30, 30), 0.3, 0.02, seed=3))
         hops = [0, 12, 3, 12, 40, 10**6, 40]   # budget 0, repeats, past the diameter
-        switched = build_head_masks(ag, hops)
-        assert switched[1] is switched[3] and switched[4] is switched[6]
-        assert len({id(m) for m in switched}) == 5
-        assert switched[5].nnz == switched[4].nnz == ag.total_tokens ** 2
-        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", ag.total_tokens * ag.indices.size - 1)
-        for a, b in zip(switched, build_head_masks(ag, hops)):
+        bits, keys = _searches(monkeypatch, ag, hops)
+        for masks in (bits, keys):
+            assert masks[1] is masks[3] and masks[4] is masks[6]
+            assert len({id(m) for m in masks}) == 5
+            assert masks[5].nnz == masks[4].nnz == ag.total_tokens ** 2
+        for a, b in zip(bits, keys):
             _assert_masks_equal(a, b)
 
-    def test_asymmetric_csr(self, monkeypatch):
+    def test_asymmetric_csr(self):
+        # the generator alone, level by level, against the key search's
+        # distances on a directed CSR
         rng = np.random.default_rng(43)
-        switches = 0
         for _ in range(40):
-            t = int(rng.integers(1, 70))
-            dense = rng.random((t, t)) < rng.uniform(0.0, 0.25)
+            t = int(rng.integers(1, 140))
+            dense = rng.random((t, t)) < rng.uniform(0.0, 0.1)
             indptr, indices = _csr(dense)
-            for n in (0, 1, 2, 5, 10**9):
-                bits, keys, switched = _searches(monkeypatch, indptr, indices, t, n)
-                _assert_triples_equal(bits, keys)
-                switches += switched
-        assert switches > 0
+            rows, cols, dist = hop_distances(indptr, indices, t, 10**9)
+            last = int(dist.max())
+            for cap in (0, 1, 2, 5, 10**9):
+                levels = list(masks_mod._reach_levels(indptr, indices, t, cap))
+                # it stops at the cap or before the first level that sets no bit
+                assert len(levels) == min(cap, last) + 1
+                for d, reach in enumerate(levels):
+                    assert reach.dtype == np.dtype("<u8") and reach.shape == (t, -(-t // 64))
+                    want = np.zeros((t, t), dtype=bool)
+                    keep = dist <= d
+                    want[rows[keep], cols[keep]] = True
+                    assert np.array_equal(_unpacked(reach, t), want)
+                    # the padding past column t - 1 stays clear
+                    assert np.unpackbits(reach.view(np.uint8), axis=1,
+                                         bitorder="little")[:, t:].sum() == 0
 
     def test_masks_match_scipy_shortest_path(self):
         csgraph = pytest.importorskip("scipy.sparse.csgraph")
@@ -597,51 +632,90 @@ class TestBitLevels:
                   generate_watts_strogatz(100, 6, 0.1, seed=3),
                   generate_erdos_renyi(14, 0.3, seed=4), _edgeless(3)):
             ag = augment(g)
-            t = ag.total_tokens
-            adj = sparse.csr_matrix((np.ones(ag.indices.size), ag.indices, ag.indptr),
-                                    shape=(t, t))
-            dist = csgraph.shortest_path(adj, unweighted=True)
+            dist = _scipy_distances(sparse, csgraph, ag)
             for n, m in zip(hops, build_head_masks(ag, hops)):
                 assert np.array_equal(mask_to_dense(m), dist <= n)
 
+    @pytest.mark.parametrize("t", [63, 64, 65, 127, 128, 129])
+    def test_word_edges_match_scipy_shortest_path(self, t):
+        # token counts at and around the 64-bit word boundaries, nodes drawn
+        # so that some graphs split into components and leave isolated nodes
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng([t, 5])
+        for n in (t, t // 2 + 1, t // 3 + 1):
+            pairs = np.argwhere(np.triu(np.ones((n, n), dtype=bool), 1))
+            edges = pairs[rng.choice(len(pairs), t - n, replace=False)]
+            ag = augment(Graph(num_nodes=n, edges=edges, node_features=np.ones((n, 1))))
+            assert ag.total_tokens == t and masks_mod._one_block(t, ag.indices.size)
+            dist = _scipy_distances(sparse, csgraph, ag)
+            for m in build_head_masks(ag, [0, 10**9]):
+                assert np.array_equal(mask_to_dense(m), dist <= m.hop_budget)
 
-class TestBitLevelDispatch:
-    """Which searches finish on bit rows: the bit step is patched to raise."""
+    # sha256 of the masks, computed with the search that bit rows from
+    # level 0 replaced (keys, then bit rows past a switch rule): no mask may move
+    PINNED = {
+        "sbm": (lambda: generate_sbm((30, 30), 0.3, 0.02, seed=3), [0, 1, 3, 6, 12, 10**9],
+                "3956b37efe28deb1b392408b0a338bfc8a46ac581d9357289615e5a321a4df57"),
+        "er": (lambda: generate_erdos_renyi(15, 0.3, seed=8), [1, 2, 4, 8],
+               "e7d211e28431df570044748d164e545cdcd11573dbaa3f602457565b4285281f"),
+        "ws": (lambda: generate_watts_strogatz(100, 6, 0.1, seed=3), [1, 2, 3, 4, 48],
+               "585f849e797395275d81b8a38ef4332b40e628a5fdb1bba8e5a35b1c88329ac4"),
+        "ring": (lambda: generate_watts_strogatz(300, 2, 0.0, seed=3), [1, 3, 6, 12, 24, 48],
+                 "afb896d3b777d9272699a1994d43fa901be0a5c240b6d289fb3dced4d105c414"),
+        "multi_block": (lambda: generate_watts_strogatz(250, 6, 1.0, seed=3), [1, 2, 3, 4],
+                        "9f511940ac1d8d947ec29b2eb0943405339dd3c2a7b885915b0f080582e03db5"),
+    }
 
-    @pytest.fixture
-    def no_bits(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the search switched to bit rows")
-        monkeypatch.setattr(masks_mod, "_bit_levels", refuse)
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_digests(self, name):
+        make, hops, digest = self.PINNED[name]
+        assert _mask_digest(build_head_masks(augment(make()), hops)) == digest
 
-    def test_node_task_sbm_switches_at_budget_12(self, no_bits):
-        ag = augment(generate_sbm((30, 30), 0.3, 0.02, seed=3))
-        assert ag.total_tokens * max(ag.total_tokens, ag.indices.size) <= masks_mod.BLOCK_CELLS
-        with pytest.raises(AssertionError, match="switched"):
-            build_head_masks(ag, [1, 3, 6, 12])
 
-    def test_sparse_ring_stays_on_keys(self, no_bits):
+def _scipy_distances(sparse, csgraph, ag):
+    t = ag.total_tokens
+    adj = sparse.csr_matrix((np.ones(ag.indices.size), ag.indices, ag.indptr), shape=(t, t))
+    return csgraph.shortest_path(adj, unweighted=True)
+
+
+class TestSearchDispatch:
+    """Which search runs depends only on its size: a one-block search never
+    expands a key level, and a multi-block search never uses bit rows."""
+
+    @pytest.mark.parametrize("g, hops", [
+        (generate_sbm((30, 30), 0.3, 0.02, seed=3), [1, 3, 6, 12]),
+        (generate_erdos_renyi(15, 0.3, seed=8), [1, 2, 4, 8]),
+        (generate_watts_strogatz(300, 2, 0.0, seed=3), [1, 3, 6, 12, 24, 48]),
+        (_edgeless(1), [0, 5]),
+    ], ids=["sbm_node", "er_graph", "ring", "T1"])
+    def test_one_block_searches_never_expand_keys(self, monkeypatch, g, hops):
+        ag = augment(g)
+        assert masks_mod._one_block(ag.total_tokens, ag.indices.size)
+        monkeypatch.setattr(masks_mod, "hop_distance_blocks", refuse("expanded a key level"))
+        build_head_masks(ag, hops)
+
+    def test_multi_block_ring_never_uses_bit_rows(self, monkeypatch):
         ag = augment(generate_watts_strogatz(500, 2, 0.0, seed=3))
+        assert not masks_mod._one_block(ag.total_tokens, ag.indices.size)
+        monkeypatch.setattr(masks_mod, "_reach_levels", refuse("used bit rows"))
         masks = build_head_masks(ag, [1, 3, 6, 12, 24, 48])
         assert masks[-1].nnz < ag.total_tokens ** 2
 
-    def test_one_block_ring_stays_on_keys(self, no_bits):
-        # a 300-node ring is one block; its frontiers stay short at every level
-        ag = augment(generate_watts_strogatz(300, 2, 0.0, seed=3))
-        assert ag.total_tokens * max(ag.total_tokens, ag.indices.size) <= masks_mod.BLOCK_CELLS
-        build_head_masks(ag, [1, 3, 6, 12, 24, 48])
-
-    def test_the_last_level_stays_on_keys(self, no_bits):
-        # this graph's first level past the switch rule is level 4: one bit
-        # level would not repay packing the reach and unpacking it
-        ag = augment(generate_watts_strogatz(160, 4, 1.0, seed=3))
-        build_head_masks(ag, [1, 2, 4])
-        with pytest.raises(AssertionError, match="switched"):
-            build_head_masks(ag, [1, 2, 5])
-
-    def test_multi_block_searches_never_switch(self, no_bits, monkeypatch):
+    def test_multi_block_searches_never_use_bit_rows(self, monkeypatch):
         ag = augment(generate_sbm((30, 30), 0.3, 0.02, seed=3))
         t, nnz = ag.total_tokens, ag.indices.size
+        monkeypatch.setattr(masks_mod, "_reach_levels", refuse("used bit rows"))
         for cells in (1, t * nnz // 3, t * nnz - 1):
             monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
             assert build_head_masks(ag, [12])[0].nnz == t * t
+
+    def test_the_rule_is_the_block_bound(self, monkeypatch):
+        # one cell below T * max(T, nnz) splits the sources; at it they are one block
+        ag = augment(generate_erdos_renyi(15, 0.3, seed=8))
+        t, nnz = ag.total_tokens, ag.indices.size
+        for cells, one in ((t * nnz - 1, False), (t * nnz, True)):
+            monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
+            assert masks_mod._one_block(t, nnz) is one
+            blocks = list(hop_distance_blocks(ag.indptr, ag.indices, t, 3))
+            assert (len(blocks) == 1) is one
