@@ -2,7 +2,9 @@
 
 Clustering and average shortest-path length are computed on the ORIGINAL
 graph (the augmented token graph is an implementation device, not the object
-being characterized).  The FLOP model is analytic and uses fixed conventions:
+being characterized), by one bit-row search per graph at every size: the
+masks' bitset BFS run over column blocks of the reach (:func:`_summary`).
+The FLOP model is analytic and uses fixed conventions:
 one multiply-add = 2 FLOPs; exp, divide, subtract, and add count 1 each;
 layer norm costs 5 per element and relu 1 per element.  The attention term is
 the sparse kernel's own counter definition, so instrumented runs must agree
@@ -17,8 +19,8 @@ import numpy as np
 
 from .autograd import ShapeError, Tensor, attention_flops, count_attention_flops, no_grad
 from .graphs import Graph, GraphError, augment, csr_from_pairs
-from .masks import (HopMask, _one_block, _reach_levels, build_head_masks,
-                    hop_distance_blocks)
+from . import masks as masks_mod
+from .masks import HopMask, _reach_levels, build_head_masks
 from .model import (Model, ModelConfig, _check_mask_list, _check_masks, _encode,
                     encoder_layer, forward, init_model)
 
@@ -38,9 +40,68 @@ class SmallWorldReport:
     diameter_of_largest_component: int
 
 
-def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The original graph's symmetric adjacency as CSR, columns ascending."""
-    return csr_from_pairs(g.edges.ravel(), g.edges[:, ::-1].ravel(), g.num_nodes)
+# bits set in each byte value; np.bitwise_count needs numpy 2.0
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-D C-contiguous uint64 array, as int64."""
+    return _BYTE_BITS[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def _summary(g: Graph, last: int):
+    """``(clustering, component, eccentricity, total, pairs)`` of the original
+    graph from one bit-row search (``masks._reach_levels``) to level ``last``:
+    per node the smallest node id in its component and its largest distance
+    within it, then the sum of distances over reachable ordered pairs u != v
+    and their number.  All but the clustering need ``last`` >= n - 1.
+
+    The search runs over column blocks of w = max(1, BLOCK_CELLS // (2E + n))
+    words, so each level's gather of 2E + n rows stays within BLOCK_CELLS
+    words unless 2E + n alone exceeds it.  Within a block, row i's bit count
+    grows at level d by the nodes at distance d from i.  For an edge (u, v),
+    the level-1 rows N(u) + u and N(v) + v share u, v and the common
+    neighbours: the popcount of their AND minus 2, summed over u's edges, is
+    twice the links among u's neighbours.
+    """
+    n = g.num_nodes
+    indptr, indices = csr_from_pairs(g.edges.ravel(), g.edges[:, ::-1].ravel(), n)
+    deg = np.diff(indptr)
+    sources = np.repeat(np.arange(n), deg)
+    width = 64 * max(1, masks_mod.BLOCK_CELLS // max(indices.size + n, 1))
+    shared = np.zeros(indices.size, dtype=np.int64)
+    component = np.full(n, n, dtype=np.int64)   # n: no label yet
+    eccentricity = np.zeros(n, dtype=np.int64)
+    total = pairs = 0
+    for lo in range(0, n, width):
+        counts, count = np.zeros(n, dtype=np.int64), 0
+        for level, reach in enumerate(_reach_levels(indptr, indices, n, last, lo,
+                                                    min(lo + width, n))):
+            if level == 1:
+                both = reach[sources]
+                both &= reach[indices]
+                shared += _popcount(both)
+            grown = _popcount(reach)
+            np.maximum(eccentricity, level, out=eccentricity, where=grown > counts)
+            count, was = int(grown.sum()), count
+            total += level * (count - was)
+            counts = grown
+        pairs += count
+        # a row's lowest set bit is the smallest node id reachable from it,
+        # and the first block that sets one holds it
+        rows = np.flatnonzero((counts > 0) & (component == n))
+        word = np.argmax(reach[rows] != 0, axis=1)
+        bits = np.unpackbits(reach[rows, word].view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        component[rows] = lo + 64 * word + np.argmax(bits, axis=1)
+    ok = deg >= 2
+    # twice the links among each node's neighbours, exact in float64
+    links2 = np.bincount(sources, weights=shared, minlength=n)[ok] - 2 * deg[ok]
+    clustering = 0.0
+    # a Python float sum in node order, as the ratios were always added
+    for r in (links2 / (deg[ok] * (deg[ok] - 1))).tolist():
+        clustering += r
+    return clustering / n if n else 0.0, component, eccentricity, total, pairs - n
 
 
 def clustering_coefficient(g: Graph) -> float:
@@ -48,82 +109,7 @@ def clustering_coefficient(g: Graph) -> float:
 
     Nodes of degree < 2 contribute 0 (the ratio is undefined there).
     """
-    if g.num_nodes == 0:
-        return 0.0
-    indptr, indices = _adjacency(g)
-    flat, ptr = indices.tolist(), indptr.tolist()
-    rows = [flat[ptr[v]:ptr[v + 1]] for v in range(g.num_nodes)]
-    nbrs = [set(row) for row in rows]
-    total = 0.0
-    for neighborhood in rows:
-        deg = len(neighborhood)
-        if deg < 2:
-            continue
-        links = sum(1 for i, a in enumerate(neighborhood)
-                    for b in neighborhood[i + 1:] if b in nbrs[a])
-        total += 2.0 * links / (deg * (deg - 1))
-    return total / g.num_nodes
-
-
-@dataclass(frozen=True)
-class _PathSummary:
-    component: np.ndarray      # per node, the smallest node id in its component
-    eccentricity: np.ndarray   # per node, its largest distance within its component
-    total: int                 # sum of distances over reachable ordered pairs u != v
-    pairs: int                 # number of such pairs
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.pairs if self.pairs else 0.0
-
-
-def _path_summary(g: Graph) -> _PathSummary:
-    """All-pairs unbounded BFS on the original graph.  A one-block search
-    (``masks._one_block``) is read off per-level bit counts of its bit-row
-    reach; a larger one is reduced from the key search's distances block by
-    block."""
-    n = g.num_nodes
-    if n < 2:
-        raise ValueError(f"average path length needs at least 2 nodes, got {n}")
-    indptr, indices = _adjacency(g)
-    if _one_block(n, indices.size):
-        return _bit_path_summary(indptr, indices, n)
-    component = np.empty(n, dtype=np.int64)
-    eccentricity = np.empty(n, dtype=np.int64)
-    total = pairs = 0
-    for rows, cols, dist in hop_distance_blocks(indptr, indices, n, n):
-        # every row holds its diagonal, so the first entry of a row is the
-        # smallest node id reachable from it
-        first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        component[rows[first]] = cols[first]
-        eccentricity[rows[first]] = np.maximum.reduceat(dist, first)
-        total += int(dist.sum())
-        pairs += dist.size - first.size
-    return _PathSummary(component, eccentricity, total, pairs)
-
-
-def _bit_path_summary(indptr: np.ndarray, indices: np.ndarray, n: int) -> _PathSummary:
-    """The summary of a one-block search, from bit counts alone: row i's count
-    grows at level d by the nodes at distance d from i."""
-    # bits set in each byte value; np.bitwise_count needs numpy 2.0
-    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-        axis=1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    eccentricity = np.zeros(n, dtype=np.int64)
-    total = 0
-    for level, reach in enumerate(_reach_levels(indptr, indices, n, n)):
-        grown = byte_bits[reach.view(np.uint8)].sum(axis=1)
-        gained = grown - counts
-        total += level * int(gained.sum())
-        eccentricity[gained > 0] = level
-        counts = grown
-    # the lowest set bit of a row is the smallest node id in its component;
-    # (x & -x) - 1 keeps exactly the bits below the lowest one of x
-    word = np.argmax(reach != 0, axis=1)
-    x = reach[np.arange(n), word]
-    below = (x & (~x + np.uint64(1))) - np.uint64(1)
-    component = word * 64 + byte_bits[below.view(np.uint8).reshape(n, 8)].sum(axis=1)
-    return _PathSummary(component, eccentricity, total, int(counts.sum()) - n)
+    return _summary(g, 1)[0]
 
 
 def avg_shortest_path(g: Graph) -> float:
@@ -132,31 +118,35 @@ def avg_shortest_path(g: Graph) -> float:
     Disconnected graphs average over within-component pairs only; an edgeless
     graph has no such pairs and yields 0.
     """
-    return _path_summary(g).mean
+    return small_world_report(g).avg_path_length
 
 
 def small_world_report(g: Graph) -> SmallWorldReport:
-    paths = _path_summary(g)
+    n = g.num_nodes
+    if n < 2:
+        raise ValueError(f"average path length needs at least 2 nodes, got {n}")
+    clustering, component, eccentricity, total, pairs = _summary(g, n)
     # a component's label is its smallest node id, so counting labels by id
     # gives each component's size at its label (np.unique's first call
     # imports numpy.ma: 12-22 ms of a CLI run on 2 vCPUs)
-    sizes = np.bincount(paths.component)
-    largest = paths.component == np.argmax(sizes)   # ties: smallest node id
+    sizes = np.bincount(component)
+    largest = component == np.argmax(sizes)   # ties: smallest node id
     return SmallWorldReport(
-        clustering=clustering_coefficient(g),
-        avg_path_length=paths.mean,
+        clustering=clustering,
+        avg_path_length=total / pairs if pairs else 0.0,
         num_components=int(np.count_nonzero(sizes)),
-        diameter_of_largest_component=int(paths.eccentricity[largest].max()),
+        diameter_of_largest_component=int(eccentricity[largest].max()),
     )
 
 
 def dataset_small_world(graphs: list[Graph]) -> tuple[float, float]:
-    """Unweighted means of per-graph clustering and path length."""
+    """Unweighted means of per-graph clustering and path length, read off one
+    :func:`small_world_report` per graph."""
     if not graphs:
         raise ValueError("dataset_small_world needs a non-empty list")
-    cs = [clustering_coefficient(g) for g in graphs]
-    ls = [avg_shortest_path(g) for g in graphs]
-    return float(np.mean(cs)), float(np.mean(ls))
+    reports = [small_world_report(g) for g in graphs]
+    return (float(np.mean([r.clustering for r in reports])),
+            float(np.mean([r.avg_path_length for r in reports])))
 
 
 # ---------------------------------------------------------------------------

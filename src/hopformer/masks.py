@@ -16,7 +16,9 @@ level, so no per-pair distance is ever written.  A larger search
 (:func:`hop_distances`) runs its sources in blocks sized so that its
 transient arrays stay within ``BLOCK_CELLS`` entries; a level expands the
 frontier's ``(source, token)`` keys through the CSR and labels each new pair
-with its hop distance, and a head's mask is the filter ``dist <= n``.
+with its hop distance, and a head's mask is the filter ``dist <= n``.  The
+key search serves these multi-block hop masks only: ``analysis`` runs the
+bit rows at every size, over column blocks of the reach.
 """
 
 from __future__ import annotations
@@ -173,40 +175,48 @@ class HopMask:
 #   beta 1,   n=160, k=4   480   1.94 -> 1.95        21.5 -> 9.8
 #   ring (k=2), n=300      600   0.77 -> 1.70        6.83 -> 7.33
 #   n=250, k=6, any beta  1000   multi-block: keys, unchanged
-# analysis._path_summary (all pairs, original graph), same protocol: the 128
-# er_graph graphs 17.6 -> 14.1 ms; beta 1, n=160, k=4 1.02 -> 0.46 ms; the
-# n=300 ring 11.0 -> 12.7 ms.  Thin reaches lose: the ring (2.2x on shallow
-# masks, 1.07x deep, 1.15x on its path summary) and shallow masks of the
-# larger low-beta lattices (up to 1.26x).  A key level expands a short
+# analysis.small_world_report, bit rows in column blocks at every size
+# (before: keys past n * max(n, 2E) > BLOCK_CELLS), medians of 3-21
+# interleaved calls, one BLAS thread: 128 er_graph graphs 20.9 -> 19.1 ms;
+# beta 1, n=160, k=4 0.70 -> 0.53; n=300 ring 11.9 -> 12.4; past the old
+# bound, the 2000-node sparse_large SBM 586 -> 65, ER n=400, p=0.2 205 ->
+# 12.7, beta 0.1, n=1100, k=4 152 -> 19, beta 0.01, n=2000, k=4 461 -> 302.
+# Thin reaches lose: the ring (2.2x on shallow masks, 1.07x deep, 5.7x on its
+# n=2000 report), the beta 0, n=2000, k=4 report (3.7x) and shallow masks of
+# the larger low-beta lattices (up to 1.26x).  A key level expands a short
 # frontier there, while a bit level still gathers every row and each
 # snapshot unpacks all T x T bits.  No benchmark workload has such graphs.
 BLOCK_CELLS = 2**20
 
 
 def _one_block(t: int, nnz: int) -> bool:
-    """Whether a search over t tokens and nnz links runs as one block of
-    sources, and so on bit rows (:func:`_reach_levels`) rather than on keys
-    (:func:`hop_distance_blocks`)."""
+    """Whether a hop-mask search over t tokens and nnz links runs as one
+    block of sources, and so on bit rows (:func:`_reach_levels`) rather than
+    on keys (:func:`hop_distances`)."""
     return t * max(t, nnz) <= BLOCK_CELLS
 
 
-def _reach_levels(indptr: np.ndarray, indices: np.ndarray, t: int, last: int):
-    """Yield the packed reach of every source of the t-node CSR graph after
-    levels 0, 1, ...: a fresh (t, ceil(t/64)) little-endian uint64 array whose
-    row i holds column c, as bit c % 64 of word c // 64, iff dist(i, c) is at
-    most the level.  Level 0 is the identity.
+def _reach_levels(indptr: np.ndarray, indices: np.ndarray, t: int, last: int,
+                  lo: int = 0, hi: int | None = None):
+    """Yield the packed reach of every source of the t-node CSR graph over
+    columns [lo, hi) (all t by default; lo a multiple of 64) after levels 0,
+    1, ...: a fresh (t, ceil((hi - lo)/64)) little-endian uint64 array whose
+    row i holds column c, as bit c % 64 of word (c - lo) // 64, iff
+    dist(i, c) is at most the level.  Level 0 is the identity.
 
     Each level sets ``reach[i] |= OR of reach[j] over i's CSR row``: one
     gather and one ``np.bitwise_or.reduceat`` over the rows with each row's
     own id put first, so no segment is empty (a multi-source bitset BFS, as
     in Then et al., VLDB 2014).  The pull step is exact for any directed CSR:
-    j within d - 1 of c and i -> j put c within d of i.  Levels stop at
-    ``min(last, t - 1)`` or before the first level that sets no bit, whose
+    j within d - 1 of c and i -> j put c within d of i.  No column is read
+    for another, so a column block is the whole reach's columns.  Levels stop
+    at ``min(last, t - 1)`` or before the first level that sets no bit, whose
     reach would repeat the last one yielded.
     """
-    ids = np.arange(t)
-    reach = np.zeros((t, -(-t // 64)), dtype="<u8")
-    reach[ids, ids >> 6] = np.uint64(1) << (ids & 63).astype(np.uint64)
+    hi = t if hi is None else hi
+    ids, cols = np.arange(t), np.arange(lo, hi)
+    reach = np.zeros((t, -(-(hi - lo) // 64)), dtype="<u8")
+    reach[cols, (cols - lo) >> 6] = np.uint64(1) << (cols & 63).astype(np.uint64)
     starts = indptr[:-1] + ids
     links = np.insert(indices, indptr[:-1], ids)
     yield reach
@@ -221,27 +231,26 @@ def _reach_levels(indptr: np.ndarray, indices: np.ndarray, t: int, last: int):
 def _snapshot_csr(reach: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """The int64 CSR ``(indptr, indices)`` of a packed reach, columns
     ascending, unpacked row by row into a t x t bool array."""
-    bits = np.unpackbits(reach.view(np.uint8), axis=1, count=t,
-                         bitorder="little").view(bool)
+    bits = np.unpackbits(reach.view(np.uint8), axis=1, count=t, bitorder="little").view(bool)
     indptr = np.zeros(t + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(bits, axis=1), out=indptr[1:])
     return indptr, np.flatnonzero(bits) % t
 
 
-def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hops: int):
-    """Yield ``(rows, cols, dist)`` for consecutive blocks of source rows.
+def hop_distances(indptr: np.ndarray, indices: np.ndarray, t: int,
+                  max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major ``(rows, cols, dist)`` of every pair (i, j) of the t-node CSR
+    graph ``indptr``/``indices`` with dist(i, j) <= max_hops; within a row,
+    columns ascend, so ``rows``/``cols`` filtered by ``dist <= n`` are a CSR
+    mask.  The package runs it only for hop masks of more than one block
+    (:func:`_one_block`).
 
-    Together the blocks list, in row-major order, every pair (i, j) of the
-    t-node CSR graph ``indptr``/``indices`` with hop distance
-    dist(i, j) <= max_hops.  Each block is one multi-source, level-synchronous
-    BFS: a frontier of ``(source - s0) * t + node`` keys, s0 the block's first
-    source, expands through the CSR one level at a time, keeping only keys not
-    yet seen.  Levels stop at ``min(max_hops, t - 1)`` or at an empty
-    frontier; ``dist`` has the smallest unsigned dtype that holds the last
-    level.
-
-    The package runs this key search only for searches of more than one
-    block (:func:`_one_block`); one-block searches run on bit rows.
+    Sources run in blocks of ``BLOCK_CELLS // max(t, nnz)``, each one
+    multi-source, level-synchronous BFS: a frontier of ``(source - s0) * t +
+    node`` keys, s0 the block's first source, expands through the CSR one
+    level at a time, keeping only keys not yet seen.  Levels stop at
+    ``min(max_hops, t - 1)`` or at an empty frontier; ``dist`` has the
+    smallest unsigned dtype that holds the last level.
     """
     if max_hops < 0:
         raise ValueError(f"hop budget must be non-negative, got {max_hops}")
@@ -250,6 +259,8 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
     starts, degrees = indptr[:-1], np.diff(indptr)
     block = max(1, BLOCK_CELLS // max(t, indices.size, 1))
     seen = np.zeros(min(block, t) * t, dtype=bool)
+    # one empty part first, so that t = 0 lists no pair in the same dtypes
+    parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=dist_dtype),)]
     for s0 in range(0, t, block):
         b = min(block, t - s0)
         frontier = np.arange(b, dtype=np.int64) * (t + 1) + s0   # (i - s0) * t + i
@@ -274,29 +285,8 @@ def hop_distance_blocks(indptr: np.ndarray, indices: np.ndarray, t: int, max_hop
         seen[keys] = False
         order = np.argsort(keys)
         keys = keys[order]
-        yield keys // t + s0, keys % t, dist[order]
-
-
-def hop_distances(indptr: np.ndarray, indices: np.ndarray, t: int,
-                  max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major ``(rows, cols, dist)`` of every pair within ``max_hops``.
-
-    The concatenation of :func:`hop_distance_blocks`; within a row, columns
-    ascend, so ``rows``/``cols`` filtered by ``dist <= n`` are a CSR mask.
-    """
-    parts = list(hop_distance_blocks(indptr, indices, t, max_hops))
-    if not parts:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.min_scalar_type(0)))
+        parts.append((keys // t + s0, keys % t, dist[order]))
     return tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _mask_within(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, t: int,
-                 n: int) -> HopMask:
-    # the pairs are already row-major with ascending columns: no sort
-    keep = dist <= n
-    return HopMask(hop_budget=n, size=t, indptr=_frozen(csr_indptr(rows[keep], t)),
-                   indices=_frozen(cols[keep]))
 
 
 def build_mask(ag: AugmentedGraph, n: int) -> HopMask:
@@ -339,7 +329,10 @@ def build_head_masks(ag: AugmentedGraph, hops: list[int]) -> list[HopMask]:
         masks = {n: HopMask(n, t, *csr[min(n, level)]) for n in set(hops)}
     else:
         rows, cols, dist = hop_distances(ag.indptr, ag.indices, t, max(hops))
-        masks = {n: _mask_within(rows, cols, dist, t, n) for n in set(hops)}
+        masks = {}
+        for n in set(hops):   # the pairs are row-major, columns ascending: no sort
+            keep = dist <= n
+            masks[n] = HopMask(n, t, _frozen(csr_indptr(rows[keep], t)), _frozen(cols[keep]))
     return [masks[n] for n in hops]
 
 

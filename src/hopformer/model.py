@@ -38,6 +38,9 @@ TASKS = ("node_classification", "graph_classification", "graph_regression")
 READOUTS = ("mean", "sum")
 NORMS = ("post", "pre")
 
+# 2^28 float64 weights are 2 GiB, before gradients and Adam moments
+MAX_WEIGHTS = 2**28
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -92,10 +95,22 @@ class ModelConfig:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
         if self.task.endswith("classification") and not self.num_classes:
             raise ValueError(f"num_classes required for task {self.task!r}")
+        _check_weights(self, 0)
 
     @property
     def head_dim(self) -> int:
         return self.hidden_dim // self.num_heads
+
+
+def _check_weights(cfg: ModelConfig, inputs: int) -> None:
+    # from the sizes alone, before any allocation: input projections of d_v + d_e = inputs
+    # columns; per layer Q/K/V and output projections, FFN weights and biases, two layer norms
+    d, f = cfg.hidden_dim, cfg.ffn_dim
+    out_dim = cfg.num_classes if cfg.task.endswith("classification") else cfg.output_dim
+    n = inputs * d + cfg.num_layers * (4 * d * d + 2 * d * f + f + 5 * d) + (d + 1) * out_dim
+    if n > MAX_WEIGHTS:
+        raise ValueError(f"{n} weights ({inputs} inputs, hidden_dim={d}, ffn_dim={f}, num_layers="
+                         f"{cfg.num_layers}, {out_dim} outputs) are past the cap of {MAX_WEIGHTS}")
 
 
 @dataclass
@@ -140,6 +155,7 @@ def init_model(cfg: ModelConfig, d_v: int, d_e: int = 0) -> Model:
         raise ValueError(f"d_v must be at least 1, got {d_v}")
     if d_e < 0:
         raise ValueError(f"d_e must be non-negative, got {d_e}")
+    _check_weights(cfg, d_v + d_e)
     rng = np.random.default_rng(cfg.seed)
     d, d_h, f = cfg.hidden_dim, cfg.head_dim, cfg.ffn_dim
 

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from hopformer import (ModelConfig, ShapeError, augment, avg_shortest_path,
                        flops_vs_nnz_report, generate_erdos_renyi,
                        generate_watts_strogatz, influence_matrix, init_model,
                        receptive_field_probe, small_world_report)
-from hopformer import analysis
 from hopformer import masks as masks_mod
 from hopformer.graphs import Graph, GraphError
 
 from helpers import (augmented_distances, brute_avg_path, brute_clustering,
                      brute_components_and_diameter,
-                     path3_graph, random_graph, refuse, shuffled_reversed_copy,
+                     path3_graph, random_graph, shuffled_reversed_copy,
                      single_edge_graph, star_graph, triangle_graph)
 
 
@@ -103,29 +103,6 @@ class TestSmallWorldReport:
         assert rep.num_components == 2
         assert rep.diameter_of_largest_component == diameter
 
-    def test_same_report_across_source_blocks(self, monkeypatch):
-        g = generate_erdos_renyi(40, 0.04, seed=6)
-        whole = small_world_report(g)
-        for cells in (1, 45, 130):
-            monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
-            assert small_world_report(g) == whole
-
-    @pytest.mark.parametrize("g", [
-        *(generate_watts_strogatz(50, 6, beta, seed=seed)
-          for beta in (0.0, 0.1, 1.0) for seed in (0, 1)),
-        *(generate_erdos_renyi(n, 0.3, seed=seed) for n, seed in ((8, 1), (12, 2), (15, 3))),
-        generate_erdos_renyi(40, 0.04, seed=6), generate_watts_strogatz(300, 2, 0.0, seed=3)])
-    def test_bit_rows_give_the_key_search_report(self, monkeypatch, g):
-        # these searches are one block, so they run on bit rows; one cell
-        # below n * max(n, nnz) splits them into blocks, which run on keys
-        nnz = 2 * g.num_edges
-        with monkeypatch.context() as m:
-            m.setattr(analysis, "hop_distance_blocks", refuse("expanded a key level"))
-            bits = (small_world_report(g), avg_shortest_path(g))
-        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", g.num_nodes * max(g.num_nodes, nnz) - 1)
-        monkeypatch.setattr(analysis, "_reach_levels", refuse("used bit rows"))
-        assert (small_world_report(g), avg_shortest_path(g)) == bits
-
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
     def test_word_edges_match_scipy_shortest_path(self, n):
         csgraph = pytest.importorskip("scipy.sparse.csgraph")
@@ -167,23 +144,6 @@ class TestSmallWorldReport:
         make, digest = self.PINNED[name]
         assert hashlib.sha256(repr(small_world_report(make())).encode()).hexdigest() == digest
 
-    def test_masks_and_paths_share_the_block_rule(self, monkeypatch):
-        # build_head_masks and _path_summary take bit rows on the same side
-        # of masks._one_block: the original graph's search at n * max(n, nnz)
-        # cells, the augmented graph's at T * max(T, nnz)
-        g = generate_erdos_renyi(15, 0.3, seed=8)
-        ag = augment(g)
-        for t, nnz, run in ((g.num_nodes, 2 * g.num_edges, lambda: small_world_report(g)),
-                            (ag.total_tokens, ag.indices.size,
-                             lambda: build_head_masks(ag, [1, 2, 4, 8]))):
-            for cells, bits in ((t * max(t, nnz) - 1, False), (t * max(t, nnz), True)):
-                with monkeypatch.context() as m:
-                    m.setattr(masks_mod, "BLOCK_CELLS", cells)
-                    for module in (analysis, masks_mod):
-                        m.setattr(module, "hop_distance_blocks" if bits else "_reach_levels",
-                                  refuse("took the other search"))
-                    run()
-
     def test_dataset_means(self):
         tri, p3 = triangle_graph(), path3_graph()
         assert dataset_small_world([tri, tri]) == (1.0, 1.0)
@@ -214,6 +174,116 @@ class TestSmallWorldReport:
         assert mean_l[0.0] > mean_l[0.1] > mean_l[1.0]
         assert mean_c[0.1] >= 0.6 * mean_c[0.0]
         assert mean_c[1.0] <= 0.5 * mean_c[0.0]
+
+
+def _edge_graph(n, edges):
+    return Graph(num_nodes=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
+                 node_features=np.ones((n, 1)))
+
+
+def _scipy_report(g):
+    """(avg path length, components, largest component's diameter) from
+    scipy's csgraph, ties to the component of the smallest node id."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = g.num_nodes
+    adj = sparse.csr_matrix((np.ones(2 * g.num_edges), (g.edges.ravel(),
+                                                         g.edges[:, ::-1].ravel())),
+                            shape=(n, n))
+    dist = csgraph.shortest_path(adj, unweighted=True)
+    reach = np.isfinite(dist) & (dist > 0)
+    count, labels = csgraph.connected_components(adj, directed=False)
+    sizes = np.bincount(labels)
+    largest = labels == labels[np.flatnonzero(sizes[labels] == sizes.max())[0]]
+    return (dist[reach].mean() if reach.any() else 0.0, count,
+            int(dist[np.ix_(largest, largest)].max()))
+
+
+def _dense_clustering(g):
+    """Mean local clustering from the diagonal of A^3 (twice each node's
+    neighbour links), a dense matrix count independent of the bit rows."""
+    n = g.num_nodes
+    a = np.zeros((n, n))
+    a[g.edges[:, 0], g.edges[:, 1]] = a[g.edges[:, 1], g.edges[:, 0]] = 1.0
+    deg = a.sum(axis=1)
+    links2 = np.einsum("ij,ji->i", a @ a, a)
+    ok = deg >= 2
+    return float((links2[ok] / (deg[ok] * (deg[ok] - 1))).sum() / n)
+
+
+class TestColumnBlocks:
+    """The small-world search runs over column blocks of 64 * w columns,
+    w = max(1, BLOCK_CELLS // (2E + n)) words.  Shrinking BLOCK_CELLS splits
+    a report into many blocks, of odd widths and with a last block narrower
+    than a word, and the report must not move."""
+
+    GRAPHS = {
+        # 1100 = 17 * 64 + 12; past the key search's old bound, n * 2E > 2^20
+        "ws1100": generate_watts_strogatz(1100, 4, 0.1, seed=3),
+        "er400": generate_erdos_renyi(400, 0.2, seed=0),
+        "er150_sparse": generate_erdos_renyi(150, 0.012, seed=4),   # components, isolated nodes
+        "ws200_two_parts": Graph(
+            num_nodes=200, node_features=np.ones((200, 1)),
+            edges=np.vstack([generate_watts_strogatz(120, 6, 0.2, seed=2).edges,
+                             generate_watts_strogatz(70, 4, 0.5, seed=5).edges + 130])),
+        "edgeless": _edge_graph(70, []),
+        "n2_edge": _edge_graph(2, [[0, 1]]),
+        "n2_edgeless": _edge_graph(2, []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_blocks_equal_one_block_scipy_and_dense_clustering(self, monkeypatch, name):
+        g = self.GRAPHS[name]
+        n, cells = g.num_nodes, 2 * g.num_edges + g.num_nodes
+        assert -(-n // 64) * cells <= masks_mod.BLOCK_CELLS   # one block by default
+        whole = small_world_report(g)
+        avg, count, diameter = _scipy_report(g)
+        assert whole.avg_path_length == pytest.approx(avg, abs=1e-12)
+        assert (whole.num_components, whole.diameter_of_largest_component) == (count, diameter)
+        assert whole.clustering == pytest.approx(_dense_clustering(g), abs=1e-12)
+        for words in (1, 3, 5):   # blocks of 64, 192 and 320 columns
+            monkeypatch.setattr(masks_mod, "BLOCK_CELLS", words * cells)
+            assert small_world_report(g) == whole
+            assert clustering_coefficient(g) == whole.clustering
+            assert avg_shortest_path(g) == whole.avg_path_length
+
+    def test_a_later_block_keeps_an_earlier_larger_eccentricity(self, monkeypatch):
+        # the path 0 - 2 - 3 - ... - 65 - 1: its ends 0 and 1 lie in the first
+        # 64-column block, and the second block (nodes 64, 65) is nearer to
+        # both, so the diameter 65 survives only as a maximum over blocks
+        g = _edge_graph(66, [[0, 2], *([k, k + 1] for k in range(2, 65)), [65, 1]])
+        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", 2 * g.num_edges + g.num_nodes)
+        rep = small_world_report(g)
+        assert (rep.num_components, rep.diameter_of_largest_component) == (1, 65)
+        assert rep.avg_path_length == pytest.approx(brute_avg_path(g), abs=1e-12)
+
+    def test_a_component_keeps_the_label_of_its_first_block(self, monkeypatch):
+        # the path 0 - 128 - 129 and the triangle 1, 2, 3 tie as the largest
+        # components; the path holds node 0 and so wins the tie, though its
+        # members in the last 64-column block would label it 128
+        g = _edge_graph(130, [[0, 128], [128, 129], [1, 2], [2, 3], [1, 3]])
+        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", 2 * g.num_edges + g.num_nodes)
+        rep = small_world_report(g)
+        assert (rep.num_components, rep.diameter_of_largest_component) == (126, 2)
+
+    def test_memory_stays_within_the_block_bound(self, monkeypatch):
+        # tracemalloc sees numpy's array buffers.  At 2^16 cells a block is 2
+        # words wide, and the 6000-node search runs in 47 blocks; one block
+        # would gather (2E + n) x 94 words, over 3 times the bound (a one-block
+        # pass of this graph peaked at 41.6 MB, the 47 blocks at 2.3 MB)
+        g = generate_erdos_renyi(6000, 0.0005, seed=3)
+        cells = 2**16
+        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
+        n, links = g.num_nodes, 2 * g.num_edges
+        bound = 4 * 8 * cells + 96 * (n + links)
+        assert 8 * (links + n) * -(-n // 64) > 3 * bound
+        tracemalloc.start()
+        try:
+            small_world_report(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def probe_cfg(hops, d=8):

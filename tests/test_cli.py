@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopformer import GraphError, analysis, dataset_small_world, load_dataset, load_model
+from hopformer import (GraphError, analysis, dataset_small_world, generate_erdos_renyi,
+                       generate_watts_strogatz, load_dataset, load_model)
 from hopformer.cli import main
+from hopformer.graphs import graph_to_obj
+from hopformer.model import MAX_WEIGHTS
 
 
 def write_single_edge(path):
@@ -243,9 +247,9 @@ class TestAnalyze:
         src = tmp_path / "ds.json"
         src.write_text(json.dumps(graphs))
         calls = []
-        real = analysis._path_summary
-        monkeypatch.setattr(analysis, "_path_summary",
-                            lambda g: calls.append(g.num_nodes) or real(g))
+        real = analysis._summary
+        monkeypatch.setattr(analysis, "_summary",
+                            lambda g, last: calls.append(g.num_nodes) or real(g, last))
         out = tmp_path / "r.csv"
         assert main(["analyze", str(src), "--output", str(out)]) == 0
         assert calls == [3, 4, 5]
@@ -253,6 +257,19 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         assert lines[1] == f"# dataset_mean_clustering={mean_c!r}"
         assert lines[2] == f"# dataset_mean_avg_path_length={mean_l!r}"
+
+    def test_seeded_dataset_csv_is_pinned(self, tmp_path):
+        # sha256 of the CSV as the key search wrote it for the 1100-node graph
+        # (n * 2E > 2^20) and bit rows for the rest: the column-blocked search
+        # must write the same bytes
+        graphs = [generate_erdos_renyi(12, 0.3, seed=1), generate_erdos_renyi(20, 0.2, seed=2),
+                  generate_erdos_renyi(30, 0.05, seed=4), generate_erdos_renyi(2, 1.0, seed=0),
+                  generate_watts_strogatz(1100, 4, 0.1, seed=3)]
+        src, out = tmp_path / "ds.json", tmp_path / "r.csv"
+        src.write_text(json.dumps([graph_to_obj(g) for g in graphs]))
+        assert main(["analyze", str(src), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "89cb4672a6532b5aa634440f26639c4b8f56a8f1ee10496292fc61e2a80da897"
 
     def test_empty_dataset_exits_two(self, tmp_path, capsys):
         src = tmp_path / "empty.json"
@@ -443,6 +460,19 @@ class TestTrain:
         assert main(["train", str(src), "--config", str(cfg_path),
                      "--output", str(outdir)]) == 2
         assert "graph 4 has graph_label 5" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_config_past_the_weight_cap_exits_two_without_output(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        write_labelled_graph(src)
+        cfg = run_config()
+        cfg["model"]["num_layers"] = 10**9
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "fresh_out"
+        assert main(["train", str(src), "--config", str(cfg_path),
+                     "--output", str(outdir)]) == 2
+        assert f"cap of {MAX_WEIGHTS}" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_each_graph_is_augmented_once(self, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hopformer import (Graph, ModelConfig, Tensor, augment, build_head_masks, bu
                        mask_stats, sparse_masked_attention)
 from hopformer import masks as masks_mod
 from hopformer.graphs import GraphError
-from hopformer.masks import HopMask, hop_distance_blocks, hop_distances, write_mask_dump
+from hopformer.masks import HopMask, hop_distances, write_mask_dump
 
 from helpers import (augmented_distances, dense_reachability_oracle,
                      mask_to_dense, random_graph, refuse, single_edge_graph)
@@ -390,6 +391,20 @@ def _path(n):
                  node_features=np.ones((n, 1)))
 
 
+def _block_sources(monkeypatch, ag, max_hops):
+    """``hop_distances``' output and the number of sources of each of its
+    blocks, read off the keys that each block sorts once."""
+    t, real, sources = ag.total_tokens, np.argsort, []
+
+    def spy(keys):
+        sources.append(np.count_nonzero(np.bincount(keys // t)))
+        return real(keys)
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", spy)
+        out = hop_distances(ag.indptr, ag.indices, t, max_hops)
+    return out, sources
+
+
 def _assert_masks_equal(a, b):
     assert a.hop_budget == b.hop_budget and a.size == b.size
     assert a.indptr.dtype == b.indptr.dtype == np.int64
@@ -464,21 +479,43 @@ class TestSinglePassSearch:
         assert build_mask(ag, 10**9).nnz == ag.total_tokens ** 2
 
     def test_many_source_blocks(self, monkeypatch):
+        # blocks of BLOCK_CELLS // nnz sources (at least 1) against one block
         ag = augment(generate_erdos_renyi(30, 0.1, seed=7))
         t = ag.total_tokens
         one_block = build_head_masks(ag, [1, 3, 6])
+        whole = hop_distances(ag.indptr, ag.indices, t, 6)
         nnz = ag.indices.size
         assert nnz > t
-        for cells in (1, t - 1, nnz - 1, 3 * nnz + 2, 7 * nnz):
+        for cells in (1, t - 1, nnz - 1, 2 * nnz, 3 * nnz + 2, 7 * nnz):
             monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
-            blocks = list(hop_distance_blocks(ag.indptr, ag.indices, t, 6))
+            out, sources = _block_sources(monkeypatch, ag, 6)
             per_block = max(1, cells // nnz)
-            sources = [len(np.unique(r)) for r, _, _ in blocks]
-            assert len(blocks) == -(-t // per_block) > 1
-            assert sources[:-1] == [per_block] * (len(blocks) - 1) and sum(sources) == t
+            assert len(sources) == -(-t // per_block) > 1
+            assert sources[:-1] == [per_block] * (len(sources) - 1) and sum(sources) == t
+            for a, b in zip(out, whole):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
             for a, b in zip(build_head_masks(ag, [1, 3, 6]), one_block):
                 _assert_masks_equal(a, b)
         assert np.array_equal(mask_to_dense(one_block[2]), dense_reachability_oracle(ag, 6))
+
+    def test_memory_stays_within_the_block_bound(self, monkeypatch):
+        # tracemalloc sees numpy's array buffers.  At 2^17 cells the 7464-token
+        # search runs 7 sources per block; one block of all sources would keep
+        # a T x T seen buffer of 55.7 MB (the blocks peaked at 2.7 MB).  The
+        # output's pairs, P of them, cost O(P) beyond the block bound
+        ag = augment(generate_erdos_renyi(3000, 0.001, seed=3))
+        cells = 2**17
+        monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
+        t = ag.total_tokens
+        assert not masks_mod._one_block(t, ag.indices.size)
+        tracemalloc.start()
+        try:
+            masks = build_head_masks(ag, [1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 4 * 8 * cells + 64 * masks[1].nnz
+        assert t * t > 6 * bound and peak < bound
 
     def test_budgets_nest(self):
         ag = augment(generate_erdos_renyi(25, 0.12, seed=5))
@@ -526,7 +563,7 @@ def _searches(monkeypatch, ag, hops):
     t, nnz = ag.total_tokens, ag.indices.size
     assert masks_mod._one_block(t, nnz)
     with monkeypatch.context() as m:
-        m.setattr(masks_mod, "hop_distance_blocks", refuse("expanded a key level"))
+        m.setattr(masks_mod, "hop_distances", refuse("expanded a key level"))
         bits = build_head_masks(ag, hops)
     with monkeypatch.context() as m:
         m.setattr(masks_mod, "BLOCK_CELLS", t * max(t, nnz, 1) - 1)
@@ -692,7 +729,7 @@ class TestSearchDispatch:
     def test_one_block_searches_never_expand_keys(self, monkeypatch, g, hops):
         ag = augment(g)
         assert masks_mod._one_block(ag.total_tokens, ag.indices.size)
-        monkeypatch.setattr(masks_mod, "hop_distance_blocks", refuse("expanded a key level"))
+        monkeypatch.setattr(masks_mod, "hop_distances", refuse("expanded a key level"))
         build_head_masks(ag, hops)
 
     def test_multi_block_ring_never_uses_bit_rows(self, monkeypatch):
@@ -711,11 +748,15 @@ class TestSearchDispatch:
             assert build_head_masks(ag, [12])[0].nnz == t * t
 
     def test_the_rule_is_the_block_bound(self, monkeypatch):
-        # one cell below T * max(T, nnz) splits the sources; at it they are one block
+        # one cell below T * max(T, nnz) splits the sources and runs keys;
+        # at it they are one block on bit rows
         ag = augment(generate_erdos_renyi(15, 0.3, seed=8))
         t, nnz = ag.total_tokens, ag.indices.size
         for cells, one in ((t * nnz - 1, False), (t * nnz, True)):
-            monkeypatch.setattr(masks_mod, "BLOCK_CELLS", cells)
-            assert masks_mod._one_block(t, nnz) is one
-            blocks = list(hop_distance_blocks(ag.indptr, ag.indices, t, 3))
-            assert (len(blocks) == 1) is one
+            with monkeypatch.context() as m:
+                m.setattr(masks_mod, "BLOCK_CELLS", cells)
+                assert masks_mod._one_block(t, nnz) is one
+                assert (len(_block_sources(m, ag, 3)[1]) == 1) is one
+                m.setattr(masks_mod, "hop_distances" if one else "_reach_levels",
+                          refuse("took the other search"))
+                build_head_masks(ag, [1, 2, 4, 8])

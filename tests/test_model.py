@@ -16,7 +16,7 @@ from hopformer import model as model_mod
 from hopformer import training
 from hopformer.graphs import Graph, GraphError
 from hopformer.autograd import ShapeError
-from hopformer.model import CHECKPOINT_MAGIC, LayerParams
+from hopformer.model import CHECKPOINT_MAGIC, MAX_WEIGHTS, LayerParams
 
 from helpers import (augmented_distances, dense_vanilla_encoder, path3_graph,
                      random_graph, single_edge_graph, triangle_graph)
@@ -27,6 +27,10 @@ def small_cfg(**over):
                 num_heads=2, task="node_classification", num_classes=3, seed=0)
     base.update(over)
     return ModelConfig(**base)
+
+
+def _no_weights(*args):
+    raise AssertionError("a weight array was drawn")
 
 
 class TestModelConfig:
@@ -87,6 +91,33 @@ class TestModelConfig:
         # a negative seed used to fail later, inside numpy, in init_model
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             small_cfg(seed=-1)
+
+    def test_weight_count_is_capped_before_allocation(self):
+        # 4d^2 + 2df + f + 5d = 568 weights per layer and (d + 1) * 3 = 27 in the
+        # head at d = 8, f = 16 and 3 classes; the configs are only built
+        fits = (MAX_WEIGHTS - 27) // 568
+        assert small_cfg(num_layers=fits).num_layers == fits
+        with pytest.raises(ValueError, match=f"^{568 * (fits + 1) + 27} weights .* are past "
+                                             f"the cap of {MAX_WEIGHTS}$"):
+            small_cfg(num_layers=fits + 1)
+        with pytest.raises(ValueError, match=r"^568000000027 weights \(0 inputs, hidden_dim=8, "
+                                             r"ffn_dim=16, num_layers=1000000000, 3 outputs\)"):
+            small_cfg(num_layers=10**9)
+
+    def test_head_and_input_weights_count_toward_the_cap(self, monkeypatch):
+        # no layers, yet the head alone is past the cap; nothing is allocated
+        with pytest.raises(ValueError, match=r"^3221225475 weights .*num_layers=0, 3 outputs"):
+            small_cfg(num_layers=0, hidden_dim=2**30)
+        with pytest.raises(ValueError, match=f"1073741824 outputs.* cap of {MAX_WEIGHTS}$"):
+            small_cfg(num_classes=2**30)
+        with pytest.raises(ValueError, match=f"1073741824 outputs.* cap of {MAX_WEIGHTS}$"):
+            small_cfg(task="graph_regression", output_dim=2**30)
+        # d_v + d_e input columns are known only to init_model, which checks
+        # them before it draws a weight
+        monkeypatch.setattr(model_mod, "_glorot", _no_weights)
+        with pytest.raises(ValueError, match=r"^2147483675 weights \(268435456 inputs, .*"
+                                             r"num_layers=0, 3 outputs\)"):
+            init_model(small_cfg(num_layers=0), d_v=2**28 - 1, d_e=1)
 
     def test_integral_numbers_are_stored_as_python_ints(self):
         cfg = small_cfg(hidden_dim=np.int64(8), head_hops=[np.int32(1), 3.0], num_layers=2.0,
@@ -844,6 +875,16 @@ class TestCheckpoint:
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="HOPFORMER1"):
             load_model(str(path))
+
+    def test_checkpoint_past_the_weight_cap_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        for field, value in (("config", dict(obj["config"], num_layers=10**9)), ("d_v", 2**28)):
+            path.write_text(json.dumps(dict(obj, **{field: value})))
+            monkeypatch.setattr(model_mod, "_glorot", _no_weights)
+            with pytest.raises(ValueError, match=f"past the cap of {MAX_WEIGHTS}$"):
+                load_model(str(path))
 
     def test_numpy_integer_config_saves_the_same_bytes(self, tmp_path):
         plain, numpy_ints = tmp_path / "a.json", tmp_path / "b.json"
