@@ -87,13 +87,16 @@ head, a stack of one.  Every part writes its results into its heads'
 columns of one (rows, H * d_h) array, which is the layer's concatenation of
 the heads.
 
-On one mask the kernel also takes the queries of only its first r rows, keys
-and values keeping all T: it then reads the CSR prefix (``indptr[:r+1]`` and
-the first ``indptr[r]`` stored entries, as views) or the first r rows of the
-dense bias, so its work scales with the prefix's stored entries.  A node
-task's last encoder layer computes its node rows this way; graph tasks pool
-every token and run full calls.  The path is still the one the whole mask's
-size and density pick.
+On one mask the kernel also takes the queries of only a sorted set of its
+rows, keys and values keeping all T; by default the set is q's leading rows.
+It then reads only the set's CSR rows and the set's rows of the dense bias,
+so its work scales with the set's stored entries.  A leading range r reads
+the CSR prefix (``indptr[:r+1]`` and the first ``indptr[r]`` stored entries)
+and the first r bias rows as views; any other set gathers its CSR rows with
+one ``repeat``, ``arange`` and ``take``.  A node task's last encoder layer
+computes its node rows this way, and its ``evaluate`` only the rows it
+scores; graph tasks pool every token and run full calls.  The path is still
+the one the whole mask's size and density pick.
 
 Determinism: on the nnz path per-row sums (``reduceat``) run in ascending
 column order (CSR order) and the key and value scatters (one ``bincount`` per
@@ -109,7 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _int_field
+from .graphs import _int_field, _int_value
 from .masks import HopMask
 
 
@@ -260,7 +263,9 @@ def attention_flops(nnz: int, head_dim: int) -> int:
 class FlopMeter:
     """``attention_flops`` is the paper's cost model, nnz-based on every path;
     ``executed_flops`` counts the entries the kernel actually scored, which on
-    the masked dense path is all T^2 of them."""
+    the masked dense path is all T^2 of them.  A call on a query row set of r
+    rows counts the set's stored entries, and r x T cells executed on the
+    dense path."""
 
     attention_flops: int = 0
     executed_flops: int = 0
@@ -528,20 +533,82 @@ def _masked_softmax(qt: np.ndarray, kt: np.ndarray, col: np.ndarray,
 DENSE_MIN_DENSITY = 0.25
 
 
-def _joined_csr(masks: list[HopMask], r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(col, starts) of a batch's masks joined block-diagonally, over their
-    first ``r`` rows: the stored entries' column ids and the rows' starts in
-    them.  Any r for one mask, all rows for several.
+def _query_rows(rows, t: int, dropout: bool):
+    """``rows`` checked as a query row set of a mask of ``t`` tokens: an int
+    r in [1, t], shorthand for range(r), or a non-empty 1-D array of row
+    indices in [0, t), strictly ascending.  Both follow the package's integer
+    rule (``2.0`` is 2, a fraction or a boolean is refused), and a refusal
+    names the bad entry or shape.  Returns an int r when the set is the
+    leading range(r), else the set as an int64 array.  With ``dropout`` (a
+    forward that draws dropout) only a leading range passes: the draws of a
+    leading range are the first rows of the draws for all rows."""
+    if np.ndim(rows) == 0:
+        r = _int_value("rows", rows)
+        if not 1 <= r <= t:
+            raise ShapeError(f"rows must be in [1, {t}] for {t} tokens, got {r}")
+        return r
+    idx = _int_field("rows", rows)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ShapeError(f"rows must be a non-empty 1-D set of row indices, "
+                         f"got shape {idx.shape}")
+    bad = np.flatnonzero((idx < 0) | (idx >= t))
+    if bad.size:
+        raise ShapeError(f"rows entry {bad[0]} is {idx[bad[0]]}, outside [0, {t})")
+    bad = np.flatnonzero(idx[1:] <= idx[:-1])
+    if bad.size:
+        i = bad[0] + 1
+        how = "repeats" if idx[i] == idx[i - 1] else "is below"
+        raise ShapeError(f"rows entry {i} ({idx[i]}) {how} entry {i - 1} ({idx[i - 1]}); "
+                         f"rows must strictly ascend")
+    if idx[-1] == idx.size - 1:   # ascending from 0 with no gap: range(r)
+        return idx.size
+    if dropout:
+        i = int(np.argmax(idx != np.arange(idx.size)))
+        raise ShapeError(f"rows entry {i} is {idx[i]}, not {i}: a forward that draws "
+                         f"dropout takes a leading range of rows")
+    return idx
 
-    One mask gives views of its first ``indptr[r]`` column ids and its first
-    r row starts (no copy).  Several give, per block, its column ids offset
-    by the block's first row in the joined rows, and its row starts offset
-    by the stored entries before it, so every row holds the entries, in the
-    order, that a call on its block alone reads.
+
+def _row_index(rows):
+    """The index of a query row set, as :func:`_query_rows` returns it: a
+    slice for a leading range, so that indexing with it gives a view."""
+    return slice(0, rows) if isinstance(rows, int) else rows
+
+
+def _set_len(rows) -> int:
+    """The number of rows of a query row set."""
+    return rows if isinstance(rows, int) else rows.size
+
+
+def _set_nnz(b: HopMask, rows) -> int:
+    """The stored entries of a query row set's rows of ``b``."""
+    if isinstance(rows, int):
+        return int(b.indptr[rows])
+    return int((b.indptr[rows + 1] - b.indptr[rows]).sum())
+
+
+def _joined_csr(masks: list[HopMask], rows) -> tuple[np.ndarray, np.ndarray]:
+    """(col, starts) of a batch's masks joined block-diagonally, over a query
+    row set: the stored entries' column ids and the rows' starts in them.
+    Any set (see :func:`_query_rows`) for one mask, all rows for several.
+
+    One mask with a leading range r gives views of its first ``indptr[r]``
+    column ids and its first r row starts (no copy); another set gathers its
+    rows' column ids, in row order, by one ``take``.  Several masks give,
+    per block, its column ids offset by the block's first row in the joined
+    rows, and its row starts offset by the stored entries before it, so
+    every row holds the entries, in the order, that a call on its block
+    alone reads.
     """
     if len(masks) == 1:
         b = masks[0]
-        return b.indices[:b.indptr[r]], b.indptr[:r]
+        if isinstance(rows, int):
+            return b.indices[:b.indptr[rows]], b.indptr[:rows]
+        lo = b.indptr[rows]
+        counts = b.indptr[rows + 1] - lo
+        starts = np.cumsum(counts) - counts
+        return b.indices.take(np.repeat(lo - starts, counts)
+                              + np.arange(starts[-1] + counts[-1])), starts
     sizes = np.array([b.size for b in masks])
     nnzs = np.array([b.nnz for b in masks])
     return (np.concatenate([b.indices for b in masks])
@@ -700,30 +767,34 @@ def _runs_dense(b: HopMask) -> bool:
                            or b.nnz >= DENSE_MIN_DENSITY * b.size * b.size)
 
 
-def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults):
+def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults, rows=None):
     """The masked dense path of one graph's heads, H >= 1 of them: ``q3``
-    holds the queries of the masks' first r rows as (r, H, d_h), ``k3`` and
-    ``v3`` the keys and values of all T rows as (T, H, d_h), head i's mask
-    being ``masks[i]`` and its attention dropout multipliers ``dropmults[i]``
-    (all None without dropout).  Returns (out, grads(g)) in the (r, H, d_h)
+    holds the queries of the masks' query row set ``rows`` (see
+    :func:`_query_rows`; by default the leading ones), r of them, as (r, H,
+    d_h), ``k3`` and ``v3`` the keys and values of all T rows as (T, H,
+    d_h), head i's mask being ``masks[i]`` and its attention dropout
+    multipliers ``dropmults[i]`` (all None without dropout; only a leading
+    range draws dropout).  Returns (out, grads(g)) in the (r, H, d_h)
     layout; off-support weights are exact zeros.
 
     Each product is one ``np.matmul`` over the heads, which runs the same
     GEMM per head as a stack of that head alone, and each row reduction sees
     one row; so a head's results do not depend on the heads stacked with it.
-    A head whose mask is not full is masked by adding its cached
-    ``dense_bias[:r]`` to its (r, T) slice of the scores, with ``np.exp``
-    kept on finite values (:func:`_dense_softmax`); a full head (nnz = T^2)
-    skips the masking and builds no bias.  Attention dropout places a head's
-    draws on the cells of its stored entries in the first r rows, whose CSR
-    order is their row-major order (``HopMask._dense_cells``)."""
+    A head whose mask is not full is masked by adding the set's rows of its
+    cached ``dense_bias`` (a view for a leading range) to its (r, T) slice
+    of the scores, with ``np.exp`` kept on finite values
+    (:func:`_dense_softmax`); a full head (nnz = T^2) skips the masking and
+    builds no bias.  Attention dropout places a head's draws on the cells of
+    its stored entries in the first r rows, whose CSR order is their
+    row-major order (``HopMask._dense_cells``)."""
     qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
     r, t = qs.shape[1], ks.shape[1]
+    rows = r if rows is None else rows
     inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
     scores = qs @ ks.transpose(0, 2, 1)
     scores *= inv_sqrt
-    alpha = _dense_softmax(scores, [(i, b.dense_bias[:r]) for i, b in enumerate(masks)
-                                    if b.indptr[r] < r * t])
+    alpha = _dense_softmax(scores, [(i, b.dense_bias[_row_index(rows)])
+                                    for i, b in enumerate(masks) if _set_nnz(b, rows) < r * t])
     if dropmults[0] is None:
         drop = None
         applied = alpha
@@ -766,7 +837,7 @@ def _by_head(n: int, n_heads: int, d_h: int, cells) -> np.ndarray:
 def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
                             mask: HopMask | list[HopMask] | list[list[HopMask]], *,
                             dropout_rate: float = 0.0, dropout_seed=None,
-                            training: bool = False) -> Tensor:
+                            training: bool = False, rows=None) -> Tensor:
     """Scaled dot-product attention restricted to the mask support.
 
     For each row i, the softmax over scores <q_i, k_j>/sqrt(d_h) normalizes
@@ -801,12 +872,15 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     makes its own nnz-path call for its sparse blocks, and each dense head
     one dense-path call, a stack of one.
 
-    With one mask, q may hold the queries of only its first r rows, k and v
-    keeping all T: the output and q's grad then have r rows, equal to the
-    first r rows of a call on all of them, and the call does only those rows'
-    work (``indptr[r]`` stored entries, or r x T on the dense path).  The path
-    is still the one the whole mask's size and density pick, and attention
-    dropout keeps the weights a call on all rows draws for these rows.
+    With one mask, q may hold the queries of only a set of its rows, k and v
+    keeping all T: ``rows``, a sorted array of row indices, or an int r for
+    range(r) (see :func:`_query_rows`); unset, the set is q's leading rows.
+    The output and q's grad then have a row per set row, equal to those
+    rows of a call on all of them, and the call does only those rows' work
+    (their stored entries, or r x T cells on the dense path).  The path is
+    still the one the whole mask's size and density pick.  Attention dropout
+    needs a leading range, and keeps the weights a call on all rows draws
+    for these rows; another set is refused when training with dropout.
 
     Under :func:`no_grad` the call builds no ``grad_fn``, and each part's
     backward closure is dropped as soon as that part's output is written.
@@ -834,6 +908,8 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     if n_q > n_kv:
         raise ShapeError(f"q has shape {q.values.shape}, more rows than k/v "
                          f"{k.values.shape}")
+    if rows is not None and len(sizes) > 1:
+        raise ShapeError(f"rows asks for query rows of one mask, got a batch of {len(sizes)}")
     if n_q < n_kv and len(sizes) > 1:
         raise ShapeError(f"q of shape {q.values.shape} holds a prefix of the {n_kv} rows of "
                          f"k/v; a prefix needs one mask, got a batch of {len(sizes)}")
@@ -847,17 +923,22 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     if sum(sizes) != n_kv:
         raise ShapeError(f"mask is for {sum(sizes)} tokens, "
                          f"inputs have {n_kv} rows")
+    # the query rows of one mask: a leading range as an int, else an array
+    query = n_q if rows is None else _query_rows(rows, n_kv, training and dropout_rate > 0.0)
+    if _set_len(query) != n_q:
+        raise ShapeError(f"q has {n_q} rows for a set of {_set_len(query)} query rows")
     ends = np.cumsum(sizes).tolist()
-    rows = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
-    q_rows = rows if n_q == n_kv else [slice(0, n_q)]
-    n_rows = sizes if n_q == n_kv else [n_q]   # the query rows of each block
+    blocks = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
+    q_rows = blocks if n_q == n_kv else [slice(0, n_q)]
+    n_rows = sizes if n_q == n_kv else [query]   # the query row set of each block
     # a block with no tokens makes no kernel part: it is neither dense nor
     # among the nnz blocks
     dense = [[_runs_dense(b) for b in head] for head in mask]
     drops = [[None] * len(sizes)] * n_heads
     if training and dropout_rate > 0.0:
         # per block, the first indptr[r] numbers of the whole mask's draw: the
-        # weights a call on all rows keeps for its first r rows
+        # weights a call on all rows keeps for its first r rows (a row set
+        # that draws dropout is a leading range r)
         drops = [[(np.random.default_rng(0 if s is None else s).random(b.indptr[r])
                    >= dropout_rate) / (1.0 - dropout_rate)
                   for b, r, s in zip(head, n_rows, head_seeds)]
@@ -865,9 +946,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     for meter in _state.meters:
         for head, head_dense in zip(mask, dense):
             for b, r, d in zip(head, n_rows, head_dense):
-                nnz = int(b.indptr[r])
+                nnz = _set_nnz(b, r)
                 meter.attention_flops += attention_flops(nnz, d_h)
-                meter.executed_flops += attention_flops(r * b.size if d else nnz, d_h)
+                meter.executed_flops += attention_flops(_set_len(r) * b.size if d else nnz, d_h)
 
     # Each part runs some heads on some rows and gives (q rows, k/v rows,
     # heads, out, grads), out and grads shaped as indexing the (rows, H, d_h)
@@ -895,12 +976,12 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
             dm = None if head_drops[0] is None else _stack_rows(
                 [head_drops[b] for b in nnz_blocks])
             yield output_of(sel, sel, h, *_sparse_path(
-                qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks], len(qv)),
-                dm))
+                qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks],
+                                                        n_rows[nnz_blocks[0]]), dm))
         # A graph of at most STACK_MAX_TOKENS tokens runs all its heads, every
         # one dense, as one stack; a larger one each dense head as a stack of
         # one.  Either way the heads are a slice, so q3, k3 and v3 are views.
-        for b, (qr, r) in enumerate(zip(q_rows, rows)):
+        for b, (qr, r) in enumerate(zip(q_rows, blocks)):
             if sizes[b] <= STACK_MAX_TOKENS:
                 stacks = [slice(0, n_heads)] if sizes[b] else []
             else:
@@ -908,7 +989,7 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
             for hi in stacks:
                 yield output_of(qr, r, hi, *_dense_path(
                     q3[qr, hi], k3[r, hi], v3[r, hi], [m[b] for m in mask[hi]],
-                    [d[b] for d in drops[hi]]))
+                    [d[b] for d in drops[hi]], n_rows[b]))
 
     out = _by_head(n_q, n_heads, d_h, part_outputs())
     if not recording:

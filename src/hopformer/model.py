@@ -13,7 +13,8 @@ token rows stacked and each head holding the list of the graphs' masks; a
 single graph is a batch of one, wrapped as such on the entry's first line.
 
 A node task's head reads only the node-token rows, so its last layer computes
-those rows alone (``forward(..., rows=N)``): their queries attend over every
+those rows alone (``forward(..., rows=N)``), or only the nodes it scores
+(``rows`` a sorted set of node indices): their queries attend over every
 token's keys and values, with each head's kernel path still chosen by the
 size of its whole mask, then by its density.  Graph tasks pool every token
 and run every row of every layer.
@@ -235,24 +236,25 @@ def _ffn(z: Tensor, lp: LayerParams) -> Tensor:
     return ops.add(ops.matmul(hidden, lp.ffn_w2), lp.ffn_b2)
 
 
-def _prefix_rows(rows, sizes: list[int]) -> int | None:
-    """``rows`` checked as a count of leading token rows of one graph of
-    ``sizes[0]`` tokens (``sizes`` lists a batch's token counts); None when
-    unset or all of them, which is the full computation."""
+def _row_set(rows, sizes: list[int], cfg: ModelConfig, training: bool):
+    """``rows`` checked as a set of token rows of one graph of ``sizes[0]``
+    tokens (``sizes`` lists a batch's token counts), by the kernel's rule
+    (``autograd._query_rows``): an int r for range(r), which it returns as
+    an int, or a sorted array of row indices.  A training forward that draws
+    dropout takes a leading range only.  None when unset or all the rows,
+    which is the full computation."""
     if rows is None:
         return None
     if len(sizes) != 1:
-        raise ShapeError(f"rows asks for leading rows of one graph, got a batch of {len(sizes)}")
-    rows = _int_value("rows", rows)
-    if not 1 <= rows <= sizes[0]:
-        raise ShapeError(f"rows must be in [1, {sizes[0]}] for a graph of {sizes[0]} tokens, "
-                         f"got {rows}")
-    return None if rows == sizes[0] else rows
+        raise ShapeError(f"rows asks for rows of one graph, got a batch of {len(sizes)}")
+    rows = ops._query_rows(rows, sizes[0], training and (
+        cfg.dropout > 0.0 or cfg.attention_dropout > 0.0))
+    return None if isinstance(rows, int) and rows == sizes[0] else rows
 
 
 def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: LayerParams,
                   cfg: ModelConfig, *, training: bool = False, seed=None,
-                  return_heads: bool = False, rows: int | None = None):
+                  return_heads: bool = False, rows=None):
     """One encoder layer: masked MHSA with residual, then FFN with residual.
 
     ``masks`` holds one HopMask per head and ``seed`` the layer's dropout
@@ -264,20 +266,22 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     ``return_heads`` the per-head attention outputs (concatenated, before the
     output projection) are returned alongside the layer output.
 
-    With ``rows`` (one graph only) the layer computes only its first ``rows``
-    output rows: their queries attend over the keys and values of all T
-    rows, and the residuals, output projection, layer norms, FFN and dropout
-    run on those rows alone.  They equal the first rows of the full layer's
-    output, up to rounding of the weight gradients, which sum over fewer rows.
+    With ``rows`` (one graph only; an int r for its first r rows, or a
+    sorted array of row indices) the layer computes only those output rows:
+    their queries attend over the keys and values of all T rows, and the
+    residuals, output projection, layer norms, FFN and dropout run on those
+    rows alone.  They equal those rows of the full layer's output, up to
+    rounding of the weight gradients, which sum over fewer rows.  Training
+    with dropout takes a leading range only.
     """
     if len(masks) != cfg.num_heads:
         raise ShapeError(f"got {len(masks)} masks for {cfg.num_heads} heads")
     if isinstance(masks[0], HopMask):   # one graph: a batch of one
         masks, seed = [[mk] for mk in masks], None if seed is None else [seed]
     sizes = [mk.size for mk in masks[0]]
-    rows = _prefix_rows(rows, sizes)
+    rows = _row_set(rows, sizes, cfg, training)
     # int64 segment sizes, which dropout takes without a per-element scan
-    sizes = np.array(sizes if rows is None else [rows], dtype=np.int64)
+    sizes = np.array(sizes if rows is None else [ops._set_len(rows)], dtype=np.int64)
     seeds = [[0]] * len(masks[0]) if seed is None else [list(s) for s in seed]
 
     def site(tag):
@@ -287,12 +291,12 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     attn_in = ops.layer_norm(z, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "pre" else z
     q, k, v = ops.split_cols(ops.matmul(attn_in, lp.wqkv), 3)
     concat = ops.sparse_masked_attention(
-        q if rows is None else ops.row_slice(q, 0, rows), k, v, masks,
+        q if rows is None else ops.take_rows(q, ops._row_index(rows)), k, v, masks,
         dropout_rate=cfg.attention_dropout,
-        dropout_seed=[site(h) for h in range(cfg.num_heads)], training=training)
+        dropout_seed=[site(h) for h in range(cfg.num_heads)], training=training, rows=rows)
     attn = ops.matmul(concat, lp.wo)
     attn = ops.dropout(attn, cfg.dropout, site(101), training, sizes)
-    res1 = ops.add(z if rows is None else ops.row_slice(z, 0, rows), attn)
+    res1 = ops.add(z if rows is None else ops.take_rows(z, ops._row_index(rows)), attn)
     t1 = ops.layer_norm(res1, lp.ln1_gamma, lp.ln1_beta) if cfg.norm == "post" else res1
     ffn_in = ops.layer_norm(t1, lp.ln2_gamma, lp.ln2_beta) if cfg.norm == "pre" else t1
     ffn = ops.dropout(_ffn(ffn_in, lp), cfg.dropout, site(102), training, sizes)
@@ -348,17 +352,17 @@ def _check_graph_masks(m: Model, g: Graph, masks: list[HopMask], name: str) -> N
 
 
 def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
-            training: bool, rows: int | None = None) -> Tensor:
+            training: bool, rows=None) -> Tensor:
     """The layer stack on a batch's stacked token rows, given per head the
     list of the graphs' masks (already checked) and one seed per graph.  With
-    ``rows`` (one graph) the last layer computes only the first ``rows`` rows,
-    and only they are returned."""
+    ``rows`` (one graph, a row set as :func:`_row_set` returns it) the last
+    layer computes only those rows, and only they are returned."""
     for l, lp in enumerate(m.layers):
         z = encoder_layer(z, masks, lp, m.cfg, training=training,
                           seed=[[s, l] for s in seeds],
                           rows=rows if l == len(m.layers) - 1 else None)
     if not m.layers and rows is not None:
-        z = ops.row_slice(z, 0, rows)
+        z = ops.take_rows(z, ops._row_index(rows))
     return z
 
 
@@ -371,7 +375,7 @@ def encode(m: Model, z: Tensor, masks: list[HopMask]) -> Tensor:
 
 def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[AugmentedGraph],
             masks: list[HopMask] | list[list[HopMask]], *, training: bool = False,
-            rng_seed=None, graph_ids=None, rows: int | None = None) -> Tensor:
+            rng_seed=None, graph_ids=None, rows=None) -> Tensor:
     """Embed and encode; returns the T x d token representations.
 
     ``g``, ``ag`` and ``masks`` may also be parallel lists over a batch of
@@ -384,12 +388,16 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     follow the package's integer rule (``2.0`` is 2, a boolean or a fraction
     is refused) and may not be negative.
 
-    ``rows`` (one graph only, in [1, T]) asks for the first ``rows`` token
-    rows alone, a node task's N node rows: the last layer then computes only
-    those rows, every earlier layer all T, since the kept rows attend over
-    every token.  They equal the first rows of a full forward; only rounding
-    in the weight gradients differs.  Graph tasks pool every token and so
-    leave it unset.
+    ``rows`` (one graph only) asks for a set of token rows alone: an int r
+    in [1, T] for the first r, a node task's N node rows, or a sorted array
+    of row indices, such as the nodes a split scores.  The last layer then
+    computes only those rows, every earlier layer all T, since the kept rows
+    attend over every token.  They equal those rows of a full forward; only
+    rounding in the weight gradients differs.  A set that is unsorted,
+    repeats an index, leaves [0, T) or is empty is refused, naming the
+    entry, and so is a set that is not a leading range in a training
+    forward that draws dropout, whose seeded draws are made for leading
+    rows.  Graph tasks pool every token and so leave it unset.
 
     ``g`` gives the token layout (nodes, then edges); ``ag`` is only checked
     against it.  :func:`_check_graph` and :func:`_check_graph_masks` check
@@ -421,7 +429,7 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
                              f"node and {a.num_edge_tokens} edge tokens, the graph "
                              f"{x.num_nodes} nodes and {x.num_edges} edges")
         _check_graph_masks(m, x, gm, f"batch graph {b}")
-    rows = _prefix_rows(rows, [x.num_nodes + x.num_edges for x in g])
+    rows = _row_set(rows, [x.num_nodes + x.num_edges for x in g], m.cfg, training)
     seeds = [0] * len(g) if rng_seed is None else [seed + int(i) for i in ids]
     return _encode(m, embed_tokens(m, g), [list(hm) for hm in zip(*masks)], seeds,
                    training, rows)
@@ -443,7 +451,9 @@ def predict_node(m: Model, h: Tensor, num_nodes: int) -> Tensor:
     """Apply the shared node head to node-token rows only; logits N x C.
 
     ``h`` holds the graph's token rows, nodes first, or just its N node rows
-    (a forward with ``rows=N``); fewer rows than nodes are refused."""
+    (a forward with ``rows=N``); fewer rows than nodes are refused.  For a
+    forward that asked for a set of node rows, ``num_nodes`` is the set's
+    size, and the logits are the set's, in its order."""
     if m.cfg.task != "node_classification":
         raise ValueError(f"predict_node needs a node_classification model, got {m.cfg.task!r}")
     if h.values.shape[0] < num_nodes:

@@ -4,8 +4,9 @@ Node and graph tasks share one output function for training and evaluation:
 given a list of splits, it returns one output Tensor per split, one row per
 item (a node of the one graph, or a graph of a dataset).  A node task runs
 one forward over its graph, whose last layer computes only the node-token
-rows its head reads, and takes each split's rows from it; a graph task runs
-one forward per split, its graphs' token rows stacked, and pools every token.
+rows the splits score (all N node rows in a training forward), and takes
+each split's rows from it; a graph task runs one forward per split, its
+graphs' token rows stacked, and pools every token.
 Training augments every graph once; each epoch steps over its batches and
 scores validation and test.  A node task without dropout makes one forward
 per epoch: the call that scores an epoch also returns the train rows, held on
@@ -281,7 +282,13 @@ def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = Fals
     """One output Tensor per split, one row per item in the split's order.
 
     A node task runs one forward over its graph 0, whose last layer computes
-    the node rows alone, and takes each split's logit rows from it.  A graph
+    only the node rows of the splits' union, sorted, and takes each split's
+    logit rows from it, found by ``searchsorted``.  A training forward keeps
+    all N node rows: its seeded dropout draws are made for leading rows, and
+    its weight gradients then sum over the rows they always summed over, so
+    a step's results are bit for bit those of a forward on every node.
+    ``train``'s held forward scores train, val and test, whose union is all
+    N rows.  ``evaluate`` computes its split's rows alone.  A graph
     task runs one forward per split over the split's graphs stacked, one
     readout row per graph and one graph head matmul, graph ``i`` drawing its
     dropout from ``seed + i`` (``ags`` and ``masks`` are indexed by graph).
@@ -291,10 +298,13 @@ def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = Fals
     split then reproduces the score ``train`` recorded for it exactly.
     """
     if model.cfg.task == "node_classification":
+        # the splits' sorted union, found by counting as in _prepare
+        nodes = np.arange(dataset.num_nodes) if training else np.flatnonzero(
+            np.bincount(np.concatenate(splits)))
         h = forward(model, dataset, ags[0], masks[0], training=training, rng_seed=seed,
-                    rows=dataset.num_nodes)
-        logits = predict_node(model, h, dataset.num_nodes)
-        return [ops.take_rows(logits, items) for items in splits]
+                    rows=nodes)
+        logits = predict_node(model, h, nodes.size)
+        return [ops.take_rows(logits, np.searchsorted(nodes, items)) for items in splits]
     outs = []
     for items in splits:
         items = [int(i) for i in items]

@@ -1805,6 +1805,123 @@ class TestQueryPrefix:
             sparse_masked_attention(Tensor(q[:5]), Tensor(k), Tensor(v), [mask, mask])
 
 
+def _row_set_case(seed: int) -> tuple[HopMask, int]:
+    """(mask, N) for one seed, by seed % 4: a hand-built mask of more than
+    STACK_MAX_TOKENS tokens on the nnz path; one of at most STACK_MAX_TOKENS
+    tokens (the dense path); one of more, dense by density; or a hop mask of
+    a random graph (sparse ones past the bound among them), N its node
+    count.  N is drawn in [1, T] for the hand-built masks."""
+    rng = np.random.default_rng([seed, 37])
+    if seed % 4 == 3:
+        g = random_graph(rng, max_nodes=60, p=float(rng.uniform(0.02, 0.1)))
+        return build_mask(augment(g), int(rng.integers(0, 6))), g.num_nodes
+    small = seed % 4 == 1
+    t = int(rng.integers(2, ops.STACK_MAX_TOKENS + 1) if small else rng.integers(65, 100))
+    mask = _random_csr_mask(rng, t, float(rng.uniform(0.0, 0.08) if seed % 4 == 0
+                                          else rng.uniform(0.3, 0.9)))
+    assert _runs_dense(mask) == (seed % 4 != 0)
+    return mask, int(rng.integers(1, t + 1))
+
+
+def _row_sets(rng, t: int, n: int) -> list[np.ndarray]:
+    """Leading ranges of 1, n and t rows, the first and the last row alone,
+    and random subsets of 1, about t/3 and t - 1 rows."""
+    sets = [np.arange(r) for r in sorted({1, n, t})] + [np.array([0]), np.array([t - 1])]
+    return sets + [np.sort(rng.choice(t, size, replace=False))
+                   for size in sorted({1, max(1, t // 3), max(1, t - 1)})]
+
+
+class TestQueryRowSets:
+    """A call with the queries of a sorted set of a mask's rows against the
+    call on all T rows: out and dq are the set's rows of the full call's (bit
+    for bit on the nnz path, to rounding on the dense path), and dk and dv
+    the full call's grads when no gradient reaches the rows off the set."""
+
+    def test_cases_cover_both_paths_on_both_sides_of_the_bound(self):
+        cases = [_row_set_case(seed) for seed in range(32)]
+        sides = {(_runs_dense(mask), mask.size > ops.STACK_MAX_TOKENS) for mask, _ in cases}
+        assert sides == {(False, True), (True, False), (True, True)}
+        assert any(not _runs_dense(mask) for mask, _ in cases[3::4])   # a sparse hop mask
+        assert any(0 < n < mask.size for mask, n in cases[3::4])       # nodes and edges
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_row_set_is_those_rows_of_the_full_call(self, seed):
+        mask, n = _row_set_case(seed)
+        t, d_h = mask.size, (1, 3, 4)[seed % 3]
+        dense = _runs_dense(mask)
+        rng = np.random.default_rng(seed)
+        qv, kv, vv, g = rng.standard_normal((4, t, d_h))
+        for rows in _row_sets(rng, t, n):
+            g_set = np.zeros_like(g)
+            g_set[rows] = g[rows]
+            full, _ = _attention_run(qv, kv, vv, mask, g_set)
+            got, meter = _attention_run(qv[rows], kv, vv, mask, g[rows], rows=rows)
+            assert got[0].shape == got[1].shape == (rows.size, d_h)
+            for a, b in zip(got[:2], [full[0][rows], full[1][rows]]):
+                if dense:
+                    assert np.abs(a - b).max() <= 1e-12
+                else:
+                    assert np.array_equal(a, b)
+            for a, b in zip(got[2:], full[2:]):
+                assert np.abs(a - b).max() <= 1e-12
+            nnz = int(np.diff(mask.indptr)[rows].sum())
+            assert meter.attention_flops == attention_flops(nnz, d_h)
+            assert meter.executed_flops == attention_flops(rows.size * t if dense else nnz, d_h)
+
+    def test_a_leading_range_reads_views_and_another_set_gathers(self, monkeypatch):
+        mask = _ring_mask(40, 2)
+        assert not _runs_dense(mask)
+        csrs = []
+        real = ops._joined_csr
+        monkeypatch.setattr(ops, "_joined_csr",
+                            lambda masks, rows: csrs.append(real(masks, rows)) or csrs[-1])
+        q, k, v = (Tensor(a) for a in _qkv(mask.size))
+        for rows in (np.arange(30), np.arange(1, 31)):
+            sparse_masked_attention(Tensor(q.values[rows]), k, v, mask, rows=rows)
+        (lead_col, lead_starts), (col, starts) = csrs
+        assert np.shares_memory(lead_col, mask.indices)
+        assert np.shares_memory(lead_starts, mask.indptr)
+        assert not np.shares_memory(col, mask.indices)
+        assert np.array_equal(col, mask.indices[mask.indptr[1]:mask.indptr[31]])
+        assert np.array_equal(starts, mask.indptr[1:31] - mask.indptr[1])
+
+    @pytest.mark.parametrize("stack", ["never", "always"])
+    def test_a_layer_call_on_a_row_set_equals_a_call_per_head(self, stack, monkeypatch):
+        monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0 if stack == "never" else 10**6)
+        masks = _layer_masks("one")
+        t, d_h = masks[0][0].size, 3
+        rows = np.sort(np.random.default_rng(8).choice(t, t // 3, replace=False))
+        qv, kv, vv, g = np.random.default_rng(9).standard_normal((4, t, len(masks) * d_h))
+        layer, meter = _attention_run(qv[rows], kv, vv, masks, g[rows], rows=rows)
+        flops = 0
+        for h in range(len(masks)):
+            cols = _head_cols(h, d_h)
+            alone, head_meter = _attention_run(qv[rows, cols], kv[:, cols], vv[:, cols],
+                                               masks[h], g[rows, cols], rows=rows)
+            for got, want in zip(layer, alone):
+                assert np.array_equal(got[:, cols], want)
+            flops += head_meter.attention_flops
+        assert meter.attention_flops == flops
+
+    def test_refusals(self):
+        mask = _ring_mask(6, 1)
+        qv, kv, vv = _qkv(mask.size)
+        q, k, v = Tensor(qv[[1, 4]]), Tensor(kv), Tensor(vv)
+        with pytest.raises(ShapeError, match="q has 2 rows for a set of 3 query rows"):
+            sparse_masked_attention(q, k, v, mask, rows=[1, 4, 5])
+        with pytest.raises(ShapeError, match="rows asks for query rows of one mask, got a "
+                                             "batch of 2"):
+            sparse_masked_attention(q, Tensor(np.vstack([kv, kv])), Tensor(np.vstack([vv, vv])),
+                                    [mask, mask], rows=[1, 4])
+        with pytest.raises(ShapeError, match="rows entry 0 is 1, not 0: a forward that draws "
+                                             "dropout takes a leading range"):
+            sparse_masked_attention(q, k, v, mask, rows=[1, 4], dropout_rate=0.1,
+                                    training=True)
+        # without dropout drawn, the same set runs
+        for kw in ({}, dict(dropout_rate=0.1), dict(training=True)):
+            assert sparse_masked_attention(q, k, v, mask, rows=[1, 4], **kw).shape == (2, 4)
+
+
 # ---------------------------------------------------------------------------
 # Forwards that record nothing
 

@@ -221,6 +221,57 @@ def test_mutated_forward_seeds_ids_and_augmented_graphs_are_refused_by_name(seed
     assert not failures, "\n".join(failures)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_forward_row_sets_are_refused_by_name(seed):
+    # forward(rows=...) takes an int r for the first r token rows, or a sorted
+    # set of row indices; a bad set is refused naming its entry or shape
+    rng = np.random.default_rng([seed, 59])
+    failures = []
+    _, g = node_inputs()
+    cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=2, ffn_dim=16, num_heads=2,
+                      task="node_classification", num_classes=2, dropout=0.2,
+                      attention_dropout=0.2)
+    model = init_model(cfg, 3)
+    ag = augment(g)
+    masks = head_masks(model, g)
+    t = ag.total_tokens
+    base = np.sort(rng.choice(np.arange(1, t), 6, replace=False))
+    i = int(rng.integers(1, base.size))
+    swapped, repeated, outside, fraction, boolean = (base.tolist() for _ in range(5))
+    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+    repeated[i] = repeated[i - 1]
+    outside[i] = int(rng.choice([-1, t, t + 7]))
+    fraction[i] = base[i] + 0.5
+    boolean[i] = True
+    cases = [
+        ("unsorted", swapped, {}, f"rows entry {i} "),
+        ("a repeated index", repeated, {}, f"rows entry {i} "),
+        ("an index outside the graph", outside, {}, f"rows entry {i} "),
+        ("empty", [], {}, "shape (0,)"),
+        ("a fraction", fraction, {}, f"at index {i}"),
+        ("a boolean", boolean, {}, "boolean"),
+        ("a boolean mask", np.arange(t) < 3, {}, "bool"),
+        ("2-D", base.reshape(2, 3), {}, "shape (2, 3)"),
+        ("not a leading range, training with dropout", base, dict(training=True),
+         "rows entry 0 "),
+        ("int 0", 0, {}, f"[1, {t}]"),
+        ("int past T", t + 1, {}, f"[1, {t}]"),
+        ("a set", base, {}, None),
+        ("a set of floats", base.astype(float), {}, None),
+        ("a leading range, training with dropout", np.arange(i), dict(training=True), None),
+        ("every row, training with dropout", np.arange(t), dict(training=True), None),
+    ]
+    for kind, rows, kwargs, named in cases:
+        case = f"forward, rows {kind}"
+        ran = outcome(failures, case, lambda: forward(model, g, ag, masks, rows=rows, **kwargs))
+        check(failures, case, ran, *naming(named, "rows"))
+    case = "forward, rows of a batch of two graphs"
+    ran = outcome(failures, case, lambda: forward(model, [g, g], [ag, ag], [masks, masks],
+                                                  rows=base))
+    check(failures, case, ran, "rows", "batch of 2")
+    assert not failures, "\n".join(failures)
+
+
 # ---------------------------------------------------------------------------
 # CLI half
 

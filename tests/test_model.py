@@ -784,6 +784,29 @@ class TestNodeRows:
         with ops.scratch_tape():   # dropout acted
             assert not np.allclose(h_n, forward(m, g, ag, masks, rows=n).values)
 
+    @pytest.mark.parametrize("norm", ["post", "pre"])
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    def test_a_row_set_is_those_rows_of_the_full_forward(self, norm, num_layers):
+        m, g, ag, masks = self.setup_case(norm, num_layers)
+        params = named_parameters(m)
+        rows = np.sort(np.random.default_rng(7).choice(ag.total_tokens, 9, replace=False))
+        assert rows[0] > 0   # not a leading range
+        runs = []
+        for asked in (None, rows):
+            for p in params.values():
+                p.grad = None
+            with ops.scratch_tape():
+                h = forward(m, g, ag, masks, training=True, rows=asked)
+                picked = ops.take_rows(h, rows) if asked is None else h
+                ops.backward(ops.sum_all(picked))
+            runs.append((picked.values, {k: p.grad for k, p in params.items()}))
+        (full, full_grads), (got, grads) = runs
+        assert np.array_equal(got, full)
+        for k in params:
+            assert (grads[k] is None) == (full_grads[k] is None), k
+            if grads[k] is not None:
+                assert np.abs(grads[k] - full_grads[k]).max() <= 1e-12, k
+
     def test_all_rows_and_no_layers(self):
         m, g, ag, masks = self.setup_case("post")
         t = ag.total_tokens

@@ -599,9 +599,34 @@ class TestNodeRowsInTraining:
         assert meter.executed_flops == executed
         assert executed > logical   # a head ran on the dense path
 
+    def test_evaluate_meter_counts_layer_one_and_the_split_rows(self):
+        # evaluate runs its last layer on the rows it scores alone: per head,
+        # layer 1's stored entries and then the split rows' (r x T cells
+        # executed on the dense path)
+        g = labelled_graph(n=20, seed=12)
+        ag = augment(g)
+        cfg = node_cfg(num_layers=2, head_hops=(1, 4))
+        model = init_model(cfg, g.node_feature_dim)
+        masks = build_head_masks(ag, list(cfg.head_hops))
+        t, d_h = ag.total_tokens, cfg.head_dim
+        split = np.array([13, 2, 7, 19, 5])
+        with ops.count_attention_flops() as meter:
+            evaluate(model, g, masks, split)
+        logical = executed = 0
+        for mk in masks:
+            split_nnz = int(np.diff(mk.indptr)[split].sum())
+            dense = ops._runs_dense(mk)
+            logical += ops.attention_flops(mk.nnz, d_h) + ops.attention_flops(split_nnz, d_h)
+            executed += (ops.attention_flops(t * t, d_h) + ops.attention_flops(split.size * t, d_h)
+                         if dense else ops.attention_flops(mk.nnz + split_nnz, d_h))
+        assert meter.attention_flops == logical
+        assert meter.executed_flops == executed
+        assert executed > logical   # a head ran on the dense path
+
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
     def test_edgeless_graph_trains_as_the_full_forward(self, monkeypatch, dropout):
-        # N = T: asking for the node rows is asking for every row
+        # N = T: asking for a set of node rows is taking those rows of the
+        # forward on every row
         rng = np.random.default_rng(3)
         g = Graph(num_nodes=15, edges=np.zeros((0, 2), dtype=int),
                   node_features=rng.standard_normal((15, 3)), node_labels=rng.integers(0, 2, 15))
@@ -616,7 +641,7 @@ class TestNodeRowsInTraining:
         with_rows = run()
         real = training.forward
         monkeypatch.setattr(training, "forward",
-                            lambda *a, rows=None, **kw: real(*a, **kw))
+                            lambda *a, rows=None, **kw: ops.take_rows(real(*a, **kw), rows))
         without_rows = run()
         assert with_rows[0] == without_rows[0]
         for k, v in with_rows[1].items():
