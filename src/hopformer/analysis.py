@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autograd import ShapeError, Tensor, attention_flops, count_attention_flops, no_grad
-from .graphs import Graph, GraphError, augment, csr_from_pairs
+from .graphs import Graph, GraphError, _int_value, augment, csr_from_pairs
 from . import masks as masks_mod
 from .masks import HopMask, _reach_levels, build_head_masks
 from .model import (Model, ModelConfig, _check_mask_list, _check_masks, _encode,
@@ -177,11 +177,15 @@ def influence_matrix(model: Model, masks: list[HopMask], *, head: int | None = N
     layer's concatenated attention output (before the output projection).
     The head masks are checked against the model once, before the first
     probe: one per head, each with its head's budget, all of one size.
+    ``head`` follows the package's integer rule (``1.0`` is 1, a fraction or
+    a boolean is refused) and is checked then too.
     """
     t = _check_masks(model, masks)
-    if head is not None and head not in range(model.cfg.num_heads):
-        raise ValueError(f"head must be one of the model's heads 0..{model.cfg.num_heads - 1}, "
-                         f"got {head!r}")
+    if head is not None:
+        head = _int_value("head", head)
+        if not 0 <= head < model.cfg.num_heads:
+            raise ValueError(f"head must be one of the model's heads "
+                             f"0..{model.cfg.num_heads - 1}, got {head}")
     masks = [[mk] for mk in masks]   # one graph: a batch of one
     rng = np.random.default_rng([seed, 211])
     z0 = rng.standard_normal((t, model.cfg.hidden_dim))
@@ -197,7 +201,12 @@ def influence_matrix(model: Model, masks: list[HopMask], *, head: int | None = N
 
 
 def receptive_field_probe(model: Model, masks: list[HopMask], token: int) -> set[int]:
-    """Tokens whose input perturbation changes output row ``token``."""
+    """Tokens whose input perturbation changes output row ``token``, an index
+    in [0, T) by the package's integer rule, checked before the first probe."""
+    t = _check_masks(model, masks)
+    token = _int_value("token", token)
+    if not 0 <= token < t:
+        raise ValueError(f"token must be in [0, {t}) for {t} tokens, got {token}")
     return set(np.flatnonzero(influence_matrix(model, masks)[token]).tolist())
 
 

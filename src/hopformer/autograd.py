@@ -88,7 +88,7 @@ columns of one (rows, H * d_h) array, which is the layer's concatenation of
 the heads.
 
 On one mask the kernel also takes the queries of only a sorted set of its
-rows, keys and values keeping all T; by default the set is q's leading rows.
+rows, ``rows``, keys and values keeping all T; unset, q holds all T rows.
 It then reads only the set's CSR rows and the set's rows of the dense bias,
 so its work scales with the set's stored entries.  A leading range r reads
 the CSR prefix (``indptr[:r+1]`` and the first ``indptr[r]`` stored entries)
@@ -533,20 +533,27 @@ def _masked_softmax(qt: np.ndarray, kt: np.ndarray, col: np.ndarray,
 DENSE_MIN_DENSITY = 0.25
 
 
-def _query_rows(rows, t: int, dropout: bool):
-    """``rows`` checked as a query row set of a mask of ``t`` tokens: an int
-    r in [1, t], shorthand for range(r), or a non-empty 1-D array of row
-    indices in [0, t), strictly ascending.  Both follow the package's integer
-    rule (``2.0`` is 2, a fraction or a boolean is refused), and a refusal
-    names the bad entry or shape.  Returns an int r when the set is the
-    leading range(r), else the set as an int64 array.  With ``dropout`` (a
-    forward that draws dropout) only a leading range passes: the draws of a
-    leading range are the first rows of the draws for all rows."""
+def _query_rows(rows, sizes: list[int], dropout: bool):
+    """``rows`` checked as a query row set of a batch of masks of ``sizes``
+    tokens.  The batch must be one mask, of t tokens, and the set an int r
+    in [1, t], shorthand for range(r), or a non-empty 1-D array of row
+    indices in [0, t), strictly ascending.  Both follow the package's integer rule (``2.0``
+    is 2, a fraction or a boolean is refused), and a refusal names the bad
+    entry or shape.  Returns None when ``rows`` is unset or all t rows, an
+    int r when the set is the leading range(r), else the set as an int64
+    array.  With ``dropout`` (a forward that draws dropout) only a leading
+    range passes: the draws of a leading range are the first rows of the
+    draws for all rows."""
+    if rows is None:
+        return None
+    if len(sizes) != 1:
+        raise ShapeError(f"rows asks for query rows of one graph, got a batch of {len(sizes)}")
+    t = sizes[0]
     if np.ndim(rows) == 0:
         r = _int_value("rows", rows)
         if not 1 <= r <= t:
             raise ShapeError(f"rows must be in [1, {t}] for {t} tokens, got {r}")
-        return r
+        return None if r == t else r
     idx = _int_field("rows", rows)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError(f"rows must be a non-empty 1-D set of row indices, "
@@ -561,7 +568,7 @@ def _query_rows(rows, t: int, dropout: bool):
         raise ShapeError(f"rows entry {i} ({idx[i]}) {how} entry {i - 1} ({idx[i - 1]}); "
                          f"rows must strictly ascend")
     if idx[-1] == idx.size - 1:   # ascending from 0 with no gap: range(r)
-        return idx.size
+        return None if idx.size == t else idx.size
     if dropout:
         i = int(np.argmax(idx != np.arange(idx.size)))
         raise ShapeError(f"rows entry {i} is {idx[i]}, not {i}: a forward that draws "
@@ -767,11 +774,11 @@ def _runs_dense(b: HopMask) -> bool:
                            or b.nnz >= DENSE_MIN_DENSITY * b.size * b.size)
 
 
-def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults, rows=None):
+def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults, rows):
     """The masked dense path of one graph's heads, H >= 1 of them: ``q3``
-    holds the queries of the masks' query row set ``rows`` (see
-    :func:`_query_rows`; by default the leading ones), r of them, as (r, H,
-    d_h), ``k3`` and ``v3`` the keys and values of all T rows as (T, H,
+    holds the queries of the masks' query row set ``rows`` (an int r for
+    range(r), T for all rows, or an array of row indices), r of them, as (r,
+    H, d_h), ``k3`` and ``v3`` the keys and values of all T rows as (T, H,
     d_h), head i's mask being ``masks[i]`` and its attention dropout
     multipliers ``dropmults[i]`` (all None without dropout; only a leading
     range draws dropout).  Returns (out, grads(g)) in the (r, H, d_h)
@@ -789,7 +796,6 @@ def _dense_path(q3, k3, v3, masks: list[HopMask], dropmults, rows=None):
     row-major order (``HopMask._dense_cells``)."""
     qs, ks, vs = (a.transpose(1, 0, 2) for a in (q3, k3, v3))
     r, t = qs.shape[1], ks.shape[1]
-    rows = r if rows is None else rows
     inv_sqrt = 1.0 / np.sqrt(ks.shape[2])
     scores = qs @ ks.transpose(0, 2, 1)
     scores *= inv_sqrt
@@ -872,10 +878,10 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     makes its own nnz-path call for its sparse blocks, and each dense head
     one dense-path call, a stack of one.
 
-    With one mask, q may hold the queries of only a set of its rows, k and v
-    keeping all T: ``rows``, a sorted array of row indices, or an int r for
-    range(r) (see :func:`_query_rows`); unset, the set is q's leading rows.
-    The output and q's grad then have a row per set row, equal to those
+    With one mask, ``rows`` asks for the queries of only a set of its rows,
+    q holding those rows and k and v all T: a sorted array of row indices,
+    or an int r for range(r) (see :func:`_query_rows`); unset, q holds all T
+    rows.  The output and q's grad then have a row per set row, equal to those
     rows of a call on all of them, and the call does only those rows' work
     (their stored entries, or r x T cells on the dense path).  The path is
     still the one the whole mask's size and density pick.  Attention dropout
@@ -905,14 +911,6 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ShapeError(f"q/k/v have {width} columns, which is not {n_heads} heads "
                          f"times a head dimension")
     d_h = width // n_heads
-    if n_q > n_kv:
-        raise ShapeError(f"q has shape {q.values.shape}, more rows than k/v "
-                         f"{k.values.shape}")
-    if rows is not None and len(sizes) > 1:
-        raise ShapeError(f"rows asks for query rows of one mask, got a batch of {len(sizes)}")
-    if n_q < n_kv and len(sizes) > 1:
-        raise ShapeError(f"q of shape {q.values.shape} holds a prefix of the {n_kv} rows of "
-                         f"k/v; a prefix needs one mask, got a batch of {len(sizes)}")
     seeds = [None] * n_heads if dropout_seed is None else dropout_seed
     if len(seeds) != n_heads:
         raise ShapeError(f"got {len(seeds)} dropout seed lists for {n_heads} heads")
@@ -923,14 +921,14 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     if sum(sizes) != n_kv:
         raise ShapeError(f"mask is for {sum(sizes)} tokens, "
                          f"inputs have {n_kv} rows")
-    # the query rows of one mask: a leading range as an int, else an array
-    query = n_q if rows is None else _query_rows(rows, n_kv, training and dropout_rate > 0.0)
-    if _set_len(query) != n_q:
-        raise ShapeError(f"q has {n_q} rows for a set of {_set_len(query)} query rows")
+    query = _query_rows(rows, sizes, training and dropout_rate > 0.0)
+    n_set = n_kv if query is None else _set_len(query)
+    if n_q != n_set:
+        raise ShapeError(f"q has {n_q} rows for a set of {n_set} query rows")
     ends = np.cumsum(sizes).tolist()
     blocks = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
-    q_rows = blocks if n_q == n_kv else [slice(0, n_q)]
-    n_rows = sizes if n_q == n_kv else [query]   # the query row set of each block
+    # each block's q rows and query row set
+    q_rows, n_rows = (blocks, sizes) if query is None else ([slice(0, n_q)], [query])
     # a block with no tokens makes no kernel part: it is neither dense nor
     # among the nnz blocks
     dense = [[_runs_dense(b) for b in head] for head in mask]

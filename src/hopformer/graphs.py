@@ -37,9 +37,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _int_field(name: str, values) -> np.ndarray:
     """``values`` as int64.  Booleans and numbers with a fractional part are
     refused, not truncated; integral floats (as from ``np.zeros``) pass."""
-    if isinstance(values, (list, tuple)) and any(
-            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
-        raise GraphError(f"{name} must hold integers, got a boolean")
+    def refuse(got, at):
+        at = [int(i) for i in at]
+        raise GraphError(f"{name} must hold integers, got {got} at index "
+                         f"{at[0] if len(at) == 1 else at}")
+
+    if isinstance(values, (list, tuple)):
+        cells = np.asarray(values, dtype=object)
+        if not {bool, np.bool_}.isdisjoint(map(type, cells.flat)):
+            first = next(i for i, x in enumerate(cells.flat) if type(x) in (bool, np.bool_))
+            refuse("a boolean", np.unravel_index(first, cells.shape))
     try:
         arr = np.asarray(values)
     except ValueError as e:   # ragged or nested lists
@@ -49,9 +56,7 @@ def _int_field(name: str, values) -> np.ndarray:
     if arr.dtype.kind == "f":
         bad = np.argwhere(~np.isfinite(arr) | (np.floor(arr) != arr))
         if bad.size:
-            at = tuple(int(i) for i in bad[0])
-            raise GraphError(f"{name} must hold integers, got {float(arr[at])!r} at index "
-                             f"{at[0] if len(at) == 1 else list(at)}")
+            refuse(repr(float(arr[tuple(bad[0])])), bad[0])
     return arr.astype(np.int64)
 
 
@@ -451,6 +456,33 @@ def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph
     )
 
 
+def _kept_pairs(rng: np.random.Generator, n: int, p_max: float, p_of=None) -> np.ndarray:
+    """The node pairs (i, j), i < j < n, in row-major order, each kept when
+    its uniform draw is below its probability: ``p_of(i, j)`` (arrays of
+    pairs, at most ``p_max``), or ``p_max`` without it.  The draws are one per
+    pair in that order, made in row chunks of at most ``masks.BLOCK_CELLS``
+    pairs: ``Generator.random`` gives the same stream in chunks as in one
+    call, and no array but the kept pairs holds more than a chunk's pairs.
+    A draw below its probability is below ``p_max``, so only those below it
+    are read back as pairs."""
+    from .masks import BLOCK_CELLS   # masks imports this module
+    # row i's pairs start at first[i] in the row-major order
+    first = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
+    parts = [np.zeros((0, 2), dtype=np.int64)]
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(first, first[lo] + BLOCK_CELLS, "right")) - 1)
+        u = rng.random(int(first[hi] - first[lo]))
+        at = np.flatnonzero(u < p_max)
+        u, at = u[at], at + first[lo]
+        i = np.searchsorted(first, at, "right") - 1
+        j = at - first[i] + i + 1
+        keep = slice(None) if p_of is None else u < p_of(i, j)
+        parts.append(np.column_stack([i[keep], j[keep]]))
+        lo = hi
+    return np.concatenate(parts)
+
+
 def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each unordered pair kept independently with probability p."""
     n = _int_value("n", n)
@@ -458,10 +490,7 @@ def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
         raise GraphError(f"n must be at least 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"p must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+    edges = _kept_pairs(np.random.default_rng(seed), n, p)
     return Graph(num_nodes=n, edges=edges, node_features=np.ones((n, 1)))
 
 
@@ -483,20 +512,20 @@ def generate_sbm(sizes: tuple[int, ...], p_in: float, p_out: float, seed: int = 
             raise GraphError(f"{name} must be in [0, 1], got {p}")
     n = int(sum(sizes))
     blocks = np.repeat(np.arange(len(sizes)), sizes)
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.where(blocks[iu] == blocks[ju], p_in, p_out)
-    keep = rng.random(iu.shape[0]) < probs
-    edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+    edges = _kept_pairs(np.random.default_rng(seed), n, max(p_in, p_out),
+                        lambda i, j: np.where(blocks[i] == blocks[j], p_in, p_out))
     shift = np.where(blocks % 2 == 0, 0.2, -0.2)
     feats = shift[:, None] + np.random.default_rng([seed, 5]).standard_normal((n, 8))
     return Graph(num_nodes=n, edges=edges, node_features=feats, node_labels=blocks)
 
 
 def relabel_nodes(g: Graph, perm: np.ndarray) -> Graph:
-    """Rename node i to perm[i]; edge list order is preserved."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(g.num_nodes)):
+    """Rename node i to perm[i]; edge list order is preserved.  ``perm``
+    follows the package's integer rule (``2.0`` is 2, a fraction or a
+    boolean is refused)."""
+    perm = _int_field("perm", perm)
+    if perm.shape != (g.num_nodes,) or not np.array_equal(np.sort(perm),
+                                                          np.arange(g.num_nodes)):
         raise GraphError("perm must be a permutation of 0..N-1")
     feats = np.empty_like(g.node_features)
     feats[perm] = g.node_features

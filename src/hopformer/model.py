@@ -236,22 +236,6 @@ def _ffn(z: Tensor, lp: LayerParams) -> Tensor:
     return ops.add(ops.matmul(hidden, lp.ffn_w2), lp.ffn_b2)
 
 
-def _row_set(rows, sizes: list[int], cfg: ModelConfig, training: bool):
-    """``rows`` checked as a set of token rows of one graph of ``sizes[0]``
-    tokens (``sizes`` lists a batch's token counts), by the kernel's rule
-    (``autograd._query_rows``): an int r for range(r), which it returns as
-    an int, or a sorted array of row indices.  A training forward that draws
-    dropout takes a leading range only.  None when unset or all the rows,
-    which is the full computation."""
-    if rows is None:
-        return None
-    if len(sizes) != 1:
-        raise ShapeError(f"rows asks for rows of one graph, got a batch of {len(sizes)}")
-    rows = ops._query_rows(rows, sizes[0], training and (
-        cfg.dropout > 0.0 or cfg.attention_dropout > 0.0))
-    return None if isinstance(rows, int) and rows == sizes[0] else rows
-
-
 def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: LayerParams,
                   cfg: ModelConfig, *, training: bool = False, seed=None,
                   return_heads: bool = False, rows=None):
@@ -279,7 +263,8 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     if isinstance(masks[0], HopMask):   # one graph: a batch of one
         masks, seed = [[mk] for mk in masks], None if seed is None else [seed]
     sizes = [mk.size for mk in masks[0]]
-    rows = _row_set(rows, sizes, cfg, training)
+    rows = ops._query_rows(rows, sizes, training and (
+        cfg.dropout > 0.0 or cfg.attention_dropout > 0.0))
     # int64 segment sizes, which dropout takes without a per-element scan
     sizes = np.array(sizes if rows is None else [ops._set_len(rows)], dtype=np.int64)
     seeds = [[0]] * len(masks[0]) if seed is None else [list(s) for s in seed]
@@ -355,8 +340,8 @@ def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
             training: bool, rows=None) -> Tensor:
     """The layer stack on a batch's stacked token rows, given per head the
     list of the graphs' masks (already checked) and one seed per graph.  With
-    ``rows`` (one graph, a row set as :func:`_row_set` returns it) the last
-    layer computes only those rows, and only they are returned."""
+    ``rows`` (one graph, a row set as ``autograd._query_rows`` returns it)
+    the last layer computes only those rows, and only they are returned."""
     for l, lp in enumerate(m.layers):
         z = encoder_layer(z, masks, lp, m.cfg, training=training,
                           seed=[[s, l] for s in seeds],
@@ -429,7 +414,8 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
                              f"node and {a.num_edge_tokens} edge tokens, the graph "
                              f"{x.num_nodes} nodes and {x.num_edges} edges")
         _check_graph_masks(m, x, gm, f"batch graph {b}")
-    rows = _row_set(rows, [x.num_nodes + x.num_edges for x in g], m.cfg, training)
+    rows = ops._query_rows(rows, [x.num_nodes + x.num_edges for x in g], training and (
+        m.cfg.dropout > 0.0 or m.cfg.attention_dropout > 0.0))
     seeds = [0] * len(g) if rng_seed is None else [seed + int(i) for i in ids]
     return _encode(m, embed_tokens(m, g), [list(hm) for hm in zip(*masks)], seeds,
                    training, rows)

@@ -11,6 +11,7 @@ from hopformer import (ModelConfig, ShapeError, augment, avg_shortest_path,
                        flops_vs_nnz_report, generate_erdos_renyi,
                        generate_watts_strogatz, influence_matrix, init_model,
                        receptive_field_probe, small_world_report)
+from hopformer import analysis
 from hopformer import masks as masks_mod
 from hopformer.graphs import Graph, GraphError
 
@@ -292,6 +293,15 @@ def probe_cfg(hops, d=8):
                        task="graph_regression", seed=0)
 
 
+def _count_probes(monkeypatch) -> list:
+    """The calls to the probe forward, one entry each, from now on."""
+    calls = []
+    real = analysis._probe_output
+    monkeypatch.setattr(analysis, "_probe_output",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 class TestReceptiveFieldProbe:
     def test_identity_mask_probe_returns_self(self):
         g = path3_graph()
@@ -341,14 +351,51 @@ class TestReceptiveFieldProbe:
         assert hop3[0, 4]
         assert full[0, 4]
 
-    @pytest.mark.parametrize("head", [2, -1, 1.5])
-    def test_head_outside_the_model_refused(self, head):
-        # a slice past the last head is empty and would compare equal everywhere
+    @pytest.mark.parametrize("head, message", [
+        (2, "head must be one of the model's heads 0..1, got 2"),
+        (-1, "head must be one of the model's heads 0..1, got -1"),
+        (1.5, "head must be an integer, got 1.5"),
+        (True, "head must be an integer, got True"),
+        ("1", "head must be an integer, got '1'")])
+    def test_head_outside_the_model_refused_before_any_probe(self, head, message,
+                                                             monkeypatch):
+        # a slice past the last head is empty and would compare equal
+        # everywhere; True was head 1, and 1.5 a TypeError from the slice
         ag = augment(path3_graph())
         model = init_model(probe_cfg([1, 3]), 1)
-        with pytest.raises(ValueError, match=re.escape(
-                f"head must be one of the model's heads 0..1, got {head!r}")):
+        probes = _count_probes(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             influence_matrix(model, build_head_masks(ag, [1, 3]), head=head)
+        assert probes == []
+
+    def test_integral_float_head_is_that_head(self):
+        ag = augment(path3_graph())
+        model = init_model(probe_cfg([1, 3]), 1)
+        masks = build_head_masks(ag, [1, 3])
+        assert np.array_equal(influence_matrix(model, masks, head=1.0),
+                              influence_matrix(model, masks, head=1))
+
+    @pytest.mark.parametrize("token, message", [
+        (-1, "token must be in [0, 5) for 5 tokens, got -1"),
+        (5, "token must be in [0, 5) for 5 tokens, got 5"),
+        (1.5, "token must be an integer, got 1.5"),
+        (True, "token must be an integer, got True")])
+    def test_token_outside_the_graph_refused_before_any_probe(self, token, message,
+                                                              monkeypatch):
+        # -1 gave the last token's field and True token 1's; 5 and 1.5 raised
+        # IndexError after all T + 1 probe forwards
+        ag = augment(path3_graph())
+        model = init_model(probe_cfg([1, 3]), 1)
+        probes = _count_probes(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            receptive_field_probe(model, build_head_masks(ag, [1, 3]), token)
+        assert probes == []
+
+    def test_integral_float_token_is_that_token(self):
+        ag = augment(path3_graph())
+        model = init_model(probe_cfg([1, 3]), 1)
+        masks = build_head_masks(ag, [1, 3])
+        assert receptive_field_probe(model, masks, 4.0) == receptive_field_probe(model, masks, 4)
 
     def test_uniform_hops_cannot_resolve_it(self):
         g = path3_graph()

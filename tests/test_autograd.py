@@ -214,7 +214,7 @@ class TestDensePrimitives:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("sizes, message", [
         ([1.5, 2.5], "segment sizes must hold integers, got 1.5 at index 0"),
-        ([True, 3], "segment sizes must hold integers, got a boolean")])
+        ([True, 3], "segment sizes must hold integers, got a boolean at index 0")])
     def test_dropout_fraction_or_boolean_size_refused(self, training, sizes, message):
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             ops.dropout(Tensor(np.ones((4, 3))), 0.5, [1, 2], training, sizes)
@@ -441,7 +441,8 @@ def _nnz_path(qv, kv, vv, mask, dropmult):
 
 def _one_head_dense_path(qv, kv, vv, mask, dropmult):
     """The dense path on one mask: a stack of one head, in the 2-D layout."""
-    out, grads = ops._dense_path(qv[:, None], kv[:, None], vv[:, None], [mask], [dropmult])
+    out, grads = ops._dense_path(qv[:, None], kv[:, None], vv[:, None], [mask], [dropmult],
+                                 qv.shape[0])
     return out[:, 0], lambda g: tuple(d[:, 0] for d in grads(g[:, None]))
 
 
@@ -486,7 +487,7 @@ class TestDensityDispatch:
         n = sum(b.size for b in masks)
         qv, kv, vv, g = np.random.default_rng(23).standard_normal((4, n, 4))
         r = n // 3 if call == "prefix" else n
-        _attention_run(qv[:r], kv, vv, masks, g[:r])
+        _attention_run(qv[:r], kv, vv, masks, g[:r], rows=r if call == "prefix" else None)
         assert all("row_indices" not in vars(b) for b in masks)
 
     @pytest.mark.parametrize("name", DISPATCH_MASKS)
@@ -712,7 +713,7 @@ class TestAdditiveBiasMasking:
                 k3, v3 = rng.standard_normal((2, t, h, 4))
                 g3 = rng.standard_normal((r, h, 4))
                 dropmults = [_prefix_dropmult(rng, b, r, rate) for b in masks]
-                out, grads = ops._dense_path(q3, k3, v3, masks, dropmults)
+                out, grads = ops._dense_path(q3, k3, v3, masks, dropmults, r)
                 ref_out, ref_grads = _copyto_stacked_path(
                     q3, k3, v3, [mask_to_dense(b)[:r] for b in masks], dropmults)
                 assert _same_bits(out, ref_out), (kind, r)
@@ -735,14 +736,14 @@ class TestAdditiveBiasMasking:
             g3 = rng.standard_normal((r, h, 4))
             dropmults = [_prefix_dropmult(rng, b, r, 0.3) for b in masks]
             dropped += sum(int((dm == 0.0).sum()) for dm in dropmults)
-            out, grads = ops._dense_path(q3, k3, v3, masks, dropmults)
+            out, grads = ops._dense_path(q3, k3, v3, masks, dropmults, r)
             with monkeypatch.context() as patch:
                 # the reference placement: drop[i][support[:r]] = dm, each
                 # head's draws scattered through its boolean T x T support,
                 # whose cells in row-major order are the stored entries in
                 # CSR order
                 patch.setattr(HopMask, "_dense_cells", lambda b, n: supports[id(b)][:n])
-                ref_out, ref_grads = ops._dense_path(q3, k3, v3, masks, dropmults)
+                ref_out, ref_grads = ops._dense_path(q3, k3, v3, masks, dropmults, r)
             assert _same_bits(out, ref_out), r
             for got, ref in zip(grads(g3), ref_grads(g3)):
                 assert _same_bits(got, ref), r
@@ -769,7 +770,8 @@ class TestAdditiveBiasMasking:
         masks = [mask, _mask_of_density(rng, t, 1.0)][:1 if stack == "one-head" else 2]
         h = len(masks)
         q3, k3 = (np.stack([a, a[::-1]], axis=1)[:, :h] for a in (qv, kv))
-        out, _ = ops._dense_path(q3, k3, np.stack([np.eye(t)] * h, axis=1), masks, [None] * h)
+        out, _ = ops._dense_path(q3, k3, np.stack([np.eye(t)] * h, axis=1), masks, [None] * h,
+                                 t)
         weights = out[:, 0]
         assert np.all(out[:, 1:] > 0.0)
         off = ~mask_to_dense(mask)
@@ -796,7 +798,7 @@ class TestAdditiveBiasMasking:
             :1 if stack == "one-head" else 2]
         h = len(masks)
         out, _ = ops._dense_path(*(np.stack([a] * h, axis=1) for a in (qv, kv, np.eye(t))),
-                                 masks, [None] * h)
+                                 masks, [None] * h, t)
         weights = out[:, 0]
         assert np.isfinite(out).all()
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-15
@@ -824,7 +826,7 @@ class TestAdditiveBiasMasking:
         with np.errstate(invalid="ignore", over="ignore"):
             if path == "multi-head":
                 q3, k3, v3 = (np.stack([a, np.ones_like(a)], axis=1) for a in (qv, kv, vv))
-                out3, _ = ops._dense_path(q3, k3, v3, [mask, mask], [None, None])
+                out3, _ = ops._dense_path(q3, k3, v3, [mask, mask], [None, None], t)
                 assert np.isfinite(out3[:, 1]).all()   # the other head is untouched
                 out = out3[:, 0]
             else:
@@ -847,13 +849,14 @@ class TestAdditiveBiasMasking:
         assert _runs_dense(mask) and mask.size <= ops.STACK_MAX_TOKENS
         t = mask.size
         r = t // 3 if call == "prefix" else t
+        rows = r if call == "prefix" else None
         masks = [[mask], [mask]] if call == "stacked" else mask
         width = 8 if call == "stacked" else 4
         qv, kv, vv, g = np.random.default_rng(43).standard_normal((4, t, width))
-        _attention_run(qv[:r], kv, vv, masks, g[:r])
+        _attention_run(qv[:r], kv, vv, masks, g[:r], rows=rows)
         assert "dense_bias" in vars(mask) and "row_indices" not in vars(mask)
         # dropout places its draws on the stored cells without a cached view
-        _attention_run(qv[:r], kv, vv, masks, g[:r], dropout_rate=0.3,
+        _attention_run(qv[:r], kv, vv, masks, g[:r], rows=rows, dropout_rate=0.3,
                        dropout_seed=[[1], [2]] if call == "stacked" else 1, training=True)
         assert "row_indices" not in vars(mask)
 
@@ -1346,7 +1349,7 @@ class TestPrimitiveRecording:
 
 
 # ---------------------------------------------------------------------------
-# Queries for a prefix of a mask's rows
+# Queries for a set of a mask's rows
 
 ORACLE_TOL = 1e-10   # acceptance 01's tolerance
 
@@ -1357,7 +1360,7 @@ ORACLE_TOL = 1e-10   # acceptance 01's tolerance
 # every head on the nnz path, and the small graphs' stacks mix partial and
 # full supports.  In "large" one graph, past the bound, runs
 # two heads on the nnz path and has two dense heads, each its own stack.
-# "one" is a single graph with both paths, for query prefixes.
+# "one" is a single graph with both paths, for query row sets.
 LAYER_CASES = {
     "batch": ((1, 2, 4, 8), lambda: [
         _edgeless(3), _ring(40), _edgeless(1), _ring(6), _edgeless(70), _ring(10),
@@ -1396,10 +1399,10 @@ class TestOneCallPerLayer:
     def run_both(self, masks, r=None, rate=0.0, seed=0):
         n_heads, d_h = len(masks), self.D_H
         n = sum(b.size for b in masks[0])
+        kw = dict(dropout_rate=rate, training=True, rows=r)
         r = n if r is None else r
         qv, kv, vv, g = np.random.default_rng(seed).standard_normal((4, n, n_heads * d_h))
         seeds = [[[b, 9, h] for b in range(len(masks[0]))] for h in range(n_heads)]
-        kw = dict(dropout_rate=rate, training=True)
         layer, meter = _attention_run(qv[:r], kv, vv, masks, g[:r], dropout_seed=seeds, **kw)
         heads = [_attention_run(qv[:r, _head_cols(h, d_h)], kv[:, _head_cols(h, d_h)],
                                 vv[:, _head_cols(h, d_h)], masks[h], g[:r, _head_cols(h, d_h)],
@@ -1619,7 +1622,7 @@ class TestSmallGraphBound:
         assert not _dense_by_density(masks[0][0])
         qv, kv, vv = np.random.default_rng(11).standard_normal((3, t, 4 * 3))
         with count_attention_flops() as meter:
-            out = sparse_masked_attention(Tensor(qv[:r]), Tensor(kv), Tensor(vv), masks)
+            out = sparse_masked_attention(Tensor(qv[:r]), Tensor(kv), Tensor(vv), masks, rows=r)
         assert out.values.shape == (r, 12)
         assert meter.executed_flops == 4 * attention_flops(r * t, 3)
         assert meter.attention_flops == sum(attention_flops(int(head[0].indptr[r]), 3)
@@ -1690,183 +1693,116 @@ def _dense_oracle_grads(qv, kv, vv, support, g):
     return ds @ kv, ds.T @ qv, w.T @ g
 
 
-def _prefix_case(seed: int) -> tuple[HopMask, int]:
-    """(mask, N) for one seed: even seeds take a hop mask of a random graph
-    (edgeless graphs, T = 1 and graphs with isolated nodes among them, some of
-    these past STACK_MAX_TOKENS and sparse), N its node count; odd seeds a
-    hand-built mask whose size and density force the dense path (seed % 4 ==
-    1) or the nnz path (seed % 4 == 3, more than STACK_MAX_TOKENS tokens), N
-    drawn in [1, T]."""
-    rng = np.random.default_rng([seed, 31])
-    if seed % 2 == 0:
-        g = [lambda: _edgeless(1),
-             lambda: _edgeless(int(rng.integers(2, 9))),
-             lambda: random_graph(rng, max_nodes=60, p=0.04),   # isolated nodes
-             lambda: random_graph(rng, max_nodes=14)][seed // 2 % 4]()
-        return build_mask(augment(g), int(rng.integers(0, 6))), g.num_nodes
-    dense = seed % 4 == 1
-    t = int(rng.integers(1, 30)) if dense else int(rng.integers(65, 100))
-    mask = _random_csr_mask(rng, t, float(rng.uniform(0.3, 0.9) if dense
-                                          else rng.uniform(0.0, 0.08)))
-    assert _runs_dense(mask) == dense
-    return mask, int(rng.integers(1, t + 1))
-
-
-class TestQueryPrefix:
-    """A call with the queries of a mask's first r rows against the call on all
-    T rows and against the masked dense oracle."""
-
-    def test_cases_cover_both_paths_and_the_edge_cases(self):
-        cases = [_prefix_case(seed) for seed in range(48)]
-        assert {_runs_dense(mask) for mask, _ in cases[0::2]} == {False, True}
-        assert any(mask.size == 1 for mask, _ in cases)
-        assert any(mask.nnz == mask.size > 1 for mask, _ in cases)   # identity: edgeless
-        assert any(0 < n < mask.size for mask, n in cases[0::2])      # nodes and edges
-        assert any(mask.hop_budget > 0 and mask.nnz > mask.size       # an isolated token
-                   and (np.diff(mask.indptr) == 1).any() for mask, _ in cases[0::2])
-
-    @pytest.mark.parametrize("seed", range(48))
-    def test_prefix_is_the_first_rows_of_the_full_call(self, seed):
-        mask, n = _prefix_case(seed)
-        t, d_h = mask.size, (1, 3, 4)[seed % 3]
-        dense = _runs_dense(mask)
-        rng = np.random.default_rng(seed)
-        qv, kv, vv, g = rng.standard_normal((4, t, d_h))
-        support = mask_to_dense(mask)
-        for r in sorted({1, n, t}):
-            nnz = int(mask.indptr[r])
-            g_r = g.copy()
-            g_r[r:] = 0.0
-            full, _ = _attention_run(qv, kv, vv, mask, g_r)
-            pre, meter = _attention_run(qv[:r], kv, vv, mask, g_r[:r])
-            assert pre[0].shape == pre[1].shape == (r, d_h)
-            # out and dq are the full call's first r rows; dk and dv its grads
-            # when no gradient reaches the rows past r
-            for got, want in zip(pre, [full[0][:r], full[1][:r], full[2], full[3]]):
-                if dense:
-                    assert np.abs(got - want).max() <= 1e-12
-                else:
-                    assert np.array_equal(got, want)
-            assert meter.attention_flops == attention_flops(nnz, d_h)
-            assert meter.executed_flops == attention_flops(r * t if dense else nnz, d_h)
-            oracle = [dense_attention_oracle(qv[:r], kv, vv, support[:r]),
-                      *_dense_oracle_grads(qv[:r], kv, vv, support[:r], g_r[:r])]
-            for got, want in zip(pre, oracle):
-                assert np.abs(got - want).max() <= ORACLE_TOL
-            # attention dropout keeps the weights the full call draws for these rows
-            kw = dict(dropout_rate=0.3, dropout_seed=[seed, 2], training=True)
-            full_drop, _ = _attention_run(qv, kv, vv, mask, g_r, **kw)
-            pre_drop, _ = _attention_run(qv[:r], kv, vv, mask, g_r[:r], **kw)
-            for got, want in zip(pre_drop, [full_drop[0][:r], full_drop[1][:r],
-                                            full_drop[2], full_drop[3]]):
-                if dense:
-                    assert np.abs(got - want).max() <= 1e-12
-                else:
-                    assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("name", DISPATCH_MASKS)
-    def test_meter_counts_the_prefix(self, name):
-        mask = DISPATCH_MASKS[name]()
-        t, r = mask.size, mask.size // 2
-        q, k, v = (Tensor(a) for a in _qkv(t))
-        with count_attention_flops() as meter:
-            sparse_masked_attention(Tensor(q.values[:r]), k, v, mask)
-        nnz = int(mask.indptr[r])
-        assert nnz < mask.nnz
-        assert meter.attention_flops == attention_flops(nnz, 4)
-        assert meter.executed_flops == attention_flops(r * t if EXPECT_DENSE[name] else nnz, 4)
-
-    def test_the_whole_masks_density_picks_the_path(self):
-        # the hop-3 mask of a path is sparse overall but dense in its first
-        # rows; the prefix call stays on the nnz path and builds no T x T support
-        mask = build_mask(augment(Graph(num_nodes=40, edges=np.column_stack(
-            [np.arange(39), np.arange(1, 40)]), node_features=np.ones((40, 1)))), 3)
-        r = 2
-        assert not _runs_dense(mask) and mask.indptr[r] >= ops.DENSE_MIN_DENSITY * r * r
-        q, k, v = (Tensor(a) for a in _qkv(mask.size))
-        with count_attention_flops() as meter:
-            sparse_masked_attention(Tensor(q.values[:r]), k, v, mask)
-        assert meter.executed_flops == meter.attention_flops
-        assert "dense_bias" not in vars(mask)
-
-    def test_more_query_rows_than_keys_refused(self):
-        mask = _ring_mask(6, 1)
-        qv, kv, vv = _qkv(mask.size)
-        with pytest.raises(ShapeError, match=r"q has shape \(13, 4\), more rows than k/v "
-                                             r"\(12, 4\)"):
-            sparse_masked_attention(Tensor(np.vstack([qv, qv[:1]])), Tensor(kv), Tensor(vv),
-                                    mask)
-
-    def test_prefix_of_a_batch_refused(self):
-        mask = _ring_mask(6, 1)
-        q, k, v = (np.vstack([a, a]) for a in _qkv(mask.size))
-        with pytest.raises(ShapeError, match=r"q of shape \(5, 4\) holds a prefix of the 24 "
-                                             r"rows of k/v; .* a batch of 2"):
-            sparse_masked_attention(Tensor(q[:5]), Tensor(k), Tensor(v), [mask, mask])
-
-
 def _row_set_case(seed: int) -> tuple[HopMask, int]:
-    """(mask, N) for one seed, by seed % 4: a hand-built mask of more than
+    """(mask, N) for one seed, by seed % 8: a hand-built mask of more than
     STACK_MAX_TOKENS tokens on the nnz path; one of at most STACK_MAX_TOKENS
     tokens (the dense path); one of more, dense by density; or a hop mask of
-    a random graph (sparse ones past the bound among them), N its node
-    count.  N is drawn in [1, T] for the hand-built masks."""
+    a random graph (sparse ones past the bound among them), a one-token
+    graph, an edgeless graph, a graph with isolated nodes or a small random
+    graph, N its node count.  N is drawn in [1, T] for the hand-built masks."""
     rng = np.random.default_rng([seed, 37])
-    if seed % 4 == 3:
-        g = random_graph(rng, max_nodes=60, p=float(rng.uniform(0.02, 0.1)))
+    kind = seed % 8
+    if kind >= 3:
+        g = [lambda: random_graph(rng, max_nodes=60, p=float(rng.uniform(0.02, 0.1))),
+             lambda: _edgeless(1),
+             lambda: _edgeless(int(rng.integers(2, 9))),
+             lambda: random_graph(rng, max_nodes=60, p=0.04),   # isolated nodes
+             lambda: random_graph(rng, max_nodes=14)][kind - 3]()
         return build_mask(augment(g), int(rng.integers(0, 6))), g.num_nodes
-    small = seed % 4 == 1
+    small = kind == 1
     t = int(rng.integers(2, ops.STACK_MAX_TOKENS + 1) if small else rng.integers(65, 100))
-    mask = _random_csr_mask(rng, t, float(rng.uniform(0.0, 0.08) if seed % 4 == 0
+    mask = _random_csr_mask(rng, t, float(rng.uniform(0.0, 0.08) if kind == 0
                                           else rng.uniform(0.3, 0.9)))
-    assert _runs_dense(mask) == (seed % 4 != 0)
+    assert _runs_dense(mask) == (kind != 0)
     return mask, int(rng.integers(1, t + 1))
 
 
 def _row_sets(rng, t: int, n: int) -> list[np.ndarray]:
-    """Leading ranges of 1, n and t rows, the first and the last row alone,
-    and random subsets of 1, about t/3 and t - 1 rows."""
-    sets = [np.arange(r) for r in sorted({1, n, t})] + [np.array([0]), np.array([t - 1])]
+    """Leading ranges of 1, n and t rows, the last row alone, and random
+    subsets of 1, about t/3 and t - 1 rows."""
+    sets = [np.arange(r) for r in sorted({1, n, t})] + [np.array([t - 1])]
     return sets + [np.sort(rng.choice(t, size, replace=False))
                    for size in sorted({1, max(1, t // 3), max(1, t - 1)})]
 
 
 class TestQueryRowSets:
-    """A call with the queries of a sorted set of a mask's rows against the
-    call on all T rows: out and dq are the set's rows of the full call's (bit
-    for bit on the nnz path, to rounding on the dense path), and dk and dv
-    the full call's grads when no gradient reaches the rows off the set."""
+    """A call with the queries of a sorted set of a mask's rows (``rows``)
+    against the call on all T rows and against the masked dense oracle: out
+    and dq are the set's rows of the full call's (bit for bit on the nnz
+    path, to rounding on the dense path), and dk and dv the full call's
+    grads when no gradient reaches the rows off the set."""
 
-    def test_cases_cover_both_paths_on_both_sides_of_the_bound(self):
-        cases = [_row_set_case(seed) for seed in range(32)]
+    def test_cases_cover_both_paths_and_the_edge_cases(self):
+        cases = [_row_set_case(seed) for seed in range(80)]
         sides = {(_runs_dense(mask), mask.size > ops.STACK_MAX_TOKENS) for mask, _ in cases}
         assert sides == {(False, True), (True, False), (True, True)}
-        assert any(not _runs_dense(mask) for mask, _ in cases[3::4])   # a sparse hop mask
-        assert any(0 < n < mask.size for mask, n in cases[3::4])       # nodes and edges
+        graphs = [case for seed, case in enumerate(cases) if seed % 8 >= 3]
+        assert {_runs_dense(mask) for mask, _ in graphs} == {False, True}
+        assert any(mask.size == 1 for mask, _ in graphs)
+        assert any(mask.nnz == mask.size > 1 for mask, _ in graphs)   # identity: edgeless
+        assert any(0 < n < mask.size for mask, n in graphs)           # nodes and edges
+        assert any(mask.hop_budget > 0 and mask.nnz > mask.size       # an isolated token
+                   and (np.diff(mask.indptr) == 1).any() for mask, _ in graphs)
 
-    @pytest.mark.parametrize("seed", range(32))
+    @pytest.mark.parametrize("seed", range(80))
     def test_row_set_is_those_rows_of_the_full_call(self, seed):
         mask, n = _row_set_case(seed)
         t, d_h = mask.size, (1, 3, 4)[seed % 3]
         dense = _runs_dense(mask)
         rng = np.random.default_rng(seed)
         qv, kv, vv, g = rng.standard_normal((4, t, d_h))
+        support = mask_to_dense(mask)
+        drop = dict(dropout_rate=0.3, dropout_seed=[seed, 2], training=True)
         for rows in _row_sets(rng, t, n):
             g_set = np.zeros_like(g)
             g_set[rows] = g[rows]
-            full, _ = _attention_run(qv, kv, vv, mask, g_set)
-            got, meter = _attention_run(qv[rows], kv, vv, mask, g[rows], rows=rows)
-            assert got[0].shape == got[1].shape == (rows.size, d_h)
-            for a, b in zip(got[:2], [full[0][rows], full[1][rows]]):
-                if dense:
-                    assert np.abs(a - b).max() <= 1e-12
-                else:
-                    assert np.array_equal(a, b)
-            for a, b in zip(got[2:], full[2:]):
-                assert np.abs(a - b).max() <= 1e-12
+            leading = rows[-1] == rows.size - 1
+            # attention dropout, on a leading range, keeps the weights the
+            # full call draws for these rows
+            for kw in [{}, drop] if leading else [{}]:
+                full, _ = _attention_run(qv, kv, vv, mask, g_set, **kw)
+                got, meter = _attention_run(qv[rows], kv, vv, mask, g[rows], rows=rows, **kw)
+                assert got[0].shape == got[1].shape == (rows.size, d_h)
+                for a, b in zip(got, [full[0][rows], full[1][rows], full[2], full[3]]):
+                    if dense:
+                        assert np.abs(a - b).max() <= 1e-12
+                    else:
+                        assert np.array_equal(a, b)
             nnz = int(np.diff(mask.indptr)[rows].sum())
             assert meter.attention_flops == attention_flops(nnz, d_h)
             assert meter.executed_flops == attention_flops(rows.size * t if dense else nnz, d_h)
+            got, _ = _attention_run(qv[rows], kv, vv, mask, g[rows], rows=rows)
+            oracle = [dense_attention_oracle(qv[rows], kv, vv, support[rows]),
+                      *_dense_oracle_grads(qv[rows], kv, vv, support[rows], g[rows])]
+            for a, b in zip(got, oracle):
+                assert np.abs(a - b).max() <= ORACLE_TOL
+
+    @pytest.mark.parametrize("name", DISPATCH_MASKS)
+    def test_meter_counts_the_sets_entries(self, name):
+        mask = DISPATCH_MASKS[name]()
+        t, r = mask.size, mask.size // 2
+        q, k, v = (Tensor(a) for a in _qkv(t))
+        for rows in (r, np.arange(1, r + 1)):
+            with count_attention_flops() as meter:
+                sparse_masked_attention(Tensor(q.values[:r]), k, v, mask, rows=rows)
+            nnz = int(np.diff(mask.indptr)[ops._row_index(rows)].sum())
+            assert nnz < mask.nnz
+            assert meter.attention_flops == attention_flops(nnz, 4)
+            assert meter.executed_flops == attention_flops(
+                r * t if EXPECT_DENSE[name] else nnz, 4)
+
+    def test_the_whole_masks_density_picks_the_path(self):
+        # the hop-3 mask of a path is sparse overall but dense in its first
+        # rows; a call on them stays on the nnz path and builds no T x T support
+        mask = build_mask(augment(Graph(num_nodes=40, edges=np.column_stack(
+            [np.arange(39), np.arange(1, 40)]), node_features=np.ones((40, 1)))), 3)
+        r = 2
+        assert not _runs_dense(mask) and mask.indptr[r] >= ops.DENSE_MIN_DENSITY * r * r
+        q, k, v = (Tensor(a) for a in _qkv(mask.size))
+        with count_attention_flops() as meter:
+            sparse_masked_attention(Tensor(q.values[:r]), k, v, mask, rows=r)
+        assert meter.executed_flops == meter.attention_flops
+        assert "dense_bias" not in vars(mask)
 
     def test_a_leading_range_reads_views_and_another_set_gathers(self, monkeypatch):
         mask = _ring_mask(40, 2)
@@ -1909,10 +1845,18 @@ class TestQueryRowSets:
         q, k, v = Tensor(qv[[1, 4]]), Tensor(kv), Tensor(vv)
         with pytest.raises(ShapeError, match="q has 2 rows for a set of 3 query rows"):
             sparse_masked_attention(q, k, v, mask, rows=[1, 4, 5])
-        with pytest.raises(ShapeError, match="rows asks for query rows of one mask, got a "
+        with pytest.raises(ShapeError, match="rows asks for query rows of one graph, got a "
                                              "batch of 2"):
             sparse_masked_attention(q, Tensor(np.vstack([kv, kv])), Tensor(np.vstack([vv, vv])),
                                     [mask, mask], rows=[1, 4])
+        # unset, q holds all T rows: fewer or more are refused, on one mask
+        # and on a batch
+        for n in (5, 13):
+            with pytest.raises(ShapeError, match=f"q has {n} rows for a set of 12 query rows"):
+                sparse_masked_attention(Tensor(np.resize(qv, (n, 4))), k, v, mask)
+        with pytest.raises(ShapeError, match="q has 5 rows for a set of 24 query rows"):
+            sparse_masked_attention(Tensor(qv[:5]), Tensor(np.vstack([kv, kv])),
+                                    Tensor(np.vstack([vv, vv])), [mask, mask])
         with pytest.raises(ShapeError, match="rows entry 0 is 1, not 0: a forward that draws "
                                              "dropout takes a leading range"):
             sparse_masked_attention(q, k, v, mask, rows=[1, 4], dropout_rate=0.1,
@@ -1934,14 +1878,15 @@ class TestNoGrad:
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_kernel_outputs_and_flops_equal_the_recorded_ones(self, kind, rate):
         # "batch" and "large" run the nnz path and one-head and multi-head
-        # dense stacks (see TestOneCallPerLayer), "one" a query prefix of both
+        # dense stacks (see TestOneCallPerLayer), "one" a query prefix (``rows=r``) of both
         # paths
         masks = _layer_masks(kind)
         n, n_heads = sum(b.size for b in masks[0]), len(masks)
         r = n // 2 if kind == "one" else n
         qv, kv, vv = np.random.default_rng(5).standard_normal((3, n, n_heads * 3))
         seeds = [[[b, 9, h] for b in range(len(masks[0]))] for h in range(n_heads)]
-        kw = dict(dropout_rate=rate, dropout_seed=seeds, training=True)
+        kw = dict(dropout_rate=rate, dropout_seed=seeds, training=True,
+                  rows=r if kind == "one" else None)
         runs = []
         for context in (ops.scratch_tape, ops.no_grad):
             tape = ops._tape()

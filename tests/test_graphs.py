@@ -1,7 +1,10 @@
 import ast
+import hashlib
+import importlib.util
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +16,28 @@ from hopformer import (Graph, GraphError, augment, generate_erdos_renyi,
                        generate_sbm, generate_watts_strogatz, load_dataset,
                        load_graph, relabel_nodes, save_graph)
 from hopformer import graphs as graphs_module
+from hopformer import masks as masks_module
 from hopformer.graphs import (EDGE_TOKEN, NODE_TOKEN, _config_from_obj, _json_object,
                               _read_json, csr_from_pairs)
 
 from helpers import (brute_clustering, random_graph, reference_augment,
                      shuffled_reversed_copy, single_edge_graph, triangle_graph)
+
+
+def _edges_sha256(graphs) -> str:
+    """sha256 of the graphs' edges, stacked, as little-endian int64."""
+    edges = np.concatenate([g.edges for g in graphs]).astype("<i8")
+    return hashlib.sha256(edges.tobytes()).hexdigest()
+
+
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's seeded inputs, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
@@ -293,8 +313,16 @@ class TestLoadGraph:
 
     def test_numpy_boolean_endpoint_refused(self):
         # a numpy boolean in a list of endpoints was read as 0 or 1
-        with pytest.raises(GraphError, match="^edges must hold integers, got a boolean$"):
+        with pytest.raises(GraphError, match=r"^edges must hold integers, got a boolean at "
+                                             r"index \[0, 1\]$"):
             Graph(num_nodes=2, edges=[[0, np.True_]], node_features=np.ones((2, 1)))
+
+    @pytest.mark.parametrize("edges, got", [([[0, 1], [True, 0]], "a boolean at index [1, 0]"),
+                                            ([[0, 1], [1, 2.5]], "2.5 at index [1, 1]")])
+    def test_boolean_or_fraction_is_named_by_its_index(self, edges, got):
+        with pytest.raises(GraphError, match=f"^edges must hold integers, "
+                                             f"got {re.escape(got)}$"):
+            Graph(num_nodes=3, edges=edges, node_features=np.ones((3, 1)))
 
     def test_parallel_edge_rejected(self):
         text = json.dumps({"num_nodes": 2, "edges": [[0, 1], [0, 1]],
@@ -619,7 +647,7 @@ class TestGenerators:
         (lambda: generate_sbm((5.5, 5), 0.5, 0.1), GraphError,
          "sizes must hold integers, got 5.5 at index 0"),
         (lambda: generate_sbm((True, 5), 0.5, 0.1), GraphError,
-         "sizes must hold integers, got a boolean"),
+         "sizes must hold integers, got a boolean at index 0"),
         (lambda: generate_sbm((-1, 5), 0.5, 0.1), GraphError,
          "sizes must be a flat sequence of non-negative block sizes, got [-1, 5]"),
         (lambda: generate_sbm(((3, 3), (3, 3)), 0.5, 0.1), GraphError,
@@ -645,6 +673,79 @@ class TestGenerators:
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.node_labels, np.repeat([0, 1], 5))
 
+    # sha256 of the little-endian int64 edges of seeded draws, as one array
+    # of the n(n-1)/2 pair uniforms drew them; the 1500-node draws span more
+    # than one chunk of BLOCK_CELLS pairs
+    PINNED_DRAWS = [
+        (lambda: generate_erdos_renyi(1, 0.5, seed=0), 0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (lambda: generate_erdos_renyi(2, 1.0, seed=1), 1,
+         "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
+        (lambda: generate_erdos_renyi(50, 0.1, seed=2), 99,
+         "a502185e52dc2fa612fa9a3235ec62b4897f98a43d1f70d05e2856e4e7b8cecc"),
+        (lambda: generate_erdos_renyi(300, 0.02, seed=5), 978,
+         "6f144d8b021b35c57b5b71bf0df530a69f70fd64bd3a5602ec34df932e98b142"),
+        (lambda: generate_erdos_renyi(1500, 0.001, seed=7), 1124,
+         "fe378b8d4e8755788b9136dee394d58b636477008b64c98ac843658d57b392ec"),
+        (lambda: generate_sbm((30, 30), 0.3, 0.02, seed=1), 289,
+         "0d39bca5426b277f56d3d5b96a22b9515c7d865fd10ed2fc844ef8ede0f4a3ed"),
+        (lambda: generate_sbm((0, 5, 3), 0.5, 0.1, seed=2), 8,
+         "65b3c61547c305af02a9d453302471dec6540781be22a13c94fc195c83ff7126"),
+        (lambda: generate_sbm((700, 800), 0.01, 0.0, seed=3), 5554,
+         "826fe1f6115f7fe5169d039a6bdacdf39c2f7824738aeae89ac89038e742502a"),
+        (lambda: generate_sbm((50, 30), 1.0, 0.0, seed=3), 1660,
+         "bcf55bd0c6acff95355554272462778b6339131cb4f26bf586f5d321c9341c50"),
+        (lambda: generate_sbm((0,), 0.5, 0.5, seed=4), 0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(PINNED_DRAWS)))
+    def test_seeded_draws_keep_their_edges(self, case):
+        make, num_edges, digest = self.PINNED_DRAWS[case]
+        g = make()
+        assert g.edges.dtype == np.int64
+        assert (g.num_edges, _edges_sha256([g])) == (num_edges, digest)
+
+    @pytest.mark.parametrize("workload, seed, num_edges, digest", [
+        ("sparse_large", 3, 4192,
+         "c6212fa931fe04673f31d1fa9df3be6fc05c4e26b219f7b1624646b0c0e291fd"),
+        ("sparse_large", 4, 4189,
+         "a2c5cdb0c1b623cc5461c348e7edbfc15d12159da3cd28d914b8f9350b0e1032"),
+        ("er_graph", 3, 2337,
+         "b88bc59797008f3303ad50c0fafe8cb1900eb3a8573a802668f9b306e5eee62a"),
+        ("er_graph", 4, 2332,
+         "26199d4e0c3896c3cc7aa7806fd9f4f3b59d148a4044adddfaf3eb2b94def9a0")],
+        ids=["sparse_large-3", "sparse_large-4", "er_graph-3", "er_graph-4"])
+    def test_benchmark_workload_draws_keep_their_edges(self, workload, seed, num_edges, digest):
+        # the graphs bench/workloads.py draws for these seeds (sparse_large's
+        # accepted SBM draw, er_graph's 128 graphs in order)
+        wl = _bench_workloads()
+        data, *_ = wl.make_inputs(hopformer, wl.WORKLOADS[workload], seed)
+        graphs = data if isinstance(data, list) else [data]
+        assert (sum(g.num_edges for g in graphs), _edges_sha256(graphs)) == (num_edges, digest)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_any_chunk_size_draws_the_same_edges(self, block, monkeypatch):
+        # a chunk holds whole rows, at least one, whatever the bound
+        want = [generate_erdos_renyi(40, 0.2, seed=1), generate_sbm((9, 0, 13), 0.6, 0.1, seed=2)]
+        monkeypatch.setattr(masks_module, "BLOCK_CELLS", block)
+        got = [generate_erdos_renyi(40, 0.2, seed=1), generate_sbm((9, 0, 13), 0.6, 0.1, seed=2)]
+        for a, b in zip(got, want):
+            assert_same_bytes(a.edges, b.edges)
+
+    def test_a_large_draw_holds_one_chunk_of_pair_arrays(self):
+        # 6000 nodes are ~18M pairs, 17 chunks; one array per pair would hold
+        # ~18M float64 uniforms (144 MB) and more
+        import tracemalloc
+        n, chunk = 6000, 8 * masks_module.BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            g = generate_erdos_renyi(n, 0.0005, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * chunk + 256 * (n + g.num_edges)
+
 
 class TestRelabel:
     def test_roundtrip(self):
@@ -664,7 +765,22 @@ class TestRelabel:
         assert_same_bytes(g2.node_labels[perm], g.node_labels)
         assert_same_bytes(g2.node_features[perm], g.node_features)
 
-    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3], [0, 1, 2, 3]])
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3], [0, 1, 2, 3],
+                                      [[0, 1, 2]]])
     def test_bad_permutation_refused(self, perm):
         with pytest.raises(GraphError, match=r"^perm must be a permutation of 0\.\.N-1$"):
             relabel_nodes(generate_erdos_renyi(3, 0.5, seed=0), perm)
+
+    @pytest.mark.parametrize("perm, message", [
+        ([1.7, 0.2, 2.9], "perm must hold integers, got 1.7 at index 0"),
+        ([True, False, 2], "perm must hold integers, got a boolean at index 0"),
+        ([0, np.False_, 2], "perm must hold integers, got a boolean at index 1")])
+    def test_fraction_or_boolean_perm_refused(self, perm, message):
+        # both were read as a permutation: by int truncation, and True as 1
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            relabel_nodes(generate_erdos_renyi(3, 0.5, seed=0), perm)
+
+    def test_integral_float_perm_is_that_permutation(self):
+        g = generate_erdos_renyi(3, 1.0, seed=0)
+        got, want = relabel_nodes(g, [2.0, 0.0, 1.0]), relabel_nodes(g, [2, 0, 1])
+        assert_same_bytes(got.edges, want.edges)

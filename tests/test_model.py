@@ -853,8 +853,8 @@ class TestPoolSegments:
 
     @pytest.mark.parametrize("sizes, message", [
         ([2.5, 2.5], "segment sizes must hold integers, got 2.5 at index 0"),
-        ([True, 3], "segment sizes must hold integers, got a boolean"),
-        ([np.True_, 3], "segment sizes must hold integers, got a boolean"),
+        ([True, 3], "segment sizes must hold integers, got a boolean at index 0"),
+        ([np.True_, 3], "segment sizes must hold integers, got a boolean at index 0"),
         ([2.5, 1.5], "segment sizes must hold integers, got 2.5 at index 0")])
     def test_fraction_or_boolean_size_refused(self, sizes, message):
         # sizes were cast to int64, so [2.5, 2.5] pooled as [2, 2], [True, 3]

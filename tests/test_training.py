@@ -62,7 +62,7 @@ class TestCrossEntropy:
         ([1.0, 1.5], "got 1.5 at index 1"),   # not truncated to class 1
         ([np.nan, 0], "got nan at index 0"),
         (np.array([0.0, np.inf]), "got inf at index 1"),
-        ([0, True], "got a boolean"),
+        ([0, True], "got a boolean at index 1"),
     ])
     def test_non_integer_label_refused_naming_it(self, labels, message):
         with warnings.catch_warnings():
