@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, attention_flops, count_attention_flops, no_grad
+from .autograd import Tensor, attention_flops, count_attention_flops, no_grad
 from .graphs import Graph, GraphError, _int_value, augment, csr_from_pairs
 from . import masks as masks_mod
 from .masks import HopMask, _reach_levels, build_head_masks
@@ -233,10 +233,7 @@ def flop_count(cfg: ModelConfig, g: Graph, masks: list[HopMask]) -> int:
     n, t = g.num_nodes, g.num_nodes + g.num_edges
     if n == 0 and cfg.task != "node_classification":
         raise GraphError("the graph has no nodes; graph-level tasks need at least one")
-    _check_mask_list(masks, cfg.num_heads)
-    for h, mask in enumerate(masks):
-        if mask.size != t:
-            raise ShapeError(f"mask {h} covers {mask.size} tokens, the graph has {t}")
+    _check_mask_list(masks, cfg.num_heads, t)
     d, f = cfg.hidden_dim, cfg.ffn_dim
     total = 2 * d * (n * g.node_feature_dim + g.num_edges * g.edge_feature_dim)
     dense_layer = (
@@ -323,7 +320,7 @@ def flops_vs_nnz_report(graphs: list[Graph], hop_configs: list[list[int]],
             attn = attention_flop_count(run_cfg, masks)
             model = init_model(run_cfg, g.node_feature_dim, g.edge_feature_dim)
             with count_attention_flops() as meter, no_grad():
-                forward(model, g, ag, masks)
+                forward(model, g, None, masks)
             if meter.attention_flops != attn:
                 raise RuntimeError(
                     f"instrumented attention FLOPs {meter.attention_flops} != "

@@ -408,7 +408,24 @@ def save_graph(g: Graph, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Random generators.  All are deterministic under ``seed`` and attach node
 # features (a constant scalar, or the SBM's block-shifted Gaussians) so
-# generated graphs are trainable as-is.
+# generated graphs are trainable as-is.  A probability is a number in
+# [0, 1], and ``seed`` a non-negative integer by the package's integer rule;
+# anything else is refused by name before any draw.
+
+
+def _probability(name: str, p) -> float:
+    if not _is_number(p):
+        raise GraphError(f"{name} must be a number, got {p!r}")
+    if not 0.0 <= p <= 1.0:
+        raise GraphError(f"{name} must be in [0, 1], got {p}")
+    return p
+
+
+def _rng_seed(seed) -> int:
+    seed = _int_value("seed", seed)
+    if seed < 0:
+        raise GraphError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
@@ -423,9 +440,8 @@ def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph
         raise GraphError(f"k must be a positive even integer, got {k}")
     if n <= k:
         raise GraphError(f"n must exceed k, got n={n}, k={k}")
-    if not 0.0 <= beta <= 1.0:
-        raise GraphError(f"beta must be in [0, 1], got {beta}")
-    rng = np.random.default_rng(seed)
+    beta = _probability("beta", beta)
+    rng = np.random.default_rng(_rng_seed(seed))
     adj: list[set[int]] = [set() for _ in range(n)]
     edge_list: list[tuple[int, int]] = []
     for j in range(1, k // 2 + 1):
@@ -488,9 +504,8 @@ def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     n = _int_value("n", n)
     if n < 1:
         raise GraphError(f"n must be at least 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"p must be in [0, 1], got {p}")
-    edges = _kept_pairs(np.random.default_rng(seed), n, p)
+    p = _probability("p", p)
+    edges = _kept_pairs(np.random.default_rng(_rng_seed(seed)), n, p)
     return Graph(num_nodes=n, edges=edges, node_features=np.ones((n, 1)))
 
 
@@ -507,9 +522,8 @@ def generate_sbm(sizes: tuple[int, ...], p_in: float, p_out: float, seed: int = 
     if sizes.ndim != 1 or np.any(sizes < 0):
         raise GraphError(f"sizes must be a flat sequence of non-negative block sizes, "
                          f"got {sizes.tolist()}")
-    for name, p in (("p_in", p_in), ("p_out", p_out)):
-        if not 0.0 <= p <= 1.0:
-            raise GraphError(f"{name} must be in [0, 1], got {p}")
+    p_in, p_out = _probability("p_in", p_in), _probability("p_out", p_out)
+    seed = _rng_seed(seed)
     n = int(sum(sizes))
     blocks = np.repeat(np.arange(len(sizes)), sizes)
     edges = _kept_pairs(np.random.default_rng(seed), n, max(p_in, p_out),

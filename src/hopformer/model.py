@@ -29,8 +29,8 @@ import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, ShapeError
-from .graphs import (AugmentedGraph, Graph, GraphError, _config_from_obj, _finite_value,
-                     _int_field, _int_value, _json_object, _read_json, _write_json)
+from .graphs import (Graph, GraphError, _config_from_obj, _finite_value, _int_field,
+                     _int_value, _json_object, _read_json, _write_json)
 from .masks import HopMask
 
 CHECKPOINT_MAGIC = "HOPFORMER2"
@@ -290,9 +290,11 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     return (out, concat) if return_heads else out
 
 
-def _check_mask_list(masks, num_heads: int) -> None:
-    """A list or tuple of ``num_heads`` HopMasks; an entry that is not one is
-    refused by its head's index."""
+def _check_mask_list(masks, num_heads: int, total_tokens: int | None = None) -> int:
+    """A list or tuple of ``num_heads`` HopMasks, each over ``total_tokens``
+    tokens (by default the first mask's); an entry that is not one, or that
+    covers another count, is refused by its head's index.  Returns the token
+    count."""
     if not isinstance(masks, (list, tuple)):
         raise ShapeError(f"head masks must be a list of HopMask, got {type(masks).__name__}")
     if len(masks) != num_heads:
@@ -300,17 +302,18 @@ def _check_mask_list(masks, num_heads: int) -> None:
     for h, mask in enumerate(masks):
         if not isinstance(mask, HopMask):
             raise ShapeError(f"mask {h} is a {type(mask).__name__}, not a HopMask")
+    total_tokens = masks[0].size if total_tokens is None else total_tokens
+    for h, mask in enumerate(masks):
+        if mask.size != total_tokens:
+            raise ShapeError(f"mask {h} covers {mask.size} tokens, expected {total_tokens}")
+    return total_tokens
 
 
 def _check_masks(m: Model, masks: list[HopMask], total_tokens: int | None = None) -> int:
-    """One graph's head masks: one HopMask per head, each with its head's
-    budget and ``total_tokens`` rows (by default the first mask's); returns
-    the token count."""
-    _check_mask_list(masks, m.cfg.num_heads)
-    total_tokens = masks[0].size if total_tokens is None else total_tokens
+    """One graph's head masks: :func:`_check_mask_list`, and each with its
+    head's budget; returns the token count."""
+    total_tokens = _check_mask_list(masks, m.cfg.num_heads, total_tokens)
     for h, (mask, budget) in enumerate(zip(masks, m.cfg.head_hops)):
-        if mask.size != total_tokens:
-            raise ShapeError(f"mask {h} covers {mask.size} tokens, expected {total_tokens}")
         if mask.hop_budget != budget:
             raise ShapeError(f"mask {h} has hop budget {mask.hop_budget}, config says {budget}")
     return total_tokens
@@ -358,16 +361,16 @@ def encode(m: Model, z: Tensor, masks: list[HopMask]) -> Tensor:
     return _encode(m, z, [[mk] for mk in masks], [0], False)
 
 
-def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[AugmentedGraph],
+def forward(m: Model, g: Graph | list[Graph], _ag,
             masks: list[HopMask] | list[list[HopMask]], *, training: bool = False,
             rng_seed=None, graph_ids=None, rows=None) -> Tensor:
     """Embed and encode; returns the T x d token representations.
 
-    ``g``, ``ag`` and ``masks`` may also be parallel lists over a batch of
-    graphs (``masks`` then holds each graph's head-mask list); one graph is a
-    batch of one.  The result stacks each graph's T rows in batch order, and
-    every graph attends only within its own rows.  Graph b draws its dropout
-    from ``rng_seed + graph_ids[b]`` (``graph_ids`` defaults to the batch
+    ``g`` and ``masks`` may also be parallel lists over a batch of graphs
+    (``masks`` then holds each graph's head-mask list); one graph is a batch
+    of one.  The result stacks each graph's T rows in batch order, and every
+    graph attends only within its own rows.  Graph b draws its dropout from
+    ``rng_seed + graph_ids[b]`` (``graph_ids`` defaults to the batch
     positions; an unset ``rng_seed`` is 0 for every graph), so its rows equal
     those of a forward on it alone with that seed, up to rounding.  Both
     follow the package's integer rule (``2.0`` is 2, a boolean or a fraction
@@ -384,35 +387,28 @@ def forward(m: Model, g: Graph | list[Graph], ag: AugmentedGraph | list[Augmente
     forward that draws dropout, whose seeded draws are made for leading
     rows.  Graph tasks pool every token and so leave it unset.
 
-    ``g`` gives the token layout (nodes, then edges); ``ag`` is only checked
-    against it.  :func:`_check_graph` and :func:`_check_graph_masks` check
-    each graph before any tape entry.
+    ``g`` gives the token layout (nodes, then edges).  The third argument is
+    not read; it stays positional so calls that pass the graph's
+    AugmentedGraph there still run.  :func:`_check_graph` and
+    :func:`_check_graph_masks` check each graph before any tape entry.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
-        g, ag, masks = [g], [ag], [masks]
-    if not all(isinstance(x, (list, tuple)) for x in (g, ag, masks)):
-        raise ShapeError("forward takes a Graph, its AugmentedGraph and its head masks, "
-                         "or parallel lists of them")
+        g, masks = [g], [masks]
+    if not all(isinstance(x, (list, tuple)) for x in (g, masks)):
+        raise ShapeError("forward takes a Graph and its head masks, or parallel lists of them")
     ids = range(len(g)) if graph_ids is None else _int_field("graph_ids", graph_ids)
     if np.ndim(ids) != 1:
         raise ShapeError(f"graph_ids must be a list of integers, got {graph_ids!r}")
-    if not len(g) == len(ag) == len(masks) == len(ids):
-        raise ShapeError(f"a batch of {len(g)} graphs got {len(ag)} augmented graphs, "
-                         f"{len(masks)} head-mask lists and {len(ids)} graph ids")
+    if not len(g) == len(masks) == len(ids):
+        raise ShapeError(f"a batch of {len(g)} graphs got {len(masks)} head-mask lists "
+                         f"and {len(ids)} graph ids")
     if len(ids) and min(ids) < 0:
         raise ValueError(f"graph_ids must be non-negative, got {int(min(ids))}")
     seed = 0 if rng_seed is None else _int_value("rng_seed", rng_seed)
     if seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {seed}")
-    for b, (x, a, gm) in enumerate(zip(g, ag, masks)):
+    for b, (x, gm) in enumerate(zip(g, masks)):
         _check_graph(m, x, f"batch graph {b}")
-        if not isinstance(a, AugmentedGraph):
-            raise ShapeError(f"batch graph {b}: the augmented graph is a "
-                             f"{type(a).__name__}, not an AugmentedGraph")
-        if (a.num_node_tokens, a.num_edge_tokens) != (x.num_nodes, x.num_edges):
-            raise ShapeError(f"batch graph {b}: the augmented graph has {a.num_node_tokens} "
-                             f"node and {a.num_edge_tokens} edge tokens, the graph "
-                             f"{x.num_nodes} nodes and {x.num_edges} edges")
         _check_graph_masks(m, x, gm, f"batch graph {b}")
     rows = ops._query_rows(rows, [x.num_nodes + x.num_edges for x in g], training and (
         m.cfg.dropout > 0.0 or m.cfg.attention_dropout > 0.0))

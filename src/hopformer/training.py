@@ -6,12 +6,13 @@ item (a node of the one graph, or a graph of a dataset).  A node task runs
 one forward over its graph, whose last layer computes only the node-token
 rows the splits score (all N node rows in a training forward), and takes
 each split's rows from it; a graph task runs one forward per split, its
-graphs' token rows stacked, and pools every token.
-Training augments every graph once; each epoch steps over its batches and
-scores validation and test.  A node task without dropout makes one forward
-per epoch: the call that scores an epoch also returns the train rows, held on
-the tape, that the next epoch's step takes its loss from, as with dropout off
-training and scoring compute the same values.  Training records on a tape of
+graphs' token rows stacked, and pools every token.  The model reads a
+graph's structure only through its head masks, so a run augments a graph
+only to build them (``masks=None``), once.  Each epoch steps over its
+batches and scores validation and test.  A node task without dropout makes
+one forward per epoch: the call that scores an epoch also returns the train
+rows, held on the tape, that the next epoch's step takes its loss from, as
+with dropout off training and scoring compute the same values.  Training records on a tape of
 its own, never the caller's; every other scoring forward records nothing.
 The checkpoint returned is the one at the best validation metric.  A
 non-finite loss aborts with epoch/step context rather than being clamped.
@@ -201,11 +202,11 @@ def evaluate(model: Model, dataset, masks, split) -> float:
 
     The split is a set: a repeated index is refused, and indices are sorted
     internally so shuffled splits produce bit-identical aggregates.  The
-    inputs are checked as by ``train``, before any forward; only the split's
-    graphs are augmented (and, with ``masks=None``, given head masks).
+    inputs are checked as by ``train``, before any forward; a graph is
+    augmented only with ``masks=None``, for the split's graphs' masks.
     """
-    ags, masks, targets, splits = _prepare(model, dataset, masks, {"evaluated": split})
-    return _scores(model, dataset, ags, masks, targets, splits)[0]
+    masks, targets, splits = _prepare(model, dataset, masks, {"evaluated": split})
+    return _scores(model, dataset, masks, targets, splits)[0]
 
 
 def _graphs(model: Model, dataset) -> list:
@@ -219,10 +220,10 @@ def _graphs(model: Model, dataset) -> list:
 
 
 def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
-    """Check a run's inputs (see ``train``) and return the augmented graphs
-    and the head masks of the graphs the run reads, each a dict keyed by
-    graph index: ``{0: ...}`` for a node task, the splits' union for a graph
-    task, the masks built from ``model.cfg.head_hops`` when ``masks`` is
+    """Check a run's inputs (see ``train``) and return the head masks of
+    the graphs the run reads, a dict keyed by graph index: ``{0: ...}`` for
+    a node task, the splits' union for a graph task, each graph augmented
+    to build its masks from ``model.cfg.head_hops`` only when ``masks`` is
     None; every item's target; and the values of ``splits`` (a name ->
     indices dict), each sorted."""
     cfg = model.cfg
@@ -270,14 +271,14 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
     # a graph task reads the splits' union in ascending order, found by
     # counting indices (np.unique's first call imports numpy.ma: 12-22 ms of
     # a CLI run on 2 vCPUs)
-    ags = {i: augment(graphs[i]) for i in ([0] if node_task else np.flatnonzero(
-        np.bincount(np.concatenate(sorted_splits))).tolist())}
-    masks = {i: build_head_masks(ag, list(cfg.head_hops)) if masks is None else mask_lists[i]
-             for i, ag in ags.items()}
-    return ags, masks, targets, sorted_splits
+    read = [0] if node_task else np.flatnonzero(
+        np.bincount(np.concatenate(sorted_splits))).tolist()
+    masks = {i: build_head_masks(augment(graphs[i]), list(cfg.head_hops))
+             if masks is None else mask_lists[i] for i in read}
+    return masks, targets, sorted_splits
 
 
-def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = False,
+def _outputs(model: Model, dataset, masks, splits, *, training: bool = False,
              seed: int | None = None) -> list[Tensor]:
     """One output Tensor per split, one row per item in the split's order.
 
@@ -291,8 +292,8 @@ def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = Fals
     N rows.  ``evaluate`` computes its split's rows alone.  A graph
     task runs one forward per split over the split's graphs stacked, one
     readout row per graph and one graph head matmul, graph ``i`` drawing its
-    dropout from ``seed + i`` (``ags`` and ``masks`` are indexed by graph).
-    A graph's outputs depend in their last bits on the other graphs of its
+    dropout from ``seed + i`` (``masks`` is indexed by graph).  Every
+    forward gets None in its unread augmented-graph slot.  A graph's outputs depend in their last bits on the other graphs of its
     forward (BLAS may round a row of a matrix product differently when the
     product has more rows), so each split gets its own: ``evaluate`` on a
     split then reproduces the score ``train`` recorded for it exactly.
@@ -301,7 +302,7 @@ def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = Fals
         # the splits' sorted union, found by counting as in _prepare
         nodes = np.arange(dataset.num_nodes) if training else np.flatnonzero(
             np.bincount(np.concatenate(splits)))
-        h = forward(model, dataset, ags[0], masks[0], training=training, rng_seed=seed,
+        h = forward(model, dataset, None, masks[0], training=training, rng_seed=seed,
                     rows=nodes)
         logits = predict_node(model, h, nodes.size)
         return [ops.take_rows(logits, np.searchsorted(nodes, items)) for items in splits]
@@ -309,8 +310,8 @@ def _outputs(model: Model, dataset, ags, masks, splits, *, training: bool = Fals
     for items in splits:
         items = [int(i) for i in items]
         batch = [dataset[i] for i in items]
-        h = forward(model, batch, [ags[i] for i in items], [masks[i] for i in items],
-                    training=training, rng_seed=seed, graph_ids=items)
+        h = forward(model, batch, None, [masks[i] for i in items], training=training,
+                    rng_seed=seed, graph_ids=items)
         sizes = np.array([g.num_nodes + g.num_edges for g in batch], dtype=np.int64)
         outs.append(predict_graph(model, readout(h, model.cfg.readout, sizes)))
     return outs
@@ -326,11 +327,11 @@ def _score(task: str, out: np.ndarray, targets: np.ndarray) -> float:
     return float((out.argmax(axis=1) == targets).mean())
 
 
-def _scores(model: Model, dataset, ags, masks, targets, splits) -> list[float]:
+def _scores(model: Model, dataset, masks, targets, splits) -> list[float]:
     """Score each split, as ``_prepare`` returns it, from :func:`_outputs`
     run under ``no_grad``."""
     with no_grad():
-        outs = _outputs(model, dataset, ags, masks, splits)
+        outs = _outputs(model, dataset, masks, splits)
     return [_score(model.cfg.task, o.values, targets[s]) for o, s in zip(outs, splits)]
 
 
@@ -365,7 +366,7 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     node_task = task == "node_classification"
     idx_train, idx_val, idx_test = split_indices(
         dataset.num_nodes if isinstance(dataset, Graph) else len(_graphs(model, dataset)), cfg)
-    ags, masks, targets, (_, *scored) = _prepare(model, dataset, masks, {
+    masks, targets, (_, *scored) = _prepare(model, dataset, masks, {
         "train": idx_train, "val": idx_val, "test": idx_test})
     params = named_parameters(model)
     state = init_adam_state(params)
@@ -393,7 +394,7 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
                 # the loss takes idx_train's rows in its seeded order: sorted,
                 # they move the mean's last bits
                 if out is None:
-                    out = _outputs(model, dataset, ags, masks, [batch], training=True,
+                    out = _outputs(model, dataset, masks, [batch], training=True,
                                    seed=seed)[0]
                 loss = _loss(task, out, targets[batch])
                 out = None
@@ -410,10 +411,10 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
                 lv * b.size for lv, b in zip(batch_losses, batches)) / idx_train.size
 
             if held:
-                out, *outs = _outputs(model, dataset, ags, masks, [idx_train, *scored])
+                out, *outs = _outputs(model, dataset, masks, [idx_train, *scored])
                 val, test = (_score(task, o.values, targets[s]) for o, s in zip(outs, scored))
             else:
-                val, test = _scores(model, dataset, ags, masks, targets, scored)
+                val, test = _scores(model, dataset, masks, targets, scored)
             history.train_loss.append(loss_value)
             history.val_metric.append(val)
             history.test_metric.append(test)

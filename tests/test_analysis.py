@@ -461,7 +461,7 @@ class TestFlopModel:
         masks = build_head_masks(augment(large), [1, 2])
         t_small, t_large = (x.num_nodes + x.num_edges for x in (small, large))
         with pytest.raises(ShapeError,
-                           match=f"^mask 0 covers {t_large} tokens, the graph has {t_small}$"):
+                           match=f"^mask 0 covers {t_large} tokens, expected {t_small}$"):
             flop_count(probe_cfg([1, 2]), small, masks)
 
     @pytest.mark.parametrize("count", [0, 2, 5])

@@ -117,6 +117,17 @@ class TestGen:
                      "--output", str(tmp_path / "x.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "er", "--p", "0.3", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--model", "ws", "--k", "4", "--beta", "0.1", "--seed", "-2"],
+         "seed must be non-negative, got -2")])
+    def test_negative_seed_is_named(self, tmp_path, capsys, flags, message):
+        # numpy's "expected non-negative integer" named no argument
+        out = tmp_path / "x.json"
+        assert main(["gen", "--n", "10", *flags, "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAugment:
     def test_single_edge_counts(self, tmp_path, capsys):

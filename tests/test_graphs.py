@@ -667,6 +667,47 @@ class TestGenerators:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make()
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: generate_erdos_renyi(6, True), GraphError, "p must be a number, got True"),
+        (lambda: generate_erdos_renyi(6, "0.5"), GraphError, "p must be a number, got '0.5'"),
+        (lambda: generate_sbm((3, 3), True, 0.0), GraphError,
+         "p_in must be a number, got True"),
+        (lambda: generate_sbm((3, 3), 0.5, None), GraphError,
+         "p_out must be a number, got None"),
+        (lambda: generate_watts_strogatz(10, 4, True), GraphError,
+         "beta must be a number, got True"),
+        (lambda: generate_watts_strogatz(10, 4, np.bool_(False)), GraphError,
+         f"beta must be a number, got {np.bool_(False)!r}"),
+        (lambda: generate_erdos_renyi(6, 0.5, seed=True), ValueError,
+         "seed must be an integer, got True"),
+        (lambda: generate_sbm((3, 3), 0.5, 0.1, seed=1.5), ValueError,
+         "seed must be an integer, got 1.5"),
+        (lambda: generate_watts_strogatz(10, 4, 0.1, seed="1"), ValueError,
+         "seed must be an integer, got '1'"),
+        (lambda: generate_erdos_renyi(6, 0.5, seed=-1), GraphError,
+         "seed must be non-negative, got -1"),
+        (lambda: generate_watts_strogatz(10, 4, 0.1, seed=-3.0), GraphError,
+         "seed must be non-negative, got -3")])
+    def test_boolean_or_non_number_probability_and_bad_seed_refused(self, make, error,
+                                                                     message):
+        # p=True gave the complete graph and beta=True rewired every edge,
+        # p="0.5" raised a bare TypeError, seed=True ran as seed 1, and
+        # seed=1.5 or -1 failed inside numpy naming no argument
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: generate_erdos_renyi(30, 0.2, seed=seed),
+        lambda seed: generate_sbm((6, 9), 0.6, 0.1, seed=seed),
+        lambda seed: generate_watts_strogatz(12, 4, 0.3, seed=seed)])
+    def test_integral_seed_gives_the_integers_graph(self, make):
+        want = make(4)
+        for seed in (4.0, np.int64(4), np.float32(4)):
+            got = make(seed)
+            for name in ("edges", "node_features", "node_labels"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
     def test_sbm_labels_and_determinism(self):
         a = generate_sbm((5, 5), 0.8, 0.1, seed=2)
         b = generate_sbm((5, 5), 0.8, 0.1, seed=2)

@@ -585,7 +585,7 @@ class TestNodeRowsInTraining:
         masks = build_head_masks(ag, list(cfg.head_hops))
         n, t, d_h = g.num_nodes, ag.total_tokens, cfg.head_dim
         with ops.scratch_tape(), ops.count_attention_flops() as meter:
-            training._outputs(model, g, {0: ag}, {0: masks}, [np.arange(n)])
+            training._outputs(model, g, {0: masks}, [np.arange(n)])
         logical = executed = 0
         for mk in masks:
             node_nnz = int(mk.indptr[n])
@@ -694,15 +694,18 @@ class TestOnePredictionPath:
         assert (len(history) < tc.epochs) == (patience == 0)
         assert len(calls) == forwards(len(history))
 
+    @pytest.mark.parametrize("given", [True, False])
     @pytest.mark.parametrize("task", TASKS)
-    def test_augment_runs_once_per_graph(self, monkeypatch, task):
+    def test_train_augments_only_to_build_masks(self, monkeypatch, task, given):
+        # given masks need no augmented graph; with masks=None each graph's
+        # masks are built from one augment call
         model, dataset, masks, tc = task_fixture(task)
         seen = []
         real = training.augment
         monkeypatch.setattr(training, "augment", lambda g: seen.append(id(g)) or real(g))
-        train(model, dataset, masks, tc)
+        train(model, dataset, masks if given else None, tc)
         graphs = [dataset] if task == "node_classification" else dataset
-        assert sorted(seen) == sorted(id(g) for g in graphs)
+        assert sorted(seen) == ([] if given else sorted(id(g) for g in graphs))
 
     @pytest.mark.parametrize("task", TASKS)
     def test_best_epoch_test_metric_equals_evaluate(self, task):
@@ -723,11 +726,10 @@ class TestOnePredictionPath:
                              seed=tc.seed)
         _, history = train(model, graphs, masks, frozen)
         idx_train, _, _ = split_indices(len(graphs), frozen)
-        ags = [augment(g) for g in graphs]
         losses = []
         with ops.scratch_tape():
             for i in idx_train:
-                out = training._outputs(model, graphs, ags, masks, [[i]], training=True,
+                out = training._outputs(model, graphs, masks, [[i]], training=True,
                                         seed=tc.seed * 100003)[0]
                 target = np.array([graphs[i].graph_label])
                 losses.append(training._loss(task, out, target).values[0, 0])
@@ -802,7 +804,7 @@ def reference_node_train(model, g, masks, tc):
     forward, its backward and an Adam step, then a scoring forward for val
     and test; the checkpoint at the best val, ties to the lower loss."""
     idx_train, idx_val, idx_test = split_indices(g.num_nodes, tc)
-    ag, scored = augment(g), [np.sort(idx_val), np.sort(idx_test)]
+    scored = [np.sort(idx_val), np.sort(idx_test)]
     params = named_parameters(model)
     state = init_adam_state(params)
     losses, vals, tests = [], [], []
@@ -812,13 +814,13 @@ def reference_node_train(model, g, masks, tc):
     for epoch in range(tc.epochs):
         training.zero_grads(params)
         with ops.scratch_tape():
-            out = training._outputs(model, g, {0: ag}, {0: masks}, [idx_train],
-                                    training=True, seed=tc.seed * 100003 + epoch)[0]
+            out = training._outputs(model, g, {0: masks}, [idx_train], training=True,
+                                    seed=tc.seed * 100003 + epoch)[0]
             loss = training._loss(model.cfg.task, out, g.node_labels[idx_train])
             backward(loss)
         adam_step(params, training.collect_grads(params), state, tc.learning_rate,
                   weight_decay=tc.weight_decay)
-        val, test = training._scores(model, g, {0: ag}, {0: masks}, g.node_labels, scored)
+        val, test = training._scores(model, g, {0: masks}, g.node_labels, scored)
         losses.append(float(loss.values[0, 0]))
         vals.append(val)
         tests.append(test)
@@ -1149,10 +1151,11 @@ class TestPrepare:
         with pytest.raises(ValueError, match=match):
             evaluate(model, graphs, masks, split)
 
-    def test_evaluate_augments_only_its_split(self, monkeypatch):
+    @pytest.mark.parametrize("given", [True, False])
+    def test_evaluate_augments_only_to_build_its_splits_masks(self, monkeypatch, given):
         model, graphs, masks = graph_task_inputs()
         seen = []
         real = training.augment
         monkeypatch.setattr(training, "augment", lambda g: seen.append(id(g)) or real(g))
-        evaluate(model, graphs, masks, [4, 1])
-        assert sorted(seen) == sorted([id(graphs[1]), id(graphs[4])])
+        evaluate(model, graphs, masks if given else None, [4, 1])
+        assert sorted(seen) == ([] if given else sorted([id(graphs[1]), id(graphs[4])]))
