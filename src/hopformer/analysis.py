@@ -21,8 +21,8 @@ from .autograd import Tensor, attention_flops, count_attention_flops, no_grad
 from .graphs import Graph, GraphError, _int_value, augment, csr_from_pairs
 from . import masks as masks_mod
 from .masks import HopMask, _reach_levels, build_head_masks
-from .model import (Model, ModelConfig, _check_mask_list, _check_masks, _encode,
-                    encoder_layer, forward, init_model)
+from .model import (Model, ModelConfig, _check_mask_list, _check_masks, _check_nodes,
+                    _encode, encoder_layer, forward, init_model)
 
 FLOP_CONVENTIONS = ("multiply-add=2; exp/div/sub/add=1; layer_norm=5 per element; "
                     "relu=1 per element; attention=nnz*(4*d_h+5) per head per layer")
@@ -177,10 +177,11 @@ def influence_matrix(model: Model, masks: list[HopMask], *, head: int | None = N
     layer's concatenated attention output (before the output projection).
     The head masks are checked against the model once, before the first
     probe: one per head, each with its head's budget, all of one size.
-    ``head`` follows the package's integer rule (``1.0`` is 1, a fraction or
-    a boolean is refused) and is checked then too.
+    ``head`` and ``seed`` follow the package's integer rule (``1.0`` is 1, a
+    fraction or a boolean is refused) and are checked then too.
     """
     t = _check_masks(model, masks)
+    seed = _int_value("seed", seed, 0)
     if head is not None:
         head = _int_value("head", head)
         if not 0 <= head < model.cfg.num_heads:
@@ -230,9 +231,8 @@ def flop_count(cfg: ModelConfig, g: Graph, masks: list[HopMask]) -> int:
     ``cfg.head_hops`` does not list."""
     if not isinstance(g, Graph):
         raise GraphError(f"flop_count prices a Graph, got {type(g).__name__}")
+    _check_nodes(cfg, g, "the graph")
     n, t = g.num_nodes, g.num_nodes + g.num_edges
-    if n == 0 and cfg.task != "node_classification":
-        raise GraphError("the graph has no nodes; graph-level tasks need at least one")
     _check_mask_list(masks, cfg.num_heads, t)
     d, f = cfg.hidden_dim, cfg.ffn_dim
     total = 2 * d * (n * g.node_feature_dim + g.num_edges * g.edge_feature_dim)
@@ -307,8 +307,7 @@ def flops_vs_nnz_report(graphs: list[Graph], hop_configs: list[list[int]],
     if len(hop_configs) < 3:
         raise ValueError(f"need at least 3 hop configurations, got {len(hop_configs)}")
     for gi, g in enumerate(graphs):
-        if g.num_nodes == 0 and cfg.task != "node_classification":
-            raise GraphError(f"graph {gi} has no nodes; graph-level tasks need at least one")
+        _check_nodes(cfg, g, f"graph {gi}")
     rows: list[FlopRow] = []
     for gi, g in enumerate(graphs):
         ag = augment(g)

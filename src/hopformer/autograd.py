@@ -112,7 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _int_field, _int_value
+from .graphs import GraphError, _int_field, _int_value, _is_number
 from .masks import HopMask
 
 
@@ -254,9 +254,10 @@ def attention_flops(nnz: int, head_dim: int) -> int:
 
     Per stored entry: 2*d_h for the score dot product (multiply-add = 2),
     1 to scale, 4 for the softmax (max-subtract, exp, sum-accumulate, divide),
-    and 2*d_h to accumulate the weighted value row.
+    and 2*d_h to accumulate the weighted value row.  Both counts follow the
+    package's integer rule; ``head_dim`` is positive.
     """
-    return nnz * (4 * head_dim + 5)
+    return _int_value("nnz", nnz, 0) * (4 * _int_value("head_dim", head_dim, 1) + 5)
 
 
 @dataclass
@@ -348,8 +349,9 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 
 def split_cols(a: Tensor, n: int) -> list[Tensor]:
-    """``a`` cut into ``n`` equal-width column blocks; inverse of concat_cols."""
-    parts = [Tensor(p) for p in np.split(a.values, n, axis=1)]
+    """``a`` cut into ``n`` equal-width column blocks; inverse of concat_cols.
+    ``n`` is a positive count by the package's integer rule."""
+    parts = [Tensor(p) for p in np.split(a.values, _int_value("n", n, 1), axis=1)]
 
     def bwd():
         if any(p.grad is not None for p in parts):
@@ -387,7 +389,9 @@ def take_rows(a: Tensor, rows) -> Tensor:
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    return take_rows(a, slice(start, stop))
+    """Rows ``start:stop`` of ``a``; both bounds follow the package's integer
+    rule, and :func:`take_rows` refuses a slice outside ``a``."""
+    return take_rows(a, slice(_int_value("start", start), _int_value("stop", stop)))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -479,8 +483,11 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
 
 
 def _check_rate(rate: float) -> None:
-    """Refuse a dropout rate outside [0, 1): NaN and negative rates would drop
-    nothing, and a rate of 1 or more every weight."""
+    """Refuse a dropout rate that is not a number (a boolean included) or lies
+    outside [0, 1): NaN and negative rates would drop nothing, and a rate of 1
+    or more every weight."""
+    if not _is_number(rate):
+        raise GraphError(f"dropout rate must be a number, got {rate!r}")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
 

@@ -24,9 +24,10 @@ EDGE_TOKEN = 1
 
 
 class GraphError(ValueError):
-    """Malformed input: a structurally invalid graph, or an input file (graph,
+    """Malformed input: a structurally invalid graph, an input file (graph,
     dataset, run config or checkpoint) that is not valid JSON or lacks a
-    required field."""
+    required field, or a value that breaks the package's integer or number
+    rules (:func:`_int_value`, :func:`_finite_value` and their array forms)."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -34,9 +35,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _int_field(name: str, values) -> np.ndarray:
+def _int_field(name: str, values, low: int | None = None) -> np.ndarray:
     """``values`` as int64.  Booleans and numbers with a fractional part are
-    refused, not truncated; integral floats (as from ``np.zeros``) pass."""
+    refused, not truncated; integral floats (as from ``np.zeros``) pass.  A
+    value below ``low`` is refused, naming the smallest (see :func:`_int_value`)."""
     def refuse(got, at):
         at = [int(i) for i in at]
         raise GraphError(f"{name} must hold integers, got {got} at index "
@@ -57,7 +59,10 @@ def _int_field(name: str, values) -> np.ndarray:
         bad = np.argwhere(~np.isfinite(arr) | (np.floor(arr) != arr))
         if bad.size:
             refuse(repr(float(arr[tuple(bad[0])])), bad[0])
-    return arr.astype(np.int64)
+    arr = arr.astype(np.int64)
+    if low is not None and arr.size:
+        _int_value(name, int(arr.min()), low)
+    return arr
 
 
 def _is_number(x) -> bool:
@@ -69,20 +74,23 @@ def _is_float(x) -> bool:
     return isinstance(x, (float, np.floating))
 
 
-def _int_value(name: str, x) -> int:
+def _int_value(name: str, x, low: int | None = None) -> int:
     """``x`` as a Python int, by the rule of :func:`_int_field`: booleans,
-    non-numbers and numbers with a fractional part raise ``ValueError``
-    naming the field; integral floats pass."""
+    non-numbers, numbers with a fractional part and values below ``low`` (0
+    asks for a non-negative value, 1 for a positive one) raise
+    ``GraphError`` naming the field; integral floats pass."""
     if not _is_number(x) or _is_float(x) and not (math.isfinite(x) and x.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {x!r}")
+        raise GraphError(f"{name} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise GraphError(f"{name} must be {'positive' if low else 'non-negative'}, got {int(x)}")
     return int(x)
 
 
 def _finite_value(name: str, x) -> float:
     """``x`` if it is a finite number (numpy scalars as Python numbers);
-    booleans, NaN and infinities raise ``ValueError`` naming the field."""
+    booleans, NaN and infinities raise ``GraphError`` naming the field."""
     if not _is_number(x) or _is_float(x) and not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite number, got {x!r}")
+        raise GraphError(f"{name} must be a finite number, got {x!r}")
     return x.item() if isinstance(x, np.generic) else x
 
 
@@ -117,14 +125,9 @@ class Graph:
     graph_label: float | int | None = None
 
     def __post_init__(self):
-        try:   # the package's integer and finite-number rules
-            n = _int_value("num_nodes", self.num_nodes)
-            if self.graph_label is not None:
-                _finite_value("graph_label", self.graph_label)
-        except ValueError as e:
-            raise GraphError(str(e)) from e
-        if n < 0:
-            raise GraphError(f"num_nodes must be non-negative, got {n}")
+        n = _int_value("num_nodes", self.num_nodes, 0)
+        if self.graph_label is not None:
+            _finite_value("graph_label", self.graph_label)
         object.__setattr__(self, "num_nodes", n)
         edges = _int_field("edges", self.edges)
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
@@ -421,13 +424,6 @@ def _probability(name: str, p) -> float:
     return p
 
 
-def _rng_seed(seed) -> int:
-    seed = _int_value("seed", seed)
-    if seed < 0:
-        raise GraphError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
     """Ring lattice over n nodes, k nearest neighbours, rewired with prob beta.
 
@@ -441,7 +437,7 @@ def generate_watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph
     if n <= k:
         raise GraphError(f"n must exceed k, got n={n}, k={k}")
     beta = _probability("beta", beta)
-    rng = np.random.default_rng(_rng_seed(seed))
+    rng = np.random.default_rng(_int_value("seed", seed, 0))
     adj: list[set[int]] = [set() for _ in range(n)]
     edge_list: list[tuple[int, int]] = []
     for j in range(1, k // 2 + 1):
@@ -501,11 +497,9 @@ def _kept_pairs(rng: np.random.Generator, n: int, p_max: float, p_of=None) -> np
 
 def generate_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each unordered pair kept independently with probability p."""
-    n = _int_value("n", n)
-    if n < 1:
-        raise GraphError(f"n must be at least 1, got {n}")
+    n = _int_value("n", n, 1)
     p = _probability("p", p)
-    edges = _kept_pairs(np.random.default_rng(_rng_seed(seed)), n, p)
+    edges = _kept_pairs(np.random.default_rng(_int_value("seed", seed, 0)), n, p)
     return Graph(num_nodes=n, edges=edges, node_features=np.ones((n, 1)))
 
 
@@ -523,7 +517,7 @@ def generate_sbm(sizes: tuple[int, ...], p_in: float, p_out: float, seed: int = 
         raise GraphError(f"sizes must be a flat sequence of non-negative block sizes, "
                          f"got {sizes.tolist()}")
     p_in, p_out = _probability("p_in", p_in), _probability("p_out", p_out)
-    seed = _rng_seed(seed)
+    seed = _int_value("seed", seed, 0)
     n = int(sum(sizes))
     blocks = np.repeat(np.arange(len(sizes)), sizes)
     edges = _kept_pairs(np.random.default_rng(seed), n, max(p_in, p_out),

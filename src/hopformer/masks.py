@@ -59,10 +59,7 @@ class HopMask:
 
     def __post_init__(self):
         for name in ("hop_budget", "size"):
-            value = _int_value(f"mask {name}", getattr(self, name))
-            if value < 0:
-                raise ValueError(f"mask {name} must be non-negative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _int_value(f"mask {name}", getattr(self, name), 0))
         # np.asarray([]) is float64; an empty sequence holds no non-integer
         indptr, indices = (a.astype(np.int64) if a.size == 0 else a
                            for a in (np.asarray(self.indptr), np.asarray(self.indices)))
@@ -258,8 +255,7 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, t: int,
     ``min(max_hops, t - 1)`` or at an empty frontier; ``dist`` has the
     smallest unsigned dtype that holds the last level.
     """
-    if max_hops < 0:
-        raise ValueError(f"hop budget must be non-negative, got {max_hops}")
+    max_hops = _int_value("hop budget", max_hops, 0)
     levels = min(max_hops, max(t - 1, 0))
     dist_dtype = np.min_scalar_type(levels)
     starts, degrees = indptr[:-1], np.diff(indptr)
@@ -307,8 +303,9 @@ def build_mask(ag: AugmentedGraph, n: int) -> HopMask:
 def build_head_masks(ag: AugmentedGraph, hops: list[int]) -> list[HopMask]:
     """One mask per head from a single search to ``max(hops)``; identical
     budgets share a single underlying mask.  Budgets follow the package's
-    integer rule: ``2.0`` is 2, a boolean or a fraction is refused, and so is
-    a string, as ``ModelConfig`` refuses one for ``head_hops``.
+    integer rule: ``2.0`` is 2, a boolean, a fraction or a negative budget is
+    refused by its entry, and so is a string, as ``ModelConfig`` refuses one
+    for ``head_hops``.
 
     A one-block search (:func:`_one_block`) turns the bit-row reach at each
     budget into its mask, and budgets past the level where the reach stops
@@ -319,11 +316,9 @@ def build_head_masks(ag: AugmentedGraph, hops: list[int]) -> list[HopMask]:
                          f"got {type(ag).__name__}")
     if isinstance(hops, (str, bytes)) or not hasattr(hops, "__iter__"):
         raise ValueError(f"hops must be a list of integers, got {hops!r}")
-    hops = [_int_value(f"hop budget {i}", n) for i, n in enumerate(hops)]
+    hops = [_int_value(f"hop budget {i}", n, 0) for i, n in enumerate(hops)]
     if not hops:
         raise ValueError("hops must be non-empty")
-    if min(hops) < 0:
-        raise ValueError(f"hop budget must be non-negative, got {min(hops)}")
     t = ag.total_tokens
     if _one_block(t, ag.indices.size):
         csr = {}

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import autograd as ops
 from .autograd import Tensor, ShapeError
-from .graphs import (Graph, GraphError, _config_from_obj, _finite_value, _int_field,
-                     _int_value, _json_object, _read_json, _write_json)
+from .graphs import (Graph, GraphError, _config_from_obj, _finite_rows, _finite_value,
+                     _int_field, _int_value, _json_object, _read_json, _write_json)
 from .masks import HopMask
 
 CHECKPOINT_MAGIC = "HOPFORMER2"
@@ -60,34 +60,26 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("hidden_dim", "num_layers", "ffn_dim", "num_heads", "output_dim", "seed"):
-            object.__setattr__(self, name, _int_value(name, getattr(self, name)))
+        for name, low in (("hidden_dim", 1), ("num_layers", 0), ("ffn_dim", 1),
+                          ("num_heads", None), ("output_dim", 1), ("seed", 0)):
+            object.__setattr__(self, name, _int_value(name, getattr(self, name), low))
         if self.num_classes is not None:
-            object.__setattr__(self, "num_classes", _int_value("num_classes", self.num_classes))
+            object.__setattr__(self, "num_classes", _int_value("num_classes", self.num_classes, 1))
         if isinstance(self.head_hops, (str, bytes)) or not hasattr(self.head_hops, "__iter__"):
             raise ValueError(f"head_hops must be a list of integers, got {self.head_hops!r}")
         object.__setattr__(self, "head_hops", tuple(
-            _int_value(f"head_hops entry {i}", h) for i, h in enumerate(self.head_hops)))
+            _int_value(f"head_hops entry {i}", h, 0) for i, h in enumerate(self.head_hops)))
         for name in ("dropout", "attention_dropout"):
             r = _finite_value(name, getattr(self, name))
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {r}")
             object.__setattr__(self, name, r)
-        for name in ("hidden_dim", "ffn_dim", "output_dim", "num_classes"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
         if self.num_heads < 1 or self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"num_heads ({self.num_heads}) must divide hidden_dim ({self.hidden_dim})")
         if len(self.head_hops) != self.num_heads:
             raise ValueError(
                 f"head_hops has {len(self.head_hops)} entries for {self.num_heads} heads")
-        if any(h < 0 for h in self.head_hops):
-            raise ValueError(f"head_hops entries must be non-negative, got {self.head_hops}")
-        for name in ("num_layers", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.readout not in READOUTS:
@@ -151,11 +143,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_model(cfg: ModelConfig, d_v: int, d_e: int = 0) -> Model:
     """Glorot-uniform weights, zero biases, unit layer-norm gains; seeded."""
-    d_v, d_e = _int_value("d_v", d_v), _int_value("d_e", d_e)
-    if d_v < 1:
-        raise ValueError(f"d_v must be at least 1, got {d_v}")
-    if d_e < 0:
-        raise ValueError(f"d_e must be non-negative, got {d_e}")
+    d_v, d_e = _int_value("d_v", d_v, 1), _int_value("d_e", d_e, 0)
     _check_weights(cfg, d_v + d_e)
     rng = np.random.default_rng(cfg.seed)
     d, d_h, f = cfg.hidden_dim, cfg.head_dim, cfg.ffn_dim
@@ -319,24 +307,29 @@ def _check_masks(m: Model, masks: list[HopMask], total_tokens: int | None = None
     return total_tokens
 
 
-def _check_graph(m: Model, g: Graph, name: str) -> None:
+def _check_graph(m: Model, g: Graph, name: str, masks=...) -> None:
     """The one rule for a graph fitting the model, a refusal naming ``name``:
     a Graph with node features of dim ``d_v`` and, with edges, exactly
-    ``d_e`` edge-feature columns."""
+    ``d_e`` edge-feature columns.  Given ``masks`` (None too, which is
+    refused), they are its head masks by :func:`_check_masks`, over its
+    N + M tokens."""
     if not isinstance(g, Graph):
         raise GraphError(f"{name} is a {type(g).__name__}, not a Graph")
     if g.node_feature_dim != m.d_v or g.num_edges and g.edge_feature_dim != m.d_e:
         raise GraphError(f"{name} has node/edge feature dims {g.node_feature_dim}/"
                          f"{g.edge_feature_dim}, the model expects {m.d_v}/{m.d_e}")
+    if masks is not ...:
+        try:
+            _check_masks(m, masks, g.num_nodes + g.num_edges)
+        except ShapeError as e:
+            raise ShapeError(f"{name}: {e}") from e
 
 
-def _check_graph_masks(m: Model, g: Graph, masks: list[HopMask], name: str) -> None:
-    """:func:`_check_masks` for the N + M tokens of ``g``, a refusal naming
-    ``name``."""
-    try:
-        _check_masks(m, masks, g.num_nodes + g.num_edges)
-    except ShapeError as e:
-        raise ShapeError(f"{name}: {e}") from e
+def _check_nodes(cfg: ModelConfig, g: Graph, name: str) -> None:
+    """Graph-level tasks' rule, a refusal naming ``name``: at least one node
+    (a forward runs a graph of none, but its readout has no row to pool)."""
+    if g.num_nodes == 0 and cfg.task != "node_classification":
+        raise GraphError(f"{name} has no nodes; graph-level tasks need at least one")
 
 
 def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
@@ -389,27 +382,22 @@ def forward(m: Model, g: Graph | list[Graph], _ag,
 
     ``g`` gives the token layout (nodes, then edges).  The third argument is
     not read; it stays positional so calls that pass the graph's
-    AugmentedGraph there still run.  :func:`_check_graph` and
-    :func:`_check_graph_masks` check each graph before any tape entry.
+    AugmentedGraph there still run.  :func:`_check_graph` checks each graph
+    and its masks before any tape entry.
     """
     if isinstance(g, Graph):   # one graph: a batch of one
         g, masks = [g], [masks]
     if not all(isinstance(x, (list, tuple)) for x in (g, masks)):
         raise ShapeError("forward takes a Graph and its head masks, or parallel lists of them")
-    ids = range(len(g)) if graph_ids is None else _int_field("graph_ids", graph_ids)
+    ids = range(len(g)) if graph_ids is None else _int_field("graph_ids", graph_ids, 0)
     if np.ndim(ids) != 1:
         raise ShapeError(f"graph_ids must be a list of integers, got {graph_ids!r}")
     if not len(g) == len(masks) == len(ids):
         raise ShapeError(f"a batch of {len(g)} graphs got {len(masks)} head-mask lists "
                          f"and {len(ids)} graph ids")
-    if len(ids) and min(ids) < 0:
-        raise ValueError(f"graph_ids must be non-negative, got {int(min(ids))}")
-    seed = 0 if rng_seed is None else _int_value("rng_seed", rng_seed)
-    if seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {seed}")
+    seed = 0 if rng_seed is None else _int_value("rng_seed", rng_seed, 0)
     for b, (x, gm) in enumerate(zip(g, masks)):
-        _check_graph(m, x, f"batch graph {b}")
-        _check_graph_masks(m, x, gm, f"batch graph {b}")
+        _check_graph(m, x, f"batch graph {b}", gm)
     rows = ops._query_rows(rows, [x.num_nodes + x.num_edges for x in g], training and (
         m.cfg.dropout > 0.0 or m.cfg.attention_dropout > 0.0))
     seeds = [0] * len(g) if rng_seed is None else [seed + int(i) for i in ids]
@@ -435,9 +423,11 @@ def predict_node(m: Model, h: Tensor, num_nodes: int) -> Tensor:
     ``h`` holds the graph's token rows, nodes first, or just its N node rows
     (a forward with ``rows=N``); fewer rows than nodes are refused.  For a
     forward that asked for a set of node rows, ``num_nodes`` is the set's
-    size, and the logits are the set's, in its order."""
+    size, and the logits are the set's, in its order.  ``num_nodes`` follows
+    the package's integer rule and may not be negative."""
     if m.cfg.task != "node_classification":
         raise ValueError(f"predict_node needs a node_classification model, got {m.cfg.task!r}")
+    num_nodes = _int_value("num_nodes", num_nodes, 0)
     if h.values.shape[0] < num_nodes:
         raise ShapeError(f"predict_node needs {num_nodes} node rows, h has "
                          f"{h.values.shape[0]} rows")
@@ -482,12 +472,10 @@ def load_model(path: str) -> Model:
         raise ValueError(f"checkpoint parameter names do not match the config: {odd[0]} is "
                          f"{'unknown' if odd[0] in stored else 'missing'}")
     for name, t in params.items():
-        arr = np.asarray(stored[name], dtype=np.float64)
+        arr = _finite_rows(f"checkpoint param {name}", stored[name])
         if arr.shape != t.values.shape:
             raise ValueError(
                 f"checkpoint param {name} has shape {arr.shape}, expected {t.values.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"checkpoint param {name} has a non-finite value")
         t.values = arr
     return m
 

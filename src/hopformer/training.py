@@ -29,7 +29,7 @@ from . import autograd as ops
 from .autograd import Tensor, no_grad, scratch_tape
 from .graphs import Graph, GraphError, _finite_value, _int_field, _int_value, augment
 from .masks import build_head_masks
-from .model import (Model, _check_graph, _check_graph_masks, copy_parameter_values, forward,
+from .model import (Model, _check_graph, _check_nodes, copy_parameter_values, forward,
                     named_parameters, predict_graph, predict_node, readout,
                     set_parameter_values)
 
@@ -56,18 +56,14 @@ class TrainConfig:
     test_frac: float = 0.2
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed", "early_stop_patience"):
-            object.__setattr__(self, name, _int_value(name, getattr(self, name)))
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0),
+                          ("early_stop_patience", 0)):
+            object.__setattr__(self, name, _int_value(name, getattr(self, name), low))
         for name in ("learning_rate", "weight_decay", "train_frac", "val_frac", "test_frac"):
             object.__setattr__(self, name, _finite_value(name, getattr(self, name)))
         # lr = 0 and epochs = 0 are legal no-op configurations
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        for name in ("epochs", "seed", "early_stop_patience"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         for name in ("train_frac", "val_frac", "test_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -188,9 +184,7 @@ def split_indices(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.
     """Seeded random split of range(n) into train/val/test index arrays.
     ``n`` follows the package's integer rule (``10.0`` is 10) and may not be
     negative."""
-    n = _int_value("n", n)
-    if n < 0:
-        raise GraphError(f"n must be non-negative, got {n}")
+    n = _int_value("n", n, 0)
     perm = np.random.default_rng([cfg.seed, 17]).permutation(n)
     n_train = int(round(cfg.train_frac * n))
     n_val = int(round(cfg.val_frac * n))
@@ -227,6 +221,9 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
     None; every item's target; and the values of ``splits`` (a name ->
     indices dict), each sorted."""
     cfg = model.cfg
+    if cfg.task == "graph_regression" and cfg.output_dim != 1:
+        raise ValueError(f"graph_regression trains on one graph_label per graph, so "
+                         f"output_dim must be 1, got {cfg.output_dim}")
     node_task = cfg.task == "node_classification"
     graphs = _graphs(model, dataset)
     mask_lists = [masks] if node_task else masks
@@ -237,13 +234,11 @@ def _prepare(model: Model, dataset, masks, splits: dict) -> tuple:
         raise ValueError(f"{len(mask_lists)} head-mask lists for {len(graphs)} graphs")
     for i, g in enumerate(graphs):
         name = "the graph" if node_task else f"graph {i}"
-        _check_graph(model, g, name)
-        if not node_task and g.num_nodes == 0:
-            raise GraphError(f"graph {i} has no nodes; graph-level tasks need at least one")
+        # ``...``: no masks given, none to check; a given None entry is refused
+        _check_graph(model, g, name, ... if masks is None else mask_lists[i])
+        _check_nodes(cfg, g, name)
         if not node_task and g.graph_label is None:
             raise GraphError(f"graph {i} has no graph_label; graph-level tasks need one")
-        if masks is not None:   # a given None entry is refused, not built
-            _check_graph_masks(model, g, mask_lists[i], name)
     if node_task and dataset.node_labels is None:
         raise ValueError("node classification requires node_labels")
     targets = dataset.node_labels if node_task else np.asarray(
@@ -346,11 +341,11 @@ def train(model: Model, dataset, masks, cfg: TrainConfig) -> tuple[Model, RunHis
     masks.  Graph tasks: ``dataset`` is a list of Graphs and ``masks`` a
     parallel list of per-graph head-mask lists.  With ``masks=None`` each
     graph's head masks are built from ``model.cfg.head_hops``.  Refused before
-    any forward, naming the item: a dataset of the wrong kind; a graph without
-    nodes or without the task's label; a class label that is not an integer in
-    [0, num_classes); feature dims other than the model's ``d_v``/``d_e``;
-    head masks that do not fit their graph; an empty split, or one that
-    repeats an index.
+    any forward, naming the item: a graph_regression model of more than one
+    output; a dataset of the wrong kind; a graph without nodes or without the
+    task's label; a class label that is not an integer in [0, num_classes);
+    feature dims other than the model's ``d_v``/``d_e``; head masks that do
+    not fit their graph; an empty split, or one that repeats an index.
 
     A step runs its own training forward unless a held forward has already
     given it its rows.  A node task with ``dropout`` and

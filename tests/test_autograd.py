@@ -146,6 +146,18 @@ class TestDensePrimitives:
                 take(Tensor(np.ones((10, 8))))
             assert tape == []
 
+    @pytest.mark.parametrize("start, stop, message", [
+        (0, True, "stop must be an integer, got True"),
+        (True, 3, "start must be an integer, got True"),
+        (0, 2.5, "stop must be an integer, got 2.5"),
+        ("1", 3, "start must be an integer, got '1'")])
+    def test_row_slice_bounds_follow_the_integer_rule(self, start, stop, message):
+        # True was read as 1, and 2.5 or "1" raised a bare TypeError
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            ops.row_slice(Tensor(np.ones((10, 8))), start, stop)
+        assert np.array_equal(ops.row_slice(Tensor(np.arange(10.0)[:, None]), 1.0, 3.0).values,
+                              [[1.0], [2.0]])
+
     @pytest.mark.parametrize("rows, first", [([1, 1], 1), (np.array([3, 1, 3, 1]), 3),
                                              (np.array([0, 9, 4, 9]), 9)])
     def test_repeated_rows_are_refused(self, rows, first):
@@ -194,6 +206,20 @@ class TestDensePrimitives:
     def test_dropout_bad_rate(self):
         with pytest.raises(ValueError):
             ops.dropout(Tensor(np.ones((2, 2))), 1.0, 0, True)
+
+    @pytest.mark.parametrize("rate", ["0.5", None, False, [0.1]])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_dropout_rates_that_are_not_numbers_refused_by_name(self, rate, training):
+        # "0.5" and None raised a bare TypeError, and False ran as rate 0
+        x = Tensor(np.ones((4, 2)))
+        mask = build_mask(augment(generate_erdos_renyi(3, 1.0, seed=0)), 1)
+        q = Tensor(np.ones((mask.size, 2)))
+        for call in (lambda: ops.dropout(x, rate, 0, training),
+                     lambda: sparse_masked_attention(q, q, q, mask, dropout_rate=rate,
+                                                     training=training)):
+            with pytest.raises(GraphError, match=f"^dropout rate must be a number, "
+                                                 f"got {re.escape(repr(rate))}$"):
+                call()
 
     @pytest.mark.parametrize("rate, training", [(0.0, True), (0.3, False)])
     @pytest.mark.parametrize("seeds, sizes", [([1, 2], [5]), ([1], [2, 2]), ([1, 2], [2, 2])])

@@ -10,13 +10,22 @@ traceback.  The mutation kinds are enumerated; the graph, head, field and
 value each case mutates are drawn from a seeded generator.
 """
 
+import dataclasses
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
-from hopformer import (ModelConfig, TrainConfig, augment, build_head_masks, evaluate,
-                       flop_count, forward, generate_erdos_renyi, init_model, train)
+import hopformer
+from hopformer import (HopMask, ModelConfig, Tensor, TrainConfig, attention_flops, augment,
+                       build_head_masks, build_mask, evaluate, flop_count, flops_vs_nnz_report,
+                       forward, generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
+                       influence_matrix, init_model, load_model, predict_node,
+                       receptive_field_probe, save_model, sparse_masked_attention,
+                       split_indices, train)
+from hopformer import autograd as ops
 from hopformer.autograd import ShapeError, scratch_tape
 from hopformer.cli import main
 from hopformer.graphs import Graph, GraphError
@@ -346,3 +355,231 @@ def test_mutated_json_exits_zero_or_two_naming_the_item(tmp_path, capsys, seed):
                                     and any(n in err for n in named)):
                 failures.append(f"{command}, {label}: {err!r} does not name {named}")
     assert not failures, "\n".join(failures)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints: one field or parameter of a saved model's JSON mutated
+
+
+def checkpoint_mutations(rng, obj):
+    """(kind, mutate(obj) in place, names of which a refusal must hold one,
+    or None for a checkpoint that may load)."""
+    cases = []
+    for field in ("magic", "config", "d_v", "d_e", "params"):
+        cases.append((f"{field} dropped", lambda o, f=field: o.pop(f), (field,)))
+        cases.append((f"{field} renamed", lambda o, f=field: o.update({f + "_": o.pop(f)}),
+                      (field,)))
+    for field, values in [("magic", [2, None, ["HOPFORMER2"]]), ("config", [[], "config", 1]),
+                          ("d_v", ["3", 2.5, True, -1, 0, None, [3]]),
+                          ("d_e", ["2", 0.5, True, -1, None, {}]),
+                          ("params", [[], "params", None])]:
+        for value in values:
+            cases.append((f"{field} = {value!r}", lambda o, f=field, v=value: o.update({f: v}),
+                          (field,)))
+    cfg = obj["config"]
+    field = list(cfg)[int(rng.integers(len(cfg)))]
+    # a config field whose default is its saved value may be dropped
+    default = {f.name: f.default for f in dataclasses.fields(ModelConfig)}.get(field)
+    cases.append((f"config field {field} dropped", lambda o: o["config"].pop(field),
+                  None if default == cfg[field] else (field, *ALIASES.get(field, ()))))
+    cases.append((f"config field {field} renamed",
+                  lambda o: o["config"].update({field + "_": o["config"].pop(field)}),
+                  (field + "_",)))
+    for value in [2.5, True, "1", None, []]:
+        cases.append((f"config field {field} = {value!r}",
+                      lambda o, v=value: o["config"].update({field: v}), (field,)))
+    params = obj["params"]
+    name = list(params)[int(rng.integers(len(params)))]
+    rows = params[name]
+    i, j = (int(rng.integers(n)) for n in (len(rows), len(rows[0])))
+    nan = [list(r) for r in rows]
+    nan[i][j] = float("nan")
+    cases += [
+        (f"param {name} dropped", lambda o: o["params"].pop(name), (name,)),
+        (f"param {name} renamed", lambda o: o["params"].update({name + "_": o["params"].pop(name)}),
+         (name,)),
+    ]
+    for kind, value, named in [
+            ("a string", "x", (name,)), ("a numeric string", "0.5", (name,)),
+            ("strings", [[str(x) for x in r] for r in rows], None),
+            ("ragged", [r[:1] if k == i else r for k, r in enumerate(rows)] if len(rows[0]) > 1
+             else rows + [[0.0, 0.0]], (name,)),
+            ("nested", [[r] for r in rows], (name,)),
+            ("an object", {"a": 1}, (name,)),
+            ("None", None, (name,)),
+            ("a boolean", True, (name,)),
+            ("booleans", [[True] * len(r) for r in rows], None),
+            ("NaN at an entry", nan, (name,))]:
+        cases.append((f"param {name} {kind}", lambda o, v=value: o["params"].update({name: v}),
+                      named))
+    return cases
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_checkpoints_are_loaded_or_refused_by_name(tmp_path, seed):
+    # a parameter given as a string, a ragged list or an object failed with
+    # numpy's conversion errors or a bare TypeError, naming no parameter
+    rng = np.random.default_rng([seed, 61])
+    failures = []
+    model, _ = node_inputs()
+    model = init_model(model.cfg, 3, 2)
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    saved = path.read_text()
+    for kind, mutate, named in checkpoint_mutations(rng, json.loads(saved)):
+        obj = json.loads(saved)
+        mutate(obj)
+        path.write_text(json.dumps(obj))
+        case = f"checkpoint, {kind}"
+        message = outcome(failures, case, lambda: load_model(str(path)))
+        if named is not None and message is None:
+            failures.append(f"{case}: loaded")
+        elif named is not None and not any(n in message for n in named):
+            failures.append(f"{case}: {message!r} does not name {named}")
+    assert not failures, "\n".join(failures)
+
+
+# ---------------------------------------------------------------------------
+# Count and rate arguments: every public one fed the same bad values
+
+SWEEP = [-1, 0, 2.5, True, "1", None]
+
+
+def sweep_table():
+    """{"<function or class>.<argument>": (call taking the value, the reprs
+    of the SWEEP values it runs on, names of which a refusal holds one)}.
+    Every other SWEEP value must be refused."""
+    node_model, g = node_inputs()
+    graph_model, graphs = graph_inputs()
+    ag, masks = augment(g), head_masks(node_model, g)
+    cfg = dict(hidden_dim=8, head_hops=(1, 2), num_layers=1, ffn_dim=16, num_heads=2,
+               task="graph_classification", num_classes=2)
+    four, h = Tensor(np.ones((4, 2))), Tensor(np.ones((10, 8)))
+    q = Tensor(np.ones((ag.total_tokens, 2)))
+    table = {}
+    for name in ("hidden_dim", "ffn_dim", "num_heads", "num_classes", "output_dim"):
+        table[f"ModelConfig.{name}"] = (
+            lambda v, n=name: ModelConfig(**dict(cfg, **{n: v})), (), (name,))
+    for name in ("num_layers", "seed", "dropout", "attention_dropout"):
+        table[f"ModelConfig.{name}"] = (
+            lambda v, n=name: ModelConfig(**dict(cfg, **{n: v})), ("0",), (name,))
+    table["ModelConfig.head_hops"] = (
+        lambda v: ModelConfig(**dict(cfg, head_hops=(v, 1))), ("0",), ("head_hops entry 0",))
+    train_cfg = dict(learning_rate=1e-2, epochs=1)
+    for name, runs in [("epochs", ("0",)), ("batch_size", ()), ("seed", ("0",)),
+                       ("early_stop_patience", ("0",)), ("learning_rate", ("0", "2.5")),
+                       ("weight_decay", ("-1", "0", "2.5"))]:
+        table[f"TrainConfig.{name}"] = (
+            lambda v, n=name: TrainConfig(**dict(train_cfg, **{n: v})), runs, (name,))
+    for name in ("train_frac", "val_frac", "test_frac"):
+        table[f"TrainConfig.{name}"] = (
+            lambda v, n=name: TrainConfig(**dict(train_cfg, **{n: v})), (),
+            (name, "split fractions"))
+    table["HopMask.hop_budget"] = (lambda v: HopMask(v, 1, [0, 1], [0]), ("0",),
+                                   ("mask hop_budget",))
+    table["HopMask.size"] = (lambda v: HopMask(0, v, [0], []), ("0",), ("mask size",))
+    table["Graph.num_nodes"] = (
+        lambda v: Graph(num_nodes=v, edges=np.zeros((0, 2)), node_features=np.zeros((0, 1))),
+        ("0",), ("num_nodes",))
+    table["Graph.graph_label"] = (
+        lambda v: Graph(num_nodes=1, edges=np.zeros((0, 2)), node_features=[[1.0]],
+                        graph_label=v), ("-1", "0", "2.5", "None"), ("graph_label",))
+    table.update({
+        "generate_erdos_renyi.n": (lambda v: generate_erdos_renyi(v, 0.5), (), ("n",)),
+        "generate_erdos_renyi.p": (lambda v: generate_erdos_renyi(4, v), ("0",), ("p",)),
+        "generate_erdos_renyi.seed": (lambda v: generate_erdos_renyi(4, 0.5, v), ("0",),
+                                      ("seed",)),
+        "generate_watts_strogatz.n": (lambda v: generate_watts_strogatz(v, 2, 0.1), (), ("n",)),
+        "generate_watts_strogatz.k": (lambda v: generate_watts_strogatz(6, v, 0.1), (), ("k",)),
+        "generate_watts_strogatz.beta": (lambda v: generate_watts_strogatz(6, 2, v), ("0",),
+                                         ("beta",)),
+        "generate_watts_strogatz.seed": (lambda v: generate_watts_strogatz(6, 2, 0.1, v),
+                                         ("0",), ("seed",)),
+        "generate_sbm.sizes": (lambda v: generate_sbm([v, 3], 0.5, 0.1), ("0",), ("sizes",)),
+        "generate_sbm.p_in": (lambda v: generate_sbm([3, 3], v, 0.1), ("0",), ("p_in",)),
+        "generate_sbm.p_out": (lambda v: generate_sbm([3, 3], 0.5, v), ("0",), ("p_out",)),
+        "generate_sbm.seed": (lambda v: generate_sbm([3, 3], 0.5, 0.1, v), ("0",), ("seed",)),
+        "split_indices.n": (lambda v: split_indices(v, TRAIN), ("0",), ("n",)),
+        "init_model.d_v": (lambda v: init_model(graph_model.cfg, v), (), ("d_v",)),
+        "init_model.d_e": (lambda v: init_model(graph_model.cfg, 2, v), ("0",), ("d_e",)),
+        "forward.rng_seed": (lambda v: forward(node_model, g, None, masks, rng_seed=v),
+                             ("0", "None"), ("rng_seed",)),
+        "forward.graph_ids": (lambda v: forward(graph_model, graphs[:1], None,
+                                                [head_masks(graph_model, graphs[0])],
+                                                graph_ids=[v]), ("0",), ("graph_ids",)),
+        "forward.rows": (lambda v: forward(node_model, g, None, masks, rows=v), ("None",),
+                         ("rows",)),
+        "predict_node.num_nodes": (lambda v: predict_node(node_model, h, v), ("0",),
+                                   ("num_nodes",)),
+        "row_slice.start": (lambda v: ops.row_slice(four, v, 3), ("0",), ("start", "row slice")),
+        "row_slice.stop": (lambda v: ops.row_slice(four, 0, v), ("0",), ("stop", "row slice")),
+        "split_cols.n": (lambda v: ops.split_cols(four, v), (), ("n",)),
+        "influence_matrix.head": (lambda v: influence_matrix(node_model, masks, head=v),
+                                  ("0", "None"), ("head",)),
+        "influence_matrix.seed": (lambda v: influence_matrix(node_model, masks, seed=v),
+                                  ("0",), ("seed",)),
+        "receptive_field_probe.token": (lambda v: receptive_field_probe(node_model, masks, v),
+                                        ("0",), ("token",)),
+        "dropout.rate": (lambda v: ops.dropout(four, v, 0, True), ("0",), ("dropout rate",)),
+        "sparse_masked_attention.dropout_rate": (
+            lambda v: sparse_masked_attention(q, q, q, masks[0], dropout_rate=v, training=True),
+            ("0",), ("dropout rate",)),
+        "attention_flops.nnz": (lambda v: attention_flops(v, 2), ("0",), ("nnz",)),
+        "attention_flops.head_dim": (lambda v: attention_flops(4, v), (), ("head_dim",)),
+        "build_mask.n": (lambda v: build_mask(ag, v), ("0",), ("hop budget",)),
+        "build_head_masks.hops": (lambda v: build_head_masks(ag, [v, 1]), ("0",),
+                                  ("hop budget 0",)),
+        "flops_vs_nnz_report.hop_configs": (
+            lambda v: flops_vs_nnz_report(graphs[:1], [[v, 1], [1, 1], [2, 2]],
+                                          graph_model.cfg), ("0",), ("head_hops entry 0",)),
+    })
+    return table
+
+
+def test_every_count_and_rate_argument_runs_or_is_refused_by_name():
+    # predict_node's num_nodes and row_slice's bounds read True as 1 and
+    # raised a bare TypeError on 2.5 or "3"; a dropout rate of "0.5" or None
+    # raised a bare TypeError, and False ran as rate 0
+    failures = []
+    for arg, (call, runs, names) in sweep_table().items():
+        for value in SWEEP:
+            case = f"{arg} = {value!r}"
+            message = outcome(failures, case, lambda: call(value))
+            if repr(value) in runs:
+                if message is not None:
+                    failures.append(f"{case}: refused: {message}")
+            elif message is None:
+                failures.append(f"{case}: ran")
+            elif not any(re.search(rf"\b{re.escape(n)}\b", message) for n in names):
+                failures.append(f"{case}: {message!r} does not name {names}")
+    assert not failures, "\n".join(failures)
+
+
+def int_parameters() -> set[str]:
+    """"<function or class>.<parameter>" for each int-annotated parameter of
+    the public functions of ``hopformer`` and ``hopformer.autograd``, and
+    each int-annotated field of the public dataclasses that check their
+    fields on construction (those with a ``__post_init__``).  Annotations
+    are strings under ``from __future__ import annotations``."""
+    found = set()
+    for module in (hopformer, ops):
+        for name in getattr(module, "__all__", None) or dir(module):
+            obj = getattr(module, name)
+            if name.startswith("_") or getattr(obj, "__module__", "").split(".")[0] != "hopformer":
+                continue
+            if inspect.isfunction(obj):
+                params = [(p.name, p.annotation)
+                          for p in inspect.signature(obj).parameters.values()]
+            elif dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__"):
+                params = [(f.name, f.type) for f in dataclasses.fields(obj)]
+            else:
+                continue
+            found.update(f"{obj.__name__}.{p}" for p, note in params
+                         if isinstance(note, str) and re.search(r"\bint\b", note))
+    return found
+
+
+def test_the_sweep_table_covers_every_int_argument():
+    found = int_parameters()
+    assert {"ModelConfig.hidden_dim", "split_indices.n", "row_slice.start"} <= found
+    assert not found - set(sweep_table()), sorted(found - set(sweep_table()))

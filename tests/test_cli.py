@@ -556,7 +556,7 @@ class TestTrain:
         ("train", "learning_rate", -0.1, "learning_rate must be non-negative, got -0.1"),
         ("train", "epochs", -1, "epochs must be non-negative, got -1"),
         ("train", "batch_size", 0, "batch_size must be positive, got 0"),
-        ("model", "head_hops", [1, -3], "head_hops entries must be non-negative, got (1, -3)"),
+        ("model", "head_hops", [1, -3], "head_hops entry 1 must be non-negative, got -3"),
         ("model", "num_layers", -1, "num_layers must be non-negative, got -1"),
         ("model", "seed", -1, "seed must be non-negative, got -1"),
         ("train", "seed", -5, "seed must be non-negative, got -5"),

@@ -133,7 +133,7 @@ class TestInitModel:
     @pytest.mark.parametrize("dims,message", [
         (dict(d_v=2.5), "d_v must be an integer, got 2.5"),
         (dict(d_v=2, d_e=True), "d_e must be an integer, got True"),
-        (dict(d_v=0), "d_v must be at least 1, got 0"),
+        (dict(d_v=0), "d_v must be positive, got 0"),
         (dict(d_v=2, d_e=-1), "d_e must be non-negative, got -1")])
     def test_feature_dims_must_be_integers(self, dims, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -437,6 +437,18 @@ class TestPredictHeads:
         m = init_model(small_cfg(num_classes=2), d_v=1)
         with pytest.raises(ShapeError, match="needs 60 node rows, h has 10 rows"):
             predict_node(m, Tensor(np.ones((10, 8))), 60)
+
+    @pytest.mark.parametrize("num_nodes, message", [
+        (True, "num_nodes must be an integer, got True"),
+        (2.5, "num_nodes must be an integer, got 2.5"),
+        ("3", "num_nodes must be an integer, got '3'"),
+        (-1, "num_nodes must be non-negative, got -1")])
+    def test_node_count_follows_the_integer_rule(self, num_nodes, message):
+        # True scored one row, and 2.5 or "3" raised a bare TypeError
+        m = init_model(small_cfg(num_classes=2), d_v=1)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            predict_node(m, Tensor(np.ones((10, 8))), num_nodes)
+        assert predict_node(m, Tensor(np.ones((10, 8))), 3.0).values.shape == (3, 2)
 
 
 def batch_graphs(rng, d_e=0, labels=None):
@@ -882,6 +894,19 @@ class TestCheckpoint:
         assert m2.cfg == cfg
         for name, t in named_parameters(m).items():
             assert np.array_equal(t.values, named_parameters(m2)[name].values), name
+
+    @pytest.mark.parametrize("value", ["x", [[0.0], [0.0, 1.0]], {"a": 1}, [["0", "x"]]])
+    def test_non_numeric_parameter_rejected_by_name(self, tmp_path, value):
+        # numpy's "could not convert", "inhomogeneous shape" and a bare
+        # TypeError came out without the parameter's name
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        obj["params"]["layer0.wo"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(GraphError, match="^checkpoint param layer0.wo must be numeric rows "
+                                             "of equal length$"):
+            load_model(str(path))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_parameter_rejected_by_name(self, tmp_path, bad):

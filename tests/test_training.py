@@ -1072,6 +1072,18 @@ class TestPrepare:
         assert evaluate(model, as_float, masks, np.arange(6)) == \
             evaluate(model, graphs, masks, np.arange(6))
 
+    def test_multi_output_regression_refused(self, monkeypatch):
+        # graph labels are single numbers: train failed at its first step
+        # after building every mask, and evaluate scored column 0 alone
+        graphs = regression_dataset()
+        cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
+                          num_heads=2, task="graph_regression", output_dim=2)
+        for masks in (None, [build_head_masks(augment(g), [1, 3]) for g in graphs]):
+            self.refused_without_forward(
+                monkeypatch, init_model(cfg, 1), graphs, masks,
+                "^graph_regression trains on one graph_label per graph, so output_dim must "
+                "be 1, got 2$")
+
     def test_regression_targets_are_not_class_checked(self):
         graphs = regression_dataset()
         cfg = ModelConfig(hidden_dim=8, head_hops=(1, 3), num_layers=1, ffn_dim=16,
