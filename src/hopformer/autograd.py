@@ -28,8 +28,7 @@ The kernel picks one of two paths per mask from its size and density.  A
 mask of at most ``STACK_MAX_TOKENS`` tokens (a small graph) always takes the
 masked dense path: at that size, for a layer of several heads, the nnz
 path's fixed numpy-call cost outweighs the dense path's cost for the cells
-off the support at nearly every density (the table beside the constant,
-which also shows the loss on batches of layers of one or two sparse heads).
+off the support at nearly every density (the table beside the constant).
 A larger mask takes the nnz path below ``DENSE_MIN_DENSITY``.  The nnz path
 works on stored entries only, in a column layout: q, k, v and the upstream
 gradient are transposed once to contiguous (d_h, T) arrays.  CSR rows are
@@ -51,41 +50,28 @@ below it.  Both paths give the same results up to rounding.
 The kernel runs on a batch of graphs: a list of masks over consecutive row
 blocks of q, k and v, the graphs' token rows stacked, each graph's tokens
 attending only within its own block.  One mask is a batch of one, and a call
-records one tape entry.  Each block's own size and density pick its path,
-and a block of no tokens (an empty graph) takes neither.  Each dense block
-makes its own dense-path call on its own rows.  The nnz blocks, all of more
-than ``STACK_MAX_TOKENS`` tokens, run as one nnz-path call over one
-block-diagonal CSR pair (column ids, row starts): each block's column ids
-offset by its first row in the joined rows, its row starts by the stored
-entries before it, and its dropout draws concatenated in block order.  So
-a graph batch makes one nnz-path call per head, not one per graph, and pays
-the path's fixed numpy-call cost once.  The joined call is bit-identical
-to one call per block: elementwise steps see the same operands, each row's
-``reduceat`` sums the same entries in the same order, and each column's
-``bincount`` receives only its own block's entries, in stored-entry order.
-When every block takes the nnz path, q, k and v are used
-as they are; only a batch that mixes the paths gathers the nnz blocks' rows
-and scatters their outputs and grads back.  Row-wise primitives need no such
-form, as they act on each row alone; :func:`dropout` draws a batch's keep
-mask per segment, one tensor being one segment, and :func:`pool_segments`
-pools each segment's rows into one.
+records one tape entry.  The batch runs graph by graph, each graph's parts
+reading q, k and v as views of its own rows, so a graph's results are those
+of a call on it alone; a block of no tokens (an empty graph) makes no part.
+Row-wise primitives need no such form, as they act on each row alone;
+:func:`dropout` draws a batch's keep mask per segment, one tensor being one
+segment, and :func:`pool_segments` pools each segment's rows into one.
 
 Heads are a batch axis too: one call takes a layer's heads, q, k and v
 holding H * d_h columns (head h's are columns h*d_h:(h+1)*d_h) and one mask
 list per head, and records one tape entry per layer.  One mask list is one
-head.  The batch bookkeeping runs once per call; the path is still picked
-per (head, graph) block.  Each head's nnz blocks make its own joined
-nnz-path call.  The dense path works on exact-shape (heads, T, T) stacks,
-with no padding, of any H >= 1 heads: one ``np.matmul`` per product, which
-runs the same GEMM per head as a stack of that head alone, and row
-reductions over the last axis, which see the same rows.  So a head's
-results do not depend on the heads stacked with it.  A graph of at most
-``STACK_MAX_TOKENS`` tokens runs every head as one stack, whatever the
-heads' densities, paying the path's numpy-call overhead once per graph and
-layer, and makes no nnz-path call; a larger graph runs one stack per dense
-head, a stack of one.  Every part writes its results into its heads'
-columns of one (rows, H * d_h) array, which is the layer's concatenation of
-the heads.
+head.  The batch bookkeeping runs once per call.  The dense path works on
+exact-shape (heads, T, T) stacks, with no padding, of any H >= 1 heads: one
+``np.matmul`` per product, which runs the same GEMM per head as a stack of
+that head alone, and row reductions over the last axis, which see the same
+rows.  So a head's results do not depend on the heads stacked with it.  A
+graph of at most ``STACK_MAX_TOKENS`` tokens runs every head as one stack,
+whatever the heads' densities, paying the path's numpy-call overhead once
+per graph and layer, and makes no nnz-path call; a larger graph runs each
+head on the path its mask picks, a dense head as a stack of one.  Each part
+draws its attention dropout and adds its FLOP counts where it runs, and
+writes its results into its heads' columns of one (rows, H * d_h) array,
+which is the layer's concatenation of the heads.
 
 On one mask the kernel also takes the queries of only a sorted set of its
 rows, ``rows``, keys and values keeping all T; unset, q holds all T rows.
@@ -476,8 +462,9 @@ def dropout(x: Tensor, rate: float, seed, training_flag: bool, sizes=None) -> Te
                          f"for {n} rows")
     if not training_flag or rate == 0.0:
         return x
-    draw = _stack_rows([np.random.default_rng(0 if s is None else s).random((r, d))
-                        for s, r in zip(seeds, sizes)])
+    draws = [np.random.default_rng(0 if s is None else s).random((r, d))
+             for s, r in zip(seeds, sizes)]
+    draw = draws[0] if len(draws) == 1 else np.concatenate(draws)
     keep = (draw >= rate) / (1.0 - rate)
     return primitive(x.values * keep, lambda g: x._accum(g * keep))
 
@@ -490,11 +477,6 @@ def _check_rate(rate: float) -> None:
         raise GraphError(f"dropout rate must be a number, got {rate!r}")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-
-
-def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts' rows in order; one part is returned as it is, not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -601,34 +583,20 @@ def _set_nnz(b: HopMask, rows) -> int:
     return int((b.indptr[rows + 1] - b.indptr[rows]).sum())
 
 
-def _joined_csr(masks: list[HopMask], rows) -> tuple[np.ndarray, np.ndarray]:
-    """(col, starts) of a batch's masks joined block-diagonally, over a query
-    row set: the stored entries' column ids and the rows' starts in them.
-    Any set (see :func:`_query_rows`) for one mask, all rows for several.
-
-    One mask with a leading range r gives views of its first ``indptr[r]``
-    column ids and its first r row starts (no copy); another set gathers its
-    rows' column ids, in row order, by one ``take``.  Several masks give,
-    per block, its column ids offset by the block's first row in the joined
-    rows, and its row starts offset by the stored entries before it, so
-    every row holds the entries, in the order, that a call on its block
-    alone reads.
+def _csr_rows(b: HopMask, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(col, starts) of a query row set's rows of ``b`` (see
+    :func:`_query_rows`; an int r is range(r)): the stored entries' column
+    ids and the rows' starts in them.  A leading range r gives views of the
+    first ``indptr[r]`` column ids and the first r row starts (no copy);
+    another set gathers its rows' column ids, in row order, by one ``take``.
     """
-    if len(masks) == 1:
-        b = masks[0]
-        if isinstance(rows, int):
-            return b.indices[:b.indptr[rows]], b.indptr[:rows]
-        lo = b.indptr[rows]
-        counts = b.indptr[rows + 1] - lo
-        starts = np.cumsum(counts) - counts
-        return b.indices.take(np.repeat(lo - starts, counts)
-                              + np.arange(starts[-1] + counts[-1])), starts
-    sizes = np.array([b.size for b in masks])
-    nnzs = np.array([b.nnz for b in masks])
-    return (np.concatenate([b.indices for b in masks])
-            + np.repeat(np.cumsum(sizes) - sizes, nnzs),
-            np.concatenate([b.indptr[:-1] for b in masks])
-            + np.repeat(np.cumsum(nnzs) - nnzs, sizes))
+    if isinstance(rows, int):
+        return b.indices[:b.indptr[rows]], b.indptr[:rows]
+    lo = b.indptr[rows]
+    counts = b.indptr[rows + 1] - lo
+    starts = np.cumsum(counts) - counts
+    return b.indices.take(np.repeat(lo - starts, counts)
+                          + np.arange(starts[-1] + counts[-1])), starts
 
 
 def _sparse_path(qv, kv, vv, csr, dropmult):
@@ -745,8 +713,9 @@ def _dense_softmax(scores: np.ndarray, biases) -> np.ndarray:
 # once per head, dominates; above it the (heads, T, T) temporaries outgrow
 # the cache that one head's fit.
 #
-# Every head dense, against the density rule (sparse heads joined into one
-# nnz-path call per head, the dense ones stacked).  One call, forward plus
+# Every head dense, against the density rule as it then ran a batch (each
+# head's sparse blocks joined into one block-diagonal nnz-path call, the
+# dense ones stacked).  One call, forward plus
 # backward, 4 heads at hop budgets 1, 2, 4, 8, d_h = 4, same host, medians of
 # 21-41 interleaved calls; all-dense time over density-rule time, head
 # densities in brackets:
@@ -770,6 +739,9 @@ def _dense_softmax(scores: np.ndarray, biases) -> np.ndarray:
 # since their dense heads then run as one stack each (same calls, bound 48
 # against 64 vs the density rule: ER n = 17 1.18 vs 0.94, n = 18 1.17 vs
 # 0.95).  So 64 stays.  Every dense stack here is at most 64^2 cells a head.
+# The kernel now runs a batch graph by graph, so the density rule would make
+# one nnz-path call per small graph and sparse head, not one per head: the
+# batch ratios above were measured against that cheaper, joined side.
 STACK_MAX_TOKENS = 64
 
 
@@ -870,10 +842,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     ``mask`` may also be a non-empty list of masks whose sizes sum to the row
     count: block b covers the next ``mask[b].size`` rows of q, k and v and
     attends only within them, exactly as a call on those rows alone with
-    ``dropout_seed[b]`` would.  One mask is a batch of one.  The batch's nnz
-    blocks run as one block-diagonal nnz-path call, and each dense block as
-    its own dense-path call.  A block of no tokens (an empty graph) makes no
-    call: it adds no rows to the output and no grads.
+    ``dropout_seed[b]`` would.  One mask is a batch of one.  The blocks run
+    one after another, each on views of its rows.  A block of no tokens (an
+    empty graph) makes no call: it adds no rows to the output and no grads.
 
     ``mask`` may also hold one such list per head, the heads' lists covering
     the same blocks, with ``dropout_seed`` one seed list per head.  q, k and
@@ -882,8 +853,8 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     and masks alone, bit for bit.  One mask list is one head.  A graph of at
     most ``STACK_MAX_TOKENS`` tokens makes one dense-path call on a (heads,
     T, T) stack of all its heads and no nnz-path call.  Above that, each head
-    makes its own nnz-path call for its sparse blocks, and each dense head
-    one dense-path call, a stack of one.
+    makes one call on the graph: an nnz-path call when its mask is sparse, a
+    dense-path call on a stack of one when it is dense.
 
     With one mask, ``rows`` asks for the queries of only a set of its rows,
     q holding those rows and k and v all T: a sorted array of row indices,
@@ -928,7 +899,8 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     if sum(sizes) != n_kv:
         raise ShapeError(f"mask is for {sum(sizes)} tokens, "
                          f"inputs have {n_kv} rows")
-    query = _query_rows(rows, sizes, training and dropout_rate > 0.0)
+    drawing = training and dropout_rate > 0.0
+    query = _query_rows(rows, sizes, drawing)
     n_set = n_kv if query is None else _set_len(query)
     if n_q != n_set:
         raise ShapeError(f"q has {n_q} rows for a set of {n_set} query rows")
@@ -936,24 +908,21 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     blocks = [slice(hi - size, hi) for size, hi in zip(sizes, ends)]
     # each block's q rows and query row set
     q_rows, n_rows = (blocks, sizes) if query is None else ([slice(0, n_q)], [query])
-    # a block with no tokens makes no kernel part: it is neither dense nor
-    # among the nnz blocks
-    dense = [[_runs_dense(b) for b in head] for head in mask]
-    drops = [[None] * len(sizes)] * n_heads
-    if training and dropout_rate > 0.0:
-        # per block, the first indptr[r] numbers of the whole mask's draw: the
-        # weights a call on all rows keeps for its first r rows (a row set
-        # that draws dropout is a leading range r)
-        drops = [[(np.random.default_rng(0 if s is None else s).random(b.indptr[r])
-                   >= dropout_rate) / (1.0 - dropout_rate)
-                  for b, r, s in zip(head, n_rows, head_seeds)]
-                 for head, head_seeds in zip(mask, seeds)]
-    for meter in _state.meters:
-        for head, head_dense in zip(mask, dense):
-            for b, r, d in zip(head, n_rows, head_dense):
-                nnz = _set_nnz(b, r)
-                meter.attention_flops += attention_flops(nnz, d_h)
-                meter.executed_flops += attention_flops(_set_len(r) * b.size if d else nnz, d_h)
+
+    def prepare(b: HopMask, r, seed, dense: bool):
+        # One head's part on block mask b and query row set r: add its FLOP
+        # counts and draw its attention dropout multipliers, the first
+        # indptr[r] numbers of the whole mask's draw, which are the weights a
+        # call on all rows keeps for its first r rows (a row set that draws
+        # dropout is a leading range r).
+        for meter in _state.meters:
+            nnz = _set_nnz(b, r)
+            meter.attention_flops += attention_flops(nnz, d_h)
+            meter.executed_flops += attention_flops(_set_len(r) * b.size if dense else nnz, d_h)
+        if drawing:
+            return (np.random.default_rng(0 if seed is None else seed).random(b.indptr[r])
+                    >= dropout_rate) / (1.0 - dropout_rate)
+        return None
 
     # Each part runs some heads on some rows and gives (q rows, k/v rows,
     # heads, out, grads), out and grads shaped as indexing the (rows, H, d_h)
@@ -970,31 +939,26 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
         return qr, h, o
 
     def part_outputs():
-        # Each head's nnz blocks run as one block-diagonal mask, on their own
-        # rows gathered only when the head mixes both paths.
-        for h, (head, head_dense, head_drops) in enumerate(zip(mask, dense, drops)):
-            nnz_blocks = [b for b, d in enumerate(head_dense) if not d and sizes[b]]
-            if not nnz_blocks:
+        # Graph by graph, each on views of its own rows.  A graph of at most
+        # STACK_MAX_TOKENS tokens runs all its heads, every one dense, as one
+        # stack; a larger one each head on its own path, a dense head as a
+        # stack of one.  A graph of no tokens makes no part.
+        for b, (qr, r, n) in enumerate(zip(q_rows, blocks, n_rows)):
+            if not sizes[b]:
                 continue
-            sel = slice(None) if not any(head_dense) else np.repeat(~np.array(head_dense), sizes)
-            qv = q3[sel, h]
-            dm = None if head_drops[0] is None else _stack_rows(
-                [head_drops[b] for b in nnz_blocks])
-            yield output_of(sel, sel, h, *_sparse_path(
-                qv, k3[sel, h], v3[sel, h], _joined_csr([head[b] for b in nnz_blocks],
-                                                        n_rows[nnz_blocks[0]]), dm))
-        # A graph of at most STACK_MAX_TOKENS tokens runs all its heads, every
-        # one dense, as one stack; a larger one each dense head as a stack of
-        # one.  Either way the heads are a slice, so q3, k3 and v3 are views.
-        for b, (qr, r) in enumerate(zip(q_rows, blocks)):
-            if sizes[b] <= STACK_MAX_TOKENS:
-                stacks = [slice(0, n_heads)] if sizes[b] else []
-            else:
-                stacks = [slice(h, h + 1) for h in range(n_heads) if dense[h][b]]
+            stacks = ([slice(0, n_heads)] if sizes[b] <= STACK_MAX_TOKENS
+                      else [slice(h, h + 1) for h in range(n_heads)])
             for hi in stacks:
-                yield output_of(qr, r, hi, *_dense_path(
-                    q3[qr, hi], k3[r, hi], v3[r, hi], [m[b] for m in mask[hi]],
-                    [d[b] for d in drops[hi]], n_rows[b]))
+                heads = [m[b] for m in mask[hi]]
+                dense = _runs_dense(heads[0])
+                drops = [prepare(m, n, s[b], dense) for m, s in zip(heads, seeds[hi])]
+                if dense:
+                    yield output_of(qr, r, hi, *_dense_path(
+                        q3[qr, hi], k3[r, hi], v3[r, hi], heads, drops, n))
+                else:
+                    h = hi.start
+                    yield output_of(qr, r, h, *_sparse_path(
+                        q3[qr, h], k3[r, h], v3[r, h], _csr_rows(heads[0], n), drops[0]))
 
     out = _by_head(n_q, n_heads, d_h, part_outputs())
     if not recording:
@@ -1002,9 +966,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
 
     def grad_fn(g):
         g3 = g.reshape(n_q, n_heads, d_h)
-        # Last part first: the largest budget's nnz pass, usually the last
-        # head's, then runs while no other part's grads are held, which keeps
-        # the backward's peak memory down.
+        # Last part first: on one graph the largest budget's pass, usually the
+        # last head's, then runs while no other part's grads are held, which
+        # keeps the backward's peak memory down.
         part_grads = [grads(g3[qr, h]) for qr, _, h, grads in reversed(parts)][::-1]
         cells = [(qr, r, h, d) for (qr, r, h, _), d in zip(parts, part_grads)]
         q._accum(_by_head(n_q, n_heads, d_h, [(qr, h, d[0]) for qr, _, h, d in cells]))

@@ -35,30 +35,53 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _int_field(name: str, values, low: int | None = None) -> np.ndarray:
-    """``values`` as int64.  Booleans and numbers with a fractional part are
-    refused, not truncated; integral floats (as from ``np.zeros``) pass.  A
-    value below ``low`` is refused, naming the smallest (see :func:`_int_value`)."""
-    def refuse(got, at):
-        at = [int(i) for i in at]
-        raise GraphError(f"{name} must hold integers, got {got} at index "
-                         f"{at[0] if len(at) == 1 else at}")
+def _refuse_entry(name: str, what: str, got: str, at) -> None:
+    at = [int(i) for i in at]
+    where = f" at index {at[0] if len(at) == 1 else at}" if at else ""
+    raise GraphError(f"{name} must hold {what}, got {got}{where}")
 
-    if isinstance(values, (list, tuple)):
-        cells = np.asarray(values, dtype=object)
-        if not {bool, np.bool_}.isdisjoint(map(type, cells.flat)):
-            first = next(i for i, x in enumerate(cells.flat) if type(x) in (bool, np.bool_))
-            refuse("a boolean", np.unravel_index(first, cells.shape))
+
+_NUMBER_TYPES = (int, float, np.integer, np.floating)   # booleans aside
+# entry types the array rules leave to numpy: numbers, and the lists or
+# arrays of nested or ragged input, which the conversion refuses
+_CELL_TYPES = _NUMBER_TYPES + (list, tuple, np.ndarray)
+
+
+def _numbers(name: str, values, what: str, ragged: str) -> np.ndarray:
+    """``values`` as an integer or float array, unconverted: the entry rule
+    the integer and number arrays share.  Nested or ragged lists are refused
+    with ``ragged``; outside an array, an entry that is not a number (a
+    boolean, a string, None) is refused by its index, not converted by
+    numpy; and an array of another dtype, booleans included, is refused by
+    its dtype.  The refusals say that ``name`` must hold ``what``."""
     try:
+        cells = None if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
         arr = np.asarray(values)
     except ValueError as e:   # ragged or nested lists
-        raise GraphError(f"{name} must hold integers, got nested or ragged lists") from e
+        raise GraphError(ragged) from e
+    odd = set() if cells is None else {
+        t for t in set(map(type, cells.flat))
+        if not issubclass(t, _CELL_TYPES) or issubclass(t, (bool, np.bool_))}
+    if odd:
+        first, x = next((i, x) for i, x in enumerate(cells.flat) if type(x) in odd)
+        _refuse_entry(name, what, "a boolean" if isinstance(x, (bool, np.bool_)) else repr(x),
+                      np.unravel_index(first, cells.shape))
     if arr.size and arr.dtype.kind not in "iuf":
-        raise GraphError(f"{name} must hold integers, got {arr.dtype} values")
+        raise GraphError(f"{name} must hold {what}, got {arr.dtype} values")
+    return arr
+
+
+def _int_field(name: str, values, low: int | None = None) -> np.ndarray:
+    """``values`` as int64.  Booleans, non-numbers and numbers with a
+    fractional part are refused, not truncated (see :func:`_numbers`);
+    integral floats (as from ``np.zeros``) pass.  A value below ``low`` is
+    refused, naming the smallest (see :func:`_int_value`)."""
+    arr = _numbers(name, values, "integers", f"{name} must hold integers, got nested or "
+                                             f"ragged lists")
     if arr.dtype.kind == "f":
         bad = np.argwhere(~np.isfinite(arr) | (np.floor(arr) != arr))
         if bad.size:
-            refuse(repr(float(arr[tuple(bad[0])])), bad[0])
+            _refuse_entry(name, "integers", repr(float(arr[tuple(bad[0])])), bad[0])
     arr = arr.astype(np.int64)
     if low is not None and arr.size:
         _int_value(name, int(arr.min()), low)
@@ -66,8 +89,7 @@ def _int_field(name: str, values, low: int | None = None) -> np.ndarray:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(
-        x, (bool, np.bool_))
+    return isinstance(x, _NUMBER_TYPES) and not isinstance(x, (bool, np.bool_))
 
 
 def _is_float(x) -> bool:
@@ -95,16 +117,59 @@ def _finite_value(name: str, x) -> float:
 
 
 def _finite_rows(name: str, values) -> np.ndarray:
-    """``values`` copied to float64, refusing ragged rows and NaN or infinite entries."""
-    try:
-        arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise GraphError(f"{name} must be numeric rows of equal length") from e
+    """``values`` copied to float64, refusing entries that are not numbers by
+    the rule of :func:`_numbers` (a numeric string, a boolean or None is not
+    read as a number), ragged rows, and NaN or infinite entries."""
+    arr = np.array(_numbers(name, values, "numbers",
+                            f"{name} must be numeric rows of equal length"), dtype=np.float64)
     bad = ~np.isfinite(arr)
     if bad.any():
         row = int(np.argwhere(bad)[0][0]) if arr.ndim else 0
         raise GraphError(f"{name} row {row} has a non-finite value")
     return arr
+
+
+def _int_csr(what: str, t: int, indptr, indices,
+             empty_rows: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` checked as an integer CSR of t rows over t
+    columns, as read-only int64 arrays: arrays that already are int64,
+    read-only and own their data are kept, and anything else (a list, a
+    writable array, a view, another integer dtype, an empty sequence of any
+    dtype) is copied.  ``indptr`` must have shape (t + 1,) and run from 0 to
+    nnz without decreasing, ``indices`` be 1-D with columns in [0, t), and
+    without ``empty_rows`` every row hold an entry.  A refusal names
+    ``what`` and the first bad row."""
+    # np.asarray([]) is float64; an empty sequence holds no non-integer
+    indptr, indices = (a.astype(np.int64) if a.size == 0 else a
+                       for a in (np.asarray(indptr), np.asarray(indices)))
+    if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+        raise GraphError(f"{what} indptr and indices must be integer arrays, "
+                         f"got {indptr.dtype} and {indices.dtype}")
+    # An unsigned value past the int64 range turns negative here, and the
+    # checks below refuse it.
+    indptr, indices = (a if a.dtype == np.int64 and not a.flags.writeable and a.flags.owndata
+                       else _frozen(a.astype(np.int64)) for a in (indptr, indices))
+    # O(T + nnz).  Slices and ufunc reductions rather than np.diff and array
+    # methods: most CSRs are small, and this runs once per mask and graph.
+    if indptr.shape != (t + 1,) or indices.ndim != 1:
+        raise GraphError(f"{what} for {t} tokens needs indptr of shape ({t + 1},) and 1-D "
+                         f"indices, got {indptr.shape} and {indices.shape}")
+    if indptr[0] != 0 or indptr[-1] != indices.size:
+        raise GraphError(f"{what} indptr must run from 0 to nnz = {indices.size}, "
+                         f"got {indptr[0]} to {indptr[-1]}")
+    if t == 0:
+        return indptr, indices
+    counts = indptr[1:] - indptr[:-1]
+    if np.minimum.reduce(counts) < (0 if empty_rows else 1):
+        i = int(np.argmax(counts < 0 if empty_rows else counts <= 0))
+        if counts[i] < 0:
+            raise GraphError(f"{what} indptr decreases at row {i}")
+        raise GraphError(f"{what} row {i} is empty; every row needs at least one entry")
+    # as unsigned, a negative column compares above every valid one
+    if indices.size and np.maximum.reduce(indices.view(np.uint64)) >= t:
+        i = int(indptr.searchsorted(np.argmax((indices < 0) | (indices >= t)), "right")) - 1
+        raise GraphError(f"{what} row {i} has a column outside [0, {t})")
+    return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -182,6 +247,9 @@ class AugmentedGraph:
     ``indptr``/``indices`` hold the symmetric adjacency in CSR form with
     ascending column order per row; every edge token has exactly its two
     endpoints as neighbours, so there are 4*M stored (directed) entries.
+    Construction checks the token counts by the package's integer rule (not
+    negative) and ``indptr``/``indices`` as an integer CSR of the T tokens
+    (:func:`_int_csr`; a row may be empty), raising ``GraphError`` by name.
     """
 
     num_node_tokens: int
@@ -190,6 +258,13 @@ class AugmentedGraph:
     indices: np.ndarray           # (4M,) int64
     token_kind: np.ndarray        # (T,) int8, NODE_TOKEN / EDGE_TOKEN
     edge_token_origin: np.ndarray  # (M, 2) int64
+
+    def __post_init__(self):
+        for name in ("num_node_tokens", "num_edge_tokens"):
+            object.__setattr__(self, name, _int_value(name, getattr(self, name), 0))
+        csr = _int_csr("token graph", self.total_tokens, self.indptr, self.indices, True)
+        for name, a in zip(("indptr", "indices"), csr):
+            object.__setattr__(self, name, a)
 
     @property
     def total_tokens(self) -> int:

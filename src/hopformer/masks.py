@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import AugmentedGraph, GraphError, _frozen, _int_value, csr_indptr
+from .graphs import AugmentedGraph, GraphError, _frozen, _int_csr, _int_value, csr_indptr
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,40 +60,15 @@ class HopMask:
     def __post_init__(self):
         for name in ("hop_budget", "size"):
             object.__setattr__(self, name, _int_value(f"mask {name}", getattr(self, name), 0))
-        # np.asarray([]) is float64; an empty sequence holds no non-integer
-        indptr, indices = (a.astype(np.int64) if a.size == 0 else a
-                           for a in (np.asarray(self.indptr), np.asarray(self.indices)))
-        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
-            raise ValueError(f"mask indptr and indices must be integer arrays, "
-                             f"got {indptr.dtype} and {indices.dtype}")
-        # build_mask's arrays are kept as they are.  An unsigned value past
-        # the int64 range turns negative here, and the checks below refuse it.
-        for name, a in (("indptr", indptr), ("indices", indices)):
-            if a.dtype != np.int64 or a.flags.writeable or not a.flags.owndata:
-                object.__setattr__(self, name, _frozen(a.astype(np.int64)))
-        # O(T + nnz) structure check: the attention kernel's row reductions
-        # assume every row holds at least one in-range, ascending column.
-        # Slices and ufunc reductions rather than np.diff and array methods:
-        # most masks are small, and this runs once per mask.
-        t, indptr, indices = self.size, self.indptr, self.indices
-        if indptr.shape != (t + 1,) or indices.ndim != 1:
-            raise ValueError(f"mask for {t} tokens needs indptr of shape ({t + 1},) and 1-D "
-                             f"indices, got {indptr.shape} and {indices.shape}")
-        if indptr[0] != 0 or indptr[-1] != indices.size:
-            raise ValueError(f"mask indptr must run from 0 to nnz = {indices.size}, "
-                             f"got {indptr[0]} to {indptr[-1]}")
-        if t == 0:
+        # build_mask's arrays are kept as they are.  The kernel's row
+        # reductions assume every row holds at least one in-range, ascending
+        # column.
+        csr = _int_csr("mask", self.size, self.indptr, self.indices, False)
+        for name, a in zip(("indptr", "indices"), csr):
+            object.__setattr__(self, name, a)
+        indptr, indices = csr
+        if self.size == 0:
             return
-        counts = indptr[1:] - indptr[:-1]
-        if np.minimum.reduce(counts) <= 0:
-            i = int(np.argmax(counts <= 0))
-            if counts[i] < 0:
-                raise ValueError(f"mask indptr decreases at row {i}")
-            raise ValueError(f"mask row {i} is empty; every row needs at least one entry")
-        # as unsigned, a negative column compares above every valid one
-        if np.maximum.reduce(indices.view(np.uint64)) >= t:
-            i = int(indptr.searchsorted(np.argmax((indices < 0) | (indices >= t)), "right")) - 1
-            raise ValueError(f"mask row {i} has a column outside [0, {t})")
         step_ok = indices[1:] > indices[:-1]
         step_ok[indptr[1:-1] - 1] = True   # steps across a row boundary
         if not np.logical_and.reduce(step_ok):

@@ -61,9 +61,11 @@ class TrainConfig:
             object.__setattr__(self, name, _int_value(name, getattr(self, name), low))
         for name in ("learning_rate", "weight_decay", "train_frac", "val_frac", "test_frac"):
             object.__setattr__(self, name, _finite_value(name, getattr(self, name)))
-        # lr = 0 and epochs = 0 are legal no-op configurations
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
+        # lr = 0 and epochs = 0 are legal no-op configurations; a negative
+        # weight decay would grow every weight at each step
+        for name in ("learning_rate", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("train_frac", "val_frac", "test_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")

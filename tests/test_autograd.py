@@ -14,8 +14,8 @@ from hopformer.masks import HopMask
 from hopformer.training import cross_entropy, mae
 
 from helpers import (dense_attention_oracle, dense_attention_weights_oracle,
-                     mask_to_dense, random_graph, reference_sparse_path, single_edge_graph,
-                     spy_on_paths)
+                     mask_to_dense, random_graph, random_graph_max_tokens,
+                     reference_sparse_path, single_edge_graph, spy_on_paths)
 
 
 def full_mask_for(g):
@@ -27,7 +27,7 @@ def softmax_weights(qv, kv, mask):
     """The nnz path's softmax weights over each row's mask support, aligned
     with ``mask.indices``."""
     return ops._masked_softmax(np.ascontiguousarray(qv.T), np.ascontiguousarray(kv.T),
-                               *ops._joined_csr([mask], mask.size))
+                               *ops._csr_rows(mask, mask.size))
 
 
 class TestDensePrimitives:
@@ -461,8 +461,8 @@ EXPECT_DENSE = {"nnz": False, "threshold": True, "dense": True, "full": True, "s
 
 
 def _nnz_path(qv, kv, vv, mask, dropmult):
-    """The nnz path on one mask: its CSR pair as ``_joined_csr`` gives it."""
-    return ops._sparse_path(qv, kv, vv, ops._joined_csr([mask], qv.shape[0]), dropmult)
+    """The nnz path on one mask: its CSR pair as ``_csr_rows`` gives it."""
+    return ops._sparse_path(qv, kv, vv, ops._csr_rows(mask, qv.shape[0]), dropmult)
 
 
 def _one_head_dense_path(qv, kv, vv, mask, dropmult):
@@ -928,7 +928,7 @@ def _int32_mask(mask: HopMask) -> HopMask:
                    indptr=mask.indptr.astype(np.int32), indices=mask.indices.astype(np.int32))
 
 
-# Graph batches for the joined nnz-path call.  "mixed" interleaves nnz blocks
+# Graph batches that mix the paths.  "mixed" interleaves nnz blocks
 # (one of them an edgeless graph's identity mask) with dense ones (one of them
 # a one-token graph, one a small sparse mask); in "nnz" every block takes the
 # nnz path, each past the small-graph bound.
@@ -950,7 +950,8 @@ def _large_random_mask(seed: int) -> HopMask:
 
 
 class TestJoinedNnzBlocks:
-    """A batch's nnz blocks run as one block-diagonal nnz-path call."""
+    """A batch runs graph by graph: each block's nnz-path and dense-path calls
+    read its own rows and give what a call on that block alone gives."""
 
     @pytest.mark.parametrize("kind", BATCHES)
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -979,12 +980,21 @@ class TestJoinedNnzBlocks:
         q, k, v = (Tensor(a) for a in np.random.default_rng(22).standard_normal((3, n, 4)))
         with ops.scratch_tape():
             backward(ops.sum_all(sparse_masked_attention(q, k, v, masks)))
-        nnz_calls = [c.args for c in calls if c.kind == "nnz"]
-        assert len(nnz_calls) == 1
-        assert sorted(c.kind for c in calls) == ["nnz"] + ["one-head"] * sum(BATCH_PATHS[kind])
-        # the rows are gathered only when the batch mixes the paths
-        in_place = [np.shares_memory(a, t.values) for a, t in zip(nnz_calls[0][:3], (q, k, v))]
-        assert in_place == [kind == "nnz"] * 3
+        # one call per block, in block order, each on its block's mask
+        assert [c.kind for c in calls] == ["one-head" if d else "nnz"
+                                           for d in BATCH_PATHS[kind]]
+        ends = np.cumsum([b.size for b in masks])
+        for c, mask, hi in zip(calls, masks, ends):
+            # q, k and v are views of the block's rows, not gathered copies
+            for a, t in zip(c.args[:3], (q, k, v)):
+                assert a.shape[0] == mask.size
+                assert np.shares_memory(a, t.values[hi - mask.size:hi])
+            if c.kind == "nnz":
+                col, starts = c.args[3]
+                assert np.array_equal(col, mask.indices)
+                assert np.array_equal(starts, mask.indptr[:-1])
+            else:
+                assert len(c.args[3]) == 1 and c.args[3][0] is mask
 
     @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int32])
     def test_any_integer_index_dtype_gives_the_int64_results(self, dtype):
@@ -1695,6 +1705,92 @@ class TestEmptyBlocks:
         assert meter == want_meter
 
 
+BLOCK_KINDS = ("empty", "one", "small", "large")
+
+
+def _fuzz_graph(rng, kind: str) -> Graph:
+    """A random graph of 0 tokens, 1 token, 2-64 tokens (at most
+    STACK_MAX_TOKENS) or 65-200 tokens."""
+    if kind in ("empty", "one"):
+        return _edgeless(0 if kind == "empty" else 1)
+    if kind == "small":
+        return random_graph_max_tokens(rng, ops.STACK_MAX_TOKENS)
+    while True:
+        g = random_graph(rng, max_nodes=70, p=float(rng.uniform(0.02, 0.1)))
+        if ops.STACK_MAX_TOKENS < g.num_nodes + g.num_edges <= 200:
+            return g
+
+
+def _batch_case(seed: int) -> tuple[list[list[HopMask]], float, int]:
+    """(masks, dropout rate, d_h) of one seeded layer call: 3-7 graphs of
+    random kinds, at least one past STACK_MAX_TOKENS, and 1-4 heads at
+    random budgets 0-8; odd seeds draw attention dropout."""
+    rng = np.random.default_rng([seed, 71])
+    kinds = list(rng.choice(BLOCK_KINDS, int(rng.integers(3, 8))))
+    kinds[int(rng.integers(len(kinds)))] = "large"
+    hops = rng.integers(0, 9, int(rng.integers(1, 5))).tolist()
+    per_graph = [build_head_masks(augment(_fuzz_graph(rng, kind)), hops) for kind in kinds]
+    return [list(head) for head in zip(*per_graph)], 0.3 if seed % 2 else 0.0, int(
+        rng.integers(1, 5))
+
+
+class TestBatchFuzz:
+    """Seeded random batches that mix empty, one-token, small and large
+    graphs, with 1-4 heads at random budgets: each graph's out, dq, dk and dv
+    equal, bit for bit, a call on that graph alone, and without dropout the
+    masked dense oracle's within ORACLE_TOL."""
+
+    SEEDS = range(40)
+
+    def test_cases_cover_the_batch_shapes(self):
+        cases = [_batch_case(seed) for seed in self.SEEDS]
+        sizes = {b.size for masks, _, _ in cases for b in masks[0]}
+        assert {0, 1} <= sizes
+        assert any(1 < t <= ops.STACK_MAX_TOKENS for t in sizes)
+        assert any(t > ops.STACK_MAX_TOKENS for t in sizes)
+        assert {len(masks) for masks, _, _ in cases} == {1, 2, 3, 4}
+        assert {rate for _, rate, _ in cases} == {0.0, 0.3}
+        # a large graph whose heads take both paths, in one call
+        assert any({_runs_dense(head[b]) for head in masks} == {False, True}
+                   for masks, _, _ in cases for b in range(len(masks[0]))
+                   if masks[0][b].size > ops.STACK_MAX_TOKENS)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_graph_equals_a_call_on_it_alone_and_the_oracle(self, seed, monkeypatch):
+        masks, rate, d_h = _batch_case(seed)
+        n_heads, sizes = len(masks), [b.size for b in masks[0]]
+        ends = np.cumsum(sizes)
+        qv, kv, vv, g = np.random.default_rng(seed).standard_normal(
+            (4, ends[-1], n_heads * d_h))
+        seeds = [[[seed, b, h] for b in range(len(sizes))] for h in range(n_heads)]
+        kw = dict(dropout_rate=rate, training=True)
+        calls = spy_on_paths(monkeypatch)
+        batch, _ = _attention_run(qv, kv, vv, masks, g, dropout_seed=seeds, **kw)
+        # graph by graph: no call for an empty graph, one stack of every head
+        # for a small one, and one call per head for a large one
+        stack = "multi-head" if n_heads > 1 else "one-head"
+        assert [c.kind for c in calls] == [
+            kind for b, t in enumerate(sizes) if t
+            for kind in ([stack] if t <= ops.STACK_MAX_TOKENS else
+                         ["one-head" if _runs_dense(head[b]) else "nnz" for head in masks])]
+        for b, hi in enumerate(ends):
+            rows = slice(hi - sizes[b], hi)
+            alone, _ = _attention_run(qv[rows], kv[rows], vv[rows], [[head[b]] for head in masks],
+                                      g[rows], dropout_seed=[[s[b]] for s in seeds], **kw)
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[rows], want)
+            if rate or not sizes[b]:
+                continue
+            for h, head in enumerate(masks):
+                cols = _head_cols(h, d_h)
+                qkv = (qv[rows, cols], kv[rows, cols], vv[rows, cols])
+                support = mask_to_dense(head[b])
+                oracle = [dense_attention_oracle(*qkv, support),
+                          *_dense_oracle_grads(*qkv, support, g[rows, cols])]
+                for got, want in zip(batch, oracle):
+                    assert np.abs(got[rows, cols] - want).max() <= ORACLE_TOL
+
+
 def _weighted_sum(out: Tensor, g: np.ndarray) -> Tensor:
     """sum(out * g): a scalar whose gradient with respect to ``out`` is ``g``."""
     return ops.primitive([[float((out.values * g).sum())]], lambda gg: out._accum(g * gg[0, 0]))
@@ -1834,9 +1930,9 @@ class TestQueryRowSets:
         mask = _ring_mask(40, 2)
         assert not _runs_dense(mask)
         csrs = []
-        real = ops._joined_csr
-        monkeypatch.setattr(ops, "_joined_csr",
-                            lambda masks, rows: csrs.append(real(masks, rows)) or csrs[-1])
+        real = ops._csr_rows
+        monkeypatch.setattr(ops, "_csr_rows",
+                            lambda b, rows: csrs.append(real(b, rows)) or csrs[-1])
         q, k, v = (Tensor(a) for a in _qkv(mask.size))
         for rows in (np.arange(30), np.arange(1, 31)):
             sparse_masked_attention(Tensor(q.values[rows]), k, v, mask, rows=rows)

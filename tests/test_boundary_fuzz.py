@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 import hopformer
-from hopformer import (HopMask, ModelConfig, Tensor, TrainConfig, attention_flops, augment,
-                       build_head_masks, build_mask, evaluate, flop_count, flops_vs_nnz_report,
+from hopformer import (AugmentedGraph, HopMask, ModelConfig, Tensor, TrainConfig,
+                       attention_flops, augment, build_head_masks, build_mask, evaluate,
+                       flop_count, flops_vs_nnz_report,
                        forward, generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
                        influence_matrix, init_model, load_model, predict_node,
                        receptive_field_probe, save_model, sparse_masked_attention,
@@ -401,14 +402,14 @@ def checkpoint_mutations(rng, obj):
     ]
     for kind, value, named in [
             ("a string", "x", (name,)), ("a numeric string", "0.5", (name,)),
-            ("strings", [[str(x) for x in r] for r in rows], None),
+            ("strings", [[str(x) for x in r] for r in rows], (name,)),
             ("ragged", [r[:1] if k == i else r for k, r in enumerate(rows)] if len(rows[0]) > 1
              else rows + [[0.0, 0.0]], (name,)),
             ("nested", [[r] for r in rows], (name,)),
             ("an object", {"a": 1}, (name,)),
             ("None", None, (name,)),
             ("a boolean", True, (name,)),
-            ("booleans", [[True] * len(r) for r in rows], None),
+            ("booleans", [[True] * len(r) for r in rows], (name,)),
             ("NaN at an entry", nan, (name,))]:
         cases.append((f"param {name} {kind}", lambda o, v=value: o["params"].update({name: v}),
                       named))
@@ -468,7 +469,7 @@ def sweep_table():
     train_cfg = dict(learning_rate=1e-2, epochs=1)
     for name, runs in [("epochs", ("0",)), ("batch_size", ()), ("seed", ("0",)),
                        ("early_stop_patience", ("0",)), ("learning_rate", ("0", "2.5")),
-                       ("weight_decay", ("-1", "0", "2.5"))]:
+                       ("weight_decay", ("0", "2.5"))]:
         table[f"TrainConfig.{name}"] = (
             lambda v, n=name: TrainConfig(**dict(train_cfg, **{n: v})), runs, (name,))
     for name in ("train_frac", "val_frac", "test_frac"):
@@ -478,6 +479,12 @@ def sweep_table():
     table["HopMask.hop_budget"] = (lambda v: HopMask(v, 1, [0, 1], [0]), ("0",),
                                    ("mask hop_budget",))
     table["HopMask.size"] = (lambda v: HopMask(0, v, [0], []), ("0",), ("mask size",))
+    # a token graph of no tokens: 0 node tokens and 0 edge tokens run
+    no_tokens = dict(num_node_tokens=0, num_edge_tokens=0, indptr=[0], indices=[],
+                     token_kind=np.zeros(0, np.int8), edge_token_origin=np.zeros((0, 2)))
+    for name in ("num_node_tokens", "num_edge_tokens"):
+        table[f"AugmentedGraph.{name}"] = (
+            lambda v, n=name: AugmentedGraph(**dict(no_tokens, **{n: v})), ("0",), (name,))
     table["Graph.num_nodes"] = (
         lambda v: Graph(num_nodes=v, edges=np.zeros((0, 2)), node_features=np.zeros((0, 1))),
         ("0",), ("num_nodes",))

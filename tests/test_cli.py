@@ -167,6 +167,22 @@ class TestAugment:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("field, entry, got", [
+        ("node_features", "0.5", "'0.5'"), ("node_features", True, "a boolean"),
+        ("node_features", None, "None"), ("edge_features", "1", "'1'")])
+    def test_feature_entry_that_is_not_a_number_exits_two_naming_it(self, tmp_path, capsys,
+                                                                     field, entry, got):
+        # "0.5" loaded as 0.5, true as 1.0, and null read as a non-finite value
+        obj = {"num_nodes": 2, "edges": [[0, 1]], "node_features": [[1.0], [2.0]],
+               "edge_features": [[1.0, 2.0]]}
+        obj[field][-1][-1] = entry
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(obj))
+        assert main(["augment", str(src), "--output", str(tmp_path / "o.json")]) == 2
+        at = "[1, 0]" if field == "node_features" else "[0, 1]"
+        assert f"{field} must hold numbers, got {got} at index {at}" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestMasks:
     def test_dumps_and_stats(self, tmp_path, capsys):
@@ -562,7 +578,8 @@ class TestTrain:
         ("train", "seed", -5, "seed must be non-negative, got -5"),
         ("train", "early_stop_patience", -1, "early_stop_patience must be non-negative, got -1"),
         ("model", "readout", "max", "readout must be one of ('mean', 'sum'), got 'max'"),
-        ("model", "norm", "mid", "norm must be one of ('post', 'pre'), got 'mid'")])
+        ("model", "norm", "mid", "norm must be one of ('post', 'pre'), got 'mid'"),
+        ("train", "weight_decay", -1.0, "weight_decay must be non-negative, got -1.0")])
     def test_bad_config_value_exits_two_naming_the_field(self, tmp_path, capsys, section,
                                                           field, value, message):
         src = tmp_path / "g.json"

@@ -12,7 +12,8 @@ import pytest
 
 import hopformer
 
-from hopformer import (Graph, GraphError, augment, generate_erdos_renyi,
+from hopformer import (AugmentedGraph, Graph, GraphError, augment, build_head_masks,
+                       generate_erdos_renyi,
                        generate_sbm, generate_watts_strogatz, load_dataset,
                        load_graph, relabel_nodes, save_graph)
 from hopformer import graphs as graphs_module
@@ -262,6 +263,54 @@ class TestAugment:
             assert np.array_equal(ag.edge_token_origin, g.edges)
 
 
+class TestAugmentedGraphFields:
+    """A hand-built token graph is checked on construction: token counts by
+    the integer rule, and its adjacency as an integer CSR of its T tokens."""
+
+    NAMES = ("num_node_tokens", "num_edge_tokens", "indptr", "indices", "token_kind",
+             "edge_token_origin")
+
+    def fields(self, ag=None, **over):
+        ag = augment(single_edge_graph()) if ag is None else ag   # tokens 0, 1; edge 2
+        return dict({name: getattr(ag, name) for name in self.NAMES}, **over)
+
+    def test_augment_keeps_its_arrays(self):
+        ag = augment(single_edge_graph())
+        again = AugmentedGraph(**self.fields(ag))
+        assert again.indptr is ag.indptr and again.indices is ag.indices
+
+    def test_lists_and_integral_counts_are_stored_as_frozen_int64(self):
+        ag = AugmentedGraph(**self.fields(num_node_tokens=2.0, indptr=[0, 1, 2, 4],
+                                          indices=np.array([2, 2, 0, 1], dtype=np.int32)))
+        assert type(ag.num_node_tokens) is int and ag.total_tokens == 3
+        for a in (ag.indptr, ag.indices):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        assert build_head_masks(ag, [1])[0].nnz == 7
+
+    @pytest.mark.parametrize("over, message", [
+        (dict(num_node_tokens="4"), "num_node_tokens must be an integer, got '4'"),
+        (dict(num_edge_tokens=-1), "num_edge_tokens must be non-negative, got -1"),
+        (dict(num_node_tokens=True), "num_node_tokens must be an integer, got True"),
+        (dict(indptr=[0.0, 1.0, 2.0, 4.0]),
+         "token graph indptr and indices must be integer arrays, got float64 and int64"),
+        (dict(indptr=[0, 1, 2]), "token graph for 3 tokens needs indptr of shape (4,) and 1-D "
+                                 "indices, got (3,) and (4,)"),
+        (dict(indptr=[0, 1, 2, 5]), "token graph indptr must run from 0 to nnz = 4, got 0 to 5"),
+        (dict(indptr=[0, 3, 2, 4]), "token graph indptr decreases at row 1"),
+        (dict(indices=[2, 2, 0, 3]), "token graph row 2 has a column outside [0, 3)"),
+        (dict(indices=[2, -1, 0, 1]), "token graph row 1 has a column outside [0, 3)")])
+    def test_bad_field_refused_by_name(self, over, message):
+        # a hand-built one with num_node_tokens="4" made build_head_masks
+        # raise a bare TypeError
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            AugmentedGraph(**self.fields(**over))
+
+    def test_empty_rows_are_isolated_tokens(self):
+        ag = augment(Graph(num_nodes=3, edges=[[0, 1]], node_features=np.ones((3, 1))))
+        assert ag.indptr[3] == ag.indptr[2]   # node 2 has no neighbour
+        assert AugmentedGraph(**self.fields(ag)).total_tokens == 4
+
+
 class TestLoadGraph:
     def test_minimal(self):
         text = json.dumps({"num_nodes": 2, "edges": [[0, 1]],
@@ -399,6 +448,25 @@ class TestLoadGraph:
             load_graph(json.dumps(obj))
         with pytest.raises(GraphError, match="node_features"):
             Graph(num_nodes=2, edges=np.array([[0, 1]]), node_features=feats)
+
+    @pytest.mark.parametrize("field", ["node_features", "edge_features"])
+    @pytest.mark.parametrize("entry, got", [("0.5", "'0.5'"), (True, "a boolean"),
+                                            (np.True_, "a boolean"), (None, "None")])
+    def test_feature_entries_must_be_numbers(self, field, entry, got):
+        # a numeric string was read as its number, a boolean as 0 or 1, and
+        # None as "a non-finite value"
+        feats = {"node_features": [[1.0, 2.0], [3.0, 4.0]], "edge_features": [[1.0, 2.0]]}
+        feats[field][0][1] = entry
+        with pytest.raises(GraphError, match=f"^{field} must hold numbers, "
+                                             f"got {re.escape(got)} at index \\[0, 1\\]$"):
+            Graph(num_nodes=2, edges=[[0, 1]], **feats)
+
+    @pytest.mark.parametrize("dtype", [bool, str, object])
+    def test_feature_arrays_of_another_dtype_refused(self, dtype):
+        feats = np.ones((2, 1)).astype(dtype)
+        with pytest.raises(GraphError, match=f"^node_features must hold numbers, got "
+                                             f"{re.escape(str(feats.dtype))} values$"):
+            Graph(num_nodes=2, edges=[[0, 1]], node_features=feats)
 
     def test_ragged_edge_features_name_the_field(self):
         obj = {"num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_features": [[1]] * 3,

@@ -895,8 +895,12 @@ class TestCheckpoint:
         for name, t in named_parameters(m).items():
             assert np.array_equal(t.values, named_parameters(m2)[name].values), name
 
-    @pytest.mark.parametrize("value", ["x", [[0.0], [0.0, 1.0]], {"a": 1}, [["0", "x"]]])
-    def test_non_numeric_parameter_rejected_by_name(self, tmp_path, value):
+    @pytest.mark.parametrize("value, got", [
+        pytest.param("x", "must hold numbers, got 'x'", id="x"),
+        pytest.param([[0.0], [0.0, 1.0]], "must be numeric rows of equal length", id="value1"),
+        pytest.param({"a": 1}, "must hold numbers, got {'a': 1}", id="value2"),
+        pytest.param([["0", "x"]], "must hold numbers, got '0' at index [0, 0]", id="value3")])
+    def test_non_numeric_parameter_rejected_by_name(self, tmp_path, value, got):
         # numpy's "could not convert", "inhomogeneous shape" and a bare
         # TypeError came out without the parameter's name
         path = tmp_path / "model.json"
@@ -904,8 +908,22 @@ class TestCheckpoint:
         obj = json.loads(path.read_text())
         obj["params"]["layer0.wo"] = value
         path.write_text(json.dumps(obj))
-        with pytest.raises(GraphError, match="^checkpoint param layer0.wo must be numeric rows "
-                                             "of equal length$"):
+        with pytest.raises(GraphError, match=f"^checkpoint param layer0.wo {re.escape(got)}$"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("entry, got", [("0.5", "'0.5'"), (True, "a boolean"),
+                                            (None, "None")])
+    def test_parameter_entries_that_are_not_numbers_refused_by_index(self, tmp_path, entry,
+                                                                     got):
+        # a numeric string loaded as its number, a boolean as 0 or 1, and None
+        # read as "a non-finite value"
+        path = tmp_path / "model.json"
+        save_model(init_model(small_cfg(), d_v=1), str(path))
+        obj = json.loads(path.read_text())
+        obj["params"]["layer0.wo"][1][2] = entry
+        path.write_text(json.dumps(obj))
+        with pytest.raises(GraphError, match=f"^checkpoint param layer0.wo must hold numbers, "
+                                             f"got {re.escape(got)} at index \\[1, 2\\]$"):
             load_model(str(path))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -236,6 +236,17 @@ class TestTrainConfigBoundary:
         with pytest.raises(ValueError, match=f"^{field} must be non-negative, got {value}$"):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    def test_rate_must_be_non_negative(self, field):
+        # a negative weight decay grew every weight by lr * |weight_decay|
+        # per Adam step instead of shrinking it
+        kwargs = dict(learning_rate=0.1, epochs=1)
+        kwargs[field] = -1.0
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1.0$"):
+            TrainConfig(**kwargs)
+        kwargs[field] = 0.0
+        assert getattr(TrainConfig(**kwargs), field) == 0.0
+
     def test_integral_numbers_are_stored_as_python_ints(self):
         cfg = TrainConfig(learning_rate=np.float32(0.5), epochs=np.int64(3), batch_size=4.0,
                           seed=np.uint16(2), early_stop_patience=np.int8(1))
