@@ -66,6 +66,22 @@ def _read_dataset(path: str) -> list:
     return graphs
 
 
+# The environment variables that set the BLAS thread count; seeded results
+# can round differently at another count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _numeric_build() -> dict:
+    """The numpy version, BLAS build and CPU SIMD features seeded results are
+    bit-identical within: another build, or a CPU for which the BLAS picks
+    other kernels at run time, may round a matrix product differently."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+            "cpu_simd": config["SIMD Extensions"]["found"]}
+
+
 def _config_hash(obj) -> str:
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -156,6 +172,8 @@ def cmd_train(args) -> int:
         "seeds": [train_cfg.seed],
         "inputs": [args.input, args.config],
         "tool_version": __version__,
+        "numeric_build": {**_numeric_build(), "blas_threads": {
+            v: os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ}},
         "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "artifacts": [checkpoint, history_csv, manifest_path],
