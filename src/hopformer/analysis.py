@@ -153,11 +153,11 @@ def dataset_small_world(graphs: list[Graph]) -> tuple[float, float]:
 # Receptive-field probing
 
 
-def _probe_output(model: Model, z_values: np.ndarray, masks: list[list[HopMask]],
+def _probe_output(model: Model, z_values: np.ndarray, masks: list[HopMask],
                   head: int | None) -> np.ndarray:
     with no_grad():
         if head is None:
-            return np.array(_encode(model, Tensor(z_values), masks, [0], False).values,
+            return np.array(_encode(model, Tensor(z_values), [masks], [0], False).values,
                             copy=True)
         if not model.layers:
             raise ValueError("head-slice probing needs at least one layer")
@@ -187,7 +187,6 @@ def influence_matrix(model: Model, masks: list[HopMask], *, head: int | None = N
         if not 0 <= head < model.cfg.num_heads:
             raise ValueError(f"head must be one of the model's heads "
                              f"0..{model.cfg.num_heads - 1}, got {head}")
-    masks = [[mk] for mk in masks]   # one graph: a batch of one
     rng = np.random.default_rng([seed, 211])
     z0 = rng.standard_normal((t, model.cfg.hidden_dim))
     delta = rng.standard_normal(model.cfg.hidden_dim)

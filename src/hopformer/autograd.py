@@ -47,33 +47,31 @@ T^2 <= max(nnz / DENSE_MIN_DENSITY, STACK_MAX_TOKENS^2) cells: linear in nnz
 above the small-graph bound, and at most STACK_MAX_TOKENS^2 cells per head
 below it.  Both paths give the same results up to rounding.
 
-The kernel runs on a batch of graphs: a list of masks over consecutive row
-blocks of q, k and v, the graphs' token rows stacked, each graph's tokens
-attending only within its own block.  One mask is a batch of one, and a call
-records one tape entry.  The batch runs graph by graph, each graph's parts
-reading q, k and v as views of its own rows, so a graph's results are those
-of a call on it alone; a block of no tokens (an empty graph) makes no part.
-Row-wise primitives need no such form, as they act on each row alone;
-:func:`dropout` draws a batch's keep mask per segment, one tensor being one
-segment, and :func:`pool_segments` pools each segment's rows into one.
+The kernel takes a batch of graphs and a layer's heads in one call, which
+records one tape entry: a list over graphs of each graph's H head masks,
+with q, k and v holding the graphs' token rows stacked and H * d_h columns,
+head h's in columns h*d_h:(h+1)*d_h.  One mask is a batch of one graph and
+one head.  The batch runs graph by graph on views of each graph's rows, so
+a graph's results are those of a call on it alone; an empty graph makes no
+part.  Row-wise primitives need no such form, as they act on each row
+alone; :func:`dropout` draws a batch's keep mask per segment, one tensor
+being one segment, and :func:`pool_segments` pools each segment's rows into
+one.
 
-Heads are a batch axis too: one call takes a layer's heads, q, k and v
-holding H * d_h columns (head h's are columns h*d_h:(h+1)*d_h) and one mask
-list per head, and records one tape entry per layer.  One mask list is one
-head.  The batch bookkeeping runs once per call.  The dense path works on
-exact-shape (heads, T, T) stacks, with no padding, of any H >= 1 heads: one
-``np.matmul`` per product, which runs the same GEMM per head as a stack of
-that head alone, and row reductions over the last axis, which see the same
-rows.  So a head's results do not depend on the heads stacked with it.  A
-graph of at most ``STACK_MAX_TOKENS`` tokens runs every head as one stack,
-whatever the heads' densities, paying the path's numpy-call overhead once
-per graph and layer, and makes no nnz-path call; a larger graph runs each
-head on the path its mask picks, a dense head as a stack of one.  Each part
-draws its attention dropout and adds its FLOP counts where it runs, and
-writes its results into its heads' columns of one (rows, H * d_h) array,
-which is the layer's concatenation of the heads.
+The dense path works on exact-shape (heads, T, T) stacks, with no padding,
+of any H >= 1 heads: one ``np.matmul`` per product, which runs the same
+GEMM per head as a stack of that head alone, and row reductions over the
+last axis, which see the same rows.  So a head's results do not depend on
+the heads stacked with it.  A graph of at most ``STACK_MAX_TOKENS`` tokens
+runs every head as one stack, whatever the heads' densities, paying the
+path's numpy-call overhead once per graph and layer, and makes no nnz-path
+call; a larger graph runs each head on the path its mask picks, a dense
+head as a stack of one.  Each part draws its attention dropout and adds its
+FLOP counts where it runs, and writes its results into its heads' columns
+of one (rows, H * d_h) array, which is the layer's concatenation of the
+heads.
 
-On one mask the kernel also takes the queries of only a sorted set of its
+On one graph the kernel also takes the queries of only a sorted set of its
 rows, ``rows``, keys and values keeping all T; unset, q holds all T rows.
 It then reads only the set's CSR rows and the set's rows of the dense bias,
 so its work scales with the set's stored entries.  A leading range r reads
@@ -819,8 +817,23 @@ def _by_head(n: int, n_heads: int, d_h: int, cells) -> np.ndarray:
     return out.reshape(n_heads * d_h, n).T
 
 
+def _graph_heads(mask, what: str) -> tuple[int, list[int]]:
+    """``mask`` checked as a non-empty list over graphs, each of H head masks
+    of one size.  Returns (H, each graph's token count)."""
+    if not (isinstance(mask, (list, tuple)) and mask and all(
+            isinstance(heads, (list, tuple)) and heads
+            and all(isinstance(mk, HopMask) for mk in heads) for heads in mask)):
+        raise ShapeError(f"{what} takes a non-empty list over graphs, each a non-empty "
+                         f"list of that graph's head masks")
+    for b, heads in enumerate(mask):
+        if len(heads) != len(mask[0]) or any(mk.size != heads[0].size for mk in heads):
+            raise ShapeError(f"graph {b}'s head masks cover {[mk.size for mk in heads]} tokens; "
+                             f"every graph needs {len(mask[0])} head masks of one size")
+    return len(mask[0]), [heads[0].size for heads in mask]
+
+
 def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
-                            mask: HopMask | list[HopMask] | list[list[HopMask]], *,
+                            mask: HopMask | list[list[HopMask]], *,
                             dropout_rate: float = 0.0, dropout_seed=None,
                             training: bool = False, rows=None) -> Tensor:
     """Scaled dot-product attention restricted to the mask support.
@@ -839,24 +852,21 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     weights on either path.  An unset (None) seed is 0, so every draw is
     reproducible.
 
-    ``mask`` may also be a non-empty list of masks whose sizes sum to the row
-    count: block b covers the next ``mask[b].size`` rows of q, k and v and
-    attends only within them, exactly as a call on those rows alone with
-    ``dropout_seed[b]`` would.  One mask is a batch of one.  The blocks run
-    one after another, each on views of its rows.  A block of no tokens (an
-    empty graph) makes no call: it adds no rows to the output and no grads.
-
-    ``mask`` may also hold one such list per head, the heads' lists covering
-    the same blocks, with ``dropout_seed`` one seed list per head.  q, k and
-    v then hold H * d_h columns, head h's being columns h*d_h:(h+1)*d_h, and
-    so does the output: head h's columns equal a call on that head's columns
-    and masks alone, bit for bit.  One mask list is one head.  A graph of at
-    most ``STACK_MAX_TOKENS`` tokens makes one dense-path call on a (heads,
-    T, T) stack of all its heads and no nnz-path call.  Above that, each head
+    ``mask`` is one HopMask (one graph, one head) or a batch: a non-empty
+    list over graphs, ``mask[b]`` holding graph b's H head masks, all of one
+    size, and ``dropout_seed[b][h]`` the seed of graph b's head h.  Graph b
+    covers the next ``mask[b][0].size`` rows of q, k and v; q, k, v and the
+    output hold H * d_h columns, head h's being columns h*d_h:(h+1)*d_h.
+    Graph b's rows of head h's columns equal, bit for bit, a call on those
+    rows and columns alone with ``mask[b][h]`` and its seed.  The graphs run
+    one after another, each on views of its rows; a graph of no tokens makes
+    no call and adds no rows to the output and no grads.  A graph of at most
+    ``STACK_MAX_TOKENS`` tokens makes one dense-path call on a (heads, T, T)
+    stack of all its heads and no nnz-path call.  Above that, each head
     makes one call on the graph: an nnz-path call when its mask is sparse, a
     dense-path call on a stack of one when it is dense.
 
-    With one mask, ``rows`` asks for the queries of only a set of its rows,
+    With one graph, ``rows`` asks for the queries of only a set of its rows,
     q holding those rows and k and v all T: a sorted array of row indices,
     or an int r for range(r) (see :func:`_query_rows`); unset, q holds all T
     rows.  The output and q's grad then have a row per set row, equal to those
@@ -870,17 +880,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
     backward closure is dropped as soon as that part's output is written.
     """
     _check_rate(dropout_rate)
-    if isinstance(mask, HopMask):   # one graph: a batch of one
-        mask, dropout_seed = [mask], [dropout_seed]
-    if not mask or isinstance(mask[0], HopMask):   # one head: a layer of one
-        mask, dropout_seed = [mask], [dropout_seed]
-    if not all(mask):
-        raise ShapeError("a batch needs at least one mask")
-    n_heads, sizes = len(mask), [b.size for b in mask[0]]
-    for h, head in enumerate(mask):
-        if [b.size for b in head] != sizes:
-            raise ShapeError(f"head {h}'s masks are for {[b.size for b in head]} tokens, "
-                             f"head 0's for {sizes}")
+    if isinstance(mask, HopMask):   # one graph, one head: a batch of one
+        mask, dropout_seed = [[mask]], [[dropout_seed]]
+    n_heads, sizes = _graph_heads(mask, "sparse_masked_attention")
     (n_q, width), n_kv = q.values.shape, k.values.shape[0]
     if k.values.shape != v.values.shape or width != k.values.shape[1]:
         raise ShapeError(
@@ -889,13 +891,10 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ShapeError(f"q/k/v have {width} columns, which is not {n_heads} heads "
                          f"times a head dimension")
     d_h = width // n_heads
-    seeds = [None] * n_heads if dropout_seed is None else dropout_seed
-    if len(seeds) != n_heads:
-        raise ShapeError(f"got {len(seeds)} dropout seed lists for {n_heads} heads")
-    seeds = [[None] * len(sizes) if s is None else s for s in seeds]
-    for s in seeds:
-        if len(s) != len(sizes):
-            raise ShapeError(f"got {len(s)} dropout seeds for {len(sizes)} mask blocks")
+    seeds = [[None] * n_heads] * len(sizes) if dropout_seed is None else dropout_seed
+    if len(seeds) != len(sizes) or any(len(s) != n_heads for s in seeds):
+        raise ShapeError(f"{len(sizes)} graphs of {n_heads} heads got dropout seed lists of "
+                         f"lengths {[len(s) for s in seeds]}; each graph needs one per head")
     if sum(sizes) != n_kv:
         raise ShapeError(f"mask is for {sum(sizes)} tokens, "
                          f"inputs have {n_kv} rows")
@@ -949,9 +948,9 @@ def sparse_masked_attention(q: Tensor, k: Tensor, v: Tensor,
             stacks = ([slice(0, n_heads)] if sizes[b] <= STACK_MAX_TOKENS
                       else [slice(h, h + 1) for h in range(n_heads)])
             for hi in stacks:
-                heads = [m[b] for m in mask[hi]]
+                heads = mask[b][hi]
                 dense = _runs_dense(heads[0])
-                drops = [prepare(m, n, s[b], dense) for m, s in zip(heads, seeds[hi])]
+                drops = [prepare(m, n, s, dense) for m, s in zip(heads, seeds[b][hi])]
                 if dense:
                     yield output_of(qr, r, hi, *_dense_path(
                         q3[qr, hi], k3[r, hi], v3[r, hi], heads, drops, n))

@@ -66,8 +66,7 @@ def _read_dataset(path: str) -> list:
     return graphs
 
 
-# The environment variables that set the BLAS thread count; seeded results
-# can round differently at another count.
+# seeded results can round differently at another BLAS thread count
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -35,6 +35,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _built(cls, **fields):
+    """A frozen dataclass ``cls`` holding ``fields``, its ``__post_init__``
+    checks not run: for values the package builds itself (``augment``,
+    ``build_head_masks``), which the tests check would pass them."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _refuse_entry(name: str, what: str, got: str, at) -> None:
     at = [int(i) for i in at]
     where = f" at index {at[0] if len(at) == 1 else at}" if at else ""
@@ -250,6 +260,8 @@ class AugmentedGraph:
     Construction checks the token counts by the package's integer rule (not
     negative) and ``indptr``/``indices`` as an integer CSR of the T tokens
     (:func:`_int_csr`; a row may be empty), raising ``GraphError`` by name.
+    :func:`augment` builds its result without these checks; the tests, not
+    construction, check that it would pass them.
     """
 
     num_node_tokens: int
@@ -303,7 +315,8 @@ def augment(g: Graph) -> AugmentedGraph:
     n, m = g.num_nodes, g.num_edges
     ends, e = g.edges.ravel(), np.repeat(np.arange(n, n + m, dtype=np.int64), 2)
     indptr, indices = csr_from_pairs(np.concatenate([ends, e]), np.concatenate([e, ends]), n + m)
-    return AugmentedGraph(
+    return _built(
+        AugmentedGraph,
         num_node_tokens=n,
         num_edge_tokens=m,
         indptr=_frozen(indptr),

@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import AugmentedGraph, GraphError, _frozen, _int_csr, _int_value, csr_indptr
+from .graphs import (AugmentedGraph, GraphError, _built, _frozen, _int_csr, _int_value,
+                     csr_indptr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +44,9 @@ class HopMask:
     list, a writable array, a view, another integer dtype or an empty
     sequence of any dtype is stored as a read-only int64 copy), so the
     checked structure and the views cached from it cannot drift apart, and
-    the kernel reads one index dtype.
+    the kernel reads one index dtype.  :func:`build_head_masks` builds its
+    masks without these checks; the tests, not construction, check that
+    they would pass them.
 
     Two read-only views are built from the CSR on first use, each by the
     reader that needs it, and cached: ``row_indices`` for dumps and
@@ -60,9 +63,8 @@ class HopMask:
     def __post_init__(self):
         for name in ("hop_budget", "size"):
             object.__setattr__(self, name, _int_value(f"mask {name}", getattr(self, name), 0))
-        # build_mask's arrays are kept as they are.  The kernel's row
-        # reductions assume every row holds at least one in-range, ascending
-        # column.
+        # The kernel's row reductions assume every row holds at least one
+        # in-range, ascending column.
         csr = _int_csr("mask", self.size, self.indptr, self.indices, False)
         for name, a in zip(("indptr", "indices"), csr):
             object.__setattr__(self, name, a)
@@ -302,13 +304,15 @@ def build_head_masks(ag: AugmentedGraph, hops: list[int]) -> list[HopMask]:
                 csr[level] = tuple(map(_frozen, _snapshot_csr(reach, t)))
         if level not in csr:   # the reach stopped growing before max(hops)
             csr[level] = tuple(map(_frozen, _snapshot_csr(reach, t)))
-        masks = {n: HopMask(n, t, *csr[min(n, level)]) for n in set(hops)}
+        masks = {n: csr[min(n, level)] for n in set(hops)}
     else:
         rows, cols, dist = hop_distances(ag.indptr, ag.indices, t, max(hops))
         masks = {}
         for n in set(hops):   # the pairs are row-major, columns ascending: no sort
             keep = dist <= n
-            masks[n] = HopMask(n, t, _frozen(csr_indptr(rows[keep], t)), _frozen(cols[keep]))
+            masks[n] = _frozen(csr_indptr(rows[keep], t)), _frozen(cols[keep])
+    masks = {n: _built(HopMask, hop_budget=n, size=t, indptr=indptr, indices=indices)
+             for n, (indptr, indices) in masks.items()}
     return [masks[n] for n in hops]
 
 

@@ -8,9 +8,9 @@ differ only in their masks.  Normalization defaults to post-norm (after each
 residual add); a config switch selects pre-norm.  Projectors are bias-free so
 edge tokens of a graph without edge features enter as exact zero rows.
 
-Everything below the public entry points runs on a batch of graphs, their
-token rows stacked and each head holding the list of the graphs' masks; a
-single graph is a batch of one, wrapped as such on the entry's first line.
+Everything below the public entry points runs on a batch of graphs: token
+rows stacked, masks a list over graphs of each graph's head masks; a single
+graph is a batch of one, wrapped as such on the entry's first line.
 
 A node task's head reads only the node-token rows, so its last layer computes
 those rows alone (``forward(..., rows=N)``), or only the nodes it scores
@@ -229,12 +229,11 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
                   return_heads: bool = False, rows=None):
     """One encoder layer: masked MHSA with residual, then FFN with residual.
 
-    ``masks`` holds one HopMask per head and ``seed`` the layer's dropout
-    seed.  For a batch of graphs whose token rows are stacked in ``z``, each
-    head's entry is instead the list of the graphs' masks in row order, and
-    ``seed`` the list of the graphs' seeds: every graph's rows then come out
-    as a layer on that graph alone with its seed gives them.  An unset seed
-    is 0 for every graph, so dropout stays deterministic.  With
+    ``masks`` holds one graph's head masks and ``seed`` the layer's dropout
+    seed, or, for a batch of graphs whose token rows are stacked in ``z``, a
+    list over graphs of each graph's head masks and the list of the graphs'
+    seeds: every graph's rows then come out as a layer on that graph alone
+    with its seed gives them.  An unset seed is 0 for every graph.  With
     ``return_heads`` the per-head attention outputs (concatenated, before the
     output projection) are returned alongside the layer output.
 
@@ -246,16 +245,16 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     rounding of the weight gradients, which sum over fewer rows.  Training
     with dropout takes a leading range only.
     """
-    if len(masks) != cfg.num_heads:
-        raise ShapeError(f"got {len(masks)} masks for {cfg.num_heads} heads")
-    if isinstance(masks[0], HopMask):   # one graph: a batch of one
-        masks, seed = [[mk] for mk in masks], None if seed is None else [seed]
-    sizes = [mk.size for mk in masks[0]]
+    if isinstance(masks, (list, tuple)) and masks and isinstance(masks[0], HopMask):
+        masks, seed = [masks], None if seed is None else [seed]   # one graph: a batch of one
+    n_heads, sizes = ops._graph_heads(masks, "encoder_layer")
+    if n_heads != cfg.num_heads:
+        raise ShapeError(f"got {n_heads} masks for {cfg.num_heads} heads")
     rows = ops._query_rows(rows, sizes, training and (
         cfg.dropout > 0.0 or cfg.attention_dropout > 0.0))
     # int64 segment sizes, which dropout takes without a per-element scan
     sizes = np.array(sizes if rows is None else [ops._set_len(rows)], dtype=np.int64)
-    seeds = [[0]] * len(masks[0]) if seed is None else [list(s) for s in seed]
+    seeds = [[0]] * len(masks) if seed is None else [list(s) for s in seed]
 
     def site(tag):
         """The dropout seeds of one site, one per graph."""
@@ -265,8 +264,8 @@ def encoder_layer(z: Tensor, masks: list[HopMask] | list[list[HopMask]], lp: Lay
     q, k, v = ops.split_cols(ops.matmul(attn_in, lp.wqkv), 3)
     concat = ops.sparse_masked_attention(
         q if rows is None else ops.take_rows(q, ops._row_index(rows)), k, v, masks,
-        dropout_rate=cfg.attention_dropout,
-        dropout_seed=[site(h) for h in range(cfg.num_heads)], training=training, rows=rows)
+        dropout_rate=cfg.attention_dropout, training=training, rows=rows,
+        dropout_seed=[[s + [h] for h in range(n_heads)] for s in seeds])
     attn = ops.matmul(concat, lp.wo)
     attn = ops.dropout(attn, cfg.dropout, site(101), training, sizes)
     res1 = ops.add(z if rows is None else ops.take_rows(z, ops._row_index(rows)), attn)
@@ -334,8 +333,8 @@ def _check_nodes(cfg: ModelConfig, g: Graph, name: str) -> None:
 
 def _encode(m: Model, z: Tensor, masks: list[list[HopMask]], seeds: list[int],
             training: bool, rows=None) -> Tensor:
-    """The layer stack on a batch's stacked token rows, given per head the
-    list of the graphs' masks (already checked) and one seed per graph.  With
+    """The layer stack on a batch's stacked token rows, given each graph's
+    head masks (already checked) and one seed per graph.  With
     ``rows`` (one graph, a row set as ``autograd._query_rows`` returns it)
     the last layer computes only those rows, and only they are returned."""
     for l, lp in enumerate(m.layers):
@@ -351,7 +350,7 @@ def encode(m: Model, z: Tensor, masks: list[HopMask]) -> Tensor:
     """Run the layer stack, in eval mode, on one graph's token embeddings
     (T x d) and head masks."""
     _check_masks(m, masks, z.values.shape[0])
-    return _encode(m, z, [[mk] for mk in masks], [0], False)
+    return _encode(m, z, [masks], [0], False)
 
 
 def forward(m: Model, g: Graph | list[Graph], _ag,
@@ -359,15 +358,15 @@ def forward(m: Model, g: Graph | list[Graph], _ag,
             rng_seed=None, graph_ids=None, rows=None) -> Tensor:
     """Embed and encode; returns the T x d token representations.
 
-    ``g`` and ``masks`` may also be parallel lists over a batch of graphs
-    (``masks`` then holds each graph's head-mask list); one graph is a batch
-    of one.  The result stacks each graph's T rows in batch order, and every
-    graph attends only within its own rows.  Graph b draws its dropout from
-    ``rng_seed + graph_ids[b]`` (``graph_ids`` defaults to the batch
-    positions; an unset ``rng_seed`` is 0 for every graph), so its rows equal
-    those of a forward on it alone with that seed, up to rounding.  Both
-    follow the package's integer rule (``2.0`` is 2, a boolean or a fraction
-    is refused) and may not be negative.
+    ``g`` and ``masks`` may also be parallel, non-empty lists over a batch
+    of graphs, ``masks`` holding each graph's head-mask list, the layout the
+    kernel takes; one graph is a batch of one.  The result stacks each
+    graph's T rows in batch order, each attending only within its own rows.
+    Graph b draws its dropout from ``rng_seed + graph_ids[b]`` (``graph_ids``
+    defaults to the batch positions; an unset ``rng_seed`` is 0 for every
+    graph), so its rows equal those of a forward on it alone with that seed,
+    up to rounding.  Both follow the package's integer rule (``2.0`` is 2, a
+    boolean or a fraction is refused) and may not be negative.
 
     ``rows`` (one graph only) asks for a set of token rows alone: an int r
     in [1, T] for the first r, a node task's N node rows, or a sorted array
@@ -389,6 +388,8 @@ def forward(m: Model, g: Graph | list[Graph], _ag,
         g, masks = [g], [masks]
     if not all(isinstance(x, (list, tuple)) for x in (g, masks)):
         raise ShapeError("forward takes a Graph and its head masks, or parallel lists of them")
+    if not g:
+        raise ShapeError("forward got an empty batch; a batch holds at least one graph")
     ids = range(len(g)) if graph_ids is None else _int_field("graph_ids", graph_ids, 0)
     if np.ndim(ids) != 1:
         raise ShapeError(f"graph_ids must be a list of integers, got {graph_ids!r}")
@@ -401,8 +402,7 @@ def forward(m: Model, g: Graph | list[Graph], _ag,
     rows = ops._query_rows(rows, [x.num_nodes + x.num_edges for x in g], training and (
         m.cfg.dropout > 0.0 or m.cfg.attention_dropout > 0.0))
     seeds = [0] * len(g) if rng_seed is None else [seed + int(i) for i in ids]
-    return _encode(m, embed_tokens(m, g), [list(hm) for hm in zip(*masks)], seeds,
-                   training, rows)
+    return _encode(m, embed_tokens(m, g), masks, seeds, training, rows)
 
 
 def readout(h: Tensor, mode: str, sizes=None) -> Tensor:

@@ -513,7 +513,8 @@ class TestDensityDispatch:
         n = sum(b.size for b in masks)
         qv, kv, vv, g = np.random.default_rng(23).standard_normal((4, n, 4))
         r = n // 3 if call == "prefix" else n
-        _attention_run(qv[:r], kv, vv, masks, g[:r], rows=r if call == "prefix" else None)
+        _attention_run(qv[:r], kv, vv, [[b] for b in masks], g[:r],
+                       rows=r if call == "prefix" else None)
         assert all("row_indices" not in vars(b) for b in masks)
 
     @pytest.mark.parametrize("name", DISPATCH_MASKS)
@@ -560,7 +561,7 @@ class TestDensityDispatch:
         mask = DISPATCH_MASKS[name]()
         assert _runs_dense(mask) == EXPECT_DENSE[name]
         runs = []
-        for blocks, seed in [(mask, [7, 1]), ([mask], [[7, 1]])]:
+        for blocks, seed in [(mask, [7, 1]), ([[mask]], [[[7, 1]]])]:
             q, k, v = (Tensor(a, requires_grad=True) for a in _qkv(mask.size, seed=11))
             out = sparse_masked_attention(q, k, v, blocks, dropout_rate=0.3,
                                           dropout_seed=seed, training=True)
@@ -572,8 +573,9 @@ class TestDensityDispatch:
     def test_one_dropout_seed_per_mask_block(self):
         mask = DISPATCH_MASKS["nnz"]()
         q, k, v = (Tensor(np.vstack([a, a])) for a in _qkv(mask.size))
-        with pytest.raises(ShapeError, match="1 dropout seeds for 2 mask blocks"):
-            sparse_masked_attention(q, k, v, [mask, mask], dropout_rate=0.3,
+        with pytest.raises(ShapeError, match=r"^2 graphs of 1 heads got dropout seed lists of "
+                                             r"lengths \[1\]; each graph needs one per head$"):
+            sparse_masked_attention(q, k, v, [[mask], [mask]], dropout_rate=0.3,
                                     dropout_seed=[[7]], training=True)
 
     @pytest.mark.parametrize("name", ["nnz", "dense"])
@@ -863,7 +865,7 @@ class TestAdditiveBiasMasking:
     def test_full_mask_builds_no_dense_cache(self, call):
         mask = DISPATCH_MASKS["full"]()
         t = mask.size
-        masks = mask if call == "one mask" else [[mask], [mask]]
+        masks = mask if call == "one mask" else [[mask, mask]]
         width = 4 if call == "one mask" else 8
         qv, kv, vv, g = np.random.default_rng(42).standard_normal((4, t, width))
         _attention_run(qv, kv, vv, masks, g)
@@ -876,14 +878,14 @@ class TestAdditiveBiasMasking:
         t = mask.size
         r = t // 3 if call == "prefix" else t
         rows = r if call == "prefix" else None
-        masks = [[mask], [mask]] if call == "stacked" else mask
+        masks = [[mask, mask]] if call == "stacked" else mask
         width = 8 if call == "stacked" else 4
         qv, kv, vv, g = np.random.default_rng(43).standard_normal((4, t, width))
         _attention_run(qv[:r], kv, vv, masks, g[:r], rows=rows)
         assert "dense_bias" in vars(mask) and "row_indices" not in vars(mask)
         # dropout places its draws on the stored cells without a cached view
         _attention_run(qv[:r], kv, vv, masks, g[:r], rows=rows, dropout_rate=0.3,
-                       dropout_seed=[[1], [2]] if call == "stacked" else 1, training=True)
+                       dropout_seed=[[1, 2]] if call == "stacked" else 1, training=True)
         assert "row_indices" not in vars(mask)
 
 
@@ -964,7 +966,8 @@ class TestJoinedNnzBlocks:
         qv, kv, vv, g = np.random.default_rng(21).standard_normal((4, ends[-1], 4))
         seeds = [[b, 5] for b in range(len(masks))]
         kw = dict(dropout_rate=rate, training=True)
-        batch, _ = _attention_run(qv, kv, vv, masks, g, dropout_seed=seeds, **kw)
+        batch, _ = _attention_run(qv, kv, vv, [[b] for b in masks], g,
+                                  dropout_seed=[[s] for s in seeds], **kw)
         for b, (mask, hi) in enumerate(zip(masks, ends)):
             rows = slice(hi - mask.size, hi)
             alone, _ = _attention_run(qv[rows], kv[rows], vv[rows], mask, g[rows],
@@ -979,7 +982,7 @@ class TestJoinedNnzBlocks:
         n = sum(b.size for b in masks)
         q, k, v = (Tensor(a) for a in np.random.default_rng(22).standard_normal((3, n, 4)))
         with ops.scratch_tape():
-            backward(ops.sum_all(sparse_masked_attention(q, k, v, masks)))
+            backward(ops.sum_all(sparse_masked_attention(q, k, v, [[b] for b in masks])))
         # one call per block, in block order, each on its block's mask
         assert [c.kind for c in calls] == ["one-head" if d else "nnz"
                                            for d in BATCH_PATHS[kind]]
@@ -1005,19 +1008,29 @@ class TestJoinedNnzBlocks:
                          indices=b.indices.astype(dtype)) for b in masks]
         n = sum(b.size for b in masks)
         qv, kv, vv, g = np.random.default_rng(24).standard_normal((4, n, 4))
-        for want, got, rows in [(masks, other, slice(None)),
+        for want, got, rows in [([[b] for b in masks], [[b] for b in other], slice(None)),
                                 (masks[1], other[1], slice(0, masks[1].size))]:
             ref, _ = _attention_run(qv[rows], kv[rows], vv[rows], want, g[rows])
             res, _ = _attention_run(qv[rows], kv[rows], vv[rows], got, g[rows])
             for a, b in zip(ref, res):
                 assert np.array_equal(a, b)
 
-    def test_empty_batch_refused_before_any_tape_entry(self):
-        x = Tensor(np.zeros((0, 4)))
+    @pytest.mark.parametrize("batch", ["empty", "flat", "empty graph entry", "head mask"])
+    def test_empty_batch_refused_before_any_tape_entry(self, batch):
+        # a batch is a non-empty list over graphs of each graph's head masks;
+        # an empty list, a flat list of masks, a graph of no head masks, or a
+        # graph entry that is one mask is refused, naming that layout
+        mask = DISPATCH_MASKS["dense"]()
+        x = Tensor(np.zeros((mask.size, 4)))
+        masks = {"empty": [], "flat": [mask], "empty graph entry": [[mask], []],
+                 "head mask": [[mask], mask]}[batch]
         with ops.scratch_tape() as tape:
-            for kw in ({}, dict(dropout_rate=0.3, dropout_seed=[], training=True)):
-                with pytest.raises(ShapeError, match="^a batch needs at least one mask$"):
-                    sparse_masked_attention(x, x, x, [], **kw)
+            for kw in ({}, dict(dropout_rate=0.3, dropout_seed=[[1]] * len(masks),
+                                training=True)):
+                with pytest.raises(ShapeError, match="^sparse_masked_attention takes a non-empty "
+                                                     "list over graphs, each a non-empty list of "
+                                                     "that graph's head masks$"):
+                    sparse_masked_attention(x, x, x, masks, **kw)
             assert tape == []
 
 
@@ -1390,7 +1403,7 @@ class TestPrimitiveRecording:
 ORACLE_TOL = 1e-10   # acceptance 01's tolerance
 
 
-# Per head, the masks of a graph batch, for one call per layer.  In "batch"
+# Per graph, the head masks of a graph batch, for one call per layer.  In "batch"
 # (an edgeless graph, a one-token graph, rings and a random graph) every head
 # mixes the paths across graphs: the two graphs past the small-graph bound run
 # every head on the nnz path, and the small graphs' stacks mix partial and
@@ -1412,14 +1425,12 @@ def _ring(nodes: int) -> Graph:
 
 def _layer_masks(kind: str) -> list[list[HopMask]]:
     hops, graphs = LAYER_CASES[kind]
-    per_graph = [build_head_masks(augment(g), list(hops)) for g in graphs()]
-    return [list(head) for head in zip(*per_graph)]
+    return [build_head_masks(augment(g), list(hops)) for g in graphs()]
 
 
 def _stacked_sizes(masks) -> list[int]:
     """The token counts of the graphs with at least two dense heads."""
-    return [head0.size for b, head0 in enumerate(masks[0])
-            if sum(_runs_dense(head[b]) for head in masks) > 1]
+    return [heads[0].size for heads in masks if sum(map(_runs_dense, heads)) > 1]
 
 
 def _head_cols(h: int, d_h: int) -> slice:
@@ -1433,16 +1444,17 @@ class TestOneCallPerLayer:
     D_H = 3
 
     def run_both(self, masks, r=None, rate=0.0, seed=0):
-        n_heads, d_h = len(masks), self.D_H
-        n = sum(b.size for b in masks[0])
+        n_heads, d_h = len(masks[0]), self.D_H
+        n = sum(heads[0].size for heads in masks)
         kw = dict(dropout_rate=rate, training=True, rows=r)
         r = n if r is None else r
         qv, kv, vv, g = np.random.default_rng(seed).standard_normal((4, n, n_heads * d_h))
-        seeds = [[[b, 9, h] for b in range(len(masks[0]))] for h in range(n_heads)]
+        seeds = [[[b, 9, h] for h in range(n_heads)] for b in range(len(masks))]
         layer, meter = _attention_run(qv[:r], kv, vv, masks, g[:r], dropout_seed=seeds, **kw)
         heads = [_attention_run(qv[:r, _head_cols(h, d_h)], kv[:, _head_cols(h, d_h)],
-                                vv[:, _head_cols(h, d_h)], masks[h], g[:r, _head_cols(h, d_h)],
-                                dropout_seed=seeds[h], **kw) for h in range(n_heads)]
+                                vv[:, _head_cols(h, d_h)], [[hm[h]] for hm in masks],
+                                g[:r, _head_cols(h, d_h)], dropout_seed=[[s[h]] for s in seeds],
+                                **kw) for h in range(n_heads)]
         return layer, meter, heads
 
     def assert_equal_per_head(self, layer, heads):
@@ -1452,19 +1464,17 @@ class TestOneCallPerLayer:
 
     def test_cases_cover_the_paths(self):
         masks = _layer_masks("batch")
-        dense = [[_runs_dense(b) for b in head] for head in masks]
-        assert all(set(head) == {False, True} for head in dense)
-        assert any({masks[h][b].nnz == masks[h][b].size ** 2
-                    for h in range(len(masks)) if dense[h][b]} == {False, True}
-                   for b in range(len(masks[0])))
-        assert {b.size for b in masks[0]} >= {1, 3}
+        dense = [[_runs_dense(m) for m in heads] for heads in masks]
+        assert all({d[h] for d in dense} == {False, True} for h in range(len(masks[0])))
+        assert any({m.nnz == m.size ** 2 for m, d in zip(heads, dh) if d} == {False, True}
+                   for heads, dh in zip(masks, dense))
+        assert {heads[0].size for heads in masks} >= {1, 3}
         masks = _layer_masks("large")
-        large = [b for b, m in enumerate(masks[0]) if m.size > ops.STACK_MAX_TOKENS]
-        assert [[_runs_dense(head[b]) for head in masks] for b in large] == [
-            [False, False, True, True]]
+        assert [list(map(_runs_dense, heads)) for heads in masks
+                if heads[0].size > ops.STACK_MAX_TOKENS] == [[False, False, True, True]]
         assert max(_stacked_sizes(masks)) > ops.STACK_MAX_TOKENS >= min(_stacked_sizes(masks))
         masks = _layer_masks("one")
-        assert {_runs_dense(head[0]) for head in masks} == {False, True}
+        assert set(map(_runs_dense, masks[0])) == {False, True}
         assert len(_stacked_sizes(masks)) == 1
 
     @pytest.mark.parametrize("kind", ["batch", "large"])
@@ -1482,12 +1492,11 @@ class TestOneCallPerLayer:
         # dense head of a larger graph; then one per dense block of each
         # head's own call
         hops = LAYER_CASES[kind][0]
-        dense = [[h for h in range(len(masks)) if _runs_dense(masks[h][b])]
-                 for b in range(len(masks[0]))]
-        sizes = [b.size for b in masks[0]]
+        dense = [[h for h, m in enumerate(heads) if _runs_dense(m)] for heads in masks]
+        sizes = [heads[0].size for heads in masks]
         layer_calls = [(t, group) for t, hs in zip(sizes, dense) if hs
                        for group in ([hs] if t <= ops.STACK_MAX_TOKENS else [[h] for h in hs])]
-        head_calls = [(t, [h]) for h in range(len(masks)) for t, hs in zip(sizes, dense)
+        head_calls = [(t, [h]) for h in range(len(hops)) for t, hs in zip(sizes, dense)
                       if h in hs]
         got = [(c.args[3][0].size, [hops.index(b.hop_budget) for b in c.args[3]])
                for c in calls if c.name == "_dense_path"]
@@ -1506,14 +1515,14 @@ class TestOneCallPerLayer:
         t = masks[0][0].size
         for r in [1, t // 2, t]:
             layer, _, heads = self.run_both(masks, r=r, rate=rate, seed=r)
-            assert layer[0].shape == layer[1].shape == (r, len(masks) * self.D_H)
+            assert layer[0].shape == layer[1].shape == (r, len(masks[0]) * self.D_H)
             self.assert_equal_per_head(layer, heads)
 
     @pytest.mark.parametrize("nodes", [1, 5])
     @pytest.mark.parametrize("stack", ["never", "always"])
     def test_edgeless_graph(self, nodes, stack, monkeypatch):
         monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0 if stack == "never" else 10**6)
-        masks = [[m] for m in build_head_masks(augment(_edgeless(nodes)), [0, 1, 2])]
+        masks = [build_head_masks(augment(_edgeless(nodes)), [0, 1, 2])]
         layer, _, heads = self.run_both(masks, rate=0.3, seed=2)
         self.assert_equal_per_head(layer, heads)
         # identity masks: every token attends to itself alone
@@ -1523,9 +1532,9 @@ class TestOneCallPerLayer:
 
     def test_one_tape_entry_and_the_flops_of_the_heads(self):
         masks = _layer_masks("batch")
-        n = sum(b.size for b in masks[0])
+        n = sum(heads[0].size for heads in masks)
         q, k, v = (Tensor(a) for a in np.random.default_rng(3).standard_normal(
-            (3, n, len(masks) * self.D_H)))
+            (3, n, len(masks[0]) * self.D_H)))
         with ops.scratch_tape() as tape:
             sparse_masked_attention(q, k, v, masks)
             assert len(tape) == 1
@@ -1535,7 +1544,7 @@ class TestOneCallPerLayer:
 
     def test_columns_not_a_multiple_of_the_heads_refused(self):
         masks = _layer_masks("batch")
-        n = sum(b.size for b in masks[0])
+        n = sum(heads[0].size for heads in masks)
         x = Tensor(np.zeros((n, 10)))
         with ops.scratch_tape() as tape:
             with pytest.raises(ShapeError, match="have 10 columns, which is not 4 heads"):
@@ -1543,20 +1552,25 @@ class TestOneCallPerLayer:
             assert tape == []
 
     def test_heads_over_other_blocks_refused(self):
+        # a graph's head masks are all of one size, and every graph has H
         masks = _layer_masks("batch")
-        masks[2] = masks[2][1:] + masks[2][:1]
-        n = sum(b.size for b in masks[0])
+        n = sum(heads[0].size for heads in masks)
         x = Tensor(np.zeros((n, 12)))
-        with pytest.raises(ShapeError, match="head 2's masks are for"):
-            sparse_masked_attention(x, x, x, masks)
+        other = [masks[:2] + [masks[2][:1] + masks[1][1:2] + masks[2][2:]] + masks[3:],
+                 masks[:2] + [masks[2][:3]] + masks[3:]]
+        for bad, want in zip(other, [r"\[1, 80, 1, 1\]", r"\[1, 1, 1\]"]):
+            with pytest.raises(ShapeError, match=f"^graph 2's head masks cover {want} tokens; "
+                                                 f"every graph needs 4 head masks of one size$"):
+                sparse_masked_attention(x, x, x, bad)
 
     def test_one_seed_list_per_head(self):
         masks = _layer_masks("batch")
-        n = sum(b.size for b in masks[0])
+        n = sum(heads[0].size for heads in masks)
         x = Tensor(np.zeros((n, 12)))
-        with pytest.raises(ShapeError, match="got 3 dropout seed lists for 4 heads"):
+        with pytest.raises(ShapeError, match=r"^7 graphs of 4 heads got dropout seed lists of "
+                                             r"lengths \[3, 3, 3, 3, 3, 3, 3\]"):
             sparse_masked_attention(x, x, x, masks, dropout_rate=0.3, training=True,
-                                    dropout_seed=[[0] * len(masks[0])] * 3)
+                                    dropout_seed=[[0] * 3] * len(masks))
 
 
 class TestSmallGraphBound:
@@ -1607,18 +1621,18 @@ class TestSmallGraphBound:
     def test_one_token_past_the_bound_follows_density(self, isolated, monkeypatch):
         # a 64-token ring, and the same ring with one isolated node: its hop 1
         # and 2 masks are sparse, hop 12 partial and hop 40 (nearly) full
-        masks = [[mk] for mk in build_head_masks(
-            augment(self.ring_plus_isolated(32, isolated)), list(self.HOPS))]
+        masks = [build_head_masks(augment(self.ring_plus_isolated(32, isolated)),
+                                  list(self.HOPS))]
         t = masks[0][0].size
         assert t == ops.STACK_MAX_TOKENS + isolated
-        assert [_dense_by_density(head[0]) for head in masks] == [False, False, True, True]
+        assert list(map(_dense_by_density, masks[0])) == [False, False, True, True]
         qv, kv, vv = np.random.default_rng(10).standard_normal((3, t, 4 * 3))
         calls = spy_on_paths(monkeypatch)
         with count_attention_flops() as meter:
             sparse_masked_attention(Tensor(qv), Tensor(kv), Tensor(vv), masks)
         if isolated:
             assert [c.kind for c in calls] == ["nnz", "nnz", "one-head", "one-head"]
-            executed = [masks[0][0].nnz, masks[1][0].nnz, t * t, t * t]
+            executed = [masks[0][0].nnz, masks[0][1].nnz, t * t, t * t]
         else:
             assert [c.kind for c in calls] == ["multi-head"] and len(calls[0].args[3]) == 4
             executed = [t * t] * 4
@@ -1633,15 +1647,14 @@ class TestSmallGraphBound:
             graphs = [_ring(32), _edgeless(5), _ring(10), self.ring_plus_isolated(20, 3)]
         else:
             graphs = [self.ring_plus_isolated(32, 1), _ring(40)]
-        per_graph = [build_head_masks(augment(g), list(self.HOPS)) for g in graphs]
-        masks = [[gm[h] for gm in per_graph] for h in range(len(self.HOPS))]
-        n = sum(b.size for b in masks[0])
+        masks = [build_head_masks(augment(g), list(self.HOPS)) for g in graphs]
+        n = sum(heads[0].size for heads in masks)
         q, k, v = (Tensor(a, requires_grad=True)
                    for a in np.random.default_rng(12).standard_normal((3, n, 4 * 3)))
         calls = spy_on_paths(monkeypatch)
         with ops.scratch_tape():
             backward(ops.sum_all(sparse_masked_attention(q, k, v, masks, dropout_rate=0.3,
-                                                         dropout_seed=[[1] * len(graphs)] * 4,
+                                                         dropout_seed=[[1] * 4] * len(graphs),
                                                          training=True)))
         dense_calls = [c for c in calls if c.name == "_dense_path"]
         assert {c.kind for c in dense_calls} == (
@@ -1653,7 +1666,7 @@ class TestSmallGraphBound:
 
     @pytest.mark.parametrize("r", [1, 7, 32])
     def test_a_small_prefix_scores_r_times_t_cells_on_every_head(self, r):
-        masks = [[mk] for mk in build_head_masks(augment(_ring(16)), list(self.HOPS))]
+        masks = [build_head_masks(augment(_ring(16)), list(self.HOPS))]
         t = masks[0][0].size
         assert not _dense_by_density(masks[0][0])
         qv, kv, vv = np.random.default_rng(11).standard_normal((3, t, 4 * 3))
@@ -1661,8 +1674,8 @@ class TestSmallGraphBound:
             out = sparse_masked_attention(Tensor(qv[:r]), Tensor(kv), Tensor(vv), masks, rows=r)
         assert out.values.shape == (r, 12)
         assert meter.executed_flops == 4 * attention_flops(r * t, 3)
-        assert meter.attention_flops == sum(attention_flops(int(head[0].indptr[r]), 3)
-                                            for head in masks)
+        assert meter.attention_flops == sum(attention_flops(int(mk.indptr[r]), 3)
+                                            for mk in masks[0])
 
 
 class TestEmptyBlocks:
@@ -1681,12 +1694,12 @@ class TestEmptyBlocks:
             monkeypatch.setattr(ops, "DENSE_MIN_DENSITY", 2.0)
         if forced == "one-head":
             monkeypatch.setattr(ops, "STACK_MAX_TOKENS", 0)
-        masks = _layer_masks("batch") if where != "alone" else [[] for _ in range(4)]
+        masks = _layer_masks("batch") if where != "alone" else []
         at = {"alone": 0, "first": 0, "mid": 3}[where]
-        with_empty = [head[:at] + [HopMask(0, 0, [0], [])] + head[at:] for head in masks]
-        n = sum(b.size for b in with_empty[0])
+        with_empty = masks[:at] + [[HopMask(0, 0, [0], []) for _ in range(4)]] + masks[at:]
+        n = sum(heads[0].size for heads in with_empty)
         qv, kv, vv, g = np.random.default_rng(44).standard_normal((4, n, 4 * self.D_H))
-        seeds = [[[b, h] for b in range(len(with_empty[0]))] for h in range(4)]
+        seeds = [[[b, h] for h in range(4)] for b in range(len(with_empty))]
         kw = dict(dropout_rate=rate, training=True)
         calls = spy_on_paths(monkeypatch)
         got, meter = _attention_run(qv, kv, vv, with_empty, g, **kw, dropout_seed=seeds)
@@ -1698,7 +1711,7 @@ class TestEmptyBlocks:
         calls.clear()
         want, want_meter = _attention_run(
             qv, kv, vv, masks, g, **kw,
-            dropout_seed=[head[:at] + head[at + 1:] for head in seeds])
+            dropout_seed=seeds[:at] + seeds[at + 1:])
         assert [c.kind for c in calls] == kinds and len(kinds) > 1
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -1729,9 +1742,8 @@ def _batch_case(seed: int) -> tuple[list[list[HopMask]], float, int]:
     kinds = list(rng.choice(BLOCK_KINDS, int(rng.integers(3, 8))))
     kinds[int(rng.integers(len(kinds)))] = "large"
     hops = rng.integers(0, 9, int(rng.integers(1, 5))).tolist()
-    per_graph = [build_head_masks(augment(_fuzz_graph(rng, kind)), hops) for kind in kinds]
-    return [list(head) for head in zip(*per_graph)], 0.3 if seed % 2 else 0.0, int(
-        rng.integers(1, 5))
+    masks = [build_head_masks(augment(_fuzz_graph(rng, kind)), hops) for kind in kinds]
+    return masks, 0.3 if seed % 2 else 0.0, int(rng.integers(1, 5))
 
 
 class TestBatchFuzz:
@@ -1744,25 +1756,25 @@ class TestBatchFuzz:
 
     def test_cases_cover_the_batch_shapes(self):
         cases = [_batch_case(seed) for seed in self.SEEDS]
-        sizes = {b.size for masks, _, _ in cases for b in masks[0]}
+        sizes = {heads[0].size for masks, _, _ in cases for heads in masks}
         assert {0, 1} <= sizes
         assert any(1 < t <= ops.STACK_MAX_TOKENS for t in sizes)
         assert any(t > ops.STACK_MAX_TOKENS for t in sizes)
-        assert {len(masks) for masks, _, _ in cases} == {1, 2, 3, 4}
+        assert {len(masks[0]) for masks, _, _ in cases} == {1, 2, 3, 4}
         assert {rate for _, rate, _ in cases} == {0.0, 0.3}
         # a large graph whose heads take both paths, in one call
-        assert any({_runs_dense(head[b]) for head in masks} == {False, True}
-                   for masks, _, _ in cases for b in range(len(masks[0]))
-                   if masks[0][b].size > ops.STACK_MAX_TOKENS)
+        assert any(set(map(_runs_dense, heads)) == {False, True}
+                   for masks, _, _ in cases for heads in masks
+                   if heads[0].size > ops.STACK_MAX_TOKENS)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_each_graph_equals_a_call_on_it_alone_and_the_oracle(self, seed, monkeypatch):
         masks, rate, d_h = _batch_case(seed)
-        n_heads, sizes = len(masks), [b.size for b in masks[0]]
+        n_heads, sizes = len(masks[0]), [heads[0].size for heads in masks]
         ends = np.cumsum(sizes)
         qv, kv, vv, g = np.random.default_rng(seed).standard_normal(
             (4, ends[-1], n_heads * d_h))
-        seeds = [[[seed, b, h] for b in range(len(sizes))] for h in range(n_heads)]
+        seeds = [[[seed, b, h] for h in range(n_heads)] for b in range(len(sizes))]
         kw = dict(dropout_rate=rate, training=True)
         calls = spy_on_paths(monkeypatch)
         batch, _ = _attention_run(qv, kv, vv, masks, g, dropout_seed=seeds, **kw)
@@ -1772,19 +1784,19 @@ class TestBatchFuzz:
         assert [c.kind for c in calls] == [
             kind for b, t in enumerate(sizes) if t
             for kind in ([stack] if t <= ops.STACK_MAX_TOKENS else
-                         ["one-head" if _runs_dense(head[b]) else "nnz" for head in masks])]
+                         ["one-head" if _runs_dense(mk) else "nnz" for mk in masks[b]])]
         for b, hi in enumerate(ends):
             rows = slice(hi - sizes[b], hi)
-            alone, _ = _attention_run(qv[rows], kv[rows], vv[rows], [[head[b]] for head in masks],
-                                      g[rows], dropout_seed=[[s[b]] for s in seeds], **kw)
+            alone, _ = _attention_run(qv[rows], kv[rows], vv[rows], [masks[b]], g[rows],
+                                      dropout_seed=[seeds[b]], **kw)
             for got, want in zip(batch, alone):
                 assert np.array_equal(got[rows], want)
             if rate or not sizes[b]:
                 continue
-            for h, head in enumerate(masks):
+            for h, mk in enumerate(masks[b]):
                 cols = _head_cols(h, d_h)
                 qkv = (qv[rows, cols], kv[rows, cols], vv[rows, cols])
-                support = mask_to_dense(head[b])
+                support = mask_to_dense(mk)
                 oracle = [dense_attention_oracle(*qkv, support),
                           *_dense_oracle_grads(*qkv, support, g[rows, cols])]
                 for got, want in zip(batch, oracle):
@@ -1949,13 +1961,13 @@ class TestQueryRowSets:
         masks = _layer_masks("one")
         t, d_h = masks[0][0].size, 3
         rows = np.sort(np.random.default_rng(8).choice(t, t // 3, replace=False))
-        qv, kv, vv, g = np.random.default_rng(9).standard_normal((4, t, len(masks) * d_h))
+        qv, kv, vv, g = np.random.default_rng(9).standard_normal((4, t, len(masks[0]) * d_h))
         layer, meter = _attention_run(qv[rows], kv, vv, masks, g[rows], rows=rows)
         flops = 0
-        for h in range(len(masks)):
+        for h, mk in enumerate(masks[0]):
             cols = _head_cols(h, d_h)
             alone, head_meter = _attention_run(qv[rows, cols], kv[:, cols], vv[:, cols],
-                                               masks[h], g[rows, cols], rows=rows)
+                                               mk, g[rows, cols], rows=rows)
             for got, want in zip(layer, alone):
                 assert np.array_equal(got[:, cols], want)
             flops += head_meter.attention_flops
@@ -1970,7 +1982,7 @@ class TestQueryRowSets:
         with pytest.raises(ShapeError, match="rows asks for query rows of one graph, got a "
                                              "batch of 2"):
             sparse_masked_attention(q, Tensor(np.vstack([kv, kv])), Tensor(np.vstack([vv, vv])),
-                                    [mask, mask], rows=[1, 4])
+                                    [[mask], [mask]], rows=[1, 4])
         # unset, q holds all T rows: fewer or more are refused, on one mask
         # and on a batch
         for n in (5, 13):
@@ -1978,7 +1990,7 @@ class TestQueryRowSets:
                 sparse_masked_attention(Tensor(np.resize(qv, (n, 4))), k, v, mask)
         with pytest.raises(ShapeError, match="q has 5 rows for a set of 24 query rows"):
             sparse_masked_attention(Tensor(qv[:5]), Tensor(np.vstack([kv, kv])),
-                                    Tensor(np.vstack([vv, vv])), [mask, mask])
+                                    Tensor(np.vstack([vv, vv])), [[mask], [mask]])
         with pytest.raises(ShapeError, match="rows entry 0 is 1, not 0: a forward that draws "
                                              "dropout takes a leading range"):
             sparse_masked_attention(q, k, v, mask, rows=[1, 4], dropout_rate=0.1,
@@ -2003,10 +2015,10 @@ class TestNoGrad:
         # dense stacks (see TestOneCallPerLayer), "one" a query prefix (``rows=r``) of both
         # paths
         masks = _layer_masks(kind)
-        n, n_heads = sum(b.size for b in masks[0]), len(masks)
+        n, n_heads = sum(heads[0].size for heads in masks), len(masks[0])
         r = n // 2 if kind == "one" else n
         qv, kv, vv = np.random.default_rng(5).standard_normal((3, n, n_heads * 3))
-        seeds = [[[b, 9, h] for b in range(len(masks[0]))] for h in range(n_heads)]
+        seeds = [[[b, 9, h] for h in range(n_heads)] for b in range(len(masks))]
         kw = dict(dropout_rate=rate, dropout_seed=seeds, training=True,
                   rows=r if kind == "one" else None)
         runs = []
@@ -2037,9 +2049,9 @@ class TestNoGrad:
 
         spy_on_paths(monkeypatch, around=traced)
         masks = _layer_masks("batch")
-        n = sum(b.size for b in masks[0])
+        n = sum(heads[0].size for heads in masks)
         q, k, v = (Tensor(a) for a in np.random.default_rng(6).standard_normal(
-            (3, n, len(masks) * 3)))
+            (3, n, len(masks[0]) * 3)))
         with ops.no_grad():
             sparse_masked_attention(q, k, v, masks)
         assert len(refs) > 3 and alive_at_start == [0] * len(refs)

@@ -395,6 +395,30 @@ class TestTrain:
         assert str(outdir / "model.json") in manifest["artifacts"]
         assert manifest["tool_version"]
 
+    def test_manifest_records_the_numeric_build(self, tmp_path, monkeypatch):
+        # numpy version, BLAS build and the BLAS thread variables as set: seeded
+        # results are bit-identical within one build at one thread count
+        from hopformer.cli import BLAS_THREAD_VARS, _numeric_build
+
+        src = tmp_path / "g.json"
+        write_labelled_graph(src)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(run_config()))
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        runs = []
+        for _ in range(2):
+            main(["train", str(src), "--config", str(cfg_path), "--output", str(tmp_path / "r")])
+            runs.append(json.loads((tmp_path / "r" / "manifest.json").read_text()))
+        build = runs[0]["numeric_build"]
+        assert build == {**_numeric_build(), "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}}
+        assert build["numpy"] == np.__version__ and build["blas"]["name"]
+        # a same-seed rerun differs only in its timestamps
+        for run in runs:
+            assert run.pop("started_at") <= run.pop("finished_at")
+        assert runs[0] == runs[1]
+
     def test_checkpoint_rerun_byte_identical(self, tmp_path):
         src = tmp_path / "g.json"
         write_labelled_graph(src)

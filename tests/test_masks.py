@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopformer import (Graph, ModelConfig, Tensor, augment, build_head_masks, build_mask,
-                       generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
+from hopformer import (AugmentedGraph, Graph, ModelConfig, Tensor, augment, build_head_masks,
+                       build_mask, generate_erdos_renyi, generate_sbm, generate_watts_strogatz,
                        mask_stats, sparse_masked_attention)
 from hopformer import masks as masks_mod
 from hopformer.graphs import GraphError
@@ -760,3 +760,80 @@ class TestSearchDispatch:
                 m.setattr(masks_mod, "hop_distances" if one else "_reach_levels",
                           refuse("took the other search"))
                 build_head_masks(ag, [1, 2, 4, 8])
+
+
+def _sparse_large_graph() -> Graph:
+    """The benchmark's sparse_large graph at seed 3 (bench/workloads.py)."""
+    import sys
+    from pathlib import Path
+
+    import hopformer
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.make_inputs(hopformer, workloads.WORKLOADS["sparse_large"], 3)[0]
+
+
+def _built_cases():
+    """(graph, budgets): edgeless, one-node and no-node graphs, er_graph-sized
+    ER graphs and an sbm_node-sized SBM at budgets 0 to past their
+    augmented diameter (at most 2 * (nodes - 1)), and sparse_large's graph,
+    a multi-block search, at its benchmark budgets and 0."""
+    rng = np.random.default_rng(36)
+    small = [_edgeless(0), _edgeless(1), _edgeless(4), single_edge_graph(),
+             *(generate_erdos_renyi(n, 0.3, seed=int(rng.integers(2**31))) for n in (8, 12, 15)),
+             generate_sbm((30, 30), 0.3, 0.02, seed=3)]
+    return [(g, list(range(2 * g.num_nodes + 2))) for g in small] + [
+        (_sparse_large_graph(), [0, 1, 2, 3, 4])]
+
+
+class TestPackageBuiltValues:
+    """``augment`` and ``build_head_masks`` build their results without the
+    public constructors' checks; what they build must pass those checks
+    unchanged: nothing refused, and the same read-only int64 arrays kept."""
+
+    @staticmethod
+    def assert_same_arrays(built, again):
+        for name in ("indptr", "indices"):
+            a = getattr(built, name)
+            assert a.dtype == np.int64 and not a.flags.writeable
+            assert np.array_equal(getattr(again, name), a)
+
+    def test_rebuilt_by_the_public_constructors_unchanged(self):
+        searches = []
+        for g, budgets in _built_cases():
+            ag = augment(g)
+            again = AugmentedGraph(ag.num_node_tokens, ag.num_edge_tokens, ag.indptr,
+                                   ag.indices, ag.token_kind, ag.edge_token_origin)
+            assert (again.num_node_tokens, again.num_edge_tokens) == (g.num_nodes, g.num_edges)
+            self.assert_same_arrays(ag, again)
+            assert not ag.token_kind.flags.writeable and not ag.edge_token_origin.flags.writeable
+            for mk, n in zip(build_head_masks(ag, budgets), budgets):
+                again = HopMask(mk.hop_budget, mk.size, mk.indptr, mk.indices)
+                assert (again.hop_budget, again.size) == (n, ag.total_tokens)
+                assert type(mk.hop_budget) is type(mk.size) is int
+                self.assert_same_arrays(mk, again)
+            searches.append(masks_mod._one_block(ag.total_tokens, ag.indices.size))
+        assert searches == [True] * (len(searches) - 1) + [False]
+
+    def test_augment_and_build_head_masks_run_no_csr_check(self, monkeypatch):
+        from hopformer import graphs as graphs_mod
+
+        calls = []
+        real = graphs_mod._int_csr
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        for mod in (graphs_mod, masks_mod):
+            monkeypatch.setattr(mod, "_int_csr", spy)
+        for g, budgets in _built_cases():
+            build_head_masks(augment(g), budgets)
+        assert calls == []
+        mk = build_mask(augment(single_edge_graph()), 1)
+        HopMask(mk.hop_budget, mk.size, mk.indptr, mk.indices)
+        assert calls == ["mask"]

@@ -1,4 +1,5 @@
 import json
+import operator
 import re
 from dataclasses import fields
 
@@ -596,8 +597,9 @@ class TestGraphBatch:
         with ops.scratch_tape():
             training._outputs(m, graphs, masks, [range(len(graphs))])
         assert len(calls) == m.cfg.num_layers
-        assert all(len(c) == m.cfg.num_heads for c in calls)
-        assert all(len(head) == len(graphs) for c in calls for head in c)
+        # graph-major: each graph's head-mask list, as given, goes down to the kernel
+        assert all(len(c) == len(graphs) and all(map(operator.is_, c, masks)) for c in calls)
+        assert all(len(heads) == m.cfg.num_heads for c in calls for heads in c)
 
     def test_mismatched_batch_masks_refused(self):
         m, graphs, ags, masks = self.setup_case(*BATCH_CASES[1])
@@ -606,6 +608,31 @@ class TestGraphBatch:
             forward(m, graphs[:4], ags[:4], swapped[:4])
         with pytest.raises(ShapeError, match="3 head-mask lists"):
             forward(m, graphs[:4], ags[:4], masks[:3])
+
+    @pytest.mark.parametrize("num_layers", [0, 2])
+    def test_empty_batch_refused_before_any_tape_entry(self, num_layers):
+        m = init_model(small_cfg(num_layers=num_layers), 3)
+        with ops.scratch_tape() as tape:
+            with pytest.raises(ShapeError, match="^forward got an empty batch; a batch holds "
+                                                 "at least one graph$"):
+                forward(m, [], None, [])
+            assert tape == []
+
+    @pytest.mark.parametrize("batch", ["empty", "mixed", "graph entry a mask", "head-major"])
+    def test_encoder_layer_refuses_a_batch_off_the_layout(self, batch):
+        # one graph's head masks, or a non-empty list over graphs of them
+        m, _, ags, masks = self.setup_case(*BATCH_CASES[1])
+        (a0, a1), (b0, b1) = masks[:2]
+        assert a0.size != b0.size
+        bad = {"empty": [], "mixed": [a0, [b0, b1]], "graph entry a mask": [[a0, a1], b0],
+               "head-major": [[a0, b0], [a1, b1]]}[batch]
+        want = ("^graph 0's head masks cover" if batch == "head-major" else
+                "^encoder_layer takes a non-empty list over graphs, each a non-empty list of "
+                "that graph's head masks$")
+        with ops.scratch_tape() as tape:
+            with pytest.raises(ShapeError, match=want):
+                encoder_layer(Tensor(np.zeros((1, 8))), bad, m.layers[0], m.cfg)
+            assert tape == []
 
 
 def empty_graph() -> Graph:
