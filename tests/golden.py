@@ -36,6 +36,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
 SEEDS = (3, 4)
@@ -44,8 +46,6 @@ WORKLOADS = ("sbm_node", "er_graph", "sparse_large")
 
 def _digest(items) -> str:
     """sha256 over arrays (dtype, shape and bytes) and Python numbers."""
-    import numpy as np
-
     h = hashlib.sha256()
     for x in items:
         a = np.asarray(x)
@@ -75,8 +75,6 @@ def _case(hf, data, model_cfg, train_cfg, d_v, d_e=0) -> dict:
 
 
 def _with_edge_features(hf, graphs, seed: int, d_e: int):
-    import numpy as np
-
     rng = np.random.default_rng([seed, 5])
     return [hf.Graph(num_nodes=g.num_nodes, edges=g.edges, node_features=g.node_features,
                      edge_features=rng.standard_normal((g.num_edges, d_e)),
@@ -93,8 +91,6 @@ def _regression_labels(hf, graphs):
 def _large_graphs(hf, seed: int):
     """24 labelled ER graphs of 10-30 nodes (p 0.3): most above
     STACK_MAX_TOKENS tokens, some at most it."""
-    import numpy as np
-
     rng = np.random.default_rng([seed, 9])
     graphs = []
     for i in range(24):

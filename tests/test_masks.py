@@ -793,7 +793,7 @@ def _built_cases():
 class TestPackageBuiltValues:
     """``augment`` and ``build_head_masks`` build their results without the
     public constructors' checks; what they build must pass those checks
-    unchanged: nothing refused, and the same read-only int64 arrays kept."""
+    unchanged: nothing refused, and equal read-only int64 arrays."""
 
     @staticmethod
     def assert_same_arrays(built, again):
